@@ -86,12 +86,12 @@ func (s *Solver) Attach(g *Graph) error {
 	var fr *dynconn.Tracker
 	if frontierWorthwhile(g) {
 		// Mesh-like attach (low average degree, id-local edges): the
-		// frontier engine's asynchronous min-label propagation pays per
-		// round only for the vertices still active, which on these shapes
-		// shrinks fast — cheaper than a Unite per edge and identical in
-		// output (component minima).  Same engine as the "frontier"
-		// algorithm and the scoped re-solve below: one machinery for cold
-		// solves and incremental repair.
+		// frontier engine's flood settles these shapes in one in-order
+		// pass, leaving only chunk boundaries for its union-find hook
+		// pass — cheaper than a Unite per edge and identical in output
+		// (component minima).  Same engine as the "frontier" algorithm
+		// and the scoped re-solve below: one machinery for cold solves
+		// and incremental repair.
 		span := rec.Begin()
 		plan := s.planFor(g)
 		rec.End(obs.PhasePlan, span)
@@ -243,7 +243,7 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	rec.Add(obs.CtrCASHooks, int64(merges))
 	if rec != nil {
 		// Seed the batch's touched endpoints into the session frontier and
-		// record them as the repair's initial frontier — the same round
+		// record them as the repair's initial frontier — the same pass
 		// trace the frontier solves emit, so an insert stream's locality is
 		// observable on one scale.  The flood itself stays with the
 		// union-find above: propagating minima needs adjacency, and
@@ -256,7 +256,7 @@ func (s *Solver) AddEdges(batch []Edge) error {
 			cur.Add(ed.U)
 			cur.Add(ed.V)
 		}
-		rec.RecordFrontierRound(cur.Count(), false)
+		rec.RecordFrontierRound(cur.Count())
 		cur.Clear()
 	}
 	if merges > 0 {
@@ -399,10 +399,10 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		// Mesh-like dirty region: the induced subgraph is exactly the set
 		// of touched components, so seeding it (in full) into the frontier
 		// engine is the scoped-repair instantiation of the frontier
-		// machinery — per-round work proportional to the part of the
-		// region still unsettled, instead of a full pipeline round over
-		// all of it.  The transient CSR is built uncached, like the
-		// sampling branch's.
+		// machinery — one flood over the region plus a hook pass over
+		// whatever it left unsettled, instead of the charged pipeline's
+		// rounds over all of it.  The transient CSR is built uncached,
+		// like the sampling branch's.
 		csr := graph.BuildCSROn(e, sc.Sub)
 		subLabels, subComps = s.frontierLabelsInto(e, sc.Sub, csr, sc.SubLabels)
 	} else if sampleWorthwhile(sc.Sub) {

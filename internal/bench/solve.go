@@ -12,10 +12,10 @@ import (
 
 // SOLVERawSolves is the tracked end-to-end solve benchmark: every generator
 // family swept against the four wall-clock-oriented algorithms — the cas
-// union-find baseline, the Afforest-style sampling fast path, the
-// frontier-driven label propagation engine, and the auto dispatcher — on
-// warm Solver sessions.  Three bars are evaluated and recorded in the
-// table:
+// union-find baseline, the Afforest-style sampling fast path, the two-pass
+// frontier engine (flood, then hook the residual), and the auto
+// dispatcher — on warm Solver sessions.  Three bars are evaluated and
+// recorded in the table:
 //
 //   - sample must beat cas by ≥ 2× wall clock on the block/community
 //     families (the stochastic-block and relaxed-caveman shapes whose
@@ -71,8 +71,9 @@ func SOLVERawSolves(c Config) *Table {
 		Title: "end-to-end solve wall clock: cas vs sample vs frontier vs auto per generator family",
 		Claim: "neighbor sampling settles most components early, so the full edge pass skips " +
 			"the intra-community majority of edges (Afforest); on block/community families " +
-			"that is a ≥2× end-to-end win; frontier-driven label propagation pays per round " +
-			"only for the active vertices, winning the high-diameter mesh cells; and the auto " +
+			"that is a ≥2× end-to-end win; the frontier engine floods labels once and hooks only " +
+			"the residual it leaves into a union-find forest, so it pays at most 4m adjacency " +
+			"reads whatever the diameter, winning the high-diameter mesh cells; and the auto " +
 			"dispatcher picks the right algorithm from plan statistics at no measurable cost",
 		Columns: []string{"family", "n", "m", "cas ms", "sample ms", "frontier ms", "auto ms",
 			"auto pick", "skip%", "sample/cas", "frontier/fix", "auto/best", "bar"},
@@ -205,7 +206,7 @@ type solveFamily struct {
 // families split n across their parts).  The three -xl cells scale the
 // high-diameter meshes past the base size — 4n vertices (double side
 // lengths for the lattices) — where the diameter, and with it the round
-// count any dense-round algorithm pays, grows another 2×.
+// count any round-based algorithm pays, grows another 2×.
 func solveFamilies(n int, seed uint64) []solveFamily {
 	sq := int(math.Sqrt(float64(n)))
 	d := 0

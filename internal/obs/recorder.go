@@ -123,19 +123,17 @@ const (
 	CtrScopedVertices
 	// CtrScopedEdges counts edges of the re-solved dirty subgraph.
 	CtrScopedEdges
-	// CtrFrontierRounds counts frontier-engine rounds executed (it is also
-	// the write cursor of the per-round occupancy ring — see
+	// CtrFrontierRounds counts frontier-engine passes executed (it is also
+	// the write cursor of the per-pass occupancy record — see
 	// RecordFrontierRound).
 	CtrFrontierRounds
 	// CtrFrontierInspected counts adjacency entries the frontier kernels
 	// examined — the direct measure of work ∝ frontier size, against the
-	// dense round structure's rounds × 2m.
+	// 2m of one full adjacency read.
 	CtrFrontierInspected
-	// CtrFrontierLowered counts successful label lowerings (CAS wins).
+	// CtrFrontierLowered counts successful label writes (flood lowerings
+	// and hook-pass links).
 	CtrFrontierLowered
-	// CtrFrontierSwitches counts dense↔sparse representation switches
-	// between consecutive frontier rounds.
-	CtrFrontierSwitches
 	// CtrForestDeletes counts deleted spanning-forest edges (each ran a
 	// replacement search unless its component was already dirty).
 	CtrForestDeletes
@@ -164,8 +162,8 @@ var counterNames = [NumCounters]string{
 	"cas_attempts", "cas_hooks", "fls_phases", "ltz_rounds",
 	"batch_edges", "dirty_components", "scoped_vertices", "scoped_edges",
 	"frontier_rounds", "frontier_inspected", "frontier_lowered",
-	"frontier_switches", "forest_deletes", "non_forest_deletes",
-	"replacements", "splits", "replace_scans", "budget_fallbacks",
+	"forest_deletes", "non_forest_deletes", "replacements", "splits",
+	"replace_scans", "budget_fallbacks",
 }
 
 // String returns the counter's stable external name.
@@ -201,17 +199,18 @@ type Recorder struct {
 	phase [NumPhases]atomic.Int64 // accumulated nanoseconds
 	count [NumCounters]atomic.Int64
 	gauge [NumGauges]atomic.Int64
-	// rounds holds the per-round frontier occupancy of the traced
+	// rounds holds the per-pass frontier occupancy of the traced
 	// operation (see RecordFrontierRound): a fixed array, like everything
 	// else here, so recording stays allocation-free.
 	rounds [MaxFrontierRounds]atomic.Int64
 }
 
-// MaxFrontierRounds bounds the per-round occupancy record.  Operations
-// exceeding it keep counting rounds (CtrFrontierRounds is exact) but only
-// the first MaxFrontierRounds occupancies are retained — high-diameter
-// meshes settle in a handful of rounds, so the cap is generous.
-const MaxFrontierRounds = 64
+// MaxFrontierRounds bounds the per-pass occupancy record.  Operations
+// exceeding it keep counting passes (CtrFrontierRounds is exact) but only
+// the first MaxFrontierRounds occupancies are retained — a traced
+// operation runs one frontier propagate (at most two passes) or one
+// seeded repair, so the cap is generous.
+const MaxFrontierRounds = 4
 
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -300,25 +299,19 @@ func (r *Recorder) Gauge(g Gauge) int64 {
 	return r.gauge[g].Load()
 }
 
-// RecordFrontierRound appends one frontier round to the occupancy record:
-// occ is the round's active-vertex count (≥ 1 — empty frontiers end the
-// engine, they are not rounds), dense whether the round iterated the
-// bitmap representation (false: the sparse compacted list).  The round
-// index comes from CtrFrontierRounds, which this bumps; rounds past
-// MaxFrontierRounds are counted but not retained.  The dense flag is
-// packed into the sign so the slot stays one atomic int64.  Safe on nil.
-func (r *Recorder) RecordFrontierRound(occ int64, dense bool) {
+// RecordFrontierRound appends one frontier pass to the occupancy record:
+// occ is the pass's active-vertex count (≥ 1 — an empty frontier ends the
+// engine, it is not a pass).  The pass index comes from CtrFrontierRounds,
+// which this bumps; passes past MaxFrontierRounds are counted but not
+// retained.  Safe on nil.
+func (r *Recorder) RecordFrontierRound(occ int64) {
 	if r == nil {
 		return
 	}
 	i := r.count[CtrFrontierRounds].Add(1) - 1
-	if i >= MaxFrontierRounds {
-		return
+	if i < MaxFrontierRounds {
+		r.rounds[i].Store(occ)
 	}
-	if !dense {
-		occ = -occ
-	}
-	r.rounds[i].Store(occ)
 }
 
 // FrontierRounds returns the number of retained occupancy entries
@@ -327,22 +320,12 @@ func (r *Recorder) FrontierRounds() int {
 	if r == nil {
 		return 0
 	}
-	n := r.count[CtrFrontierRounds].Load()
-	if n > MaxFrontierRounds {
-		n = MaxFrontierRounds
-	}
-	return int(n)
+	return int(min(r.count[CtrFrontierRounds].Load(), MaxFrontierRounds))
 }
 
-// FrontierRound returns the occupancy and representation of retained
-// round i (callers bound i by FrontierRounds).
-func (r *Recorder) FrontierRound(i int) (occ int64, dense bool) {
-	v := r.rounds[i].Load()
-	if v < 0 {
-		return -v, false
-	}
-	return v, true
-}
+// FrontierRound returns the occupancy of retained pass i (callers bound i
+// by FrontierRounds).
+func (r *Recorder) FrontierRound(i int) int64 { return r.rounds[i].Load() }
 
 // Reset zeroes every phase, counter, gauge, and frontier round — called at
 // the start of each traced operation.  Safe on nil.

@@ -1,12 +1,13 @@
 // Frontier is the active-vertex-set machinery of the frontier-driven solve
-// engine: a dual-representation set that switches between a dense bitmap
-// and a sparse compacted list on occupancy, in the direction-optimizing
-// style of Beamer-style BFS and Ligra's vertex_map/edge_map.  The engine
-// built on it (FrontierPropagate, FrontierUnite) does per-round work
-// proportional to the frontier, not to n or m: a round touches exactly the
-// vertices whose labels changed last round, which is what wins the
-// high-diameter mesh regime (grids, tori, paths) where every dense-round
-// algorithm pays rounds × m.
+// engine: a set with three representations, in the style of Ligra's
+// vertex_map/edge_map.  The engine built on it (FrontierPropagate,
+// FrontierUnite) does work proportional to the frontier, not to rounds ×
+// m: FrontierPropagate floods labels once over the full seed, which on
+// id-local graphs leaves only the chunk boundaries active, then hooks
+// that residual into a union-find forest in one more pass.  No round
+// loop, so no diameter term — which is what wins the high-diameter mesh
+// regime (grids, tori, paths) where every round-based algorithm pays
+// Θ(diameter) rounds.
 //
 // Representation contract:
 //
@@ -20,11 +21,13 @@
 //     reservation cursor, and iteration walks the list directly — work
 //     exactly |F|, independent of n.
 //
-// The collection mode of the next frontier is chosen before each round
-// from the current occupancy (the predictor direction-optimizing BFS
-// uses); frontierSparseFrac holds the measured threshold.  All storage is
-// arena-backed: a session reuses one Frontier pair across solves, so the
-// warm path allocates nothing (pinned by TestFrontierAllocs).
+// The collector picks the representation when it begins collecting: the
+// engine's residual is always a bitmap (the hook pass's word scan is n/64
+// loads, noise beside the flood), while seeded repairs and the
+// replacement search collect sparse lists.  All storage is arena-backed: a
+// session reuses one Frontier pair across solves, so the warm path
+// allocates only the kernels' fixed closure set (pinned by
+// TestFrontierAllocs).
 //
 // Concurrency: Add is safe from any number of loop-body goroutines (CAS on
 // the bitmap word, atomic cursor reservation for the list); everything
@@ -39,18 +42,8 @@ import (
 	"parcc/internal/graph"
 )
 
-// frontierSparseFrac is the occupancy divisor of the representation
-// switch: the next frontier is collected sparse when the current one holds
-// at most n/frontierSparseFrac vertices.  Measured on this container with
-// the SOLVE mesh families: the sparse list pays its reservation cursor and
-// random-order iteration back once occupancy drops below a few percent of
-// n, while above it the bitmap's sequential word scan (64 vertices per
-// load, zeroed as consumed) is strictly cheaper.  1/32 ≈ 3% sits safely
-// inside the regime where both choices were within noise.
-const frontierSparseFrac = 32
-
 // Frontier is one active-vertex set.  Construct with NewFrontier; a
-// session keeps a pair and swaps them between rounds.
+// session keeps a pair, the seed and the residual.
 type Frontier struct {
 	n     int
 	words []int64 // bitmap, ceil(n/64) words, arena-backed
@@ -66,12 +59,12 @@ type Frontier struct {
 // NewFrontier returns an empty frontier over [0,n) with arena-backed
 // storage (nil arena degrades to plain allocation, like every arena user).
 // The struct itself is the only allocation a session pays; Resize within
-// the grabbed capacity and all engine rounds allocate nothing.
+// the grabbed capacity and all engine passes allocate nothing.
 func NewFrontier(a *Arena, n int) *Frontier {
 	f := &Frontier{n: n}
 	f.words = a.Grab64((n + 63) / 64)
 	// No zeroing needed: only slots written through the reservation
-	// cursor this round are ever read back.
+	// cursor since the last BeginCollect are ever read back.
 	f.list = a.Grab32Cap(n)[:n]
 	return f
 }
@@ -173,8 +166,8 @@ func (f *Frontier) Add(v int32) {
 // fold them into cnt once per chunk, instead of paying an atomic add per
 // activation.  seq selects plain bitmap stores for a single-proc runtime
 // (the CAS loop's only job is racing other procs).  The list reservation
-// cursor stays atomic either way: appends are rare (sparse rounds only)
-// and an uncontended Add is nearly free.
+// cursor stays atomic either way: the flood collects bitmap-only, so
+// appends come only through Add, where an uncontended add is nearly free.
 func (f *Frontier) add(v int32, seq bool) bool {
 	w, b := v>>6, uint(v&63)
 	if seq {
@@ -233,116 +226,91 @@ func (f *Frontier) afterConsume() {
 	f.cnt.Store(0)
 }
 
-// FrontierStats is the per-invocation accounting of the engine kernels:
-// rounds executed, adjacency entries inspected (the work ∝ frontier
-// measure the trace reports against dense rounds × 2m), successful label
-// lowerings, and dense↔sparse representation switches between rounds.
+// FrontierStats is the per-invocation accounting of FrontierPropagate:
+// passes executed (Rounds — 1 or 2, 0 for an empty seed), adjacency
+// entries inspected across them (compare against 2m, one full read of the
+// adjacency), and successful label writes (flood lowerings plus hook-pass
+// links).
 type FrontierStats struct {
 	Rounds    int
 	Inspected int64
 	Lowered   int64
-	Switches  int
 }
 
-// FrontierPropagate runs asynchronous minimum-label propagation to
-// fixpoint, driven by the frontier: each round processes exactly the
-// active vertices, comparing labels across their incident edges in both
-// directions — a larger neighbor label is CAS-lowered and the neighbor
-// activated (push), a smaller one lowers the vertex itself, which then
-// re-activates to announce its improvement (pull).  New labels are visible
-// immediately within the round, so a path or grid chunk floods to its
-// minimum in one in-order pass instead of Θ(diameter) synchronous rounds.
+// FrontierPropagate labels every vertex with its component's minimum in
+// at most two passes, hook-then-compress in the style of Liu–Tarjan's
+// concurrent labeling and Afforest's finish pass:
 //
-// Labels must be initialized by the caller (identity for a cold solve) and
-// cur seeded with every vertex whose label may need recomputing — SeedAll
-// for cold solves, the dirty set for scoped repair.  The fixpoint is the
-// per-component minimum of the initial labels, deterministic for any procs
-// and schedule (labels only decrease and every decrease re-activates its
-// vertex, so an unsettled edge is always revisited); round counts and
-// occupancies are schedule-dependent beyond one proc.  Both frontiers are
-// left empty.  onRound, when non-nil, observes each round's occupancy and
-// representation before it runs (the trace hook); pass nil on the
-// tracing-off path.
-func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, cur, next *Frontier, onRound func(occ int64, dense bool)) FrontierStats {
+//  1. Flood (full seed only).  Every vertex, ascending within each chunk,
+//     compares labels across its incident edges: a larger neighbor label
+//     is lowered to its own (push), a smaller one lowers the vertex
+//     itself (pull).  New labels are visible immediately, so an id-local
+//     chunk floods to its minimum in one in-order pass.  Only effects the
+//     rest of the chunk's scan will not see activate a vertex in next —
+//     the residual, which on meshes collapses to the chunk boundaries.
+//  2. Hook.  Labels only ever decrease and each is a vertex of the same
+//     component with labels[v] ≤ v, so they form a valid union-find
+//     forest; the flood leaves every unsettled edge incident to the
+//     residual.  One FrontierUnite pass over the residual links each
+//     component's trees and Compress flattens them to their roots, the
+//     component minima.
+//
+// A partial seed (the scoped-repair form) skips the flood: labels must
+// already be such a forest — settled minima outside the damaged region,
+// identity inside is the canonical case — and cur must hold an endpoint
+// of every unsettled edge.  A full seed needs identity labels (or any
+// such forest).  The result is deterministic for any procs and schedule;
+// the residual's size is schedule-dependent beyond one proc.  Work is
+// O(m·α(n)) on every shape, with no diameter term.  Both frontiers are
+// left empty.  onRound, when non-nil, observes each pass's occupancy
+// before it runs — [n, residual] for a full seed (the trace hook); pass
+// nil on the tracing-off path.
+func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, cur, next *Frontier, onRound func(occ int64)) FrontierStats {
 	var st FrontierStats
+	if cur.full {
+		st.Rounds = 1
+		if onRound != nil {
+			onRound(int64(cur.n))
+		}
+		next.BeginCollect(false)
+		st.Inspected, st.Lowered = flood(rt, labels, csr, cur.n, next)
+		cur.afterConsume()
+		cur = next
+	}
+	if cur.Count() == 0 {
+		cur.afterConsume()
+		return st
+	}
+	st.Rounds++
+	if onRound != nil {
+		onRound(cur.Count())
+	}
+	insp, _, hk := FrontierUnite(rt, labels, csr, cur, int32(len(labels)))
+	st.Inspected += insp
+	st.Lowered += hk
+	Compress(rt, labels)
+	return st
+}
+
+// flood is FrontierPropagate's first pass over all of [0,n), collecting
+// the residual into dst; it returns the adjacency entries inspected and
+// the lowerings made.  Re-activation is mostly elided: chunks iterate
+// ascending, so a neighbor u with v < u < hi is provably visited later in
+// this very chunk and will pull v's improvement itself — no frontier
+// write needed.  Only out-of-chunk effects activate: pushes to
+// already-passed or foreign-chunk vertices, and a re-announce of v when a
+// pull left an already-scanned out-of-chunk neighbor (which keeps its
+// label — maxOut tracks the largest such) above v's final label.  The
+// pass is ~2m inspections — the engine's dominant cost — so the
+// single-proc variant is the same loop rewritten over plain loads and
+// stores: shaving the atomics off this inner loop is what lets the engine
+// undercut the union-find kernels on mesh families at procs=1.  Exactly
+// one of the two bodies is materialized.
+func flood(rt *Runtime, labels []int32, csr *graph.CSR, n int, dst *Frontier) (inspected, lowered int64) {
 	var insp, low atomic.Int64
-	n := cur.n
-	// One predictable branch per label change selects plain stores when
-	// the runtime is single-proc: the CAS loop's only job is racing other
-	// procs, and per-edge it is the engine's dominant atomic cost.
-	seq := rt.Procs() == 1
-	// Hoisted bodies: src/dst are captured cells the round loop swaps, so
-	// the whole fixpoint shares one closure set (no per-round allocation).
-	src, dst := cur, next
-	// lower drops labels[u] to x when that improves it.  Called only on
-	// label-changing edges (~n per component, not 2m), so the closure call
-	// stays off the scan's hot path.
-	lower := func(u, x int32) bool {
-		if seq {
-			if labels[u] > x {
-				labels[u] = x
-				return true
-			}
-			return false
-		}
-		return lowerMin(labels, u, x)
-	}
-	visit := func(v int32) (li, ll, act int64) {
-		lv := atomic.LoadInt32(&labels[v])
-		off, end := csr.Off[v], csr.Off[v+1]
-		li = end - off
-		for i := off; i < end; i++ {
-			u := csr.Nbr[i]
-			lu := atomic.LoadInt32(&labels[u])
-			if lu == lv {
-				continue
-			}
-			if lu > lv {
-				if lower(u, lv) {
-					ll++
-					if dst.add(u, seq) {
-						act++
-					}
-				}
-				// A lost race means someone lowered u below lv and
-				// re-activated it themselves.
-			} else {
-				if lower(v, lu) {
-					ll++
-				}
-				// Whoever holds the winning CAS may be a concurrent
-				// pusher; either way v's label dropped, so continue the
-				// scan with the improvement and re-activate v to push it
-				// to the neighbors already passed.
-				if nl := atomic.LoadInt32(&labels[v]); nl < lv {
-					lv = nl
-					if dst.add(v, seq) {
-						act++
-					}
-				}
-			}
-		}
-		return li, ll, act
-	}
-	// fullBody is the cold-solve seed round, where re-activation can
-	// mostly be elided: chunks iterate ascending, so a neighbor u with
-	// v < u < hi is provably visited later in this very chunk and will
-	// pull v's improvement itself — no frontier write needed.  Only
-	// out-of-chunk effects activate: pushes to already-passed or
-	// foreign-chunk vertices, and a re-announce of v when a pull left an
-	// already-scanned out-of-chunk neighbor (which keeps its label —
-	// maxOut tracks the largest such) above v's final label.  On id-local
-	// meshes the seed round floods whole chunks this way and the next
-	// frontier collapses to the chunk boundaries.  The seed round is ~2m
-	// inspections — the engine's dominant cost — so the single-proc
-	// variant is the same loop rewritten over plain loads and stores with
-	// the lowerings inlined: shaving the atomics and the lower calls off
-	// this inner loop is what lets the engine undercut the union-find
-	// kernels on mesh families at procs=1.  Exactly one of the two
-	// bodies is materialized, keeping the closure set's size fixed.
-	var fullBody func(lo, hi, c int)
-	if seq {
-		fullBody = func(lo, hi, _ int) {
+	var body func(lo, hi, c int)
+	if rt.Procs() == 1 {
+		body = func(lo, hi, _ int) {
 			var li, ll, act int64
 			for v := int32(lo); v < int32(hi); v++ {
 				lv := labels[v]
@@ -389,7 +357,7 @@ func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, cur, next *F
 			}
 		}
 	} else {
-		fullBody = func(lo, hi, _ int) {
+		body = func(lo, hi, _ int) {
 			var li, ll, act int64
 			for v := int32(lo); v < int32(hi); v++ {
 				lv := atomic.LoadInt32(&labels[v])
@@ -440,76 +408,8 @@ func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, cur, next *F
 			}
 		}
 	}
-	listBody := func(lo, hi, _ int) {
-		var li, ll, act int64
-		lst := src.list
-		for i := lo; i < hi; i++ {
-			a, b, c := visit(lst[i])
-			li += a
-			ll += b
-			act += c
-		}
-		insp.Add(li)
-		low.Add(ll)
-		if act > 0 {
-			dst.cnt.Add(act)
-		}
-	}
-	wordBody := func(lo, hi, _ int) {
-		var li, ll, act int64
-		ws := src.words
-		for w := lo; w < hi; w++ {
-			x := ws[w]
-			if x == 0 {
-				continue
-			}
-			// Consume the word: adds this round target dst's bitmap, and
-			// each word is owned by exactly one chunk, so the plain store
-			// is race-free.
-			ws[w] = 0
-			base := int32(w << 6)
-			for x != 0 {
-				a, b, c := visit(base + int32(bits.TrailingZeros64(uint64(x))))
-				x &= x - 1
-				li += a
-				ll += b
-				act += c
-			}
-		}
-		insp.Add(li)
-		low.Add(ll)
-		if act > 0 {
-			dst.cnt.Add(act)
-		}
-	}
-
-	prevDense := false
-	for src.Count() > 0 {
-		st.Rounds++
-		// Predict the next round's representation from this occupancy.
-		dst.BeginCollect(src.Count() <= int64(n)/frontierSparseFrac)
-		dense := !src.Sparse()
-		if st.Rounds > 1 && dense != prevDense {
-			st.Switches++
-		}
-		prevDense = dense
-		if onRound != nil {
-			onRound(src.Count(), dense)
-		}
-		switch {
-		case src.full:
-			rt.ForSpans(n, fullBody)
-		case src.Sparse():
-			rt.ForSpans(src.Len(), listBody)
-		default:
-			rt.ForSpans(len(src.words), wordBody)
-		}
-		src.afterConsume()
-		src, dst = dst, src
-	}
-	st.Inspected = insp.Load()
-	st.Lowered = low.Load()
-	return st
+	rt.ForSpans(n, body)
+	return insp.Load(), low.Load()
 }
 
 // finishVertex is the per-vertex body of the sampling finish pass, shared
@@ -563,70 +463,85 @@ func finishSpan(p []int32, csr *graph.CSR, maj int32, lo, hi int) (att, hk int64
 	return att, hk
 }
 
+// hookTally is one chunk's counts in FrontierUnite, folded into the
+// shared totals once per chunk: adjacency entries read, Unite attempts,
+// and successful hooks.
+type hookTally struct{ insp, att, hk int64 }
+
+// vertex runs finishVertex on v unless v sits in the majority component.
+func (t *hookTally) vertex(p []int32, csr *graph.CSR, maj, v int32) {
+	pv := atomic.LoadInt32(&p[v])
+	if pv == maj {
+		return
+	}
+	a, h := finishVertex(p, csr, maj, v, pv)
+	t.insp += csr.Off[v+1] - csr.Off[v]
+	t.att += a
+	t.hk += h
+}
+
 // FrontierUnite is the finish pass scoped to an active-vertex set: exactly
 // the frontier's vertices run finishVertex, so the work is Σ deg over the
 // frontier instead of n + Σ deg over everything — the seeded form the
-// incremental machinery feeds (touched endpoints, dirty regions).  Sound
-// whenever every unsettled edge is incident to the frontier (the caller's
-// seeding contract); the fixpoint then equals a full Unite pass: component
-// minima, deterministic for any procs and schedule.  The frontier is
-// consumed (left empty).  Counts are per-chunk locals folded once, like
-// SkipUnite's.
+// incremental machinery feeds (touched endpoints, dirty regions) and
+// FrontierPropagate's hook pass.  Sound whenever every unsettled edge is
+// incident to the frontier (the caller's seeding contract); the fixpoint
+// then equals a full Unite pass: component minima, deterministic for any
+// procs and schedule.  The frontier is consumed (left empty).
 //
 // maj has SkipUnite's semantics with one extra obligation on partial
 // seeds: the maj < 0 direction filter assumes every vertex runs (each edge
 // is covered from its lower endpoint), so a partially seeded frontier must
 // pass either a true majority root or a value no root can take —
 // int32(len(p)) is the canonical "skip nothing, filter nothing" sentinel.
-func FrontierUnite(rt *Runtime, p []int32, csr *graph.CSR, f *Frontier, maj int32) (attempts, hooks int64) {
-	var att, hk atomic.Int64
-	switch {
-	case f.full:
-		rt.ForRanges(f.n, func(lo, hi int) {
-			a, h := finishSpan(p, csr, maj, lo, hi)
-			att.Add(a)
-			hk.Add(h)
-		})
-	case f.Sparse():
-		lst := f.list
-		rt.ForRanges(f.Len(), func(lo, hi int) {
-			var la, lh int64
-			for i := lo; i < hi; i++ {
-				v := lst[i]
-				if pv := atomic.LoadInt32(&p[v]); pv != maj {
-					a, h := finishVertex(p, csr, maj, v, pv)
-					la += a
-					lh += h
-				}
+//
+// Returns the adjacency entries read, the Unite attempts, and the hooks.
+// One body serves all three representations and goes to ForSpans
+// directly, so a call allocates only that closure and its totals — which
+// keeps FrontierPropagate's hook pass inside the warm path's allocation
+// budget.
+func FrontierUnite(rt *Runtime, p []int32, csr *graph.CSR, f *Frontier, maj int32) (inspected, attempts, hooks int64) {
+	var tot [3]atomic.Int64
+	full, sparse := f.full, f.Sparse()
+	lst, ws := f.list, f.words
+	n := len(ws)
+	if full {
+		n = f.n
+	} else if sparse {
+		n = f.Len()
+	}
+	rt.ForSpans(n, func(lo, hi, _ int) {
+		var t hookTally
+		switch {
+		case full:
+			for v := lo; v < hi; v++ {
+				t.vertex(p, csr, maj, int32(v))
 			}
-			att.Add(la)
-			hk.Add(lh)
-		})
-	default:
-		ws := f.words
-		rt.ForRanges(len(ws), func(lo, hi int) {
-			var la, lh int64
+		case sparse:
+			for _, v := range lst[lo:hi] {
+				t.vertex(p, csr, maj, v)
+			}
+		default:
 			for w := lo; w < hi; w++ {
 				x := ws[w]
 				if x == 0 {
 					continue
 				}
+				// Consume the word: each is owned by exactly one chunk and
+				// no Adds run during the pass, so the plain store is
+				// race-free.
 				ws[w] = 0
 				base := int32(w << 6)
 				for x != 0 {
-					v := base + int32(bits.TrailingZeros64(uint64(x)))
+					t.vertex(p, csr, maj, base+int32(bits.TrailingZeros64(uint64(x))))
 					x &= x - 1
-					if pv := atomic.LoadInt32(&p[v]); pv != maj {
-						a, h := finishVertex(p, csr, maj, v, pv)
-						la += a
-						lh += h
-					}
 				}
 			}
-			att.Add(la)
-			hk.Add(lh)
-		})
-	}
+		}
+		tot[0].Add(t.insp)
+		tot[1].Add(t.att)
+		tot[2].Add(t.hk)
+	})
 	f.afterConsume()
-	return att.Load(), hk.Load()
+	return tot[0].Load(), tot[1].Load(), tot[2].Load()
 }

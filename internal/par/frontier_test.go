@@ -55,10 +55,10 @@ func identity(n int) []int32 {
 }
 
 // bitRevPath is a path whose vertex numbering is the bit-reversal of the
-// path position, decoupling scan order from path order: a full-frontier
-// in-order pass cannot flood the whole component in one round, so the
-// occupancy decays over several rounds — the shape that exercises the
-// dense→sparse representation switch deterministically.
+// path position, decoupling scan order from path order: the in-order
+// flood cannot carry the minimum along it and leaves about a quarter of
+// the vertices in the residual — the shape that leans hardest on the hook
+// pass (and that a label-round loop crawls through one hop per round).
 func bitRevPath(logN int) *graph.Graph {
 	n := 1 << logN
 	g := graph.New(n)
@@ -71,7 +71,9 @@ func bitRevPath(logN int) *graph.Graph {
 
 // TestFrontierPropagateComponents pins FrontierPropagate's fixpoint to the
 // per-component minima across graph shapes and proc counts, from a full
-// cold-solve seed.
+// cold-solve seed, and its cost to the two-pass bound on every shape: at
+// most two passes and 4m adjacency inspections (the 2m flood plus a hook
+// pass over at most every vertex), whatever the diameter.
 func TestFrontierPropagateComponents(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -79,6 +81,7 @@ func TestFrontierPropagateComponents(t *testing.T) {
 	}{
 		{"empty", graph.New(257)},
 		{"path", gen.Path(1 << 10)},
+		{"path-64k", gen.Path(1 << 16)},
 		{"cycle", gen.Cycle(1 << 10)},
 		{"two-cycles", gen.TwoCycles(1 << 10)},
 		{"grid", gen.Grid(48, 48)},
@@ -97,7 +100,8 @@ func TestFrontierPropagateComponents(t *testing.T) {
 			cur := NewFrontier(nil, s.g.N)
 			next := NewFrontier(nil, s.g.N)
 			cur.SeedAll()
-			st := FrontierPropagate(rt, labels, csr, cur, next, nil)
+			var occ []int64
+			st := FrontierPropagate(rt, labels, csr, cur, next, func(o int64) { occ = append(occ, o) })
 			for v := range labels {
 				if labels[v] != want[v] {
 					t.Fatalf("procs=%d %s: label[%d]=%d, want %d", procs, s.name, v, labels[v], want[v])
@@ -108,6 +112,16 @@ func TestFrontierPropagateComponents(t *testing.T) {
 			}
 			if s.g.N > 0 && len(s.g.Edges) > 0 && st.Rounds == 0 {
 				t.Fatalf("procs=%d %s: no rounds recorded", procs, s.name)
+			}
+			if m := int64(len(s.g.Edges)); st.Rounds > 2 || st.Inspected > 4*m {
+				t.Fatalf("procs=%d %s: %d rounds, %d inspected; want ≤ 2 rounds and ≤ 4m = %d",
+					procs, s.name, st.Rounds, st.Inspected, 4*m)
+			}
+			// The trace hook sees every pass: the full seed first, then a
+			// non-empty residual.
+			if len(occ) != st.Rounds || occ[0] != int64(s.g.N) || (len(occ) == 2 && occ[1] < 1) {
+				t.Fatalf("procs=%d %s: onRound saw %v over %d rounds, want [n, residual ≥ 1]",
+					procs, s.name, occ, st.Rounds)
 			}
 		}
 		rt.Close()
@@ -147,63 +161,6 @@ func TestFrontierPartialSeedRepair(t *testing.T) {
 	}
 	if warm.Inspected >= cold.Inspected/2 {
 		t.Fatalf("scoped repair inspected %d entries, cold solve %d — repair should be much cheaper", warm.Inspected, cold.Inspected)
-	}
-}
-
-// TestFrontierDualRepresentation drives the bit-reversal path, whose
-// occupancy decays across rounds, and pins the dual-representation
-// machinery: both dense and sparse rounds occur, the switch count matches
-// the transitions the onRound hook observed, and occupancies sum to at
-// least n (every vertex was active at least once).
-func TestFrontierDualRepresentation(t *testing.T) {
-	g := bitRevPath(12)
-	csr := graph.BuildCSR(g)
-	rt := New(Procs(1), Seed(1))
-	defer rt.Close()
-	labels := identity(g.N)
-	cur := NewFrontier(nil, g.N)
-	next := NewFrontier(nil, g.N)
-	cur.SeedAll()
-	type round struct {
-		occ   int64
-		dense bool
-	}
-	var seen []round
-	st := FrontierPropagate(rt, labels, csr, cur, next, func(occ int64, dense bool) {
-		seen = append(seen, round{occ, dense})
-	})
-	if len(seen) != st.Rounds {
-		t.Fatalf("onRound fired %d times, stats say %d rounds", len(seen), st.Rounds)
-	}
-	var nDense, nSparse, switches int
-	var total int64
-	for i, r := range seen {
-		if r.occ < 1 {
-			t.Fatalf("round %d: occupancy %d < 1", i, r.occ)
-		}
-		total += r.occ
-		if r.dense {
-			nDense++
-		} else {
-			nSparse++
-		}
-		if i > 0 && r.dense != seen[i-1].dense {
-			switches++
-		}
-	}
-	if nDense == 0 || nSparse == 0 {
-		t.Fatalf("want both representations exercised, got %d dense / %d sparse rounds", nDense, nSparse)
-	}
-	if switches != st.Switches {
-		t.Fatalf("stats report %d switches, onRound observed %d", st.Switches, switches)
-	}
-	if total < int64(g.N) {
-		t.Fatalf("occupancies sum to %d < n=%d", total, g.N)
-	}
-	for v := range labels {
-		if labels[v] != 0 {
-			t.Fatalf("bitrev path must settle to 0, label[%d]=%d", v, labels[v])
-		}
 	}
 }
 

@@ -229,11 +229,11 @@ func (r *Runtime) ForRanges(n int, body func(lo, hi int)) {
 }
 
 // ForSpans is ForRanges on the dispatcher's native signature (the chunk
-// index rides along): no adapter closure is created, so a body hoisted
-// outside an engine loop can be re-dispatched every round with zero
-// per-call allocation — the frontier engine's round loop is the motivating
-// case (ForRanges pays one closure allocation per call to hide the chunk
-// index, which a per-round caller would pay per round).
+// index rides along): no adapter closure is created, so a kernel pays only
+// for its own body closure — the frontier engine's passes are the
+// motivating case (ForRanges pays one more closure allocation per call to
+// hide the chunk index, which the warm solve path's allocation budget
+// cannot absorb).
 func (r *Runtime) ForSpans(n int, body func(lo, hi, c int)) {
 	r.dispatch(n, r.grain, body, nil)
 }

@@ -144,18 +144,18 @@ const (
 	// random graphs, block/community structure, cliques; on sparse
 	// low-degree families it roughly matches CASUnite.
 	Sample Algorithm = "sample"
-	// Frontier is the frontier-driven solve engine: asynchronous
-	// minimum-label propagation over an active-vertex set that switches
-	// between a dense bitmap and a sparse compacted list on occupancy
-	// (direction-optimizing style).  Per-round work is proportional to the
-	// frontier — only vertices whose labels changed are revisited — which
-	// wins the high-diameter, low-degree mesh regime (grids, tori, paths)
-	// where every dense-round algorithm pays rounds × m and the sampling
-	// gamble has nothing to skip.  Labels are the component minima,
-	// deterministic on every backend (label CASes only lower values toward
-	// the same fixpoint); Steps/Work are charged nominally, like CASUnite.
-	// With tracing enabled, per-round occupancy and representation
-	// switches appear in Result.Trace.Frontier.
+	// Frontier is the frontier-driven solve engine, in two passes: one
+	// in-order minimum-label flood over every vertex, which on id-local
+	// graphs leaves only the chunk boundaries unsettled, then one
+	// union-find hook pass over that residual frontier and a flatten.
+	// At most 4m adjacency reads on every shape, with no diameter term —
+	// which wins the high-diameter, low-degree mesh regime (grids, tori,
+	// paths) where every round-based algorithm pays Θ(diameter) rounds
+	// and the sampling gamble has nothing to skip.  Labels are the
+	// component minima, deterministic on every backend (labels only lower
+	// toward the same fixpoint); Steps/Work are charged nominally, like
+	// CASUnite.  With tracing enabled, the passes and their occupancy
+	// appear in Result.Trace.Frontier.
 	Frontier Algorithm = "frontier"
 	// Auto picks the solver per graph from the session's cached plan
 	// statistics (n, m, average/max degree, density, edge locality):

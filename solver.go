@@ -436,15 +436,17 @@ const (
 	// edges (generated meshes connect id-adjacent vertices and score ≈ 1
 	// on the sampled locality; gnm-style random graphs score ≈
 	// 2/localityWindow).  Within that band the max degree separates the
-	// shapes the seed sweep floods in O(1) rounds from the ones it
-	// cannot: bounded-degree lattices (MaxDeg ≤ frontierMeshMaxDeg —
-	// every vertex adjacent to its immediate predecessors, so one
-	// ascending pass carries the minimum through) and locally dense
-	// blocks (MaxDeg ≥ frontierCliqueMaxDeg — cliques and hub clusters
-	// whose vertices see the region minimum directly, as in barbell and
-	// lollipop).  The middle band — randomly wired sparse local blocks,
-	// e.g. a union of small gnm components — floods in Θ(log) rounds of
-	// nearly full occupancy and stays with the union-find kernels.
+	// shapes whose flood pass leaves only a small residual for the hook
+	// pass from the ones where it does not: bounded-degree lattices
+	// (MaxDeg ≤ frontierMeshMaxDeg — every vertex adjacent to its
+	// immediate predecessors, so the ascending flood carries each chunk's
+	// minimum through and only chunk boundaries stay active) and locally
+	// dense blocks (MaxDeg ≥ frontierCliqueMaxDeg — cliques and hub
+	// clusters whose vertices see the region minimum directly, as in
+	// barbell and lollipop).  In the middle band — randomly wired sparse
+	// local blocks, e.g. a union of small gnm components — the flood
+	// leaves most vertices unsettled, so it would be paid on top of a
+	// full union-find pass; those stay with the union-find kernels.
 	frontierMeshAvgDeg   = 6.0
 	frontierMeshMaxDeg   = 8
 	frontierCliqueMaxDeg = 64
@@ -667,12 +669,12 @@ func (s *Solver) solveFrontier(g *Graph, dst []int32) ([]int32, int) {
 
 // frontierLabelsInto is the uncharged kernel sequence of the frontier
 // engine over an explicit CSR — identity labels, a full cold-solve seed,
-// asynchronous minimum-label propagation to fixpoint over the session's
-// reusable frontier pair, then a minima count (a label equals its index
-// exactly once per component) — shared by the frontier solve, Attach, and
-// the scoped re-solve of RemoveEdges on mesh-like inputs.  Returns the
-// labels (component minima) and the exact component count.  Callers hold
-// s.mu.
+// the two-pass propagate (flood, then hook the residual) over the
+// session's reusable frontier pair, then a minima count (a label equals
+// its index exactly once per component) — shared by the frontier solve,
+// Attach, and the scoped re-solve of RemoveEdges on mesh-like inputs.
+// Returns the labels (component minima) and the exact component count.
+// Callers hold s.mu.
 func (s *Solver) frontierLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
 	rec := s.cx.Rec
 	span := rec.Begin()
@@ -685,16 +687,15 @@ func (s *Solver) frontierLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.C
 	e.Run(n, func(v int) { p[v] = int32(v) })
 	cur, next := s.frontierPair(n)
 	cur.SeedAll()
-	// The per-round occupancy hook is bound only when tracing is on, so
-	// the tracing-off hot loop carries a nil check per round, not a call.
-	var onRound func(occ int64, dense bool)
+	// The per-pass occupancy hook is bound only when tracing is on, so the
+	// tracing-off path carries a nil check per pass, not a call.
+	var onRound func(occ int64)
 	if rec != nil {
 		onRound = rec.RecordFrontierRound
 	}
 	st := par.FrontierPropagate(e, p, csr, cur, next, onRound)
 	rec.Add(obs.CtrFrontierInspected, st.Inspected)
 	rec.Add(obs.CtrFrontierLowered, st.Lowered)
-	rec.Add(obs.CtrFrontierSwitches, int64(st.Switches))
 	span = rec.Lap(obs.PhaseSolve, span)
 	comps := par.Count(e, n, func(v int) bool { return p[v] == int32(v) })
 	rec.End(obs.PhaseCount, span)
@@ -723,7 +724,7 @@ func (s *Solver) frontierPair(n int) (*par.Frontier, *par.Frontier) {
 // frontierWorthwhile reports whether the incremental paths should route a
 // full-graph labeling through the frontier engine: the same mesh signals
 // the Auto dispatcher uses (low average degree, id-local edges), plus
-// enough edges that per-round frontier bookkeeping amortizes.  Computed
+// enough edges that the engine's fixed per-solve costs amortize.  Computed
 // from the edge list directly — the incremental paths often hold no plan
 // for the graph in question (scoped subgraphs never do).
 func frontierWorthwhile(g *graph.Graph) bool {

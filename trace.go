@@ -59,7 +59,7 @@ type Trace struct {
 	// Dispatch records the auto dispatcher's decision; nil unless the
 	// operation ran with Options.Algorithm Auto.
 	Dispatch *DispatchDecision `json:"dispatch,omitempty"`
-	// Frontier records the frontier engine's round structure; nil unless
+	// Frontier records the frontier engine's pass structure; nil unless
 	// the operation ran the frontier kernels.
 	Frontier *TraceFrontier `json:"frontier,omitempty"`
 	// Incremental records the batch shape of a live-update operation; nil
@@ -95,22 +95,20 @@ type DispatchDecision struct {
 	Locality float64 `json:"locality,omitempty"`
 }
 
-// TraceFrontier is the round structure of a frontier-engine operation.
+// TraceFrontier is the pass structure of a frontier-engine operation.
 type TraceFrontier struct {
-	// Rounds is the exact number of rounds executed; Occupancy holds the
-	// per-round active-vertex counts of the first obs.MaxFrontierRounds of
-	// them, and Dense whether each of those rounds iterated the dense
-	// bitmap representation (false: the sparse compacted list).
+	// Rounds is the exact number of passes executed: for a solve, the
+	// flood plus, when it left a residual, the hook pass (so 1 or 2); for
+	// an insert batch, the one seeded frontier.  Occupancy holds each
+	// pass's active-vertex count — [n, residual] for a solve.
 	Rounds    int     `json:"rounds"`
 	Occupancy []int64 `json:"occupancy"`
-	Dense     []bool  `json:"dense"`
-	// Inspected counts adjacency entries the kernels examined — the
-	// work ∝ frontier measure; compare against rounds × 2m, what a dense
-	// round structure would have read.  Lowered counts successful label
-	// CASes; Switches the dense↔sparse representation changes.
+	// Inspected counts adjacency entries the kernels examined — at most
+	// 4m for a solve (2m flood, at most 2m more in the hook pass),
+	// whatever the graph's diameter.  Lowered counts successful label
+	// writes: flood lowerings plus hook-pass links.
 	Inspected int64 `json:"inspected"`
 	Lowered   int64 `json:"lowered"`
-	Switches  int   `json:"switches"`
 }
 
 // TraceIncremental is the batch shape of a traced live-update operation.
@@ -197,17 +195,13 @@ func (t *Trace) WriteText(w io.Writer) {
 		fmt.Fprintln(w, ")")
 	}
 	if f := t.Frontier; f != nil {
-		fmt.Fprintf(w, "  frontier: rounds=%d inspected=%d lowered=%d switches=%d\n",
-			f.Rounds, f.Inspected, f.Lowered, f.Switches)
+		fmt.Fprintf(w, "  frontier: passes=%d inspected=%d lowered=%d\n",
+			f.Rounds, f.Inspected, f.Lowered)
 		for i, occ := range f.Occupancy {
-			rep := "sparse"
-			if f.Dense[i] {
-				rep = "dense"
-			}
-			fmt.Fprintf(w, "    round %2d  %-6s  occupancy=%d\n", i+1, rep, occ)
+			fmt.Fprintf(w, "    pass %d  occupancy=%d\n", i+1, occ)
 		}
 		if f.Rounds > len(f.Occupancy) {
-			fmt.Fprintf(w, "    ... %d more rounds (occupancy record capped at %d)\n",
+			fmt.Fprintf(w, "    ... %d more passes (occupancy record capped at %d)\n",
 				f.Rounds-len(f.Occupancy), len(f.Occupancy))
 		}
 	}
@@ -247,13 +241,10 @@ func traceFromRecorder(rec *obs.Recorder, op string, algo Algorithm, total time.
 			Rounds:    int(rounds),
 			Inspected: rec.Count(obs.CtrFrontierInspected),
 			Lowered:   rec.Count(obs.CtrFrontierLowered),
-			Switches:  int(rec.Count(obs.CtrFrontierSwitches)),
 		}
-		kept := rec.FrontierRounds()
-		f.Occupancy = make([]int64, kept)
-		f.Dense = make([]bool, kept)
-		for i := 0; i < kept; i++ {
-			f.Occupancy[i], f.Dense[i] = rec.FrontierRound(i)
+		f.Occupancy = make([]int64, rec.FrontierRounds())
+		for i := range f.Occupancy {
+			f.Occupancy[i] = rec.FrontierRound(i)
 		}
 		tr.Frontier = f
 	}
