@@ -58,9 +58,11 @@ type incSession struct {
 // through the incremental API afterwards (Live returns it for read-only
 // use).  Attaching again replaces the previous live graph.  The initial
 // solve is uncharged CAS union-find work, parallel on the session's
-// runtime — not a charged PRAM run: one O(m·α) Unite pass, or, for large
-// dense graphs, the Afforest-style sampling fast path (sample a few
-// neighbors per vertex, then skip the settled majority of the edge list).
+// runtime — not a charged PRAM run: one O(m·α) Unite pass, whose merges
+// are also the spanning forest's flags.  Under Options.NoForest, mesh-like
+// graphs take the frontier flood instead and large dense ones the
+// Afforest-style sampling fast path (sample a few neighbors per vertex,
+// then skip the settled majority of the edge list).
 func (s *Solver) Attach(g *Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -84,19 +86,20 @@ func (s *Solver) Attach(g *Graph) error {
 	p := make([]int32, g.N)
 	var ncomp int
 	var fr *dynconn.Tracker
-	if frontierWorthwhile(g) {
+	if s.opt.NoForest && frontierWorthwhile(g) {
 		// Mesh-like attach (low average degree, id-local edges): the
 		// frontier engine's flood settles these shapes in one in-order
 		// pass, leaving only chunk boundaries for its union-find hook
 		// pass — cheaper than a Unite per edge and identical in output
 		// (component minima).  Same engine as the "frontier" algorithm
 		// and the scoped re-solve below: one machinery for cold solves
-		// and incremental repair.
+		// and incremental repair.  Only without the forest: its flags
+		// need the per-edge merge outcomes the plain pass reports.
 		span := rec.Begin()
 		plan := s.planFor(g)
 		rec.End(obs.PhasePlan, span)
 		p, ncomp = s.frontierLabelsInto(e, g, plan.CSR, p)
-	} else if sampleWorthwhile(g) {
+	} else if s.opt.NoForest && sampleWorthwhile(g) {
 		// Large dense attach: the Afforest-style sampling fast path
 		// settles most components from a few sampled neighbors per vertex
 		// and then skips the settled majority of the edge list, instead
@@ -117,9 +120,12 @@ func (s *Solver) Attach(g *Graph) error {
 			merges = par.UniteBatch(e, p, g.Edges)
 		} else {
 			// The same Unite pass, but reporting per-edge outcomes: the
-			// winning edges are exactly the initial spanning forest.
+			// winning edges are exactly the initial spanning forest, and
+			// the store takes the mark buffer over as its forest flags —
+			// one labeling pass, one copy of the flags.
 			fr = dynconn.New()
 			merges = par.UniteBatchMark(e, p, g.Edges, fr.Marks(g.M()))
+			fr.Init(g)
 		}
 		rec.Add(obs.CtrCASAttempts, int64(g.M()))
 		rec.Add(obs.CtrCASHooks, int64(merges))
@@ -127,22 +133,6 @@ func (s *Solver) Attach(g *Graph) error {
 		par.Compress(e, p)
 		rec.End(obs.PhaseCompress, span)
 		ncomp = g.N - merges
-	}
-	if !s.opt.NoForest {
-		// Index the live multiset and install the forest flags.  The fast
-		// attach paths label through kernels that do not report per-edge
-		// merge outcomes, so they derive the flags with a scratch
-		// union-find pass of their own; the plain path already has them.
-		span := rec.Begin()
-		if fr == nil {
-			fr = dynconn.New()
-			scratch := s.cx.Grab32(g.N)
-			fr.BuildScratch(e, g, scratch)
-			s.cx.Release32(scratch)
-		} else {
-			fr.Init(g)
-		}
-		rec.End(obs.PhaseUnite, span)
 	}
 	s.inc = &incSession{g: g, parent: p, ncomp: ncomp, forest: fr}
 	// Unpublish: a snapshot of the previous live graph must not answer for

@@ -40,8 +40,7 @@ type Tracker struct {
 	marks []bool
 }
 
-// New returns an empty Tracker; call BuildScratch (or Marks + Init) to
-// bind it to a graph.
+// New returns an empty Tracker; call Marks + Init to bind it to a graph.
 func New() *Tracker { return &Tracker{} }
 
 // Marks returns the tracker's mark buffer resized to n — the target of a
@@ -54,23 +53,13 @@ func (t *Tracker) Marks(n int) []bool {
 	return t.marks
 }
 
-// Init indexes g and installs the current mark buffer as the forest flags
-// (marks[i] applies to edge position i — the attach paths fill it with a
-// UniteBatchMark pass over g.Edges).
+// Init indexes g and hands the current mark buffer to the store as its
+// forest flags (marks[i] applies to edge position i — the attach path
+// fills it with a UniteBatchMark pass over g.Edges).  The store keeps the
+// buffer; the next Marks call allocates a fresh one.
 func (t *Tracker) Init(g *graph.Graph) {
-	t.DF = graph.NewDynForest(g)
-	t.DF.SetForestAll(t.marks)
-}
-
-// BuildScratch derives the forest flags with the tracker's own union-find
-// pass over scratch (len ≥ g.N, contents ignored) and indexes g — the
-// attach path for branches whose labeling ran a kernel that does not
-// report per-edge merge outcomes (the sampling and frontier fast paths).
-func (t *Tracker) BuildScratch(e par.Exec, g *graph.Graph, scratch []int32) {
-	p := scratch[:g.N]
-	e.Run(g.N, func(v int) { p[v] = int32(v) })
-	par.UniteBatchMark(e, p, g.Edges, t.Marks(g.M()))
-	t.Init(g)
+	t.DF = graph.NewDynForest(g, t.marks)
+	t.marks = nil
 }
 
 // DeleteKind classifies one deletion's handling.
@@ -184,27 +173,26 @@ func (t *Tracker) RebuildRegion(verts, vmap, uf []int32) {
 	}
 }
 
-// Check asserts the maintained forest is a valid spanning forest of the
-// live graph whose partition is labels: forest edges are loop-free and
-// acyclic, and the partition they induce equals labels exactly — together
-// with forest ⊆ live (structural: flags live on handles) this is the
-// certificate invariant.  Test-only; O(n + m·α).
+// Check asserts the store indexes exactly the live graph and that the
+// maintained forest is a valid spanning forest of it whose partition is
+// labels: forest edges are loop-free and acyclic, and the partition they
+// induce equals labels exactly — together with forest ⊆ live (structural:
+// flags live on positions) this is the certificate invariant.  Test-only;
+// O(n + m·α).
 func (t *Tracker) Check(g *graph.Graph, labels []int32) error {
 	df := t.DF
 	if df.M() != len(g.Edges) {
 		return fmt.Errorf("dynconn: store tracks %d edges, graph holds %d", df.M(), len(g.Edges))
 	}
+	if err := checkIndex(df, g); err != nil {
+		return err
+	}
 	uf := make([]int32, g.N)
 	for i := range uf {
 		uf[i] = int32(i)
 	}
-	for i, ed := range g.Edges {
-		h := df.HandleAt(i)
-		if df.U(h) != ed.U || df.V(h) != ed.V {
-			return fmt.Errorf("dynconn: handle %d holds {%d,%d}, position %d holds {%d,%d}",
-				h, df.U(h), df.V(h), i, ed.U, ed.V)
-		}
-		if !df.IsForest(h) {
+	for h, ed := range g.Edges {
+		if !df.IsForest(int32(h)) {
 			continue
 		}
 		if ed.U == ed.V {
@@ -220,6 +208,63 @@ func (t *Tracker) Check(g *graph.Graph, labels []int32) error {
 	}
 	if !graph.SamePartition(forestLabels, labels) {
 		return fmt.Errorf("dynconn: forest partition disagrees with live labels (forest under- or over-spans)")
+	}
+	return nil
+}
+
+// checkIndex asserts the store's two indexes cover g.Edges exactly: every
+// position sits in its endpoints' incidence lists (no entry twice, 2m −
+// loops entries in total), and every position sits in exactly one key
+// chain, reached from the table under its own key.
+func checkIndex(df *graph.DynForest, g *graph.Graph) error {
+	m := len(g.Edges)
+	seen := make([]uint8, m) // bit 1: listed at U (side 0), bit 2: at V
+	want, total := 2*m, 0
+	for x := int32(0); int(x) < g.N; x++ {
+		for h := df.First(x); h >= 0; h = df.NextIncident(x, h) {
+			if int(h) >= m {
+				return fmt.Errorf("dynconn: vertex %d lists handle %d, m = %d", x, h, m)
+			}
+			e, bit := g.Edges[h], uint8(1)
+			if e.U != x {
+				bit = 2
+			}
+			if e.U != x && e.V != x || seen[h]&bit != 0 {
+				return fmt.Errorf("dynconn: vertex %d lists position %d {%d,%d} wrongly or twice", x, h, e.U, e.V)
+			}
+			seen[h] |= bit
+			total++
+		}
+	}
+	for _, e := range g.Edges {
+		if e.U == e.V {
+			want--
+		}
+	}
+	if total != want {
+		return fmt.Errorf("dynconn: incidence lists hold %d entries, want 2m − loops = %d", total, want)
+	}
+	chained := make([]bool, m)
+	count := 0
+	for _, e := range g.Edges {
+		k := e.CanonKey()
+		head := df.KeyFirst(k)
+		if head < 0 {
+			return fmt.Errorf("dynconn: key of {%d,%d} unreachable from the table", e.U, e.V)
+		}
+		if chained[head] {
+			continue // this key's chain was walked already
+		}
+		for h := head; h >= 0; h = df.KeyNext(h) {
+			if int(h) >= m || chained[h] || g.Edges[h].CanonKey() != k {
+				return fmt.Errorf("dynconn: key chain of {%d,%d} reaches handle %d out of place", e.U, e.V, h)
+			}
+			chained[h] = true
+			count++
+		}
+	}
+	if count != m {
+		return fmt.Errorf("dynconn: key chains hold %d positions, want %d", count, m)
 	}
 	return nil
 }

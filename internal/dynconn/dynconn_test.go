@@ -23,13 +23,17 @@ func (seqExec) Procs() int { return 1 }
 func buildTracker(t *testing.T, g *graph.Graph) (*Tracker, []int32) {
 	t.Helper()
 	tr := New()
-	scratch := make([]int32, g.N)
-	tr.BuildScratch(seqExec{}, g, scratch)
-	par.Compress(seqExec{}, scratch)
-	if err := tr.Check(g, scratch); err != nil {
+	p := make([]int32, g.N)
+	for v := range p {
+		p[v] = int32(v)
+	}
+	par.UniteBatchMark(seqExec{}, p, g.Edges, tr.Marks(g.M()))
+	tr.Init(g)
+	par.Compress(seqExec{}, p)
+	if err := tr.Check(g, p); err != nil {
 		t.Fatalf("fresh tracker fails its own invariant: %v", err)
 	}
-	return tr, scratch
+	return tr, p
 }
 
 func TestTrackerDeleteKinds(t *testing.T) {

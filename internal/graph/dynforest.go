@@ -1,129 +1,99 @@
 package graph
 
+import "slices"
+
 // DynForest is the mutable edge store behind the spanning-forest dynamic
-// connectivity of the live session (internal/dynconn): it owns the
-// adjacency, multiset, and forest-flag views of a Graph whose edge list
-// the incremental API mutates in place.  Three access paths, all O(1) or
-// O(1) amortized:
+// connectivity of the live session (internal/dynconn): the adjacency,
+// multiset, and forest-flag views of a Graph whose edge list the
+// incremental API mutates in place.  It holds each edge once — a handle
+// is a position in g.Edges, which also supplies the endpoints — and
+// offers two O(1) (amortized) access paths besides positional identity:
 //
 //   - per-vertex incident-edge iteration (First/NextIncident), the walk
 //     the replacement-edge search runs — a doubly-linked handle list per
 //     endpoint, so Remove unlinks in O(1);
-//   - multiset lookup by canonical key (CountKey/PickRemovable), the
-//     deletion contract's "one occurrence per batch entry, either
-//     orientation" resolved without the legacy O(m) sweep — a singly
-//     linked chain per CanonKey;
-//   - positional identity with g.Edges (pos/byPos), kept exact under
-//     swap-remove so the Graph the rest of the stack sees (plan builds,
-//     scoped re-solves, snapshots) is always the live multiset.  Removal
-//     permutes the edge order, which nothing downstream depends on — the
-//     session invalidates its cached plan on every removal anyway.
+//   - multiset lookup by canonical key (CountKey/PickRemovable and
+//     KeyFirst/KeyNext), the deletion contract's "one occurrence per batch
+//     entry, either orientation" without an O(m) sweep — a singly linked
+//     chain per CanonKey, its head in a flat open-addressing table
+//     (power-of-two size, linear probing, load ≤ 1/2, backward-shift
+//     deletion).  Slots hold handles; keys are recomputed from g.Edges.
 //
-// Handles are stable int32 ids recycled through a free list; the store
-// supports m < 2^31 edges, like the rest of the int32-indexed stack.
-// DynForest is orchestrator-owned (the Solver's session lock): no method
-// is safe for concurrent use.
+// Remove swap-removes: the last edge moves into the hole and takes over
+// its handle, so a handle is valid only until the next Remove — callers
+// resolve and use handles within one operation.  The permuted edge order
+// matters to nothing downstream (the session drops its cached plan on
+// every removal).  m < 2^31, like the rest of the int32-indexed stack.
+// Orchestrator-owned (the Solver's session lock): not safe for concurrent
+// use.
 type DynForest struct {
 	g    *Graph
 	head []int32 // per-vertex adjacency head handle, -1 when empty
 
-	// Per-handle storage.  Side 0 is the adjacency list at u[h], side 1
-	// the list at v[h]; a self-loop is linked on side 0 only.
-	u, v    []int32
-	next    [][2]int32
-	prev    [][2]int32
-	keyNext []int32 // CanonKey chain
-	forest  []bool  // h is a spanning-forest edge
-	pos     []int32 // handle -> index in g.Edges
+	// Per handle: links on side 0 (the list at U) and side 1 (at V; a
+	// self-loop uses side 0 only), the key-chain link, the forest flag.
+	next, prev [][2]int32
+	keyNext    []int32
+	forest     []bool
 
-	byPos   []int32 // index in g.Edges -> handle
-	keyHead map[int64]int32
-	free    []int32
+	table []int32 // chain head per distinct key, -1 when the slot is empty
+	shift uint    // 64 − log2(len(table)): Fibonacci-hash shift
+	keys  int     // occupied slots
 }
 
-// NewDynForest indexes g's current edge list; handle i starts as edge
-// position i (the identity SetForestAll relies on).  All forest flags
-// start false.  The store takes over g.Edges: mutate it only through
-// Insert/Remove afterwards.
-func NewDynForest(g *Graph) *DynForest {
+// NewDynForest indexes g's edge list and takes it over (mutate it only
+// through Insert/Remove afterwards).  forest holds the initial flags by
+// position (nil: all false) and is taken over too, not copied.
+func NewDynForest(g *Graph, forest []bool) *DynForest {
 	m := len(g.Edges)
+	if forest == nil {
+		forest = make([]bool, m)
+	}
 	df := &DynForest{
 		g:       g,
-		head:    make([]int32, g.N),
-		u:       make([]int32, m),
-		v:       make([]int32, m),
+		head:    slices.Repeat([]int32{-1}, g.N),
 		next:    make([][2]int32, m),
 		prev:    make([][2]int32, m),
 		keyNext: make([]int32, m),
-		forest:  make([]bool, m),
-		pos:     make([]int32, m),
-		byPos:   make([]int32, m),
-		keyHead: make(map[int64]int32, m),
+		forest:  forest[:m],
 	}
-	for i := range df.head {
-		df.head[i] = -1
-	}
-	for i, e := range g.Edges {
-		h := int32(i)
-		df.u[h], df.v[h] = e.U, e.V
-		df.pos[h] = h
-		df.byPos[i] = h
-		df.link(h)
+	df.resize(2 * m)
+	for h := range g.Edges {
+		df.link(int32(h))
 	}
 	return df
 }
 
-// SetForestAll installs the initial forest flags: marks[i] applies to the
-// edge at position i.  Valid only immediately after NewDynForest (handles
-// equal positions).
-func (df *DynForest) SetForestAll(marks []bool) {
-	copy(df.forest, marks[:len(df.byPos)])
-}
-
 // M returns the number of live edges.
-func (df *DynForest) M() int { return len(df.byPos) }
+func (df *DynForest) M() int { return len(df.g.Edges) }
 
-// U, V, IsForest read handle h's endpoints and forest flag.
-func (df *DynForest) U(h int32) int32       { return df.u[h] }
-func (df *DynForest) V(h int32) int32       { return df.v[h] }
-func (df *DynForest) IsForest(h int32) bool { return df.forest[h] }
-
-// SetForest sets handle h's forest flag.
+// U, V, IsForest, SetForest read handle h's endpoints and read or write
+// its forest flag.
+func (df *DynForest) U(h int32) int32           { return df.g.Edges[h].U }
+func (df *DynForest) V(h int32) int32           { return df.g.Edges[h].V }
+func (df *DynForest) IsForest(h int32) bool     { return df.forest[h] }
 func (df *DynForest) SetForest(h int32, b bool) { df.forest[h] = b }
 
-// Other returns the endpoint of h opposite x (x itself for a self-loop).
-func (df *DynForest) Other(h, x int32) int32 {
-	if df.u[h] == x {
-		return df.v[h]
-	}
-	return df.u[h]
-}
+// Other returns the endpoint of h opposite x (x itself for a self-loop);
+// x is one of the two, so the xor cancels it.
+func (df *DynForest) Other(h, x int32) int32 { return df.g.Edges[h].U ^ df.g.Edges[h].V ^ x }
 
-// First returns the first incident handle of x (-1 when none).
-func (df *DynForest) First(x int32) int32 { return df.head[x] }
+// First returns the first incident handle of x and NextIncident the one
+// after h in x's list (-1 at the end; h must be incident to x).
+func (df *DynForest) First(x int32) int32           { return df.head[x] }
+func (df *DynForest) NextIncident(x, h int32) int32 { return df.next[h][df.sideOf(h, x)] }
 
-// NextIncident returns the handle after h in x's incidence list (-1 at the
-// end).  h must be incident to x.
-func (df *DynForest) NextIncident(x, h int32) int32 {
-	return df.next[h][df.sideOf(h, x)]
-}
-
-// HandleAt returns the handle of the edge at position i of g.Edges.
-func (df *DynForest) HandleAt(i int) int32 { return df.byPos[i] }
+// KeyFirst returns the first live handle with canonical key k (-1 when
+// the key is absent); KeyNext continues that key's chain.
+func (df *DynForest) KeyFirst(k int64) int32 { return df.table[df.slot(k)] }
+func (df *DynForest) KeyNext(h int32) int32  { return df.keyNext[h] }
 
 // CountKey returns the number of live occurrences of the canonical key k,
 // counting at most max (the validation pass only needs "enough").
 func (df *DynForest) CountKey(k int64, max int) int {
 	c := 0
-	h, ok := df.keyHead[k]
-	for ok && c < max {
+	for h := df.KeyFirst(k); h >= 0 && c < max; h = df.keyNext[h] {
 		c++
-		if h = df.keyNext[h]; h < 0 {
-			break
-		}
-	}
-	if !ok {
-		return 0
 	}
 	return c
 }
@@ -133,128 +103,158 @@ func (df *DynForest) CountKey(k int64, max int) int {
 // forest, and the acyclicity invariant (at most one forest copy per key)
 // makes any non-forest pick safe.  Returns -1 when the key is absent.
 func (df *DynForest) PickRemovable(k int64) int32 {
-	h, ok := df.keyHead[k]
-	if !ok {
-		return -1
-	}
-	first := h
-	for h >= 0 {
+	first := df.KeyFirst(k)
+	for h := first; h >= 0; h = df.keyNext[h] {
 		if !df.forest[h] {
 			return h
 		}
-		h = df.keyNext[h]
 	}
 	return first
 }
 
 // Insert appends e to g.Edges and registers it, returning its handle.
 func (df *DynForest) Insert(e Edge, forest bool) int32 {
-	var h int32
-	if n := len(df.free); n > 0 {
-		h = df.free[n-1]
-		df.free = df.free[:n-1]
-		df.u[h], df.v[h] = e.U, e.V
-		df.forest[h] = forest
-	} else {
-		h = int32(len(df.u))
-		df.u = append(df.u, e.U)
-		df.v = append(df.v, e.V)
-		df.next = append(df.next, [2]int32{})
-		df.prev = append(df.prev, [2]int32{})
-		df.keyNext = append(df.keyNext, -1)
-		df.forest = append(df.forest, forest)
-		df.pos = append(df.pos, 0)
-	}
-	df.pos[h] = int32(len(df.g.Edges))
+	h := int32(len(df.g.Edges))
 	df.g.Edges = append(df.g.Edges, e)
-	df.byPos = append(df.byPos, h)
+	df.next, df.prev = append(df.next, [2]int32{}), append(df.prev, [2]int32{})
+	df.keyNext, df.forest = append(df.keyNext, -1), append(df.forest, forest)
 	df.link(h)
 	return h
 }
 
-// Remove deletes handle h: unlinks both adjacency sides and the key chain,
-// swap-removes its g.Edges slot (patching the moved edge's position), and
-// recycles the handle.
+// Remove deletes handle h, then moves the last edge into position h and
+// re-points its list neighbours (or vertex heads) and its key-chain link
+// (or table slot) there.
 func (df *DynForest) Remove(h int32) {
-	x, y := df.u[h], df.v[h]
-	df.detach(h, 0, x)
-	if y != x {
-		df.detach(h, 1, y)
-	}
-	df.keyUnlink(h, Edge{U: x, V: y}.CanonKey())
-	p := int(df.pos[h])
-	last := len(df.g.Edges) - 1
-	if p != last {
-		moved := df.byPos[last]
-		df.g.Edges[p] = df.g.Edges[last]
-		df.pos[moved] = int32(p)
-		df.byPos[p] = moved
+	e := df.g.Edges[h]
+	df.relink(h, e, -1)
+	df.rekey(e.CanonKey(), h, df.keyNext[h])
+	last := int32(len(df.g.Edges) - 1)
+	if h != last {
+		me := df.g.Edges[last]
+		df.relink(last, me, h)
+		df.rekey(me.CanonKey(), last, h)
+		df.g.Edges[h] = me
+		df.next[h], df.prev[h] = df.next[last], df.prev[last]
+		df.keyNext[h], df.forest[h] = df.keyNext[last], df.forest[last]
 	}
 	df.g.Edges = df.g.Edges[:last]
-	df.byPos = df.byPos[:last]
-	df.free = append(df.free, h)
+	df.next, df.prev = df.next[:last], df.prev[:last]
+	df.keyNext, df.forest = df.keyNext[:last], df.forest[:last]
 }
 
-// sideOf returns the side of h anchored at x: 0 iff x is h's u endpoint
-// (self-loops live on side 0 only, matching this test).
+// sideOf is h's side anchored at x: 0 iff x is h's U (so loops use 0).
 func (df *DynForest) sideOf(h, x int32) int {
-	if df.u[h] == x {
+	if df.g.Edges[h].U == x {
 		return 0
 	}
 	return 1
 }
 
+// link pushes h onto the front of its endpoints' lists and its key's
+// chain, doubling the table first if a new key could exceed load 1/2.
 func (df *DynForest) link(h int32) {
-	x, y := df.u[h], df.v[h]
-	df.attach(h, 0, x)
-	if y != x {
-		df.attach(h, 1, y)
-	} else {
-		df.next[h][1], df.prev[h][1] = -1, -1
+	e := df.g.Edges[h]
+	nv := int32(-1)
+	if e.V != e.U {
+		nv = df.head[e.V]
 	}
-	k := Edge{U: x, V: y}.CanonKey()
-	if old, ok := df.keyHead[k]; ok {
-		df.keyNext[h] = old
-	} else {
-		df.keyNext[h] = -1
+	df.next[h], df.prev[h] = [2]int32{df.head[e.U], nv}, [2]int32{-1, -1}
+	df.relink(h, e, h)
+	if 2*(df.keys+1) > len(df.table) {
+		df.resize(2 * len(df.table))
 	}
-	df.keyHead[k] = h
+	i := df.slot(e.CanonKey())
+	if df.table[i] < 0 {
+		df.keys++
+	}
+	df.keyNext[h], df.table[i] = df.table[i], h
 }
 
-func (df *DynForest) attach(h int32, side int, x int32) {
-	nh := df.head[x]
-	df.next[h][side] = nh
-	df.prev[h][side] = -1
-	if nh >= 0 {
-		df.prev[nh][df.sideOf(nh, x)] = h
-	}
-	df.head[x] = h
-}
-
-func (df *DynForest) detach(h int32, side int, x int32) {
-	nh, ph := df.next[h][side], df.prev[h][side]
-	if ph >= 0 {
-		df.next[ph][df.sideOf(ph, x)] = nh
-	} else {
-		df.head[x] = nh
-	}
-	if nh >= 0 {
-		df.prev[nh][df.sideOf(nh, x)] = ph
-	}
-}
-
-func (df *DynForest) keyUnlink(h int32, k int64) {
-	cur := df.keyHead[k]
-	if cur == h {
-		if nx := df.keyNext[h]; nx >= 0 {
-			df.keyHead[k] = nx
-		} else {
-			delete(df.keyHead, k)
+// relink re-points the list neighbours of h (which holds e) at both
+// endpoints — each predecessor's next (or the vertex head) and each
+// successor's prev — at position to, or past h when to < 0 (unlinking
+// it).  link uses it to push h at the heads, Remove to unlink and move.
+func (df *DynForest) relink(h int32, e Edge, to int32) {
+	for side, x := range [2]int32{e.U, e.V} {
+		if side == 1 && x == e.U {
+			break // a self-loop lives on side 0 only
 		}
-		return
+		nh, ph := df.next[h][side], df.prev[h][side]
+		pn, sp := to, to
+		if to < 0 {
+			pn, sp = nh, ph
+		}
+		if ph >= 0 {
+			df.next[ph][df.sideOf(ph, x)] = pn
+		} else {
+			df.head[x] = pn
+		}
+		if nh >= 0 {
+			df.prev[nh][df.sideOf(nh, x)] = sp
+		}
 	}
-	for df.keyNext[cur] != h {
-		cur = df.keyNext[cur]
+}
+
+// rekey redirects the reference to h on key k's chain — its table slot
+// or its predecessor's link — to `to`, clearing the slot when the chain
+// empties.
+func (df *DynForest) rekey(k int64, h, to int32) {
+	i := df.slot(k)
+	if cur := df.table[i]; cur != h {
+		for df.keyNext[cur] != h {
+			cur = df.keyNext[cur]
+		}
+		df.keyNext[cur] = to
+	} else if df.table[i] = to; to < 0 {
+		df.clearSlot(i)
 	}
-	df.keyNext[cur] = df.keyNext[h]
+}
+
+// home is k's preferred table slot (Fibonacci hashing on the folded key).
+func (df *DynForest) home(k int64) int {
+	x := uint64(k)
+	return int((x ^ x>>32) * 0x9e3779b97f4a7c15 >> df.shift)
+}
+
+// slot returns the table index holding k's chain head, or the empty slot
+// where it would go.
+func (df *DynForest) slot(k int64) int {
+	mask := len(df.table) - 1
+	for i := df.home(k); ; i = (i + 1) & mask {
+		if h := df.table[i]; h < 0 || df.g.Edges[h].CanonKey() == k {
+			return i
+		}
+	}
+}
+
+// clearSlot empties table slot i by backward shift: each later entry of
+// the probe run whose home does not lie cyclically in (i, j] moves into
+// the hole, so lookups never need tombstones.
+func (df *DynForest) clearSlot(i int) {
+	mask := len(df.table) - 1
+	for j := (i + 1) & mask; df.table[j] >= 0; j = (j + 1) & mask {
+		if home := df.home(df.g.Edges[df.table[j]].CanonKey()); (j-home)&mask >= (j-i)&mask {
+			df.table[i] = df.table[j]
+			i = j
+		}
+	}
+	df.table[i] = -1
+	df.keys--
+}
+
+// resize rebuilds the table at the smallest power-of-two size ≥ want (at
+// least 8), re-placing every chain head.
+func (df *DynForest) resize(want int) {
+	size, shift := 8, uint(61)
+	for size < want {
+		size, shift = size*2, shift-1
+	}
+	old := df.table
+	df.table, df.shift = slices.Repeat([]int32{-1}, size), shift
+	for _, h := range old {
+		if h >= 0 {
+			df.table[df.slot(df.g.Edges[h].CanonKey())] = h
+		}
+	}
 }

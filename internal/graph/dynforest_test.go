@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -29,7 +31,7 @@ func incidentKeys(t *testing.T, df *DynForest, x int32) map[int64]int {
 
 func TestDynForestIndexAndIterate(t *testing.T) {
 	g := FromPairs(5, [][2]int{{0, 1}, {1, 2}, {2, 1}, {3, 3}, {0, 4}})
-	df := NewDynForest(g)
+	df := NewDynForest(g, nil)
 	if df.M() != 5 {
 		t.Fatalf("M = %d, want 5", df.M())
 	}
@@ -52,9 +54,9 @@ func TestDynForestIndexAndIterate(t *testing.T) {
 
 func TestDynForestRemoveSwapKeepsPositions(t *testing.T) {
 	g := FromPairs(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	df := NewDynForest(g)
+	df := NewDynForest(g, []bool{false, false, false, false, true})
 	want := edgeCounts(g.Edges)
-	// Remove from the middle: the last edge is swapped into the hole.
+	// Remove from the middle: the last edge {4,5} moves into the hole.
 	h := df.PickRemovable(Edge{U: 1, V: 2}.CanonKey())
 	df.Remove(h)
 	delete(want, Edge{U: 1, V: 2}.CanonKey())
@@ -67,14 +69,22 @@ func TestDynForestRemoveSwapKeepsPositions(t *testing.T) {
 			t.Fatalf("edge multiset diverged after swap-remove: got %v want %v", got, want)
 		}
 	}
-	// Positional identity: every position maps to a handle holding that
-	// exact edge.
-	for i, e := range g.Edges {
-		h := df.HandleAt(i)
-		if df.U(h) != e.U || df.V(h) != e.V {
-			t.Fatalf("position %d: handle %d holds {%d,%d}, g.Edges holds {%d,%d}",
-				i, h, df.U(h), df.V(h), e.U, e.V)
+	// The moved edge answers at the hole: its endpoints, forest flag,
+	// incidence lists, and key chain all name handle h now.
+	if df.U(h) != 4 || df.V(h) != 5 || !df.IsForest(h) {
+		t.Fatalf("hole %d holds {%d,%d} forest=%v, want the moved {4,5} forest=true", h, df.U(h), df.V(h), df.IsForest(h))
+	}
+	for _, x := range []int32{4, 5} {
+		found := false
+		for y := df.First(x); y >= 0; y = df.NextIncident(x, y) {
+			found = found || y == h
 		}
+		if !found {
+			t.Fatalf("vertex %d's list does not reach the moved edge at %d", x, h)
+		}
+	}
+	if k := (Edge{U: 5, V: 4}).CanonKey(); df.KeyFirst(k) != h || df.PickRemovable(k) != h {
+		t.Fatalf("key chain of the moved edge starts at %d, want %d", df.KeyFirst(k), h)
 	}
 	// The removed edge left every incidence list.
 	for _, x := range []int32{1, 2} {
@@ -82,13 +92,13 @@ func TestDynForestRemoveSwapKeepsPositions(t *testing.T) {
 			t.Fatalf("vertex %d still lists the removed edge", x)
 		}
 	}
-	// Handle recycling: the freed handle is reused and relinked.
+	// Insert appends: the new handle is the next position.
 	nh := df.Insert(Edge{U: 5, V: 0}, false)
-	if nh != h {
-		t.Fatalf("Insert reused handle %d, want freed %d", nh, h)
+	if nh != 4 {
+		t.Fatalf("Insert returned handle %d, want position 4", nh)
 	}
 	if ks := incidentKeys(t, df, 5); ks[Edge{U: 0, V: 5}.CanonKey()] != 1 {
-		t.Fatal("recycled handle not linked at its new endpoints")
+		t.Fatal("inserted edge not linked at its endpoints")
 	}
 	if len(g.Edges) != 5 || g.Edges[4] != (Edge{U: 5, V: 0}) {
 		t.Fatalf("Insert must append to g.Edges, got %v", g.Edges)
@@ -97,8 +107,7 @@ func TestDynForestRemoveSwapKeepsPositions(t *testing.T) {
 
 func TestDynForestPickRemovablePrefersNonForest(t *testing.T) {
 	g := FromPairs(2, [][2]int{{0, 1}, {0, 1}, {1, 0}})
-	df := NewDynForest(g)
-	df.SetForestAll([]bool{true, false, false})
+	df := NewDynForest(g, []bool{true, false, false})
 	k := Edge{U: 0, V: 1}.CanonKey()
 	h := df.PickRemovable(k)
 	if df.IsForest(h) {
@@ -122,4 +131,163 @@ func TestDynForestPickRemovablePrefersNonForest(t *testing.T) {
 	if df.M() != 0 || len(g.Edges) != 0 {
 		t.Fatalf("store not empty after removing every copy (m=%d)", df.M())
 	}
+}
+
+// refCounts is the reference multiset of the churn test: per canonical
+// key, the live non-forest and forest copies.
+type refCounts map[int64][2]int
+
+// checkAgainst asserts df indexes exactly ref: incidence lists hold every
+// position at each endpoint (2m − loops entries), each key's chain holds
+// its copies with the right forest flags, and the table stays at load
+// ≤ 1/2 with every occupied slot reachable by probing (no tombstones).
+func checkAgainst(t *testing.T, df *DynForest, g *Graph, ref refCounts) {
+	t.Helper()
+	m, want := 0, 0
+	for _, c := range ref {
+		m += c[0] + c[1]
+	}
+	if df.M() != m || len(g.Edges) != m {
+		t.Fatalf("store holds %d edges (graph %d), reference %d", df.M(), len(g.Edges), m)
+	}
+	for _, e := range g.Edges {
+		want += 2
+		if e.U == e.V {
+			want--
+		}
+	}
+	total := 0
+	for x := int32(0); int(x) < g.N; x++ {
+		for h := df.First(x); h >= 0; h = df.NextIncident(x, h) {
+			if e := g.Edges[h]; e.U != x && e.V != x {
+				t.Fatalf("vertex %d lists position %d {%d,%d}", x, h, e.U, e.V)
+			}
+			if total++; total > want {
+				t.Fatalf("incidence lists exceed 2m − loops = %d entries", want)
+			}
+		}
+	}
+	if total != want {
+		t.Fatalf("incidence lists hold %d entries, want %d", total, want)
+	}
+	for k, c := range ref {
+		var got [2]int
+		for h := df.KeyFirst(k); h >= 0; h = df.KeyNext(h) {
+			if g.Edges[h].CanonKey() != k {
+				t.Fatalf("chain of key %x reaches position %d {%d,%d}", k, h, g.Edges[h].U, g.Edges[h].V)
+			}
+			if df.IsForest(h) {
+				got[1]++
+			} else {
+				got[0]++
+			}
+		}
+		if got != c {
+			t.Fatalf("key %x: chain holds %v (non-forest, forest), reference %v", k, got, c)
+		}
+	}
+	if df.keys != len(ref) || 2*df.keys > len(df.table) {
+		t.Fatalf("table: %d keys in %d slots, reference %d keys", df.keys, len(df.table), len(ref))
+	}
+	for i, h := range df.table {
+		if h >= 0 && df.slot(g.Edges[h].CanonKey()) != i {
+			t.Fatalf("slot %d (key of position %d) unreachable by probing", i, h)
+		}
+	}
+}
+
+func TestDynForestChurnVsReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 200
+		g := &Graph{N: n}
+		df := NewDynForest(g, nil)
+		ref := refCounts{}
+		initial := len(df.table)
+		add := func(c *[2]int, forest bool, d int) {
+			if forest {
+				c[1] += d
+			} else {
+				c[0] += d
+			}
+		}
+		// Grow to ~3000 edges, shrink to ~100, grow again: the table
+		// doubles several times on the way up, and the way down empties
+		// keys (backward-shift deletes) while swap-moving survivors.
+		for step, target := range []int{3000, 100, 2500, 0} {
+			for ops := 0; df.M() != target && ops < 20000; ops++ {
+				grow := df.M() < target
+				if rng.Intn(4) == 0 {
+					grow = !grow // churn against the trend
+				}
+				if grow || df.M() == 0 {
+					var e Edge
+					switch r := rng.Intn(10); {
+					case r == 0: // self-loop
+						v := int32(rng.Intn(n))
+						e = Edge{U: v, V: v}
+					case r < 4: // heavy parallel copies among 6 hot vertices
+						e = Edge{U: int32(rng.Intn(6)), V: int32(rng.Intn(6))}
+					default:
+						e = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
+					}
+					forest := rng.Intn(3) == 0
+					df.Insert(e, forest)
+					c := ref[e.CanonKey()]
+					add(&c, forest, 1)
+					ref[e.CanonKey()] = c
+				} else {
+					var h int32
+					if rng.Intn(2) == 0 {
+						h = int32(rng.Intn(df.M())) // arbitrary position
+					} else {
+						h = df.PickRemovable(g.Edges[rng.Intn(df.M())].CanonKey())
+					}
+					k := g.Edges[h].CanonKey()
+					c := ref[k]
+					add(&c, df.IsForest(h), -1)
+					if c == [2]int{} {
+						delete(ref, k)
+					} else {
+						ref[k] = c
+					}
+					df.Remove(h)
+				}
+				if ops%250 == 0 {
+					checkAgainst(t, df, g, ref)
+				}
+			}
+			if df.M() != target {
+				t.Fatalf("seed %d step %d: stuck at m=%d, target %d", seed, step, df.M(), target)
+			}
+			checkAgainst(t, df, g, ref)
+			if step == 0 && len(df.table) < 64*initial {
+				t.Fatalf("seed %d: table grew %d → %d, want several doublings", seed, initial, len(df.table))
+			}
+		}
+	}
+}
+
+// TestDynForestMemoryPerEdge pins the store's footprint: indexing 2^16
+// edges allocates at most 40 bytes per edge (per-position links, key
+// chain, forest flags, the flat key table at load 1/2, vertex heads).
+func TestDynForestMemoryPerEdge(t *testing.T) {
+	const m, n = 1 << 16, 1 << 14
+	rng := rand.New(rand.NewSource(7))
+	g := &Graph{N: n, Edges: make([]Edge, m)}
+	for i := range g.Edges {
+		g.Edges[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	df := NewDynForest(g, nil)
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / m
+	if perEdge > 40 {
+		t.Fatalf("NewDynForest allocated %.1f B/edge at m=2^16, want ≤ 40", perEdge)
+	}
+	if df.M() != m {
+		t.Fatalf("M = %d, want %d", df.M(), m)
+	}
+	t.Logf("NewDynForest: %.1f B/edge at m=2^16, n=2^14", perEdge)
 }

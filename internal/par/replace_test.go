@@ -12,8 +12,7 @@ import (
 // deletion batch.
 func replaceFixture(n int, pairs [][2]int, forest []bool, root int32) (*graph.DynForest, []int32, *Frontier, *Frontier) {
 	g := graph.FromPairs(n, pairs)
-	df := graph.NewDynForest(g)
-	df.SetForestAll(forest)
+	df := graph.NewDynForest(g, forest)
 	p := make([]int32, n)
 	for i := range p {
 		p[i] = root

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -175,5 +178,77 @@ func TestHTTPBatchNDJSON(t *testing.T) {
 	}
 	if _, isErr := lines[6]["error"]; !isErr {
 		t.Fatalf("line 6 should error: %v", lines[6])
+	}
+}
+
+// mapJSON is the reference encoding of the point-read bodies: a map through
+// json.Encoder, as the handlers wrote them before the strconv encoders.
+func mapJSON(t *testing.T, v map[string]any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPointReadBodiesMatchJSONEncoder pins the hand-encoded /connected,
+// /component and /count bodies byte for byte to the map encoding, over
+// extreme field values and over live HTTP responses.
+func TestPointReadBodiesMatchJSONEncoder(t *testing.T) {
+	for _, ver := range []uint64{0, 1, 12345, math.MaxUint64} {
+		for _, ok := range []bool{false, true} {
+			got, want := connectedBody(ok, ver), mapJSON(t, map[string]any{"connected": ok, "version": ver})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("connected(%v, %d): %q, want %q", ok, ver, got, want)
+			}
+		}
+		for _, c := range []int32{0, 7, math.MaxInt32} {
+			for _, size := range []int{1, 1 << 20, math.MaxInt} {
+				got := componentBody(c, size, ver)
+				want := mapJSON(t, map[string]any{"component": c, "size": size, "version": ver})
+				if !bytes.Equal(got, want) {
+					t.Fatalf("component(%d, %d, %d): %q, want %q", c, size, ver, got, want)
+				}
+			}
+		}
+		for _, k := range []int{0, 3, math.MaxInt} {
+			got, want := countBody(k, ver), mapJSON(t, map[string]any{"components": k, "version": ver})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("count(%d, %d): %q, want %q", k, ver, got, want)
+			}
+		}
+	}
+
+	e, srv := testServer(t)
+	if st, _ := doJSON(t, "PUT", srv.URL+"/graphs/p", `{"n":6,"edges":[[0,1],[1,2],[3,4]]}`); st != http.StatusCreated {
+		t.Fatalf("create: %d", st)
+	}
+	sn, err := e.Snapshot("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver := sn.Version()
+	for path, want := range map[string]map[string]any{
+		"/connected?u=0&v=2": {"connected": true, "version": ver},
+		"/connected?u=0&v=3": {"connected": false, "version": ver},
+		"/component?u=4":     {"component": sn.ComponentOf(4), "size": 2, "version": ver},
+		"/count":             {"components": 3, "version": ver},
+	} {
+		resp, err := http.Get(srv.URL + "/graphs/p" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+			t.Fatalf("%s: status %d, content type %q", path, resp.StatusCode, ct)
+		}
+		if w := mapJSON(t, want); !bytes.Equal(got, w) {
+			t.Fatalf("%s: body %q, want %q", path, got, w)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"time"
@@ -115,12 +116,13 @@ func AppendStreamFrame(buf []byte, fr *StreamFrame) []byte {
 // long an idle tail goes without a commit frame.
 func (e *Engine) streamWAL(w http.ResponseWriter, r *http.Request, heartbeat time.Duration) {
 	name := r.PathValue("name")
-	from, err := queryUint(r, "from")
+	q := r.URL.Query()
+	from, err := queryUint(q, "from")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	clientEpoch, err := queryUint(r, "epoch")
+	clientEpoch, err := queryUint(q, "epoch")
 	if err != nil {
 		writeError(w, err)
 		return
@@ -296,9 +298,9 @@ func streamFile(
 }
 
 // queryUint parses an optional unsigned integer query parameter (absent
-// means zero).
-func queryUint(r *http.Request, key string) (uint64, error) {
-	s := r.URL.Query().Get(key)
+// means zero) from the parsed query string q.
+func queryUint(q url.Values, key string) (uint64, error) {
+	s := q.Get(key)
 	if s == "" {
 		return 0, nil
 	}

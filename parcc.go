@@ -243,7 +243,9 @@ type Options struct {
 	TrustGraph bool
 	// NoForest disables the incremental session's spanning-forest
 	// maintenance: deletions always mark components dirty and repair them
-	// with the scoped re-solve, as in the pre-forest sessions.  The
+	// with the scoped re-solve, as in the pre-forest sessions, and Attach
+	// may label mesh-like or large dense graphs through the frontier or
+	// sampling fast paths instead of its one marking union-find pass.  The
 	// forest path is strictly better on delete-heavy streams (see
 	// docs/ARCHITECTURE.md); this switch exists as the comparison
 	// baseline the INC benchmark measures against and as an escape hatch.

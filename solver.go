@@ -426,8 +426,9 @@ const (
 	// session does not hold one yet.
 	autoSampleSkewDeg = 4.0
 	autoSampleMaxDeg  = 64
-	// sampleIncMinEdges is the edge count above which Attach and the
-	// scoped re-solve route through the sampling fast path.
+	// sampleIncMinEdges is the edge count above which Attach (under
+	// NoForest) and the scoped re-solve route through the sampling fast
+	// path.
 	sampleIncMinEdges = 1 << 15
 	// frontierMeshAvgDeg / frontierMeshMaxDeg / frontierMeshLocality /
 	// frontierCliqueMaxDeg describe the id-local regime the frontier
@@ -601,8 +602,8 @@ func (s *Solver) solveSample(g *Graph, params core.Params, dst []int32) ([]int32
 
 // sampleLabelsInto is the uncharged kernel sequence of the sampling fast
 // path over an explicit CSR — identity init, sampling rounds, flatten,
-// full skip pass, flatten, root count — shared by Attach and the scoped
-// re-solve of RemoveEdges for large dense inputs.  Returns the labels
+// full skip pass, flatten, root count — shared by Attach (under NoForest)
+// and the scoped re-solve of RemoveEdges for large dense inputs.  Returns the labels
 // (component minima) and the exact component count.  Callers hold s.mu.
 func (s *Solver) sampleLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
 	rec := s.cx.Rec
@@ -672,7 +673,8 @@ func (s *Solver) solveFrontier(g *Graph, dst []int32) ([]int32, int) {
 // the two-pass propagate (flood, then hook the residual) over the
 // session's reusable frontier pair, then a minima count (a label equals
 // its index exactly once per component) — shared by the frontier solve,
-// Attach, and the scoped re-solve of RemoveEdges on mesh-like inputs.
+// Attach (under NoForest), and the scoped re-solve of RemoveEdges on
+// mesh-like inputs.
 // Returns the labels (component minima) and the exact component count.
 // Callers hold s.mu.
 func (s *Solver) frontierLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
