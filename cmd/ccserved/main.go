@@ -78,7 +78,6 @@ func main() {
 		drain    = flag.Duration("drain", 15*time.Second, "graceful shutdown timeout for in-flight HTTP requests")
 		trace    = flag.Bool("trace", true, "record per-operation solve traces (GET /graphs/{name}/trace)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (trusted networks only)")
-		noForest = flag.Bool("no-forest", false, "disable spanning-forest deletion handling; every deletion takes the scoped re-solve (debugging / A-B measurement)")
 		walDir   = flag.String("wal-dir", "", "write-ahead-log directory: every applied mutation group is logged there before callers are released, and the logs are replayed on startup (empty = durability off)")
 		fsync    = flag.Bool("fsync", true, "fsync the WAL after every coalesced group; -fsync=false trades crash durability for append latency")
 
@@ -125,7 +124,6 @@ func main() {
 		Seed:       *seed,
 		TrustGraph: *trust,
 		Trace:      *trace,
-		NoForest:   *noForest,
 	}
 	eng := service.New(service.Options{
 		Solver:         solverOpt,

@@ -2,6 +2,7 @@ package parcc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"parcc/internal/baseline"
@@ -275,9 +276,12 @@ func TestForestChurnReturnsToOriginal(t *testing.T) {
 
 // TestForestBudgetFallback forces the replacement search over budget — a
 // long cycle whose only replacement edge is maximally far from the cut —
-// and asserts the scoped fallback repairs both the labels and the
-// region's forest flags.  The second batch entry lands in the same
-// component and must take the dirty short-circuit (no second search).
+// and asserts the scoped fallback repairs the labels, the region's forest
+// flags, and the snapshot page mirror: a snapshot published before the
+// delete builds the mirror, and the one published after it must be
+// byte-identical to an eager flatten.  The second batch entry lands in
+// the same component and must take the dirty short-circuit (no second
+// search).
 func TestForestBudgetFallback(t *testing.T) {
 	defer func(old int64) { dynconn.BudgetFloor = old }(dynconn.BudgetFloor)
 	dynconn.BudgetFloor = 16 // cycle m/4 stays the binding budget: 128 « the ~1000-entry search
@@ -287,12 +291,30 @@ func TestForestBudgetFallback(t *testing.T) {
 	// edge {511,0} is the one non-forest edge; cutting {256,257} puts the
 	// only replacement half a cycle from both BFS seeds.
 	s, oracle := forestSession(t, g, BackendSequential)
+	res := &Result{}
+	mirrorCheck := func(stage string) {
+		t.Helper()
+		sn, err := s.PublishSnapshot()
+		if err != nil {
+			t.Fatalf("%s: publish: %v", stage, err)
+		}
+		if err := s.ComponentsInto(res); err != nil {
+			t.Fatalf("%s: flatten: %v", stage, err)
+		}
+		if !slices.Equal(sn.Labels(), res.Labels) || sn.NumComponents() != res.NumComponents {
+			t.Fatalf("%s: snapshot labels/count diverge from eager flatten", stage)
+		}
+	}
+	mirrorCheck("before fallback")
 	batch := []Edge{{U: 256, V: 257}, {U: 100, V: 101}}
 	if err := s.RemoveEdges(batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.RemoveEdges(batch); err != nil {
 		t.Fatal(err)
+	}
+	if d := s.LastTrace().Dispatch; d == nil || d.Chosen != FLS || d.Rule != "sparse" {
+		t.Errorf("repair dispatch = %+v, want the FLS pipeline under rule sparse", d)
 	}
 	tr := s.LastTrace().Incremental
 	if tr.BudgetFallbacks != 1 {
@@ -306,6 +328,7 @@ func TestForestBudgetFallback(t *testing.T) {
 			tr.DirtyComponents, tr.ScopedVertices)
 	}
 	forestCheckAgainstOracle(t, "budget fallback", s, oracle)
+	mirrorCheck("after fallback")
 	s.Close()
 }
 

@@ -123,64 +123,76 @@ func TestFrontierFewerInspections(t *testing.T) {
 	}
 }
 
-// TestFrontierIncrementalPaths drives the incremental session over a mesh
-// graph that qualifies for the frontier fast paths — Attach and the scoped
-// re-solve of RemoveEdges both route through the frontier engine — and
-// asserts the partition and maintained count against the from-scratch
-// oracle after every step.  The traced AddEdges must record the batch's
-// touched endpoints as the repair's seeded frontier.  NoForest pins the
-// scoped deletion machinery itself: with the forest on, these deletions
-// resolve through the replacement search and never reach it.
-func TestFrontierIncrementalPaths(t *testing.T) {
-	side := 128 // m = 2·side·(side−1) ≈ 2^15: past frontierIncMinEdges
-	base := gen.Grid(side, side)
-	if !frontierWorthwhile(base) {
-		t.Fatal("test graph must qualify for the frontier attach path")
-	}
-	s, err := NewSolver(&Options{Backend: BackendConcurrent, Procs: 4, Seed: 2, Trace: true, NoForest: true})
+// incCheck asserts the session's partition and maintained count against
+// the from-scratch oracle.
+func incCheck(t *testing.T, stage string, s *Solver, oracle *baseline.IncOracle) {
+	t.Helper()
+	res, err := s.Components()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	want := oracle.Labels()
+	if !graph.SamePartition(want, res.Labels) {
+		t.Fatalf("%s: partition differs from oracle", stage)
+	}
+	if wantN := graph.NumLabels(want); res.NumComponents != wantN {
+		t.Fatalf("%s: count = %d, want %d", stage, res.NumComponents, wantN)
+	}
+}
+
+// bridgeFallback attaches two copies of half joined by one bridge between
+// id-adjacent vertices (the last of the first copy, the first of the
+// second), then deletes the bridge.  Each side of the cut holds half the
+// edges, so the two-sided replacement search must scan about m adjacency
+// entries to prove the split — past the m/4 budget — and the deletion
+// falls back to the scoped repair over the whole former component.  The
+// test fails unless the fallback fires and the repair picked want.
+// Returns the session (open) and the oracle after the delete.
+func bridgeFallback(t *testing.T, half *Graph, want Algorithm) (*Solver, *baseline.IncOracle) {
+	t.Helper()
+	base := gen.Union(half, half)
+	bridge := Edge{U: int32(half.N - 1), V: int32(half.N)}
+	base.Edges = append(base.Edges, bridge)
+	s, err := NewSolver(&Options{Backend: BackendConcurrent, Procs: 4, Seed: 2, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	oracle := baseline.NewIncOracle(base)
 	if err := s.Attach(base.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	check := func(stage string) {
-		t.Helper()
-		res, err := s.Components()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLabels := oracle.Labels()
-		if !graph.SamePartition(wantLabels, res.Labels) {
-			t.Fatalf("%s: partition differs from oracle", stage)
-		}
-		distinct := map[int32]bool{}
-		for _, l := range wantLabels {
-			distinct[l] = true
-		}
-		if wantN := len(distinct); res.NumComponents != wantN {
-			t.Fatalf("%s: count = %d, want %d", stage, res.NumComponents, wantN)
-		}
-	}
-	check("attach")
-	if tr := s.LastTrace(); tr == nil || tr.Frontier == nil || tr.Frontier.Rounds == 0 {
-		t.Fatal("frontier attach must record frontier rounds in its trace")
-	}
-
-	// Cut a corner off the grid: the dirty region is the giant component,
-	// still mesh-shaped, so the scoped re-solve takes the frontier branch.
-	rm := []Edge{base.Edges[0], base.Edges[1], base.Edges[2]}
+	incCheck(t, "attach", s, oracle)
+	rm := []Edge{bridge}
 	if err := s.RemoveEdges(rm); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.RemoveEdges(rm); err != nil {
 		t.Fatal(err)
 	}
-	check("scoped re-solve")
-	if tr := s.LastTrace(); tr == nil || tr.Frontier == nil || tr.Frontier.Rounds == 0 {
-		t.Fatal("frontier scoped re-solve must record frontier rounds in its trace")
+	incCheck(t, "scoped repair", s, oracle)
+	tr := s.LastTrace()
+	if tr.Incremental.BudgetFallbacks < 1 {
+		t.Fatalf("bridge delete must blow the replacement budget (trace %+v)", tr.Incremental)
+	}
+	if d := tr.Dispatch; d == nil || d.Chosen != want || d.N != base.N || d.M != base.M()-1 {
+		t.Fatalf("repair dispatch = %+v, want %s over the %dv/%de region", d, want, base.N, base.M()-1)
+	}
+	return s, oracle
+}
+
+// TestFrontierIncrementalPaths reaches the scoped repair's frontier branch
+// through a real budget fallback: two id-local grid halves joined by one
+// id-adjacent bridge, whose deletion blows the replacement budget, leave a
+// mesh-shaped dirty region that the repair labels with the frontier
+// engine — its pass trace must be present, and the partition and count
+// must match the oracle.  A traced AddEdges must then record the batch's
+// touched endpoints as the repair's seeded frontier.
+func TestFrontierIncrementalPaths(t *testing.T) {
+	half := gen.Grid(64, 128) // m = 2·16192+1 ≥ 2^14 in total, avg degree ≈ 4
+	s, oracle := bridgeFallback(t, half, Frontier)
+	defer s.Close()
+	if tr := s.LastTrace(); tr.Frontier == nil || tr.Frontier.Rounds == 0 {
+		t.Fatal("frontier scoped repair must record frontier passes in its trace")
 	}
 
 	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}, {U: 17, V: 4000}}
@@ -190,7 +202,7 @@ func TestFrontierIncrementalPaths(t *testing.T) {
 	if err := oracle.AddEdges(add); err != nil {
 		t.Fatal(err)
 	}
-	check("insert after frontier paths")
+	incCheck(t, "insert after frontier repair", s, oracle)
 	tr := s.LastTrace()
 	if tr == nil || tr.Frontier == nil || tr.Frontier.Rounds != 1 {
 		t.Fatalf("add-edges trace = %+v, want one seeded frontier round", tr)

@@ -22,10 +22,10 @@ import (
 // cannot change — and a deleted forest edge runs a bounded smaller-side
 // replacement search that either promotes a crossing edge or relabels the
 // split-off side in place.  Only when a search blows its scan budget does
-// the session fall back to the legacy scoped repair: mark the component
-// dirty, re-solve the subgraph the dirty set induces with the paper's
-// full CONNECTIVITY pipeline, and splice the scoped labels back
-// (Options.NoForest forces this path for every deletion).
+// the session fall back to the scoped repair: mark the component dirty,
+// re-solve the subgraph the dirty set induces from scratch (the paper's
+// CONNECTIVITY pipeline, or the frontier/sampling kernels on mesh-like and
+// dense regions), and splice the scoped labels back.
 // Components/ComponentsInto re-query the live partition without solving
 // anything.
 //
@@ -46,9 +46,9 @@ type incSession struct {
 	// read-heavy query stream pays the O(n) Compress once per mutation,
 	// not once per query.
 	needsCompress bool
-	// forest is the spanning-forest dynamic connectivity state (nil when
-	// Options.NoForest): the per-edge forest flags AddEdges maintains and
-	// the replacement-search machinery RemoveEdges runs.
+	// forest is the spanning-forest dynamic connectivity state: the
+	// per-edge forest flags AddEdges maintains and the replacement-search
+	// machinery RemoveEdges runs.
 	forest *dynconn.Tracker
 }
 
@@ -59,10 +59,7 @@ type incSession struct {
 // use).  Attaching again replaces the previous live graph.  The initial
 // solve is uncharged CAS union-find work, parallel on the session's
 // runtime — not a charged PRAM run: one O(m·α) Unite pass, whose merges
-// are also the spanning forest's flags.  Under Options.NoForest, mesh-like
-// graphs take the frontier flood instead and large dense ones the
-// Afforest-style sampling fast path (sample a few neighbors per vertex,
-// then skip the settled majority of the edge list).
+// are also the spanning forest's flags.
 func (s *Solver) Attach(g *Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -84,57 +81,21 @@ func (s *Solver) Attach(g *Graph) error {
 	rec.Add(obs.CtrBatchEdges, int64(g.M()))
 	e := s.casExec()
 	p := make([]int32, g.N)
-	var ncomp int
-	var fr *dynconn.Tracker
-	if s.opt.NoForest && frontierWorthwhile(g) {
-		// Mesh-like attach (low average degree, id-local edges): the
-		// frontier engine's flood settles these shapes in one in-order
-		// pass, leaving only chunk boundaries for its union-find hook
-		// pass — cheaper than a Unite per edge and identical in output
-		// (component minima).  Same engine as the "frontier" algorithm
-		// and the scoped re-solve below: one machinery for cold solves
-		// and incremental repair.  Only without the forest: its flags
-		// need the per-edge merge outcomes the plain pass reports.
-		span := rec.Begin()
-		plan := s.planFor(g)
-		rec.End(obs.PhasePlan, span)
-		p, ncomp = s.frontierLabelsInto(e, g, plan.CSR, p)
-	} else if s.opt.NoForest && sampleWorthwhile(g) {
-		// Large dense attach: the Afforest-style sampling fast path
-		// settles most components from a few sampled neighbors per vertex
-		// and then skips the settled majority of the edge list, instead
-		// of paying a full Unite per edge.  The CSR it samples from is
-		// built through the session's plan cache, so the subsequent
-		// Solve/AddEdges traffic on the live graph starts warm.  The
-		// partition is identical to the UniteBatch path (component
-		// minima); the count is taken exactly, from the flattened roots.
-		span := rec.Begin()
-		plan := s.planFor(g)
-		rec.End(obs.PhasePlan, span)
-		p, ncomp = s.sampleLabelsInto(e, g, plan.CSR, p)
-	} else {
-		span := rec.Begin()
-		e.Run(g.N, func(v int) { p[v] = int32(v) })
-		var merges int
-		if s.opt.NoForest {
-			merges = par.UniteBatch(e, p, g.Edges)
-		} else {
-			// The same Unite pass, but reporting per-edge outcomes: the
-			// winning edges are exactly the initial spanning forest, and
-			// the store takes the mark buffer over as its forest flags —
-			// one labeling pass, one copy of the flags.
-			fr = dynconn.New()
-			merges = par.UniteBatchMark(e, p, g.Edges, fr.Marks(g.M()))
-			fr.Init(g)
-		}
-		rec.Add(obs.CtrCASAttempts, int64(g.M()))
-		rec.Add(obs.CtrCASHooks, int64(merges))
-		span = rec.Lap(obs.PhaseUnite, span)
-		par.Compress(e, p)
-		rec.End(obs.PhaseCompress, span)
-		ncomp = g.N - merges
-	}
-	s.inc = &incSession{g: g, parent: p, ncomp: ncomp, forest: fr}
+	span := rec.Begin()
+	e.Run(g.N, func(v int) { p[v] = int32(v) })
+	// The Unite pass reports per-edge outcomes: the winning edges are
+	// exactly the initial spanning forest, and the store takes the mark
+	// buffer over as its forest flags — one labeling pass, one copy of the
+	// flags.
+	fr := dynconn.New()
+	merges := par.UniteBatchMark(e, p, g.Edges, fr.Marks(g.M()))
+	fr.Init(g)
+	rec.Add(obs.CtrCASAttempts, int64(g.M()))
+	rec.Add(obs.CtrCASHooks, int64(merges))
+	span = rec.Lap(obs.PhaseUnite, span)
+	par.Compress(e, p)
+	rec.End(obs.PhaseCompress, span)
+	s.inc = &incSession{g: g, parent: p, ncomp: g.N - merges, forest: fr}
 	// Unpublish: a snapshot of the previous live graph must not answer for
 	// the new one.  The version counter keeps running, so a reader that
 	// kept the old pointer can still tell the views apart.  The page
@@ -196,28 +157,20 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	// than rebuilding — nothing to do eagerly, and the insert path stays
 	// O(|batch|).
 	span := rec.Begin()
+	// Unite first, then register each edge with its outcome: a winning
+	// edge united two components and joins the spanning forest, the rest
+	// (loops, duplicates, intra-component edges) are non-forest.
 	var merges int
 	st := s.pages
-	if fr := inc.forest; fr != nil {
-		// Unite first, then register each edge with its outcome: a winning
-		// edge united two components and joins the spanning forest, the
-		// rest (loops, duplicates, intra-component edges) are non-forest.
-		marks := fr.Marks(len(batch))
-		if st != nil {
-			merges = par.UniteBatchTouch(s.casExec(), inc.parent, batch, marks, st.loserBuf(len(batch)))
-		} else {
-			merges = par.UniteBatchMark(s.casExec(), inc.parent, batch, marks)
-		}
-		for i, ed := range batch {
-			fr.DF.Insert(ed, marks[i])
-		}
+	fr := inc.forest
+	marks := fr.Marks(len(batch))
+	if st != nil {
+		merges = par.UniteBatchTouch(s.casExec(), inc.parent, batch, marks, st.loserBuf(len(batch)))
 	} else {
-		inc.g.Edges = append(inc.g.Edges, batch...)
-		if st != nil {
-			merges = par.UniteBatchTouch(s.casExec(), inc.parent, batch, nil, st.loserBuf(len(batch)))
-		} else {
-			merges = par.UniteBatch(s.casExec(), inc.parent, batch)
-		}
+		merges = par.UniteBatchMark(s.casExec(), inc.parent, batch, marks)
+	}
+	for i, ed := range batch {
+		fr.DF.Insert(ed, marks[i])
 	}
 	if st != nil {
 		// Feed the snapshot mirror: each losing root transfers its size to
@@ -263,19 +216,15 @@ func (s *Solver) AddEdges(batch []Edge) error {
 
 // RemoveEdges deletes one occurrence per batch entry from the live graph
 // (either orientation of an undirected edge matches) and repairs the
-// partition.  With the spanning forest maintained (the default), each
-// deletion resolves through the forest flags: a non-forest occurrence is
-// removed in O(1) — the partition provably cannot change — and a forest
-// occurrence runs a budget-bounded smaller-side replacement search
-// (par.ReplacementSearch) that either promotes a crossing edge into the
-// forest or relabels the split-off side in place.  Only a search that
-// blows its budget falls back to the legacy scoped repair: the component
-// is marked dirty, the subgraph the dirty set induces is re-solved with
-// the paper's CONNECTIVITY pipeline (charged O(m'+n') on that subgraph)
-// and spliced back, and the region's forest flags are re-derived.  With
-// Options.NoForest every deletion takes the scoped path, paying one O(m)
-// filter sweep plus the induced re-solve, as in the pre-forest sessions.
-// A batch entry with no remaining occurrence is an error and leaves the
+// partition through the session's spanning forest.  Validation is
+// O(|batch|) through the DynForest key index; each deletion then resolves
+// through the forest flags (dynconn.Tracker.Delete): a non-forest
+// occurrence is removed in O(1) — the partition provably cannot change —
+// and a forest occurrence runs a budget-bounded smaller-side replacement
+// search (par.ReplacementSearch) that either promotes a crossing edge
+// into the forest or relabels the split-off side in place.  Only a search
+// that blows its budget marks its component dirty for scopedRepair.  A
+// batch entry with no remaining occurrence is an error and leaves the
 // live state unchanged.
 func (s *Solver) RemoveEdges(batch []Edge) error {
 	var start time.Time
@@ -291,153 +240,6 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if inc.forest != nil {
-		return s.removeEdgesForest(inc, batch, start)
-	}
-	n := inc.g.N
-	need := make(map[int64]int, len(batch))
-	for _, e := range batch {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return &EdgeRangeError{Edge: e, N: n}
-		}
-		need[e.CanonKey()]++
-	}
-	// Validation pass before any mutation: every batch entry must have an
-	// occurrence left in the live multiset.
-	remain := len(batch)
-	for _, e := range inc.g.Edges {
-		if k := e.CanonKey(); need[k] > 0 {
-			need[k]--
-			remain--
-		}
-	}
-	if remain > 0 {
-		return &MissingEdgeError{Count: remain}
-	}
-	for _, e := range batch {
-		need[e.CanonKey()]++
-	}
-
-	// Removal sweep: filter the edge list in place, marking the root of
-	// every removed non-loop edge dirty (both endpoints share a root — the
-	// edge connected them until now).
-	rec := s.rec
-	rec.Reset()
-	rec.Add(obs.CtrBatchEdges, int64(len(batch)))
-	span := rec.Begin()
-	e := s.casExec()
-	cx := s.cx
-	parent := inc.parent
-	if s.pages != nil {
-		// Deferred merge relabels must land before any deletion reshapes
-		// components: the mirror's circles and labels are exact from here
-		// through the batch (splits and region rebuilds keep them so).
-		s.pages.flush(parent)
-	}
-	dirty := cx.Grab32(n)
-	dirtyCount := 0
-	kept := inc.g.Edges[:0]
-	for _, ed := range inc.g.Edges {
-		if k := ed.CanonKey(); need[k] > 0 {
-			need[k]--
-			if ed.U != ed.V {
-				if r := par.Find(parent, ed.U); dirty[r] == 0 {
-					dirty[r] = 1
-					dirtyCount++
-				}
-			}
-			continue
-		}
-		kept = append(kept, ed)
-	}
-	inc.g.Edges = kept
-	inc.batch++
-	if s.plan != nil && s.plan.G == inc.g {
-		s.plan = nil // removal invalidates the delta chain; force a rebuild
-	}
-	rec.Add(obs.CtrDirtyComponents, int64(dirtyCount))
-	if dirtyCount == 0 {
-		cx.Release32(dirty)
-		if rec != nil {
-			rec.End(obs.PhaseExtract, span)
-			s.lastTrace = incTraceFromRecorder(rec, "remove-edges", time.Since(start))
-		}
-		return nil
-	}
-
-	// Scoped re-solve: gather the vertices of the dirty components, build
-	// the induced subgraph in compact ids, run CONNECTIVITY on it, and
-	// splice the labels back.  Everything outside the dirty set is
-	// untouched.
-	par.Compress(e, parent)
-	sc := cx.Inc()
-	sc.Verts = sc.Verts[:0]
-	vmap := cx.Grab32(n)
-	for v := 0; v < n; v++ {
-		if dirty[parent[v]] != 0 {
-			vmap[v] = int32(len(sc.Verts)) + 1
-			sc.Verts = append(sc.Verts, int32(v))
-		}
-	}
-	sc.Sub = graph.InducedInto(inc.g, vmap, len(sc.Verts), sc.Sub)
-	rec.Add(obs.CtrScopedVertices, int64(sc.Sub.N))
-	rec.Add(obs.CtrScopedEdges, int64(sc.Sub.M()))
-	span = rec.Lap(obs.PhaseExtract, span)
-	var subLabels []int32
-	var subComps int
-	if frontierWorthwhile(sc.Sub) {
-		// Mesh-like dirty region: the induced subgraph is exactly the set
-		// of touched components, so seeding it (in full) into the frontier
-		// engine is the scoped-repair instantiation of the frontier
-		// machinery — one flood over the region plus a hook pass over
-		// whatever it left unsettled, instead of the charged pipeline's
-		// rounds over all of it.  The transient CSR is built uncached,
-		// like the sampling branch's.
-		csr := graph.BuildCSROn(e, sc.Sub)
-		subLabels, subComps = s.frontierLabelsInto(e, sc.Sub, csr, sc.SubLabels)
-	} else if sampleWorthwhile(sc.Sub) {
-		// A large dense dirty region re-labels faster through the
-		// sampling fast path than through the charged FLS pipeline: the
-		// induced subgraph's CSR is built once (uncached — the subgraph
-		// is transient scratch) and most of its edges are eliminated by
-		// the skip test.  Sparse or small regions keep the paper's
-		// pipeline, which their re-solve cost is dominated by anyway.
-		csr := graph.BuildCSROn(e, sc.Sub)
-		subLabels, subComps = s.sampleLabelsInto(e, sc.Sub, csr, sc.SubLabels)
-	} else {
-		s.m.Reset()
-		r := core.ConnectivityScoped(cx, sc.Sub, s.seed^(inc.batch*0x9e3779b97f4a7c15), sc.SubLabels)
-		subLabels, subComps = r.Labels, r.NumComponents
-	}
-	sc.SubLabels = subLabels
-	// The re-solve recorded its own phases (the sampling kernels' or the
-	// FLS pipeline's); the scoped span pools them into the headline number.
-	span = rec.Lap(obs.PhaseScoped, span)
-	par.SpliceLabels(e, parent, sc.Verts, subLabels)
-	if s.pages != nil {
-		s.pages.rebuildRegion(parent, sc.Verts)
-	}
-	rec.End(obs.PhaseSplice, span)
-	inc.ncomp += subComps - dirtyCount
-	// The Compress above flattened the whole forest and the splice wrote a
-	// flat two-level region; queries need no further flatten.
-	inc.needsCompress = false
-	cx.Release32(vmap)
-	cx.Release32(dirty)
-	if rec != nil {
-		s.lastTrace = incTraceFromRecorder(rec, "remove-edges", time.Since(start))
-	}
-	return nil
-}
-
-// removeEdgesForest is the deletion path with spanning-forest maintenance
-// (inc.forest non-nil): validation is O(|batch|) through the DynForest key
-// index instead of the legacy O(m) sweep, and each deletion is handled by
-// dynconn.Tracker.Delete — O(1) for non-forest occurrences, a bounded
-// replacement search for forest ones.  Components whose search blew the
-// budget collect into the same scoped re-solve the legacy path runs,
-// followed by a forest-flag rebuild of the re-solved region.
-func (s *Solver) removeEdgesForest(inc *incSession, batch []Edge, start time.Time) error {
 	n := inc.g.N
 	fr := inc.forest
 	// Validation before any mutation: range check, then per-key occurrence
@@ -464,14 +266,13 @@ func (s *Solver) removeEdgesForest(inc *incSession, batch []Edge, start time.Tim
 	rec.Reset()
 	rec.Add(obs.CtrBatchEdges, int64(len(batch)))
 	span := rec.Begin()
-	e := s.casExec()
 	cx := s.cx
 	parent := inc.parent
 	if inc.needsCompress {
 		// Flat-parent invariant: the searches read roots directly and the
 		// split relabels write flat sides, so one flatten at entry (the one
 		// the query path would pay anyway) keeps the whole batch flat.
-		par.Compress(e, parent)
+		par.Compress(s.casExec(), parent)
 		inc.needsCompress = false
 	}
 	st := s.pages
@@ -525,19 +326,41 @@ func (s *Solver) removeEdgesForest(inc *incSession, batch []Edge, start time.Tim
 		s.plan = nil // removal invalidates the delta chain; force a rebuild
 	}
 	rec.Add(obs.CtrDirtyComponents, int64(splits+dirtyCount))
-	if dirtyCount == 0 {
-		cx.Release32(dirty)
-		if rec != nil {
-			rec.End(obs.PhaseExtract, span)
-			s.lastTrace = incTraceFromRecorder(rec, "remove-edges", time.Since(start))
-		}
-		return nil
+	rec.End(obs.PhaseExtract, span)
+	var pick *DispatchDecision
+	if dirtyCount > 0 {
+		pick = s.scopedRepair(dirty, dirtyCount)
 	}
+	// Entry Compress + flat splits and splices: queries need no further
+	// flatten.
+	inc.needsCompress = false
+	cx.Release32(dirty)
+	if rec != nil {
+		tr := incTraceFromRecorder(rec, "remove-edges", time.Since(start))
+		tr.Dispatch = pick
+		s.lastTrace = tr
+	}
+	return nil
+}
 
-	// Budget-blown components: gather their vertices, re-solve the induced
-	// subgraph, splice — the legacy scoped repair, scoped to exactly the
-	// components the searches abandoned — then re-derive the region's
-	// forest flags (the only state the scoped labels do not fix).
+// scopedRepair is RemoveEdges' budget fallback: it gathers the vertices of
+// the dirty components (dirty[root] != 0 for dirtyCount roots of the flat
+// live forest), builds the subgraph they induce in compact ids, labels it
+// from scratch, splices the labels back, and re-derives the region's
+// snapshot mirror and forest flags (the only state the scoped labels do
+// not fix).  Everything outside the dirty set is untouched.  The region's
+// shape picks the kernel: mesh-like regions (low average degree, id-local
+// edges) take the frontier engine, large dense ones the sampling fast
+// path — both over a transient, uncached CSR of the subgraph — and the
+// rest the paper's CONNECTIVITY pipeline, charged O(m'+n') on the
+// subgraph.  Returns that choice for the operation's Trace.Dispatch.
+// Callers hold s.mu.
+func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
+	inc, cx, rec := s.inc, s.cx, s.rec
+	e := s.casExec()
+	n := inc.g.N
+	parent := inc.parent
+	span := rec.Begin()
 	sc := cx.Inc()
 	sc.Verts = sc.Verts[:0]
 	vmap := cx.Grab32(n)
@@ -547,43 +370,43 @@ func (s *Solver) removeEdgesForest(inc *incSession, batch []Edge, start time.Tim
 			sc.Verts = append(sc.Verts, int32(v))
 		}
 	}
-	sc.Sub = graph.InducedInto(inc.g, vmap, len(sc.Verts), sc.Sub)
-	rec.Add(obs.CtrScopedVertices, int64(sc.Sub.N))
-	rec.Add(obs.CtrScopedEdges, int64(sc.Sub.M()))
+	sub := graph.InducedInto(inc.g, vmap, len(sc.Verts), sc.Sub)
+	sc.Sub = sub
+	rec.Add(obs.CtrScopedVertices, int64(sub.N))
+	rec.Add(obs.CtrScopedEdges, int64(sub.M()))
 	span = rec.Lap(obs.PhaseExtract, span)
-	var subLabels []int32
-	var subComps int
-	if frontierWorthwhile(sc.Sub) {
-		csr := graph.BuildCSROn(e, sc.Sub)
-		subLabels, subComps = s.frontierLabelsInto(e, sc.Sub, csr, sc.SubLabels)
-	} else if sampleWorthwhile(sc.Sub) {
-		csr := graph.BuildCSROn(e, sc.Sub)
-		subLabels, subComps = s.sampleLabelsInto(e, sc.Sub, csr, sc.SubLabels)
-	} else {
-		s.m.Reset()
-		r := core.ConnectivityScoped(cx, sc.Sub, s.seed^(inc.batch*0x9e3779b97f4a7c15), sc.SubLabels)
-		subLabels, subComps = r.Labels, r.NumComponents
+	pick := &DispatchDecision{
+		N: sub.N, M: sub.M(), AvgDeg: 2 * float64(sub.M()) / float64(sub.N),
+		Locality: -1,
 	}
-	sc.SubLabels = subLabels
+	var subComps int
+	switch {
+	case frontierWorthwhile(sub):
+		pick.Chosen, pick.Rule = Frontier, "mesh"
+		sc.SubLabels, subComps = s.frontierLabelsInto(e, sub, graph.BuildCSROn(e, sub), sc.SubLabels)
+	case sampleWorthwhile(sub):
+		pick.Chosen, pick.Rule = Sample, "dense"
+		sc.SubLabels, subComps = s.sampleLabelsInto(e, sub, graph.BuildCSROn(e, sub), sc.SubLabels)
+	default:
+		pick.Chosen, pick.Rule = FLS, "sparse"
+		s.m.Reset()
+		r := core.ConnectivityScoped(cx, sub, s.seed^(inc.batch*0x9e3779b97f4a7c15), sc.SubLabels)
+		sc.SubLabels, subComps = r.Labels, r.NumComponents
+	}
+	// The re-solve recorded its own phases (the kernels' or the FLS
+	// pipeline's); the scoped span pools them into the headline number.
 	span = rec.Lap(obs.PhaseScoped, span)
-	par.SpliceLabels(e, parent, sc.Verts, subLabels)
-	if st != nil {
-		st.rebuildRegion(parent, sc.Verts)
+	par.SpliceLabels(e, parent, sc.Verts, sc.SubLabels)
+	if s.pages != nil {
+		s.pages.rebuildRegion(parent, sc.Verts)
 	}
 	uf := cx.Grab32(len(sc.Verts))
-	fr.RebuildRegion(sc.Verts, vmap, uf)
+	inc.forest.RebuildRegion(sc.Verts, vmap, uf)
 	cx.Release32(uf)
 	rec.End(obs.PhaseSplice, span)
 	inc.ncomp += subComps - dirtyCount
-	// Entry Compress + flat splices/splits: queries need no further
-	// flatten.
-	inc.needsCompress = false
 	cx.Release32(vmap)
-	cx.Release32(dirty)
-	if rec != nil {
-		s.lastTrace = incTraceFromRecorder(rec, "remove-edges", time.Since(start))
-	}
-	return nil
+	return pick
 }
 
 // Components returns the live partition as a freshly allocated Result —

@@ -18,10 +18,9 @@ import (
 // path does O(batch·α) work per batch while the cold path re-pays
 // O(m+n), so the speedup grows linearly with graph size (the acceptance
 // bar is ≥5× at n = 2^16, i.e. -scale full).  Mixed and delete-heavy
-// streams show the scoped re-solve: deletions re-run the FLS pipeline on
-// the dirty components only.  The fourth, delete-dominated family measures
-// the spanning-forest deletion path against the scoped re-solve itself
-// (Options.NoForest), with a ≥10× acceptance verdict in the table notes.
+// streams show the spanning-forest deletion path on sparse graphs.  The
+// fourth, delete-dominated family runs delete-only batches on a dense
+// giant component, with a ≥10× acceptance verdict in the table notes.
 func INCIncrementalUpdates(c Config) *Table {
 	n, batches, batchSize := 1<<12, 12, 128
 	if c.Scale == Full {
@@ -46,6 +45,15 @@ func INCIncrementalUpdates(c Config) *Table {
 		Columns: []string{"workload", "n", "m0", "batches", "batch",
 			"inc ms/batch", "cold ms/batch", "speedup"},
 	}
+	row := func(name string, base *graph.Graph, steps []incStep, size int) float64 {
+		incWall, coldWall := incReplay(opts, base, steps)
+		sp := ratio(coldWall.Seconds(), incWall.Seconds())
+		t.Add(name, base.N, base.M(), len(steps), size,
+			incWall.Seconds()*1000/float64(len(steps)),
+			coldWall.Seconds()*1000/float64(len(steps)),
+			sp)
+		return sp
+	}
 
 	type workload struct {
 		name      string
@@ -61,26 +69,12 @@ func INCIncrementalUpdates(c Config) *Table {
 
 		// Pre-generate the batch stream so both sides replay identical
 		// mutations; the oracle supplies the reference multiset semantics.
-		type step struct {
-			remove bool
-			batch  []graph.Edge
-		}
 		sim := baseline.NewIncOracle(base) // evolves as the stream is generated
-		steps := make([]step, batches)
+		steps := make([]incStep, batches)
 		for i := range steps {
 			if rm := i > 0 && rng.Intn(100) < w.removePct; rm {
-				live := sim.Graph()
-				k := batchSize / 4
-				if k > live.M() {
-					k = live.M()
-				}
-				idx := rng.Perm(live.M())[:k]
-				b := make([]graph.Edge, 0, k)
-				for _, j := range idx {
-					b = append(b, live.Edges[j])
-				}
-				steps[i] = step{remove: true, batch: b}
-				if err := sim.RemoveEdges(b); err != nil {
+				steps[i] = incStep{remove: true, batch: pickLive(rng, sim, batchSize/4)}
+				if err := sim.RemoveEdges(steps[i].batch); err != nil {
 					panic(err)
 				}
 			} else {
@@ -88,89 +82,27 @@ func INCIncrementalUpdates(c Config) *Table {
 				for j := range b {
 					b[j] = graph.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
 				}
-				steps[i] = step{batch: b}
+				steps[i] = incStep{batch: b}
 				if err := sim.AddEdges(b); err != nil {
 					panic(err)
 				}
 			}
 		}
-
-		// Incremental side: one live session, update + re-query per batch.
-		s, err := parcc.NewSolver(opts)
-		if err != nil {
-			panic(err)
-		}
-		if err := s.Attach(base.Clone()); err != nil {
-			panic(err)
-		}
-		res := &parcc.Result{}
-		t0 := time.Now()
-		for _, st := range steps {
-			if st.remove {
-				err = s.RemoveEdges(st.batch)
-			} else {
-				err = s.AddEdges(st.batch)
-			}
-			if err != nil {
-				panic(err)
-			}
-			if err := s.ComponentsInto(res); err != nil {
-				panic(err)
-			}
-		}
-		incWall := time.Since(t0)
-		incComps := res.NumComponents
-		s.Close()
-
-		// Cold side: same stream, but every query is a from-scratch solve
-		// of the mutated graph (session state is kept to be fair to the
-		// cold path's arena; the partition is recomputed per batch, which
-		// is what "no incremental support" means).  Mutations go through a
-		// second oracle — the same reference removal semantics.
-		cold, err := parcc.NewSolver(opts)
-		if err != nil {
-			panic(err)
-		}
-		cg := baseline.NewIncOracle(base)
-		t0 = time.Now()
-		for _, st := range steps {
-			if st.remove {
-				err = cg.RemoveEdges(st.batch)
-			} else {
-				err = cg.AddEdges(st.batch)
-			}
-			if err != nil {
-				panic(err)
-			}
-			if err := cold.SolveInto(cg.Graph(), res); err != nil {
-				panic(err)
-			}
-		}
-		coldWall := time.Since(t0)
-		cold.Close()
-		if res.NumComponents != incComps {
-			panic("INC: incremental and cold component counts diverged")
-		}
-
-		t.Add(w.name, base.N, 2*n, batches, batchSize,
-			incWall.Seconds()*1000/float64(batches),
-			coldWall.Seconds()*1000/float64(batches),
-			ratio(coldWall.Seconds(), incWall.Seconds()))
+		row(w.name, base, steps, batchSize)
 	}
 	t.Note("both sides replay the identical pre-generated mutation stream and answer a "+
 		"component query after every batch; final counts are asserted equal.  deletions "+
 		"are quarter-size batches of existing edges.  backend=%s.", string(backend))
 	t.Note("the cold side re-solves the full mutated graph with the session's default " +
 		"algorithm (FLS); the incremental side folds inserts into the live CAS union-find " +
-		"and scoped-re-solves only dirty components on deletes.")
+		"and resolves deletes through the spanning forest, re-solving only the " +
+		"components whose replacement search blew its budget.")
 
 	// Delete-dominated family: the spanning-forest acceptance experiment.
 	// A dense GNM graph (one giant component) takes a stream of small
 	// delete-only batches.  Nearly every deleted edge is non-forest, so the
-	// forest path retires it in O(1); the baseline is the SAME live session
-	// with forest maintenance disabled (Options.NoForest), whose scoped
-	// re-solve must re-run the pipeline over the giant dirty component on
-	// every batch.  The cold column holds that scoped baseline.
+	// forest path retires it in O(1), while the cold side re-solves the
+	// whole giant component per batch.
 	{
 		dn, dm, dbatches, dsize := 1<<12, 8<<12, 24, 16
 		if c.Scale == Full {
@@ -179,60 +111,101 @@ func INCIncrementalUpdates(c Config) *Table {
 		base := gen.GNM(dn, dm, c.seed()+7)
 		rng := rand.New(rand.NewSource(int64(c.seed()) + 99))
 		sim := baseline.NewIncOracle(base)
-		steps := make([][]graph.Edge, dbatches)
+		steps := make([]incStep, dbatches)
 		for i := range steps {
-			live := sim.Graph()
-			b := make([]graph.Edge, 0, dsize)
-			for _, j := range rng.Perm(live.M())[:dsize] {
-				b = append(b, live.Edges[j])
-			}
-			steps[i] = b
-			if err := sim.RemoveEdges(b); err != nil {
+			steps[i] = incStep{remove: true, batch: pickLive(rng, sim, dsize)}
+			if err := sim.RemoveEdges(steps[i].batch); err != nil {
 				panic(err)
 			}
 		}
-
-		run := func(noForest bool) (time.Duration, int) {
-			o := *opts
-			o.NoForest = noForest
-			s, err := parcc.NewSolver(&o)
-			if err != nil {
-				panic(err)
-			}
-			defer s.Close()
-			if err := s.Attach(base.Clone()); err != nil {
-				panic(err)
-			}
-			res := &parcc.Result{}
-			t0 := time.Now()
-			for _, b := range steps {
-				if err := s.RemoveEdges(b); err != nil {
-					panic(err)
-				}
-				if err := s.ComponentsInto(res); err != nil {
-					panic(err)
-				}
-			}
-			return time.Since(t0), res.NumComponents
-		}
-		forestWall, forestComps := run(false)
-		scopedWall, scopedComps := run(true)
-		if forestComps != scopedComps {
-			panic("INC: forest and scoped component counts diverged")
-		}
-		sp := ratio(scopedWall.Seconds(), forestWall.Seconds())
-		t.Add("delete-dominated", dn, dm, dbatches, dsize,
-			forestWall.Seconds()*1000/float64(dbatches),
-			scopedWall.Seconds()*1000/float64(dbatches),
-			sp)
+		sp := row("delete-dominated", base, steps, dsize)
 		verdict := "FAIL"
 		if sp >= 10 {
 			verdict = "PASS"
 		}
 		t.Note("delete-dominated row: small delete-only batches on a dense GNM (m=8n) giant "+
-			"component; the baseline (cold column) is the same live session with "+
-			"Options.NoForest, i.e. every deletion takes the scoped re-solve.  "+
-			"acceptance bar ≥10x over the scoped path: %s (%.3gx).", verdict, sp)
+			"component; the baseline (cold column) is the cold re-solve of the mutated "+
+			"graph, as in the other rows.  acceptance bar ≥10x over the cold re-solve: "+
+			"%s (%.3gx).", verdict, sp)
 	}
 	return t
+}
+
+// incStep is one batch of an INC mutation stream.
+type incStep struct {
+	remove bool
+	batch  []graph.Edge
+}
+
+// pickLive draws k distinct live edge occurrences (fewer if the graph
+// holds fewer) from the oracle's current multiset.
+func pickLive(rng *rand.Rand, sim *baseline.IncOracle, k int) []graph.Edge {
+	live := sim.Graph()
+	k = min(k, live.M())
+	b := make([]graph.Edge, 0, k)
+	for _, j := range rng.Perm(live.M())[:k] {
+		b = append(b, live.Edges[j])
+	}
+	return b
+}
+
+// incReplay replays steps twice from base and returns both wall times:
+// once on a live session (update + re-query per batch), once as a cold
+// from-scratch solve of the mutated graph per batch (session state is kept
+// to be fair to the cold path's arena; the partition is recomputed per
+// batch, which is what "no incremental support" means — mutations go
+// through an oracle with the same reference removal semantics).  Panics
+// if the two sides end on different component counts.
+func incReplay(opts *parcc.Options, base *graph.Graph, steps []incStep) (incWall, coldWall time.Duration) {
+	s, err := parcc.NewSolver(opts)
+	if err != nil {
+		panic(err)
+	}
+	if err := s.Attach(base.Clone()); err != nil {
+		panic(err)
+	}
+	res := &parcc.Result{}
+	t0 := time.Now()
+	for _, st := range steps {
+		if st.remove {
+			err = s.RemoveEdges(st.batch)
+		} else {
+			err = s.AddEdges(st.batch)
+		}
+		if err != nil {
+			panic(err)
+		}
+		if err := s.ComponentsInto(res); err != nil {
+			panic(err)
+		}
+	}
+	incWall = time.Since(t0)
+	incComps := res.NumComponents
+	s.Close()
+
+	cold, err := parcc.NewSolver(opts)
+	if err != nil {
+		panic(err)
+	}
+	defer cold.Close()
+	cg := baseline.NewIncOracle(base)
+	t0 = time.Now()
+	for _, st := range steps {
+		if st.remove {
+			err = cg.RemoveEdges(st.batch)
+		} else {
+			err = cg.AddEdges(st.batch)
+		}
+		if err != nil {
+			panic(err)
+		}
+		if err := cold.SolveInto(cg.Graph(), res); err != nil {
+			panic(err)
+		}
+	}
+	coldWall = time.Since(t0)
+	if res.NumComponents != incComps {
+		panic("INC: incremental and cold component counts diverged")
+	}
+	return incWall, coldWall
 }

@@ -10,8 +10,8 @@ import (
 // four workloads and show the insert-only live path beating cold
 // re-solves (the full-scale acceptance bar is 5× at n=2^16; small scale
 // must already clear 2× or the incremental path is broken).  The
-// delete-dominated row compares the forest deletion path against the
-// scoped re-solve (NoForest) and must clear a conservative 4× at small
+// delete-dominated row compares the forest deletion path against the cold
+// re-solve of the mutated graph and must clear a conservative 4× at small
 // scale (the ≥10× acceptance verdict is recorded in the table notes for
 // the published BENCH_inc.json runs).
 func TestINCSpeedupAndShape(t *testing.T) {
@@ -38,7 +38,7 @@ func TestINCSpeedupAndShape(t *testing.T) {
 		t.Fatalf("speedup cell %q: %v", last[len(tab.Columns)-1], err)
 	}
 	if forestSpeedup < 4 {
-		t.Errorf("delete-dominated forest-vs-scoped speedup = %.2fx, want ≥ 4x at small scale", forestSpeedup)
+		t.Errorf("delete-dominated forest-vs-cold speedup = %.2fx, want ≥ 4x at small scale", forestSpeedup)
 	}
 	found := false
 	for _, n := range tab.Notes {

@@ -109,10 +109,10 @@ var Verdicts = map[string]string{
 		"delete-heavy streams hold the same ~10²× instead of the pre-forest ≈2–6×: " +
 		"a non-forest deletion is O(1) and a forest deletion pays only a bounded " +
 		"replacement search, so random deletions on these graphs almost never reach " +
-		"the scoped re-solve.  The delete-dominated row isolates that mechanism — " +
-		"the same live session with Options.NoForest (every deletion scoped) is the " +
-		"baseline — and clears the ≥10× acceptance bar by orders of magnitude " +
-		"(~2.5×10³× at n=2¹², m=8n), because the scoped path must re-solve the " +
-		"giant dirty component per batch while the forest path retires dense-graph " +
+		"the scoped re-solve.  The delete-dominated row isolates that mechanism on " +
+		"a dense giant component — against the cold re-solve of the mutated graph, " +
+		"like the other rows — and clears the ≥10× acceptance bar by orders of " +
+		"magnitude (~2×10³× at n=2¹², m=8n), because a re-solve re-pays the whole " +
+		"giant component per batch while the forest path retires dense-graph " +
 		"deletions in O(1).  Final component counts are asserted equal on every run.",
 }

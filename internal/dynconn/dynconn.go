@@ -12,7 +12,7 @@
 // halves that either promotes a crossing non-forest edge into the forest
 // (partition unchanged) or proves the split and relabels the smaller
 // side.  Only when the search's scan budget blows does the session fall
-// back to the legacy scoped re-solve, after which RebuildRegion restores
+// back to the scoped re-solve, after which RebuildRegion restores
 // the forest flags of the re-solved region.
 //
 // The structure is exactly a certificate kept incrementally: acyclic,

@@ -69,7 +69,7 @@ const (
 	PhaseSampleSolve
 	// PhaseFinish is the FLS flatten/backstop completion.
 	PhaseFinish
-	// PhaseUnite is the incremental insert path (par.UniteBatch).
+	// PhaseUnite is the incremental insert path (par.UniteBatchMark).
 	PhaseUnite
 	// PhaseExtract is the deletion path's sweep + dirty-subgraph
 	// extraction (filter, vertex gather, graph.InducedInto).

@@ -7,8 +7,8 @@ import (
 )
 
 // TestUniteBatchMergeCount: the reported merge count must equal the drop
-// in the number of sets, under every procs count, with loops and parallel
-// edges in the batch.
+// in the number of sets and the number of marked edges, under every procs
+// count, with loops and parallel edges in the batch.
 func TestUniteBatchMergeCount(t *testing.T) {
 	edges := []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 3}, {U: 3, V: 4},
@@ -20,9 +20,19 @@ func TestUniteBatchMergeCount(t *testing.T) {
 		for i := range p {
 			p[i] = int32(i)
 		}
-		merges := UniteBatch(rt, p, edges)
+		marks := make([]bool, len(edges))
+		merges := UniteBatchMark(rt, p, edges, marks)
 		if merges != 5 { // {0,1}+{2,3,4} fuse into {0..4}; {6,7}; loop & dup no-ops
 			t.Fatalf("procs=%d: merges = %d, want 5", procs, merges)
+		}
+		marked := 0
+		for _, ok := range marks {
+			if ok {
+				marked++
+			}
+		}
+		if marked != merges || marks[4] {
+			t.Fatalf("procs=%d: marks = %v, want %d marked and the loop unmarked", procs, marks, merges)
 		}
 		Compress(rt, p)
 		for _, pair := range [][2]int{{0, 4}, {2, 1}, {6, 7}} {
@@ -53,7 +63,7 @@ func TestSpliceLabels(t *testing.T) {
 		}
 	}
 	// Roots are self-parented: further Unite batches work on the result.
-	if m := UniteBatch(rt, p, []graph.Edge{{U: 1, V: 3}}); m != 1 {
+	if m := UniteBatchMark(rt, p, []graph.Edge{{U: 1, V: 3}}, make([]bool, 1)); m != 1 {
 		t.Fatalf("post-splice unite merges = %d, want 1", m)
 	}
 	if Find(p, 0) != Find(p, 2) {

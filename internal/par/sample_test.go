@@ -88,7 +88,7 @@ func TestMajorityRootFindsDominantComponent(t *testing.T) {
 	defer r.Close()
 	p := make([]int32, g.N)
 	r.Run(g.N, func(v int) { p[v] = int32(v) })
-	UniteBatch(r, p, g.Edges)
+	UniteBatchMark(r, p, g.Edges, make([]bool, g.M()))
 	Compress(r, p)
 	root, cover := MajorityRoot(r, p, 512, nil)
 	if want := Find(p, 0); root != want {
@@ -110,7 +110,7 @@ func TestEstimateSkipHighOnSettledMultiBlock(t *testing.T) {
 	defer r.Close()
 	p := make([]int32, g.N)
 	r.Run(g.N, func(v int) { p[v] = int32(v) })
-	UniteBatch(r, p, g.Edges)
+	UniteBatchMark(r, p, g.Edges, make([]bool, g.M()))
 	Compress(r, p)
 	if _, cover := MajorityRoot(r, p, 512, nil); cover > 0.3 {
 		t.Fatalf("majority coverage = %.3f on 8 equal blocks, want ≤ 0.3", cover)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSnapshotLabels checks the publish kernel against a sequential
-// reference on a forest built by UniteBatch: dst[v] is v's root, sizes
+// reference on a forest built by UniteBatchMark: dst[v] is v's root, sizes
 // count each root's component exactly, and p itself is not mutated beyond
 // what the chases read.
 func TestSnapshotLabels(t *testing.T) {
@@ -27,7 +27,7 @@ func TestSnapshotLabels(t *testing.T) {
 		for v := range p {
 			p[v] = int32(v)
 		}
-		UniteBatch(e, p, g.Edges)
+		UniteBatchMark(e, p, g.Edges, make([]bool, g.M()))
 
 		before := make([]int32, n)
 		copy(before, p)

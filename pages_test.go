@@ -129,95 +129,90 @@ func TestPublishCostIsDeltaBounded(t *testing.T) {
 }
 
 // TestSnapshotEquivalenceRandomized is the regression referee for the COW
-// mirror: across a long randomized add/remove stream — forest and
-// NoForest deletion paths, both backends — every published version's
-// labels must be byte-identical to an eager flatten of the same parent
-// array, with matching counts and sizes.  SamePartition would hide a
-// mirror that drifted to a different-but-isomorphic labeling; byte
-// equality does not.
+// mirror: across a long randomized add/remove stream on both backends,
+// every published version's labels must be byte-identical to an eager
+// flatten of the same parent array, with matching counts and sizes.
+// SamePartition would hide a mirror that drifted to a different-but-
+// isomorphic labeling; byte equality does not.  (The mirror after a
+// scoped repair is pinned by TestForestBudgetFallback.)
 func TestSnapshotEquivalenceRandomized(t *testing.T) {
 	const (
 		n       = 2500
 		batches = 140
 	)
 	for _, be := range []Backend{BackendSequential, BackendConcurrent} {
-		for _, noForest := range []bool{false, true} {
-			name := string(be)
-			if noForest {
-				name += "/no-forest"
+		name := string(be)
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
+			g0 := gen.GNM(n, 3*n/2, 5)
+			s, err := NewSolver(&Options{Backend: be, Procs: 3, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
-				g0 := gen.GNM(n, 3*n/2, 5)
-				s, err := NewSolver(&Options{Backend: be, Procs: 3, Seed: 7, NoForest: noForest})
+			defer s.Close()
+			if err := s.Attach(g0.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			oracle := baseline.NewIncOracle(g0)
+			res := &Result{}
+			for b := 0; b < batches; b++ {
+				live := oracle.Graph()
+				if rng.Intn(10) < 6 || live.M() == 0 {
+					k := 1 + rng.Intn(12)
+					batch := make([]Edge, k)
+					for i := range batch {
+						batch[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
+					}
+					if err := s.AddEdges(batch); err != nil {
+						t.Fatalf("batch %d: AddEdges: %v", b, err)
+					}
+					if err := oracle.AddEdges(batch); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					k := 1 + rng.Intn(8)
+					if k > live.M() {
+						k = live.M()
+					}
+					idx := rng.Perm(live.M())[:k]
+					batch := make([]Edge, 0, k)
+					for _, i := range idx {
+						batch = append(batch, live.Edges[i])
+					}
+					if err := s.RemoveEdges(batch); err != nil {
+						t.Fatalf("batch %d: RemoveEdges: %v", b, err)
+					}
+					if err := oracle.RemoveEdges(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sn, err := s.PublishSnapshot()
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("batch %d: publish: %v", b, err)
 				}
-				defer s.Close()
-				if err := s.Attach(g0.Clone()); err != nil {
-					t.Fatal(err)
+				if err := s.ComponentsInto(res); err != nil {
+					t.Fatalf("batch %d: flatten: %v", b, err)
 				}
-				oracle := baseline.NewIncOracle(g0)
-				res := &Result{}
-				for b := 0; b < batches; b++ {
-					live := oracle.Graph()
-					if rng.Intn(10) < 6 || live.M() == 0 {
-						k := 1 + rng.Intn(12)
-						batch := make([]Edge, k)
-						for i := range batch {
-							batch[i] = Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
-						}
-						if err := s.AddEdges(batch); err != nil {
-							t.Fatalf("batch %d: AddEdges: %v", b, err)
-						}
-						if err := oracle.AddEdges(batch); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						k := 1 + rng.Intn(8)
-						if k > live.M() {
-							k = live.M()
-						}
-						idx := rng.Perm(live.M())[:k]
-						batch := make([]Edge, 0, k)
-						for _, i := range idx {
-							batch = append(batch, live.Edges[i])
-						}
-						if err := s.RemoveEdges(batch); err != nil {
-							t.Fatalf("batch %d: RemoveEdges: %v", b, err)
-						}
-						if err := oracle.RemoveEdges(batch); err != nil {
-							t.Fatal(err)
-						}
-					}
-					sn, err := s.PublishSnapshot()
-					if err != nil {
-						t.Fatalf("batch %d: publish: %v", b, err)
-					}
-					if err := s.ComponentsInto(res); err != nil {
-						t.Fatalf("batch %d: flatten: %v", b, err)
-					}
-					if !slices.Equal(sn.Labels(), res.Labels) {
-						t.Fatalf("batch %d: COW labels diverge from eager flatten", b)
-					}
-					if sn.NumComponents() != res.NumComponents {
-						t.Fatalf("batch %d: count %d, want %d", b, sn.NumComponents(), res.NumComponents)
-					}
-					want := oracle.Labels()
-					if !graph.SamePartition(want, res.Labels) {
-						t.Fatalf("batch %d: partition differs from oracle", b)
-					}
-					counts := map[int32]int{}
-					for _, l := range res.Labels {
-						counts[l]++
-					}
-					for v := 0; v < n; v += 97 {
-						if got, wantC := sn.ComponentSize(v), counts[res.Labels[v]]; got != wantC {
-							t.Fatalf("batch %d: ComponentSize(%d) = %d, want %d", b, v, got, wantC)
-						}
+				if !slices.Equal(sn.Labels(), res.Labels) {
+					t.Fatalf("batch %d: COW labels diverge from eager flatten", b)
+				}
+				if sn.NumComponents() != res.NumComponents {
+					t.Fatalf("batch %d: count %d, want %d", b, sn.NumComponents(), res.NumComponents)
+				}
+				want := oracle.Labels()
+				if !graph.SamePartition(want, res.Labels) {
+					t.Fatalf("batch %d: partition differs from oracle", b)
+				}
+				counts := map[int32]int{}
+				for _, l := range res.Labels {
+					counts[l]++
+				}
+				for v := 0; v < n; v += 97 {
+					if got, wantC := sn.ComponentSize(v), counts[res.Labels[v]]; got != wantC {
+						t.Fatalf("batch %d: ComponentSize(%d) = %d, want %d", b, v, got, wantC)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -241,15 +241,6 @@ type Options struct {
 	// documented in docs/ARCHITECTURE.md: break the promise and a warm
 	// solver serves labels computed from a stale adjacency.
 	TrustGraph bool
-	// NoForest disables the incremental session's spanning-forest
-	// maintenance: deletions always mark components dirty and repair them
-	// with the scoped re-solve, as in the pre-forest sessions, and Attach
-	// may label mesh-like or large dense graphs through the frontier or
-	// sampling fast paths instead of its one marking union-find pass.  The
-	// forest path is strictly better on delete-heavy streams (see
-	// docs/ARCHITECTURE.md); this switch exists as the comparison
-	// baseline the INC benchmark measures against and as an escape hatch.
-	NoForest bool
 }
 
 // Result reports the labeling and the PRAM cost of a run.

@@ -3,7 +3,6 @@ package parcc
 import (
 	"testing"
 
-	"parcc/internal/baseline"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
@@ -138,58 +137,16 @@ func TestSampleFallbackToFLS(t *testing.T) {
 	}
 }
 
-// TestSampleIncrementalFastPaths drives Attach and a giant-component
-// deletion over a graph large and dense enough to route both through the
-// sampling fast path, asserting the partition and the maintained count
-// against the from-scratch oracle after every step.  NoForest pins the
-// scoped deletion machinery itself: with the forest on, these deletions
-// resolve through the replacement search and never reach it.
+// TestSampleIncrementalFastPaths reaches the scoped repair's sampling
+// branch through a real budget fallback: two dense GNM halves joined by
+// one bridge, whose deletion blows the replacement budget, leave a dense
+// dirty region that the repair labels with the sampling fast path.  The
+// partition and count must match the oracle before and after, and after
+// an insert batch on top.
 func TestSampleIncrementalFastPaths(t *testing.T) {
-	base := gen.GNM(1<<13, 1<<17, 9) // m ≥ sampleIncMinEdges, avg deg 32
-	if !sampleWorthwhile(base) {
-		t.Fatal("test graph must qualify for the sampling attach path")
-	}
-	s, err := NewSolver(&Options{Backend: BackendConcurrent, Procs: 4, Seed: 2, NoForest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	half := gen.GNM(1<<11, 1<<15, 9) // avg degree 32, m = 2^16+1 in total
+	s, oracle := bridgeFallback(t, half, Sample)
 	defer s.Close()
-	oracle := baseline.NewIncOracle(base)
-	if err := s.Attach(base.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
-		t.Helper()
-		res, err := s.Components()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLabels := oracle.Labels()
-		if !graph.SamePartition(wantLabels, res.Labels) {
-			t.Fatalf("%s: partition differs from oracle", stage)
-		}
-		distinct := map[int32]bool{}
-		for _, l := range wantLabels {
-			distinct[l] = true
-		}
-		wantN := len(distinct)
-		if res.NumComponents != wantN {
-			t.Fatalf("%s: count = %d, want %d", stage, res.NumComponents, wantN)
-		}
-	}
-	check("attach")
-
-	// Delete edges inside the giant component: the dirty region is nearly
-	// the whole (dense) graph, which is exactly the scoped re-solve the
-	// sampling path accelerates.
-	rm := []Edge{base.Edges[0], base.Edges[1], base.Edges[2]}
-	if err := s.RemoveEdges(rm); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.RemoveEdges(rm); err != nil {
-		t.Fatal(err)
-	}
-	check("scoped re-solve")
 
 	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}}
 	if err := s.AddEdges(add); err != nil {
@@ -198,5 +155,5 @@ func TestSampleIncrementalFastPaths(t *testing.T) {
 	if err := oracle.AddEdges(add); err != nil {
 		t.Fatal(err)
 	}
-	check("insert after sample paths")
+	incCheck(t, "insert after sample repair", s, oracle)
 }

@@ -426,9 +426,8 @@ const (
 	// session does not hold one yet.
 	autoSampleSkewDeg = 4.0
 	autoSampleMaxDeg  = 64
-	// sampleIncMinEdges is the edge count above which Attach (under
-	// NoForest) and the scoped re-solve route through the sampling fast
-	// path.
+	// sampleIncMinEdges is the edge count above which the scoped repair
+	// of RemoveEdges routes a dense region through the sampling fast path.
 	sampleIncMinEdges = 1 << 15
 	// frontierMeshAvgDeg / frontierMeshMaxDeg / frontierMeshLocality /
 	// frontierCliqueMaxDeg describe the id-local regime the frontier
@@ -452,8 +451,9 @@ const (
 	frontierMeshMaxDeg   = 8
 	frontierCliqueMaxDeg = 64
 	frontierMeshLocality = 0.95
-	// frontierIncMinEdges is the edge count above which the incremental
-	// paths consider routing a full labeling through the frontier engine.
+	// frontierIncMinEdges is the edge count above which the scoped repair
+	// of RemoveEdges considers routing a region through the frontier
+	// engine.
 	frontierIncMinEdges = 1 << 14
 )
 
@@ -602,9 +602,9 @@ func (s *Solver) solveSample(g *Graph, params core.Params, dst []int32) ([]int32
 
 // sampleLabelsInto is the uncharged kernel sequence of the sampling fast
 // path over an explicit CSR — identity init, sampling rounds, flatten,
-// full skip pass, flatten, root count — shared by Attach (under NoForest)
-// and the scoped re-solve of RemoveEdges for large dense inputs.  Returns the labels
-// (component minima) and the exact component count.  Callers hold s.mu.
+// full skip pass, flatten, root count — run by the scoped repair of
+// RemoveEdges on large dense regions.  Returns the labels (component
+// minima) and the exact component count.  Callers hold s.mu.
 func (s *Solver) sampleLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
 	rec := s.cx.Rec
 	span := rec.Begin()
@@ -642,8 +642,8 @@ func (s *Solver) sampleLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR
 	return p, int(roots)
 }
 
-// sampleWorthwhile reports whether the incremental paths should route a
-// full-graph labeling through the sampling fast path: enough edges that
+// sampleWorthwhile reports whether the scoped repair should label a
+// region through the sampling fast path: enough edges that
 // the skip pass amortizes its CSR traversal, and dense enough that a
 // meaningful fraction of them will be skipped.
 func sampleWorthwhile(g *graph.Graph) bool {
@@ -672,11 +672,10 @@ func (s *Solver) solveFrontier(g *Graph, dst []int32) ([]int32, int) {
 // engine over an explicit CSR — identity labels, a full cold-solve seed,
 // the two-pass propagate (flood, then hook the residual) over the
 // session's reusable frontier pair, then a minima count (a label equals
-// its index exactly once per component) — shared by the frontier solve,
-// Attach (under NoForest), and the scoped re-solve of RemoveEdges on
-// mesh-like inputs.
-// Returns the labels (component minima) and the exact component count.
-// Callers hold s.mu.
+// its index exactly once per component) — shared by the frontier solve
+// and the scoped repair of RemoveEdges on mesh-like regions.  Returns the
+// labels (component minima) and the exact component count.  Callers hold
+// s.mu.
 func (s *Solver) frontierLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
 	rec := s.cx.Rec
 	span := rec.Begin()
@@ -723,12 +722,11 @@ func (s *Solver) frontierPair(n int) (*par.Frontier, *par.Frontier) {
 	return s.fCur, s.fNxt
 }
 
-// frontierWorthwhile reports whether the incremental paths should route a
-// full-graph labeling through the frontier engine: the same mesh signals
-// the Auto dispatcher uses (low average degree, id-local edges), plus
-// enough edges that the engine's fixed per-solve costs amortize.  Computed
-// from the edge list directly — the incremental paths often hold no plan
-// for the graph in question (scoped subgraphs never do).
+// frontierWorthwhile reports whether the scoped repair should label a
+// region through the frontier engine: the same mesh signals the Auto
+// dispatcher uses (low average degree, id-local edges), plus enough edges
+// that the engine's fixed per-solve costs amortize.  Computed from the
+// edge list directly — scoped subgraphs never hold a plan.
 func frontierWorthwhile(g *graph.Graph) bool {
 	return g.M() >= frontierIncMinEdges &&
 		2*float64(g.M()) <= frontierMeshAvgDeg*float64(g.N) &&

@@ -56,8 +56,9 @@ type Trace struct {
 	// LTZRounds counts EXPAND-MAXLINK rounds across every LTZ invocation
 	// of the operation (interweave Step 3, REMAIN, backstops, ltz proper).
 	LTZRounds int64 `json:"ltz_rounds"`
-	// Dispatch records the auto dispatcher's decision; nil unless the
-	// operation ran with Options.Algorithm Auto.
+	// Dispatch records the kernel decision: the auto dispatcher's for a
+	// solve with Options.Algorithm Auto, the scoped repair's for a
+	// remove-edges operation that fell back to it; nil otherwise.
 	Dispatch *DispatchDecision `json:"dispatch,omitempty"`
 	// Frontier records the frontier engine's pass structure; nil unless
 	// the operation ran the frontier kernels.
@@ -73,16 +74,23 @@ type TracePhase struct {
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// DispatchDecision is the auto dispatcher's verdict and its inputs.
+// DispatchDecision is a kernel choice and its inputs: the auto
+// dispatcher's for a solve, or the scoped repair's for the dirty region
+// of a remove-edges fallback.
 type DispatchDecision struct {
-	// Chosen is the concrete algorithm selected (equals the owning
-	// Result.Algorithm — the golden contract the dispatch tests pin).
+	// Chosen is the concrete algorithm selected.  For a solve it equals
+	// the owning Result.Algorithm — the golden contract the dispatch
+	// tests pin; for a scoped repair it is frontier, sample, or fls.
 	Chosen Algorithm `json:"chosen"`
-	// Rule names the decision-table row that fired: "tiny" (sequential
-	// union-find), "dense" (sample on average degree alone), "skewed"
-	// (sample on the plan's max-degree refinement), or "sparse" (cas).
+	// Rule names the decision-table row that fired.  Solves: "tiny"
+	// (sequential union-find), "mesh" (frontier on id-local low-degree
+	// shapes), "dense" (sample on average degree alone), "skewed" (sample
+	// on the plan's max-degree refinement), or "sparse" (cas).  Scoped
+	// repairs: "mesh" (frontier), "dense" (sample), or "sparse" (the FLS
+	// pipeline).
 	Rule string `json:"rule"`
-	// N, M, AvgDeg are the O(1) statistics every decision starts from.
+	// N, M, AvgDeg are the O(1) statistics every decision starts from —
+	// for a scoped repair, those of the induced dirty region.
 	N      int     `json:"n"`
 	M      int     `json:"m"`
 	AvgDeg float64 `json:"avg_deg"`
@@ -121,10 +129,9 @@ type TraceIncremental struct {
 	// deletion path re-solved.
 	ScopedVertices int64 `json:"scoped_vertices,omitempty"`
 	ScopedEdges    int64 `json:"scoped_edges,omitempty"`
-	// Forest-path deletion counters (zero when Options.NoForest): deleted
-	// forest vs non-forest edges, replacement promotions, true splits,
-	// adjacency entries the searches scanned, and searches that blew the
-	// budget into the scoped fallback.
+	// Forest deletion counters: deleted forest vs non-forest edges,
+	// replacement promotions, true splits, adjacency entries the searches
+	// scanned, and searches that blew the budget into the scoped fallback.
 	ForestDeletes    int64 `json:"forest_deletes,omitempty"`
 	NonForestDeletes int64 `json:"non_forest_deletes,omitempty"`
 	Replacements     int64 `json:"replacements,omitempty"`
