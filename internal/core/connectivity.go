@@ -291,22 +291,23 @@ func interweave(cx *solve.Ctx, f *labeled.Forest, s1 *stage1.Runner, env phaseEn
 func remain(cx *solve.Ctx, f *labeled.Forest, env phaseEnv, p Params) {
 	m := cx.M
 	// Step 1–2: E_remain = E(G′) \ E(H₁), altered to current parents.
-	Er := stage2.EdgesNotIn(m, env.Gp, env.h1mask)
+	Er := stage2.EdgesNotIn(cx, env.Gp, env.h1mask)
+	defer cx.ReleaseEdges(Er)
 	Er = labeled.Alter(m, f, Er)
 	if len(Er) == 0 {
 		return
 	}
 	// Step 3: drop loops and parallel edges.
-	keys := make([]int64, len(Er))
-	for i, e := range Er {
-		keys[i] = prim.PackEdge(e.U, e.V)
+	keys := cx.Grab64Cap(len(Er))
+	for _, e := range Er {
+		keys = append(keys, prim.PackEdge(e.U, e.V))
 	}
-	keys = prim.DedupPairs(m, keys, true)
 	Er = Er[:0]
-	for _, k := range keys {
+	for _, k := range prim.DedupPairs(m, keys, true) {
 		u, v := prim.UnpackEdge(k)
 		Er = append(Er, graph.Edge{U: u, V: v})
 	}
+	cx.Release64(keys)
 	// Step 4: Theorem 2.
 	if len(Er) > 0 {
 		ltz.SolveOnCtx(cx, f, solve.VertexSet(cx, f.Len(), Er), Er, p.LTZ)
@@ -335,11 +336,12 @@ func activeRoots(cx *solve.Ctx, f *labeled.Forest, roots []int32, sets ...[]grap
 	m := cx.M
 	flag := cx.Grab32(f.Len())
 	for _, E := range sets {
-		m.For(len(E), func(i int) {
-			e := E[i]
-			if e.U != e.V {
-				pram.SetFlag(flag, int(f.P[e.U]))
-				pram.SetFlag(flag, int(f.P[e.V]))
+		m.ForRange(len(E), 1, func(lo, hi, _ int) {
+			for _, e := range E[lo:hi] {
+				if e.U != e.V {
+					pram.SetFlag(flag, int(f.P[e.U]))
+					pram.SetFlag(flag, int(f.P[e.V]))
+				}
 			}
 		})
 	}
@@ -384,9 +386,11 @@ func deleteEdges(m *pram.Machine, E []graph.Edge, p64 uint64, seed uint64) []gra
 func markVertexSet(cx *solve.Ctx, n int, E []graph.Edge) []int32 {
 	m := cx.M
 	flag := cx.Grab32(n)
-	m.For(len(E), func(i int) {
-		pram.SetFlag(flag, int(E[i].U))
-		pram.SetFlag(flag, int(E[i].V))
+	m.ForRange(len(E), 1, func(lo, hi, _ int) {
+		for _, e := range E[lo:hi] {
+			pram.SetFlag(flag, int(e.U))
+			pram.SetFlag(flag, int(e.V))
+		}
 	})
 	return flag
 }

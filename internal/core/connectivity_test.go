@@ -7,6 +7,7 @@ import (
 	"parcc/internal/baseline"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
+	"parcc/internal/par"
 	"parcc/internal/pram"
 )
 
@@ -141,5 +142,21 @@ func TestBSchedule(t *testing.T) {
 	}
 	if p.bSchedule(0) != p.B0 {
 		t.Errorf("phase 0 guess = %d, want B0 = %d", p.bSchedule(0), p.B0)
+	}
+}
+
+// TestConnectivityManySpans runs the whole pipeline on a pooled runtime
+// with grains small enough that every fused pass (MATCHING, ALTER,
+// SHORTCUT, MAXLINK) splits into many concurrent spans — the layout the
+// deterministic golden modes never exercise.  Run under -race in CI.
+func TestConnectivityManySpans(t *testing.T) {
+	rt := par.New(par.Procs(2), par.Grain(32))
+	defer rt.Close()
+	graphs := suite()
+	graphs["gnm-large"] = gen.GNM(3000, 6000, 19)
+	for name, g := range graphs {
+		m := pram.New(pram.Seed(7), pram.OnExecutor(rt), pram.Grain(16))
+		res := Connectivity(m, g, Default(g.N))
+		checkLabels(t, name, g, res.Labels)
 	}
 }

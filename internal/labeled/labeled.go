@@ -18,9 +18,10 @@ import (
 
 // Forest is the labeled digraph: P[v] is the parent of v.
 type Forest struct {
-	P   []int32
-	tmp []int32    // scratch for synchronous shortcuts
-	ar  *par.Arena // optional arena backing P and tmp (session solves)
+	P     []int32
+	tmp   []int32    // scratch for synchronous shortcuts
+	spans []int64    // Alter's per-span (start, end of packed run) pairs
+	ar    *par.Arena // optional arena backing P, tmp and spans (session solves)
 }
 
 // New returns the initial forest where every vertex is its own parent.
@@ -49,7 +50,10 @@ func (f *Forest) Free() {
 	if f.tmp != nil {
 		f.ar.Release32(f.tmp)
 	}
-	f.P, f.tmp = nil, nil
+	if f.spans != nil {
+		f.ar.Release64(f.spans)
+	}
+	f.P, f.tmp, f.spans = nil, nil, nil
 }
 
 // Len returns the number of vertices.
@@ -105,46 +109,47 @@ func (f *Forest) RestoreOf(vs []int32, s []int32) {
 }
 
 // Alter is ALTER(E) of §4.2: replace each edge (u,v) by (u.p, v.p) and
-// remove loops.  The surviving edges are returned compacted (the paper keeps
-// holes and compacts with Lemma 4.2 where needed; folding the filter into
-// the same step charges the same O(|E|) work and O(1) time).
+// remove loops.  The surviving edges are returned compacted, in their
+// original order, in E's own backing (the paper keeps holes and compacts
+// with Lemma 4.2 where needed; folding the filter into a second step
+// charges the same O(|E|) work and O(1) time).  One pass rewrites each
+// span's edges and packs its survivors to the span's front; the compaction
+// step then moves the packed runs down in span order.  Nothing is
+// allocated per call.
 func Alter(m *pram.Machine, f *Forest, E []graph.Edge) []graph.Edge {
 	p := f.P
-	m.For(len(E), func(i int) {
-		E[i].U = pram.Load32(p, int(E[i].U))
-		E[i].V = pram.Load32(p, int(E[i].V))
-	})
-	var out []graph.Edge
-	m.Contract(1, int64(len(E)), func() {
-		// The loop filter is uncharged (the contract above carries the model
-		// cost); on the concurrent backend it runs as a parallel compaction,
-		// which produces the same edge order as the sequential filter.  The
-		// compacted edges are copied back into E's backing so the caller's
-		// buffer ownership (and the session arena's accounting) survives
-		// Alter on every backend.
-		if e := m.Exec(); e != nil && len(E) >= 1<<14 {
-			tmp := par.Compact(e, E, func(i int) bool { return E[i].U != E[i].V })
-			out = E[:len(tmp)]
-			e.Run(len(tmp), func(i int) { out[i] = tmp[i] })
-			return
-		}
-		out = E[:0]
-		for _, e := range E {
-			if e.U != e.V {
-				out = append(out, e)
+	n := len(E)
+	sp := f.spanScratch(2 * m.Spans(n))
+	m.ForRange(n, 1, func(lo, hi, c int) {
+		k := lo
+		for i := lo; i < hi; i++ {
+			if u, v := p[E[i].U], p[E[i].V]; u != v {
+				E[k] = graph.Edge{U: u, V: v}
+				k++
 			}
 		}
+		sp[2*c], sp[2*c+1] = int64(lo), int64(k)
 	})
-	return out
+	k := 0
+	m.Contract(1, int64(n), func() {
+		// Span c's run ends at or before span c+1 starts and never moves
+		// up, so moving the runs in span order overwrites only runs
+		// already moved.
+		for c := 0; c < len(sp)/2; c++ {
+			k += copy(E[k:], E[sp[2*c]:sp[2*c+1]])
+		}
+	})
+	return E[:k]
 }
 
 // AlterKeep replaces endpoints by parents but keeps loops in place, for the
 // call sites (Stage 2/3) where the paper explicitly retains loops.
 func AlterKeep(m *pram.Machine, f *Forest, E []graph.Edge) {
 	p := f.P
-	m.For(len(E), func(i int) {
-		E[i].U = pram.Load32(p, int(E[i].U))
-		E[i].V = pram.Load32(p, int(E[i].V))
+	m.ForRange(len(E), 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			E[i] = graph.Edge{U: p[E[i].U], V: p[E[i].V]}
+		}
 	})
 }
 
@@ -152,16 +157,22 @@ func AlterKeep(m *pram.Machine, f *Forest, E []graph.Edge) {
 // are synchronous — a step's reads see the previous step's state — so the
 // grandparents are gathered into scratch before any cell is written; without
 // this, intra-step cascades would compress paths faster than the model
-// allows and corrupt the time accounting.
+// allows and corrupt the time accounting.  The gather and the write are two
+// steps and two passes (the write must wait for every gather).
 func Shortcut(m *pram.Machine, f *Forest, vs []int32) {
 	p := f.P
 	tmp := f.scratch(len(vs))
-	m.For(len(vs), func(i int) {
-		pv := pram.Load32(p, int(vs[i]))
-		tmp[i] = pram.Load32(p, int(pv))
+	m.ForRange(len(vs), 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			tmp[i] = p[p[vs[i]]]
+		}
 	})
-	m.For(len(vs), func(i int) {
-		pram.Store32(p, int(vs[i]), tmp[i])
+	m.ForRange(len(vs), 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if pram.Load32(p, int(vs[i])) != tmp[i] {
+				pram.Store32(p, int(vs[i]), tmp[i])
+			}
+		}
 	})
 }
 
@@ -170,12 +181,13 @@ func Shortcut(m *pram.Machine, f *Forest, vs []int32) {
 func ShortcutAll(m *pram.Machine, f *Forest) {
 	p := f.P
 	tmp := f.scratch(len(p))
-	m.For(len(p), func(i int) {
-		pv := pram.Load32(p, i)
-		tmp[i] = pram.Load32(p, int(pv))
+	m.ForRange(len(p), 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			tmp[i] = p[p[i]]
+		}
 	})
-	m.For(len(p), func(i int) {
-		pram.Store32(p, i, tmp[i])
+	m.ForRange(len(p), 1, func(lo, hi, _ int) {
+		copy(p[lo:hi], tmp[lo:hi])
 	})
 }
 
@@ -188,25 +200,40 @@ func FlattenAll(m *pram.Machine, f *Forest) {
 	// instead of allocating fresh ones per iteration (they capture only
 	// loop-invariant variables).
 	flag := []int32{0}
-	gather := func(i int) {
-		pv := pram.Load32(p, i)
-		gp := pram.Load32(p, int(pv))
-		if gp != pv {
+	gather := func(lo, hi, _ int) {
+		moved := false
+		for i := lo; i < hi; i++ {
+			pv := p[i]
+			gp := p[pv]
+			moved = moved || gp != pv
+			tmp[i] = gp
+		}
+		if moved {
 			pram.SetFlag(flag, 0)
 		}
-		tmp[i] = gp
 	}
-	write := func(i int) {
-		pram.Store32(p, i, tmp[i])
+	write := func(lo, hi, _ int) {
+		copy(p[lo:hi], tmp[lo:hi])
 	}
 	for {
 		flag[0] = 0
-		m.For(len(p), gather)
-		m.For(len(p), write)
+		m.ForRange(len(p), 1, gather)
+		m.ForRange(len(p), 1, write)
 		if flag[0] == 0 {
 			return
 		}
 	}
+}
+
+// spanScratch returns Alter's reusable per-span buffer of k slots.
+func (f *Forest) spanScratch(k int) []int64 {
+	if cap(f.spans) < k {
+		if f.ar != nil && f.spans != nil {
+			f.ar.Release64(f.spans)
+		}
+		f.spans = f.ar.Grab64(k)
+	}
+	return f.spans[:k]
 }
 
 // scratch returns a reusable buffer of at least k parent slots.  Forest

@@ -220,10 +220,11 @@ func (s *State) Round() {
 	// Step 3: each root levels up w.p. β(v)^(-exp).
 	lvl := s.Level
 	step := s.round * 131
-	m.For(len(roots), func(i int) {
-		v := roots[i]
-		if m.Coin(step, int(v), s.upP64[minInt(int(lvl[v])-1, len(s.upP64)-1)]) {
-			lvl[v]++
+	m.ForRange(len(roots), 1, func(lo, hi, _ int) {
+		for _, v := range roots[lo:hi] {
+			if m.Coin(step, int(v), s.upP64[minInt(int(lvl[v])-1, len(s.upP64)-1)]) {
+				lvl[v]++
+			}
 		}
 	})
 
@@ -267,16 +268,14 @@ func (s *State) Round() {
 	// arbitrary; a loser observing a different value means two distinct
 	// keys collided).
 	forEachCurrent := func(body func(u, v int32)) {
-		m.For(len(s.Edges), func(i int) {
-			e := s.Edges[i]
-			body(e.U, e.V)
-			body(e.V, e.U)
-		})
-		m.For(len(s.Extra), func(i int) {
-			e := s.Extra[i]
-			body(e.U, e.V)
-			body(e.V, e.U)
-		})
+		for _, E := range [2][]graph.Edge{s.Edges, s.Extra} {
+			m.ForRange(len(E), 1, func(lo, hi, _ int) {
+				for _, e := range E[lo:hi] {
+					body(e.U, e.V)
+					body(e.V, e.U)
+				}
+			})
+		}
 	}
 	hashEq := func(v, w int32) {
 		// hash w into H(v) when both are roots of equal budget
@@ -298,10 +297,11 @@ func (s *State) Round() {
 
 	// Step 5: roots with collisions become dormant; then any vertex whose
 	// table contains a dormant vertex becomes dormant.
-	m.For(len(roots), func(i int) {
-		v := roots[i]
-		if pram.Flag(collide, int(v)) {
-			pram.SetFlag(dormant, int(v))
+	m.ForRange(len(roots), 1, func(lo, hi, _ int) {
+		for _, v := range roots[lo:hi] {
+			if pram.Flag(collide, int(v)) {
+				pram.SetFlag(dormant, int(v))
+			}
 		}
 	})
 	scanWork := slabSize
@@ -396,10 +396,11 @@ func (s *State) Round() {
 	// (We approximate "did not increase level in Step 3" by capping one
 	// increase per round: Step 3 winners already advanced, so advancing
 	// dormant roots unconditionally would double-step them; track parity.)
-	m.For(len(roots), func(i int) {
-		v := roots[i]
-		if f.IsRoot(v) && pram.Flag(dormant, int(v)) && !m.Coin(step, int(v), s.upP64[minInt(int(lvl[v])-1, len(s.upP64)-1)]) {
-			lvl[v]++
+	m.ForRange(len(roots), 1, func(lo, hi, _ int) {
+		for _, v := range roots[lo:hi] {
+			if f.IsRoot(v) && pram.Flag(dormant, int(v)) && !m.Coin(step, int(v), s.upP64[minInt(int(lvl[v])-1, len(s.upP64)-1)]) {
+				lvl[v]++
+			}
 		}
 	})
 
@@ -420,42 +421,52 @@ func (s *State) Round() {
 }
 
 // maxlink is MAXLINK(V) (§5.2.1): two iterations of linking each vertex to
-// the maximum-level parent among its closed neighborhood's parents.
+// the maximum-level parent among its closed neighborhood's parents.  An
+// iteration's link step touches only the vertex's own best and parent
+// cells, so it shares a pass with the next iteration's seeding step.
 func (s *State) maxlink() {
 	m, f := s.M, s.F
 	p := f.P
 	lvl := s.Level
 	best := s.best
 	pack := func(w int32) int64 { return int64(lvl[w])<<32 | int64(uint32(w)) }
-	for it := 0; it < 2; it++ {
-		m.For(len(s.V), func(i int) {
-			v := s.V[i]
-			pv := pram.Load32(p, int(v))
-			pram.Store64(best, int(v), pack(pv))
-		})
-		prop := func(x, y int32) {
-			py := pram.Load32(p, int(y))
-			pram.Max64(best, int(x), pack(py))
+	seed := func(v int32) {
+		pram.Store64(best, int(v), pack(pram.Load32(p, int(v))))
+	}
+	link := func(v int32) {
+		b := pram.Load64(best, int(v))
+		if int32(b>>32) > lvl[v] {
+			pram.Store32(p, int(v), int32(uint32(b)))
 		}
-		m.For(len(s.Edges), func(i int) {
-			e := s.Edges[i]
-			prop(e.U, e.V)
-			prop(e.V, e.U)
-		})
-		m.For(len(s.Extra), func(i int) {
-			e := s.Extra[i]
-			prop(e.U, e.V)
-			prop(e.V, e.U)
-		})
-		m.For(len(s.V), func(i int) {
-			v := s.V[i]
-			b := pram.Load64(best, int(v))
-			u := int32(uint32(b))
-			if int32(b>>32) > lvl[v] {
-				pram.Store32(p, int(v), u)
+	}
+	prop := func(E []graph.Edge) {
+		m.ForRange(len(E), 1, func(lo, hi, _ int) {
+			for _, e := range E[lo:hi] {
+				pram.Max64(best, int(e.U), pack(pram.Load32(p, int(e.V))))
+				pram.Max64(best, int(e.V), pack(pram.Load32(p, int(e.U))))
 			}
 		})
 	}
+	m.ForRange(len(s.V), 1, func(lo, hi, _ int) {
+		for _, v := range s.V[lo:hi] {
+			seed(v)
+		}
+	})
+	prop(s.Edges)
+	prop(s.Extra)
+	m.ForRange(len(s.V), 2, func(lo, hi, _ int) {
+		for _, v := range s.V[lo:hi] {
+			link(v)
+			seed(v)
+		}
+	})
+	prop(s.Edges)
+	prop(s.Extra)
+	m.ForRange(len(s.V), 1, func(lo, hi, _ int) {
+		for _, v := range s.V[lo:hi] {
+			link(v)
+		}
+	})
 }
 
 func (s *State) dedupExtra() {

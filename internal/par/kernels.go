@@ -128,65 +128,14 @@ func lowerMin(labels []int32, v int32, x int32) bool {
 	}
 }
 
-// Compact returns the xs[i] with keep(i), in index order — the parallel
-// compaction primitive (count per block, exclusive scan, scatter).  Output
-// is identical to the sequential filter for any procs.  The count and
-// scatter passes go through runCoarse: each block is one schedulable task,
-// so they actually spread across the pool (a plain Run over the handful of
-// block indices would be folded into a single grain-sized chunk and
-// silently serialize).
-func Compact[T any](e Exec, xs []T, keep func(i int) bool) []T {
-	n := len(xs)
-	block := 4096
-	if e != nil {
-		// ~8 blocks per proc keeps load balancing without tiny tasks.
-		if b := (n + 8*e.Procs() - 1) / (8 * e.Procs()); b > block {
-			block = b
-		}
-	}
-	nblocks := (n + block - 1) / block
-	if nblocks <= 1 || e == nil || e.Procs() == 1 {
-		out := make([]T, 0, min(n, 16))
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				out = append(out, xs[i])
-			}
-		}
-		return out
-	}
-	counts := make([]int64, nblocks)
-	runCoarse(e, nblocks, func(c int) {
-		lo, hi := c*block, min((c+1)*block, n)
-		var k int64
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				k++
-			}
-		}
-		counts[c] = k
-	})
-	var total int64
-	for c, k := range counts {
-		counts[c] = total
-		total += k
-	}
-	out := make([]T, total)
-	runCoarse(e, nblocks, func(c int) {
-		lo, hi := c*block, min((c+1)*block, n)
-		at := counts[c]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[at] = xs[i]
-				at++
-			}
-		}
-	})
-	return out
-}
-
 // CompactIndices returns the indices i in [0,n) with keep(i), in increasing
-// order — the same count/scan/scatter as Compact, writing the indices
-// directly (no materialized identity array).
+// order — the parallel compaction primitive (count per block, exclusive
+// scan, scatter), writing the indices directly (no materialized identity
+// array).  Output is identical to the sequential filter for any procs.  The
+// count and scatter passes go through runCoarse: each block is one
+// schedulable task, so they actually spread across the pool (a plain Run
+// over the handful of block indices would be folded into a single
+// grain-sized chunk and silently serialize).
 func CompactIndices(e Exec, n int, keep func(i int) bool) []int32 {
 	block := 4096
 	if e != nil {

@@ -145,34 +145,6 @@ func TestPropagateMinFixpoint(t *testing.T) {
 	}
 }
 
-func TestCompactMatchesSequentialFilter(t *testing.T) {
-	n := 50_000
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = i * 3
-	}
-	keep := func(i int) bool { return i%7 == 0 || i%11 == 3 }
-	var want []int
-	for i, x := range xs {
-		if keep(i) {
-			want = append(want, x)
-		}
-	}
-	for _, procs := range []int{1, 6} {
-		r := New(Procs(procs))
-		got := Compact(r, xs, keep)
-		if len(got) != len(want) {
-			t.Fatalf("procs=%d: len %d, want %d", procs, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("procs=%d: got[%d]=%d, want %d", procs, i, got[i], want[i])
-			}
-		}
-		r.Close()
-	}
-}
-
 func TestCompactIndices(t *testing.T) {
 	r := New(Procs(4))
 	defer r.Close()

@@ -121,6 +121,10 @@ func (r *Runtime) Close() {
 // Procs reports the parallelism degree.
 func (r *Runtime) Procs() int { return r.procs }
 
+// Grain reports the chunk size loops are split into: ForSpans' span c is
+// [c·Grain, min((c+1)·Grain, n)).
+func (r *Runtime) Grain() int { return r.grain }
+
 // job is one parallel loop: workers repeatedly claim the next chunk off the
 // shared cursor until the index space is exhausted.  Exactly one of body
 // (chunked form) and each (per-index form) is set; carrying the per-index
@@ -240,7 +244,7 @@ func (r *Runtime) ForSpans(n int, body func(lo, hi, c int)) {
 
 // RunCoarse executes body(i) for every i in [0,n) treating each index as one
 // schedulable task (chunk size 1).  Kernels that have already blocked their
-// work into coarse pieces — e.g. Compact's per-block count and scatter
+// work into coarse pieces — e.g. CompactIndices' per-block count and scatter
 // passes — use it so a small n still spreads across the pool instead of
 // being folded into a single grain-sized chunk.
 func (r *Runtime) RunCoarse(n int, body func(i int)) {

@@ -9,6 +9,24 @@
 // exactly as the ARBITRARY CRCW model demands — the algorithms built on top
 // are correct no matter which writer wins.
 //
+// Charged steps vs executed passes.  The accounting and the execution are
+// separate concerns: a charged step is the model's unit of parallel time,
+// and an executed pass is one sweep of real code over an index space.
+// Machine.ForRange charges k steps (and k·n work) but runs ONE chunked pass,
+// so an algorithm may execute several consecutive steps of its pseudocode
+// in a single sweep.  The rule for which steps may share a pass: a step may
+// join the pass of the steps before it when every cell it reads is either
+// item-local (touched only by the same index) or written by no other step
+// of the pass — i.e. last written before the last barrier — and every cell
+// it writes is item-local or touched by no other step of the pass.  Under that
+// rule every read sees exactly the value the step-by-step execution would
+// show it, and the last writer of every cell is the same index as before —
+// so on the deterministic backends (the sequential simulator in Forward
+// order, and a single worker) the fused pass yields byte-identical state,
+// and the charged Steps/Work do not change at all.  A step that reads a
+// cell another item writes in the same pass, or writes a cell another item
+// reads in it, needs its own barrier and so its own pass.
+//
 // Classical PRAM primitives with known (time, work) contracts (approximate
 // compaction, padded sort, perfect hashing; see internal/prim) run inside
 // Machine.Contract, which suspends per-loop accounting and charges the
@@ -61,6 +79,15 @@ type Executor interface {
 	Run(n int, body func(i int))
 	// Procs reports the parallelism degree.
 	Procs() int
+}
+
+// ranger is the optional Executor extension ForRange runs on: one body
+// call per fixed-size span [c·Grain, min((c+1)·Grain, n)) of the index
+// space, c being the span index.  internal/par.Runtime satisfies it; on
+// any other executor ForRange runs one index per span.
+type ranger interface {
+	ForSpans(n int, body func(lo, hi, c int))
+	Grain() int
 }
 
 // Machine is a simulated ARBITRARY CRCW PRAM.  The zero value is not usable;
@@ -245,11 +272,90 @@ func (m *Machine) ForWork(n int, work int64, body func(i int)) {
 	m.run(n, body)
 }
 
+// ForRange charges what k consecutive For(n) calls charge — k steps and
+// k·n work, nothing inside a Contract — and executes body once per span of
+// [0, n) as a single pass: body(lo, hi, c) handles indices lo..hi-1 of span
+// c, and spans run concurrently.  It is the chunked form of For for k
+// fused steps (see the package comment for which steps may share a pass):
+// the loop over a span lives in the body, so no per-index closure call is
+// paid.  Spans reports how many spans a loop of n uses, for bodies that
+// keep per-span state.  A sequential machine in Reverse or Shuffled order
+// runs one index per span (c = i) in that order, so fused passes exercise
+// the same write resolutions as For.
+func (m *Machine) ForRange(n, k int, body func(lo, hi, c int)) {
+	if m.suspend == 0 {
+		m.steps += int64(k)
+		m.work += int64(k) * int64(n)
+	}
+	if n <= 0 {
+		return
+	}
+	s := m.span(n)
+	switch {
+	case s == n:
+		body(0, n, 0)
+	case m.serial(n):
+		m.runSeq(n, func(i int) { body(i, i+1, i) })
+	case m.exec != nil:
+		if r, ok := m.exec.(ranger); ok {
+			r.ForSpans(n, body)
+			return
+		}
+		m.exec.Run(n, func(i int) { body(i, i+1, i) })
+	default:
+		for lo, c := 0, 0; lo < n; lo, c = lo+s, c+1 {
+			m.wg.Add(1)
+			go func(lo, hi, c int) {
+				defer m.wg.Done()
+				body(lo, hi, c)
+			}(lo, min(lo+s, n), c)
+		}
+		m.wg.Wait()
+	}
+}
+
+// Spans returns the number of spans ForRange(n, ...) splits [0, n) into;
+// span c covers [c·s, min((c+1)·s, n)) for a size s fixed by the machine.
+func (m *Machine) Spans(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	s := m.span(n)
+	return (n + s - 1) / s
+}
+
+// span is the span size ForRange uses for a loop of n.  Wherever For runs
+// its loop serially, so does ForRange: as one span in Forward order, and
+// one index per span in the Reverse and Shuffled orders.  Otherwise spans
+// are the runtime's grain on a ranger executor, single indices on any
+// other executor, and an even split across the spawned workers.
+func (m *Machine) span(n int) int {
+	switch {
+	case m.serial(n):
+		if m.order == Forward {
+			return n
+		}
+		return 1
+	case m.exec != nil:
+		if r, ok := m.exec.(ranger); ok {
+			return r.Grain()
+		}
+		return 1
+	default:
+		return (n + m.workers - 1) / m.workers
+	}
+}
+
+// serial reports whether a loop of n runs on the calling goroutine.
+func (m *Machine) serial(n int) bool {
+	return m.seq || m.workers == 1 || n < m.grain
+}
+
 func (m *Machine) run(n int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if m.seq || m.workers == 1 || n < m.grain {
+	if m.serial(n) {
 		m.runSeq(n, body)
 		return
 	}
@@ -396,8 +502,13 @@ func CAS32(a []int32, i int, old, new int32) bool {
 // Add32 atomically adds d to a[i] and returns the new value.
 func Add32(a []int32, i int, d int32) int32 { return atomic.AddInt32(&a[i], d) }
 
-// SetFlag atomically sets a[i] to 1.
-func SetFlag(a []int32, i int) { atomic.StoreInt32(&a[i], 1) }
+// SetFlag atomically sets a[i] to 1.  A flag already set is left alone:
+// the same state, without the locked store.
+func SetFlag(a []int32, i int) {
+	if atomic.LoadInt32(&a[i]) != 1 {
+		atomic.StoreInt32(&a[i], 1)
+	}
+}
 
 // Flag reports whether a[i] is nonzero.
 func Flag(a []int32, i int) bool { return atomic.LoadInt32(&a[i]) != 0 }

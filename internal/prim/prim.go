@@ -16,7 +16,7 @@
 package prim
 
 import (
-	"sort"
+	"slices"
 
 	"parcc/internal/par"
 	"parcc/internal/pram"
@@ -201,7 +201,7 @@ func (h Hash) Apply2(x, y int32) int {
 // Lemma 7.9: O(log log n) time, O(n) work.
 func SortInt64(m *pram.Machine, keys []int64) {
 	m.Contract(LogLog(len(keys))+1, int64(len(keys)), func() {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 	})
 }
 

@@ -9,7 +9,7 @@
 package solve
 
 import (
-	"sort"
+	"slices"
 
 	"parcc/internal/graph"
 	"parcc/internal/obs"
@@ -187,7 +187,7 @@ func VertexSet(c *Ctx, n int, E []graph.Edge) []int32 {
 		for i, ed := range E {
 			ends[2*i], ends[2*i+1] = ed.U, ed.V
 		}
-		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+		slices.Sort(ends)
 		for i, v := range ends {
 			if i == 0 || ends[i-1] != v {
 				out = append(out, v)

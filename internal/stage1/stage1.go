@@ -11,11 +11,16 @@
 //
 // MATCHING is O(1) time and O(|E|) work per call.  To honor the work bound,
 // the per-vertex scratch cells it needs are stamped (a value is valid only
-// if its stamp matches the current call), so no O(n) clearing ever happens;
+// if its stamp matches the current use), so no O(n) clearing ever happens;
 // this mirrors the paper's per-edge processors writing into indexed cells.
 // Every parent update is recorded per round so the unwinding steps of
 // FILTER and EXTRACT execute exactly as written ("if a vertex v updated
 // v.p in round j then v.p = v.p.p").
+//
+// MATCHING charges its eighteen per-arc steps one by one but executes them
+// in nine chunked passes (pram.ForRange): consecutive steps share a pass
+// whenever the later one reads only its own arc's state or cells written
+// before the last barrier (the rule in the pram package comment).
 package stage1
 
 import (
@@ -62,10 +67,11 @@ type Runner struct {
 	Prm Params
 
 	cx    *solve.Ctx
-	stamp int64
 	calls int64
-	// stamped per-vertex scratch; valid only when the stored stamp matches.
-	out, hadArc, hasArc, cand, in, multiIn, deleted, slot, marked []int64
+	// sc is MATCHING's stamped per-vertex scratch: four arrays shared by
+	// the nine per-vertex cells of one call, each cell living in an array
+	// no other live cell uses (see Matching for the tenancy).
+	sc [4][]int64
 }
 
 // NewRunner allocates scratch for the forest's vertex count.
@@ -76,35 +82,54 @@ func NewRunner(m *pram.Machine, f *labeled.Forest, prm Params) *Runner {
 // NewRunnerOn is NewRunner drawing the per-vertex scratch from the solve
 // context's arena; release it with Free when the solve is done.
 func NewRunnerOn(cx *solve.Ctx, f *labeled.Forest, prm Params) *Runner {
-	n := f.Len()
-	mk := func() []int64 { return cx.Grab64(n) }
-	return &Runner{
-		M: cx.M, F: f, Prm: prm, cx: cx,
-		out: mk(), hadArc: mk(), hasArc: mk(), cand: mk(),
-		in: mk(), multiIn: mk(), deleted: mk(), slot: mk(), marked: mk(),
+	r := &Runner{M: cx.M, F: f, Prm: prm, cx: cx}
+	for i := range r.sc {
+		r.sc[i] = cx.Grab64(f.Len())
 	}
+	return r
 }
 
 // Free returns the runner's scratch to its context's arena.  The runner
 // must not be used afterwards.
 func (r *Runner) Free() {
-	for _, s := range [][]int64{r.out, r.hadArc, r.hasArc, r.cand, r.in, r.multiIn, r.deleted, r.slot, r.marked} {
-		r.cx.Release64(s)
+	for i, a := range r.sc {
+		r.cx.Release64(a)
+		r.sc[i] = nil
 	}
-	r.out, r.hadArc, r.hasArc, r.cand = nil, nil, nil, nil
-	r.in, r.multiIn, r.deleted, r.slot, r.marked = nil, nil, nil, nil, nil
 }
 
-func (r *Runner) set(a []int64, i int32, v int32) {
-	pram.Store64(a, int(i), r.stamp<<32|int64(uint32(v)))
+// cell is one stamped per-vertex cell array: a stored value is visible
+// only under the stamp it was written with, so a new tenant of the same
+// array starts out all-zero without any clearing.
+type cell struct {
+	a     []int64
+	stamp int64
 }
 
-func (r *Runner) get(a []int64, i int32) int32 {
-	x := pram.Load64(a, int(i))
-	if x>>32 != r.stamp {
+// set writes x into vertex v's cell.  A cell already holding the value is
+// left alone — the same state as rewriting it, without the locked store.
+func (c cell) set(v int32, x int32) {
+	w := c.stamp<<32 | int64(uint32(x))
+	if pram.Load64(c.a, int(v)) != w {
+		pram.Store64(c.a, int(v), w)
+	}
+}
+
+func (c cell) get(v int32) int32 {
+	w := pram.Load64(c.a, int(v))
+	if w>>32 != c.stamp {
 		return 0
 	}
-	return int32(uint32(x))
+	return int32(uint32(w))
+}
+
+// jump is one pointer-jumping step v.p = v.p.p, skipping the store when
+// it would not change v.p.
+func jump(p []int32, v int32) {
+	pv := pram.Load32(p, int(v))
+	if gp := pram.Load32(p, int(pv)); gp != pv {
+		pram.Store32(p, int(v), gp)
+	}
 }
 
 // Matching runs MATCHING(E) (§4.1) on a copy of E (pass-by-value) and
@@ -113,168 +138,208 @@ func (r *Runner) get(a []int64, i int32) int32 {
 func (r *Runner) Matching(E []graph.Edge) (updated []int32) {
 	m, p := r.M, r.F.P
 	r.calls++
-	r.stamp = 2 * r.calls // two stamp epochs per call; Step 6 bumps to the odd one
 	seed := r.Prm.Seed ^ uint64(r.calls)*0x9e3779b97f4a7c15
 
-	// Step 1: keep only non-loop edges between two roots.
+	// Cell tenancy.  Each per-vertex cell is written in one pass and last
+	// read a few passes later (4+ and 7+: by the record scan after that
+	// pass); cells whose pass intervals do not overlap share an array
+	// under distinct stamps (four stamps per call):
+	//   sc[0]: out [1,2]  cand [3,4+]  deleted [6,7+]  marked [8,9]
+	//   sc[1]: arc [1,3]  in₂ [4,5]    slot [7,8]
+	//   sc[2]: in₁ [2,3]  multiIn₂ [5,6]
+	//   sc[3]: multiIn₁ [3,4]
+	// arc is Step 4's hadArc/hasArc pair in one cell: 1 = had an arc
+	// before Step 3, 2 = still has one after.  in/multiIn are counted
+	// twice (Steps 5 and 6); the subscript is the count.
+	st, sc := 4*r.calls, r.sc
+	out, cand, deleted, marked := cell{sc[0], st}, cell{sc[0], st + 1}, cell{sc[0], st + 2}, cell{sc[0], st + 3}
+	arc, in2, slot := cell{sc[1], st}, cell{sc[1], st + 1}, cell{sc[1], st + 2}
+	in1, multiIn2 := cell{sc[2], st}, cell{sc[2], st + 1}
+	multiIn1 := cell{sc[3], st}
+
+	// Step 1: keep only non-loop edges between two roots.  Step 2 (orient
+	// from the large end to the small end: arc (u,v), u > v) touches only
+	// the arc itself, so it is executed in the same copy; it is charged
+	// with pass 1 below.
 	D := r.cx.GrabEdgesCap(len(E))
 	m.Contract(1, int64(len(E)), func() {
 		for _, e := range E {
 			if e.U != e.V && p[e.U] == e.U && p[e.V] == e.V {
+				if e.U < e.V {
+					e.U, e.V = e.V, e.U
+				}
 				D = append(D, e)
 			}
 		}
 	})
+	nd := len(D)
+	// live[i]: arc i is still in play.  rec[i]: arc i is where Step 4, 6
+	// or 8 (the tag) may record an update; the flags are set by parallel
+	// passes so each sequential record scan reads only this array, not
+	// the random cells behind every arc.
+	live, rec := r.cx.Grab32(nd), r.cx.Grab32(nd)
 
-	// Step 2: orient from the large end to the small end: arc (u,v), u > v.
-	m.For(len(D), func(i int) {
-		if D[i].U < D[i].V {
-			D[i].U, D[i].V = D[i].V, D[i].U
+	// Pass 1 — Step 2; Step 3a: each tail bids for its one kept outgoing
+	// arc; Step 4a: both ends note they had an arc before Step 3.
+	m.ForRange(nd, 3, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			out.set(D[i].U, int32(i)+1)
+			arc.set(D[i].U, 1)
+			arc.set(D[i].V, 1)
 		}
 	})
-
-	// Step 3: each tail keeps one arbitrary outgoing arc.
-	live := r.cx.Grab32(len(D))
-	m.For(len(D), func(i int) {
-		r.set(r.out, D[i].U, int32(i)+1)
-	})
-	m.For(len(D), func(i int) {
-		if r.get(r.out, D[i].U) == int32(i)+1 {
+	// Pass 2 — Step 3b: the bid winner keeps its arc; Step 4b: both ends
+	// of a kept arc still have one; Step 5a: kept arcs bid at their head.
+	m.ForRange(nd, 3, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if out.get(D[i].U) != int32(i)+1 {
+				continue
+			}
 			live[i] = 1
+			arc.set(D[i].U, 2)
+			arc.set(D[i].V, 2)
+			in1.set(D[i].V, int32(i)+1)
 		}
 	})
-
-	// Step 4: a singleton is a vertex that had an arc before Step 3 and has
-	// none after; it adopts the tail of an arbitrary incoming pre-Step-3 arc.
-	m.For(len(D), func(i int) {
-		r.set(r.hadArc, D[i].U, 1)
-		r.set(r.hadArc, D[i].V, 1)
-	})
-	m.For(len(D), func(i int) {
-		if live[i] == 1 {
-			r.set(r.hasArc, D[i].U, 1)
-			r.set(r.hasArc, D[i].V, 1)
-		}
-	})
-	m.For(len(D), func(i int) {
-		v := D[i].V
-		if r.get(r.hadArc, v) != 0 && r.get(r.hasArc, v) == 0 {
-			r.set(r.cand, v, D[i].U+1)
-		}
-	})
-	m.For(len(D), func(i int) {
-		v := D[i].V
-		c := r.get(r.cand, v)
-		if c != 0 && pram.Load32(p, int(v)) == v {
-			pram.Store32(p, int(v), c-1)
-		}
-	})
-	m.Contract(1, int64(len(D)), func() {
-		for _, e := range D {
-			v := e.V
-			if c := r.get(r.cand, v); c != 0 && p[v] == c-1 {
-				updated = append(updated, v)
-				r.set(r.cand, v, 0)
+	// Pass 3 — Step 4c: a singleton (had an arc, has none) picks the tail
+	// of an arbitrary incoming pre-Step-3 arc; Step 5b: a head whose bid
+	// some other kept arc lost has more than one incoming arc.
+	m.ForRange(nd, 2, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			v := D[i].V
+			if arc.get(v) == 1 {
+				cand.set(v, D[i].U+1)
+			}
+			if live[i] == 1 && in1.get(v) != int32(i)+1 {
+				multiIn1.set(v, 1)
 			}
 		}
 	})
-
-	// Step 5: a root with >1 incoming arcs drops all its outgoing arcs.
-	countIncoming := func() {
-		m.For(len(D), func(i int) {
+	// Pass 4 — Step 4d: singletons adopt their candidate; Step 5c: a root
+	// with >1 incoming arcs drops all its outgoing arcs; Step 6a: the
+	// surviving arcs bid at their head again.  Every v in D is a root
+	// until 4d, and all of v's arcs write the same candidate, so after
+	// this pass p[v] = cand(v)-1 wherever cand(v) ≠ 0: the arc is flagged
+	// for Step 4e's record without reading p again.
+	m.ForRange(nd, 3, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			v := D[i].V
+			if c := cand.get(v); c != 0 {
+				if pram.Load32(p, int(v)) == v {
+					pram.Store32(p, int(v), c-1)
+				}
+				rec[i] = 4
+			}
+			if live[i] == 1 && multiIn1.get(D[i].U) != 0 {
+				live[i] = 0
+			}
 			if live[i] == 1 {
-				r.set(r.in, D[i].V, int32(i)+1)
-			}
-		})
-		m.For(len(D), func(i int) {
-			if live[i] == 1 && r.get(r.in, D[i].V) != int32(i)+1 {
-				r.set(r.multiIn, D[i].V, 1)
-			}
-		})
-	}
-	countIncoming()
-	m.For(len(D), func(i int) {
-		if live[i] == 1 && r.get(r.multiIn, D[i].U) != 0 {
-			live[i] = 0
-		}
-	})
-
-	// Step 6: heads with >1 incoming arcs adopt all their arc tails.  The
-	// incoming counts are recomputed on the surviving arcs (fresh stamp
-	// region: reuse the same cells under a bumped stamp).
-	r.stamp = 2*r.calls + 1 // second stamp epoch for this call
-	countIncoming()
-	m.For(len(D), func(i int) {
-		if live[i] == 1 && r.get(r.multiIn, D[i].V) != 0 {
-			u := D[i].U
-			pram.Store32(p, int(u), D[i].V)
-			r.set(r.deleted, u, 1)
-		}
-	})
-	m.Contract(1, int64(len(D)), func() {
-		for _, e := range D {
-			if r.get(r.deleted, e.U) == 1 && p[e.U] == e.V {
-				updated = append(updated, e.U)
-				r.set(r.deleted, e.U, 2)
+				in2.set(v, int32(i)+1)
 			}
 		}
 	})
-	m.For(len(D), func(i int) {
-		if live[i] == 1 && (r.get(r.deleted, D[i].U) != 0 || r.get(r.deleted, D[i].V) != 0) {
-			live[i] = 0
-		}
-	})
-
-	// Step 7: delete each remaining arc with probability 1/2.
-	m.For(len(D), func(i int) {
-		if live[i] == 1 && pram.SplitMix64(seed^uint64(i))&1 == 1 {
-			live[i] = 0
-		}
-	})
-
-	// Step 8: isolated arcs contract head onto tail.  Three sub-steps:
-	// write ends, mark shared, update unmarked (proof of Lemma 4.3).
-	m.For(len(D), func(i int) {
-		if live[i] == 1 {
-			r.set(r.slot, D[i].U, int32(i)+1)
-			r.set(r.slot, D[i].V, int32(i)+1)
-		}
-	})
-	m.For(len(D), func(i int) {
-		if live[i] != 1 {
-			return
-		}
-		id := int32(i) + 1
-		if r.get(r.slot, D[i].U) != id || r.get(r.slot, D[i].V) != id {
-			r.set(r.marked, D[i].U, 1)
-			r.set(r.marked, D[i].V, 1)
-		}
-	})
-	m.For(len(D), func(i int) {
-		if live[i] != 1 {
-			return
-		}
-		u, v := D[i].U, D[i].V
-		if r.get(r.marked, u) == 0 && r.get(r.marked, v) == 0 {
-			pram.Store32(p, int(v), u)
-		}
-	})
-	m.Contract(1, int64(len(D)), func() {
+	// Step 4e: record each singleton once, at its first flagged arc.
+	m.Contract(1, int64(nd), func() {
 		for i := range D {
-			if live[i] == 1 && r.get(r.marked, D[i].U) == 0 && r.get(r.marked, D[i].V) == 0 && p[D[i].V] == D[i].U {
+			if v := D[i].V; rec[i] == 4 && cand.get(v) != 0 {
+				updated = append(updated, v)
+				cand.set(v, 0)
+			}
+		}
+	})
+
+	// Step 6: heads with >1 incoming surviving arcs adopt all their tails
+	// — pass 5 (6b) counts the bids, pass 6 (6c) adopts.
+	m.ForRange(nd, 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if live[i] == 1 && in2.get(D[i].V) != int32(i)+1 {
+				multiIn2.set(D[i].V, 1)
+			}
+		}
+	})
+	m.ForRange(nd, 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if live[i] == 1 && multiIn2.get(D[i].V) != 0 {
+				u := D[i].U
+				pram.Store32(p, int(u), D[i].V)
+				deleted.set(u, 1)
+			}
+		}
+	})
+
+	// Pass 7 — flag the arcs from an adopted tail to its new parent (for
+	// Step 6d's record); Step 6e: arcs touching an adopted tail die;
+	// Step 7: each remaining arc dies with probability 1/2; Step 8a: the
+	// survivors write their id at both ends.
+	m.ForRange(nd, 3, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			u, v := D[i].U, D[i].V
+			du := deleted.get(u)
+			if du == 1 && p[u] == v {
+				rec[i] = 6
+			}
+			if live[i] != 1 {
+				continue
+			}
+			if du != 0 || deleted.get(v) != 0 || pram.SplitMix64(seed^uint64(i))&1 == 1 {
+				live[i] = 0
+				continue
+			}
+			slot.set(u, int32(i)+1)
+			slot.set(v, int32(i)+1)
+		}
+	})
+	// Step 6d: record each adopted tail once, at its first flagged arc.
+	m.Contract(1, int64(nd), func() {
+		for i := range D {
+			if u := D[i].U; rec[i] == 6 && deleted.get(u) == 1 {
+				updated = append(updated, u)
+				deleted.set(u, 2)
+			}
+		}
+	})
+	// Step 8: isolated arcs contract head onto tail — pass 8 (8b) marks
+	// ends shared with another arc, pass 9 (8c) contracts the unmarked
+	// (proof of Lemma 4.3).
+	// An unmarked end belongs to no other live arc, so each contracted
+	// head is written, and flagged for 8d's record, by exactly one arc.
+	m.ForRange(nd, 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if live[i] != 1 {
+				continue
+			}
+			id := int32(i) + 1
+			if slot.get(D[i].U) != id || slot.get(D[i].V) != id {
+				marked.set(D[i].U, 1)
+				marked.set(D[i].V, 1)
+			}
+		}
+	})
+	m.ForRange(nd, 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if live[i] == 1 && marked.get(D[i].U) == 0 && marked.get(D[i].V) == 0 {
+				pram.Store32(p, int(D[i].V), D[i].U)
+				rec[i] = 8
+			}
+		}
+	})
+	m.Contract(1, int64(nd), func() {
+		for i := range D {
+			if rec[i] == 8 {
 				updated = append(updated, D[i].V)
 			}
 		}
 	})
 
 	// Step 9: pointer-jump the ends of the original edge set.
-	m.For(len(E), func(i int) {
-		for _, v := range []int32{E[i].U, E[i].V} {
-			pv := pram.Load32(p, int(v))
-			pram.Store32(p, int(v), pram.Load32(p, int(pv)))
+	m.ForRange(len(E), 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			jump(p, E[i].U)
+			jump(p, E[i].V)
 		}
 	})
 	r.cx.Release32(live)
+	r.cx.Release32(rec)
 	r.cx.ReleaseEdges(D)
 	return updated
 }
@@ -308,10 +373,10 @@ func (r *Runner) unwind(rounds [][]int32) {
 	p := r.F.P
 	for j := len(rounds) - 1; j >= 0; j-- {
 		vs := rounds[j]
-		r.M.For(len(vs), func(i int) {
-			v := vs[i]
-			pv := pram.Load32(p, int(v))
-			pram.Store32(p, int(v), pram.Load32(p, int(pv)))
+		r.M.ForRange(len(vs), 1, func(lo, hi, _ int) {
+			for _, v := range vs[lo:hi] {
+				jump(p, v)
+			}
 		})
 	}
 }
@@ -349,17 +414,16 @@ func (r *Runner) Extract(E []graph.Edge, k int) []graph.Edge {
 	for i := 0; i <= k; i++ {
 		Vi, upd := r.Filter(Ep, r.Prm.FilterK, r.Prm.Seed^uint64(i)*0x51ab)
 		rounds = append(rounds, upd)
-		m.For(len(Vi), func(j int) {
-			pram.SetFlag(inVp, int(Vi[j]))
-		})
+		setFlags(m, inVp, Vi)
 		Vp = append(Vp, Vi...)
 		Ep = labeled.Alter(m, r.F, Ep)
 		Ep = removeBothIn(m, Ep, inVp)
 	}
 	r.unwind(rounds)
 	r.cx.ReleaseEdges(Ep)
+	Vp = dedupVerts(Vp, inVp)
 	r.cx.Release32(inVp)
-	Reverse(m, r.F, dedupVerts(Vp), E)
+	Reverse(m, r.F, Vp, E)
 	return labeled.Alter(m, r.F, E)
 }
 
@@ -376,17 +440,27 @@ func removeBothIn(m *pram.Machine, E []graph.Edge, in []int32) []graph.Edge {
 	return out
 }
 
-func dedupVerts(vs []int32) []int32 {
-	seen := make(map[int32]struct{}, len(vs))
+// dedupVerts keeps the first occurrence of every vertex of vs, in order.
+// flag must be set for exactly the vertices of vs; it is cleared as they
+// are kept.
+func dedupVerts(vs []int32, flag []int32) []int32 {
 	out := vs[:0]
 	for _, v := range vs {
-		if _, ok := seen[v]; ok {
-			continue
+		if flag[v] != 0 {
+			flag[v] = 0
+			out = append(out, v)
 		}
-		seen[v] = struct{}{}
-		out = append(out, v)
 	}
 	return out
+}
+
+// setFlags sets flag[v] for every v in vs as one charged step.
+func setFlags(m *pram.Machine, flag []int32, vs []int32) {
+	m.ForRange(len(vs), 1, func(lo, hi, _ int) {
+		for _, v := range vs[lo:hi] {
+			pram.SetFlag(flag, int(v))
+		}
+	})
 }
 
 // Reverse runs REVERSE(V',E) (§4.2): within each flat tree containing a
@@ -395,18 +469,18 @@ func dedupVerts(vs []int32) []int32 {
 func Reverse(m *pram.Machine, f *labeled.Forest, Vp []int32, E []graph.Edge) {
 	p := f.P
 	// Step 1a: each non-root v ∈ V' competes to become its root's parent.
-	m.For(len(Vp), func(i int) {
-		v := Vp[i]
-		pv := pram.Load32(p, int(v))
-		if pv != v {
-			pram.Store32(p, int(pv), v)
+	m.ForRange(len(Vp), 1, func(lo, hi, _ int) {
+		for _, v := range Vp[lo:hi] {
+			if pv := pram.Load32(p, int(v)); pv != v {
+				pram.Store32(p, int(pv), v)
+			}
 		}
 	})
 	// Step 1b: v.p = v.p.p for the same vertices (the winner becomes a root).
-	m.For(len(Vp), func(i int) {
-		v := Vp[i]
-		pv := pram.Load32(p, int(v))
-		pram.Store32(p, int(v), pram.Load32(p, int(pv)))
+	m.ForRange(len(Vp), 1, func(lo, hi, _ int) {
+		for _, v := range Vp[lo:hi] {
+			jump(p, v)
+		}
 	})
 	// Step 2: global shortcut.
 	labeled.ShortcutAll(m, f)
@@ -444,7 +518,7 @@ func (r *Runner) Reduce(g *graph.Graph) Result {
 
 	// Step 4: E' = edges with an end outside V'.
 	inVp := r.cx.Grab32(n)
-	m.For(len(Vp), func(i int) { pram.SetFlag(inVp, int(Vp[i])) })
+	setFlags(m, inVp, Vp)
 	Ep := r.cx.GrabEdgesCap(len(E))
 	m.Contract(1, int64(len(E)), func() {
 		for _, e := range E {

@@ -1,7 +1,8 @@
 package stage2
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parcc/internal/graph"
 	"parcc/internal/pram"
@@ -47,7 +48,11 @@ func BuildAuxOn(cx *solve.Ctx, n int, E []graph.Edge) *Aux {
 				a.edges = append(a.edges, graph.Edge{U: e.V, V: e.U})
 			}
 		}
-		sort.Slice(a.edges, func(i, j int) bool { return a.edges[i].U < a.edges[j].U })
+		// The order within an endpoint's run reaches MATCHING through
+		// Gather, so it is part of the labels TestFLSChargedCostGolden
+		// pins; this is the same pdqsort sort.Slice runs, without the
+		// reflection-based swaps.
+		slices.SortFunc(a.edges, func(x, y graph.Edge) int { return cmp.Compare(x.U, y.U) })
 		for i, e := range a.edges {
 			if a.start[e.U] < 0 {
 				a.start[e.U] = int64(i)
@@ -97,9 +102,10 @@ func (a *Aux) Gather(m *pram.Machine, pred func(u int32) bool) []graph.Edge {
 // EdgesNotIn returns the original edges of G′ (single orientation) whose
 // index is not flagged in mask — the E_remain = E(G′) \ E(H₁) set REMAIN
 // needs (§7.1).  mask[i] corresponds to the i-th edge passed to BuildAux.
-func EdgesNotIn(m *pram.Machine, E []graph.Edge, mask []bool) []graph.Edge {
-	var out []graph.Edge
-	m.Contract(1, int64(len(E)), func() {
+// The result is drawn from the context's arena; the caller releases it.
+func EdgesNotIn(cx *solve.Ctx, E []graph.Edge, mask []bool) []graph.Edge {
+	out := cx.GrabEdgesCap(len(E))
+	cx.M.Contract(1, int64(len(E)), func() {
 		for i, e := range E {
 			if !mask[i] {
 				out = append(out, e)

@@ -101,10 +101,11 @@ func BuildOn(cx *solve.Ctx, V []int32, E []graph.Edge, p Params) []graph.Edge {
 	// Steps 1–2: hash each edge endpoint into the other end's table.
 	tbl := newTables(cx, V, p.TableSize, int(n32))
 	h := prim.NewHash(p.Seed^0xb417d, p.TableSize)
-	m.For(len(E), func(i int) {
-		e := E[i]
-		tbl.insert(e.V, h.Apply(e.U), e.U)
-		tbl.insert(e.U, h.Apply(e.V), e.V)
+	m.ForRange(len(E), 1, func(lo, hi, _ int) {
+		for _, e := range E[lo:hi] {
+			tbl.insert(e.V, h.Apply(e.U), e.U)
+			tbl.insert(e.U, h.Apply(e.V), e.V)
+		}
 	})
 	// Step 3: classify by occupancy.
 	high := tbl.classify(m, p.HighOccupancy)
@@ -142,13 +143,13 @@ func SparseBuildOn(cx *solve.Ctx, f *labeled.Forest, active []int32, aux *Aux, H
 	tbl := newTables(cx, active, p.TableSize, n)
 	h := prim.NewHash(p.Seed^0xb417d, p.TableSize)
 	// Step 2: hash H₂ edges (both directions; loops excluded as self-keys).
-	m.For(len(H2), func(i int) {
-		e := H2[i]
-		if e.U == e.V {
-			return
+	m.ForRange(len(H2), 1, func(lo, hi, _ int) {
+		for _, e := range H2[lo:hi] {
+			if e.U != e.V {
+				tbl.insert(e.V, h.Apply(e.U), e.U)
+				tbl.insert(e.U, h.Apply(e.V), e.V)
+			}
 		}
-		tbl.insert(e.V, h.Apply(e.U), e.U)
-		tbl.insert(e.U, h.Apply(e.V), e.V)
 	})
 	// Step 3: classify active roots by occupancy (threshold scaled for the
 	// sampled estimate).
@@ -367,24 +368,25 @@ func finishIncrease(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge,
 	})
 	tbl := newTables(cx, rootsOf(m, V, anc), p.TableSize, n)
 	h := prim.NewHash(p.Seed^0x4ead, p.TableSize)
-	m.For(len(V), func(i int) {
-		v := V[i]
-		u := anc[i]
-		tbl.insert(u, h.Apply(v), v)
-		pram.Store32(pp, int(v), u)
+	m.ForRange(len(V), 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			v, u := V[i], anc[i]
+			tbl.insert(u, h.Apply(v), v)
+			pram.Store32(pp, int(v), u)
+		}
 	})
 
 	// Step 5: heads have at least HeadOccupancy occupied cells.
 	head := tbl.classify(m, p.HeadOccupancy-1)
 
 	// Step 6: non-heads adjacent to heads via non-loop close edges hook on.
-	m.For(len(eclose), func(i int) {
-		e := eclose[i]
-		if e.U == e.V {
-			return
+	m.ForRange(len(eclose), 1, func(lo, hi, _ int) {
+		for _, e := range eclose[lo:hi] {
+			if e.U != e.V {
+				hookHead(pp, head, e.U, e.V)
+				hookHead(pp, head, e.V, e.U)
+			}
 		}
-		hookHead(pp, head, e.U, e.V)
-		hookHead(pp, head, e.V, e.U)
 	})
 
 	// Step 7: SHORTCUT(V).
@@ -396,13 +398,13 @@ func finishIncrease(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge,
 	isLeader := func(v int32) bool {
 		return pram.SplitMix64(leaderSeed^uint64(uint32(v)))&1 == 1
 	}
-	m.For(len(eclose), func(i int) {
-		e := eclose[i]
-		if e.U == e.V {
-			return
+	m.ForRange(len(eclose), 1, func(lo, hi, _ int) {
+		for _, e := range eclose[lo:hi] {
+			if e.U != e.V {
+				leaderHook(pp, e.U, e.V, isLeader)
+				leaderHook(pp, e.V, e.U, isLeader)
+			}
 		}
-		leaderHook(pp, e.U, e.V, isLeader)
-		leaderHook(pp, e.V, e.U, isLeader)
 	})
 
 	// Step 9: SHORTCUT(V).

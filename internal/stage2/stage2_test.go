@@ -9,6 +9,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 	"parcc/internal/stage1"
 )
 
@@ -246,7 +247,7 @@ func TestEdgesNotIn(t *testing.T) {
 	m := pram.New()
 	E := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
 	mask := []bool{true, false, true}
-	out := EdgesNotIn(m, E, mask)
+	out := EdgesNotIn(solve.New(m), E, mask)
 	if len(out) != 1 || out[0] != (graph.Edge{U: 1, V: 2}) {
 		t.Fatalf("EdgesNotIn = %v", out)
 	}
