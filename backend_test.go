@@ -1,6 +1,8 @@
 package parcc
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +55,30 @@ func TestBackendEquivalenceAcrossFamilies(t *testing.T) {
 			}
 			if !graph.SamePartition(seqL, conL) {
 				t.Errorf("%s/%s: concurrent partition differs from sequential", name, algo)
+			}
+		}
+	}
+}
+
+// TestDeterminismProbe pins the two deterministic configurations to each
+// other: for every selectable algorithm on every family, the sequential
+// backend and the concurrent backend at one proc must charge the same
+// Steps and Work and return the same labels.
+func TestDeterminismProbe(t *testing.T) {
+	algos := append(slices.Clone(solverAlgos), Sample, Frontier, Auto)
+	for name, g := range familyGraphs() {
+		for _, algo := range algos {
+			seq, err := ConnectedComponents(g, &Options{Algorithm: algo, Backend: BackendSequential, Seed: 5})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, algo, err)
+			}
+			one, err := ConnectedComponents(g, &Options{Algorithm: algo, Backend: BackendConcurrent, Procs: 1, Seed: 5})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, algo, err)
+			}
+			if seq.Steps != one.Steps || seq.Work != one.Work || !slices.Equal(seq.Labels, one.Labels) {
+				t.Errorf("%s/%s: sequential (steps=%d work=%d) and procs=1 (steps=%d work=%d) diverge (labels equal: %v)",
+					name, algo, seq.Steps, seq.Work, one.Steps, one.Work, slices.Equal(seq.Labels, one.Labels))
 			}
 		}
 	}
@@ -127,5 +153,12 @@ func TestResultEchoesBackendAndProcs(t *testing.T) {
 	}
 	if seq.Procs != 1 {
 		t.Fatalf("sequential backend should report procs=1, got %d", seq.Procs)
+	}
+	def, err := ConnectedComponents(gen.Path(50), &Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Backend != BackendConcurrent || def.Procs != runtime.NumCPU() {
+		t.Fatalf("zero Options echo = (%q, %d), want (%q, %d)", def.Backend, def.Procs, BackendConcurrent, runtime.NumCPU())
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 	"parcc/internal/spectral"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
@@ -112,7 +113,7 @@ func BenchmarkMatchingOnce64k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m := pram.New(pram.Seed(uint64(i + 1)))
+		m := pramtest.New(b, 0, pram.Seed(uint64(i+1)))
 		f := labeled.New(g.N)
 		r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
 		b.StartTimer()
@@ -125,7 +126,7 @@ func BenchmarkReduce64k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m := pram.New(pram.Seed(uint64(i + 1)))
+		m := pramtest.New(b, 0, pram.Seed(uint64(i+1)))
 		f := labeled.New(g.N)
 		r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
 		b.StartTimer()
@@ -135,7 +136,7 @@ func BenchmarkReduce64k(b *testing.B) {
 
 func BenchmarkExpandMaxlinkRound64k(b *testing.B) {
 	g := gen.RandomRegular(1<<16, 4, 1)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(b, 0, pram.Seed(1))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -155,7 +156,7 @@ func BenchmarkExpandMaxlinkRound64k(b *testing.B) {
 
 func BenchmarkSkeletonBuild64k(b *testing.B) {
 	g := gen.GNM(1<<14, 1<<17, 1)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(b, 0, pram.Seed(1))
 	V := make([]int32, g.N)
 	m.Iota32(V)
 	p := stage2.DefaultParams(g.N, 16)
@@ -168,7 +169,7 @@ func BenchmarkSkeletonBuild64k(b *testing.B) {
 
 func BenchmarkAlter1M(b *testing.B) {
 	g := gen.GNM(1<<18, 1<<20, 1)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(b, 0, pram.Seed(1))
 	f := labeled.New(g.N)
 	E := make([]graph.Edge, len(g.Edges))
 	b.ReportAllocs()
@@ -182,7 +183,7 @@ func BenchmarkAlter1M(b *testing.B) {
 
 func BenchmarkShortcutAll1M(b *testing.B) {
 	f := labeled.New(1 << 20)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(b, 0, pram.Seed(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		labeled.ShortcutAll(m, f)
@@ -215,15 +216,15 @@ func BenchmarkUnionFind1M(b *testing.B) {
 	}
 }
 
-// BenchmarkConnectivityWorkers sweeps the goroutine pool to expose the
-// simulator's parallel speedup on one fixed workload.
-func BenchmarkConnectivityWorkers(b *testing.B) {
+// BenchmarkConnectivityProcs sweeps the runtime's parallelism to expose
+// the concurrent backend's speedup on one fixed workload.
+func BenchmarkConnectivityProcs(b *testing.B) {
 	g := gen.GNM(1<<17, 3<<17, 1)
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("procs=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m := pram.New(pram.Workers(w), pram.Seed(uint64(i+1)))
+				m := pramtest.New(b, w, pram.Seed(uint64(i+1)))
 				core.Connectivity(m, g, core.Default(g.N))
 			}
 		})

@@ -32,8 +32,7 @@ func main() {
 		format  = flag.String("format", "md", "md | csv | json")
 		outDir  = flag.String("out", "", "write one file per experiment into this directory")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "goroutine pool size (0 = NumCPU)")
-		backend = flag.String("backend", "", "execution backend: sequential | concurrent (default: legacy simulator)")
+		backend = flag.String("backend", "sequential", "execution backend: sequential | concurrent")
 		procs   = flag.Int("procs", 0, "parallelism of the concurrent backend (0 = NumCPU); also the top procs of SP")
 	)
 	flag.Parse()
@@ -46,12 +45,12 @@ func main() {
 	}
 
 	switch strings.ToLower(*backend) {
-	case "", "sequential", "concurrent":
+	case "sequential", "concurrent":
 	default:
 		fmt.Fprintf(os.Stderr, "ccbench: unknown backend %q (want sequential or concurrent)\n", *backend)
 		os.Exit(1)
 	}
-	cfg := bench.Config{Seed: *seed, Workers: *workers, Backend: *backend, Procs: *procs}
+	cfg := bench.Config{Seed: *seed, Backend: *backend, Procs: *procs}
 	switch strings.ToLower(*scale) {
 	case "small":
 		cfg.Scale = bench.Small

@@ -87,7 +87,7 @@ func main() {
 		dur         = flag.Duration("dur", 2*time.Second, "measured duration per workload row")
 		batch       = flag.Int("batch", 8, "edges per write batch")
 		window      = flag.Duration("window", 0, "engine batch-coalesce window")
-		backend     = flag.String("backend", "", "solver backend: sequential | concurrent (default: legacy simulator)")
+		backend     = flag.String("backend", string(parcc.BackendConcurrent), "solver backend: sequential | concurrent")
 		procs       = flag.Int("procs", 0, "parallelism of the concurrent backend")
 		seed        = flag.Uint64("seed", 1, "random seed")
 		baselineDur = flag.Duration("baseline-dur", 2*time.Second, "duration of the naive full-solve baseline run (0 disables)")

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	ccrun -gen expander:n=65536,d=8 -algo fls
-//	ccrun -graph edges.txt -algo sv -workers 4
+//	ccrun -graph edges.txt -algo sv -backend sequential
 //	ccrun -gen expander:n=262144,d=8 -backend concurrent -procs 8 -speedup
 //	graphgen -gen cycle:n=100000 | ccrun -graph - -algo ltz
 //
@@ -12,8 +12,9 @@
 // label-prop, liu-tarjan, parallel-bfs, cas, union-find, bfs.
 //
 // Backends: sequential (deterministic single-threaded simulation) and
-// concurrent (the internal/par goroutine pool); -speedup additionally runs
-// the concurrent backend at procs=1 and reports T1/TP self-speedup.
+// concurrent (the default: the internal/par goroutine pool); -speedup
+// additionally runs the concurrent backend at procs=1 and reports T1/TP
+// self-speedup.
 package main
 
 import (
@@ -31,10 +32,8 @@ func main() {
 		graphFile = flag.String("graph", "", "edge-list file (- for stdin)")
 		genSpec   = flag.String("gen", "", "generator spec, e.g. expander:n=4096,d=8 (families: "+cli.Families()+")")
 		algo      = flag.String("algo", "fls", "algorithm: fls fls-known-gap ltz sv random-mate label-prop liu-tarjan parallel-bfs cas union-find bfs sample frontier auto")
-		backend   = flag.String("backend", "", "execution backend: sequential | concurrent (default: legacy simulator)")
+		backend   = flag.String("backend", string(parcc.BackendConcurrent), "execution backend: sequential | concurrent")
 		procs     = flag.Int("procs", 0, "parallelism of the concurrent backend (0 = NumCPU)")
-		workers   = flag.Int("workers", 0, "goroutine pool size (0 = NumCPU)")
-		seq       = flag.Bool("seq", false, "deterministic sequential simulation")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		b         = flag.Int("b", 16, "degree target for fls-known-gap")
 		speedup   = flag.Bool("speedup", false, "report T1/TP self-speedup of the concurrent backend (runs twice)")
@@ -51,17 +50,16 @@ func main() {
 	}
 
 	opt := parcc.Options{
-		Algorithm:  parcc.Algorithm(*algo),
-		Backend:    parcc.Backend(*backend),
-		Procs:      *procs,
-		Workers:    *workers,
-		Sequential: *seq,
-		Seed:       *seed,
-		KnownGapB:  *b,
-		Trace:      *trace,
+		Algorithm: parcc.Algorithm(*algo),
+		Backend:   parcc.Backend(*backend),
+		Procs:     *procs,
+		Seed:      *seed,
+		KnownGapB: *b,
+		Trace:     *trace,
 	}
-	if *speedup {
-		opt.Backend = parcc.BackendConcurrent
+	if *speedup && opt.Backend == parcc.BackendSequential {
+		fmt.Fprintln(os.Stderr, "ccrun: -speedup measures the concurrent backend; it cannot run with -backend sequential")
+		os.Exit(1)
 	}
 
 	start := time.Now()
@@ -74,9 +72,7 @@ func main() {
 
 	fmt.Printf("graph:       n=%d m=%d\n", g.N, g.M())
 	fmt.Printf("algorithm:   %s\n", res.Algorithm)
-	if res.Backend != "" {
-		fmt.Printf("backend:     %s (procs=%d)\n", res.Backend, res.Procs)
-	}
+	fmt.Printf("backend:     %s (procs=%d)\n", res.Backend, res.Procs)
 	fmt.Printf("components:  %d\n", res.NumComponents)
 	fmt.Printf("pram time:   %d rounds\n", res.Steps)
 	fmt.Printf("pram work:   %d ops (%.2f per edge+vertex)\n", res.Work,

@@ -68,7 +68,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		backend  = flag.String("backend", "", "solver backend per session: sequential | concurrent (default: legacy simulator)")
+		backend  = flag.String("backend", string(parcc.BackendConcurrent), "solver backend per session: sequential | concurrent")
 		procs    = flag.Int("procs", 0, "parallelism of each session's concurrent backend (0 = NumCPU)")
 		seed     = flag.Uint64("seed", 1, "solver seed")
 		trust    = flag.Bool("trust", true, "set Options.TrustGraph (safe here: the engine owns every live graph)")
@@ -100,12 +100,6 @@ func main() {
 	})
 	flag.Parse()
 
-	switch strings.ToLower(*backend) {
-	case "", "sequential", "concurrent":
-	default:
-		fmt.Fprintf(os.Stderr, "ccserved: unknown backend %q (want sequential or concurrent)\n", *backend)
-		os.Exit(1)
-	}
 	if *follow != "" {
 		// A follower's state comes from the primary's logs, not its own:
 		// local durability and preloads contradict that.
@@ -125,6 +119,14 @@ func main() {
 		TrustGraph: *trust,
 		Trace:      *trace,
 	}
+	// Validate the session options once, before listening: every graph
+	// the engine creates builds a Solver from them.
+	probe, err := parcc.NewSolver(solverOpt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccserved:", err)
+		os.Exit(1)
+	}
+	probe.Close()
 	eng := service.New(service.Options{
 		Solver:         solverOpt,
 		CoalesceWindow: *window,
@@ -172,7 +174,6 @@ func main() {
 	var follower *repl.Follower
 	handlerOpts := service.HandlerOptions{Pprof: *pprofOn, MaxBodyBytes: *maxBody}
 	if *follow != "" {
-		var err error
 		follower, err = repl.New(repl.Options{
 			Primary: *follow,
 			Engine:  eng,

@@ -57,15 +57,15 @@ func TestDifferentialSequentialOrders(t *testing.T) {
 		}
 		g := randomMultigraph(data)
 		for _, a := range algos {
-			for _, seq := range []bool{false, true} {
+			for _, b := range []Backend{BackendConcurrent, BackendSequential} {
 				res, err := ConnectedComponents(g, &Options{
-					Algorithm: a, Seed: uint64(trial + 1), Sequential: seq,
+					Algorithm: a, Seed: uint64(trial + 1), Backend: b,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !Verify(g, res.Labels) {
-					t.Fatalf("trial %d %s seq=%v: wrong partition", trial, a, seq)
+					t.Fatalf("trial %d %s %s: wrong partition", trial, a, b)
 				}
 			}
 		}

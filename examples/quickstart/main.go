@@ -23,8 +23,10 @@ func main() {
 	fmt.Printf("input: n=%d m=%d  λ=%.4g\n", g.N, g.M(), parcc.SpectralGap(g))
 
 	// The default algorithm is FLS — the paper's CONNECTIVITY (Theorem 1):
-	// O(log(1/λ) + log log n) simulated PRAM time, O(m+n) work.
-	res, err := parcc.ConnectedComponents(g, &parcc.Options{Seed: 42})
+	// O(log(1/λ) + log log n) simulated PRAM time, O(m+n) work.  The
+	// sequential backend makes the charged rounds exactly reproducible.
+	opt := &parcc.Options{Seed: 42, Backend: parcc.BackendSequential}
+	res, err := parcc.ConnectedComponents(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func main() {
 	// solves, so repeat queries skip the per-call setup entirely.
 	// SolveInto additionally recycles the Result (labels buffer included),
 	// which makes the steady state of this loop near-allocation-free.
-	solver, err := parcc.NewSolver(&parcc.Options{Seed: 42})
+	solver, err := parcc.NewSolver(opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (s *Solver) Attach(g *Graph) error {
 	rec := s.rec
 	rec.Reset()
 	rec.Add(obs.CtrBatchEdges, int64(g.M()))
-	e := s.casExec()
+	e := s.rt
 	p := make([]int32, g.N)
 	span := rec.Begin()
 	e.Run(g.N, func(v int) { p[v] = int32(v) })
@@ -165,9 +165,9 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	fr := inc.forest
 	marks := fr.Marks(len(batch))
 	if st != nil {
-		merges = par.UniteBatchTouch(s.casExec(), inc.parent, batch, marks, st.loserBuf(len(batch)))
+		merges = par.UniteBatchTouch(s.rt, inc.parent, batch, marks, st.loserBuf(len(batch)))
 	} else {
-		merges = par.UniteBatchMark(s.casExec(), inc.parent, batch, marks)
+		merges = par.UniteBatchMark(s.rt, inc.parent, batch, marks)
 	}
 	for i, ed := range batch {
 		fr.DF.Insert(ed, marks[i])
@@ -272,7 +272,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		// Flat-parent invariant: the searches read roots directly and the
 		// split relabels write flat sides, so one flatten at entry (the one
 		// the query path would pay anyway) keeps the whole batch flat.
-		par.Compress(s.casExec(), parent)
+		par.Compress(s.rt, parent)
 		inc.needsCompress = false
 	}
 	st := s.pages
@@ -357,7 +357,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 // Callers hold s.mu.
 func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 	inc, cx, rec := s.inc, s.cx, s.rec
-	e := s.casExec()
+	e := s.rt
 	n := inc.g.N
 	parent := inc.parent
 	span := rec.Begin()
@@ -437,7 +437,7 @@ func (s *Solver) ComponentsInto(res *Result) error {
 	}
 	n := inc.g.N
 	if inc.needsCompress {
-		par.Compress(s.casExec(), inc.parent)
+		par.Compress(s.rt, inc.parent)
 		inc.needsCompress = false
 	}
 	dst := res.Labels

@@ -9,6 +9,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func testGraphs() map[string]*graph.Graph {
@@ -38,7 +39,7 @@ func TestUnionFindMatchesBFS(t *testing.T) {
 
 func TestShiloachVishkinMatchesBFS(t *testing.T) {
 	for name, g := range testGraphs() {
-		m := pram.New(pram.Seed(1))
+		m := pramtest.New(t, 0, pram.Seed(1))
 		f := ShiloachVishkin(m, g)
 		if !graph.SamePartition(BFSLabels(g), f.Labels()) {
 			t.Errorf("%s: SV disagrees with BFS", name)
@@ -49,7 +50,7 @@ func TestShiloachVishkinMatchesBFS(t *testing.T) {
 func TestShiloachVishkinSequentialOrders(t *testing.T) {
 	g := gen.Union(gen.Cycle(40), gen.Grid(6, 7))
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
-		m := pram.New(pram.Sequential(), pram.WriteOrder(ord))
+		m := pram.New(pram.WriteOrder(ord))
 		f := ShiloachVishkin(m, g)
 		if !graph.SamePartition(BFSLabels(g), f.Labels()) {
 			t.Errorf("%v: SV wrong under this write order", ord)
@@ -59,7 +60,7 @@ func TestShiloachVishkinSequentialOrders(t *testing.T) {
 
 func TestRandomMateMatchesBFS(t *testing.T) {
 	for name, g := range testGraphs() {
-		m := pram.New(pram.Seed(1))
+		m := pramtest.New(t, 0, pram.Seed(1))
 		f := RandomMate(m, g, 99)
 		if !graph.SamePartition(BFSLabels(g), f.Labels()) {
 			t.Errorf("%s: random-mate disagrees with BFS", name)
@@ -69,7 +70,7 @@ func TestRandomMateMatchesBFS(t *testing.T) {
 
 func TestLabelPropMatchesBFS(t *testing.T) {
 	for name, g := range testGraphs() {
-		m := pram.New(pram.Seed(1))
+		m := pramtest.New(t, 0, pram.Seed(1))
 		got := LabelProp(m, g)
 		if !graph.SamePartition(BFSLabels(g), got) {
 			t.Errorf("%s: label propagation disagrees with BFS", name)
@@ -103,7 +104,7 @@ func TestSVWorkScalesWithLogN(t *testing.T) {
 	// with log n, so work/(m+n) must grow too — the E2 contrast baseline.
 	work := func(n int) float64 {
 		g := gen.Path(n)
-		m := pram.New(pram.Seed(3))
+		m := pramtest.New(t, 0, pram.Seed(3))
 		ShiloachVishkin(m, g)
 		return float64(m.Work()) / float64(g.M()+g.N)
 	}
@@ -116,10 +117,10 @@ func TestSVWorkScalesWithLogN(t *testing.T) {
 func TestRandomGraphsAgainstBFS(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.GNM(60, 70, seed)
-		m := pram.New(pram.Seed(seed))
+		m := pramtest.New(t, 0, pram.Seed(seed))
 		return graph.SamePartition(BFSLabels(g), ShiloachVishkin(m, g).Labels()) &&
 			graph.SamePartition(BFSLabels(g), UnionFindLabels(g)) &&
-			graph.SamePartition(BFSLabels(g), LabelProp(pram.New(pram.Seed(seed)), g))
+			graph.SamePartition(BFSLabels(g), LabelProp(pramtest.New(t, 0, pram.Seed(seed)), g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -135,7 +136,7 @@ func TestShiloachVishkinHookCycleRegression(t *testing.T) {
 	seed := uint64(0xc0bad6722deab0a4)
 	g := gen.GNM(60, 70, seed)
 	done := make(chan *labeled.Forest, 1)
-	m := pram.New(pram.Seed(seed))
+	m := pramtest.New(t, 0, pram.Seed(seed))
 	go func() { done <- ShiloachVishkin(m, g) }()
 	select {
 	case f := <-done:
@@ -157,7 +158,7 @@ func TestBFSLabelsUseSmallestVertex(t *testing.T) {
 
 func TestParallelBFSMatchesBFS(t *testing.T) {
 	for name, g := range testGraphs() {
-		m := pram.New(pram.Seed(1))
+		m := pramtest.New(t, 0, pram.Seed(1))
 		got := ParallelBFS(m, g)
 		if !graph.SamePartition(BFSLabels(g), got) {
 			t.Errorf("%s: parallel BFS disagrees with BFS", name)
@@ -167,7 +168,7 @@ func TestParallelBFSMatchesBFS(t *testing.T) {
 
 func TestParallelBFSRoundsScaleWithDiameter(t *testing.T) {
 	rounds := func(g *graph.Graph) int64 {
-		m := pram.New(pram.Seed(1))
+		m := pramtest.New(t, 0, pram.Seed(1))
 		ParallelBFS(m, g)
 		return m.Steps()
 	}
@@ -181,7 +182,7 @@ func TestParallelBFSRoundsScaleWithDiameter(t *testing.T) {
 func TestParallelBFSWorkLinear(t *testing.T) {
 	// O(m+n) total work: each edge relaxes O(1) times overall.
 	g := gen.RandomRegular(1<<13, 4, 3)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	ParallelBFS(m, g)
 	norm := float64(m.Work()) / float64(g.M()+g.N)
 	if norm > 20 {
@@ -198,7 +199,7 @@ func TestShiloachVishkinNoLivelock(t *testing.T) {
 		return gen.RandomRegular(1<<12, 4, uint64(i))
 	})
 	done := make(chan *labeled.Forest, 1)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	go func() { done <- ShiloachVishkin(m, g) }()
 	select {
 	case f := <-done:
@@ -216,7 +217,7 @@ func TestShiloachVishkinManySeedsManyShapes(t *testing.T) {
 		g := gen.ManyComponents(4, func(i int) *graph.Graph {
 			return gen.GNM(300, 500, seed*31+uint64(i))
 		})
-		m := pram.New(pram.Seed(seed))
+		m := pramtest.New(t, 0, pram.Seed(seed))
 		f := ShiloachVishkin(m, g)
 		if !graph.SamePartition(BFSLabels(g), f.Labels()) {
 			t.Fatalf("seed %d: wrong partition", seed)

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"parcc"
 	"parcc/internal/core"
 	"parcc/internal/graph"
 	"parcc/internal/ltz"
@@ -35,16 +36,23 @@ const (
 
 // Config parameterizes an experiment run.
 type Config struct {
-	Scale   Scale
-	Seed    uint64
-	Workers int
-	// Backend selects the execution engine for every experiment machine:
-	// "" (legacy simulator), "sequential", or "concurrent" (the
-	// internal/par pool).
+	Scale Scale
+	Seed  uint64
+	// Backend selects the execution engine of every experiment:
+	// "sequential" (the default) or "concurrent" (the internal/par pool).
 	Backend string
-	// Procs bounds the concurrent backend's parallelism (0: Workers, else
-	// NumCPU).
+	// Procs bounds the concurrent backend's parallelism (0: NumCPU).
 	Procs int
+}
+
+// backend resolves Config.Backend for machines and Solvers alike:
+// "concurrent" selects the internal/par pool, anything else the
+// sequential simulator.
+func (c Config) backend() parcc.Backend {
+	if strings.EqualFold(c.Backend, string(parcc.BackendConcurrent)) {
+		return parcc.BackendConcurrent
+	}
+	return parcc.BackendSequential
 }
 
 func (c Config) seed() uint64 {
@@ -57,9 +65,6 @@ func (c Config) seed() uint64 {
 func (c Config) procs() int {
 	if c.Procs > 0 {
 		return c.Procs
-	}
-	if c.Workers > 0 {
-		return c.Workers
 	}
 	return runtime.NumCPU()
 }
@@ -87,18 +92,10 @@ func sharedPool(procs int) *par.Runtime {
 }
 
 func (c Config) machine() *pram.Machine {
-	opts := []pram.Option{pram.Seed(c.seed())}
-	switch strings.ToLower(c.Backend) {
-	case "sequential":
-		opts = append(opts, pram.Sequential())
-	case "concurrent":
-		opts = append(opts, pram.OnExecutor(sharedPool(c.procs())))
-	default:
-		if c.Workers > 0 {
-			opts = append(opts, pram.Workers(c.Workers))
-		}
+	if c.backend() == parcc.BackendConcurrent {
+		return pram.New(pram.Seed(c.seed()), pram.OnExecutor(sharedPool(c.procs())))
 	}
-	return pram.New(opts...)
+	return pram.New(pram.Seed(c.seed()))
 }
 
 // Table is one experiment's output: a titled grid of formatted cells.

@@ -27,14 +27,7 @@ func INCIncrementalUpdates(c Config) *Table {
 		n, batches, batchSize = 1<<16, 24, 512
 	}
 
-	var backend parcc.Backend
-	switch c.Backend {
-	case "concurrent":
-		backend = parcc.BackendConcurrent
-	default:
-		backend = parcc.BackendSequential
-	}
-	opts := &parcc.Options{Backend: backend, Procs: c.procs(), Seed: c.seed()}
+	opts := &parcc.Options{Backend: c.backend(), Procs: c.procs(), Seed: c.seed()}
 
 	t := &Table{
 		ID:    "INC",
@@ -92,7 +85,7 @@ func INCIncrementalUpdates(c Config) *Table {
 	}
 	t.Note("both sides replay the identical pre-generated mutation stream and answer a "+
 		"component query after every batch; final counts are asserted equal.  deletions "+
-		"are quarter-size batches of existing edges.  backend=%s.", string(backend))
+		"are quarter-size batches of existing edges.  backend=%s.", string(opts.Backend))
 	t.Note("the cold side re-solves the full mutated graph with the session's default " +
 		"algorithm (FLS); the incremental side folds inserts into the live CAS union-find " +
 		"and resolves deletes through the spanning forest, re-solving only the " +

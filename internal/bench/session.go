@@ -36,21 +36,13 @@ func QPSSessionReuse(c Config) *Table {
 			"one-shot allocs/op", "session allocs/op", "alloc reduction"},
 	}
 
-	var backend parcc.Backend
-	switch c.Backend {
-	case "concurrent":
-		backend = parcc.BackendConcurrent
-	default:
-		backend = parcc.BackendSequential
-	}
-
 	algos := []parcc.Algorithm{
 		parcc.FLS, parcc.LTZ, parcc.LabelProp, parcc.ParBFS,
 		parcc.CASUnite, parcc.UnionFind, parcc.BFS,
 	}
 	for _, algo := range algos {
 		opts := &parcc.Options{
-			Algorithm: algo, Backend: backend, Procs: c.procs(), Seed: c.seed(),
+			Algorithm: algo, Backend: c.backend(), Procs: c.procs(), Seed: c.seed(),
 		}
 		oneWall, oneAllocs := measureLoop(iters, func() {
 			if _, err := parcc.ConnectedComponents(g, opts); err != nil {
@@ -74,7 +66,7 @@ func QPSSessionReuse(c Config) *Table {
 		})
 		s.Close()
 
-		t.Add(string(algo), string(backend),
+		t.Add(string(algo), string(opts.Backend),
 			perSecond(oneWall), perSecond(sesWall),
 			ratio(oneWall.Seconds(), sesWall.Seconds()),
 			oneAllocs, sesAllocs, ratio(oneAllocs, sesAllocs))

@@ -38,13 +38,7 @@ func SOLVERawSolves(c Config) *Table {
 	if c.Scale == Full {
 		n = 1 << 16
 	}
-	var backend parcc.Backend
-	switch c.Backend {
-	case "concurrent":
-		backend = parcc.BackendConcurrent
-	default:
-		backend = parcc.BackendSequential
-	}
+	backend := c.backend()
 	algos := []parcc.Algorithm{parcc.CASUnite, parcc.Sample, parcc.Frontier, parcc.Auto}
 	solvers := map[parcc.Algorithm]*parcc.Solver{}
 	for _, a := range algos {

@@ -8,6 +8,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
 )
@@ -92,7 +93,7 @@ func TestFinished(t *testing.T) {
 // asserted at every boundary — the harness's raison d'être.
 func TestInstrumentedPipeline(t *testing.T) {
 	g := gen.Union(gen.RandomRegular(600, 4, 3), gen.Cycle(150), gen.GNM(300, 420, 5))
-	m := pram.New(pram.Seed(7))
+	m := pramtest.New(t, 0, pram.Seed(7))
 	f := labeled.New(g.N)
 	s := New(g, f)
 
@@ -155,7 +156,7 @@ func TestInstrumentedPipeline(t *testing.T) {
 // height 2 at every boundary.
 func TestInstrumentedMatchingRounds(t *testing.T) {
 	g := gen.GNM(500, 800, 21)
-	m := pram.New(pram.Seed(3))
+	m := pramtest.New(t, 0, pram.Seed(3))
 	f := labeled.New(g.N)
 	s := New(g, f)
 	r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))

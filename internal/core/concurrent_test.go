@@ -22,7 +22,7 @@ func TestConnectivityOnParRuntime(t *testing.T) {
 		}),
 	}
 	for name, g := range graphs {
-		seqM := pram.New(pram.Seed(3), pram.Sequential())
+		seqM := pram.New(pram.Seed(3))
 		pSeq := Default(g.N)
 		pSeq.Seed ^= 3
 		want := Connectivity(seqM, g, pSeq)
@@ -65,7 +65,7 @@ func TestVertexSetListDeterministicSorted(t *testing.T) {
 			}
 		}
 	}
-	check(pram.New(pram.Sequential()))
+	check(pram.New())
 	rt := par.New(par.Procs(3))
 	defer rt.Close()
 	check(pram.New(pram.OnExecutor(rt)))

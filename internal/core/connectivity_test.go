@@ -9,6 +9,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/par"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 // suite returns the graph families every correctness test runs against.
@@ -52,7 +53,7 @@ func TestConnectivityMatchesBFS(t *testing.T) {
 	for name, g := range suite() {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			m := pram.New(pram.Seed(42))
+			m := pramtest.New(t, 0, pram.Seed(42))
 			res := Connectivity(m, g, Default(g.N))
 			checkLabels(t, name, g, res.Labels)
 		})
@@ -64,7 +65,7 @@ func TestConnectivitySequentialOrders(t *testing.T) {
 	// under every write-resolution order.
 	g := gen.Union(gen.Cycle(120), gen.Grid(9, 13), gen.RandomRegular(128, 3, 3))
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
-		m := pram.New(pram.Sequential(), pram.WriteOrder(ord), pram.Seed(7))
+		m := pram.New(pram.WriteOrder(ord), pram.Seed(7))
 		res := Connectivity(m, g, Default(g.N))
 		checkLabels(t, ord.String(), g, res.Labels)
 	}
@@ -72,7 +73,7 @@ func TestConnectivitySequentialOrders(t *testing.T) {
 
 func TestConnectivityPaperParams(t *testing.T) {
 	g := gen.Union(gen.RandomRegular(256, 4, 9), gen.Path(100))
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	res := Connectivity(m, g, Paper(g.N))
 	checkLabels(t, "paper-params", g, res.Labels)
 }
@@ -82,7 +83,7 @@ func TestConnectivityManySeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		p := Default(g.N)
 		p.Seed = seed
-		m := pram.New(pram.Seed(seed))
+		m := pramtest.New(t, 0, pram.Seed(seed))
 		res := Connectivity(m, g, p)
 		checkLabels(t, fmt.Sprintf("seed=%d", seed), g, res.Labels)
 	}
@@ -92,7 +93,7 @@ func TestSolveKnownGapMatchesBFS(t *testing.T) {
 	for name, g := range suite() {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			m := pram.New(pram.Seed(42))
+			m := pramtest.New(t, 0, pram.Seed(42))
 			res := SolveKnownGap(m, g, 16, Default(g.N))
 			checkLabels(t, name, g, res.Labels)
 		})
@@ -103,7 +104,7 @@ func TestConnectivityWorkBounded(t *testing.T) {
 	// Charged work must stay within a reasonable multiple of m+n on a
 	// well-connected graph (the Theorem-1 regime).
 	g := gen.RandomRegular(4096, 8, 21)
-	m := pram.New(pram.Seed(5))
+	m := pramtest.New(t, 0, pram.Seed(5))
 	res := Connectivity(m, g, Default(g.N))
 	checkLabels(t, "expander", g, res.Labels)
 	mn := int64(g.M() + g.N)
@@ -117,7 +118,7 @@ func TestConnectivityWorkBounded(t *testing.T) {
 
 func TestResultFields(t *testing.T) {
 	g := gen.Cycle(64)
-	m := pram.New(pram.Seed(2))
+	m := pramtest.New(t, 0, pram.Seed(2))
 	res := Connectivity(m, g, Default(g.N))
 	if res.NumComponents != 1 {
 		t.Fatalf("cycle: got %d components, want 1", res.NumComponents)

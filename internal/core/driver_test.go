@@ -7,6 +7,7 @@ import (
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func TestRemainOrBackstopCompletesSparseGraphs(t *testing.T) {
@@ -14,7 +15,7 @@ func TestRemainOrBackstopCompletesSparseGraphs(t *testing.T) {
 	// phase terminates via REMAIN (or, failing that, the backstop): the
 	// completion mechanism must fire and the result must be exact.
 	g := gen.Path(4000)
-	m := pram.New(pram.Seed(3))
+	m := pramtest.New(t, 0, pram.Seed(3))
 	res := Connectivity(m, g, Default(g.N))
 	if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 		t.Fatal("path result wrong")
@@ -26,7 +27,7 @@ func TestRemainOrBackstopCompletesSparseGraphs(t *testing.T) {
 
 func TestPhaseRoundsRecorded(t *testing.T) {
 	g := gen.RandomRegular(2048, 6, 5)
-	m := pram.New(pram.Seed(5))
+	m := pramtest.New(t, 0, pram.Seed(5))
 	res := Connectivity(m, g, Default(g.N))
 	if len(res.PhaseRounds) != res.Phases {
 		t.Fatalf("recorded %d phase-round entries for %d phases",
@@ -47,7 +48,7 @@ func TestStrictBudgetsEscalatePhases(t *testing.T) {
 	p.SolveRoundsC = 1
 	p.H1Rounds = 1
 	p.B0 = 4
-	m := pram.New(pram.Seed(9))
+	m := pramtest.New(t, 0, pram.Seed(9))
 	res := Connectivity(m, g, p)
 	if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 		t.Fatal("strict-budget run wrong")
@@ -67,7 +68,7 @@ func TestRevertIsolatesFailedPhases(t *testing.T) {
 	p.MaxPhases = 3
 	for seed := uint64(1); seed <= 6; seed++ {
 		p.Seed = seed
-		m := pram.New(pram.Seed(seed))
+		m := pramtest.New(t, 0, pram.Seed(seed))
 		res := Connectivity(m, g, p)
 		if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 			t.Fatalf("seed %d: revert corrupted the run", seed)
@@ -102,7 +103,7 @@ func TestAdversarialRelabeling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := pram.New(pram.Seed(4))
+		m := pramtest.New(t, 0, pram.Seed(4))
 		res := Connectivity(m, g, Default(g.N))
 		if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 			t.Errorf("%s relabeling broke the run", name)
@@ -122,7 +123,7 @@ func TestManyComponentsAllRegimes(t *testing.T) {
 	)
 	want := graph.NumLabels(baseline.BFSLabels(g))
 	for _, known := range []bool{false, true} {
-		m := pram.New(pram.Seed(11))
+		m := pramtest.New(t, 0, pram.Seed(11))
 		var res *Result
 		if known {
 			res = SolveKnownGap(m, g, 8, Default(g.N))
@@ -137,7 +138,7 @@ func TestManyComponentsAllRegimes(t *testing.T) {
 
 func TestBreakdownPartitionsTotals(t *testing.T) {
 	g := gen.RandomRegular(1024, 4, 7)
-	m := pram.New(pram.Seed(2))
+	m := pramtest.New(t, 0, pram.Seed(2))
 	res := Connectivity(m, g, Default(g.N))
 	var steps, work int64
 	for _, mk := range res.Breakdown {
@@ -151,7 +152,7 @@ func TestBreakdownPartitionsTotals(t *testing.T) {
 
 func TestKnownGapBreakdownStages(t *testing.T) {
 	g := gen.RandomRegular(1024, 6, 3)
-	m := pram.New(pram.Seed(2))
+	m := pramtest.New(t, 0, pram.Seed(2))
 	res := SolveKnownGap(m, g, 8, Default(g.N))
 	labels := map[string]bool{}
 	for _, mk := range res.Breakdown {

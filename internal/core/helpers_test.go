@@ -7,11 +7,12 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 	"parcc/internal/solve"
 )
 
 func TestActiveRootsFlagsLiveEdgesOnly(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := labeled.New(6)
 	f.P[1] = 0 // 1 is a child
 	roots := []int32{0, 2, 3, 4, 5}
@@ -34,7 +35,7 @@ func TestActiveRootsFlagsLiveEdgesOnly(t *testing.T) {
 
 func TestActiveRootsResolvesParents(t *testing.T) {
 	// Edge endpoints may be stale (children); flags must land on parents.
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := labeled.New(4)
 	f.P[1] = 0
 	f.P[3] = 2
@@ -45,7 +46,7 @@ func TestActiveRootsResolvesParents(t *testing.T) {
 }
 
 func TestMarkVertexSetAndList(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	E := []graph.Edge{{U: 1, V: 2}, {U: 2, V: 4}}
 	flags := markVertexSet(solve.New(m), 6, E)
 	for v, want := range map[int]bool{0: false, 1: true, 2: true, 3: false, 4: true} {
@@ -60,7 +61,7 @@ func TestMarkVertexSetAndList(t *testing.T) {
 }
 
 func TestDeleteEdgesProbabilities(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	E := make([]graph.Edge, 10000)
 	kept := deleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(0), 1)
 	if len(kept) != len(E) {
@@ -79,7 +80,7 @@ func TestDeleteEdgesProbabilities(t *testing.T) {
 
 func TestBackstopNoopWhenDone(t *testing.T) {
 	g := gen.Path(4)
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := labeled.New(g.N)
 	// contract fully first
 	for v := 1; v < g.N; v++ {
@@ -103,7 +104,7 @@ func TestSkipStage1StillExact(t *testing.T) {
 	g := gen.Union(gen.Cycle(200), gen.RandomRegular(128, 4, 3))
 	p := Default(g.N)
 	p.SkipStage1 = true
-	m := pram.New(pram.Seed(5))
+	m := pramtest.New(t, 0, pram.Seed(5))
 	res := Connectivity(m, g, p)
 	if graph.NumLabels(res.Labels) != 2 {
 		t.Fatalf("skip-stage1 run found %d components", graph.NumLabels(res.Labels))

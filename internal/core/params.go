@@ -62,9 +62,6 @@ type Params struct {
 	Stage3 stage3.Params
 	// Seed drives every random choice.
 	Seed uint64
-	// Workers is the goroutine budget when the caller lets core build the
-	// machine (0 = NumCPU).
-	Workers int
 	// SkipStage1 bypasses REDUCE, running the phase loop on the raw graph.
 	// Ablation only (E12): at feasible n Stage 1's n/poly(log n)
 	// contraction leaves instances phase 0 finishes outright; skipping it

@@ -5,6 +5,7 @@ import (
 
 	"parcc/internal/graph/gen"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func TestDefaultParamsSane(t *testing.T) {
@@ -75,7 +76,7 @@ func TestSolveRoundsCDefaultInInterweave(t *testing.T) {
 	g := gen.Cycle(256)
 	p := Default(g.N)
 	p.SolveRoundsC = 0
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	res := Connectivity(m, g, p)
 	if res.NumComponents != 1 {
 		t.Fatal("wrong result with zero SolveRoundsC")

@@ -6,6 +6,7 @@ import (
 
 	"parcc/internal/graph"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func TestNewForestIsFlat(t *testing.T) {
@@ -34,7 +35,7 @@ func TestRootChase(t *testing.T) {
 }
 
 func TestAlterMovesAndDropsLoops(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := New(6)
 	f.P[1] = 0
 	f.P[2] = 0
@@ -50,7 +51,7 @@ func TestAlterMovesAndDropsLoops(t *testing.T) {
 }
 
 func TestAlterKeepRetainsLoops(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := New(4)
 	f.P[1] = 0
 	E := []graph.Edge{{U: 0, V: 1}}
@@ -61,7 +62,7 @@ func TestAlterKeepRetainsLoops(t *testing.T) {
 }
 
 func TestShortcutHalvesDepth(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := New(8)
 	for v := 1; v < 8; v++ {
 		f.P[v] = int32(v - 1) // chain of depth 7
@@ -83,7 +84,7 @@ func TestShortcutHalvesDepth(t *testing.T) {
 }
 
 func TestShortcutSubset(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := New(4)
 	f.P[3] = 2
 	f.P[2] = 1
@@ -208,7 +209,7 @@ func TestFlattenAllProperty(t *testing.T) {
 			}
 		}
 		want := fo.Labels()
-		m := pram.New()
+		m := pramtest.New(t, 0)
 		FlattenAll(m, fo)
 		if fo.MaxHeight() > 1 {
 			return false

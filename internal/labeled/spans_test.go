@@ -38,8 +38,7 @@ func TestFusedPassesAgreeAcrossSpanLayouts(t *testing.T) {
 	rt := par.New(par.Procs(2), par.Grain(64))
 	defer rt.Close()
 	machines := map[string]func() *pram.Machine{
-		"reverse": func() *pram.Machine { return pram.New(pram.Sequential(), pram.WriteOrder(pram.Reverse)) },
-		"spawned": func() *pram.Machine { return pram.New(pram.Workers(3), pram.Grain(16)) },
+		"reverse": func() *pram.Machine { return pram.New(pram.WriteOrder(pram.Reverse)) },
 		"runtime": func() *pram.Machine { return pram.New(pram.OnExecutor(rt), pram.Grain(16)) },
 	}
 	const n, m = 3000, 5000
@@ -73,7 +72,7 @@ func TestFusedPassesAgreeAcrossSpanLayouts(t *testing.T) {
 		FlattenAll(mach, f)
 		return kept, loops, once, f.P
 	}
-	wantKept, wantLoops, wantOnce, wantFlat := run("forward", func() *pram.Machine { return pram.New(pram.Sequential()) })
+	wantKept, wantLoops, wantOnce, wantFlat := run("forward", func() *pram.Machine { return pram.New() })
 	for name, mk := range machines {
 		kept, loops, once, flat := run(name, mk)
 		if !slices.Equal(kept, wantKept) {

@@ -8,6 +8,7 @@ import (
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func battery() map[string]*graph.Graph {
@@ -30,7 +31,7 @@ func TestAllVariantsMatchBFS(t *testing.T) {
 		cfg := cfg
 		t.Run(Name(cfg), func(t *testing.T) {
 			for name, g := range battery() {
-				m := pram.New(pram.Seed(3))
+				m := pramtest.New(t, 0, pram.Seed(3))
 				got := Labels(m, g, cfg)
 				if !graph.SamePartition(baseline.BFSLabels(g), got) {
 					t.Errorf("%s: wrong partition", name)
@@ -44,7 +45,7 @@ func TestVariantsSequentialOrders(t *testing.T) {
 	g := gen.Union(gen.Cycle(60), gen.Grid(7, 8))
 	for _, cfg := range Variants() {
 		for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
-			m := pram.New(pram.Sequential(), pram.WriteOrder(ord), pram.Seed(5))
+			m := pram.New(pram.WriteOrder(ord), pram.Seed(5))
 			got := Labels(m, g, cfg)
 			if !graph.SamePartition(baseline.BFSLabels(g), got) {
 				t.Errorf("%s/%v: wrong partition", Name(cfg), ord)
@@ -58,7 +59,7 @@ func TestRoundsPolylog(t *testing.T) {
 	// safety budget.
 	g := gen.Path(4096)
 	for _, cfg := range Variants() {
-		m := pram.New(pram.Seed(7))
+		m := pramtest.New(t, 0, pram.Seed(7))
 		_, rounds := Solve(m, g, cfg)
 		if rounds >= 8*12*12+64 {
 			t.Errorf("%s: hit the round cap (%d)", Name(cfg), rounds)
@@ -73,7 +74,7 @@ func TestForestInvariants(t *testing.T) {
 	g := gen.GNM(300, 450, 9)
 	truth := baseline.BFSLabels(g)
 	for _, cfg := range Variants() {
-		m := pram.New(pram.Seed(11))
+		m := pramtest.New(t, 0, pram.Seed(11))
 		f, _ := Solve(m, g, cfg)
 		if err := f.CheckAcyclic(); err != nil {
 			t.Fatalf("%s: %v", Name(cfg), err)
@@ -93,7 +94,7 @@ func TestQuickRandomGraphs(t *testing.T) {
 	cfg := Config{Connect: ParentConnect, Alter: true}
 	f := func(seed uint64) bool {
 		g := gen.GNM(64, 90, seed)
-		m := pram.New(pram.Seed(seed))
+		m := pramtest.New(t, 0, pram.Seed(seed))
 		return graph.SamePartition(baseline.BFSLabels(g), Labels(m, g, cfg))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -120,7 +121,7 @@ func TestMaxRoundsCap(t *testing.T) {
 	// forest (partial progress is a valid contraction).
 	g := gen.Path(500)
 	truth := baseline.BFSLabels(g)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	f, rounds := Solve(m, g, Config{Connect: ParentConnect, MaxRounds: 1})
 	if rounds != 1 {
 		t.Fatalf("rounds = %d", rounds)

@@ -9,11 +9,12 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func solveLabels(t *testing.T, g *graph.Graph, p Params) []int32 {
 	t.Helper()
-	m := pram.New(pram.Seed(11))
+	m := pramtest.New(t, 0, pram.Seed(11))
 	f := Solve(m, g, p)
 	if err := f.CheckAcyclic(); err != nil {
 		t.Fatalf("forest has cycles: %v", err)
@@ -60,7 +61,7 @@ func TestSolvePaperParams(t *testing.T) {
 func TestSolveSequentialOrders(t *testing.T) {
 	g := gen.Union(gen.Grid(7, 9), gen.Cycle(50))
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
-		m := pram.New(pram.Sequential(), pram.WriteOrder(ord), pram.Seed(3))
+		m := pram.New(pram.WriteOrder(ord), pram.Seed(3))
 		f := Solve(m, g, DefaultParams(g.N))
 		if !graph.SamePartition(baseline.BFSLabels(g), f.Labels()) {
 			t.Errorf("%v: wrong partition", ord)
@@ -71,7 +72,7 @@ func TestSolveSequentialOrders(t *testing.T) {
 func TestSolveRandomGraphsQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.GNM(80, 100, seed)
-		m := pram.New(pram.Seed(seed))
+		m := pramtest.New(t, 0, pram.Seed(seed))
 		fo := Solve(m, g, DefaultParams(g.N))
 		return graph.SamePartition(baseline.BFSLabels(g), fo.Labels())
 	}
@@ -89,7 +90,7 @@ func TestRoundsScaleWithDiameter(t *testing.T) {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			p := DefaultParams(g.N)
 			p.Seed = seed
-			m := pram.New(pram.Seed(seed))
+			m := pramtest.New(t, 0, pram.Seed(seed))
 			f := labeled.New(g.N)
 			V := make([]int32, g.N)
 			m.Iota32(V)
@@ -106,7 +107,7 @@ func TestRoundsScaleWithDiameter(t *testing.T) {
 
 func TestRunStopsEarlyWhenDone(t *testing.T) {
 	g := gen.Complete(8)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -126,7 +127,7 @@ func TestRunStopsEarlyWhenDone(t *testing.T) {
 func TestStatePreservesComponents(t *testing.T) {
 	g := gen.Union(gen.Cycle(40), gen.Grid(5, 8))
 	truth := baseline.BFSLabels(g)
-	m := pram.New(pram.Seed(9))
+	m := pramtest.New(t, 0, pram.Seed(9))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -148,7 +149,7 @@ func TestStatePreservesComponents(t *testing.T) {
 
 func TestLevelsNondecreasingAndBudgetsGrow(t *testing.T) {
 	g := gen.RandomRegular(128, 4, 2)
-	m := pram.New(pram.Seed(4))
+	m := pramtest.New(t, 0, pram.Seed(4))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -176,7 +177,7 @@ func TestMaxRoundsFallbackStillCorrect(t *testing.T) {
 	g := gen.Path(500)
 	p := DefaultParams(g.N)
 	p.MaxRounds = 1
-	m := pram.New(pram.Seed(8))
+	m := pramtest.New(t, 0, pram.Seed(8))
 	f := Solve(m, g, p)
 	if !graph.SamePartition(baseline.BFSLabels(g), f.Labels()) {
 		t.Fatal("fallback must still produce the right partition")
@@ -187,7 +188,7 @@ func TestDedupExtraBounded(t *testing.T) {
 	g := gen.Complete(24)
 	p := DefaultParams(g.N)
 	p.DedupThreshold = 1
-	m := pram.New(pram.Seed(3))
+	m := pramtest.New(t, 0, pram.Seed(3))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)

@@ -7,6 +7,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func TestProbePathScaling(t *testing.T) {
@@ -19,7 +20,7 @@ func TestProbePathScaling(t *testing.T) {
 		for seed := uint64(1); seed <= 5; seed++ {
 			p := DefaultParams(g.N)
 			p.Seed = seed
-			m := pram.New(pram.Seed(seed))
+			m := pramtest.New(t, 0, pram.Seed(seed))
 			f := labeled.New(g.N)
 			V := make([]int32, g.N)
 			m.Iota32(V)

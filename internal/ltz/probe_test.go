@@ -8,6 +8,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 // TestProbeRounds is a diagnostic: it logs round counts per family and
@@ -28,7 +29,7 @@ func TestProbeRounds(t *testing.T) {
 				p := DefaultParams(g.N)
 				p.Beta1 = beta
 				p.LevelUpExp = exp
-				m := pram.New(pram.Seed(7))
+				m := pramtest.New(t, 0, pram.Seed(7))
 				f := labeled.New(g.N)
 				V := make([]int32, g.N)
 				m.Iota32(V)

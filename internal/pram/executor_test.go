@@ -23,9 +23,6 @@ func (e *countingExec) Procs() int { return e.procs }
 func TestOnExecutorRoutesLargeLoops(t *testing.T) {
 	e := &countingExec{procs: 4}
 	m := New(Seed(1), Grain(8), OnExecutor(e))
-	if m.WorkersHint() != 4 {
-		t.Fatalf("WorkersHint = %d, want the executor's procs", m.WorkersHint())
-	}
 	if m.Exec() == nil {
 		t.Fatal("Exec() should return the installed executor")
 	}
@@ -50,14 +47,18 @@ func TestOnExecutorRoutesLargeLoops(t *testing.T) {
 	}
 }
 
+// OnExecutor(nil) makes the machine the sequential simulator, and an
+// executor with a single proc leaves every loop on the calling goroutine.
 func TestSequentialMachineIgnoresExecutor(t *testing.T) {
 	e := &countingExec{procs: 4}
-	m := New(Sequential(), OnExecutor(e), Grain(1))
+	m := New(OnExecutor(e), OnExecutor(nil), Grain(1))
 	if m.Exec() != nil {
 		t.Fatal("sequential machine must report no executor")
 	}
 	m.For(100, func(i int) {})
-	if e.loops != 0 {
-		t.Fatalf("sequential machine used the executor %d times", e.loops)
+	one := &countingExec{procs: 1}
+	New(OnExecutor(one), Grain(1)).For(100, func(i int) {})
+	if e.loops != 0 || one.loops != 0 {
+		t.Fatalf("serial loops reached an executor (%d, %d times)", e.loops, one.loops)
 	}
 }

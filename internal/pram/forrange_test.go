@@ -10,7 +10,7 @@ import (
 func TestForRangeChargesLikeKFors(t *testing.T) {
 	for _, k := range []int{0, 1, 3} {
 		for _, n := range []int{0, 1, 100, 10000} {
-			fr, fo := New(Sequential()), New(Sequential())
+			fr, fo := New(), New()
 			fr.ForRange(n, k, func(lo, hi, c int) {})
 			for j := 0; j < k; j++ {
 				fo.For(n, func(int) {})
@@ -24,7 +24,7 @@ func TestForRangeChargesLikeKFors(t *testing.T) {
 }
 
 func TestForRangeInsideContractChargesNothing(t *testing.T) {
-	m := New(Sequential())
+	m := New()
 	m.Contract(2, 7, func() {
 		m.ForRange(1000, 3, func(lo, hi, c int) {})
 	})
@@ -62,10 +62,9 @@ func TestForRangeRunsEachIndexOnce(t *testing.T) {
 	rt := par.New(par.Procs(2), par.Grain(64))
 	defer rt.Close()
 	machines := map[string]func() *Machine{
-		"forward":  func() *Machine { return New(Sequential(), WriteOrder(Forward)) },
-		"reverse":  func() *Machine { return New(Sequential(), WriteOrder(Reverse)) },
-		"shuffled": func() *Machine { return New(Sequential(), WriteOrder(Shuffled), Seed(5)) },
-		"spawned":  func() *Machine { return New(Workers(3), Grain(16)) },
+		"forward":  func() *Machine { return New(WriteOrder(Forward)) },
+		"reverse":  func() *Machine { return New(WriteOrder(Reverse)) },
+		"shuffled": func() *Machine { return New(WriteOrder(Shuffled), Seed(5)) },
 		"runtime":  func() *Machine { return New(OnExecutor(rt), Grain(16)) },
 	}
 	for name, mk := range machines {
@@ -81,8 +80,8 @@ func TestForRangeFollowsSequentialOrder(t *testing.T) {
 	for _, ord := range []Order{Forward, Reverse, Shuffled} {
 		n := 300
 		var viaFor, viaRange []int
-		New(Sequential(), WriteOrder(ord), Seed(9)).For(n, func(i int) { viaFor = append(viaFor, i) })
-		New(Sequential(), WriteOrder(ord), Seed(9)).ForRange(n, 1, func(lo, hi, _ int) {
+		New(WriteOrder(ord), Seed(9)).For(n, func(i int) { viaFor = append(viaFor, i) })
+		New(WriteOrder(ord), Seed(9)).ForRange(n, 1, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				viaRange = append(viaRange, i)
 			}

@@ -1,13 +1,16 @@
-// Package pram simulates an ARBITRARY CRCW PRAM on top of a goroutine pool.
+// Package pram simulates an ARBITRARY CRCW PRAM, sequentially or on a
+// parallel runtime.
 //
 // The paper's algorithms are specified as sequences of synchronous parallel
 // loops ("for each edge ...", "for each vertex ...").  Each call to
 // Machine.For is one such loop: it charges one unit of parallel time (a PRAM
-// step) and one unit of work per active item, and executes the body over a
-// pool of goroutines.  Concurrent writes to the same cell must be performed
-// through the atomic helpers in this package; the winner is arbitrary, and —
-// exactly as the ARBITRARY CRCW model demands — the algorithms built on top
-// are correct no matter which writer wins.
+// step) and one unit of work per active item, and executes the body — on
+// the calling goroutine in WriteOrder by default, or across the goroutine
+// pool of an executor installed with OnExecutor.  Concurrent writes to the
+// same cell must be performed through the atomic helpers in this package;
+// the winner is arbitrary, and — exactly as the ARBITRARY CRCW model
+// demands — the algorithms built on top are correct no matter which writer
+// wins.
 //
 // Charged steps vs executed passes.  The accounting and the execution are
 // separate concerns: a charged step is the model's unit of parallel time,
@@ -36,15 +39,13 @@ package pram
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// Order controls how a sequential machine resolves concurrent writes.  In a
-// real CRCW machine the winning writer is arbitrary; in sequential mode the
-// iteration order determines the last (winning) writer, so varying the order
-// exercises the "correct under any resolution" obligation of the model.
+// Order controls how serially run loops resolve concurrent writes.  In a
+// real CRCW machine the winning writer is arbitrary; on a sequential machine
+// the iteration order determines the last (winning) writer, so varying the
+// order exercises the "correct under any resolution" obligation of the model.
 type Order int
 
 const (
@@ -71,8 +72,9 @@ func (o Order) String() string {
 
 // Executor runs the bodies of parallel loops on behalf of a Machine.  It is
 // the seam between the PRAM simulation and a real parallel runtime: install
-// one with OnExecutor and every charged loop executes its bodies there (the
-// accounting is untouched).  internal/par.Runtime satisfies it.
+// one with OnExecutor and every charged loop large enough to split executes
+// its bodies there (the accounting is untouched).  internal/par.Runtime
+// satisfies it.
 type Executor interface {
 	// Run executes body(i) for every i in [0,n) and returns when all calls
 	// have completed (establishing the step barrier).
@@ -94,12 +96,10 @@ type ranger interface {
 // construct with New.  All orchestration methods (For, Contract, ...) must be
 // called from a single goroutine; loop bodies run concurrently.
 type Machine struct {
-	workers int
-	seq     bool
-	order   Order
-	seed    uint64
-	grain   int
-	exec    Executor
+	order Order
+	seed  uint64
+	grain int
+	exec  Executor
 
 	suspend int // >0 while running inside a Contract
 	steps   int64
@@ -108,30 +108,14 @@ type Machine struct {
 	marks         []Mark
 	lastMarkSteps int64
 	lastMarkWork  int64
-
-	wg sync.WaitGroup
 }
 
 // Option configures a Machine.
 type Option func(*Machine)
 
-// Workers sets the number of goroutines used for parallel loops.
-// Values < 1 select runtime.NumCPU().
-func Workers(n int) Option {
-	return func(m *Machine) {
-		if n >= 1 {
-			m.workers = n
-		}
-	}
-}
-
-// Sequential forces single-threaded, deterministic execution.  Combined with
-// WriteOrder it makes concurrent-write resolution reproducible.
-func Sequential() Option {
-	return func(m *Machine) { m.seq = true; m.workers = 1 }
-}
-
-// WriteOrder selects the iteration order used in sequential mode.
+// WriteOrder selects the iteration order of serially run loops: every loop
+// of a machine without an executor, which makes concurrent-write resolution
+// reproducible, and the sub-grain loops of one with an executor.
 func WriteOrder(o Order) Option {
 	return func(m *Machine) { m.order = o }
 }
@@ -141,7 +125,7 @@ func Seed(s uint64) Option {
 	return func(m *Machine) { m.seed = s }
 }
 
-// Grain sets the minimum loop size that is split across goroutines.
+// Grain sets the minimum loop size that is handed to the executor.
 func Grain(g int) Option {
 	return func(m *Machine) {
 		if g >= 1 {
@@ -151,57 +135,29 @@ func Grain(g int) Option {
 }
 
 // OnExecutor installs a parallel runtime: loop bodies large enough to split
-// run there instead of on per-step spawned goroutines.  It also sets the
-// worker count to the executor's parallelism.  A nil executor restores the
-// built-in spawning behavior.
+// run there, unless the executor has a single proc.  A nil executor (the
+// default) makes the machine the sequential simulator.
 func OnExecutor(e Executor) Option {
-	return func(m *Machine) {
-		m.exec = e
-		if e != nil {
-			m.workers = e.Procs()
-		}
-	}
+	return func(m *Machine) { m.exec = e }
 }
 
 // New returns a machine with the given options applied.
 func New(opts ...Option) *Machine {
 	m := &Machine{
-		workers: runtime.NumCPU(),
-		order:   Forward,
-		seed:    0x9e3779b97f4a7c15,
-		grain:   4096,
+		order: Forward,
+		seed:  0x9e3779b97f4a7c15,
+		grain: 4096,
 	}
 	for _, o := range opts {
 		o(m)
 	}
-	if m.workers < 1 {
-		m.workers = 1
-	}
 	return m
 }
 
-// WorkersHint returns the number of goroutines the machine uses for loops;
-// primitives may use it to parallelize their uncharged internals.
-func (m *Machine) WorkersHint() int {
-	if m.seq {
-		return 1
-	}
-	if m.exec != nil {
-		return m.exec.Procs()
-	}
-	return m.workers
-}
-
-// Exec returns the installed parallel runtime, or nil when the machine runs
-// sequentially or with the built-in per-step goroutines.  Uncharged helpers
-// (label extraction, compaction inside Contract bodies) use it to pick the
-// concurrent fast path.
-func (m *Machine) Exec() Executor {
-	if m.seq {
-		return nil
-	}
-	return m.exec
-}
+// Exec returns the installed parallel runtime, or nil on a sequential
+// machine.  Uncharged helpers (label extraction, compaction inside Contract
+// bodies) use it to pick the concurrent fast path.
+func (m *Machine) Exec() Executor { return m.exec }
 
 // Steps reports the number of parallel time steps charged so far.
 func (m *Machine) Steps() int64 { return m.steps }
@@ -290,27 +246,17 @@ func (m *Machine) ForRange(n, k int, body func(lo, hi, c int)) {
 	if n <= 0 {
 		return
 	}
-	s := m.span(n)
 	switch {
-	case s == n:
+	case m.span(n) == n:
 		body(0, n, 0)
 	case m.serial(n):
 		m.runSeq(n, func(i int) { body(i, i+1, i) })
-	case m.exec != nil:
+	default:
 		if r, ok := m.exec.(ranger); ok {
 			r.ForSpans(n, body)
 			return
 		}
 		m.exec.Run(n, func(i int) { body(i, i+1, i) })
-	default:
-		for lo, c := 0, 0; lo < n; lo, c = lo+s, c+1 {
-			m.wg.Add(1)
-			go func(lo, hi, c int) {
-				defer m.wg.Done()
-				body(lo, hi, c)
-			}(lo, min(lo+s, n), c)
-		}
-		m.wg.Wait()
 	}
 }
 
@@ -327,28 +273,24 @@ func (m *Machine) Spans(n int) int {
 // span is the span size ForRange uses for a loop of n.  Wherever For runs
 // its loop serially, so does ForRange: as one span in Forward order, and
 // one index per span in the Reverse and Shuffled orders.  Otherwise spans
-// are the runtime's grain on a ranger executor, single indices on any
-// other executor, and an even split across the spawned workers.
+// are the runtime's grain on a ranger executor, and single indices on any
+// other executor.
 func (m *Machine) span(n int) int {
-	switch {
-	case m.serial(n):
+	if m.serial(n) {
 		if m.order == Forward {
 			return n
 		}
 		return 1
-	case m.exec != nil:
-		if r, ok := m.exec.(ranger); ok {
-			return r.Grain()
-		}
-		return 1
-	default:
-		return (n + m.workers - 1) / m.workers
 	}
+	if r, ok := m.exec.(ranger); ok {
+		return r.Grain()
+	}
+	return 1
 }
 
 // serial reports whether a loop of n runs on the calling goroutine.
 func (m *Machine) serial(n int) bool {
-	return m.seq || m.workers == 1 || n < m.grain
+	return m.exec == nil || n < m.grain || m.exec.Procs() <= 1
 }
 
 func (m *Machine) run(n int, body func(i int)) {
@@ -359,32 +301,7 @@ func (m *Machine) run(n int, body func(i int)) {
 		m.runSeq(n, body)
 		return
 	}
-	if m.exec != nil {
-		m.exec.Run(n, body)
-		return
-	}
-	chunk := (n + m.workers - 1) / m.workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for w := 0; w < m.workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		m.wg.Add(1)
-		go func(lo, hi int) {
-			defer m.wg.Done()
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}(lo, hi)
-	}
-	m.wg.Wait()
+	m.exec.Run(n, body)
 }
 
 func (m *Machine) runSeq(n int, body func(i int)) {

@@ -1,24 +1,9 @@
 package pram
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		m := New(Workers(workers), Grain(8))
-		n := 1000
-		hit := make([]int32, n)
-		m.For(n, func(i int) { atomic.AddInt32(&hit[i], 1) })
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
-			}
-		}
-	}
-}
 
 func TestForChargesTimeAndWork(t *testing.T) {
 	m := New()
@@ -71,7 +56,7 @@ func TestReset(t *testing.T) {
 
 func TestSequentialOrders(t *testing.T) {
 	for _, ord := range []Order{Forward, Reverse, Shuffled} {
-		m := New(Sequential(), WriteOrder(ord), Seed(3))
+		m := New(WriteOrder(ord), Seed(3))
 		n := 257
 		hit := make([]bool, n)
 		m.For(n, func(i int) {
@@ -91,7 +76,7 @@ func TestSequentialOrders(t *testing.T) {
 func TestSequentialOrderDeterminesWinner(t *testing.T) {
 	cell := []int32{-1}
 	run := func(ord Order) int32 {
-		m := New(Sequential(), WriteOrder(ord))
+		m := New(WriteOrder(ord))
 		cell[0] = -1
 		m.For(10, func(i int) { Store32(cell, 0, int32(i)) })
 		return cell[0]
@@ -125,15 +110,6 @@ func TestMin64(t *testing.T) {
 	Min64(a, 0, 2)
 	if a[0] != 2 {
 		t.Errorf("Min64 did not lower: %d", a[0])
-	}
-}
-
-func TestMax64Concurrent(t *testing.T) {
-	m := New(Workers(8), Grain(16))
-	a := make([]int64, 1)
-	m.For(10000, func(i int) { Max64(a, 0, int64(i)) })
-	if a[0] != 9999 {
-		t.Errorf("concurrent max = %d, want 9999", a[0])
 	}
 }
 
@@ -244,15 +220,6 @@ func TestAddAndFlags(t *testing.T) {
 	SetFlag(fl, 0)
 	if !Flag(fl, 0) {
 		t.Error("flag should be set")
-	}
-}
-
-func TestWorkersHint(t *testing.T) {
-	if New(Workers(4)).WorkersHint() != 4 {
-		t.Error("WorkersHint mismatch")
-	}
-	if New(Sequential()).WorkersHint() != 1 {
-		t.Error("sequential machine should hint 1 worker")
 	}
 }
 

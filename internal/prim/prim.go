@@ -113,47 +113,11 @@ func compactSeq(m *pram.Machine, n int, keep func(i int) bool) []int32 {
 		// runtime (deterministic output, identical to the sequential scan).
 		return par.CompactIndices(e, n, keep)
 	}
-	w := m.WorkersHint()
-	if w <= 1 || n < 1<<14 {
-		out := make([]int32, 0, 16)
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				out = append(out, int32(i))
-			}
+	out := make([]int32, 0, 16)
+	for i := 0; i < n; i++ {
+		if keep(i) {
+			out = append(out, int32(i))
 		}
-		return out
-	}
-	// Chunked two-pass compaction for wall-clock parallelism (uncharged;
-	// the contract above already charged the paper cost).
-	parts := make([][]int32, w)
-	chunk := (n + w - 1) / w
-	done := make(chan int, w)
-	for p := 0; p < w; p++ {
-		go func(p int) {
-			lo, hi := p*chunk, (p+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			var loc []int32
-			for i := lo; i < hi; i++ {
-				if keep(i) {
-					loc = append(loc, int32(i))
-				}
-			}
-			parts[p] = loc
-			done <- p
-		}(p)
-	}
-	for p := 0; p < w; p++ {
-		<-done
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]int32, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
 	}
 	return out
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func TestLogStar(t *testing.T) {
@@ -38,7 +38,7 @@ func TestLogLogFamilies(t *testing.T) {
 }
 
 func TestPrefixSum(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	in := []int32{3, 1, 4, 1, 5}
 	out, total := PrefixSum(m, in)
 	want := []int32{0, 3, 4, 8, 9}
@@ -53,7 +53,7 @@ func TestPrefixSum(t *testing.T) {
 }
 
 func TestPrefixSumEmpty(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	out, total := PrefixSum(m, nil)
 	if len(out) != 0 || total != 0 {
 		t.Error("empty prefix sum should be empty")
@@ -61,7 +61,7 @@ func TestPrefixSumEmpty(t *testing.T) {
 }
 
 func TestCompactIndices(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	got := CompactIndices(m, 10, func(i int) bool { return i%3 == 0 })
 	want := []int32{0, 3, 6, 9}
 	if len(got) != len(want) {
@@ -75,7 +75,7 @@ func TestCompactIndices(t *testing.T) {
 }
 
 func TestCompactIndicesLargeParallel(t *testing.T) {
-	m := pram.New(pram.Workers(4))
+	m := pramtest.New(t, 4)
 	n := 1 << 15
 	got := CompactIndices(m, n, func(i int) bool { return i%7 == 0 })
 	if len(got) != (n+6)/7 {
@@ -89,7 +89,7 @@ func TestCompactIndicesLargeParallel(t *testing.T) {
 }
 
 func TestCompactChargesContract(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	CompactIndices(m, 1000, func(int) bool { return true })
 	if m.Work() != 1000 {
 		t.Errorf("work = %d, want 1000 (the contract)", m.Work())
@@ -100,7 +100,7 @@ func TestCompactChargesContract(t *testing.T) {
 }
 
 func TestCountOccupied(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	if got := CountOccupied(m, []int32{0, 1, 0, 2, 0}); got != 2 {
 		t.Errorf("CountOccupied = %d, want 2", got)
 	}
@@ -147,7 +147,7 @@ func TestHash2(t *testing.T) {
 }
 
 func TestSortInt64(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	keys := []int64{5, -1, 3, 3, 0}
 	SortInt64(m, keys)
 	for i := 1; i < len(keys); i++ {
@@ -158,7 +158,7 @@ func TestSortInt64(t *testing.T) {
 }
 
 func TestDedupPairs(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	keys := []int64{
 		PackEdge(1, 2), PackEdge(2, 1), PackEdge(3, 3), PackEdge(4, 5), PackEdge(1, 2),
 	}
@@ -169,7 +169,7 @@ func TestDedupPairs(t *testing.T) {
 }
 
 func TestDedupPairsKeepLoops(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	keys := []int64{PackEdge(3, 3), PackEdge(3, 3)}
 	out := DedupPairs(m, keys, false)
 	if len(out) != 1 {

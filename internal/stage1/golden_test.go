@@ -14,7 +14,7 @@ import (
 // seed).  These pin the pseudocode semantics rather than just the outcome.
 
 func seqRunner(n int, seed uint64) (*pram.Machine, *labeled.Forest, *Runner) {
-	m := pram.New(pram.Sequential(), pram.WriteOrder(pram.Forward), pram.Seed(seed))
+	m := pram.New(pram.WriteOrder(pram.Forward), pram.Seed(seed))
 	f := labeled.New(n)
 	p := DefaultParams(n)
 	p.Seed = seed
@@ -125,7 +125,7 @@ func TestGoldenTriangleAllSeeds(t *testing.T) {
 	// root with edges and a flat forest within the component.
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
 		for seed := uint64(1); seed <= 8; seed++ {
-			m := pram.New(pram.Sequential(), pram.WriteOrder(ord), pram.Seed(seed))
+			m := pram.New(pram.WriteOrder(ord), pram.Seed(seed))
 			f := labeled.New(3)
 			p := DefaultParams(3)
 			p.Seed = seed

@@ -9,10 +9,11 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
-func newRunner(g *graph.Graph, seed uint64) (*pram.Machine, *labeled.Forest, *Runner) {
-	m := pram.New(pram.Seed(seed))
+func newRunner(tb testing.TB, g *graph.Graph, seed uint64) (*pram.Machine, *labeled.Forest, *Runner) {
+	m := pramtest.New(tb, 0, pram.Seed(seed))
 	f := labeled.New(g.N)
 	return m, f, NewRunner(m, f, DefaultParams(g.N))
 }
@@ -39,7 +40,7 @@ func TestMatchingReducesRoots(t *testing.T) {
 		func() *graph.Graph { return gen.Grid(30, 34) },
 	} {
 		g := mk()
-		m, f, r := newRunner(g, 7)
+		m, f, r := newRunner(t, g, 7)
 		_ = m
 		before := len(f.Roots(nil))
 		r.Matching(g.Edges)
@@ -53,7 +54,7 @@ func TestMatchingReducesRoots(t *testing.T) {
 func TestMatchingInvariantRootOrChildOfRoot(t *testing.T) {
 	// Lemma 4.5: every original root is a root or child of a root after.
 	g := gen.GNM(400, 600, 3)
-	_, f, r := newRunner(g, 5)
+	_, f, r := newRunner(t, g, 5)
 	r.Matching(g.Edges)
 	if h := f.MaxHeight(); h > 1 {
 		t.Fatalf("tree height %d > 1 after MATCHING on a flat forest", h)
@@ -66,7 +67,7 @@ func TestMatchingInvariantRootOrChildOfRoot(t *testing.T) {
 func TestMatchingContractionSafety(t *testing.T) {
 	g := gen.Union(gen.Cycle(60), gen.Grid(8, 8), gen.Path(40))
 	truth := baseline.BFSLabels(g)
-	_, f, r := newRunner(g, 9)
+	_, f, r := newRunner(t, g, 9)
 	E := append([]graph.Edge(nil), g.Edges...)
 	for i := 0; i < 6; i++ {
 		r.Matching(E)
@@ -79,7 +80,7 @@ func TestMatchingContractionSafety(t *testing.T) {
 
 func TestMatchingUpdatedListIsAccurate(t *testing.T) {
 	g := gen.RandomRegular(300, 4, 1)
-	_, f, r := newRunner(g, 2)
+	_, f, r := newRunner(t, g, 2)
 	before := f.Snapshot()
 	upd := r.Matching(g.Edges)
 	changed := map[int32]bool{}
@@ -110,7 +111,7 @@ func TestMatchingUpdatedListIsAccurate(t *testing.T) {
 func TestFilterKeepsPartitionValid(t *testing.T) {
 	g := gen.GNM(500, 800, 11)
 	truth := baseline.BFSLabels(g)
-	_, f, r := newRunner(g, 3)
+	_, f, r := newRunner(t, g, 3)
 	VE, _ := r.Filter(g.Edges, 3, 77)
 	if err := labeled.CheckSameComponent(f, truth); err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestFilterKeepsPartitionValid(t *testing.T) {
 func TestFilterHeightGrowth(t *testing.T) {
 	// Lemma 4.7: FILTER raises tree height by at most 1 per execution.
 	g := gen.RandomRegular(400, 4, 5)
-	_, f, r := newRunner(g, 13)
+	_, f, r := newRunner(t, g, 13)
 	r.Filter(g.Edges, 3, 1)
 	if h := f.MaxHeight(); h > 1 {
 		t.Fatalf("height %d > 1 after one FILTER on flat forest", h)
@@ -134,7 +135,7 @@ func TestFilterHeightGrowth(t *testing.T) {
 
 func TestExtractShrinksActiveRoots(t *testing.T) {
 	g := gen.RandomRegular(2000, 4, 9)
-	m, f, r := newRunner(g, 21)
+	m, f, r := newRunner(t, g, 21)
 	_ = m
 	E := append([]graph.Edge(nil), g.Edges...)
 	E = r.Extract(E, r.Prm.ExtractK)
@@ -153,7 +154,7 @@ func TestExtractShrinksActiveRoots(t *testing.T) {
 func TestExtractContractionSafety(t *testing.T) {
 	g := gen.Union(gen.GNM(300, 500, 1), gen.Cycle(100))
 	truth := baseline.BFSLabels(g)
-	_, f, r := newRunner(g, 31)
+	_, f, r := newRunner(t, g, 31)
 	E := append([]graph.Edge(nil), g.Edges...)
 	r.Extract(E, 2)
 	if err := labeled.CheckSameComponent(f, truth); err != nil {
@@ -172,7 +173,7 @@ func TestReduceShrinksAndStaysCorrect(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			truth := baseline.BFSLabels(g)
-			_, f, r := newRunner(g, 3)
+			_, f, r := newRunner(t, g, 3)
 			res := r.Reduce(g)
 			if err := labeled.CheckSameComponent(f, truth); err != nil {
 				t.Fatal(err)
@@ -209,7 +210,7 @@ func TestReduceWorkLinear(t *testing.T) {
 	// (Lemma 4.25's O(m)+O(n) expectation).
 	norm := func(n int) float64 {
 		g := gen.RandomRegular(n, 4, 5)
-		m, _, r := newRunner(g, 2)
+		m, _, r := newRunner(t, g, 2)
 		r.Reduce(g)
 		return float64(m.Work()) / float64(g.M()+g.N)
 	}
@@ -220,7 +221,7 @@ func TestReduceWorkLinear(t *testing.T) {
 }
 
 func TestReverseMakesVpVerticesRoots(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := labeled.New(6)
 	// flat tree rooted at 0 with children 1,2,3
 	f.P[1], f.P[2], f.P[3] = 0, 0, 0
@@ -239,7 +240,7 @@ func TestReverseMakesVpVerticesRoots(t *testing.T) {
 }
 
 func TestReverseNoVpChange(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	f := labeled.New(4)
 	f.P[1] = 0
 	Reverse(m, f, nil, nil)
@@ -252,7 +253,7 @@ func TestMatchingQuickRandom(t *testing.T) {
 	fq := func(seed uint64) bool {
 		g := gen.GNM(120, 200, seed)
 		truth := baseline.BFSLabels(g)
-		_, f, r := newRunner(g, seed)
+		_, f, r := newRunner(t, g, seed)
 		E := append([]graph.Edge(nil), g.Edges...)
 		for i := 0; i < 4; i++ {
 			r.Matching(E)
@@ -269,7 +270,7 @@ func TestMatchingSequentialOrders(t *testing.T) {
 	g := gen.GNM(200, 300, 5)
 	truth := baseline.BFSLabels(g)
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
-		m := pram.New(pram.Sequential(), pram.WriteOrder(ord), pram.Seed(3))
+		m := pram.New(pram.WriteOrder(ord), pram.Seed(3))
 		f := labeled.New(g.N)
 		r := NewRunner(m, f, DefaultParams(g.N))
 		r.Matching(g.Edges)

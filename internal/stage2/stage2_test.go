@@ -9,6 +9,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 	"parcc/internal/solve"
 	"parcc/internal/stage1"
 )
@@ -16,7 +17,7 @@ import (
 // reduced runs Stage 1 and returns the machinery Stage 2 starts from.
 func reduced(t *testing.T, g *graph.Graph, seed uint64) (*pram.Machine, *labeled.Forest, stage1.Result) {
 	t.Helper()
-	m := pram.New(pram.Seed(seed))
+	m := pramtest.New(t, 0, pram.Seed(seed))
 	f := labeled.New(g.N)
 	r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
 	return m, f, r.Reduce(g)
@@ -67,7 +68,7 @@ func TestBuildKeepsLowDegreeEdges(t *testing.T) {
 	// Lemma 5.4 ingredient: edges adjacent to low vertices are all kept, so
 	// small components survive exactly.
 	g := gen.Union(gen.Path(12), gen.Cycle(9))
-	m := pram.New(pram.Seed(2))
+	m := pramtest.New(t, 0, pram.Seed(2))
 	V := make([]int32, g.N)
 	m.Iota32(V)
 	p := DefaultParams(g.N, 64) // threshold far above any degree here
@@ -82,7 +83,7 @@ func TestBuildSamplesHighHighEdges(t *testing.T) {
 	// Lemma 5.5 shape: on a dense graph with tiny threshold, the skeleton
 	// must be much smaller than the input.
 	g := gen.Complete(200)
-	m := pram.New(pram.Seed(3))
+	m := pramtest.New(t, 0, pram.Seed(3))
 	V := make([]int32, g.N)
 	m.Iota32(V)
 	p := DefaultParams(g.N, 8) // every vertex is high (deg 199 > 32)
@@ -100,7 +101,7 @@ func TestDensifyContractsSmallComponents(t *testing.T) {
 	// DENSIFY + Theorem 2 (Lemma 5.24 direction).
 	g := gen.Union(gen.Cycle(12), gen.Path(9), gen.Complete(6))
 	truth := baseline.BFSLabels(g)
-	m := pram.New(pram.Seed(5))
+	m := pramtest.New(t, 0, pram.Seed(5))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -199,7 +200,7 @@ func TestSparseBuildMatchesDense(t *testing.T) {
 
 func TestAuxGatherFindsAllEdges(t *testing.T) {
 	g := gen.GNM(300, 500, 5)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	aux := BuildAux(m, g.N, g.Edges)
 	// predicate true for all: gather must return both orientations of
 	// every non-loop edge plus loops once.
@@ -236,7 +237,7 @@ func TestAuxGatherFindsAllEdges(t *testing.T) {
 
 func TestAuxGatherEmptyPredicate(t *testing.T) {
 	g := gen.Cycle(10)
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	aux := BuildAux(m, g.N, g.Edges)
 	if got := aux.Gather(m, func(int32) bool { return false }); len(got) != 0 {
 		t.Fatalf("gather(false) returned %d edges", len(got))
@@ -244,7 +245,7 @@ func TestAuxGatherEmptyPredicate(t *testing.T) {
 }
 
 func TestEdgesNotIn(t *testing.T) {
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	E := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
 	mask := []bool{true, false, true}
 	out := EdgesNotIn(solve.New(m), E, mask)

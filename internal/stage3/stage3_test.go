@@ -8,13 +8,14 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/pram/pramtest"
 )
 
 func TestSampleSolveSmallInstanceExact(t *testing.T) {
 	// |V| ≤ SmallN path: simplify + solve directly — always exact.
 	g := gen.Union(gen.Cycle(10), gen.Path(7))
 	truth := baseline.BFSLabels(g)
-	m := pram.New(pram.Seed(1))
+	m := pramtest.New(t, 0, pram.Seed(1))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -31,7 +32,7 @@ func TestSampleSolveDenseGraphSurvivesSampling(t *testing.T) {
 	// (Appendix C / Corollary C.3): a dense expander must come out whole.
 	g := gen.RandomRegular(600, 32, 5)
 	truth := baseline.BFSLabels(g)
-	m := pram.New(pram.Seed(9))
+	m := pramtest.New(t, 0, pram.Seed(9))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -49,7 +50,7 @@ func TestSampleSolveContractionSafety(t *testing.T) {
 	// must never merge across true components.
 	g := gen.Union(gen.Path(300), gen.Cycle(200))
 	truth := baseline.BFSLabels(g)
-	m := pram.New(pram.Seed(3))
+	m := pramtest.New(t, 0, pram.Seed(3))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -64,7 +65,7 @@ func TestSampleSolveContractionSafety(t *testing.T) {
 
 func TestSampleSolveReportsSampledCount(t *testing.T) {
 	g := gen.Complete(100)
-	m := pram.New(pram.Seed(7))
+	m := pramtest.New(t, 0, pram.Seed(7))
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
@@ -86,7 +87,7 @@ func TestSampleSolveFlattensOriginalTrees(t *testing.T) {
 	f.P[1] = 0
 	f.P[2] = 1
 	f.P[3] = 2 // height 3 chain
-	m := pram.New()
+	m := pramtest.New(t, 0)
 	p := DefaultParams(n)
 	p.SmallN = n + 1
 	SampleSolve(m, f, []int32{0}, nil, p)

@@ -24,14 +24,16 @@
 //
 // Every algorithm is written against the synchronous PRAM simulator
 // (internal/pram), which charges model costs per parallel step.  Options
-// .Backend selects where those steps' loop bodies actually execute:
+// .Backend selects where those steps' loop bodies actually execute; each
+// Solver owns one internal/par runtime for its whole life:
 //
 //   - BackendSequential: single-threaded, deterministic, exactly
 //     reproducible — the reference semantics;
-//   - BackendConcurrent: the internal/par runtime — a persistent goroutine
-//     pool with chunked dynamic load balancing, deterministic per-chunk RNG
-//     streams, and lock-free CAS kernels (hooking, pointer jumping,
-//     min-label propagation, compaction) backing the uncharged helpers.
+//   - BackendConcurrent, the default: the internal/par runtime — a
+//     persistent goroutine pool with chunked dynamic load balancing,
+//     deterministic per-chunk RNG streams, and lock-free CAS kernels
+//     (hooking, pointer jumping, min-label propagation, compaction)
+//     backing the uncharged helpers.
 //     The charged accounting stays the model's: normalized work is flat,
 //     and round counts of the randomized algorithms may shift a few percent
 //     across procs because ARBITRARY concurrent-write winners steer the
@@ -51,11 +53,11 @@
 //	if err != nil { ... }
 //	fmt.Println(res.NumComponents, res.Steps, res.Work)
 //
-//	fast, err := parcc.ConnectedComponents(g, &parcc.Options{
-//		Backend: parcc.BackendConcurrent, Procs: 8,
+//	ref, err := parcc.ConnectedComponents(g, &parcc.Options{
+//		Backend: parcc.BackendSequential,
 //	})
 //
-//	s, err := parcc.NewSolver(&parcc.Options{Backend: parcc.BackendConcurrent})
+//	s, err := parcc.NewSolver(&parcc.Options{Procs: 8})
 //	defer s.Close()
 //	for _, q := range queries {
 //		res, err := s.Solve(q) // reuses pool, machine, arena, CSR plan
@@ -173,7 +175,8 @@ const (
 	Incremental Algorithm = "incremental"
 )
 
-// Backend selects the execution engine ConnectedComponents runs on.
+// Backend selects the execution engine ConnectedComponents runs on.  The
+// zero value selects BackendConcurrent.
 type Backend string
 
 // Available backends.
@@ -187,29 +190,20 @@ const (
 	// paths for the uncharged helpers.  Model costs (Steps/Work) are
 	// identical to the simulator's; only the wall clock changes.
 	BackendConcurrent Backend = "concurrent"
-	// The zero value keeps the legacy selection: the simulator with
-	// per-step goroutines, or single-threaded when Options.Sequential is
-	// set.
 )
 
 // Options configures a run.  The zero value (or nil) selects the FLS
-// algorithm with practical parameters on all CPUs.
+// algorithm with practical parameters on the concurrent backend at all
+// CPUs.
 type Options struct {
 	// Algorithm selects the solver (default FLS).
 	Algorithm Algorithm
-	// Backend selects the execution engine (default: the legacy simulator
-	// behavior; see Backend).  BackendConcurrent runs the charged PRAM
-	// steps on the internal/par goroutine pool.
+	// Backend selects the execution engine (default BackendConcurrent).
 	Backend Backend
-	// Procs bounds the concurrent backend's parallelism (default: Workers,
-	// else NumCPU).  Zero means "unset"; a negative value is a caller bug
-	// and is rejected with *ProcsRangeError rather than silently clamped.
+	// Procs bounds the concurrent backend's parallelism (default NumCPU).
+	// Zero means "unset"; a negative value is a caller bug and is rejected
+	// with *ProcsRangeError rather than silently clamped.
 	Procs int
-	// Workers bounds the goroutine pool (default: NumCPU).
-	Workers int
-	// Sequential forces deterministic single-threaded simulation.  Ignored
-	// when Backend is set explicitly.
-	Sequential bool
 	// Seed makes randomized algorithms reproducible.  The zero value means
 	// "unset" and selects the default seed 1 (so the zero Options value is
 	// a working default); to actually run with the literal seed 0, set
@@ -272,7 +266,8 @@ type Result struct {
 	// is the dispatch decision: the concrete algorithm the plan statistics
 	// selected.
 	Algorithm Algorithm
-	// Backend echoes the requested backend (zero value: legacy default).
+	// Backend names the backend that ran (BackendConcurrent when
+	// Options.Backend was left zero).
 	Backend Backend
 	// Procs is the parallelism the run used (1 for sequential).
 	Procs int

@@ -71,7 +71,7 @@ func TestSameComponentAndComponents(t *testing.T) {
 func TestSequentialDeterministic(t *testing.T) {
 	g := GNM(300, 450, 7)
 	run := func() *Result {
-		res, err := ConnectedComponents(g, &Options{Sequential: true, Seed: 3})
+		res, err := ConnectedComponents(g, &Options{Backend: BackendSequential, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +131,15 @@ func TestKnownGapB(t *testing.T) {
 	}
 }
 
-func TestWorkersOption(t *testing.T) {
+func TestProcsOption(t *testing.T) {
 	g := GNM(2000, 4000, 1)
-	for _, w := range []int{1, 2, 8} {
-		res, err := ConnectedComponents(g, &Options{Workers: w, Seed: 4})
+	for _, p := range []int{1, 2, 8} {
+		res, err := ConnectedComponents(g, &Options{Procs: p, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !Verify(g, res.Labels) {
-			t.Errorf("workers=%d: wrong partition", w)
+			t.Errorf("procs=%d: wrong partition", p)
 		}
 	}
 }

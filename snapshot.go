@@ -130,7 +130,7 @@ func (s *Solver) PublishSnapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := s.casExec()
+	e := s.rt
 	full := false
 	if s.pages == nil {
 		if inc.needsCompress {

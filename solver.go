@@ -1,6 +1,7 @@
 package parcc
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -54,8 +55,7 @@ type Solver struct {
 
 	mu        sync.Mutex
 	m         *pram.Machine
-	rt        *par.Runtime // concurrent-backend pool (nil otherwise)
-	casRT     *par.Runtime // lazy pool for CASUnite and the incremental kernels
+	rt        *par.Runtime // the session's one pool: Procs wide, 1 for sequential
 	arena     *par.Arena
 	cx        *solve.Ctx  // persistent solve context (machine+arena+plan cache)
 	plan      *graph.Plan // single-slot plan cache (most recent graph)
@@ -79,9 +79,10 @@ type Solver struct {
 }
 
 // NewSolver validates the options and builds a session: the machine and
-// (for the concurrent backend) the goroutine pool are constructed here,
-// once.  A nil opt selects the defaults, exactly as ConnectedComponents
-// does.
+// the goroutine pool are constructed here, once.  The concurrent backend
+// installs the pool on the machine; the sequential one keeps the machine
+// sequential and runs the uncharged CAS kernels on a single-proc pool.  A
+// nil opt selects the defaults, exactly as ConnectedComponents does.
 func NewSolver(opt *Options) (*Solver, error) {
 	o := Options{}
 	if opt != nil {
@@ -99,38 +100,27 @@ func NewSolver(opt *Options) (*Solver, error) {
 	if o.Procs < 0 {
 		return nil, &ProcsRangeError{Procs: o.Procs}
 	}
-	s := &Solver{opt: o, seed: effectiveSeed(o), arena: par.NewArena()}
-
-	procs := o.Procs
-	if procs <= 0 {
-		procs = o.Workers
+	if o.Backend == "" {
+		o.Backend = BackendConcurrent
 	}
-	if procs <= 0 {
-		procs = runtime.NumCPU()
-	}
-	mopts := []pram.Option{pram.Seed(s.seed)}
+	procs := 1
 	switch o.Backend {
-	case "":
-		if o.Sequential {
-			procs = 1
-			mopts = append(mopts, pram.Sequential())
-		} else if o.Workers > 0 {
-			mopts = append(mopts, pram.Workers(o.Workers))
-		}
 	case BackendSequential:
-		procs = 1
-		mopts = append(mopts, pram.Sequential())
 	case BackendConcurrent:
-		s.rt = par.New(par.Procs(procs), par.Seed(s.seed))
-		mopts = append(mopts, pram.OnExecutor(s.rt))
+		procs = cmp.Or(o.Procs, runtime.NumCPU())
 	default:
 		return nil, fmt.Errorf("parcc: unknown backend %q", o.Backend)
 	}
-	s.procs = procs
+	s := &Solver{opt: o, seed: effectiveSeed(o), arena: par.NewArena(), procs: procs}
+	s.rt = par.New(par.Procs(procs), par.Seed(s.seed))
+	var exec pram.Executor // nil: the machine is the sequential simulator
+	if o.Backend == BackendConcurrent {
+		exec = s.rt
+	}
 	if o.Trace {
 		s.rec = obs.NewRecorder()
 	}
-	s.m = pram.New(mopts...)
+	s.m = pram.New(pram.Seed(s.seed), pram.OnExecutor(exec))
 	s.cx = solve.New(s.m).WithArena(s.arena).WithPlanner(s.planFor).WithRecorder(s.rec)
 	return s, nil
 }
@@ -141,12 +131,7 @@ func (s *Solver) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	if s.rt != nil {
-		s.rt.Close()
-	}
-	if s.casRT != nil {
-		s.casRT.Close()
-	}
+	s.rt.Close()
 }
 
 // Solve labels the connected components of g, reusing the session's pool,
@@ -249,7 +234,7 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	case CASUnite:
 		// Nominal model charge: one O(log n)-deep linear-work contraction.
 		m.Contract(prim.Log2Ceil(g.N+2)+1, int64(2*g.M()+g.N), func() {
-			res.Labels = par.ComponentsInto(s.casExec(), g, dst)
+			res.Labels = par.ComponentsInto(s.rt, g, dst)
 		})
 	case Sample:
 		labels, ratio, fls := s.solveSample(g, params, dst)
@@ -324,21 +309,6 @@ func (s *Solver) ComponentSpectralGaps(g *Graph) []float64 {
 	return spectral.ComponentGapsOn(s.Plan(g), nil)
 }
 
-// casExec returns the runtime the uncharged CAS kernels (cas-unite, the
-// incremental unite/splice/compress batches) run on: the session pool for
-// the concurrent backend, else a lazily built pool at the session's procs
-// (procs is 1 for the sequential backend, so those kernels stay
-// single-threaded and deterministic there).  Callers hold s.mu.
-func (s *Solver) casExec() *par.Runtime {
-	if s.rt != nil {
-		return s.rt
-	}
-	if s.casRT == nil {
-		s.casRT = par.New(par.Procs(s.procs), par.Seed(s.seed))
-	}
-	return s.casRT
-}
-
 // planFor is the single-slot plan cache (callers hold s.mu).  Validation
 // honors Options.TrustGraph: the default revalidates edge content with an
 // O(m) fingerprint pass (catching in-place mutation), TrustGraph checks
@@ -352,15 +322,11 @@ func (s *Solver) planFor(g *graph.Graph) *graph.Plan {
 	if s.closed {
 		return graph.NewPlan(g)
 	}
-	var e graph.Exec
-	if s.rt != nil {
-		e = s.rt
-	}
 	if s.plan != nil && s.plan.G == g {
 		if s.planStillValid() {
 			return s.plan
 		}
-		if np := graph.ExtendPlanOn(e, s.plan, g); np != nil {
+		if np := graph.ExtendPlanOn(s.rt, s.plan, g); np != nil {
 			// The extension trusts the prefix, so verify it — even under
 			// TrustGraph, whose promise covers only same-length overwrites:
 			// a caller that compacted edges out and appended others changes
@@ -377,7 +343,7 @@ func (s *Solver) planFor(g *graph.Graph) *graph.Plan {
 			}
 		}
 	}
-	s.plan = graph.BuildPlanOn(e, g)
+	s.plan = graph.BuildPlanOn(s.rt, g)
 	return s.plan
 }
 
@@ -535,7 +501,7 @@ func (s *Solver) chooseAuto(g *Graph) (Algorithm, string, int, float64) {
 func (s *Solver) solveSample(g *Graph, params core.Params, dst []int32) ([]int32, float64, *core.Result) {
 	rec := s.cx.Rec
 	span := rec.Begin()
-	e := s.casExec()
+	e := s.rt
 	plan := s.planFor(g)
 	span = rec.Lap(obs.PhasePlan, span)
 	n := g.N
@@ -657,7 +623,7 @@ func sampleWorthwhile(g *graph.Graph) bool {
 func (s *Solver) solveFrontier(g *Graph, dst []int32) ([]int32, int) {
 	rec := s.cx.Rec
 	span := rec.Begin()
-	e := s.casExec()
+	e := s.rt
 	plan := s.planFor(g)
 	rec.End(obs.PhasePlan, span)
 	var labels []int32

@@ -1,9 +1,12 @@
 package parcc
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"parcc/internal/dynconn"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
@@ -302,5 +305,63 @@ func TestSeedZeroReachable(t *testing.T) {
 	s5b := run(&Options{Seed: 5})
 	if s5a.Steps != s5b.Steps || s5a.Work != s5b.Work {
 		t.Error("ZeroSeed must be ignored when Seed != 0")
+	}
+}
+
+// TestCloseReleasesSessionGoroutines drives a session on each backend
+// through every path that runs on its runtime — an FLS and a CASUnite
+// solve, Attach, AddEdges, a RemoveEdges whose replacement search blows
+// its budget and falls back to a scoped FLS repair, and PublishSnapshot —
+// and checks that Close gives back every goroutine the session started.
+func TestCloseReleasesSessionGoroutines(t *testing.T) {
+	defer func(old int64) { dynconn.BudgetFloor = old }(dynconn.BudgetFloor)
+	dynconn.BudgetFloor = 16 // as in TestForestBudgetFallback: the cut below exceeds the budget
+	g := gen.RandomRegular(1<<13, 4, 3)
+	scenarios := map[string]func(t *testing.T, s *Solver){
+		"solve": func(t *testing.T, s *Solver) {
+			if _, err := s.Solve(g); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"incremental": func(t *testing.T, s *Solver) {
+			if err := s.Attach(gen.Cycle(512)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PublishSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RemoveEdges([]Edge{{U: 256, V: 257}}); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.LastTrace().Incremental.BudgetFallbacks; n != 1 {
+				t.Fatalf("budget fallbacks = %d, want 1", n)
+			}
+			if err := s.AddEdges([]Edge{{U: 256, V: 257}, {U: 3, V: 300}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PublishSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, be := range []Backend{BackendSequential, BackendConcurrent} {
+		for _, algo := range []Algorithm{FLS, CASUnite} {
+			for name, run := range scenarios {
+				base := runtime.NumGoroutine()
+				s, err := NewSolver(&Options{Algorithm: algo, Backend: be, Procs: 4, Trace: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run(t, s)
+				s.Close()
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s/%s/%s: %d goroutines after Close, %d before NewSolver",
+							be, algo, name, runtime.NumGoroutine(), base)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
 	}
 }
