@@ -2,9 +2,10 @@
 // occasional retractions — and component counts are needed after every
 // batch.  This is the workload the live-session API serves: Attach binds a
 // Solver to the graph, AddEdges folds insert batches into the live
-// partition in O(batch) CAS union-find work, RemoveEdges re-solves only
-// the components its deletions touched with the paper's CONNECTIVITY
-// pipeline, and Components re-queries without solving anything.  The
+// partition in O(batch) CAS union-find work, RemoveEdges resolves each
+// deletion through the session's spanning forest (re-solving a component
+// only when a replacement search blows its budget), and Components
+// re-queries without solving anything.  The
 // example replays the same stream against cold from-scratch solves to
 // show what the session saves.
 //
@@ -52,8 +53,10 @@ func main() {
 			log.Fatal(err)
 		}
 		if b > 0 && b%4 == 0 {
-			// Retract a slice of an earlier batch: the deletions mark their
-			// components dirty and trigger a scoped re-solve.
+			// Retract a slice of an earlier batch: each deletion resolves
+			// through the session's spanning forest (an O(1) drop or a
+			// bounded replacement search); only a search that blows its
+			// budget re-solves its component, scoped to it.
 			op = "add+del"
 			if err := s.RemoveEdges(full.Edges[:per/8]); err != nil {
 				log.Fatal(err)
@@ -87,5 +90,6 @@ func main() {
 
 	fmt.Println("\nthe live session folds each batch into the standing partition and")
 	fmt.Println("answers from it; the cold column re-pays O(m+n) per batch.  deletions")
-	fmt.Println("fall back to the paper's pipeline — but only on the dirty components.")
+	fmt.Println("resolve through the spanning forest; only a blown search budget")
+	fmt.Println("re-solves, and then only the dirty components.")
 }

@@ -313,8 +313,10 @@ func TestForestBudgetFallback(t *testing.T) {
 	if err := oracle.RemoveEdges(batch); err != nil {
 		t.Fatal(err)
 	}
-	if d := s.LastTrace().Dispatch; d == nil || d.Chosen != FLS || d.Rule != "sparse" {
-		t.Errorf("repair dispatch = %+v, want the FLS pipeline under rule sparse", d)
+	// The 512-vertex region is under Auto's tiny cutoff, so the repair
+	// labels it with the sequential union-find, as Solve(Auto) would.
+	if d := s.LastTrace().Dispatch; d == nil || d.Chosen != UnionFind || d.Rule != "tiny" {
+		t.Errorf("repair dispatch = %+v, want union-find under rule tiny", d)
 	}
 	tr := s.LastTrace().Incremental
 	if tr.BudgetFallbacks != 1 {

@@ -144,11 +144,15 @@ func incCheck(t *testing.T, stage string, s *Solver, oracle *baseline.IncOracle)
 // id-adjacent vertices (the last of the first copy, the first of the
 // second), then deletes the bridge.  Each side of the cut holds half the
 // edges, so the two-sided replacement search must scan about m adjacency
-// entries to prove the split — past the m/4 budget — and the deletion
-// falls back to the scoped repair over the whole former component.  The
-// test fails unless the fallback fires and the repair picked want.
-// Returns the session (open) and the oracle after the delete.
-func bridgeFallback(t *testing.T, half *Graph, want Algorithm) (*Solver, *baseline.IncOracle) {
+// entries to prove the split — past the budget — and the deletion falls
+// back to the scoped repair over the whole former component.  The test
+// fails unless the fallback fires, the partition matches the oracle, and
+// the repair's decision is the want/rule row of Auto's table and equals,
+// field for field (kernel, rule, region size, and the max degree and
+// locality the row consulted), the decision a fresh Solve(Auto) records
+// for the same region graph.  Returns the session (open) and the oracle
+// after the delete.
+func bridgeFallback(t *testing.T, half *Graph, want Algorithm, rule string) (*Solver, *baseline.IncOracle) {
 	t.Helper()
 	base := gen.Union(half, half)
 	bridge := Edge{U: int32(half.N - 1), V: int32(half.N)}
@@ -174,10 +178,56 @@ func bridgeFallback(t *testing.T, half *Graph, want Algorithm) (*Solver, *baseli
 	if tr.Incremental.BudgetFallbacks < 1 {
 		t.Fatalf("bridge delete must blow the replacement budget (trace %+v)", tr.Incremental)
 	}
-	if d := tr.Dispatch; d == nil || d.Chosen != want || d.N != base.N || d.M != base.M()-1 {
-		t.Fatalf("repair dispatch = %+v, want %s over the %dv/%de region", d, want, base.N, base.M()-1)
+	d := tr.Dispatch
+	if d == nil || d.Chosen != want || d.Rule != rule {
+		t.Fatalf("repair dispatch = %+v, want %s under rule %q", d, want, rule)
+	}
+
+	// The region the repair re-solved: the bridge's former component, in
+	// ascending vertex order, over the live edges after the delete.
+	before := mustLabels(t, base, &Options{Algorithm: BFS})
+	vmap := make([]int32, base.N)
+	k := int32(0)
+	for v, l := range before {
+		if l == before[bridge.U] {
+			k++
+			vmap[v] = k
+		}
+	}
+	region := graph.InducedInto(s.Live(), vmap, int(k), nil)
+	fresh, err := ConnectedComponents(region, &Options{Algorithm: Auto, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *d != *fresh.Trace.Dispatch {
+		t.Fatalf("repair dispatch = %+v, but Solve(Auto) of the region records %+v", d, fresh.Trace.Dispatch)
 	}
 	return s, oracle
+}
+
+// TestScopedRepairDispatchRows reaches the two repair rows the fast-path
+// tests below do not: a region under the tiny cutoff (two cycle halves) is
+// labeled by the sequential union-find, and a sparse random one (two GNM
+// halves of average degree 8, too low to sample, not id-local) by cas,
+// whose row consulted the region's max degree.  bridgeFallback checks the
+// partition and pins each decision to Solve(Auto)'s on the same region.
+func TestScopedRepairDispatchRows(t *testing.T) {
+	for _, c := range []struct {
+		half *Graph
+		want Algorithm
+		rule string
+	}{
+		{gen.Cycle(1000), UnionFind, "tiny"},
+		{gen.GNM(1<<11, 1<<13, 9), CASUnite, "sparse"},
+	} {
+		s, _ := bridgeFallback(t, c.half, c.want, c.rule)
+		d := s.LastTrace().Dispatch
+		if d.Locality != -1 || (c.rule == "tiny") != (d.MaxDeg == 0) {
+			t.Errorf("%s repair recorded max-deg %d, locality %v: want only the statistics its row consulted",
+				c.rule, d.MaxDeg, d.Locality)
+		}
+		s.Close()
+	}
 }
 
 // TestFrontierIncrementalPaths reaches the scoped repair's frontier branch
@@ -189,10 +239,14 @@ func bridgeFallback(t *testing.T, half *Graph, want Algorithm) (*Solver, *baseli
 // touched endpoints as the repair's seeded frontier.
 func TestFrontierIncrementalPaths(t *testing.T) {
 	half := gen.Grid(64, 128) // m = 2·16192+1 ≥ 2^14 in total, avg degree ≈ 4
-	s, oracle := bridgeFallback(t, half, Frontier)
+	s, oracle := bridgeFallback(t, half, Frontier, "mesh")
 	defer s.Close()
 	if tr := s.LastTrace(); tr.Frontier == nil || tr.Frontier.Rounds == 0 {
 		t.Fatal("frontier scoped repair must record frontier passes in its trace")
+	}
+	if d := s.LastTrace().Dispatch; d.Locality < frontierMeshLocality || d.MaxDeg != 4 {
+		t.Errorf("mesh repair recorded locality %v, max-deg %d: want the sampled locality and the grid's degree 4",
+			d.Locality, d.MaxDeg)
 	}
 
 	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}, {U: 17, V: 4000}}

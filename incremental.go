@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"parcc/internal/core"
 	"parcc/internal/dynconn"
 	"parcc/internal/graph"
 	"parcc/internal/obs"
@@ -23,15 +22,14 @@ import (
 // replacement search that either promotes a crossing edge or relabels the
 // split-off side in place.  Only when a search blows its scan budget does
 // the session fall back to the scoped repair: mark the component dirty,
-// re-solve the subgraph the dirty set induces from scratch (the paper's
-// CONNECTIVITY pipeline, or the frontier/sampling kernels on mesh-like and
-// dense regions), and splice the scoped labels back.
-// Components/ComponentsInto re-query the live partition without solving
-// anything.
+// re-solve the subgraph the dirty set induces from scratch with the
+// kernel Auto's decision table picks for it, and splice the scoped labels
+// back.  Components/ComponentsInto re-query the live partition without
+// solving anything.
 //
 // Liu–Tarjan's Simple Concurrent Connected Components Algorithms
-// (arXiv:1812.06177) supplies the union-find machinery; the FLS pipeline
-// remains the from-scratch engine the deletions fall back to.
+// (arXiv:1812.06177) supplies the union-find machinery.  Nothing on the
+// live path runs or charges the paper's FLS pipeline.
 
 // incSession is the live state behind Attach/AddEdges/RemoveEdges: the
 // session-owned graph, the CAS union-find forest over it, and the
@@ -40,7 +38,6 @@ type incSession struct {
 	g      *graph.Graph
 	parent []int32
 	ncomp  int
-	batch  uint64 // mutation-batch counter; perturbs scoped-solve seeds
 	// needsCompress records whether successful unions may have left
 	// non-root parent chains since the forest was last flattened, so a
 	// read-heavy query stream pays the O(n) Compress once per mutation,
@@ -180,7 +177,6 @@ func (s *Solver) AddEdges(batch []Edge) error {
 			st.noteMerge(inc.parent, ru)
 		}
 	}
-	inc.batch++
 	rec.End(obs.PhaseUnite, span)
 	rec.Add(obs.CtrCASAttempts, int64(len(batch)))
 	rec.Add(obs.CtrCASHooks, int64(merges))
@@ -321,7 +317,6 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		}
 	}
 	span = rec.Lap(obs.PhaseReplace, span)
-	inc.batch++
 	if s.plan != nil && s.plan.G == inc.g {
 		s.plan = nil // removal invalidates the delta chain; force a rebuild
 	}
@@ -348,13 +343,12 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 // live forest), builds the subgraph they induce in compact ids, labels it
 // from scratch, splices the labels back, and re-derives the region's
 // snapshot mirror and forest flags (the only state the scoped labels do
-// not fix).  Everything outside the dirty set is untouched.  The region's
-// shape picks the kernel: mesh-like regions (low average degree, id-local
-// edges) take the frontier engine, large dense ones the sampling fast
-// path — both over a transient, uncached CSR of the subgraph — and the
-// rest the paper's CONNECTIVITY pipeline, charged O(m'+n') on the
-// subgraph.  Returns that choice for the operation's Trace.Dispatch.
-// Callers hold s.mu.
+// not fix).  Everything outside the dirty set is untouched.  The region
+// is labeled exactly as SolveInto(Auto) would label it as a graph of its
+// own: pickKernel decides on the region's statistics, and runKernel runs
+// the choice uncharged over a transient, uncached plan of the subgraph.
+// Returns the decision for the operation's Trace.Dispatch.  Callers hold
+// s.mu.
 func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 	inc, cx, rec := s.inc, s.cx, s.rec
 	e := s.rt
@@ -375,26 +369,20 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 	rec.Add(obs.CtrScopedVertices, int64(sub.N))
 	rec.Add(obs.CtrScopedEdges, int64(sub.M()))
 	span = rec.Lap(obs.PhaseExtract, span)
-	pick := &DispatchDecision{
-		N: sub.N, M: sub.M(), AvgDeg: 2 * float64(sub.M()) / float64(sub.N),
-		Locality: -1,
+	// The region's plan is built at most once, only when the decision or
+	// the kernel it picks needs adjacency, and dropped with the region.
+	var sp *graph.Plan
+	plan := func() *graph.Plan {
+		if sp == nil {
+			sp = graph.BuildPlanOn(e, sub)
+		}
+		return sp
 	}
+	pick := pickKernel(sub, plan)
 	var subComps int
-	switch {
-	case frontierWorthwhile(sub):
-		pick.Chosen, pick.Rule = Frontier, "mesh"
-		sc.SubLabels, subComps = s.frontierLabelsInto(e, sub, graph.BuildCSROn(e, sub), sc.SubLabels)
-	case sampleWorthwhile(sub):
-		pick.Chosen, pick.Rule = Sample, "dense"
-		sc.SubLabels, subComps = s.sampleLabelsInto(e, sub, graph.BuildCSROn(e, sub), sc.SubLabels)
-	default:
-		pick.Chosen, pick.Rule = FLS, "sparse"
-		s.m.Reset()
-		r := core.ConnectivityScoped(cx, sub, s.seed^(inc.batch*0x9e3779b97f4a7c15), sc.SubLabels)
-		sc.SubLabels, subComps = r.Labels, r.NumComponents
-	}
-	// The re-solve recorded its own phases (the kernels' or the FLS
-	// pipeline's); the scoped span pools them into the headline number.
+	sc.SubLabels, subComps, _ = s.runKernel(pick.Chosen, sub, plan, sc.SubLabels)
+	// The kernel recorded its own phases; the scoped span pools them into
+	// the headline number.
 	span = rec.Lap(obs.PhaseScoped, span)
 	par.SpliceLabels(e, parent, sc.Verts, sc.SubLabels)
 	if s.pages != nil {
@@ -414,9 +402,9 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 // flatten of the union-find forest (O(n) on the session's runtime, far
 // below any from-scratch solve) and a copy of the labels.  NumComponents
 // is maintained exactly across batches.  Result.Algorithm echoes
-// Incremental; Steps/Work are zero (the kernels are uncharged serving
-// helpers — charged costs accrue only inside RemoveEdges' scoped
-// re-solves).  Use ComponentsInto to recycle the Result in a serving loop.
+// Incremental; Steps/Work are zero (every kernel of the live path,
+// RemoveEdges' scoped re-solves included, is an uncharged serving
+// helper).  Use ComponentsInto to recycle the Result in a serving loop.
 func (s *Solver) Components() (*Result, error) {
 	res := &Result{}
 	if err := s.ComponentsInto(res); err != nil {

@@ -147,21 +147,6 @@ func ConnectivityOn(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Resul
 	return res
 }
 
-// ConnectivityScoped is the incremental path's scoped re-solve: the full
-// CONNECTIVITY pipeline run on the subgraph induced by the components a
-// deletion batch touched, with the parameter profile re-derived for the
-// subproblem size (the phase schedule, sampling rates, and round budgets
-// are all functions of n, so a dirty region of a few thousand vertices
-// must not run with the budgets of the million-vertex host graph).  The
-// labels written into dst are in sub-vertex space; par.SpliceLabels maps
-// them back into the live forest.  Charged exactly like ConnectivityOn —
-// O(m'+n') work on the dirty subgraph, which is the whole point of scoping.
-func ConnectivityScoped(cx *solve.Ctx, sub *graph.Graph, seed uint64, dst []int32) *Result {
-	p := Default(sub.N)
-	p.Seed ^= seed
-	return ConnectivityOn(cx, sub, p, dst)
-}
-
 // phaseEnv carries the per-run immutable context into interweave.
 type phaseEnv struct {
 	p      Params

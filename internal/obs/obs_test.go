@@ -19,9 +19,9 @@ func TestNilRecorderSafe(t *testing.T) {
 	since = r.Lap(PhaseVote, since)
 	r.AddPhase(PhaseSkip, time.Millisecond)
 	r.Add(CtrCASAttempts, 7)
-	r.Set(GaugeSkipEstPPM, PPM(0.5))
+	r.Set(GaugeCoverPPM, PPM(0.5))
 	r.Reset()
-	if r.PhaseNanos(PhaseSample) != 0 || r.Count(CtrCASAttempts) != 0 || r.Gauge(GaugeSkipEstPPM) != 0 {
+	if r.PhaseNanos(PhaseSample) != 0 || r.Count(CtrCASAttempts) != 0 || r.Gauge(GaugeCoverPPM) != 0 {
 		t.Fatal("nil recorder must read as zero")
 	}
 	if since != 0 {

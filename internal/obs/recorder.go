@@ -45,8 +45,7 @@ const (
 	PhasePlan
 	// PhaseSample is the neighbor-sampling rounds (par.SampleUnite).
 	PhaseSample
-	// PhaseVote is the majority vote plus the skip-ratio probe
-	// (par.MajorityRoot / par.EstimateSkip).
+	// PhaseVote is the majority vote (par.MajorityRoot).
 	PhaseVote
 	// PhaseSkip is the finish pass over the CSR (par.SkipUnite).
 	PhaseSkip
@@ -180,10 +179,8 @@ type Gauge uint8
 // Recorder gauges.  Ratios are stored in parts-per-million so the whole
 // Recorder stays int64/atomic (Trace converts back to float64).
 const (
-	// GaugeSkipEstPPM is the probed skip-ratio estimate (ppm).
-	GaugeSkipEstPPM Gauge = iota
 	// GaugeCoverPPM is the sampled majority coverage (ppm).
-	GaugeCoverPPM
+	GaugeCoverPPM Gauge = iota
 	// GaugeMajorityMode is 1 when the skip pass ran in majority mode.
 	GaugeMajorityMode
 

@@ -20,13 +20,12 @@
 //	MajorityRoot  — approximate most-frequent root by sampled voting
 //	                (Boyer–Moore), the Afforest signal for whether a
 //	                dominant component exists;
-//	EstimateSkip  — sampled prediction of the skip ratio when the
-//	                majority alone is inconclusive (multi-community
-//	                graphs skip well without any single dominant root);
 //	SkipUnite     — the finish pass over the CSR: majority vertices skip
 //	                their whole adjacency range unread; the rest settle
 //	                neighbors against a register-cached root and unite
-//	                only the surviving minority.
+//	                only the surviving minority.  With no dominant root
+//	                it runs direction-filtered, which still skips well on
+//	                multi-community graphs whose every block collapsed.
 package par
 
 import (
@@ -153,39 +152,6 @@ func MajorityRoot(rt *Runtime, p []int32, probes int, scratch []int32) (int32, f
 		}
 	}
 	return cand, float64(hits) / float64(probes)
-}
-
-// EstimateSkip predicts SkipUnite's skip ratio by probing sampled edges:
-// the reported value is the fraction of `probes` edges (drawn from
-// deterministic per-chunk RNG streams) that are already settled — a
-// self-loop, or both endpoints sharing a root.  Unlike the majority
-// coverage, this signal stays high on multi-community graphs where no
-// single component dominates but every community has collapsed; it is the
-// skip-ratio estimate the sample algorithm's FLS fallback thresholds on.
-// O(probes·α) work.
-func EstimateSkip(rt *Runtime, p []int32, edges []graph.Edge, probes int) float64 {
-	m := len(edges)
-	if m == 0 {
-		return 1
-	}
-	if probes > m {
-		probes = m
-	}
-	if probes < 1 {
-		probes = 1
-	}
-	var settled atomic.Int64
-	rt.ForChunks(probes, func(lo, hi int, rng *RNG) {
-		local := int64(0)
-		for i := lo; i < hi; i++ {
-			ed := edges[rng.Intn(m)]
-			if ed.U == ed.V || Find(p, ed.U) == Find(p, ed.V) {
-				local++
-			}
-		}
-		settled.Add(local)
-	})
-	return float64(settled.Load()) / float64(probes)
 }
 
 // SkipUnite is the sampling fast path's finish pass, driven by the CSR so

@@ -99,40 +99,11 @@ func TestMajorityRootFindsDominantComponent(t *testing.T) {
 	}
 }
 
-func TestEstimateSkipHighOnSettledMultiBlock(t *testing.T) {
-	// After the blocks collapse there is no majority component (8 equal
-	// blocks), yet the skip estimate must stay near 1 — the signal that
-	// distinguishes "no dominant root" from "nothing settled".
-	g := gen.ManyComponents(8, func(i int) *graph.Graph {
-		return gen.GNM(500, 2000, uint64(i+1))
-	})
-	r := New(Procs(2), Seed(11))
-	defer r.Close()
-	p := make([]int32, g.N)
-	r.Run(g.N, func(v int) { p[v] = int32(v) })
-	UniteBatchMark(r, p, g.Edges, make([]bool, g.M()))
-	Compress(r, p)
-	if _, cover := MajorityRoot(r, p, 512, nil); cover > 0.3 {
-		t.Fatalf("majority coverage = %.3f on 8 equal blocks, want ≤ 0.3", cover)
-	}
-	if est := EstimateSkip(r, p, g.Edges, 512); est < 0.95 {
-		t.Fatalf("skip estimate = %.3f on a fully settled forest, want ≈ 1", est)
-	}
-	// On a fresh identity forest nothing is settled.
-	r.Run(g.N, func(v int) { p[v] = int32(v) })
-	if est := EstimateSkip(r, p, g.Edges, 512); est > 0.1 {
-		t.Fatalf("skip estimate = %.3f on an identity forest, want ≈ 0", est)
-	}
-}
-
 func TestSampleKernelsEdgeCases(t *testing.T) {
 	r := New(Procs(2))
 	defer r.Close()
 	if root, cover := MajorityRoot(r, nil, 64, nil); root != -1 || cover != 0 {
 		t.Fatalf("MajorityRoot(empty) = (%d, %v), want (-1, 0)", root, cover)
-	}
-	if est := EstimateSkip(r, nil, nil, 64); est != 1 {
-		t.Fatalf("EstimateSkip(no edges) = %v, want 1 (nothing to process)", est)
 	}
 	g := graph.New(0)
 	if processed, hooks := SkipUnite(r, nil, graph.BuildCSR(g), -1); processed != 0 || hooks != 0 {

@@ -133,12 +133,12 @@ const (
 	// Sample is the Afforest-style sampling fast path (Sutton et al.,
 	// Adaptive Work-Efficient Connected Components on the GPU): a few
 	// neighbor-sampling rounds settle most components, a majority-root
-	// vote plus a sampled skip-ratio probe decide whether the gamble paid,
-	// and the full edge pass then skips every already-settled edge with
-	// two loads and a compare, uniting only the surviving minority.  When
-	// the probes predict a skip ratio below the fallback threshold, the
-	// solve runs the full FLS pipeline instead (observable as Phases > 0).
-	// Labels are the component minima, deterministic on every backend
+	// vote picks the dominant component, and the full edge pass then
+	// skips the majority's adjacency ranges unread and every other
+	// settled edge with two loads and a compare, uniting only the
+	// surviving minority.  It never falls back to the FLS pipeline: a
+	// graph that samples badly costs one extra cas-like pass, not a
+	// charged FLS run.  Labels are the component minima, deterministic on every backend
 	// (the sampling choices steer only how much work is skipped, never the
 	// partition); Result.SkipRatio reports the measured skip fraction.
 	// Like CASUnite, Steps/Work are charged nominally.  Wall-clock wins
@@ -160,13 +160,15 @@ const (
 	// appear in Result.Trace.Frontier.
 	Frontier Algorithm = "frontier"
 	// Auto picks the solver per graph from the session's cached plan
-	// statistics (n, m, average/max degree, density, edge locality):
-	// union-find for tiny inputs, Sample when the density statistics
-	// predict a high skip ratio, Frontier on low-degree high-locality mesh
-	// shapes, CASUnite otherwise.  The decision is recorded in
-	// Result.Algorithm — a result from an Auto solve echoes the concrete
-	// algorithm that ran, never "auto".  The decision table is documented
-	// in docs/ARCHITECTURE.md.
+	// statistics (n, m, average/max degree, edge locality): union-find for
+	// tiny inputs, Sample when the degree statistics predict a high skip
+	// ratio, Frontier on low-degree high-locality mesh shapes, CASUnite
+	// otherwise.  The decision is recorded in Result.Algorithm — a result
+	// from an Auto solve echoes the concrete algorithm that ran, never
+	// "auto".  The same table labels the dirty region of a live session's
+	// scoped repair (RemoveEdges), so the FLS pipeline runs only when
+	// Options.Algorithm asks for FLS or FLSKnownGap.  The decision table
+	// is documented in docs/ARCHITECTURE.md.
 	Auto Algorithm = "auto"
 	// Incremental is the value Result.Algorithm echoes for results produced
 	// by the live-update path (Solver.Components after AddEdges/
@@ -256,8 +258,8 @@ type Result struct {
 	// range, or dismissed by the finish pass's one-compare root check —
 	// i.e. 1 − UniteAttempts/m (approximate in majority mode, where an
 	// unsettled edge between two non-majority vertices is attempted from
-	// both sides).  Algorithm Sample only; a fallback run reports the low
-	// probe estimate that triggered it.  Zero for every other algorithm.
+	// both sides).  Algorithm Sample only (Auto included, when it picks
+	// Sample); zero for every other algorithm.
 	// It is a documented alias of Trace.SkipRatio: always populated,
 	// tracing or not, and equal to the traced value when Options.Trace is
 	// set.

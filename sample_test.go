@@ -113,30 +113,6 @@ func TestAutoStableAcrossPlanCaching(t *testing.T) {
 	}
 }
 
-// TestSampleFallbackToFLS forces the skip-ratio fallback (by raising the
-// threshold above 1) and checks the solve degrades to the full FLS
-// pipeline — observable through Phases — with a correct partition and the
-// failing probe estimate reported as the skip ratio.
-func TestSampleFallbackToFLS(t *testing.T) {
-	old := sampleFallbackSkip
-	sampleFallbackSkip = 1.1
-	defer func() { sampleFallbackSkip = old }()
-	g := gen.GNM(2000, 6000, 7)
-	res, err := ConnectedComponents(g, &Options{Algorithm: Sample, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Phases == 0 {
-		t.Fatal("fallback solve must run the FLS pipeline (Phases > 0)")
-	}
-	if res.SkipRatio > 1 {
-		t.Fatalf("fallback SkipRatio = %v, want the probe estimate ≤ 1", res.SkipRatio)
-	}
-	if !Verify(g, res.Labels) {
-		t.Fatal("fallback labels wrong")
-	}
-}
-
 // TestSampleIncrementalFastPaths reaches the scoped repair's sampling
 // branch through a real budget fallback: two dense GNM halves joined by
 // one bridge, whose deletion blows the replacement budget, leave a dense
@@ -145,8 +121,12 @@ func TestSampleFallbackToFLS(t *testing.T) {
 // an insert batch on top.
 func TestSampleIncrementalFastPaths(t *testing.T) {
 	half := gen.GNM(1<<11, 1<<15, 9) // avg degree 32, m = 2^16+1 in total
-	s, oracle := bridgeFallback(t, half, Sample)
+	s, oracle := bridgeFallback(t, half, Sample, "dense")
 	defer s.Close()
+	if d := s.LastTrace().Dispatch; d.Locality != -1 || d.MaxDeg != 0 {
+		t.Errorf("dense repair recorded locality %v, max-deg %d: the dense row consults neither",
+			d.Locality, d.MaxDeg)
+	}
 
 	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}}
 	if err := s.AddEdges(add); err != nil {

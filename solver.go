@@ -185,15 +185,23 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	}
 	params.Seed ^= s.seed
 
+	// The session's cached plan for g, looked up at most once per solve:
+	// the dispatcher and the kernel it picks share one validation.
+	var pl *graph.Plan
+	plan := func() *graph.Plan {
+		if pl == nil {
+			pl = s.planFor(g)
+		}
+		return pl
+	}
 	algo := o.Algorithm
-	var rule string
-	var autoMaxDeg int
-	autoLocality := -1.0
+	var pick *DispatchDecision
 	if algo == Auto {
 		// The decision may build or revalidate the plan — charge that to
 		// the plan phase.
 		tp := rec.Begin()
-		algo, rule, autoMaxDeg, autoLocality = s.chooseAuto(g)
+		pick = pickKernel(g, plan)
+		algo = pick.Chosen
 		rec.End(obs.PhasePlan, tp)
 	}
 	dst := res.Labels
@@ -231,30 +239,18 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 		}, dst)
 	case ParBFS:
 		res.Labels = baseline.ParallelBFSInto(cx, g, dst)
-	case CASUnite:
-		// Nominal model charge: one O(log n)-deep linear-work contraction.
-		m.Contract(prim.Log2Ceil(g.N+2)+1, int64(2*g.M()+g.N), func() {
-			res.Labels = par.ComponentsInto(s.rt, g, dst)
+	case UnionFind, CASUnite, Frontier, Sample:
+		steps, work := nominalCharge(algo, g.N, g.M())
+		m.Contract(steps, work, func() {
+			res.Labels, res.NumComponents, res.SkipRatio = s.runKernel(algo, g, plan, dst)
 		})
-	case Sample:
-		labels, ratio, fls := s.solveSample(g, params, dst)
-		res.Labels, res.SkipRatio = labels, ratio
-		if fls != nil {
-			res.NumComponents, res.Phases = fls.NumComponents, fls.Phases
-			res.Breakdown = stageCostsInto(res.Breakdown, fls.Breakdown)
-		}
-	case Frontier:
-		labels, comps := s.solveFrontier(g, dst)
-		res.Labels, res.NumComponents = labels, comps
-	case UnionFind:
-		res.Labels = baseline.UnionFindLabelsInto(cx, g, dst)
 	case BFS:
 		res.Labels = baseline.BFSLabelsInto(cx, g, dst)
 	default:
 		return fmt.Errorf("parcc: unknown algorithm %q", o.Algorithm)
 	}
 	switch algo {
-	case FLS, FLSKnownGap, Sample, Frontier:
+	case FLS, FLSKnownGap, UnionFind, CASUnite, Frontier, Sample:
 		// Decomposed internally: these solves recorded their own spans.
 	default:
 		rec.End(obs.PhaseSolve, solveSpan)
@@ -264,24 +260,12 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 		res.NumComponents = solve.NumLabels(cx, res.Labels, g.N)
 		rec.End(obs.PhaseCount, tc)
 	}
-	if algo == CASUnite {
-		// The CAS union-find attempts every edge once; the hooks that
-		// merged are exactly the spanning-forest edges.
-		rec.Add(obs.CtrCASAttempts, int64(g.M()))
-		rec.Add(obs.CtrCASHooks, int64(g.N-res.NumComponents))
-	}
 	res.Steps = m.Steps()
 	res.Work = m.Work()
 	if rec != nil {
 		tr := traceFromRecorder(rec, "solve", algo, time.Since(start))
 		tr.SkipRatio = res.SkipRatio
-		if o.Algorithm == Auto {
-			tr.Dispatch = &DispatchDecision{
-				Chosen: algo, Rule: rule,
-				N: g.N, M: g.M(), AvgDeg: 2 * float64(g.M()) / float64(max(g.N, 1)),
-				MaxDeg: autoMaxDeg, Locality: autoLocality,
-			}
-		}
+		tr.Dispatch = pick
 		res.Trace = tr
 		s.lastTrace = tr
 	}
@@ -366,11 +350,13 @@ const (
 	// because low-degree vertices enumerate their adjacency exactly —
 	// cover degree ≤ 2 regions completely.
 	sampleRounds = 2
-	// sampleProbes sizes the majority vote and the skip-ratio probe.
+	// sampleProbes sizes the majority vote.
 	sampleProbes = 1024
 	// sampleMajorityCover is the majority coverage above which the skip
-	// pass proceeds without probing edges: a component holding ≥ 45% of
-	// the vertices guarantees a large settled-edge fraction by itself.
+	// pass skips the majority's vertices wholesale: a component holding
+	// ≥ 45% of the vertices guarantees a large settled-edge fraction by
+	// itself.  Below it the pass runs direction-filtered, which keeps
+	// multi-community graphs (every block settled, none dominant) cheap.
 	sampleMajorityCover = 0.45
 	// autoTinyCutoff is the n+m size below which Auto picks the
 	// sequential union-find: at that scale pool dispatch and atomics cost
@@ -392,9 +378,6 @@ const (
 	// session does not hold one yet.
 	autoSampleSkewDeg = 4.0
 	autoSampleMaxDeg  = 64
-	// sampleIncMinEdges is the edge count above which the scoped repair
-	// of RemoveEdges routes a dense region through the sampling fast path.
-	sampleIncMinEdges = 1 << 15
 	// frontierMeshAvgDeg / frontierMeshMaxDeg / frontierMeshLocality /
 	// frontierCliqueMaxDeg describe the id-local regime the frontier
 	// engine wins: low average degree (grids are 4, tori 4, paths 2 —
@@ -417,256 +400,184 @@ const (
 	frontierMeshMaxDeg   = 8
 	frontierCliqueMaxDeg = 64
 	frontierMeshLocality = 0.95
-	// frontierIncMinEdges is the edge count above which the scoped repair
-	// of RemoveEdges considers routing a region through the frontier
-	// engine.
-	frontierIncMinEdges = 1 << 14
 )
 
-// sampleFallbackSkip is the predicted skip ratio below which the sample
-// algorithm concedes the gamble and runs the full FLS pipeline instead.
-// Package-level variable so tests can force the fallback deterministically.
-var sampleFallbackSkip = 0.2
-
-// chooseAuto is the Auto dispatch decision: tiny inputs to the sequential
-// union-find, clearly dense inputs to the sampling fast path, clearly
-// sparse ones to cas — all decided O(1) from n and m.  In the inconclusive
-// band between the sparse and dense thresholds the average is refined by
-// the plan's exact degree statistics (a moderate average can hide a
-// high-degree clique core whose edges dominate m and sample away): the
-// plan is built through the session cache if not already held, an O(m)
-// cost paid once per graph and reused by every later solve — and by the
-// sample algorithm itself if selected.  With Options.TrustGraph unset, a
-// warm re-decision in that band revalidates the cached plan's fingerprint
-// (O(m)), the same cost every plan consumer pays.  The decision table is
-// documented in docs/ARCHITECTURE.md.  Callers hold s.mu.
+// pickKernel is the one kernel decision, shared by SolveInto(Auto) and
+// the scoped repair of RemoveEdges: tiny inputs to the sequential
+// union-find, clearly dense ones to the sampling fast path, id-local
+// low-degree meshes to the frontier engine, skewed-degree ones to
+// sampling, and the rest to cas.  n and m decide the tiny and dense rows
+// in O(1).  Below the dense threshold the mesh rule runs first: an O(1)
+// sampled edge-locality sweep decides whether the graph looks id-local
+// (grids, tori, paths, barbells score ≈ 1; random sparse graphs ≈ 0.1),
+// and only then is the plan consulted for the exact MaxDeg that separates
+// the shapes the flood settles (bounded-degree lattices, locally dense
+// clique blocks) from id-local regions wired randomly inside — so purely
+// random sparse inputs with a low average still decide without a plan.
+// In the inconclusive band between the sparse and dense averages the
+// plan's max degree looks for a clique core whose edges dominate m.
 //
-// Below the dense threshold the mesh rule runs first: an O(1) sampled
-// edge-locality sweep over the edge list decides whether the graph looks
-// id-local (grids, tori, paths, barbells score ≈ 1; random sparse graphs
-// ≈ 0.1), and only then is the plan consulted for the exact MaxDeg that
-// separates the flood-in-O(1)-rounds shapes (bounded-degree lattices,
-// locally dense clique blocks) from id-local regions wired randomly inside
-// — so purely random sparse inputs still dispatch O(1), without a plan
-// build.
-//
-// Alongside the decision it reports the decision-table row that fired
-// ("tiny", "dense", "mesh", "skewed", "sparse"), the plan's max degree
-// when a band consulted it (0 otherwise), and the sampled edge locality
-// when the mesh rule measured it (−1 otherwise) — the inputs
-// Trace.Dispatch records.
-func (s *Solver) chooseAuto(g *Graph) (Algorithm, string, int, float64) {
+// plan supplies the graph's plan on demand: the session's cached one for
+// a solve (an O(m) build or revalidation, reused by the kernel), a
+// transient one of the dirty region for a repair.  The result is the
+// Trace.Dispatch record: the kernel, the table row that fired ("tiny",
+// "dense", "mesh", "skewed", "sparse"), and the statistics the row
+// consulted.  The table is documented in docs/ARCHITECTURE.md.
+func pickKernel(g *graph.Graph, plan func() *graph.Plan) *DispatchDecision {
 	n, m := g.N, g.M()
-	if n+m <= autoTinyCutoff {
-		return UnionFind, "tiny", 0, -1
+	d := &DispatchDecision{N: n, M: m, AvgDeg: 2 * float64(m) / float64(max(n, 1)), Locality: -1}
+	switch {
+	case n+m <= autoTinyCutoff:
+		d.Chosen, d.Rule = UnionFind, "tiny"
+		return d
+	case d.AvgDeg >= autoSampleAvgDeg:
+		d.Chosen, d.Rule = Sample, "dense"
+		return d
 	}
-	avg := 2 * float64(m) / float64(n)
-	if avg >= autoSampleAvgDeg {
-		return Sample, "dense", 0, -1
-	}
-	if avg <= frontierMeshAvgDeg {
-		if loc := graph.EdgeLocality(g.N, g.Edges); loc >= frontierMeshLocality {
-			plan := s.planFor(g)
-			if int(plan.MaxDeg) <= frontierMeshMaxDeg || int(plan.MaxDeg) >= frontierCliqueMaxDeg {
-				return Frontier, "mesh", int(plan.MaxDeg), loc
+	if d.AvgDeg <= frontierMeshAvgDeg {
+		if loc := graph.EdgeLocality(n, g.Edges); loc >= frontierMeshLocality {
+			d.Locality, d.MaxDeg = loc, int(plan().MaxDeg)
+			if d.MaxDeg <= frontierMeshMaxDeg || d.MaxDeg >= frontierCliqueMaxDeg {
+				d.Chosen, d.Rule = Frontier, "mesh"
+				return d
 			}
 			// Id-local but randomly wired inside (moderate max degree —
-			// neither lattice nor dense block): the seed sweep cannot
-			// flood such regions in O(1) rounds, so fall through to the
-			// degree bands with the plan in hand.
-			if avg >= autoSampleSkewDeg && float64(plan.MaxDeg) >= autoSampleMaxDeg {
-				return Sample, "skewed", int(plan.MaxDeg), loc
-			}
-			return CASUnite, "sparse", int(plan.MaxDeg), loc
+			// neither lattice nor dense block): the flood cannot settle
+			// such regions, so fall through to the degree bands.
 		}
 	}
-	if avg >= autoSampleSkewDeg {
-		plan := s.planFor(g)
-		if float64(plan.MaxDeg) >= autoSampleMaxDeg && plan.AvgDeg() >= autoSampleSkewDeg {
-			return Sample, "skewed", int(plan.MaxDeg), -1
+	d.Chosen, d.Rule = CASUnite, "sparse"
+	if d.AvgDeg >= autoSampleSkewDeg {
+		p := plan()
+		d.MaxDeg = int(p.MaxDeg)
+		if d.MaxDeg >= autoSampleMaxDeg && p.AvgDeg() >= autoSampleSkewDeg {
+			d.Chosen, d.Rule = Sample, "skewed"
 		}
-		return CASUnite, "sparse", int(plan.MaxDeg), -1
 	}
-	return CASUnite, "sparse", 0, -1
+	return d
 }
 
-// solveSample is the Afforest-style sampling solve: sample → flatten →
-// probe → skip → finish, with the FLS pipeline as the fallback when the
-// probes predict too low a skip ratio.  Returns the labels, the skip ratio
-// (measured when the skip pass ran, the failing probe estimate when it did
-// not), and the FLS result if the fallback ran (nil otherwise).  The
-// kernel phases are charged nominally, like CASUnite; an FLS fallback adds
-// the pipeline's own charges on top, so Steps/Work honestly reflect the
-// wasted gamble.  Callers hold s.mu.
-func (s *Solver) solveSample(g *Graph, params core.Params, dst []int32) ([]int32, float64, *core.Result) {
-	rec := s.cx.Rec
-	span := rec.Begin()
-	e := s.rt
-	plan := s.planFor(g)
-	span = rec.Lap(obs.PhasePlan, span)
-	n := g.N
-	p := dst
-	if cap(p) < n {
-		p = make([]int32, n)
+// nominalCharge is the model cost SolveInto books around runKernel — the
+// kernels' CAS retries and revisits are not PRAM quantities.  Cas and
+// frontier are one O(log n)-deep contraction of linear work; sample is
+// two (sampling rounds plus vote, then the finish pass); the sequential
+// union-find is uncharged, like the other sequential baselines.
+func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
+	depth := prim.Log2Ceil(n+2) + 1
+	switch algo {
+	case CASUnite, Frontier:
+		return depth, int64(2*m + n)
+	case Sample:
+		return 2 * depth, int64((sampleRounds+1)*n + 2*sampleProbes + 2*m + n)
 	}
-	p = p[:n]
+	return 0, 0
+}
 
-	var est float64
-	maj := int32(-1)
-	probeBuf := s.cx.Grab32(sampleProbes)
-	defer s.cx.Release32(probeBuf)
-	s.m.Contract(prim.Log2Ceil(n+2)+1, int64((sampleRounds+1)*n+2*sampleProbes), func() {
-		e.Run(n, func(v int) { p[v] = int32(v) })
-		att, hk := par.SampleUnite(e, p, plan.CSR, sampleRounds)
+// runKernel labels g with one of the four kernels pickKernel chooses
+// from, uncharged: SolveInto wraps it in nominalCharge, the scoped repair
+// of RemoveEdges runs it bare.  plan supplies the CSR the frontier and
+// sample kernels walk.  Every arm records its own trace phases and
+// returns the labels (each component's root labels itself; every kernel
+// but union-find lands on the component minima), the exact component
+// count, and — for sample — the skip ratio.  Callers hold s.mu.
+//
+//   - union-find: the sequential disjoint-set pass over the edge list;
+//   - cas: the barrier-free concurrent union-find over the edge list;
+//   - frontier: identity labels, a full cold-solve seed, then the
+//     two-pass propagate (flood, then hook the residual) over the
+//     session's reusable frontier pair;
+//   - sample: Afforest's sampling rounds, flatten, majority vote, then
+//     the finish pass that skips the majority's adjacency ranges unread
+//     (direction-filtered when no component dominates), and a flatten.
+func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Plan, dst []int32) ([]int32, int, float64) {
+	cx, rec, e := s.cx, s.cx.Rec, s.rt
+	n := g.N
+	span := rec.Begin()
+	var labels []int32
+	skip := 0.0
+	switch algo {
+	case UnionFind:
+		labels = baseline.UnionFindLabelsInto(cx, g, dst)
+		span = rec.Lap(obs.PhaseSolve, span)
+	case CASUnite:
+		labels = par.ComponentsInto(e, g, dst)
+		span = rec.Lap(obs.PhaseSolve, span)
+	case Frontier:
+		csr := plan().CSR
+		span = rec.Lap(obs.PhasePlan, span)
+		p := identityInto(e, dst, n)
+		cur, next := s.frontierPair(n)
+		cur.SeedAll()
+		// The per-pass occupancy hook is bound only when tracing is on, so
+		// the tracing-off path carries a nil check per pass, not a call.
+		var onRound func(occ int64)
+		if rec != nil {
+			onRound = rec.RecordFrontierRound
+		}
+		st := par.FrontierPropagate(e, p, csr, cur, next, onRound)
+		rec.Add(obs.CtrFrontierInspected, st.Inspected)
+		rec.Add(obs.CtrFrontierLowered, st.Lowered)
+		span = rec.Lap(obs.PhaseSolve, span)
+		// A minimum labels itself exactly once per component.
+		comps := par.Count(e, n, func(v int) bool { return p[v] == int32(v) })
+		rec.End(obs.PhaseCount, span)
+		return p, int(comps), 0
+	case Sample:
+		csr := plan().CSR
+		span = rec.Lap(obs.PhasePlan, span)
+		p := identityInto(e, dst, n)
+		att, hk := par.SampleUnite(e, p, csr, sampleRounds)
 		rec.Add(obs.CtrCASAttempts, att)
 		rec.Add(obs.CtrCASHooks, hk)
 		span = rec.Lap(obs.PhaseSample, span)
 		par.Compress(e, p)
 		span = rec.Lap(obs.PhaseCompress, span)
+		maj := int32(-1)
+		probeBuf := cx.Grab32(sampleProbes)
 		root, cover := par.MajorityRoot(e, p, sampleProbes, probeBuf)
+		cx.Release32(probeBuf)
 		rec.Set(obs.GaugeCoverPPM, obs.PPM(cover))
 		if cover >= sampleMajorityCover {
-			// A dominant component: the finish pass skips its vertices'
-			// adjacency ranges wholesale (the pure Afforest signal — no
-			// need to probe edges).
-			maj, est = root, 1
+			maj = root
 			rec.Set(obs.GaugeMajorityMode, 1)
-		} else {
-			// No single majority — probe sampled edges directly, which
-			// keeps multi-community graphs (every block settled, none
-			// dominant) on the fast path, in direction-filtered mode.
-			est = par.EstimateSkip(e, p, g.Edges, sampleProbes)
 		}
-		rec.Set(obs.GaugeSkipEstPPM, obs.PPM(est))
 		span = rec.Lap(obs.PhaseVote, span)
-	})
-	if est < sampleFallbackSkip {
-		r := core.ConnectivityOn(s.cx, g, params, p)
-		return r.Labels, est, r
-	}
-
-	var processed int64
-	s.m.Contract(prim.Log2Ceil(n+2)+1, int64(2*g.M()+n), func() {
-		span = rec.Begin()
-		var hooks int64
-		processed, hooks = par.SkipUnite(e, p, plan.CSR, maj)
+		processed, hooks := par.SkipUnite(e, p, csr, maj)
 		rec.Add(obs.CtrCASAttempts, processed)
 		rec.Add(obs.CtrCASHooks, hooks)
 		span = rec.Lap(obs.PhaseSkip, span)
 		par.Compress(e, p)
-		rec.End(obs.PhaseCompress, span)
-	})
-	ratio := 1.0
-	if m := g.M(); m > 0 {
-		// Approximate in majority mode (an unsettled edge between two
-		// non-majority vertices is attempted from both sides), exact in
-		// the filtered mode; clamped for the pathological double-count.
-		ratio = max(0, 1-float64(processed)/float64(m))
+		span = rec.Lap(obs.PhaseCompress, span)
+		skip = 1.0
+		if m := g.M(); m > 0 {
+			// Approximate in majority mode (an unsettled edge between two
+			// non-majority vertices is attempted from both sides), exact in
+			// the filtered mode; clamped for the pathological double-count.
+			skip = max(0, 1-float64(processed)/float64(m))
+		}
+		labels = p
 	}
-	return p, ratio, nil
+	comps := solve.NumLabels(cx, labels, n)
+	rec.End(obs.PhaseCount, span)
+	if algo == CASUnite {
+		// The CAS union-find attempts every edge once; the hooks that
+		// merged are exactly the spanning-forest edges.
+		rec.Add(obs.CtrCASAttempts, int64(g.M()))
+		rec.Add(obs.CtrCASHooks, int64(n-comps))
+	}
+	return labels, comps, skip
 }
 
-// sampleLabelsInto is the uncharged kernel sequence of the sampling fast
-// path over an explicit CSR — identity init, sampling rounds, flatten,
-// full skip pass, flatten, root count — run by the scoped repair of
-// RemoveEdges on large dense regions.  Returns the labels (component
-// minima) and the exact component count.  Callers hold s.mu.
-func (s *Solver) sampleLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
-	rec := s.cx.Rec
-	span := rec.Begin()
-	n := g.N
+// identityInto returns dst resized to n (grown if it lacks the capacity)
+// with every vertex its own label.
+func identityInto(e *par.Runtime, dst []int32, n int) []int32 {
 	p := dst
 	if cap(p) < n {
 		p = make([]int32, n)
 	}
 	p = p[:n]
 	e.Run(n, func(v int) { p[v] = int32(v) })
-	att, hk := par.SampleUnite(e, p, csr, sampleRounds)
-	rec.Add(obs.CtrCASAttempts, att)
-	rec.Add(obs.CtrCASHooks, hk)
-	span = rec.Lap(obs.PhaseSample, span)
-	par.Compress(e, p)
-	span = rec.Lap(obs.PhaseCompress, span)
-	maj := int32(-1)
-	probeBuf := s.cx.Grab32(sampleProbes)
-	root, cover := par.MajorityRoot(e, p, sampleProbes, probeBuf)
-	rec.Set(obs.GaugeCoverPPM, obs.PPM(cover))
-	if cover >= sampleMajorityCover {
-		maj = root
-		rec.Set(obs.GaugeMajorityMode, 1)
-	}
-	s.cx.Release32(probeBuf)
-	span = rec.Lap(obs.PhaseVote, span)
-	att, hk = par.SkipUnite(e, p, csr, maj)
-	rec.Add(obs.CtrCASAttempts, att)
-	rec.Add(obs.CtrCASHooks, hk)
-	span = rec.Lap(obs.PhaseSkip, span)
-	par.Compress(e, p)
-	span = rec.Lap(obs.PhaseCompress, span)
-	roots := par.Count(e, n, func(v int) bool { return p[v] == int32(v) })
-	rec.End(obs.PhaseCount, span)
-	return p, int(roots)
-}
-
-// sampleWorthwhile reports whether the scoped repair should label a
-// region through the sampling fast path: enough edges that
-// the skip pass amortizes its CSR traversal, and dense enough that a
-// meaningful fraction of them will be skipped.
-func sampleWorthwhile(g *graph.Graph) bool {
-	return g.M() >= sampleIncMinEdges && 2*float64(g.M()) >= autoSampleAvgDeg*float64(g.N)
-}
-
-// solveFrontier is the frontier-driven solve: plan lookup, then the
-// frontier kernel sequence under a nominal model charge (one O(log n)-deep
-// linear-work contraction, like CASUnite — CAS retry and revisit counts
-// are not PRAM quantities).  Callers hold s.mu.
-func (s *Solver) solveFrontier(g *Graph, dst []int32) ([]int32, int) {
-	rec := s.cx.Rec
-	span := rec.Begin()
-	e := s.rt
-	plan := s.planFor(g)
-	rec.End(obs.PhasePlan, span)
-	var labels []int32
-	var comps int
-	s.m.Contract(prim.Log2Ceil(g.N+2)+1, int64(2*g.M()+g.N), func() {
-		labels, comps = s.frontierLabelsInto(e, g, plan.CSR, dst)
-	})
-	return labels, comps
-}
-
-// frontierLabelsInto is the uncharged kernel sequence of the frontier
-// engine over an explicit CSR — identity labels, a full cold-solve seed,
-// the two-pass propagate (flood, then hook the residual) over the
-// session's reusable frontier pair, then a minima count (a label equals
-// its index exactly once per component) — shared by the frontier solve
-// and the scoped repair of RemoveEdges on mesh-like regions.  Returns the
-// labels (component minima) and the exact component count.  Callers hold
-// s.mu.
-func (s *Solver) frontierLabelsInto(e *par.Runtime, g *graph.Graph, csr *graph.CSR, dst []int32) ([]int32, int) {
-	rec := s.cx.Rec
-	span := rec.Begin()
-	n := g.N
-	p := dst
-	if cap(p) < n {
-		p = make([]int32, n)
-	}
-	p = p[:n]
-	e.Run(n, func(v int) { p[v] = int32(v) })
-	cur, next := s.frontierPair(n)
-	cur.SeedAll()
-	// The per-pass occupancy hook is bound only when tracing is on, so the
-	// tracing-off path carries a nil check per pass, not a call.
-	var onRound func(occ int64)
-	if rec != nil {
-		onRound = rec.RecordFrontierRound
-	}
-	st := par.FrontierPropagate(e, p, csr, cur, next, onRound)
-	rec.Add(obs.CtrFrontierInspected, st.Inspected)
-	rec.Add(obs.CtrFrontierLowered, st.Lowered)
-	span = rec.Lap(obs.PhaseSolve, span)
-	comps := par.Count(e, n, func(v int) bool { return p[v] == int32(v) })
-	rec.End(obs.PhaseCount, span)
-	return p, int(comps)
+	return p
 }
 
 // frontierPair returns the session's reusable frontier pair sized for n
@@ -686,17 +597,6 @@ func (s *Solver) frontierPair(n int) (*par.Frontier, *par.Frontier) {
 	s.fCur.Resize(n)
 	s.fNxt.Resize(n)
 	return s.fCur, s.fNxt
-}
-
-// frontierWorthwhile reports whether the scoped repair should label a
-// region through the frontier engine: the same mesh signals the Auto
-// dispatcher uses (low average degree, id-local edges), plus enough edges
-// that the engine's fixed per-solve costs amortize.  Computed from the
-// edge list directly — scoped subgraphs never hold a plan.
-func frontierWorthwhile(g *graph.Graph) bool {
-	return g.M() >= frontierIncMinEdges &&
-		2*float64(g.M()) <= frontierMeshAvgDeg*float64(g.N) &&
-		graph.EdgeLocality(g.N, g.Edges) >= frontierMeshLocality
 }
 
 func knownAlgorithm(a Algorithm) bool {

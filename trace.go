@@ -14,7 +14,7 @@ import (
 // internal/obs.Recorder the solve paths write into: per-phase wall times
 // with stable names, the kernel counters (CAS attempts vs. successful
 // hooks, FLS phase and LTZ round counts), the sampling fast path's probe
-// signals, the auto dispatcher's decision with the plan statistics that
+// signals, the kernel dispatcher's decision with the plan statistics that
 // drove it, and — for the live-update path — the batch shape of the
 // incremental operation.
 //
@@ -44,11 +44,9 @@ type Trace struct {
 	// SkipRatio mirrors Result.SkipRatio: the measured fraction of edges
 	// the sampling fast path settled without a Unite.
 	SkipRatio float64 `json:"skip_ratio"`
-	// SkipEstimate is the probe's prediction (the value the FLS-fallback
-	// threshold compared against); SampledCoverage is the majority vote's
-	// coverage estimate; MajorityMode reports whether the skip pass ran in
-	// majority mode (vertex-wholesale skips) or direction-filtered mode.
-	SkipEstimate    float64 `json:"skip_estimate"`
+	// SampledCoverage is the majority vote's coverage estimate;
+	// MajorityMode reports whether the skip pass ran in majority mode
+	// (vertex-wholesale skips) or direction-filtered mode.
 	SampledCoverage float64 `json:"sampled_coverage"`
 	MajorityMode    bool    `json:"majority_mode"`
 	// FLSPhases mirrors Result.Phases: INTERWEAVE phases executed.
@@ -56,9 +54,10 @@ type Trace struct {
 	// LTZRounds counts EXPAND-MAXLINK rounds across every LTZ invocation
 	// of the operation (interweave Step 3, REMAIN, backstops, ltz proper).
 	LTZRounds int64 `json:"ltz_rounds"`
-	// Dispatch records the kernel decision: the auto dispatcher's for a
-	// solve with Options.Algorithm Auto, the scoped repair's for a
-	// remove-edges operation that fell back to it; nil otherwise.
+	// Dispatch records the kernel decision of the one dispatcher, Auto's
+	// table: for a solve with Options.Algorithm Auto, and for a
+	// remove-edges operation whose scoped repair it labeled; nil
+	// otherwise.
 	Dispatch *DispatchDecision `json:"dispatch,omitempty"`
 	// Frontier records the frontier engine's pass structure; nil unless
 	// the operation ran the frontier kernels.
@@ -74,20 +73,22 @@ type TracePhase struct {
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// DispatchDecision is a kernel choice and its inputs: the auto
-// dispatcher's for a solve, or the scoped repair's for the dirty region
-// of a remove-edges fallback.
+// DispatchDecision is a kernel choice of Auto's decision table and its
+// inputs: for a solve, over the whole graph; for a remove-edges
+// operation, over the dirty region its scoped repair re-solved.  Both
+// call sites share one table, so a region is labeled by the kernel a
+// Solve(Auto) of the same region graph would pick.
 type DispatchDecision struct {
-	// Chosen is the concrete algorithm selected.  For a solve it equals
-	// the owning Result.Algorithm — the golden contract the dispatch
-	// tests pin; for a scoped repair it is frontier, sample, or fls.
+	// Chosen is the concrete algorithm selected: union-find, cas,
+	// frontier, or sample — never the FLS pipeline, which runs only when
+	// Options.Algorithm asks for fls or fls-known-gap.  For a solve it
+	// equals the owning Result.Algorithm — the golden contract the
+	// dispatch tests pin.
 	Chosen Algorithm `json:"chosen"`
-	// Rule names the decision-table row that fired.  Solves: "tiny"
-	// (sequential union-find), "mesh" (frontier on id-local low-degree
-	// shapes), "dense" (sample on average degree alone), "skewed" (sample
-	// on the plan's max-degree refinement), or "sparse" (cas).  Scoped
-	// repairs: "mesh" (frontier), "dense" (sample), or "sparse" (the FLS
-	// pipeline).
+	// Rule names the decision-table row that fired: "tiny" (sequential
+	// union-find), "mesh" (frontier on id-local low-degree shapes),
+	// "dense" (sample on average degree alone), "skewed" (sample on the
+	// plan's max-degree refinement), or "sparse" (cas).
 	Rule string `json:"rule"`
 	// N, M, AvgDeg are the O(1) statistics every decision starts from —
 	// for a scoped repair, those of the induced dirty region.
@@ -182,8 +183,8 @@ func (t *Trace) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  cas: attempts=%d hooks=%d\n", t.CASAttempts, t.CASHooks)
 	}
 	if t.Algorithm == Sample {
-		fmt.Fprintf(w, "  sample: skip=%.3f estimate=%.3f coverage=%.3f majority=%v\n",
-			t.SkipRatio, t.SkipEstimate, t.SampledCoverage, t.MajorityMode)
+		fmt.Fprintf(w, "  sample: skip=%.3f coverage=%.3f majority=%v\n",
+			t.SkipRatio, t.SampledCoverage, t.MajorityMode)
 	}
 	if t.FLSPhases > 0 {
 		fmt.Fprintf(w, "  fls: phases=%d\n", t.FLSPhases)
@@ -240,7 +241,6 @@ func traceFromRecorder(rec *obs.Recorder, op string, algo Algorithm, total time.
 	tr.CASHooks = rec.Count(obs.CtrCASHooks)
 	tr.FLSPhases = int(rec.Count(obs.CtrFLSPhases))
 	tr.LTZRounds = rec.Count(obs.CtrLTZRounds)
-	tr.SkipEstimate = obs.FromPPM(rec.Gauge(obs.GaugeSkipEstPPM))
 	tr.SampledCoverage = obs.FromPPM(rec.Gauge(obs.GaugeCoverPPM))
 	tr.MajorityMode = rec.Gauge(obs.GaugeMajorityMode) != 0
 	if rounds := rec.Count(obs.CtrFrontierRounds); rounds > 0 {

@@ -57,10 +57,57 @@ func TestTraceAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceAutoDispatchGolden is the dispatch golden test: across all
-// twenty generator families, the decision the Trace records must match
-// the algorithm the Result reports, on both backends.
+// TestTraceAutoDispatchGolden is the dispatch golden test: on every
+// generator family at 2^12 and 2^15 (seed 1), on both backends, the Auto
+// decision must pick the pinned (kernel, rule) row of the decision table,
+// and the decision the Trace records must match the algorithm the Result
+// reports.  The table is a recording, not a derivation: a change to the
+// dispatcher that moves any cell fails here.
 func TestTraceAutoDispatchGolden(t *testing.T) {
+	const (
+		UF  = parcc.UnionFind
+		CAS = parcc.CASUnite
+		SM  = parcc.Sample
+		FR  = parcc.Frontier
+	)
+	type pick struct {
+		algo parcc.Algorithm
+		rule string
+	}
+	golden := map[string][2]pick{}
+	for _, r := range []struct {
+		family    string
+		small     parcc.Algorithm
+		smallRule string
+		large     parcc.Algorithm
+		largeRule string
+	}{
+		{"path", UF, "tiny", FR, "mesh"},
+		{"cycle", UF, "tiny", FR, "mesh"},
+		{"two-cycles", UF, "tiny", FR, "mesh"},
+		{"grid", FR, "mesh", FR, "mesh"},
+		{"torus", FR, "mesh", FR, "mesh"},
+		{"hypercube", CAS, "sparse", CAS, "sparse"},
+		{"complete", SM, "dense", SM, "dense"},
+		{"star", UF, "tiny", CAS, "sparse"},
+		{"binary-tree", UF, "tiny", CAS, "sparse"},
+		{"random-regular", CAS, "sparse", CAS, "sparse"},
+		{"gnm-sparse", CAS, "sparse", CAS, "sparse"},
+		{"gnm-dense", SM, "dense", SM, "dense"},
+		{"block", SM, "dense", SM, "dense"},
+		{"community", SM, "dense", SM, "dense"},
+		{"lollipop", SM, "dense", SM, "skewed"},
+		{"barbell", SM, "dense", FR, "mesh"},
+		{"union", CAS, "sparse", CAS, "sparse"},
+		{"many-components", CAS, "sparse", CAS, "sparse"},
+		{"watts-strogatz", CAS, "sparse", CAS, "sparse"},
+		{"barabasi-albert", SM, "skewed", SM, "skewed"},
+		{"path-xl", FR, "mesh", FR, "mesh"},
+		{"grid-xl", FR, "mesh", FR, "mesh"},
+		{"torus-xl", FR, "mesh", FR, "mesh"},
+	} {
+		golden[r.family] = [2]pick{{r.small, r.smallRule}, {r.large, r.largeRule}}
+	}
 	for _, be := range []parcc.Backend{parcc.BackendSequential, parcc.BackendConcurrent} {
 		s, err := parcc.NewSolver(&parcc.Options{
 			Algorithm: parcc.Auto, Backend: be, Procs: 2, Seed: 3, Trace: true,
@@ -69,25 +116,34 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := &parcc.Result{}
-		for _, f := range bench.Families(1<<12, 1) {
-			if err := s.SolveInto(f.Make(), res); err != nil {
-				t.Fatalf("%s/%s: %v", be, f.Name, err)
+		for i, n := range []int{1 << 12, 1 << 15} {
+			fams := bench.Families(n, 1)
+			if len(fams) != len(golden) {
+				t.Fatalf("%d families at n=%d, golden table pins %d", len(fams), n, len(golden))
 			}
-			tr := res.Trace
-			if tr == nil || tr.Dispatch == nil {
-				t.Fatalf("%s/%s: auto solve with tracing must record a dispatch decision", be, f.Name)
-			}
-			if tr.Dispatch.Chosen != res.Algorithm {
-				t.Errorf("%s/%s: trace dispatch chose %q but Result.Algorithm is %q (rule %q)",
-					be, f.Name, tr.Dispatch.Chosen, res.Algorithm, tr.Dispatch.Rule)
-			}
-			switch tr.Dispatch.Rule {
-			case "tiny", "dense", "mesh", "skewed", "sparse":
-			default:
-				t.Errorf("%s/%s: unknown dispatch rule %q", be, f.Name, tr.Dispatch.Rule)
-			}
-			if last := s.LastTrace(); last != tr {
-				t.Errorf("%s/%s: LastTrace must return the trace of the latest solve", be, f.Name)
+			for _, f := range fams {
+				want, ok := golden[f.Name]
+				if !ok {
+					t.Fatalf("family %q has no golden dispatch row", f.Name)
+				}
+				if err := s.SolveInto(f.Make(), res); err != nil {
+					t.Fatalf("%s/%s@%d: %v", be, f.Name, n, err)
+				}
+				tr := res.Trace
+				if tr == nil || tr.Dispatch == nil {
+					t.Fatalf("%s/%s@%d: auto solve with tracing must record a dispatch decision", be, f.Name, n)
+				}
+				if got := (pick{tr.Dispatch.Chosen, tr.Dispatch.Rule}); got != want[i] {
+					t.Errorf("%s/%s@%d: auto picked %s/%q, golden %s/%q",
+						be, f.Name, n, got.algo, got.rule, want[i].algo, want[i].rule)
+				}
+				if tr.Dispatch.Chosen != res.Algorithm {
+					t.Errorf("%s/%s@%d: trace dispatch chose %q but Result.Algorithm is %q",
+						be, f.Name, n, tr.Dispatch.Chosen, res.Algorithm)
+				}
+				if last := s.LastTrace(); last != tr {
+					t.Errorf("%s/%s@%d: LastTrace must return the trace of the latest solve", be, f.Name, n)
+				}
 			}
 		}
 		s.Close()
