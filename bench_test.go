@@ -1,6 +1,7 @@
-// Benchmarks: one testing.B entry per experiment table (E1–E17; the full
-// tables are regenerated by cmd/ccbench and recorded in EXPERIMENTS.md),
-// plus micro-benchmarks for the hot subroutines.  Wall-clock numbers here
+// Benchmarks: one testing.B entry per experiment table (E1–E17, listed in
+// the README; cmd/ccbench regenerates the full tables and
+// docs/ARCHITECTURE.md §1 maps them to the paper), plus micro-benchmarks
+// for the hot subroutines.  Wall-clock numbers here
 // complement the charged PRAM time/work the experiments report.
 package parcc_test
 

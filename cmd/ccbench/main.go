@@ -1,15 +1,14 @@
-// Command ccbench regenerates the experiment tables of EXPERIMENTS.md.
+// Command ccbench regenerates the experiment tables listed in the README.
 // Every table and figure series is derived from a quantitative claim of the
-// paper (DESIGN.md §3 maps each experiment to its theorem/lemma).
+// paper (docs/ARCHITECTURE.md §1 maps the paper's results to the code each
+// experiment exercises).
 //
 // Usage:
 //
 //	ccbench                      # run everything at small scale, markdown
+//	ccbench -list                # the experiment IDs and titles
 //	ccbench -run E1,E2 -scale full
 //	ccbench -run SP -scale full -backend concurrent -procs 8   # T1/TP self-speedup
-//	ccbench -run QPS -backend concurrent                       # one-shot vs Solver session
-//	ccbench -run INC -format json -out results/                # incremental updates vs cold re-solve
-//	ccbench -run SOLVE -scale full -format json                # raw-solve sweep: cas vs sample vs auto
 //	ccbench -format csv -out results/
 package main
 
@@ -27,7 +26,7 @@ import (
 func main() {
 	var (
 		list    = flag.Bool("list", false, "list experiments and exit")
-		run     = flag.String("run", "all", "comma-separated experiment IDs (E1..E17) or 'all'")
+		run     = flag.String("run", "all", "comma-separated experiment IDs (E1..E17, SP) or 'all'")
 		scale   = flag.String("scale", "small", "small | full")
 		format  = flag.String("format", "md", "md | csv | json")
 		outDir  = flag.String("out", "", "write one file per experiment into this directory")
@@ -60,6 +59,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccbench: -scale must be small or full")
 		os.Exit(1)
 	}
+	render := map[string]func(*bench.Table) string{
+		"md": (*bench.Table).Markdown, "csv": (*bench.Table).CSV, "json": (*bench.Table).JSON,
+	}[*format]
+	if render == nil {
+		fmt.Fprintln(os.Stderr, "ccbench: -format must be md, csv, or json")
+		os.Exit(1)
+	}
 
 	var todo []bench.Experiment
 	if strings.EqualFold(*run, "all") {
@@ -77,19 +83,7 @@ func main() {
 
 	for _, e := range todo {
 		t0 := time.Now()
-		tab := e.Run(cfg)
-		var body string
-		switch *format {
-		case "md":
-			body = tab.Markdown()
-		case "csv":
-			body = tab.CSV()
-		case "json":
-			body = tab.JSON()
-		default:
-			fmt.Fprintln(os.Stderr, "ccbench: -format must be md, csv, or json")
-			os.Exit(1)
-		}
+		body := render(e.Run(cfg))
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, "ccbench:", err)

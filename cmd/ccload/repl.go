@@ -1,4 +1,4 @@
-// -run repl: the replication chaos scenario (BENCH_repl.json).  Real
+// The replication chaos scenario (BENCH_repl.json).  Real
 // processes, not goroutines: a ccserved primary with a WAL and N ccserved
 // followers tailing it over loopback HTTP.  A sequential oracle-tracked
 // writer drives the primary while closed-loop readers hammer the
@@ -245,7 +245,7 @@ func measureReadQPS(followers []string, use, workersPer, n int, think, dur time.
 	return float64(ops.Load()) / time.Since(start).Seconds()
 }
 
-// runReplScenario is the -run repl entry point.
+// runReplScenario runs the whole scenario and writes its table to out.
 func runReplScenario(backend string, n, deg, block, batchSize, batches, followerCount, kills int, qpsDur time.Duration, seed uint64, ccservedFlag, out string) {
 	t := &bench.Table{
 		ID:    "REPL",

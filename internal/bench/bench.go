@@ -1,11 +1,12 @@
-// Package bench is the experiment harness: it regenerates every table and
-// figure series in EXPERIMENTS.md.  The paper is a theory paper with no
-// measured evaluation, so each experiment instantiates one of its
-// quantitative claims (theorem, lemma, or appendix construction); the
-// mapping is recorded in DESIGN.md §3 and EXPERIMENTS.md.
+// Package bench is the experiment harness behind ccbench: it regenerates
+// the tables of the experiments listed in the README (E1–E17, plus the SP
+// self-speedup table).  The paper is a theory paper with no measured
+// evaluation, so each experiment instantiates one of its quantitative
+// claims (theorem, lemma, or appendix construction); docs/ARCHITECTURE.md
+// §1 maps the paper's results to the packages the experiments exercise.
 //
 // Experiments run at two scales: Small (seconds; used by unit tests and the
-// benchmark suite) and Full (the published tables in EXPERIMENTS.md).
+// benchmark suite) and Full (the sizes the verdicts were written from).
 package bench
 
 import (
@@ -45,7 +46,7 @@ type Config struct {
 	Procs int
 }
 
-// backend resolves Config.Backend for machines and Solvers alike:
+// backend resolves Config.Backend for the experiment machines:
 // "concurrent" selects the internal/par pool, anything else the
 // sequential simulator.
 func (c Config) backend() parcc.Backend {
@@ -155,9 +156,9 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// JSON renders the table as a machine-readable document — the format CI
-// publishes (BENCH_inc.json) so successive PRs accumulate a throughput
-// trajectory that tooling can diff.
+// JSON renders the table as a machine-readable document (ccbench -format
+// json, and the BENCH_repl.json table ccload writes) that tooling can
+// diff.
 func (t *Table) JSON() string {
 	doc := struct {
 		ID      string     `json:"id"`
@@ -203,9 +204,6 @@ func All() []Experiment {
 		{"E16", "ablation: FILTER deletion probability (§4.2)", E16FilterDeletion},
 		{"E17", "ablation: EXPAND-MAXLINK budgets (§5.2)", E17BudgetGrid},
 		{"SP", "concurrent backend self-speedup T1/TP (internal/par)", SPSelfSpeedup},
-		{"QPS", "repeated-solve throughput: one-shot vs Solver session", QPSSessionReuse},
-		{"INC", "incremental updates: live session vs cold re-solve", INCIncrementalUpdates},
-		{"SOLVE", "end-to-end solve wall clock: cas vs sample vs auto", SOLVERawSolves},
 	}
 }
 

@@ -167,3 +167,17 @@ func TestVerdictsCoverAllExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestTableJSON: the -format json form is valid and carries the table
+// contents.
+func TestTableJSON(t *testing.T) {
+	tab := &Table{ID: "X", Title: "t", Columns: []string{"a", "b"}}
+	tab.Add("1", 2.5)
+	tab.Note("n")
+	j := tab.JSON()
+	for _, want := range []string{`"id": "X"`, `"columns"`, `"2.5"`, `"notes"`} {
+		if !strings.Contains(j, want) {
+			t.Errorf("JSON missing %s in:\n%s", want, j)
+		}
+	}
+}

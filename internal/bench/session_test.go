@@ -1,40 +1,14 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"parcc"
 	"parcc/internal/graph/gen"
 )
 
-func TestQPSTableShape(t *testing.T) {
-	tab := QPSSessionReuse(Config{Scale: Small, Seed: 1, Procs: 2})
-	if len(tab.Rows) == 0 {
-		t.Fatal("QPS produced no rows")
-	}
-	for _, r := range tab.Rows {
-		if len(r) != len(tab.Columns) {
-			t.Fatalf("ragged row %v", r)
-		}
-	}
-	var hasServing bool
-	for _, r := range tab.Rows {
-		if r[0] == string(parcc.UnionFind) || r[0] == string(parcc.BFS) {
-			hasServing = true
-		}
-	}
-	if !hasServing {
-		t.Error("QPS must cover the serving baselines")
-	}
-	if !strings.Contains(tab.Markdown(), "allocs/op") {
-		t.Error("QPS table must report allocs/op")
-	}
-}
-
 // The CI smoke benchmarks: one-shot vs session on a small instance, so
-// `go test -bench . -benchtime 1x` exercises the throughput experiment
-// path without a full table run.
+// `go test -bench . -benchtime 1x` exercises both solve paths.
 func benchGraph() *parcc.Graph {
 	return gen.Union(gen.RandomRegular(1500, 6, 1), gen.Path(300))
 }

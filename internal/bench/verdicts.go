@@ -1,9 +1,10 @@
 package bench
 
 // Verdicts maps each experiment to its paper-vs-measured summary, written
-// after the full-scale runs recorded in EXPERIMENTS.md.  cmd/ccbench -run
-// can regenerate the raw tables; these texts interpret them against the
-// claims (EXPERIMENTS.md is assembled from both).
+// after full-scale runs (`ccbench -run <ID> -scale full` regenerates the
+// raw tables; the README lists the experiments and docs/ARCHITECTURE.md §1
+// maps them to the paper).  These texts interpret the tables against the
+// claims.
 var Verdicts = map[string]string{
 	"E1": "Reproduced in shape. At fixed n, averaged rounds order by log(1/λ): " +
 		"expander and hypercube (λ ≥ 0.14) sit at the Stage-1 floor, torus and grid " +
@@ -78,41 +79,4 @@ var Verdicts = map[string]string{
 		"wall-clock floor the synchronous algorithms are measured against. On a " +
 		"single-CPU host T1/TP honestly reports ≈1.0x — goroutines timeshare one " +
 		"core — and the table says so in its footnote.",
-	"QPS": "Engineering measurement, not a paper claim. Session reuse (parcc.Solver) " +
-		"amortizes the goroutine pool, PRAM machine, scratch arena, and cached CSR " +
-		"plan across solves: the serving baselines drop to ~zero steady-state " +
-		"allocations (union-find 13×, bfs 19× fewer allocs/op than one-shot in the " +
-		"small-scale run, bfs ~4× higher throughput because the plan cache removes " +
-		"the per-call CSR rebuild).  The charged PRAM algorithms keep one closure " +
-		"allocation per charged loop by construction, so their session gain is " +
-		"bounded — arena reuse trims allocs ~5–10% and the pool/machine reuse shows " +
-		"up at smaller instances where per-call setup is a visible fraction.",
-	"SOLVE": "Engineering measurement, not a paper claim.  The Afforest-style " +
-		"sampling fast path (sample a cache-line-confined neighbor window per vertex, " +
-		"flatten, vote a majority root, then finish over the CSR skipping settled " +
-		"regions wholesale) beats the cas union-find baseline exactly where its theory " +
-		"says it should: ≥2× on the dense block (2.1–2.5×) and relaxed-caveman " +
-		"community (2.2–2.4×) families at n=2^16, 6.3× on complete, 1.8× on dense GNM " +
-		"— and honestly loses on sparse low-degree families (paths, grids, trees) " +
-		"where the ~n successful sampling hooks cost more than the edge pass they " +
-		"would eliminate.  The auto dispatcher reads n, m, and (in the inconclusive " +
-		"mid-density band) the cached plan's max degree, and lands within 1.1× of the " +
-		"best fixed algorithm on every family (worst ≈1.05×); its decision is echoed " +
-		"in Result.Algorithm.  Partitions are asserted equal across algorithms on " +
-		"every family and run.",
-	"INC": "Engineering measurement, not a paper claim — the paper is static " +
-		"connectivity; the serving layer maintains the partition incrementally and " +
-		"falls back to the paper's pipeline only when the spanning forest cannot " +
-		"decide a deletion locally.  Insert-only streams run ~10²× faster than cold " +
-		"re-solves because AddEdges does O(batch·α) CAS union-find work while a " +
-		"re-solve re-pays O(m+n).  Since the forest subsystem, mixed (75/25) and " +
-		"delete-heavy streams hold the same ~10²× instead of the pre-forest ≈2–6×: " +
-		"a non-forest deletion is O(1) and a forest deletion pays only a bounded " +
-		"replacement search, so random deletions on these graphs almost never reach " +
-		"the scoped re-solve.  The delete-dominated row isolates that mechanism on " +
-		"a dense giant component — against the cold re-solve of the mutated graph, " +
-		"like the other rows — and clears the ≥10× acceptance bar by orders of " +
-		"magnitude (~2×10³× at n=2¹², m=8n), because a re-solve re-pays the whole " +
-		"giant component per batch while the forest path retires dense-graph " +
-		"deletions in O(1).  Final component counts are asserted equal on every run.",
 }

@@ -23,10 +23,25 @@ func pathBatch(lo, k int) []Edge {
 // TestPublishCostIsDeltaBounded pins the O(⌈k/pageSize⌉) publish claim
 // structurally: a k-vertex write group confined to one page republishes by
 // cloning O(1) pages — not O(n/pageSize) — and an untouched session
-// republishes with zero clones.  These are exact-count pins, not timings,
-// so they hold on any machine.
+// republishes with zero clones.  The same write groups run at n =
+// 4·pageSize and 64·pageSize and must clone exactly the same page counts
+// at both sizes.  These are exact-count pins, not timings, so they hold on
+// any machine.
 func TestPublishCostIsDeltaBounded(t *testing.T) {
-	const n = 4 * pageSize // 4096: big enough that full-vs-delta is visible
+	var clones [][3]int
+	for _, n := range []int{4 * pageSize, 64 * pageSize} {
+		clones = append(clones, publishClones(t, n))
+	}
+	if clones[0] != clones[1] {
+		t.Fatalf("write groups cloned %v pages at n=%d but %v at n=%d: publish cost must not grow with n",
+			clones[0], 4*pageSize, clones[1], 64*pageSize)
+	}
+}
+
+// publishClones runs the write groups of TestPublishCostIsDeltaBounded on
+// an n-vertex session and returns the pages each delta publish cloned.
+func publishClones(t *testing.T, n int) (clones [3]int) {
+	t.Helper()
 	s, err := NewSolver(&Options{Backend: BackendSequential, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +57,7 @@ func TestPublishCostIsDeltaBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sn1.PublishedFull() {
-		t.Fatal("first publish must be a full build")
+		t.Fatalf("n=%d: first publish must be a full build", n)
 	}
 
 	// A 512-edge path inside page 0 touches one label page and one size
@@ -55,23 +70,23 @@ func TestPublishCostIsDeltaBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sn2.PublishedFull() {
-		t.Fatal("second publish must be a delta")
+		t.Fatalf("n=%d: second publish must be a delta", n)
 	}
-	if c := sn2.ClonedPages(); c < 1 || c > 2 {
-		t.Fatalf("single-page write group cloned %d pages, want 1..2", c)
+	if clones[0] = sn2.ClonedPages(); clones[0] < 1 || clones[0] > 2 {
+		t.Fatalf("n=%d: single-page write group cloned %d pages, want 1..2", n, clones[0])
 	}
 
 	// Same shape in the last page: the cost tracks the touched pages, not
 	// their position or the pages dirtied by earlier publishes.
-	if err := s.AddEdges(pathBatch(3*pageSize, 512)); err != nil {
+	if err := s.AddEdges(pathBatch(n-pageSize, 512)); err != nil {
 		t.Fatal(err)
 	}
 	sn3, err := s.PublishSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := sn3.ClonedPages(); c < 1 || c > 2 {
-		t.Fatalf("far-page write group cloned %d pages, want 1..2", c)
+	if clones[1] = sn3.ClonedPages(); clones[1] < 1 || clones[1] > 2 {
+		t.Fatalf("n=%d: far-page write group cloned %d pages, want 1..2", n, clones[1])
 	}
 
 	// A group straddling a page boundary clones both sides — still
@@ -83,15 +98,15 @@ func TestPublishCostIsDeltaBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := sn4.ClonedPages(); c < 2 || c > 4 {
-		t.Fatalf("two-page write group cloned %d pages, want 2..4", c)
+	if clones[2] = sn4.ClonedPages(); clones[2] < 2 || clones[2] > 4 {
+		t.Fatalf("n=%d: two-page write group cloned %d pages, want 2..4", n, clones[2])
 	}
 
 	// Published snapshots are immutable: the clones that served sn4 must
 	// not have touched sn2's view of page 1..2.
 	for v := pageSize + pageSize/2; v < 2*pageSize; v++ {
 		if sn2.ComponentOf(v) != int32(v) {
-			t.Fatalf("sn2 label of %d mutated to %d after later publishes", v, sn2.ComponentOf(v))
+			t.Fatalf("n=%d: sn2 label of %d mutated to %d after later publishes", n, v, sn2.ComponentOf(v))
 		}
 	}
 
@@ -103,7 +118,7 @@ func TestPublishCostIsDeltaBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c := snPrev.ClonedPages(); c != 0 {
-		t.Fatalf("untouched publish cloned %d pages, want 0", c)
+		t.Fatalf("n=%d: untouched publish cloned %d pages, want 0", n, c)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		sn, err := s.PublishSnapshot()
@@ -115,17 +130,18 @@ func TestPublishCostIsDeltaBounded(t *testing.T) {
 		}
 	})
 	if allocs > 8 {
-		t.Fatalf("untouched publish allocates %v objects, want <= 8", allocs)
+		t.Fatalf("n=%d: untouched publish allocates %v objects, want <= 8", n, allocs)
 	}
 	// Reads off the published view stay allocation-free.
 	view := s.ReadView()
 	if a := testing.AllocsPerRun(100, func() {
 		_ = view.ComponentOf(17)
-		_ = view.ComponentSize(3*pageSize + 100)
+		_ = view.ComponentSize(n - pageSize + 100)
 		_ = view.Connected(0, 511)
 	}); a != 0 {
-		t.Fatalf("point reads allocate %v objects, want 0", a)
+		t.Fatalf("n=%d: point reads allocate %v objects, want 0", n, a)
 	}
+	return clones
 }
 
 // TestSnapshotEquivalenceRandomized is the regression referee for the COW

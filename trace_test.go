@@ -6,6 +6,7 @@ import (
 
 	"parcc"
 	"parcc/internal/bench"
+	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
 
@@ -62,7 +63,9 @@ func TestTraceAllocs(t *testing.T) {
 // decision must pick the pinned (kernel, rule) row of the decision table,
 // and the decision the Trace records must match the algorithm the Result
 // reports.  The table is a recording, not a derivation: a change to the
-// dispatcher that moves any cell fails here.
+// dispatcher that moves any cell fails here.  Every cell is also solved by
+// the three fixed kernels Auto chooses among (cas, sample, frontier), and
+// all four partitions must agree.
 func TestTraceAutoDispatchGolden(t *testing.T) {
 	const (
 		UF  = parcc.UnionFind
@@ -115,7 +118,15 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := &parcc.Result{}
+		var fixed []*parcc.Solver
+		for _, a := range []parcc.Algorithm{CAS, SM, FR} {
+			fs, err := parcc.NewSolver(&parcc.Options{Algorithm: a, Backend: be, Procs: 2, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixed = append(fixed, fs)
+		}
+		res, fixedRes := &parcc.Result{}, &parcc.Result{}
 		for i, n := range []int{1 << 12, 1 << 15} {
 			fams := bench.Families(n, 1)
 			if len(fams) != len(golden) {
@@ -126,7 +137,8 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("family %q has no golden dispatch row", f.Name)
 				}
-				if err := s.SolveInto(f.Make(), res); err != nil {
+				g := f.Make()
+				if err := s.SolveInto(g, res); err != nil {
 					t.Fatalf("%s/%s@%d: %v", be, f.Name, n, err)
 				}
 				tr := res.Trace
@@ -144,9 +156,20 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 				if last := s.LastTrace(); last != tr {
 					t.Errorf("%s/%s@%d: LastTrace must return the trace of the latest solve", be, f.Name, n)
 				}
+				for _, fs := range fixed {
+					if err := fs.SolveInto(g, fixedRes); err != nil {
+						t.Fatalf("%s/%s@%d: %v", be, f.Name, n, err)
+					}
+					if !graph.SamePartition(res.Labels, fixedRes.Labels) {
+						t.Errorf("%s/%s@%d: %s partition differs from auto's", be, f.Name, n, fixedRes.Algorithm)
+					}
+				}
 			}
 		}
 		s.Close()
+		for _, fs := range fixed {
+			fs.Close()
+		}
 	}
 }
 
