@@ -71,7 +71,6 @@ func main() {
 		backend  = flag.String("backend", string(parcc.BackendConcurrent), "solver backend per session: sequential | concurrent")
 		procs    = flag.Int("procs", 0, "parallelism of each session's concurrent backend (0 = NumCPU)")
 		seed     = flag.Uint64("seed", 1, "solver seed")
-		trust    = flag.Bool("trust", true, "set Options.TrustGraph (safe here: the engine owns every live graph)")
 		window   = flag.Duration("window", 0, "batch-coalesce window per shard writer (0 = coalesce only what is queued)")
 		maxBatch = flag.Int("maxbatch", 1<<16, "max edges combined into one coalesced apply")
 		queue    = flag.Int("queue", 256, "per-shard mutation queue depth (back pressure beyond it)")
@@ -113,11 +112,10 @@ func main() {
 		}
 	}
 	solverOpt := &parcc.Options{
-		Backend:    parcc.Backend(strings.ToLower(*backend)),
-		Procs:      *procs,
-		Seed:       *seed,
-		TrustGraph: *trust,
-		Trace:      *trace,
+		Backend: parcc.Backend(strings.ToLower(*backend)),
+		Procs:   *procs,
+		Seed:    *seed,
+		Trace:   *trace,
 	}
 	// Validate the session options once, before listening: every graph
 	// the engine creates builds a Solver from them.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"parcc/internal/baseline"
-	"parcc/internal/dynconn"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
@@ -283,8 +282,8 @@ func TestForestChurnReturnsToOriginal(t *testing.T) {
 // the same component and must take the dirty short-circuit (no second
 // search).
 func TestForestBudgetFallback(t *testing.T) {
-	defer func(old int64) { dynconn.BudgetFloor = old }(dynconn.BudgetFloor)
-	dynconn.BudgetFloor = 16 // cycle m/4 stays the binding budget: 128 « the ~1000-entry search
+	defer func(old int64) { replaceBudgetFloor = old }(replaceBudgetFloor)
+	replaceBudgetFloor = 16 // cycle m/4 stays the binding budget: 128 « the ~1000-entry search
 
 	g := gen.Cycle(512)
 	// Sequential attach unites the edge list in order, so the cycle-closing

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"parcc/internal/dynconn"
 	"parcc/internal/graph"
 	"parcc/internal/obs"
 	"parcc/internal/par"
@@ -16,24 +15,27 @@ import (
 // the graph — AddEdges runs the batch through the lock-free CAS union-find
 // (internal/par Unite), O(|batch|·α) amortized work, parallel over the
 // batch on the session's runtime.  Deletions cannot be absorbed by a
-// union-find, so RemoveEdges leans on the session's spanning forest
-// (internal/dynconn): a deleted non-forest edge is O(1) — the partition
-// cannot change — and a deleted forest edge runs a bounded smaller-side
-// replacement search that either promotes a crossing edge or relabels the
-// split-off side in place.  Only when a search blows its scan budget does
-// the session fall back to the scoped repair: mark the component dirty,
-// re-solve the subgraph the dirty set induces from scratch with the
-// kernel Auto's decision table picks for it, and splice the scoped labels
-// back.  Components/ComponentsInto re-query the live partition without
-// solving anything.
+// union-find, so RemoveEdges leans on the session's spanning forest — a
+// graph.DynForest whose per-edge flags record which edges united two
+// components when they arrived: a deleted non-forest edge is O(1) — the
+// partition cannot change — and a deleted forest edge runs a bounded
+// smaller-side replacement search (par.ReplacementSearch) that either
+// promotes a crossing edge or relabels the split-off side in place.  Only
+// when a search blows its scan budget does the session fall back to the
+// scoped repair: mark the component dirty, re-solve the subgraph the
+// dirty set induces from scratch with the kernel Auto's decision table
+// picks for it, and splice the scoped labels back.
+// Components/ComponentsInto re-query the live partition without solving
+// anything.
 //
 // Liu–Tarjan's Simple Concurrent Connected Components Algorithms
 // (arXiv:1812.06177) supplies the union-find machinery.  Nothing on the
 // live path runs or charges the paper's FLS pipeline.
 
 // incSession is the live state behind Attach/AddEdges/RemoveEdges: the
-// session-owned graph, the CAS union-find forest over it, and the
-// maintained component count.  Guarded by the Solver's mutex.
+// session-owned graph, the CAS union-find forest over it, the maintained
+// component count, and the spanning forest.  Guarded by the Solver's
+// mutex.
 type incSession struct {
 	g      *graph.Graph
 	parent []int32
@@ -43,10 +45,26 @@ type incSession struct {
 	// read-heavy query stream pays the O(n) Compress once per mutation,
 	// not once per query.
 	needsCompress bool
-	// forest is the spanning-forest dynamic connectivity state: the
-	// per-edge forest flags AddEdges maintains and the replacement-search
-	// machinery RemoveEdges runs.
-	forest *dynconn.Tracker
+	// forest is the edge store over g with the per-edge spanning-forest
+	// flags AddEdges maintains and RemoveEdges' replacement searches walk;
+	// it indexes g.Edges and mutates them in place.
+	forest *graph.DynForest
+	// marks is AddEdges' reusable per-batch outcome buffer: the target
+	// of its UniteBatchMark (every slot is overwritten, never cleared).
+	marks []bool
+}
+
+// replaceBudgetFloor is the minimum adjacency-scan budget of a
+// replacement search, below the m/4 proportional term.  A variable so
+// tests can force the budget-blow fallback on small graphs.
+var replaceBudgetFloor int64 = 1024
+
+// replaceBudget is the replacement search's adjacency-scan allowance over
+// a live graph of m edges: a quarter of m, floored by replaceBudgetFloor.
+// Proportional so a search never costs more than the O(m) order of the
+// fallback it guards.
+func replaceBudget(m int) int64 {
+	return max(int64(m)/4, replaceBudgetFloor)
 }
 
 // Attach binds the solver to a live graph and computes its initial
@@ -84,15 +102,15 @@ func (s *Solver) Attach(g *Graph) error {
 	// exactly the initial spanning forest, and the store takes the mark
 	// buffer over as its forest flags — one labeling pass, one copy of the
 	// flags.
-	fr := dynconn.New()
-	merges := par.UniteBatchMark(e, p, g.Edges, fr.Marks(g.M()))
-	fr.Init(g)
+	flags := make([]bool, g.M())
+	merges := par.UniteBatchMark(e, p, g.Edges, flags)
+	df := graph.NewDynForest(g, flags)
 	rec.Add(obs.CtrCASAttempts, int64(g.M()))
 	rec.Add(obs.CtrCASHooks, int64(merges))
 	span = rec.Lap(obs.PhaseUnite, span)
 	par.Compress(e, p)
 	rec.End(obs.PhaseCompress, span)
-	s.inc = &incSession{g: g, parent: p, ncomp: g.N - merges, forest: fr}
+	s.inc = &incSession{g: g, parent: p, ncomp: g.N - merges, forest: df}
 	// Unpublish: a snapshot of the previous live graph must not answer for
 	// the new one.  The version counter keeps running, so a reader that
 	// kept the old pointer can still tell the views apart.  The page
@@ -159,15 +177,17 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	// (loops, duplicates, intra-component edges) are non-forest.
 	var merges int
 	st := s.pages
-	fr := inc.forest
-	marks := fr.Marks(len(batch))
+	if cap(inc.marks) < len(batch) {
+		inc.marks = make([]bool, len(batch))
+	}
+	marks := inc.marks[:len(batch)]
 	if st != nil {
 		merges = par.UniteBatchTouch(s.rt, inc.parent, batch, marks, st.loserBuf(len(batch)))
 	} else {
 		merges = par.UniteBatchMark(s.rt, inc.parent, batch, marks)
 	}
 	for i, ed := range batch {
-		fr.DF.Insert(ed, marks[i])
+		inc.forest.Insert(ed, marks[i])
 	}
 	if st != nil {
 		// Feed the snapshot mirror: each losing root transfers its size to
@@ -180,24 +200,6 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	rec.End(obs.PhaseUnite, span)
 	rec.Add(obs.CtrCASAttempts, int64(len(batch)))
 	rec.Add(obs.CtrCASHooks, int64(merges))
-	if rec != nil {
-		// Seed the batch's touched endpoints into the session frontier and
-		// record them as the repair's initial frontier — the same pass
-		// trace the frontier solves emit, so an insert stream's locality is
-		// observable on one scale.  The flood itself stays with the
-		// union-find above: propagating minima needs adjacency, and
-		// extending the CSR costs O(n+m), which would break this path's
-		// O(|batch|) contract — the union-find absorbs the merge in
-		// O(|batch|·α) without ever looking at a neighbor list.
-		cur, _ := s.frontierPair(n)
-		cur.BeginCollect(true)
-		for _, ed := range batch {
-			cur.Add(ed.U)
-			cur.Add(ed.V)
-		}
-		rec.RecordFrontierRound(cur.Count())
-		cur.Clear()
-	}
 	if merges > 0 {
 		inc.ncomp -= merges
 		// Only a winning hook can leave a chain; failed unites and finds
@@ -213,15 +215,18 @@ func (s *Solver) AddEdges(batch []Edge) error {
 // RemoveEdges deletes one occurrence per batch entry from the live graph
 // (either orientation of an undirected edge matches) and repairs the
 // partition through the session's spanning forest.  Validation is
-// O(|batch|) through the DynForest key index; each deletion then resolves
-// through the forest flags (dynconn.Tracker.Delete): a non-forest
-// occurrence is removed in O(1) — the partition provably cannot change —
-// and a forest occurrence runs a budget-bounded smaller-side replacement
-// search (par.ReplacementSearch) that either promotes a crossing edge
-// into the forest or relabels the split-off side in place.  Only a search
-// that blows its budget marks its component dirty for scopedRepair.  A
-// batch entry with no remaining occurrence is an error and leaves the
-// live state unchanged.
+// O(|batch|) through the DynForest key index; each deletion then removes
+// one occurrence (a non-forest one when the key has any) and resolves
+// through its forest flag: a non-forest occurrence or a self-loop costs
+// O(1) — the partition provably cannot change — and a forest occurrence
+// runs a budget-bounded smaller-side replacement search
+// (par.ReplacementSearch) that either promotes a crossing edge into the
+// forest or relabels the split-off side in place.  Only a search that
+// blows its budget marks its component dirty for scopedRepair; later
+// forest deletes in a dirty component skip the search, since the
+// region's flags are re-derived after the re-solve.  A batch entry with
+// no remaining occurrence is an error and leaves the live state
+// unchanged.
 func (s *Solver) RemoveEdges(batch []Edge) error {
 	var start time.Time
 	if s.rec != nil {
@@ -237,7 +242,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		return nil
 	}
 	n := inc.g.N
-	fr := inc.forest
+	df := inc.forest
 	// Validation before any mutation: range check, then per-key occurrence
 	// counts against the live multiset (the key index answers "at least c
 	// copies?" in O(c)).
@@ -250,7 +255,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	}
 	missing := 0
 	for k, c := range need {
-		if have := fr.DF.CountKey(k, c); have < c {
+		if have := df.CountKey(k, c); have < c {
 			missing += c - have
 		}
 	}
@@ -287,33 +292,39 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	fa, fb := s.frontierPair(n)
 	span = rec.Lap(obs.PhaseExtract, span)
 	for _, ed := range batch {
-		dr := fr.DeleteCollect(parent, ed, fa, fb, func(root int32) bool { return dirty[root] != 0 }, movedPtr)
-		rec.Add(obs.CtrReplaceScans, dr.Scanned)
-		switch dr.Kind {
-		case dynconn.DeleteNonForest:
+		h := df.PickRemovable(ed.CanonKey())
+		u, v := df.U(h), df.V(h)
+		wasForest := df.IsForest(h)
+		df.Remove(h)
+		if u == v || !wasForest {
 			rec.Add(obs.CtrNonForestDeletes, 1)
-		case dynconn.DeleteReplaced:
-			rec.Add(obs.CtrForestDeletes, 1)
+			continue
+		}
+		rec.Add(obs.CtrForestDeletes, 1)
+		root := parent[u]
+		if dirty[root] != 0 {
+			// The component is already awaiting the scoped re-solve, whose
+			// rebuild re-derives its flags; a search over the stale flags
+			// would be unsound, so only the occurrence is removed.
+			continue
+		}
+		sr := par.ReplacementSearch(df, parent, u, v, fa, fb, replaceBudget(df.M()), movedPtr)
+		rec.Add(obs.CtrReplaceScans, sr.Scanned)
+		switch sr.Outcome {
+		case par.ReplaceFound:
+			df.SetForest(sr.Handle, true)
 			rec.Add(obs.CtrReplacements, 1)
-		case dynconn.DeleteSplit:
-			rec.Add(obs.CtrForestDeletes, 1)
+		case par.ReplaceSplit:
 			rec.Add(obs.CtrSplits, 1)
 			if st != nil {
-				st.split(moved, dr.Root, dr.NewRoot)
+				st.split(moved, root, sr.NewRoot)
 			}
 			inc.ncomp++
 			splits++
-		case dynconn.DeleteBudget:
-			rec.Add(obs.CtrForestDeletes, 1)
+		case par.ReplaceBudget:
 			rec.Add(obs.CtrBudgetFallbacks, 1)
-			if dirty[dr.Root] == 0 {
-				dirty[dr.Root] = 1
-				dirtyCount++
-			}
-		case dynconn.DeleteDirty:
-			// The component is already awaiting the scoped re-solve; only
-			// the occurrence was removed.
-			rec.Add(obs.CtrForestDeletes, 1)
+			dirty[root] = 1
+			dirtyCount++
 		}
 	}
 	span = rec.Lap(obs.PhaseReplace, span)

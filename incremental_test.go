@@ -136,6 +136,11 @@ func TestIncrementalErrors(t *testing.T) {
 	if _, err := s.Components(); err == nil {
 		t.Fatal("Components before Attach must error")
 	}
+	for _, n := range []int{-5, 1 << 31} {
+		if err := s.Attach(NewGraph(n)); err == nil {
+			t.Fatalf("Attach(NewGraph(%d)) must error", n)
+		}
+	}
 	if err := s.Attach(gen.Path(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestIncrementalErrors(t *testing.T) {
 // exactly (partition equality; component count is compared exactly).
 // After every batch the session's maintained spanning forest must also be
 // a valid certificate of the live graph — acyclic, spanning each
-// component exactly, forest edges ⊆ live edges (dynconn.Tracker.Check) —
+// component exactly, forest edges ⊆ live edges (DynForest.Check) —
 // the property the whole deletion fast path rests on.
 func TestIncrementalRandomizedVsScratch(t *testing.T) {
 	const batchesPerCase = 25

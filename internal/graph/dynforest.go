@@ -1,13 +1,17 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // DynForest is the mutable edge store behind the spanning-forest dynamic
-// connectivity of the live session (internal/dynconn): the adjacency,
-// multiset, and forest-flag views of a Graph whose edge list the
-// incremental API mutates in place.  It holds each edge once — a handle
-// is a position in g.Edges, which also supplies the endpoints — and
-// offers two O(1) (amortized) access paths besides positional identity:
+// connectivity of the live session (the parcc Solver's AddEdges and
+// RemoveEdges): the adjacency, multiset, and forest-flag views of a Graph
+// whose edge list the incremental API mutates in place.  It holds each
+// edge once — a handle is a position in g.Edges, which also supplies the
+// endpoints — and offers two O(1) (amortized) access paths besides
+// positional identity:
 //
 //   - per-vertex incident-edge iteration (First/NextIncident), the walk
 //     the replacement-edge search runs — a doubly-linked handle list per
@@ -257,4 +261,147 @@ func (df *DynForest) resize(want int) {
 			df.table[df.slot(df.g.Edges[h].CanonKey())] = h
 		}
 	}
+}
+
+// RebuildRegion recomputes the forest flags of a re-solved region after
+// the session's scoped fallback: verts are the region's vertices, vmap
+// the compact map used for the induced solve (vmap[v] = compact id + 1, 0
+// outside), and uf a scratch array of len ≥ len(verts).  A sequential
+// union-find pass over the region's edges re-derives the flags — every
+// edge incident to a region vertex has both endpoints in the region
+// (dirty components are closed under adjacency), and iterating side-0
+// handles only visits each exactly once.  O(region vertices + region
+// edges · α).
+func (df *DynForest) RebuildRegion(verts, vmap, uf []int32) {
+	for i := range verts {
+		uf[i] = int32(i)
+	}
+	for _, gv := range verts {
+		for h := df.First(gv); h >= 0; h = df.NextIncident(gv, h) {
+			if df.U(h) != gv {
+				continue // side-1 visit; counted from the u endpoint
+			}
+			cu, cv := vmap[df.U(h)]-1, vmap[df.V(h)]-1
+			df.SetForest(h, cu != cv && seqUnite(uf, cu, cv))
+		}
+	}
+}
+
+// Check asserts the store indexes exactly the live graph g and that the
+// maintained forest is a valid spanning forest of it whose partition is
+// labels: forest edges are loop-free and acyclic, and the partition they
+// induce equals labels exactly — together with forest ⊆ live (structural:
+// flags live on positions) this is the certificate invariant.
+// Verification code for tests; O(n + m·α).
+func (df *DynForest) Check(g *Graph, labels []int32) error {
+	if df.g != g {
+		return fmt.Errorf("dynforest: store indexes a different graph than the one checked")
+	}
+	if err := df.checkIndex(); err != nil {
+		return err
+	}
+	uf := make([]int32, g.N)
+	for i := range uf {
+		uf[i] = int32(i)
+	}
+	for h, ed := range g.Edges {
+		if !df.IsForest(int32(h)) {
+			continue
+		}
+		if ed.U == ed.V {
+			return fmt.Errorf("dynforest: self-loop {%d,%d} flagged as forest edge", ed.U, ed.V)
+		}
+		if !seqUnite(uf, ed.U, ed.V) {
+			return fmt.Errorf("dynforest: forest edge {%d,%d} closes a cycle", ed.U, ed.V)
+		}
+	}
+	forestLabels := make([]int32, g.N)
+	for v := range forestLabels {
+		forestLabels[v] = seqFind(uf, int32(v))
+	}
+	if !SamePartition(forestLabels, labels) {
+		return fmt.Errorf("dynforest: forest partition disagrees with live labels (forest under- or over-spans)")
+	}
+	return nil
+}
+
+// checkIndex asserts the store's two indexes cover g.Edges exactly: every
+// position sits in its endpoints' incidence lists (no entry twice, 2m −
+// loops entries in total), and every position sits in exactly one key
+// chain, reached from the table under its own key.
+func (df *DynForest) checkIndex() error {
+	g := df.g
+	m := len(g.Edges)
+	seen := make([]uint8, m) // bit 1: listed at U (side 0), bit 2: at V
+	want, total := 2*m, 0
+	for x := int32(0); int(x) < g.N; x++ {
+		for h := df.First(x); h >= 0; h = df.NextIncident(x, h) {
+			if int(h) >= m {
+				return fmt.Errorf("dynforest: vertex %d lists handle %d, m = %d", x, h, m)
+			}
+			e, bit := g.Edges[h], uint8(1)
+			if e.U != x {
+				bit = 2
+			}
+			if e.U != x && e.V != x || seen[h]&bit != 0 {
+				return fmt.Errorf("dynforest: vertex %d lists position %d {%d,%d} wrongly or twice", x, h, e.U, e.V)
+			}
+			seen[h] |= bit
+			total++
+		}
+	}
+	for _, e := range g.Edges {
+		if e.U == e.V {
+			want--
+		}
+	}
+	if total != want {
+		return fmt.Errorf("dynforest: incidence lists hold %d entries, want 2m − loops = %d", total, want)
+	}
+	chained := make([]bool, m)
+	count := 0
+	for _, e := range g.Edges {
+		k := e.CanonKey()
+		head := df.KeyFirst(k)
+		if head < 0 {
+			return fmt.Errorf("dynforest: key of {%d,%d} unreachable from the table", e.U, e.V)
+		}
+		if chained[head] {
+			continue // this key's chain was walked already
+		}
+		for h := head; h >= 0; h = df.KeyNext(h) {
+			if int(h) >= m || chained[h] || g.Edges[h].CanonKey() != k {
+				return fmt.Errorf("dynforest: key chain of {%d,%d} reaches handle %d out of place", e.U, e.V, h)
+			}
+			chained[h] = true
+			count++
+		}
+	}
+	if count != m {
+		return fmt.Errorf("dynforest: key chains hold %d positions, want %d", count, m)
+	}
+	return nil
+}
+
+// seqFind / seqUnite are the sequential union-find helpers of the rebuild
+// and checker paths (path halving; union by minimum is unnecessary here).
+func seqFind(p []int32, v int32) int32 {
+	for p[v] != v {
+		p[v] = p[p[v]]
+		v = p[v]
+	}
+	return v
+}
+
+func seqUnite(p []int32, a, b int32) bool {
+	ra, rb := seqFind(p, a), seqFind(p, b)
+	if ra == rb {
+		return false
+	}
+	if ra < rb {
+		p[rb] = ra
+	} else {
+		p[ra] = rb
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -290,4 +291,120 @@ func TestDynForestMemoryPerEdge(t *testing.T) {
 		t.Fatalf("M = %d, want %d", df.M(), m)
 	}
 	t.Logf("NewDynForest: %.1f B/edge at m=2^16, n=2^14", perEdge)
+}
+
+// forestStore builds a store over g the way the session's attach and
+// insert paths do — each edge flagged forest exactly when it unites two
+// components in arrival order — and returns it with the component labels.
+func forestStore(g *Graph) (*DynForest, []int32) {
+	uf := make([]int32, g.N)
+	for v := range uf {
+		uf[v] = int32(v)
+	}
+	flags := make([]bool, len(g.Edges))
+	for i, e := range g.Edges {
+		flags[i] = seqUnite(uf, e.U, e.V)
+	}
+	labels := make([]int32, g.N)
+	for v := range labels {
+		labels[v] = seqFind(uf, int32(v))
+	}
+	return NewDynForest(g, flags), labels
+}
+
+// TestDynForestCheck pins the certificate checker the randomized session
+// tests run after every batch: a store built like the session's passes
+// it through inserts of a bridge, a duplicate and a loop, and each way of
+// breaking the invariant — a cycle-closing or self-loop forest flag, an
+// under-spanning forest, labels that merge or split the forest's
+// partition, a foreign graph — is reported.
+func TestDynForestCheck(t *testing.T) {
+	g := FromPairs(6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 4}})
+	df, labels := forestStore(g)
+	if err := df.Check(g, labels); err != nil {
+		t.Fatalf("fresh store fails its own invariant: %v", err)
+	}
+	// The insert path: the bridge {2,5} unites, its duplicate and the
+	// loop {5,5} do not.
+	for _, e := range []Edge{{U: 2, V: 5}, {U: 5, V: 2}, {U: 5, V: 5}} {
+		merge := labels[e.U] != labels[e.V]
+		if merge {
+			old := labels[e.V]
+			for v := range labels {
+				if labels[v] == old {
+					labels[v] = labels[e.U]
+				}
+			}
+		}
+		df.Insert(e, merge)
+	}
+	if err := df.Check(g, labels); err != nil {
+		t.Fatalf("after inserts: %v", err)
+	}
+
+	closer := df.PickRemovable(Edge{U: 2, V: 0}.CanonKey()) // the triangle's non-forest edge
+	loop := df.PickRemovable(Edge{U: 4, V: 4}.CanonKey())
+	bridge := df.PickRemovable(Edge{U: 3, V: 4}.CanonKey())
+	for _, c := range []struct {
+		name  string
+		h     int32
+		flag  bool
+		label func([]int32)
+		graph *Graph
+	}{
+		{name: "cycle-closing forest edge", h: closer, flag: true},
+		{name: "self-loop forest edge", h: loop, flag: true},
+		{name: "under-spanning forest", h: bridge, flag: false},
+		{name: "labels merge two components", h: -1, label: func(l []int32) { l[3], l[4] = l[0], l[0] }},
+		{name: "labels split a component", h: -1, label: func(l []int32) { l[1] = 1 }},
+		{name: "foreign graph", h: -1, graph: g.Clone()},
+	} {
+		l := slices.Clone(labels)
+		if c.h >= 0 {
+			df.SetForest(c.h, c.flag)
+		}
+		if c.label != nil {
+			c.label(l)
+		}
+		cg := g
+		if c.graph != nil {
+			cg = c.graph
+		}
+		if err := df.Check(cg, l); err == nil {
+			t.Errorf("%s: Check passed a broken certificate", c.name)
+		}
+		if c.h >= 0 {
+			df.SetForest(c.h, !c.flag) // each case flips its handle's true flag
+		}
+	}
+	if err := df.Check(g, labels); err != nil {
+		t.Fatalf("flags not restored: %v", err)
+	}
+}
+
+// TestDynForestRebuildRegion pins the scoped fallback's flag repair: after
+// a forest edge of a cycle is removed without a replacement search, the
+// flags under-span the still-connected cycle, and RebuildRegion over the
+// region (here the whole vertex set, one compact component) re-derives a
+// spanning forest the checker accepts.
+func TestDynForestRebuildRegion(t *testing.T) {
+	n := 64
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{i, (i + 1) % n}
+	}
+	g := FromPairs(n, pairs)
+	df, labels := forestStore(g)
+	df.Remove(df.PickRemovable(Edge{U: 32, V: 33}.CanonKey()))
+	if err := df.Check(g, labels); err == nil {
+		t.Fatal("removing a forest edge without repair must leave the forest under-spanning")
+	}
+	verts, vmap := make([]int32, n), make([]int32, n)
+	for i := range verts {
+		verts[i], vmap[i] = int32(i), int32(i)+1
+	}
+	df.RebuildRegion(verts, vmap, make([]int32, n))
+	if err := df.Check(g, labels); err != nil {
+		t.Fatalf("rebuilt region fails the invariant: %v", err)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -70,8 +71,12 @@ func (g *Graph) Clone() *Graph {
 	return &Graph{N: g.N, Edges: e}
 }
 
-// Validate checks that every endpoint is in range.
+// Validate checks that the vertex count fits the int32-indexed stack
+// (0 ≤ N ≤ MaxInt32) and that every endpoint is in range.
 func (g *Graph) Validate() error {
+	if g.N < 0 || g.N > math.MaxInt32 {
+		return fmt.Errorf("vertex count %d out of range [0,%d]", g.N, math.MaxInt32)
+	}
 	for i, e := range g.Edges {
 		if e.U < 0 || int(e.U) >= g.N || e.V < 0 || int(e.V) >= g.N {
 			return fmt.Errorf("edge %d = (%d,%d) out of range [0,%d)", i, e.U, e.V, g.N)

@@ -5,19 +5,14 @@ import (
 	"parcc/internal/pram"
 )
 
-// LabelsOn returns component labels exactly like (*Forest).Labels — the root
-// of every vertex's tree — but computes them by concurrent pointer jumping
-// on the given executor.  Like Labels it is an uncharged output helper, so
-// routing it through the runtime changes wall clock only, never the model
-// costs.  A nil executor falls back to the sequential memoized chase.  The
-// forest itself is not mutated.
-func LabelsOn(e pram.Executor, f *Forest) []int32 {
-	return LabelsOnInto(e, f, nil)
-}
-
-// LabelsOnInto is LabelsOn writing into dst when it has the capacity — the
-// zero-alloc serving path of Solver.SolveInto.  A short dst is replaced by
-// a fresh array.
+// LabelsOnInto returns component labels exactly like (*Forest).LabelsInto
+// — the root of every vertex's tree, written into dst when it has the
+// capacity (a short dst is replaced by a fresh array) — but computes them
+// by concurrent pointer jumping on the given executor.  Like Labels it is
+// an uncharged output helper, so routing it through the runtime changes
+// wall clock only, never the model costs.  A nil or single-proc executor
+// falls back to the sequential memoized chase.  The forest itself is not
+// mutated.  The zero-alloc serving path of Solver.SolveInto.
 func LabelsOnInto(e pram.Executor, f *Forest, dst []int32) []int32 {
 	if e == nil || e.Procs() == 1 {
 		return f.LabelsInto(dst)

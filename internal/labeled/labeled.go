@@ -62,9 +62,6 @@ func (f *Forest) Len() int { return len(f.P) }
 // IsRoot reports whether v is a root.
 func (f *Forest) IsRoot(v int32) bool { return f.P[v] == v }
 
-// Parent returns v.p.
-func (f *Forest) Parent(v int32) int32 { return f.P[v] }
-
 // Root chases parent pointers from v to the root of its tree.
 func (f *Forest) Root(v int32) int32 {
 	for f.P[v] != v {

@@ -564,15 +564,10 @@ func SolveCtx(cx *solve.Ctx, g *graph.Graph, p Params) *labeled.Forest {
 	return f
 }
 
-// SolveLabels runs Solve and extracts component labels, using the machine's
-// parallel runtime for the (uncharged) extraction when one is installed —
-// the concurrent-backend entry point for the Theorem-2 baseline.
-func SolveLabels(m *pram.Machine, g *graph.Graph, p Params) []int32 {
-	return SolveLabelsInto(solve.New(m), g, p, nil)
-}
-
-// SolveLabelsInto is SolveLabels on a context, writing into dst when it
-// has the capacity.
+// SolveLabelsInto runs SolveCtx and extracts component labels into dst
+// when it has the capacity, using the machine's parallel runtime for the
+// (uncharged) extraction when one is installed — the session entry point
+// for the Theorem-2 baseline.
 func SolveLabelsInto(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) []int32 {
 	f := SolveCtx(cx, g, p)
 	out := labeled.LabelsOnInto(cx.M.Exec(), f, dst)

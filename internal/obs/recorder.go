@@ -205,8 +205,8 @@ type Recorder struct {
 // MaxFrontierRounds bounds the per-pass occupancy record.  Operations
 // exceeding it keep counting passes (CtrFrontierRounds is exact) but only
 // the first MaxFrontierRounds occupancies are retained — a traced
-// operation runs one frontier propagate (at most two passes) or one
-// seeded repair, so the cap is generous.
+// operation runs at most one frontier propagate (at most two passes), so
+// the cap is generous.
 const MaxFrontierRounds = 4
 
 // NewRecorder returns an empty Recorder.

@@ -1,19 +1,18 @@
 // Frontier is the active-vertex-set machinery of the frontier-driven solve
 // engine: a set with three representations, in the style of Ligra's
-// vertex_map/edge_map.  The engine built on it (FrontierPropagate,
-// FrontierUnite) does work proportional to the frontier, not to rounds ×
-// m: FrontierPropagate floods labels once over the full seed, which on
-// id-local graphs leaves only the chunk boundaries active, then hooks
-// that residual into a union-find forest in one more pass.  No round
-// loop, so no diameter term — which is what wins the high-diameter mesh
-// regime (grids, tori, paths) where every round-based algorithm pays
-// Θ(diameter) rounds.
+// vertex_map/edge_map.  The engine built on it (FrontierPropagate) does
+// work proportional to the frontier, not to rounds × m: it floods labels
+// once over all of [0,n), which on id-local graphs leaves only the chunk
+// boundaries active, then hooks that residual into a union-find forest
+// in one more pass.  No round loop, so no diameter term — which is what
+// wins the high-diameter mesh regime (grids, tori, paths) where every
+// round-based algorithm pays Θ(diameter) rounds.
 //
 // Representation contract:
 //
 //   - full: every vertex in [0,n) is active.  No bitmap bits are set and
 //     no list is built — iteration is a plain range scan with no bit
-//     tests, so seeding a cold solve costs nothing.
+//     tests, so seeding all of [0,n) costs nothing.
 //   - dense: activity lives in the bitmap only.  Iteration scans the words
 //     (skipping zero words 64 vertices at a time) and zeroes each word as
 //     it is consumed, so clearing is folded into the scan.
@@ -23,11 +22,11 @@
 //
 // The collector picks the representation when it begins collecting: the
 // engine's residual is always a bitmap (the hook pass's word scan is n/64
-// loads, noise beside the flood), while seeded repairs and the
-// replacement search collect sparse lists.  All storage is arena-backed: a
-// session reuses one Frontier pair across solves, so the warm path
-// allocates only the kernels' fixed closure set (pinned by
-// TestFrontierAllocs).
+// loads, noise beside the flood), while the replacement search and the
+// label-propagation baseline collect sparse lists.  All storage is
+// arena-backed: a session reuses one Frontier pair across solves and
+// deletions, so the warm path allocates only the kernels' fixed closure
+// set (pinned by TestFrontierAllocs).
 //
 // Concurrency: Add is safe from any number of loop-body goroutines (CAS on
 // the bitmap word, atomic cursor reservation for the list); everything
@@ -43,7 +42,8 @@ import (
 )
 
 // Frontier is one active-vertex set.  Construct with NewFrontier; a
-// session keeps a pair, the seed and the residual.
+// session keeps a pair — the engine's residual, and the two sides of a
+// replacement search.
 type Frontier struct {
 	n     int
 	words []int64 // bitmap, ceil(n/64) words, arena-backed
@@ -98,10 +98,6 @@ func (f *Frontier) Resize(n int) {
 // Count returns the number of active vertices.
 func (f *Frontier) Count() int64 { return f.cnt.Load() }
 
-// Sparse reports whether the frontier holds a compacted list (it was
-// collected in sparse mode), making Len/At valid.
-func (f *Frontier) Sparse() bool { return f.collect && !f.full }
-
 // Len returns the indexable length for At: n when full, the list length
 // when sparse, 0 for a bitmap-only frontier (iterate via the engine
 // kernels instead).
@@ -144,8 +140,9 @@ func (f *Frontier) BeginCollect(sparse bool) {
 	f.tail.Store(0)
 }
 
-// SeedAll makes the frontier the full set [0,n) — the cold-solve seed.  No
-// bits are set: full-mode iteration needs none, and Clear is free.
+// SeedAll makes the frontier the full set [0,n) — label propagation's
+// first round.  No bits are set: full-mode iteration needs none, and
+// Clear is free.
 func (f *Frontier) SeedAll() {
 	f.full = true
 	f.collect = false
@@ -210,27 +207,11 @@ func (f *Frontier) Clear() {
 	f.cnt.Store(0)
 }
 
-// afterConsume is Clear for a frontier whose bitmap the engine iterators
-// already zeroed word-by-word as they consumed it (the dense case); only
-// the sparse list sweep and the flags remain.
-func (f *Frontier) afterConsume() {
-	if f.full {
-		f.full = false
-	} else if f.collect {
-		for _, v := range f.list[:f.tail.Load()] {
-			f.words[v>>6] = 0
-		}
-		f.tail.Store(0)
-	}
-	f.collect = false
-	f.cnt.Store(0)
-}
-
 // FrontierStats is the per-invocation accounting of FrontierPropagate:
-// passes executed (Rounds — 1 or 2, 0 for an empty seed), adjacency
-// entries inspected across them (compare against 2m, one full read of the
-// adjacency), and successful label writes (flood lowerings plus hook-pass
-// links).
+// passes executed (Rounds — 1, or 2 when the flood leaves a residual),
+// adjacency entries inspected across them (compare against 2m, one full
+// read of the adjacency), and successful label writes (flood lowerings
+// plus hook-pass links).
 type FrontierStats struct {
 	Rounds    int
 	Inspected int64
@@ -241,51 +222,44 @@ type FrontierStats struct {
 // at most two passes, hook-then-compress in the style of Liu–Tarjan's
 // concurrent labeling and Afforest's finish pass:
 //
-//  1. Flood (full seed only).  Every vertex, ascending within each chunk,
+//  1. Flood.  Every vertex of [0,n), ascending within each chunk,
 //     compares labels across its incident edges: a larger neighbor label
 //     is lowered to its own (push), a smaller one lowers the vertex
 //     itself (pull).  New labels are visible immediately, so an id-local
 //     chunk floods to its minimum in one in-order pass.  Only effects the
-//     rest of the chunk's scan will not see activate a vertex in next —
-//     the residual, which on meshes collapses to the chunk boundaries.
+//     rest of the chunk's scan will not see activate a vertex in the
+//     residual res, a bitmap which on meshes collapses to the chunk
+//     boundaries.
 //  2. Hook.  Labels only ever decrease and each is a vertex of the same
 //     component with labels[v] ≤ v, so they form a valid union-find
 //     forest; the flood leaves every unsettled edge incident to the
-//     residual.  One FrontierUnite pass over the residual links each
-//     component's trees and Compress flattens them to their roots, the
-//     component minima.
+//     residual.  One hookResidual pass over it links each component's
+//     trees and Compress flattens them to their roots, the component
+//     minima.
 //
-// A partial seed (the scoped-repair form) skips the flood: labels must
-// already be such a forest — settled minima outside the damaged region,
-// identity inside is the canonical case — and cur must hold an endpoint
-// of every unsettled edge.  A full seed needs identity labels (or any
-// such forest).  The result is deterministic for any procs and schedule;
-// the residual's size is schedule-dependent beyond one proc.  Work is
-// O(m·α(n)) on every shape, with no diameter term.  Both frontiers are
-// left empty.  onRound, when non-nil, observes each pass's occupancy
-// before it runs — [n, residual] for a full seed (the trace hook); pass
-// nil on the tracing-off path.
-func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, cur, next *Frontier, onRound func(occ int64)) FrontierStats {
-	var st FrontierStats
-	if cur.full {
-		st.Rounds = 1
-		if onRound != nil {
-			onRound(int64(cur.n))
-		}
-		next.BeginCollect(false)
-		st.Inspected, st.Lowered = flood(rt, labels, csr, cur.n, next)
-		cur.afterConsume()
-		cur = next
+// labels must enter as identity (or any such forest) and res empty, sized
+// to len(labels).  The result is deterministic for any procs and
+// schedule; the residual's size is schedule-dependent beyond one proc.
+// Work is O(m·α(n)) on every shape, with no diameter term.  res is left
+// empty.  onRound, when non-nil, observes each pass's occupancy before it
+// runs — [n, residual] (the trace hook); pass nil on the tracing-off
+// path.
+func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, res *Frontier, onRound func(occ int64)) FrontierStats {
+	n := len(labels)
+	st := FrontierStats{Rounds: 1}
+	if onRound != nil {
+		onRound(int64(n))
 	}
-	if cur.Count() == 0 {
-		cur.afterConsume()
+	res.BeginCollect(false)
+	st.Inspected, st.Lowered = flood(rt, labels, csr, n, res)
+	if res.Count() == 0 {
 		return st
 	}
 	st.Rounds++
 	if onRound != nil {
-		onRound(cur.Count())
+		onRound(res.Count())
 	}
-	insp, _, hk := FrontierUnite(rt, labels, csr, cur, int32(len(labels)))
+	insp, hk := hookResidual(rt, labels, csr, res)
 	st.Inspected += insp
 	st.Lowered += hk
 	Compress(rt, labels)
@@ -414,14 +388,15 @@ func flood(rt *Runtime, labels []int32, csr *graph.CSR, n int, dst *Frontier) (i
 
 // finishVertex is the per-vertex body of the sampling finish pass, shared
 // by SkipUnite (which drives it over the full vertex range) and
-// FrontierUnite (which drives it from an active-vertex set): neighbors
-// sharing the vertex's cached root pv are dismissed with one load, the
-// rest go through Unite.  maj ≥ 0 keeps majority-mode semantics (the
-// caller skips majority vertices before calling); maj < 0 is the
-// direction-filtered mode (only u > v processed).
-func finishVertex(p []int32, csr *graph.CSR, maj, v, pv int32) (att, hk int64) {
+// FrontierPropagate's hook pass (which drives it from the residual
+// bitmap): neighbors sharing the vertex's cached root pv are dismissed
+// with one load, the rest go through Unite.  filtered selects the
+// direction-filtered mode (only u > v processed); otherwise every
+// neighbor is processed (SkipUnite's majority mode, whose caller skips
+// majority vertices before calling, and the hook pass).
+func finishVertex(p []int32, csr *graph.CSR, filtered bool, v, pv int32) (att, hk int64) {
 	off, end := csr.Off[v], csr.Off[v+1]
-	if maj >= 0 {
+	if !filtered {
 		for i := off; i < end; i++ {
 			u := csr.Nbr[i]
 			if u == v || atomic.LoadInt32(&p[u]) == pv {
@@ -456,92 +431,47 @@ func finishSpan(p []int32, csr *graph.CSR, maj int32, lo, hi int) (att, hk int64
 		if pv == maj {
 			continue
 		}
-		a, h := finishVertex(p, csr, maj, int32(v), pv)
+		a, h := finishVertex(p, csr, maj < 0, int32(v), pv)
 		att += a
 		hk += h
 	}
 	return att, hk
 }
 
-// hookTally is one chunk's counts in FrontierUnite, folded into the
-// shared totals once per chunk: adjacency entries read, Unite attempts,
-// and successful hooks.
-type hookTally struct{ insp, att, hk int64 }
-
-// vertex runs finishVertex on v unless v sits in the majority component.
-func (t *hookTally) vertex(p []int32, csr *graph.CSR, maj, v int32) {
-	pv := atomic.LoadInt32(&p[v])
-	if pv == maj {
-		return
-	}
-	a, h := finishVertex(p, csr, maj, v, pv)
-	t.insp += csr.Off[v+1] - csr.Off[v]
-	t.att += a
-	t.hk += h
-}
-
-// FrontierUnite is the finish pass scoped to an active-vertex set: exactly
-// the frontier's vertices run finishVertex, so the work is Σ deg over the
-// frontier instead of n + Σ deg over everything — the seeded form the
-// incremental machinery feeds (touched endpoints, dirty regions) and
-// FrontierPropagate's hook pass.  Sound whenever every unsettled edge is
-// incident to the frontier (the caller's seeding contract); the fixpoint
-// then equals a full Unite pass: component minima, deterministic for any
-// procs and schedule.  The frontier is consumed (left empty).
-//
-// maj has SkipUnite's semantics with one extra obligation on partial
-// seeds: the maj < 0 direction filter assumes every vertex runs (each edge
-// is covered from its lower endpoint), so a partially seeded frontier must
-// pass either a true majority root or a value no root can take —
-// int32(len(p)) is the canonical "skip nothing, filter nothing" sentinel.
-//
-// Returns the adjacency entries read, the Unite attempts, and the hooks.
-// One body serves all three representations and goes to ForSpans
+// hookResidual is FrontierPropagate's hook pass: exactly the residual
+// bitmap's vertices run finishVertex over all their neighbors, so the
+// work is Σ deg over the residual instead of n + Σ deg over everything.
+// Sound because the flood leaves every unsettled edge incident to the
+// residual; the fixpoint then equals a full Unite pass.  Each word is
+// consumed (zeroed) as it is scanned, leaving f empty.  Returns the
+// adjacency entries read and the hooks.  One body goes to ForSpans
 // directly, so a call allocates only that closure and its totals — which
-// keeps FrontierPropagate's hook pass inside the warm path's allocation
-// budget.
-func FrontierUnite(rt *Runtime, p []int32, csr *graph.CSR, f *Frontier, maj int32) (inspected, attempts, hooks int64) {
-	var tot [3]atomic.Int64
-	full, sparse := f.full, f.Sparse()
-	lst, ws := f.list, f.words
-	n := len(ws)
-	if full {
-		n = f.n
-	} else if sparse {
-		n = f.Len()
-	}
-	rt.ForSpans(n, func(lo, hi, _ int) {
-		var t hookTally
-		switch {
-		case full:
-			for v := lo; v < hi; v++ {
-				t.vertex(p, csr, maj, int32(v))
+// keeps the engine inside the warm path's allocation budget.
+func hookResidual(rt *Runtime, p []int32, csr *graph.CSR, f *Frontier) (inspected, hooks int64) {
+	var tot [2]atomic.Int64
+	ws := f.words
+	rt.ForSpans(len(ws), func(lo, hi, _ int) {
+		var insp, hk int64
+		for w := lo; w < hi; w++ {
+			x := ws[w]
+			if x == 0 {
+				continue
 			}
-		case sparse:
-			for _, v := range lst[lo:hi] {
-				t.vertex(p, csr, maj, v)
-			}
-		default:
-			for w := lo; w < hi; w++ {
-				x := ws[w]
-				if x == 0 {
-					continue
-				}
-				// Consume the word: each is owned by exactly one chunk and
-				// no Adds run during the pass, so the plain store is
-				// race-free.
-				ws[w] = 0
-				base := int32(w << 6)
-				for x != 0 {
-					t.vertex(p, csr, maj, base+int32(bits.TrailingZeros64(uint64(x))))
-					x &= x - 1
-				}
+			// Consume the word: each is owned by exactly one chunk and no
+			// Adds run during the pass, so the plain store is race-free.
+			ws[w] = 0
+			base := int32(w << 6)
+			for x != 0 {
+				v := base + int32(bits.TrailingZeros64(uint64(x)))
+				x &= x - 1
+				_, h := finishVertex(p, csr, false, v, atomic.LoadInt32(&p[v]))
+				insp += csr.Off[v+1] - csr.Off[v]
+				hk += h
 			}
 		}
-		tot[0].Add(t.insp)
-		tot[1].Add(t.att)
-		tot[2].Add(t.hk)
+		tot[0].Add(insp)
+		tot[1].Add(hk)
 	})
-	f.afterConsume()
-	return tot[0].Load(), tot[1].Load(), tot[2].Load()
+	f.cnt.Store(0)
+	return tot[0].Load(), tot[1].Load()
 }

@@ -2,6 +2,7 @@ package par
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"parcc/internal/graph"
@@ -71,7 +72,7 @@ func bitRevPath(logN int) *graph.Graph {
 
 // TestFrontierPropagateComponents pins FrontierPropagate's fixpoint to the
 // per-component minima across graph shapes and proc counts, from a full
-// cold-solve seed, and its cost to the two-pass bound on every shape: at
+// flood of [0,n), and its cost to the two-pass bound on every shape: at
 // most two passes and 4m adjacency inspections (the 2m flood plus a hook
 // pass over at most every vertex), whatever the diameter.
 func TestFrontierPropagateComponents(t *testing.T) {
@@ -97,18 +98,16 @@ func TestFrontierPropagateComponents(t *testing.T) {
 			csr := graph.BuildCSR(s.g)
 			labels := identity(s.g.N)
 			want := refMinima(s.g, labels)
-			cur := NewFrontier(nil, s.g.N)
-			next := NewFrontier(nil, s.g.N)
-			cur.SeedAll()
+			res := NewFrontier(nil, s.g.N)
 			var occ []int64
-			st := FrontierPropagate(rt, labels, csr, cur, next, func(o int64) { occ = append(occ, o) })
+			st := FrontierPropagate(rt, labels, csr, res, func(o int64) { occ = append(occ, o) })
 			for v := range labels {
 				if labels[v] != want[v] {
 					t.Fatalf("procs=%d %s: label[%d]=%d, want %d", procs, s.name, v, labels[v], want[v])
 				}
 			}
-			if cur.Count() != 0 || next.Count() != 0 {
-				t.Fatalf("procs=%d %s: frontiers not left empty (%d, %d)", procs, s.name, cur.Count(), next.Count())
+			if res.Count() != 0 || slices.ContainsFunc(res.words, func(w int64) bool { return w != 0 }) {
+				t.Fatalf("procs=%d %s: residual not left empty (count %d)", procs, s.name, res.Count())
 			}
 			if s.g.N > 0 && len(s.g.Edges) > 0 && st.Rounds == 0 {
 				t.Fatalf("procs=%d %s: no rounds recorded", procs, s.name)
@@ -128,94 +127,6 @@ func TestFrontierPropagateComponents(t *testing.T) {
 	}
 }
 
-// TestFrontierPartialSeedRepair pins the scoped-repair contract: labels
-// already settled except inside a damaged region, the region's vertices
-// seeded sparse, and propagation restoring the exact global fixpoint while
-// inspecting far fewer adjacency entries than a cold solve.
-func TestFrontierPartialSeedRepair(t *testing.T) {
-	g := gen.Path(1 << 12)
-	csr := graph.BuildCSR(g)
-	rt := New(Procs(1), Seed(1))
-	defer rt.Close()
-
-	labels := identity(g.N)
-	want := refMinima(g, labels)
-	cur := NewFrontier(nil, g.N)
-	next := NewFrontier(nil, g.N)
-	cur.SeedAll()
-	cold := FrontierPropagate(rt, labels, csr, cur, next, nil)
-
-	// Damage a region: reset its labels to identity and seed exactly the
-	// dirty vertices (every unsettled edge is incident to the region).
-	lo, hi := 1024, 1536
-	cur.BeginCollect(true)
-	for v := lo; v < hi; v++ {
-		labels[v] = int32(v)
-		cur.Add(int32(v))
-	}
-	warm := FrontierPropagate(rt, labels, csr, cur, next, nil)
-	for v := range labels {
-		if labels[v] != want[v] {
-			t.Fatalf("after repair label[%d]=%d, want %d", v, labels[v], want[v])
-		}
-	}
-	if warm.Inspected >= cold.Inspected/2 {
-		t.Fatalf("scoped repair inspected %d entries, cold solve %d — repair should be much cheaper", warm.Inspected, cold.Inspected)
-	}
-}
-
-// TestFrontierUniteMatchesSkipUnite pins FrontierUnite as the same finish
-// pass as SkipUnite: a full frontier reproduces SkipUnite's partition in
-// both majority and filtered modes, and a partial seed over a damaged
-// forest restores the full-pass partition.
-func TestFrontierUniteMatchesSkipUnite(t *testing.T) {
-	g := gen.GNM(1<<12, 1<<14, 3)
-	csr := graph.BuildCSR(g)
-	want := refMinima(g, identity(g.N))
-	for _, procs := range []int{1, 4} {
-		rt := New(Procs(procs), Seed(1))
-		for _, maj := range []int32{-1, 0} {
-			pSkip := identity(g.N)
-			SkipUnite(rt, pSkip, csr, maj)
-			Compress(rt, pSkip)
-
-			pFr := identity(g.N)
-			f := NewFrontier(nil, g.N)
-			f.SeedAll()
-			FrontierUnite(rt, pFr, csr, f, maj)
-			Compress(rt, pFr)
-			if f.Count() != 0 {
-				t.Fatalf("procs=%d maj=%d: frontier not consumed", procs, maj)
-			}
-			for v := range pFr {
-				if pFr[v] != pSkip[v] || pFr[v] != want[v] {
-					t.Fatalf("procs=%d maj=%d: root[%d] frontier=%d skip=%d want=%d",
-						procs, maj, v, pFr[v], pSkip[v], want[v])
-				}
-			}
-		}
-		// Partial seed: damage a vertex range of the settled forest, seed
-		// it, and finish with the skip-nothing sentinel maj = n.
-		p := identity(g.N)
-		SkipUnite(rt, p, csr, -1)
-		Compress(rt, p)
-		f := NewFrontier(nil, g.N)
-		f.BeginCollect(true)
-		for v := 100; v < 612; v++ {
-			p[v] = int32(v)
-			f.Add(int32(v))
-		}
-		FrontierUnite(rt, p, csr, f, int32(g.N))
-		Compress(rt, p)
-		for v := range p {
-			if p[v] != want[v] {
-				t.Fatalf("procs=%d partial: root[%d]=%d, want %d", procs, v, p[v], want[v])
-			}
-		}
-		rt.Close()
-	}
-}
-
 // TestFrontierSetOps pins the Frontier container itself: dedup, sparse
 // collection, Len/At, Clear in every representation, and Resize reuse.
 func TestFrontierSetOps(t *testing.T) {
@@ -225,8 +136,8 @@ func TestFrontierSetOps(t *testing.T) {
 	for _, v := range []int32{7, 7, 64, 7, 299, 64} {
 		f.Add(v)
 	}
-	if f.Count() != 3 || f.Len() != 3 || !f.Sparse() {
-		t.Fatalf("sparse collect: count=%d len=%d sparse=%v", f.Count(), f.Len(), f.Sparse())
+	if f.Count() != 3 || f.Len() != 3 {
+		t.Fatalf("sparse collect: count=%d len=%d", f.Count(), f.Len())
 	}
 	got := map[int32]bool{}
 	for i := 0; i < f.Len(); i++ {
@@ -243,8 +154,8 @@ func TestFrontierSetOps(t *testing.T) {
 	f.BeginCollect(false)
 	f.Add(13)
 	f.Add(13)
-	if f.Count() != 1 || f.Len() != 0 || f.Sparse() {
-		t.Fatalf("dense collect: count=%d len=%d sparse=%v", f.Count(), f.Len(), f.Sparse())
+	if f.Count() != 1 || f.Len() != 0 || !f.Has(13) {
+		t.Fatalf("dense collect: count=%d len=%d has(13)=%v", f.Count(), f.Len(), f.Has(13))
 	}
 	f.Clear()
 
@@ -277,26 +188,13 @@ func TestFrontierAllocs(t *testing.T) {
 	g := bitRevPath(11)
 	csr := graph.BuildCSR(g)
 	labels := make([]int32, g.N)
-	cur := NewFrontier(a, g.N)
-	next := NewFrontier(a, g.N)
+	res := NewFrontier(a, g.N)
 	if allocs := testing.AllocsPerRun(10, func() {
 		for v := range labels {
 			labels[v] = int32(v)
 		}
-		cur.SeedAll()
-		FrontierPropagate(rt, labels, csr, cur, next, nil)
+		FrontierPropagate(rt, labels, csr, res, nil)
 	}); allocs > 9 {
 		t.Errorf("warm FrontierPropagate allocates %v per run, want ≤ 9 (the fixed hoisted-closure set, nothing per round)", allocs)
-	}
-	f := NewFrontier(a, g.N)
-	p := make([]int32, g.N)
-	if allocs := testing.AllocsPerRun(10, func() {
-		for v := range p {
-			p[v] = int32(v)
-		}
-		f.SeedAll()
-		FrontierUnite(rt, p, csr, f, -1)
-	}); allocs > 5 {
-		t.Errorf("warm FrontierUnite allocates %v per run, want ≤ 5 (one mode closure and its captures)", allocs)
 	}
 }

@@ -28,9 +28,8 @@ import (
 // clearing).  The marked subset is a valid spanning-forest extension
 // under any interleaving: each winning Unite connected two components
 // that were distinct at its linearization point, so the marked edges are
-// acyclic and span exactly what the batch merged — the property the
-// dynamic-connectivity layer (internal/dynconn) builds its forest flags
-// from.
+// acyclic and span exactly what the batch merged — the property the live
+// session's DynForest builds its forest flags from.
 func UniteBatchMark(e Exec, p []int32, batch []graph.Edge, marks []bool) int {
 	var merges atomic.Int64
 	e.Run(len(batch), func(i int) {

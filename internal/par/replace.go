@@ -75,19 +75,14 @@ type replaceSide struct {
 // component (every member's parent is the root directly) — the relabel on
 // a split writes a flat result back, so flatness is preserved across a
 // whole deletion batch.  fu and fv must be empty Frontiers sized to the
-// graph; both are left empty on every path.  Sequential,
-// orchestrator-owned (the session lock), like the DynForest it walks.
-func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, fu, fv *Frontier, budget int64) ReplaceResult {
-	return ReplacementSearchCollect(df, p, u, v, fu, fv, budget, nil)
-}
-
-// ReplacementSearchCollect is ReplacementSearch additionally reporting the
-// relabeled side's membership on a split: when moved is non-nil and the
-// outcome is ReplaceSplit, the vertices that received the new root are
-// appended to *moved (reset to its empty prefix first) — the delta the
-// copy-on-write snapshot mirror needs to update its member lists without
-// scanning the component.  Nothing is appended on the other outcomes.
-func ReplacementSearchCollect(df *graph.DynForest, p []int32, u, v int32, fu, fv *Frontier, budget int64, moved *[]int32) ReplaceResult {
+// graph; both are left empty on every path.  When moved is non-nil and
+// the outcome is ReplaceSplit, the vertices that received the new root
+// are appended to *moved (reset to its empty prefix first) — the delta
+// the copy-on-write snapshot mirror needs to update its member lists
+// without scanning the component; nothing is appended on the other
+// outcomes.  Sequential, orchestrator-owned (the session lock), like the
+// DynForest it walks.
+func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, fu, fv *Frontier, budget int64, moved *[]int32) ReplaceResult {
 	root := p[u]
 	fu.BeginCollect(true)
 	fu.Add(u)

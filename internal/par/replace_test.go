@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"testing"
 
 	"parcc/internal/graph"
@@ -27,7 +28,7 @@ func TestReplacementSearchFindsCrossing(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}},
 		[]bool{true, true, true, false}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 1, V: 2}.CanonKey()))
-	res := ReplacementSearch(df, p, 1, 2, fu, fv, 1<<20)
+	res := ReplacementSearch(df, p, 1, 2, fu, fv, 1<<20, nil)
 	if res.Outcome != ReplaceFound {
 		t.Fatalf("outcome = %v, want ReplaceFound", res.Outcome)
 	}
@@ -48,17 +49,22 @@ func TestReplacementSearchFindsCrossing(t *testing.T) {
 func TestReplacementSearchSplitRelabelsNonRootSide(t *testing.T) {
 	// Path 0-1-2-3-4, all forest, rooted at 0.  Deleting {1,2} splits;
 	// the side holding root 0 must keep its labels and the far side
-	// {2,3,4} must be relabeled flat to its BFS seed.
+	// {2,3,4} must be relabeled flat to its BFS seed and reported through
+	// moved, whose stale contents are reset first.
 	df, p, fu, fv := replaceFixture(5,
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
 		[]bool{true, true, true, true}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 1, V: 2}.CanonKey()))
-	res := ReplacementSearch(df, p, 1, 2, fu, fv, 1<<20)
+	moved := []int32{99}
+	res := ReplacementSearch(df, p, 1, 2, fu, fv, 1<<20, &moved)
 	if res.Outcome != ReplaceSplit {
 		t.Fatalf("outcome = %v, want ReplaceSplit", res.Outcome)
 	}
 	if res.NewRoot != 2 || res.Moved != 3 {
 		t.Fatalf("split = root %d moved %d, want root 2 moved 3", res.NewRoot, res.Moved)
+	}
+	if slices.Sort(moved); !slices.Equal(moved, []int32{2, 3, 4}) {
+		t.Fatalf("moved = %v, want the relabeled side [2 3 4]", moved)
 	}
 	for v, want := range []int32{0, 0, 2, 2, 2} {
 		if p[v] != want {
@@ -77,7 +83,7 @@ func TestReplacementSearchSplitRootOnSmallerSide(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
 		[]bool{true, true, true, true}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 0, V: 1}.CanonKey()))
-	res := ReplacementSearch(df, p, 0, 1, fu, fv, 1<<20)
+	res := ReplacementSearch(df, p, 0, 1, fu, fv, 1<<20, nil)
 	if res.Outcome != ReplaceSplit {
 		t.Fatalf("outcome = %v, want ReplaceSplit", res.Outcome)
 	}
@@ -103,7 +109,7 @@ func TestReplacementSearchBudgetMutatesNothing(t *testing.T) {
 	}
 	df, p, fu, fv := replaceFixture(n, pairs, forest, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 31, V: 32}.CanonKey()))
-	res := ReplacementSearch(df, p, 31, 32, fu, fv, 4)
+	res := ReplacementSearch(df, p, 31, 32, fu, fv, 4, nil)
 	if res.Outcome != ReplaceBudget {
 		t.Fatalf("outcome = %v, want ReplaceBudget", res.Outcome)
 	}
@@ -116,7 +122,7 @@ func TestReplacementSearchBudgetMutatesNothing(t *testing.T) {
 		t.Fatal("frontiers must be left empty on budget bailout")
 	}
 	// The same search with budget restored succeeds and relabels.
-	if res = ReplacementSearch(df, p, 31, 32, fu, fv, 1<<20); res.Outcome != ReplaceSplit {
+	if res = ReplacementSearch(df, p, 31, 32, fu, fv, 1<<20, nil); res.Outcome != ReplaceSplit {
 		t.Fatalf("re-run outcome = %v, want ReplaceSplit", res.Outcome)
 	}
 }

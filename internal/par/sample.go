@@ -185,8 +185,8 @@ func MajorityRoot(rt *Runtime, p []int32, probes int, scratch []int32) (int32, f
 //
 // SkipUnite is the full-frontier instantiation of the shared finish
 // kernel (finishSpan/finishVertex in frontier.go): the non-majority side
-// is the same per-vertex body FrontierUnite drives from a seeded
-// active-vertex set, so the two passes cannot drift apart semantically.
+// is the same per-vertex body the frontier engine's hook pass drives from
+// its residual bitmap, so the two passes cannot drift apart semantically.
 func SkipUnite(rt *Runtime, p []int32, csr *graph.CSR, maj int32) (attempts, hooks int64) {
 	var processed, hooked atomic.Int64
 	rt.ForRanges(len(p), func(lo, hi int) {

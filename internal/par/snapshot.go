@@ -5,35 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// SnapshotLabels is the snapshot-publish kernel behind Solver
-// .PublishSnapshot: it resolves every vertex of the parent forest p to its
-// root without mutating p, writing the flattened labels into dst and
-// tallying per-component sizes into sizes (indexed by root id; the caller
-// supplies it zeroed).  O(n · depth) work, parallel over the vertices —
-// the caller flattens the forest first (Compress) when chains may be long,
+// SnapshotPages is the snapshot-publish kernel behind Solver
+// .PublishSnapshot's full build of the copy-on-write page mirror: it
+// resolves every vertex of the parent forest p to its root without
+// mutating p, writing the flattened labels into
+// labels[v/pageSize][v%pageSize] and tallying per-component sizes into
+// sizes at the root's page/offset.  pageSize must be a power of two;
+// every page is pageSize long (the last one simply has unused tail slots)
+// and the caller supplies the size pages zeroed.  O(n · depth) work — the
+// caller flattens the forest first (Compress) when chains may be long,
 // making the chases O(1) and the kernel a straight parallel copy+count.
+// Parallel over pages rather than vertices, so each goroutine writes one
+// label page exclusively; the size tallies cross pages and stay atomic.
 //
 // p is only read (atomically), so the kernel tolerates a forest that
-// concurrent Find calls are still path-halving; dst and sizes must not be
-// shared with any concurrent writer.  Uncharged serving helper.
-func SnapshotLabels(e Exec, p, dst, sizes []int32) {
-	e.Run(len(p), func(v int) {
-		r := chase(p, int32(v))
-		dst[v] = r
-		atomic.AddInt32(&sizes[r], 1)
-	})
-}
-
-// SnapshotPages is SnapshotLabels writing into page-granular storage: the
-// flattened labels land in labels[v/pageSize][v%pageSize] and the
-// per-component tallies in sizes at the root's page/offset — the full-build
-// kernel of the copy-on-write snapshot mirror (Solver.PublishSnapshot's
-// paged read view).  pageSize must be a power of two; every page is
-// pageSize long (the last one simply has unused tail slots) and the caller
-// supplies the size pages zeroed.  Parallel over pages rather than
-// vertices, so each goroutine writes one label page exclusively; the size
-// tallies cross pages and stay atomic.  Same read-only contract on p as
-// SnapshotLabels.  Uncharged serving helper.
+// concurrent Find calls are still path-halving; labels and sizes must not
+// be shared with any concurrent writer.  Uncharged serving helper.
 func SnapshotPages(e Exec, p []int32, pageSize int, labels, sizes [][]int32) {
 	shift := uint(bits.TrailingZeros(uint(pageSize)))
 	mask := int32(pageSize - 1)

@@ -1,15 +1,16 @@
 package par
 
 import (
+	"slices"
 	"testing"
 
 	"parcc/internal/graph"
 )
 
-// TestSnapshotLabels checks the publish kernel against a sequential
-// reference on a forest built by UniteBatchMark: dst[v] is v's root, sizes
-// count each root's component exactly, and p itself is not mutated beyond
-// what the chases read.
+// TestSnapshotLabels checks the publish kernel (SnapshotPages) against a
+// sequential reference on a forest built by UniteBatchMark: every label
+// slot holds v's root, the size slots count each root's component
+// exactly, and p itself is not mutated beyond what the chases read.
 func TestSnapshotLabels(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		e := New(Procs(procs))
@@ -32,9 +33,17 @@ func TestSnapshotLabels(t *testing.T) {
 		before := make([]int32, n)
 		copy(before, p)
 
-		dst := make([]int32, n)
-		sizes := make([]int32, n)
-		SnapshotLabels(e, p, dst, sizes)
+		// Pages of 64 with a ragged last page: flatten them back to dense
+		// arrays for the checks below.
+		const pageSize = 64
+		pages := (n + pageSize - 1) / pageSize
+		lpages, spages := make([][]int32, pages), make([][]int32, pages)
+		for i := range lpages {
+			lpages[i], spages[i] = make([]int32, pageSize), make([]int32, pageSize)
+		}
+		SnapshotPages(e, p, pageSize, lpages, spages)
+		dst := slices.Concat(lpages...)[:n]
+		sizes := slices.Concat(spages...)[:n]
 
 		// The forest is untouched (the kernel only reads p).
 		for v := range p {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -147,8 +148,8 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 			writeBodyError(w, err)
 			return
 		}
-		if body.N < 0 {
-			writeJSON(w, http.StatusBadRequest, apiError{"n must be >= 0"})
+		if body.N < 0 || body.N > math.MaxInt32 {
+			writeJSON(w, http.StatusBadRequest, apiError{"n must be in [0, 2147483647]"})
 			return
 		}
 		g := parcc.NewGraph(body.N)

@@ -95,6 +95,11 @@ func TestHTTPLifecycle(t *testing.T) {
 	if st, _ = doJSON(t, "PUT", u+"/graphs/bad", `{"n":2,"edges":[[0,9]]}`); st != http.StatusBadRequest {
 		t.Fatalf("create with out-of-range edge: %d, want 400", st)
 	}
+	for _, n := range []string{"-1", "2147483648", "3000000000"} {
+		if st, _ = doJSON(t, "PUT", u+"/graphs/bad", `{"n":`+n+`}`); st != http.StatusBadRequest {
+			t.Fatalf("create with n=%s: %d, want 400", n, st)
+		}
+	}
 
 	// Snapshot and stats.
 	if st, body = doJSON(t, "GET", u+"/graphs/demo/snapshot", ""); st != 200 {

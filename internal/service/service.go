@@ -84,15 +84,13 @@ func (e *VertexRangeError) Error() string {
 // Options configures an Engine.
 type Options struct {
 	// Solver configures every shard's parcc.Solver (nil: parcc defaults).
-	// The engine owns the live graphs, so Options.TrustGraph is safe and
-	// worth setting for serving workloads (docs/OPERATIONS.md §tuning).
 	Solver *parcc.Options
 	// CoalesceWindow is how long the shard writer waits, after picking up
 	// one mutation, for more to queue before applying the combined batch.
 	// Zero (the default) coalesces only what is already queued — lowest
-	// latency; larger windows trade write latency for bigger batches,
-	// which matters most for deletions (one O(m) sweep per batch, however
-	// many callers share it).
+	// latency; larger windows trade write latency for bigger batches:
+	// one snapshot publish, one WAL append and fsync, and at most one
+	// scoped repair per batch, however many callers share it.
 	CoalesceWindow time.Duration
 	// MaxBatchEdges caps the edges combined into one coalesced apply
 	// (default 1 << 16).  A cap keeps worst-case apply latency — and thus

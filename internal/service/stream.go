@@ -99,19 +99,6 @@ func ReadStreamFrame(br *bufio.Reader) (*StreamFrame, error) {
 	}, nil
 }
 
-// AppendStreamFrame encodes a frame in the stream wire format — the test
-// and fault-injection counterpart of ReadStreamFrame.
-func AppendStreamFrame(buf []byte, fr *StreamFrame) []byte {
-	return appendWALFrame(buf, &walRecord{
-		kind:  fr.Kind,
-		seq:   fr.Seq,
-		epoch: fr.Epoch,
-		head:  fr.Head,
-		n:     fr.N,
-		batch: fr.Batch,
-	})
-}
-
 // streamWAL serves one replication-stream request.  heartbeat bounds how
 // long an idle tail goes without a commit frame.
 func (e *Engine) streamWAL(w http.ResponseWriter, r *http.Request, heartbeat time.Duration) {

@@ -20,9 +20,8 @@ import (
 //     The size transfer is applied eagerly — O(1) per merge — and the
 //     member relabel is deferred: the loser goes on a pending list, and
 //     flush walks its member circle once, however many batches queued it.
-//   - RemoveEdges reports each split's moved side
-//     (dynconn.Tracker.DeleteCollect) and each scoped repair's region
-//     vertex set; both relabel through the mirror directly, so the mirror
+//   - RemoveEdges reports each split's moved side (the moved list of
+//     par.ReplacementSearch) and each scoped repair's region vertex set; both relabel through the mirror directly, so the mirror
 //     is exact again at batch exit.
 //
 // Membership is tracked with one circular doubly-linked list per
@@ -45,9 +44,9 @@ const (
 
 // pageStore is the mirror's state.  labels[v>>pageShift][v&pageMask] is
 // v's exact flattened label as of the last flush point; sizes holds the
-// per-component tallies at the root's slot (zero elsewhere) — the same
-// layout par.SnapshotLabels produces, so paged and eager snapshots are
-// byte-comparable.
+// per-component tallies at the root's slot (zero elsewhere) — the layout
+// par.SnapshotPages writes on a full build, so a delta-maintained mirror
+// and a full rebuild are byte-comparable.
 type pageStore struct {
 	n      int
 	labels [][]int32

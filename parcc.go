@@ -70,7 +70,6 @@ import (
 	"io"
 
 	"parcc/internal/baseline"
-	"parcc/internal/core"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 	"parcc/internal/spectral"
@@ -214,8 +213,6 @@ type Options struct {
 	// ZeroSeed selects the literal seed 0, distinguishing "explicit 0"
 	// from the unset zero value of Seed.  Ignored when Seed != 0.
 	ZeroSeed bool
-	// Params overrides the FLS parameter profile (default core.Default).
-	Params *core.Params
 	// KnownGapB is the degree target b for FLSKnownGap (default 16).
 	KnownGapB int
 	// Trace enables solve-phase tracing: the session owns an

@@ -48,6 +48,15 @@ func TestNilAndInvalidInputs(t *testing.T) {
 	if _, err := ConnectedComponents(bad, nil); err == nil {
 		t.Error("invalid edge should error")
 	}
+	// Vertex counts outside [0, MaxInt32] are refused before anything is
+	// sized by them.
+	for _, n := range []int{-1, 1 << 31} {
+		for _, algo := range []Algorithm{UnionFind, FLS, Auto} {
+			if _, err := ConnectedComponents(NewGraph(n), &Options{Algorithm: algo}); err == nil {
+				t.Errorf("n=%d %s: out-of-range vertex count should error", n, algo)
+			}
+		}
+	}
 	if _, err := ConnectedComponents(Cycle(4), &Options{Algorithm: "nope"}); err == nil {
 		t.Error("unknown algorithm should error")
 	}

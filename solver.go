@@ -62,9 +62,10 @@ type Solver struct {
 	inc       *incSession // live incremental session (nil until Attach)
 	lastTrace *Trace      // most recent traced operation (tracing on only)
 	closed    bool
-	// fCur/fNxt are the frontier engine's reusable active-vertex-set pair
-	// (nil until the first frontier solve; empty between operations), so
-	// warm frontier solves allocate nothing.
+	// fCur/fNxt are the session's reusable active-vertex-set pair — the
+	// frontier engine's residual and the two sides of RemoveEdges'
+	// replacement search (nil until first needed; empty between
+	// operations), so warm frontier solves and deletions allocate nothing.
 	fCur, fNxt *par.Frontier
 
 	// snap is the published read view (see PublishSnapshot/ReadView):
@@ -180,9 +181,6 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	}
 
 	params := core.Default(g.N)
-	if o.Params != nil {
-		params = *o.Params
-	}
 	params.Seed ^= s.seed
 
 	// The session's cached plan for g, looked up at most once per solve:
@@ -483,9 +481,9 @@ func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
 //
 //   - union-find: the sequential disjoint-set pass over the edge list;
 //   - cas: the barrier-free concurrent union-find over the edge list;
-//   - frontier: identity labels, a full cold-solve seed, then the
-//     two-pass propagate (flood, then hook the residual) over the
-//     session's reusable frontier pair;
+//   - frontier: identity labels, then the two-pass propagate (flood
+//     [0,n), then hook the residual) into one of the session's reusable
+//     frontiers;
 //   - sample: Afforest's sampling rounds, flatten, majority vote, then
 //     the finish pass that skips the majority's adjacency ranges unread
 //     (direction-filtered when no component dominates), and a flatten.
@@ -506,15 +504,14 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 		csr := plan().CSR
 		span = rec.Lap(obs.PhasePlan, span)
 		p := identityInto(e, dst, n)
-		cur, next := s.frontierPair(n)
-		cur.SeedAll()
+		res, _ := s.frontierPair(n)
 		// The per-pass occupancy hook is bound only when tracing is on, so
 		// the tracing-off path carries a nil check per pass, not a call.
 		var onRound func(occ int64)
 		if rec != nil {
 			onRound = rec.RecordFrontierRound
 		}
-		st := par.FrontierPropagate(e, p, csr, cur, next, onRound)
+		st := par.FrontierPropagate(e, p, csr, res, onRound)
 		rec.Add(obs.CtrFrontierInspected, st.Inspected)
 		rec.Add(obs.CtrFrontierLowered, st.Lowered)
 		span = rec.Lap(obs.PhaseSolve, span)
@@ -582,8 +579,9 @@ func identityInto(e *par.Runtime, dst []int32, n int) []int32 {
 
 // frontierPair returns the session's reusable frontier pair sized for n
 // vertices, building or growing it through the arena on demand.  Both
-// frontiers are empty between operations (the engine consumes them), so
-// reuse and Resize need no clearing.  Callers hold s.mu.
+// frontiers are empty between operations (the engine and the replacement
+// search leave them so), so reuse and Resize need no clearing.  Callers
+// hold s.mu.
 func (s *Solver) frontierPair(n int) (*par.Frontier, *par.Frontier) {
 	if s.fCur == nil || s.fCur.Cap() < n {
 		if s.fCur != nil {

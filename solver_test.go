@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"parcc/internal/dynconn"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
@@ -314,8 +313,8 @@ func TestSeedZeroReachable(t *testing.T) {
 // its budget and falls back to a scoped FLS repair, and PublishSnapshot —
 // and checks that Close gives back every goroutine the session started.
 func TestCloseReleasesSessionGoroutines(t *testing.T) {
-	defer func(old int64) { dynconn.BudgetFloor = old }(dynconn.BudgetFloor)
-	dynconn.BudgetFloor = 16 // as in TestForestBudgetFallback: the cut below exceeds the budget
+	defer func(old int64) { replaceBudgetFloor = old }(replaceBudgetFloor)
+	replaceBudgetFloor = 16 // as in TestForestBudgetFallback: the cut below exceeds the budget
 	g := gen.RandomRegular(1<<13, 4, 3)
 	scenarios := map[string]func(t *testing.T, s *Solver){
 		"solve": func(t *testing.T, s *Solver) {

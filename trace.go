@@ -60,7 +60,8 @@ type Trace struct {
 	// otherwise.
 	Dispatch *DispatchDecision `json:"dispatch,omitempty"`
 	// Frontier records the frontier engine's pass structure; nil unless
-	// the operation ran the frontier kernels.
+	// the operation ran the frontier kernel — a solve that chose it, or a
+	// remove-edges operation whose scoped repair did.
 	Frontier *TraceFrontier `json:"frontier,omitempty"`
 	// Incremental records the batch shape of a live-update operation; nil
 	// for plain solves.
@@ -104,17 +105,17 @@ type DispatchDecision struct {
 	Locality float64 `json:"locality,omitempty"`
 }
 
-// TraceFrontier is the pass structure of a frontier-engine operation.
+// TraceFrontier is the pass structure of a frontier-engine solve (of a
+// whole graph, or of a scoped repair's region).
 type TraceFrontier struct {
-	// Rounds is the exact number of passes executed: for a solve, the
-	// flood plus, when it left a residual, the hook pass (so 1 or 2); for
-	// an insert batch, the one seeded frontier.  Occupancy holds each
-	// pass's active-vertex count — [n, residual] for a solve.
+	// Rounds is the exact number of passes executed: the flood plus, when
+	// it left a residual, the hook pass (so 1 or 2).  Occupancy holds each
+	// pass's active-vertex count — [n, residual].
 	Rounds    int     `json:"rounds"`
 	Occupancy []int64 `json:"occupancy"`
 	// Inspected counts adjacency entries the kernels examined — at most
-	// 4m for a solve (2m flood, at most 2m more in the hook pass),
-	// whatever the graph's diameter.  Lowered counts successful label
+	// 4m (2m flood, at most 2m more in the hook pass), whatever the
+	// graph's diameter.  Lowered counts successful label
 	// writes: flood lowerings plus hook-pass links.
 	Inspected int64 `json:"inspected"`
 	Lowered   int64 `json:"lowered"`
