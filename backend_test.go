@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parcc/internal/baseline"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
@@ -39,14 +40,15 @@ func familyGraphs() map[string]*Graph {
 }
 
 // TestBackendEquivalenceAcrossFamilies is the cross-backend property test:
-// for every generator family and a spread of algorithms, the concurrent
-// backend must produce the same component partition as the sequential
-// simulator (both checked against BFS ground truth, so a mutual failure
-// cannot hide).
+// for every generator family, the concurrent backend must produce the same
+// component partition as the sequential simulator (both checked against
+// BFS ground truth, so a mutual failure cannot hide).  The classical
+// baselines get the same check in internal/bench's
+// TestBaselineEquivalenceAcrossFamilies.
 func TestBackendEquivalenceAcrossFamilies(t *testing.T) {
-	algos := []Algorithm{FLS, CASUnite, LTZ, LT, LabelProp, SV}
+	algos := []Algorithm{FLS, CASUnite}
 	for name, g := range familyGraphs() {
-		truth := mustLabels(t, g, &Options{Algorithm: BFS})
+		truth := baseline.BFSLabels(g)
 		for _, algo := range algos {
 			seqL := mustLabels(t, g, &Options{Algorithm: algo, Backend: BackendSequential, Seed: 5})
 			conL := mustLabels(t, g, &Options{Algorithm: algo, Backend: BackendConcurrent, Procs: 4, Seed: 5})
@@ -63,7 +65,9 @@ func TestBackendEquivalenceAcrossFamilies(t *testing.T) {
 // TestDeterminismProbe pins the two deterministic configurations to each
 // other: for every selectable algorithm on every family, the sequential
 // backend and the concurrent backend at one proc must charge the same
-// Steps and Work and return the same labels.
+// Steps and Work and return the same labels.  The classical baselines are
+// pinned the same way by internal/bench's
+// TestBaselineEquivalenceAcrossFamilies.
 func TestDeterminismProbe(t *testing.T) {
 	algos := append(slices.Clone(solverAlgos), Sample, Frontier, Auto)
 	for name, g := range familyGraphs() {

@@ -87,24 +87,8 @@ func BenchmarkSolveFLSGNM64k(b *testing.B) {
 	benchSolve(b, gen.GNM(1<<16, 3<<16, 1), parcc.FLS)
 }
 
-func BenchmarkSolveLTZExpander64k(b *testing.B) {
-	benchSolve(b, gen.RandomRegular(1<<16, 8, 1), parcc.LTZ)
-}
-
-func BenchmarkSolveSVExpander64k(b *testing.B) {
-	benchSolve(b, gen.RandomRegular(1<<16, 8, 1), parcc.SV)
-}
-
-func BenchmarkSolveLabelPropExpander64k(b *testing.B) {
-	benchSolve(b, gen.RandomRegular(1<<16, 8, 1), parcc.LabelProp)
-}
-
 func BenchmarkSolveUnionFindExpander64k(b *testing.B) {
 	benchSolve(b, gen.RandomRegular(1<<16, 8, 1), parcc.UnionFind)
-}
-
-func BenchmarkSolveBFSExpander64k(b *testing.B) {
-	benchSolve(b, gen.RandomRegular(1<<16, 8, 1), parcc.BFS)
 }
 
 // --- subroutine micro-benchmarks ---

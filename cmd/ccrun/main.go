@@ -4,12 +4,13 @@
 // Usage:
 //
 //	ccrun -gen expander:n=65536,d=8 -algo fls
-//	ccrun -graph edges.txt -algo sv -backend sequential
+//	ccrun -graph edges.txt -algo fls-known-gap -backend sequential
 //	ccrun -gen expander:n=262144,d=8 -backend concurrent -procs 8 -speedup
-//	graphgen -gen cycle:n=100000 | ccrun -graph - -algo ltz
+//	graphgen -gen cycle:n=100000 | ccrun -graph - -algo auto
 //
-// Algorithms: fls (the paper), fls-known-gap, ltz, sv, random-mate,
-// label-prop, liu-tarjan, parallel-bfs, cas, union-find, bfs.
+// Algorithms: fls (the paper), fls-known-gap, union-find, cas, sample,
+// frontier, auto.  The classical baselines (LTZ, Shiloach–Vishkin, ...)
+// run through ccbench's experiment tables, not through ccrun.
 //
 // Backends: sequential (deterministic single-threaded simulation) and
 // concurrent (the default: the internal/par goroutine pool); -speedup
@@ -31,7 +32,7 @@ func main() {
 	var (
 		graphFile = flag.String("graph", "", "edge-list file (- for stdin)")
 		genSpec   = flag.String("gen", "", "generator spec, e.g. expander:n=4096,d=8 (families: "+cli.Families()+")")
-		algo      = flag.String("algo", "fls", "algorithm: fls fls-known-gap ltz sv random-mate label-prop liu-tarjan parallel-bfs cas union-find bfs sample frontier auto")
+		algo      = flag.String("algo", "fls", "algorithm: fls fls-known-gap union-find cas sample frontier auto")
 		backend   = flag.String("backend", string(parcc.BackendConcurrent), "execution backend: sequential | concurrent")
 		procs     = flag.Int("procs", 0, "parallelism of the concurrent backend (0 = NumCPU)")
 		seed      = flag.Uint64("seed", 1, "random seed")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"parcc/internal/ltz"
 	"parcc/internal/pram"
 )
 
@@ -19,12 +20,13 @@ func randomMultigraph(data []byte) *Graph {
 	return g
 }
 
-// TestDifferentialAllAlgorithms cross-checks every parallel algorithm
-// against BFS on a large battery of random multigraphs, under the default
-// parallel machine and under all three sequential write orders — the
-// ARBITRARY CRCW obligation, exercised broadly.
+// TestDifferentialAllAlgorithms cross-checks the paper's two charged
+// pipelines against BFS on a large battery of random multigraphs — the
+// ARBITRARY CRCW obligation, exercised broadly.  The classical baselines
+// are cross-checked in internal/bench's
+// TestBaselineEquivalenceAcrossFamilies.
 func TestDifferentialAllAlgorithms(t *testing.T) {
-	algos := []Algorithm{FLS, FLSKnownGap, LTZ, SV, RandomMate, LabelProp}
+	algos := []Algorithm{FLS, FLSKnownGap}
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
 		data := make([]byte, 8+trial*7)
@@ -47,7 +49,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 }
 
 func TestDifferentialSequentialOrders(t *testing.T) {
-	algos := []Algorithm{FLS, LTZ, SV}
+	algos := []Algorithm{FLS, FLSKnownGap}
 	for trial := 0; trial < 8; trial++ {
 		data := make([]byte, 16+trial*11)
 		s := uint64(trial) + 77
@@ -110,7 +112,7 @@ func TestDifferentialDegenerateShapes(t *testing.T) {
 	shapes["double-star"] = star
 
 	for name, g := range shapes {
-		for _, a := range []Algorithm{FLS, FLSKnownGap, LTZ, SV, RandomMate, LabelProp} {
+		for _, a := range []Algorithm{FLS, FLSKnownGap} {
 			res, err := ConnectedComponents(g, &Options{Algorithm: a, Seed: 9})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, a, err)
@@ -181,11 +183,8 @@ func FuzzLTZ(f *testing.F) {
 	f.Add([]byte{9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := randomMultigraph(data)
-		res, err := ConnectedComponents(g, &Options{Algorithm: LTZ, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Verify(g, res.Labels) {
+		forest := ltz.Solve(pram.New(pram.Seed(1)), g, ltz.DefaultParams(g.N))
+		if !Verify(g, forest.Labels()) {
 			t.Fatal("LTZ disagrees with BFS")
 		}
 	})

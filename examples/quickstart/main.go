@@ -39,13 +39,16 @@ func main() {
 	fmt.Printf("0 ~ 1999?   %v (same expander)\n", res.SameComponent(0, 1999))
 	fmt.Printf("0 ~ 2000?   %v (different components)\n", res.SameComponent(0, 2000))
 
-	// Compare with a classical baseline on the same input.
-	sv, err := parcc.ConnectedComponents(g, &parcc.Options{Algorithm: parcc.SV})
+	// Compare with the fixed-degree-target pipeline (Theorem 3) on the
+	// same input.
+	kg, err := parcc.ConnectedComponents(g, &parcc.Options{
+		Algorithm: parcc.FLSKnownGap, Seed: 42, Backend: parcc.BackendSequential,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sv:         %d rounds, %.1f ops per edge+vertex\n",
-		sv.Steps, float64(sv.Work)/float64(g.M()+g.N))
+	fmt.Printf("known-gap:  %d rounds, %.1f ops per edge+vertex\n",
+		kg.Steps, float64(kg.Work)/float64(g.M()+g.N))
 
 	// Every result can be verified against sequential BFS.
 	fmt.Printf("verified:   %v\n", parcc.Verify(g, res.Labels))

@@ -16,7 +16,7 @@ import (
 // minima under any schedule.
 func TestFrontierEquivalenceAcrossFamilies(t *testing.T) {
 	for name, g := range familyGraphs() {
-		truth := mustLabels(t, g, &Options{Algorithm: BFS})
+		truth := baseline.BFSLabels(g)
 		casL := mustLabels(t, g, &Options{Algorithm: CASUnite, Backend: BackendSequential})
 		if !graph.SamePartition(truth, casL) {
 			t.Fatalf("%s: cas baseline wrong", name)
@@ -185,7 +185,7 @@ func bridgeFallback(t *testing.T, half *Graph, want Algorithm, rule string) (*So
 
 	// The region the repair re-solved: the bridge's former component, in
 	// ascending vertex order, over the live edges after the delete.
-	before := mustLabels(t, base, &Options{Algorithm: BFS})
+	before := baseline.BFSLabels(base)
 	vmap := make([]int32, base.N)
 	k := int32(0)
 	for v, l := range before {

@@ -14,10 +14,7 @@ import (
 // cold ConnectedComponents solve, with the exact component count.
 func TestAttachMatchesScratch(t *testing.T) {
 	g := solverTestGraph()
-	want, err := ConnectedComponents(g, &Options{Algorithm: BFS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := baseline.BFSLabels(g)
 	s, err := NewSolver(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +27,10 @@ func TestAttachMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumComponents != want.NumComponents {
-		t.Fatalf("components = %d, want %d", res.NumComponents, want.NumComponents)
+	if wantN := graph.NumLabels(want); res.NumComponents != wantN {
+		t.Fatalf("components = %d, want %d", res.NumComponents, wantN)
 	}
-	if !graph.SamePartition(want.Labels, res.Labels) {
+	if !graph.SamePartition(want, res.Labels) {
 		t.Fatal("attach partition differs from scratch solve")
 	}
 	if res.Algorithm != Incremental {
@@ -281,7 +278,7 @@ func TestIncrementalRandomizedVsScratch(t *testing.T) {
 // calls share the solver; the plan cache must follow the live graph
 // through appends (delta extension) and removals (rebuild).
 func TestIncrementalInterleavedWithSolve(t *testing.T) {
-	s, err := NewSolver(&Options{Algorithm: BFS})
+	s, err := NewSolver(&Options{Algorithm: Frontier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +288,7 @@ func TestIncrementalInterleavedWithSolve(t *testing.T) {
 	}
 	g := s.Live()
 	for step := 0; step < 4; step++ {
-		res, err := s.Solve(g) // BFS reads the cached plan
+		res, err := s.Solve(g) // frontier reads the cached plan
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +320,7 @@ func TestIncrementalInterleavedWithSolve(t *testing.T) {
 func TestTrustGraphSkipsFingerprint(t *testing.T) {
 	mutate := func(trust bool) (stale bool) {
 		g := graph.FromPairs(4, [][2]int{{0, 1}, {2, 3}})
-		s, err := NewSolver(&Options{Algorithm: BFS, TrustGraph: trust})
+		s, err := NewSolver(&Options{Algorithm: Frontier, TrustGraph: trust})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +346,7 @@ func TestTrustGraphSkipsFingerprint(t *testing.T) {
 	// the documented promise is that only same-length overwrites go
 	// unnoticed.  Regression for a stale-CSR bug caught in review.
 	gm := graph.FromPairs(6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	sm, err := NewSolver(&Options{Algorithm: BFS, TrustGraph: true})
+	sm, err := NewSolver(&Options{Algorithm: Frontier, TrustGraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +367,7 @@ func TestTrustGraphSkipsFingerprint(t *testing.T) {
 
 	// Appends are still caught under TrustGraph: the length check is kept.
 	g := graph.FromPairs(4, [][2]int{{0, 1}})
-	s, err := NewSolver(&Options{Algorithm: BFS, TrustGraph: true})
+	s, err := NewSolver(&Options{Algorithm: Frontier, TrustGraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}

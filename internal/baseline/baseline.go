@@ -16,6 +16,8 @@
 package baseline
 
 import (
+	"slices"
+
 	"parcc/internal/graph"
 	"parcc/internal/labeled"
 	"parcc/internal/par"
@@ -30,24 +32,10 @@ func BFSLabels(g *graph.Graph) []int32 {
 	return BFSLabelsCSR(graph.BuildCSR(g), g.N, nil)
 }
 
-// BFSLabelsInto is BFSLabels against the context's cached CSR plan,
-// writing into dst when it has the capacity; the BFS queue comes from the
-// arena.
-func BFSLabelsInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
-	// Capacity g.N: the queue can hold a whole component, so it never
-	// regrows past the arena's buffer on the warm path.
-	queue := cx.Grab32Cap(g.N)
-	out := bfsLabels(cx.Plan(g).CSR, g.N, dst, queue)
-	cx.Release32(queue)
-	return out
-}
-
-// BFSLabelsCSR runs the BFS labeling over a prebuilt adjacency.
+// BFSLabelsCSR runs the BFS labeling over a prebuilt adjacency, writing
+// into dst when it has the capacity.
 func BFSLabelsCSR(csr *graph.CSR, n int, dst []int32) []int32 {
-	return bfsLabels(csr, n, dst, make([]int32, 0, 1024))
-}
-
-func bfsLabels(csr *graph.CSR, n int, dst, queue []int32) []int32 {
+	queue := make([]int32, 0, 1024)
 	labels := dst
 	if cap(labels) < n {
 		labels = make([]int32, n)
@@ -167,19 +155,12 @@ func UnionFindLabelsInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
 // unconditional star hooking, and a shortcut, each a full O(m+n)-work step,
 // for O(log n) rounds: Θ((m+n) log n) total work.
 func ShiloachVishkin(m *pram.Machine, g *graph.Graph) *labeled.Forest {
-	return ShiloachVishkinCtx(solve.New(m), g)
-}
-
-// ShiloachVishkinCtx is ShiloachVishkin on a solve context; the returned
-// forest comes from the arena (the caller frees it).
-func ShiloachVishkinCtx(cx *solve.Ctx, g *graph.Graph) *labeled.Forest {
-	m := cx.M
 	n := g.N
-	f := labeled.NewOn(cx.A, n)
+	f := labeled.New(n)
 	p := f.P
-	old := cx.Grab32(n) // pre-step snapshot: PRAM steps read old state
-	star := cx.Grab32(n)
-	tmp := cx.Grab32(n)
+	old := make([]int32, n) // pre-step snapshot: PRAM steps read old state
+	star := make([]int32, n)
+	tmp := make([]int32, n)
 	changed := []int32{1}
 	snapshot := func() {
 		m.For(n, func(v int) { old[v] = pram.Load32(p, v) })
@@ -222,9 +203,6 @@ func ShiloachVishkinCtx(cx *solve.Ctx, g *graph.Graph) *labeled.Forest {
 		})
 		m.For(n, func(v int) { pram.Store32(p, v, tmp[v]) })
 	}
-	cx.Release32(old)
-	cx.Release32(star)
-	cx.Release32(tmp)
 	return f
 }
 
@@ -316,17 +294,10 @@ func computeStars(m *pram.Machine, p []int32, star []int32) {
 // flips a coin; head-roots hook onto adjacent tail-roots; then a shortcut.
 // O(log n) rounds w.h.p., full edge scans per round.
 func RandomMate(m *pram.Machine, g *graph.Graph, seed uint64) *labeled.Forest {
-	return RandomMateCtx(solve.New(m), g, seed)
-}
-
-// RandomMateCtx is RandomMate on a solve context; the returned forest
-// comes from the arena (the caller frees it).
-func RandomMateCtx(cx *solve.Ctx, g *graph.Graph, seed uint64) *labeled.Forest {
-	m := cx.M
-	f := labeled.NewOn(cx.A, g.N)
+	f := labeled.New(g.N)
 	p := f.P
-	E := cx.CopyEdges(g.Edges)
-	coin := cx.Grab32(g.N)
+	E := slices.Clone(g.Edges)
+	coin := make([]int32, g.N)
 	round := int64(0)
 	for len(E) > 0 {
 		round++
@@ -353,19 +324,11 @@ func RandomMateCtx(cx *solve.Ctx, g *graph.Graph, seed uint64) *labeled.Forest {
 		labeled.ShortcutAll(m, f)
 		E = labeled.Alter(m, f, E)
 	}
-	cx.Release32(coin)
-	cx.ReleaseEdges(E)
 	return f
 }
 
 // LabelProp runs synchronous minimum-label propagation until fixpoint:
 // Θ(diameter) rounds.  Returns labels directly.
-func LabelProp(m *pram.Machine, g *graph.Graph) []int32 {
-	return LabelPropInto(solve.New(m), g, nil)
-}
-
-// LabelPropInto is LabelProp on a solve context, writing into dst when it
-// has the capacity.
 //
 // The rounds are frontier-driven (par.Frontier): only vertices whose label
 // changed in the previous round push their label across their incident
@@ -378,22 +341,17 @@ func LabelProp(m *pram.Machine, g *graph.Graph) []int32 {
 // is Σ deg over the frontier plus the touched-set commit instead of
 // m + n.  lab64 is a persistent shadow of lab (equal at every round
 // boundary), so no per-round snapshot pass runs at all.
-func LabelPropInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
-	m := cx.M
+func LabelProp(m *pram.Machine, g *graph.Graph) []int32 {
 	n := g.N
-	csr := cx.Plan(g).CSR
-	lab := dst
-	if cap(lab) < n {
-		lab = make([]int32, n)
-	}
-	lab = lab[:n]
+	csr := graph.BuildPlanOn(m.Exec(), g).CSR
+	lab := make([]int32, n)
 	m.Iota32(lab)
-	lab64 := cx.Grab64(n)
+	lab64 := make([]int64, n)
 	m.For(n, func(v int) { lab64[v] = int64(lab[v]) })
 	// The frontier pair stays in full/sparse-list mode throughout so the
 	// machine's per-index loops can address it by position.
-	cur := par.NewFrontier(cx.A, n)
-	touched := par.NewFrontier(cx.A, n)
+	cur := par.NewFrontier(nil, n)
+	touched := par.NewFrontier(nil, n)
 	cur.SeedAll()
 	// Hoisted round bodies: the rounds share two closures instead of
 	// allocating two per round.
@@ -425,9 +383,6 @@ func LabelPropInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
 		cur.Clear()
 		cur, touched = touched, cur
 	}
-	cur.Free(cx.A)
-	touched.Free(cx.A)
-	cx.Release64(lab64)
 	return lab
 }
 
@@ -439,31 +394,19 @@ func LabelPropInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
 // measured.  Frontier compaction per round uses the approximate-compaction
 // contract like the rest of the codebase.
 func ParallelBFS(m *pram.Machine, g *graph.Graph) []int32 {
-	return ParallelBFSInto(solve.New(m), g, nil)
-}
-
-// ParallelBFSInto is ParallelBFS against the context's cached CSR plan,
-// with the frontier machinery drawn from the arena and labels written into
-// dst when it has the capacity.
-func ParallelBFSInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
-	m := cx.M
 	n := g.N
-	csr := cx.Plan(g).CSR
-	labels := dst
-	if cap(labels) < n {
-		labels = make([]int32, n)
-	}
-	labels = labels[:n]
+	csr := graph.BuildPlanOn(m.Exec(), g).CSR
+	labels := make([]int32, n)
 	m.For(n, func(v int) { labels[v] = int32(v) })
 	// Every vertex is initially its own frontier; a vertex adopts the
 	// smallest label seen among its neighbors' waves.  Rather than running
 	// one BFS per component sequentially (which would charge Σd rounds),
 	// all components proceed in parallel: per round, every frontier vertex
 	// relaxes its edges once.
-	frontier := cx.Grab32(n)
+	frontier := make([]int32, n)
 	m.Iota32(frontier)
-	lab64 := cx.Grab64(n)
-	inNf := cx.Grab32(n) // membership of the next frontier (uncharged dedup)
+	lab64 := make([]int64, n)
+	inNf := make([]int32, n) // membership of the next frontier (uncharged dedup)
 	// Hoisted round bodies (closures capture the frontier/nf variables, so
 	// reassigning them between rounds is visible inside).
 	var nf []int32
@@ -500,13 +443,9 @@ func ParallelBFSInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
 		}
 		m.ForWork(len(frontier), relaxWork, relax)
 		// Next frontier: vertices whose label improved.
-		nf = cx.Grab32Cap(n)
+		nf = make([]int32, 0, n)
 		m.Contract(prim.LogStar(n)+1, int64(len(frontier)), advance)
-		cx.Release32(frontier)
 		frontier = nf
 	}
-	cx.Release32(frontier)
-	cx.Release32(inNf)
-	cx.Release64(lab64)
 	return labels
 }

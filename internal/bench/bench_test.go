@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,8 +33,72 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			if len(strings.Split(strings.TrimSpace(csv), "\n")) != len(tab.Rows)+1 {
 				t.Error("csv row count mismatch")
 			}
+			if claim := smallClaims[e.ID]; claim != nil {
+				claim(t, tab)
+			}
 		})
 	}
+}
+
+// smallClaims asserts the shape claims of the experiments whose verdicts
+// compare FLS with the classical baselines, on the Small-scale tables.
+var smallClaims = map[string]func(*testing.T, *Table){
+	"E2":  assertE2WorkShape,
+	"E10": assertE10LabelPropRounds,
+}
+
+// assertE2WorkShape: Theorem 1's O(m+n) work keeps FLS's work/(m+n) in a
+// band (max/min ≤ 1.3) over the n sweep, while Shiloach–Vishkin's
+// Θ((m+n)·log n) work makes its work/(m+n) grow with n.  SV's round count
+// is a step function of log n, so two adjacent sizes may tie (19.5, 26, 26
+// at seed 3): the bar is never falling, and higher at the largest n than
+// at the smallest.
+func assertE2WorkShape(t *testing.T, tab *Table) {
+	fls := column(t, tab, "fls work/(m+n)")
+	sv := column(t, tab, "sv work/(m+n)")
+	if lo, hi := slices.Min(fls), slices.Max(fls); hi > 1.3*lo {
+		t.Errorf("fls work/(m+n) spans %.4g..%.4g over the n sweep, want max/min <= 1.3", lo, hi)
+	}
+	if !slices.IsSorted(sv) || sv[len(sv)-1] <= sv[0] {
+		t.Errorf("sv work/(m+n) %v does not grow with n", sv)
+	}
+}
+
+// assertE10LabelPropRounds: label propagation pays Θ(diameter) rounds, so
+// on the cycle it takes more than 4× the rounds of FLS.
+func assertE10LabelPropRounds(t *testing.T, tab *Table) {
+	rounds := map[string]float64{}
+	for _, r := range tab.Rows {
+		if r[0] == "cycle" {
+			rounds[r[1]] = parseCell(t, r[2])
+		}
+	}
+	if lp, fls := rounds["label-prop"], rounds["fls"]; !(lp > 4*fls) {
+		t.Errorf("cycle: label-prop %v rounds, fls %v: want label-prop > 4x fls", lp, fls)
+	}
+}
+
+// column parses the named numeric column of tab.
+func column(t *testing.T, tab *Table, name string) []float64 {
+	t.Helper()
+	i := slices.Index(tab.Columns, name)
+	if i < 0 {
+		t.Fatalf("%s: no column %q", tab.ID, name)
+	}
+	out := make([]float64, len(tab.Rows))
+	for j, r := range tab.Rows {
+		out[j] = parseCell(t, r[i])
+	}
+	return out
+}
+
+func parseCell(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatalf("cell %q not numeric", cell)
+	}
+	return v
 }
 
 func TestFind(t *testing.T) {

@@ -15,7 +15,7 @@ func benchGraph() *parcc.Graph {
 
 func BenchmarkOneShotSolve(b *testing.B) {
 	g := benchGraph()
-	opts := &parcc.Options{Algorithm: parcc.LT, Backend: parcc.BackendSequential}
+	opts := &parcc.Options{Algorithm: parcc.FLS, Backend: parcc.BackendSequential}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := parcc.ConnectedComponents(g, opts); err != nil {
@@ -26,7 +26,7 @@ func BenchmarkOneShotSolve(b *testing.B) {
 
 func BenchmarkSessionSolve(b *testing.B) {
 	g := benchGraph()
-	s, err := parcc.NewSolver(&parcc.Options{Algorithm: parcc.LT, Backend: parcc.BackendSequential})
+	s, err := parcc.NewSolver(&parcc.Options{Algorithm: parcc.FLS, Backend: parcc.BackendSequential})
 	if err != nil {
 		b.Fatal(err)
 	}

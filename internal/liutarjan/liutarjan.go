@@ -21,11 +21,11 @@ package liutarjan
 
 import (
 	"fmt"
+	"slices"
 
 	"parcc/internal/graph"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
-	"parcc/internal/solve"
 )
 
 // Variant names a connect rule.
@@ -68,17 +68,10 @@ type Config struct {
 // Solve runs the selected variant to fixpoint and returns the forest and
 // the number of rounds used.
 func Solve(m *pram.Machine, g *graph.Graph, cfg Config) (*labeled.Forest, int) {
-	return SolveCtx(solve.New(m), g, cfg)
-}
-
-// SolveCtx is Solve on a solve context: the forest and working arrays come
-// from the arena (the caller frees the forest after extracting labels).
-func SolveCtx(cx *solve.Ctx, g *graph.Graph, cfg Config) (*labeled.Forest, int) {
-	m := cx.M
 	n := g.N
-	f := labeled.NewOn(cx.A, n)
+	f := labeled.New(n)
 	p := f.P
-	E := cx.CopyEdges(g.Edges)
+	E := slices.Clone(g.Edges)
 
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
@@ -89,8 +82,8 @@ func SolveCtx(cx *solve.Ctx, g *graph.Graph, cfg Config) (*labeled.Forest, int) 
 		maxRounds = 8*l*l + 64
 	}
 
-	old := cx.Grab32(n)
-	cand := cx.Grab64(n) // extreme-connect aggregation
+	old := make([]int32, n)
+	cand := make([]int64, n) // extreme-connect aggregation
 	changed := []int32{1}
 	rounds := 0
 	for changed[0] != 0 && rounds < maxRounds {
@@ -152,9 +145,6 @@ func SolveCtx(cx *solve.Ctx, g *graph.Graph, cfg Config) (*labeled.Forest, int) 
 		}
 	}
 	labeled.FlattenAll(m, f)
-	cx.Release32(old)
-	cx.Release64(cand)
-	cx.ReleaseEdges(E)
 	return f, rounds
 }
 
@@ -181,22 +171,6 @@ func connect(p, old []int32, u, v int32, changed []int32) {
 // casInt32 is a compare-and-swap on a plain int32 slice cell.
 func casInt32(a []int32, i int, oldv, newv int32) bool {
 	return pram.CAS32(a, i, oldv, newv)
-}
-
-// Labels is a convenience wrapper returning component labels directly.  On
-// the concurrent backend the final label extraction runs as pointer jumping
-// on the runtime (uncharged either way).
-func Labels(m *pram.Machine, g *graph.Graph, cfg Config) []int32 {
-	return LabelsInto(solve.New(m), g, cfg, nil)
-}
-
-// LabelsInto is Labels on a solve context, writing into dst when it has
-// the capacity.
-func LabelsInto(cx *solve.Ctx, g *graph.Graph, cfg Config, dst []int32) []int32 {
-	f, _ := SolveCtx(cx, g, cfg)
-	out := labeled.LabelsOnInto(cx.M.Exec(), f, dst)
-	f.Free()
-	return out
 }
 
 // Variants enumerates the six canonical framework members for benchmarks.

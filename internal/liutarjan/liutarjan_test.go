@@ -11,6 +11,12 @@ import (
 	"parcc/internal/pram/pramtest"
 )
 
+// labels runs Solve and returns the forest's component labels.
+func labels(m *pram.Machine, g *graph.Graph, cfg Config) []int32 {
+	f, _ := Solve(m, g, cfg)
+	return f.Labels()
+}
+
 func battery() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"empty":    graph.New(0),
@@ -32,7 +38,7 @@ func TestAllVariantsMatchBFS(t *testing.T) {
 		t.Run(Name(cfg), func(t *testing.T) {
 			for name, g := range battery() {
 				m := pramtest.New(t, 0, pram.Seed(3))
-				got := Labels(m, g, cfg)
+				got := labels(m, g, cfg)
 				if !graph.SamePartition(baseline.BFSLabels(g), got) {
 					t.Errorf("%s: wrong partition", name)
 				}
@@ -46,7 +52,7 @@ func TestVariantsSequentialOrders(t *testing.T) {
 	for _, cfg := range Variants() {
 		for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
 			m := pram.New(pram.WriteOrder(ord), pram.Seed(5))
-			got := Labels(m, g, cfg)
+			got := labels(m, g, cfg)
 			if !graph.SamePartition(baseline.BFSLabels(g), got) {
 				t.Errorf("%s/%v: wrong partition", Name(cfg), ord)
 			}
@@ -95,7 +101,7 @@ func TestQuickRandomGraphs(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.GNM(64, 90, seed)
 		m := pramtest.New(t, 0, pram.Seed(seed))
-		return graph.SamePartition(baseline.BFSLabels(g), Labels(m, g, cfg))
+		return graph.SamePartition(baseline.BFSLabels(g), labels(m, g, cfg))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -548,31 +548,12 @@ func SolveOnCtx(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p P
 // Solve computes the connected components of g from scratch with the LTZ
 // algorithm, returning the forest (flattened).
 func Solve(m *pram.Machine, g *graph.Graph, p Params) *labeled.Forest {
-	return SolveCtx(solve.New(m), g, p)
-}
-
-// SolveCtx is Solve on a context: the forest comes from the arena (the
-// caller frees it after extracting labels).
-func SolveCtx(cx *solve.Ctx, g *graph.Graph, p Params) *labeled.Forest {
-	m := cx.M
-	f := labeled.NewOn(cx.A, g.N)
-	V := cx.Grab32(g.N)
+	f := labeled.New(g.N)
+	V := make([]int32, g.N)
 	m.Iota32(V)
-	SolveOnCtx(cx, f, V, g.Edges, p)
-	cx.Release32(V)
+	SolveOn(m, f, V, g.Edges, p)
 	labeled.FlattenAll(m, f)
 	return f
-}
-
-// SolveLabelsInto runs SolveCtx and extracts component labels into dst
-// when it has the capacity, using the machine's parallel runtime for the
-// (uncharged) extraction when one is installed — the session entry point
-// for the Theorem-2 baseline.
-func SolveLabelsInto(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) []int32 {
-	f := SolveCtx(cx, g, p)
-	out := labeled.LabelsOnInto(cx.M.Exec(), f, dst)
-	f.Free()
-	return out
 }
 
 // minHookFallback contracts the remaining edges by repeated minimum-root

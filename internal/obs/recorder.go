@@ -54,7 +54,7 @@ const (
 	// PhaseCount is component counting (root count or label dedup).
 	PhaseCount
 	// PhaseSolve is the whole kernel of an algorithm the tracer does not
-	// decompose further (cas, union-find, bfs, ltz, sv, ...).
+	// decompose further (union-find, cas, the frontier passes).
 	PhaseSolve
 	// PhaseReduce is FLS Stage 1 (REDUCE).
 	PhaseReduce

@@ -286,12 +286,20 @@ func newEpoch() uint64 {
 
 // createWAL opens (truncating) the shard's log file.  A fresh Create
 // supersedes any stale log under the same name — a crash-recovered graph
-// re-registers through Engine.Recover before Create can race it.
+// re-registers through Engine.Recover before Create can race it.  With
+// fsync on, the directory is synced too, so the new file's entry — and
+// with it the birth record appendCreate syncs — survives power loss.
 func createWAL(dir, name string, fsync bool) (*walWriter, error) {
 	path := walPath(dir, name)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: wal create: %w", err)
+	}
+	if fsync {
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("service: wal create: %w", err)
+		}
 	}
 	return &walWriter{f: f, path: path, fsync: fsync, epoch: newEpoch(), tail: make(chan struct{})}, nil
 }
@@ -385,7 +393,9 @@ func (w *walWriter) appendGroup(entries []walEntry) error {
 // through a temp file + fsync + rename so a crash at any point leaves
 // either the old log or the new one, never a mix; the append handle is
 // then swapped to the renamed file and gen is bumped so stream readers
-// holding the pre-rename inode restart from the new head.
+// holding the pre-rename inode restart from the new head.  Last, the
+// directory is synced, so a compaction that returns nil survives power
+// loss.
 func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 	buf := appendWALFrame(nil, &walRecord{
 		kind:  walKindCheckpoint,
@@ -431,6 +441,11 @@ func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 	w.durable.Store(int64(len(buf)))
 	w.gen.Add(1)
 	w.wake()
+	// The handle already follows the renamed file, so later appends land
+	// in the new log whether or not the directory sync succeeds.
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
+		return fmt.Errorf("service: wal checkpoint: %w", err)
+	}
 	return nil
 }
 
@@ -447,6 +462,23 @@ func (w *walWriter) write(frames int) error {
 			return fmt.Errorf("service: wal fsync %s: %w", w.path, err)
 		}
 		w.fsyncs.Add(1)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the creates and renames inside it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("open dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("fsync dir %s: %w", dir, err)
 	}
 	return nil
 }

@@ -331,6 +331,23 @@ func TestWALDropRemovesLog(t *testing.T) {
 	}
 }
 
+// TestWALSyncDir: the directory sync behind log creation and compaction
+// succeeds on a real directory and reports a missing one.
+func TestWALSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	w, err := createWAL(dir, "g", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.writeCheckpoint(3, []parcc.Edge{{U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncing a missing directory must fail")
+	}
+}
+
 // TestRecoveringMapsTo503: the taxonomy entry the recovery gate returns
 // must surface as Service Unavailable.
 func TestRecoveringMapsTo503(t *testing.T) {

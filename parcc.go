@@ -6,9 +6,13 @@
 //
 // The package exposes:
 //
-//   - ConnectedComponents: the paper's CONNECTIVITY algorithm (§7), plus
-//     the [LTZ20] baseline, Shiloach–Vishkin, random-mate, label
-//     propagation, and sequential union-find / BFS for comparison;
+//   - ConnectedComponents: the paper's CONNECTIVITY algorithm (§7) and its
+//     known-gap pipeline, plus the serving kernels (sequential union-find,
+//     concurrent CAS union-find, sampling, frontier) and the Auto
+//     dispatcher that picks among them.  The classical baselines the
+//     paper compares against ([LTZ20], Shiloach–Vishkin, random-mate,
+//     label propagation, Liu–Tarjan, parallel BFS) live in internal
+//     packages and run in the experiment harness, not through Options;
 //   - Solver: the session form of the same engine for serving repeated
 //     queries — NewSolver builds the goroutine pool, PRAM machine, scratch
 //     arena, and CSR plan cache once; Solve/SolveInto reuse them, making
@@ -103,24 +107,9 @@ const (
 	FLS Algorithm = "fls"
 	// FLSKnownGap is the fixed-b three-stage pipeline (Theorem 3).
 	FLSKnownGap Algorithm = "fls-known-gap"
-	// LTZ is the Liu–Tarjan–Zhong baseline (Theorem 2).
-	LTZ Algorithm = "ltz"
-	// SV is Shiloach–Vishkin / Awerbuch–Shiloach.
-	SV Algorithm = "sv"
-	// RandomMate is Reif's random-mate contraction.
-	RandomMate Algorithm = "random-mate"
-	// LabelProp is synchronous minimum-label propagation.
-	LabelProp Algorithm = "label-prop"
-	// UnionFind is the sequential disjoint-set baseline.
+	// UnionFind is the sequential disjoint-set pass: uncharged, and what
+	// Auto picks for tiny inputs.
 	UnionFind Algorithm = "union-find"
-	// BFS is the sequential breadth-first baseline (ground truth).
-	BFS Algorithm = "bfs"
-	// LT is the Liu–Tarjan simple concurrent algorithm [LT19]
-	// (parent-connect + shortcut + alter).
-	LT Algorithm = "liu-tarjan"
-	// ParBFS is multi-source level-synchronous parallel BFS: O(d) rounds,
-	// O(m+n) work.
-	ParBFS Algorithm = "parallel-bfs"
 	// CASUnite is the barrier-free concurrent union-find on the internal/par
 	// runtime (unite-by-min hooking, path halving, full compression): the
 	// wall-clock-oriented companion to the charged PRAM algorithms.  Its
@@ -206,13 +195,9 @@ type Options struct {
 	// with *ProcsRangeError rather than silently clamped.
 	Procs int
 	// Seed makes randomized algorithms reproducible.  The zero value means
-	// "unset" and selects the default seed 1 (so the zero Options value is
-	// a working default); to actually run with the literal seed 0, set
-	// ZeroSeed.
+	// "unset" and selects the default seed 1, so the zero Options value is
+	// a working default.
 	Seed uint64
-	// ZeroSeed selects the literal seed 0, distinguishing "explicit 0"
-	// from the unset zero value of Seed.  Ignored when Seed != 0.
-	ZeroSeed bool
 	// KnownGapB is the degree target b for FLSKnownGap (default 16).
 	KnownGapB int
 	// Trace enables solve-phase tracing: the session owns an

@@ -2,12 +2,13 @@ package parcc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 func TestAllAlgorithmsAgree(t *testing.T) {
 	g := UnionGraphs(Cycle(120), Grid(9, 11), RandomRegular(128, 4, 3), NewGraph(7))
-	algos := []Algorithm{FLS, FLSKnownGap, LTZ, SV, RandomMate, LabelProp, LT, ParBFS, UnionFind, BFS}
+	algos := []Algorithm{FLS, FLSKnownGap, UnionFind, CASUnite, Sample, Frontier}
 	for _, a := range algos {
 		res, err := ConnectedComponents(g, &Options{Algorithm: a, Seed: 5})
 		if err != nil {
@@ -57,14 +58,19 @@ func TestNilAndInvalidInputs(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ConnectedComponents(Cycle(4), &Options{Algorithm: "nope"}); err == nil {
-		t.Error("unknown algorithm should error")
+	// The classical baselines run through their internal packages only:
+	// naming one is the same unknown-algorithm error as a typo.
+	for _, name := range []Algorithm{"nope", "ltz", "sv", "random-mate", "label-prop", "liu-tarjan", "parallel-bfs", "bfs"} {
+		_, err := ConnectedComponents(Cycle(4), &Options{Algorithm: name})
+		if err == nil || err.Error() != fmt.Sprintf("parcc: unknown algorithm %q", name) {
+			t.Errorf("%s: err = %v, want the unknown-algorithm error", name, err)
+		}
 	}
 }
 
 func TestSameComponentAndComponents(t *testing.T) {
 	g := UnionGraphs(Path(4), Path(3))
-	res, err := ConnectedComponents(g, &Options{Algorithm: BFS})
+	res, err := ConnectedComponents(g, &Options{Algorithm: UnionFind})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,12 +82,12 @@ func TestPropertyComponentCountVsEdges(t *testing.T) {
 func TestPropertySamplingMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := GNM(60, 90, seed)
-		full, err := ConnectedComponents(g, &Options{Algorithm: BFS})
+		full, err := ConnectedComponents(g, &Options{Algorithm: UnionFind})
 		if err != nil {
 			return false
 		}
 		s := SampleEdges(g, 0.5, seed)
-		sub, err := ConnectedComponents(s, &Options{Algorithm: BFS})
+		sub, err := ConnectedComponents(s, &Options{Algorithm: UnionFind})
 		if err != nil {
 			return false
 		}
@@ -118,14 +118,16 @@ func TestPropertyUnionAddsComponents(t *testing.T) {
 	}
 }
 
-// TestPropertyAlgorithmsAgreePairwise: FLS, LTZ and SV induce the same
-// partition on arbitrary random multigraphs.
+// TestPropertyAlgorithmsAgreePairwise: FLS, its known-gap pipeline and the
+// CAS union-find induce the same partition on arbitrary random
+// multigraphs.  The classical baselines are cross-checked in
+// internal/bench's TestBaselineEquivalenceAcrossFamilies.
 func TestPropertyAlgorithmsAgreePairwise(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := GNM(64, 100, seed)
 		a, err1 := ConnectedComponents(g, &Options{Algorithm: FLS, Seed: seed})
-		b, err2 := ConnectedComponents(g, &Options{Algorithm: LTZ, Seed: seed})
-		c, err3 := ConnectedComponents(g, &Options{Algorithm: SV, Seed: seed})
+		b, err2 := ConnectedComponents(g, &Options{Algorithm: FLSKnownGap, Seed: seed})
+		c, err3 := ConnectedComponents(g, &Options{Algorithm: CASUnite, Seed: seed})
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}

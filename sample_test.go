@@ -3,6 +3,7 @@ package parcc
 import (
 	"testing"
 
+	"parcc/internal/baseline"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
@@ -15,7 +16,7 @@ import (
 // converge to component minima under any schedule.
 func TestSampleAutoEquivalenceAcrossFamilies(t *testing.T) {
 	for name, g := range familyGraphs() {
-		truth := mustLabels(t, g, &Options{Algorithm: BFS})
+		truth := baseline.BFSLabels(g)
 		casL := mustLabels(t, g, &Options{Algorithm: CASUnite, Backend: BackendSequential})
 		if !graph.SamePartition(truth, casL) {
 			t.Fatalf("%s: cas baseline wrong", name)

@@ -11,9 +11,6 @@ import (
 	"parcc/internal/baseline"
 	"parcc/internal/core"
 	"parcc/internal/graph"
-	"parcc/internal/labeled"
-	"parcc/internal/liutarjan"
-	"parcc/internal/ltz"
 	"parcc/internal/obs"
 	"parcc/internal/par"
 	"parcc/internal/pram"
@@ -44,7 +41,7 @@ import (
 //	}
 type Solver struct {
 	opt   Options // normalized: algorithm, backend, KnownGapB filled in
-	seed  uint64  // effective seed (Options.Seed/ZeroSeed resolved)
+	seed  uint64  // effective seed (an unset Options.Seed resolved to 1)
 	procs int
 
 	// rec is the session's trace recorder: non-nil exactly when
@@ -207,7 +204,6 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 		Algorithm: algo, Backend: o.Backend, Procs: s.procs,
 		Breakdown: res.Breakdown[:0],
 	}
-	solveSpan := rec.Begin()
 	switch algo {
 	case FLS:
 		r := core.ConnectivityOn(cx, g, params, dst)
@@ -217,46 +213,13 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 		r := core.SolveKnownGapOn(cx, g, o.KnownGapB, params, dst)
 		res.Labels, res.NumComponents = r.Labels, r.NumComponents
 		res.Breakdown = stageCostsInto(res.Breakdown, r.Breakdown)
-	case LTZ:
-		lp := params.LTZ
-		lp.Seed ^= s.seed
-		res.Labels = ltz.SolveLabelsInto(cx, g, lp, dst)
-	case SV:
-		f := baseline.ShiloachVishkinCtx(cx, g)
-		res.Labels = labeled.LabelsOnInto(m.Exec(), f, dst)
-		f.Free()
-	case RandomMate:
-		f := baseline.RandomMateCtx(cx, g, s.seed)
-		res.Labels = labeled.LabelsOnInto(m.Exec(), f, dst)
-		f.Free()
-	case LabelProp:
-		res.Labels = baseline.LabelPropInto(cx, g, dst)
-	case LT:
-		res.Labels = liutarjan.LabelsInto(cx, g, liutarjan.Config{
-			Connect: liutarjan.ParentConnect, Alter: true,
-		}, dst)
-	case ParBFS:
-		res.Labels = baseline.ParallelBFSInto(cx, g, dst)
-	case UnionFind, CASUnite, Frontier, Sample:
+	default:
+		// UnionFind, CASUnite, Frontier or Sample: NewSolver admits no
+		// other algorithm, and Auto resolved to one of them above.
 		steps, work := nominalCharge(algo, g.N, g.M())
 		m.Contract(steps, work, func() {
 			res.Labels, res.NumComponents, res.SkipRatio = s.runKernel(algo, g, plan, dst)
 		})
-	case BFS:
-		res.Labels = baseline.BFSLabelsInto(cx, g, dst)
-	default:
-		return fmt.Errorf("parcc: unknown algorithm %q", o.Algorithm)
-	}
-	switch algo {
-	case FLS, FLSKnownGap, UnionFind, CASUnite, Frontier, Sample:
-		// Decomposed internally: these solves recorded their own spans.
-	default:
-		rec.End(obs.PhaseSolve, solveSpan)
-	}
-	if res.NumComponents == 0 {
-		tc := rec.Begin()
-		res.NumComponents = solve.NumLabels(cx, res.Labels, g.N)
-		rec.End(obs.PhaseCount, tc)
 	}
 	res.Steps = m.Steps()
 	res.Work = m.Work()
@@ -599,24 +562,16 @@ func (s *Solver) frontierPair(n int) (*par.Frontier, *par.Frontier) {
 
 func knownAlgorithm(a Algorithm) bool {
 	switch a {
-	case FLS, FLSKnownGap, LTZ, SV, RandomMate, LabelProp, LT, ParBFS,
-		CASUnite, UnionFind, BFS, Sample, Frontier, Auto:
+	case FLS, FLSKnownGap, UnionFind, CASUnite, Sample, Frontier, Auto:
 		return true
 	}
 	return false
 }
 
-// effectiveSeed resolves the Options seed convention: a nonzero Seed wins;
-// the zero value means "unset" and selects the default seed 1 — unless
-// ZeroSeed asks for the literal seed 0.
+// effectiveSeed resolves the Options seed convention: the zero value
+// means "unset" and selects the default seed 1.
 func effectiveSeed(o Options) uint64 {
-	if o.Seed != 0 {
-		return o.Seed
-	}
-	if o.ZeroSeed {
-		return 0
-	}
-	return 1
+	return cmp.Or(o.Seed, 1)
 }
 
 func stageCostsInto(dst []StageCost, marks []pram.Mark) []StageCost {

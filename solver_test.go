@@ -2,18 +2,17 @@ package parcc
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"parcc/internal/baseline"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
 
-var solverAlgos = []Algorithm{
-	FLS, FLSKnownGap, LTZ, SV, RandomMate, LabelProp, LT, ParBFS,
-	CASUnite, UnionFind, BFS,
-}
+var solverAlgos = []Algorithm{FLS, FLSKnownGap, CASUnite, UnionFind}
 
 func solverTestGraph() *Graph {
 	return gen.Union(
@@ -72,7 +71,7 @@ func TestSolverMatchesConnectedComponents(t *testing.T) {
 // repeat — plus intact model accounting.
 func TestSolverConcurrentBackendRepeats(t *testing.T) {
 	g := solverTestGraph()
-	truth, _ := ConnectedComponents(g, &Options{Algorithm: BFS})
+	truth := baseline.BFSLabels(g)
 	for _, algo := range solverAlgos {
 		s, err := NewSolver(&Options{Algorithm: algo, Backend: BackendConcurrent, Procs: 3, Seed: 11})
 		if err != nil {
@@ -83,11 +82,11 @@ func TestSolverConcurrentBackendRepeats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s rep %d: %v", algo, rep, err)
 			}
-			if !graph.SamePartition(truth.Labels, got.Labels) {
+			if !graph.SamePartition(truth, got.Labels) {
 				t.Errorf("%s rep %d: wrong partition", algo, rep)
 			}
-			// The sequential baselines charge no PRAM cost by design.
-			if algo != UnionFind && algo != BFS && (got.Steps <= 0 || got.Work <= 0) {
+			// The sequential union-find charges no PRAM cost by design.
+			if algo != UnionFind && (got.Steps <= 0 || got.Work <= 0) {
 				t.Errorf("%s rep %d: lost accounting (steps=%d work=%d)",
 					algo, rep, got.Steps, got.Work)
 			}
@@ -98,9 +97,9 @@ func TestSolverConcurrentBackendRepeats(t *testing.T) {
 
 // TestSolverSecondSolveAllocsFar is the allocation-behavior satellite: the
 // steady state of SolveInto on a warm solver must allocate far less than
-// the one-shot path, on both backends.  The serving algorithms (bfs,
-// union-find) must clear the 10× bar of the repeated-solve experiment; the
-// pool-and-arena sharing still has to show up clearly on the others.
+// the one-shot path, on both backends.  The sequential union-find must
+// clear the 10× bar of the repeated-solve experiment; the pool-and-arena
+// sharing still has to show up clearly on cas.
 func TestSolverSecondSolveAllocsFar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow-ish")
@@ -136,9 +135,7 @@ func TestSolverSecondSolveAllocsFar(t *testing.T) {
 			factor float64 // required cold/warm reduction
 		}{
 			{UnionFind, 10},
-			{BFS, 8},
 			{CASUnite, 2},
-			{LabelProp, 2},
 		} {
 			cold, warm := measure(&Options{Algorithm: tc.algo, Backend: be, Procs: 2, Seed: 3})
 			if warm*tc.factor > cold {
@@ -197,7 +194,7 @@ func TestSolverPlanCache(t *testing.T) {
 	// In-place mutation (same edge count) must invalidate too: a warm
 	// solver serving from a stale adjacency would return wrong labels.
 	gm := graph.FromPairs(4, [][2]int{{0, 1}, {2, 3}})
-	sm, err := NewSolver(&Options{Algorithm: BFS})
+	sm, err := NewSolver(&Options{Algorithm: Frontier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +219,8 @@ func TestSolverPlanCache(t *testing.T) {
 // shared solver must be race-free and correct under concurrent callers.
 func TestSolverSharedAcrossGoroutines(t *testing.T) {
 	g := gen.GNM(400, 700, 5)
-	truth, _ := ConnectedComponents(g, &Options{Algorithm: BFS})
-	s, err := NewSolver(&Options{Algorithm: LT})
+	truth := baseline.BFSLabels(g)
+	s, err := NewSolver(&Options{Algorithm: FLS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestSolverSharedAcrossGoroutines(t *testing.T) {
 				errs <- err
 				return
 			}
-			if !graph.SamePartition(truth.Labels, res.Labels) {
+			if !graph.SamePartition(truth, res.Labels) {
 				errs <- errWrongPartition
 			}
 		}()
@@ -270,14 +267,12 @@ func TestSolverClosed(t *testing.T) {
 	}
 }
 
-// TestSeedZeroReachable is the Options.Seed satellite: the zero value of
-// Seed selects the default (identical to Seed: 1), while ZeroSeed makes
-// the literal seed 0 reachable and reproducible.
+// TestSeedZeroReachable is the Options.Seed contract: the zero value of
+// Seed selects the default, so it is identical to Seed: 1.
 func TestSeedZeroReachable(t *testing.T) {
 	g := gen.GNM(200, 350, 4)
 	run := func(o *Options) *Result {
 		t.Helper()
-		o.Algorithm = RandomMate
 		o.Backend = BackendSequential
 		res, err := ConnectedComponents(g, o)
 		if err != nil {
@@ -290,20 +285,9 @@ func TestSeedZeroReachable(t *testing.T) {
 	}
 	def := run(&Options{})
 	one := run(&Options{Seed: 1})
-	if def.Steps != one.Steps || def.Work != one.Work {
+	if def.Steps != one.Steps || def.Work != one.Work || !slices.Equal(def.Labels, one.Labels) {
 		t.Errorf("unset seed must equal the documented default 1: (%d,%d) vs (%d,%d)",
 			def.Steps, def.Work, one.Steps, one.Work)
-	}
-	z1 := run(&Options{ZeroSeed: true})
-	z2 := run(&Options{ZeroSeed: true})
-	if z1.Steps != z2.Steps || z1.Work != z2.Work {
-		t.Error("explicit seed 0 must be reproducible")
-	}
-	// Seed wins over ZeroSeed when both are set.
-	s5a := run(&Options{Seed: 5, ZeroSeed: true})
-	s5b := run(&Options{Seed: 5})
-	if s5a.Steps != s5b.Steps || s5a.Work != s5b.Work {
-		t.Error("ZeroSeed must be ignored when Seed != 0")
 	}
 }
 

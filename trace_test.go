@@ -26,7 +26,6 @@ func TestTraceAllocs(t *testing.T) {
 			algo parcc.Algorithm
 			max  float64 // allowed warm allocations per solve
 		}{
-			{parcc.BFS, 0},
 			{parcc.UnionFind, 1},
 			{parcc.CASUnite, 3},
 			{parcc.Frontier, 14},
