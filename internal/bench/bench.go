@@ -157,8 +157,7 @@ func (t *Table) CSV() string {
 }
 
 // JSON renders the table as a machine-readable document (ccbench -format
-// json, and the BENCH_repl.json table ccload writes) that tooling can
-// diff.
+// json) that tooling can diff.
 func (t *Table) JSON() string {
 	doc := struct {
 		ID      string     `json:"id"`

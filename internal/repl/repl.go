@@ -112,12 +112,11 @@ type Follower struct {
 	tailers map[string]*tailer
 	synced  atomic.Bool // at least one successful discovery round
 
-	reconnects  atomic.Uint64 // stream (re)connect attempts after the first
-	resets      atomic.Uint64 // full-state resets (create/checkpoint applied)
-	groups      atomic.Uint64 // committed groups applied
-	applyErrs   atomic.Uint64 // groups the session rejected (forced resync)
-	frames      atomic.Uint64 // stream frames received
-	streamBytes atomic.Uint64 // approximate stream payload bytes received
+	reconnects atomic.Uint64 // stream (re)connect attempts after the first
+	resets     atomic.Uint64 // full-state resets (create/checkpoint applied)
+	groups     atomic.Uint64 // committed groups applied
+	applyErrs  atomic.Uint64 // groups the session rejected (forced resync)
+	frames     atomic.Uint64 // stream frames received
 }
 
 // New builds a Follower; Start begins replication.
@@ -446,7 +445,6 @@ func (t *tailer) consume(rc io.ReadCloser) bool {
 		}
 		watch.Reset(t.f.opt.Stall)
 		t.f.frames.Add(1)
-		t.f.streamBytes.Add(uint64(16 + 8*len(fr.Batch)))
 		switch fr.Kind {
 		case service.FrameCreate, service.FrameCheckpoint:
 			if fr.Epoch == t.epoch.Load() && fr.Seq <= t.applied.Load() {

@@ -1062,35 +1062,29 @@ func (e *Engine) collect(sh *shard, first *mutation) ([]*mutation, *mutation) {
 		window = time.After(e.opt.CoalesceWindow)
 	}
 	for edges < e.opt.MaxBatchEdges {
+		var m *mutation
+		var ok bool
 		if window == nil {
 			select {
-			case m, ok := <-sh.reqs:
-				if !ok {
-					return group, nil
-				}
-				if m.compact {
-					return group, m
-				}
-				group = append(group, m)
-				edges += len(m.batch)
+			case m, ok = <-sh.reqs:
 			default:
 				return group, nil
 			}
 		} else {
 			select {
-			case m, ok := <-sh.reqs:
-				if !ok {
-					return group, nil
-				}
-				if m.compact {
-					return group, m
-				}
-				group = append(group, m)
-				edges += len(m.batch)
+			case m, ok = <-sh.reqs:
 			case <-window:
 				return group, nil
 			}
 		}
+		if !ok {
+			return group, nil
+		}
+		if m.compact {
+			return group, m
+		}
+		group = append(group, m)
+		edges += len(m.batch)
 	}
 	return group, nil
 }

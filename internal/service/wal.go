@@ -177,7 +177,7 @@ func decodeWALFrame(data []byte, off int) (walRecord, int, error) {
 		if n > 1<<31-1 {
 			return rec, off, walErr(off, false, "create frame vertex count %d overflows int32", n)
 		}
-		if uint64(len(body)-24) != m*8 {
+		if rest := len(body) - 24; rest%8 != 0 || m != uint64(rest/8) {
 			return rec, off, walErr(off, false, "create frame declares %d edges, carries %d bytes", m, len(body)-24)
 		}
 		rec.n = int(n)
@@ -188,8 +188,11 @@ func decodeWALFrame(data []byte, off int) (walRecord, int, error) {
 		}
 		rec.head = binary.LittleEndian.Uint64(body)
 	case walKindAdd, walKindRemove:
+		if len(body) < 8 {
+			return rec, off, walErr(off, false, "batch frame too short (%d bytes)", len(body))
+		}
 		count := binary.LittleEndian.Uint64(body)
-		if uint64(len(body)-8) != count*8 {
+		if rest := len(body) - 8; rest%8 != 0 || count != uint64(rest/8) {
 			return rec, off, walErr(off, false, "batch frame declares %d edges, carries %d bytes", count, len(body)-8)
 		}
 		rec.batch = decodeWALEdges(body[8:])

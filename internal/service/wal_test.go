@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -379,6 +382,10 @@ func FuzzWALDecode(f *testing.F) {
 	badlen[0], badlen[1], badlen[2], badlen[3] = 0xff, 0xff, 0xff, 0xff // insane length
 	f.Add(badlen)
 	f.Add([]byte("not a wal at all, just some text that is long enough"))
+	// CRC-valid frames whose edge count times 8 wraps to the body length.
+	f.Add(crcFrame(walKindCreate, 1, 0, 8, 1<<61))
+	f.Add(crcFrame(walKindAdd, 2, 1<<61))
+	f.Add(crcFrame(walKindRemove, 2)) // no count field at all
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, err := decodeWAL(data)
 		if valid < 0 || valid > len(data) {
@@ -398,5 +405,25 @@ func FuzzWALDecode(f *testing.F) {
 		if err2 != nil || valid2 != valid || len(recs2) != len(recs) {
 			t.Fatalf("clean prefix unstable: %d/%d records, %d/%d bytes, err %v", len(recs2), len(recs), valid2, valid, err2)
 		}
+		// Every decoded record re-encodes to exactly the bytes it came from.
+		for off := 0; off < valid; {
+			rec, next, _ := decodeWALFrame(data, off)
+			if enc := appendWALFrame(nil, &rec); !bytes.Equal(enc, data[off:next]) {
+				t.Fatalf("record at %d re-encodes to %x, decoded from %x", off, enc, data[off:next])
+			}
+			off = next
+		}
 	})
+}
+
+// crcFrame frames a payload of kind, seq and raw little-endian words with
+// a valid length and checksum, whatever the words claim.
+func crcFrame(kind byte, seq uint64, words ...uint64) []byte {
+	payload := binary.LittleEndian.AppendUint64([]byte{kind}, seq)
+	for _, w := range words {
+		payload = binary.LittleEndian.AppendUint64(payload, w)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
 }
