@@ -314,7 +314,7 @@ func (e *Engine) registerMetrics() {
 			fmt.Fprintf(w, "%s %d\n", name, e.replayRecords.Load())
 		})
 	e.reg.Collect("parcc_wal_replay_edges_total",
-		"Edges replayed through the incremental path by the last Recover.", "counter",
+		"Edges decoded from the log by the last Recover: the head record plus every batch.", "counter",
 		func(w io.Writer, name string) {
 			fmt.Fprintf(w, "%s %d\n", name, e.replayEdges.Load())
 		})
@@ -765,7 +765,7 @@ func (e *Engine) Close() {
 type RecoverStats struct {
 	Graphs  int           // sessions reconstructed
 	Records int           // WAL records replayed (including create records)
-	Edges   int64         // edges replayed through the incremental path
+	Edges   int64         // edges decoded from the log: the head record plus every batch
 	Elapsed time.Duration // wall time of the whole replay
 }
 

@@ -38,11 +38,11 @@ import (
 // carries 1 (Create's publish is version 1) and every frame of one
 // coalesced group carries the same lastSeq+1 (the group publishes once).
 // The writer's lastSeq therefore mirrors the session's published version
-// exactly, and recovery — which applies all records, floors the version
-// counter at the last record's seq, and publishes once — resumes at
-// maxSeq+1: strictly greater than any version a reader could have
-// observed before the crash, because the fsync of a frame always precedes
-// the publish that exposes it.
+// exactly, and recovery — which folds all records and attaches once,
+// floors the version counter at the last record's seq, and publishes
+// once — resumes at maxSeq+1: strictly greater than any version a reader
+// could have observed before the crash, because the fsync of a frame
+// always precedes the publish that exposes it.
 //
 // A CHECKPOINT record is a create record under another name: the full
 // live edge multiset at seq, written by log compaction (clean shutdown or
@@ -495,21 +495,22 @@ type replayedShard struct {
 	name     string
 	solver   *parcc.Solver
 	n        int
-	edges    int64 // live edge count after replay
-	replayed int64 // total batch edges pushed through the incremental path
+	edges    int64 // live edge count after recovery
+	replayed int64 // edges decoded from the log: the head record plus every batch
 	records  int
 	version  uint64 // published version after the recovery publish
-	lastSeq  uint64 // seq of the last replayed record
+	lastSeq  uint64 // seq of the last logged record
 	epoch    uint64 // log identity from the head record
 	size     int64  // byte length of the clean (post-truncation) log
 }
 
-// replayWAL reconstructs one shard from its log file.  A torn tail is
-// truncated away (the interrupted group never released its callers, so
-// dropping it is consistent); any other decode or replay failure returns
-// a *parcc.WALCorruptionError (possibly wrapped) and recovery fails.  A
-// log with no durable records returns (nil, nil): the caller removes the
-// file and moves on.
+// replayWAL reconstructs one shard from its log file: decode, fold the
+// records into the final edge multiset, attach it once, and publish past
+// the last logged seq.  A torn tail is truncated away (the interrupted
+// group never released its callers, so dropping it is consistent); any
+// other decode or fold failure returns a *parcc.WALCorruptionError
+// (possibly wrapped) and recovery fails.  A log with no durable records
+// returns (nil, nil): the caller removes the file and moves on.
 func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -536,37 +537,19 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 	if recs[0].kind != walKindCreate && recs[0].kind != walKindCheckpoint {
 		return nil, &parcc.WALCorruptionError{Path: path, Reason: "first record is not a create or checkpoint"}
 	}
-	g := parcc.NewGraph(recs[0].n)
-	g.Edges = append(g.Edges, recs[0].batch...)
+	live, replayed, reason := foldWAL(recs)
+	if reason != "" {
+		return nil, &parcc.WALCorruptionError{Path: path, Reason: reason}
+	}
 	s, err := parcc.NewSolver(e.opt.Solver)
 	if err != nil {
 		return nil, err
 	}
+	g := parcc.NewGraph(recs[0].n)
+	g.Edges = live
 	if err := s.Attach(g); err != nil {
 		s.Close()
-		return nil, &parcc.WALCorruptionError{Path: path, Reason: fmt.Sprintf("create record rejected on replay: %v", err)}
-	}
-	edges := int64(len(recs[0].batch))
-	replayed := edges
-	for i, rec := range recs[1:] {
-		var aerr error
-		switch rec.kind {
-		case walKindAdd:
-			aerr = s.AddEdges(rec.batch)
-			edges += int64(len(rec.batch))
-		case walKindRemove:
-			aerr = s.RemoveEdges(rec.batch)
-			edges -= int64(len(rec.batch))
-		default:
-			// create/checkpoint belong only at the head; commit frames are
-			// stream-only and must never reach disk.
-			aerr = fmt.Errorf("unexpected record kind %d mid-log", rec.kind)
-		}
-		if aerr != nil {
-			s.Close()
-			return nil, &parcc.WALCorruptionError{Path: path, Reason: fmt.Sprintf("record %d rejected on replay: %v", i+1, aerr)}
-		}
-		replayed += int64(len(rec.batch))
+		return nil, &parcc.WALCorruptionError{Path: path, Reason: fmt.Sprintf("folded log rejected on attach: %v", err)}
 	}
 	// Resume the version lockstep: one publish, stamped past every
 	// version that was observable before the crash (see the file header).
@@ -585,7 +568,7 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 		name:     name,
 		solver:   s,
 		n:        recs[0].n,
-		edges:    edges,
+		edges:    int64(len(live)),
 		replayed: replayed,
 		records:  len(recs),
 		version:  sn.Version(),
@@ -593,4 +576,93 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 		epoch:    recs[0].epoch,
 		size:     int64(valid),
 	}, nil
+}
+
+// foldWAL folds a decoded log (head record first) into the edge multiset
+// it leaves live: the head's edges plus every added edge, minus one
+// occurrence per removed one.  It returns that multiset, the count of
+// edges decoded (head plus every batch), and a non-empty reason naming
+// the first record the incremental path would have rejected: an endpoint
+// out of range, a remove with no live occurrence at its point in the log,
+// or a head or stream-only kind mid-log.
+//
+// One pass in log order appends every head and added edge, and keeps, for
+// each key some remove names, a stack of its live occurrences; a remove
+// pops one and tombstones it, and a last sweep drops the tombstones.  The
+// work is O(edges decoded), expected.
+func foldWAL(recs []walRecord) ([]parcc.Edge, int64, string) {
+	n := recs[0].n
+	decoded, removes := int64(len(recs[0].batch)), 0
+	// Only keys some remove names are tracked: slot numbers them, and a
+	// hash filter of 32 bits per key rules out almost every other edge
+	// before the map is touched.
+	slot := map[int64]int32{}
+	for i, rec := range recs[1:] {
+		switch rec.kind {
+		case walKindAdd:
+		case walKindRemove:
+			removes += len(rec.batch)
+			for _, ed := range rec.batch {
+				if _, ok := slot[ed.CanonKey()]; !ok {
+					slot[ed.CanonKey()] = int32(len(slot))
+				}
+			}
+		default:
+			return nil, 0, fmt.Sprintf("record %d has unexpected kind %d mid-log", i+1, rec.kind)
+		}
+		decoded += int64(len(rec.batch))
+	}
+	shift := uint(58)
+	for shift > 1 && 1<<(64-shift) < 32*len(slot) {
+		shift--
+	}
+	filter := make([]uint64, 1<<(64-shift)/64)
+	bit := func(k int64) (int, uint64) {
+		h := uint64(k) * 0x9e3779b97f4a7c15 >> shift
+		return int(h >> 6), 1 << (h & 63)
+	}
+	for k := range slot {
+		w, b := bit(k)
+		filter[w] |= b
+	}
+	// top[j] is 1 + the index in occ of key j's newest live occurrence
+	// (0: none); each occ entry links to the one below it.
+	top := make([]int32, len(slot))
+	var occ []struct{ pos, below int32 }
+	live := make([]parcc.Edge, 0, decoded-int64(removes))
+	for i, rec := range recs {
+		for x, ed := range rec.batch {
+			if ed.U < 0 || int(ed.U) >= n || ed.V < 0 || int(ed.V) >= n {
+				return nil, 0, fmt.Sprintf("record %d: edge (%d,%d) out of range [0,%d)", i, ed.U, ed.V, n)
+			}
+			k := ed.CanonKey()
+			if rec.kind == walKindRemove {
+				j := slot[k]
+				t := top[j]
+				if t == 0 {
+					return nil, 0, fmt.Sprintf("record %d removes edge (%d,%d), which has no live occurrence", i, ed.U, ed.V)
+				}
+				live[occ[t-1].pos].U = -1 // tombstone
+				top[j] = occ[t-1].below
+			} else if w, b := bit(k); filter[w]&b != 0 {
+				if j, ok := slot[k]; ok {
+					occ = append(occ, struct{ pos, below int32 }{int32(len(live) + x), top[j]})
+					top[j] = int32(len(occ))
+				}
+			}
+		}
+		if rec.kind != walKindRemove {
+			live = append(live, rec.batch...)
+		}
+	}
+	if removes == 0 {
+		return live, decoded, ""
+	}
+	kept := live[:0]
+	for _, ed := range live {
+		if ed.U >= 0 {
+			kept = append(kept, ed)
+		}
+	}
+	return kept, decoded, ""
 }

@@ -9,7 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"parcc"
 	"parcc/internal/baseline"
@@ -426,4 +429,275 @@ func crcFrame(kind byte, seq uint64, words ...uint64) []byte {
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	return append(frame, payload...)
+}
+
+// writeWAL writes a hand-built log for graph "g" under dir, one frame per
+// record, stamping seqs the way the writer does: 1 for the head, then one
+// fresh seq per record.
+func writeWAL(t *testing.T, dir string, recs ...walRecord) {
+	t.Helper()
+	var buf []byte
+	for i := range recs {
+		recs[i].seq = uint64(i + 1)
+		buf = appendWALFrame(buf, &recs[i])
+	}
+	if err := os.WriteFile(walPath(dir, "g"), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALFoldRejectsWhatReplayWould: every log the per-frame incremental
+// replay would have rejected fails the fold with a typed
+// *parcc.WALCorruptionError naming the offending record, and registers
+// no shard.
+func TestWALFoldRejectsWhatReplayWould(t *testing.T) {
+	head := walRecord{kind: walKindCreate, n: 8, batch: []parcc.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 3, V: 2}}}
+	add := func(es ...parcc.Edge) walRecord { return walRecord{kind: walKindAdd, batch: es} }
+	remove := func(es ...parcc.Edge) walRecord { return walRecord{kind: walKindRemove, batch: es} }
+	for _, tc := range []struct {
+		name   string
+		recs   []walRecord
+		record string
+	}{
+		{"remove before its add", []walRecord{head, remove(parcc.Edge{U: 4, V: 5}), add(parcc.Edge{U: 4, V: 5})}, "record 1 "},
+		{"remove never present", []walRecord{head, add(parcc.Edge{U: 4, V: 5}), remove(parcc.Edge{U: 5, V: 6})}, "record 2 "},
+		{"third of two parallel copies", []walRecord{head, remove(parcc.Edge{U: 2, V: 3}, parcc.Edge{U: 2, V: 3}), add(parcc.Edge{U: 0, V: 7}), remove(parcc.Edge{U: 3, V: 2})}, "record 3 "},
+		{"add endpoint out of range", []walRecord{head, add(parcc.Edge{U: 1, V: 2}), add(parcc.Edge{U: 0, V: 8})}, "record 2:"},
+		{"head kind mid-log", []walRecord{head, head}, "record 1 "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeWAL(t, dir, tc.recs...)
+			eng := New(Options{Solver: &parcc.Options{}, WALDir: dir})
+			defer eng.Close()
+			_, err := eng.Recover()
+			var ce *parcc.WALCorruptionError
+			if !errors.As(err, &ce) {
+				t.Fatalf("want *parcc.WALCorruptionError, got %v", err)
+			}
+			if !strings.Contains(ce.Reason, tc.record) || ce.Path == "" {
+				t.Fatalf("error %q does not name %q and the file", ce, tc.record)
+			}
+			if _, err := eng.Snapshot("g"); !errors.Is(err, ErrGraphNotFound) {
+				t.Fatalf("rejected log registered a shard: %v", err)
+			}
+		})
+	}
+}
+
+// TestWALFoldKeepsMultisetEdges: removing one of two parallel copies (in
+// either orientation) keeps the pair connected, self-loops survive the
+// fold, and the recovered live multiset is exactly what per-frame replay
+// would leave.
+func TestWALFoldKeepsMultisetEdges(t *testing.T) {
+	dir := t.TempDir()
+	writeWAL(t, dir,
+		walRecord{kind: walKindCreate, n: 8, batch: []parcc.Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 2}}},
+		walRecord{kind: walKindAdd, batch: []parcc.Edge{{U: 3, V: 3}, {U: 4, V: 5}, {U: 5, V: 6}}},
+		walRecord{kind: walKindRemove, batch: []parcc.Edge{{U: 0, V: 1}, {U: 6, V: 5}}},
+		walRecord{kind: walKindAdd, batch: []parcc.Edge{{U: 6, V: 5}}},
+	)
+	eng := New(Options{Solver: &parcc.Options{}, WALDir: dir})
+	defer eng.Close()
+	st, err := eng.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 4 || st.Edges != 9 {
+		t.Fatalf("stats %+v, want 4 records and 9 decoded edges", st)
+	}
+	sn, err := eng.Snapshot("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sn.Connected(0, 1) || !sn.Connected(4, 6) || sn.Connected(2, 3) || sn.NumComponents() != 5 {
+		t.Fatalf("recovered partition wrong: %v", sn.Labels())
+	}
+	if sn.Version() != 5 {
+		t.Fatalf("version %d, want 5", sn.Version())
+	}
+	sh, err := eng.lookup("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[int64]int{}
+	for _, ed := range sh.s.Live().Edges {
+		keys[ed.CanonKey()]++
+	}
+	want := map[int64]int{}
+	for _, ed := range []parcc.Edge{{U: 0, V: 1}, {U: 2, V: 2}, {U: 3, V: 3}, {U: 4, V: 5}, {U: 5, V: 6}} {
+		want[ed.CanonKey()]++
+	}
+	if len(keys) != len(want) || sh.edges.Load() != 5 {
+		t.Fatalf("live multiset %v (count %d), want %v", keys, sh.edges.Load(), want)
+	}
+	for k, c := range want {
+		if keys[k] != c {
+			t.Fatalf("live multiset %v, want %v", keys, want)
+		}
+	}
+}
+
+// TestWALRecoverEdgesCountsDecodedEdges: RecoverStats.Edges is the head
+// record's edge count plus the size of every batch, removes included.
+func TestWALRecoverEdgesCountsDecodedEdges(t *testing.T) {
+	st := buildWALStream(t, parcc.BackendSequential, 20, 5)
+	recs, _, err := decodeWAL(st.data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	for _, rec := range recs {
+		want += int64(len(rec.batch))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, st.file), st.data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Options{Solver: &parcc.Options{}, WALDir: dir})
+	defer eng.Close()
+	rs, err := eng.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Edges != want || rs.Records != len(recs) {
+		t.Fatalf("recover stats %+v, want %d edges over %d records", rs, want, len(recs))
+	}
+}
+
+// TestRecoverFoldSpeedup is the recovery bar: at n = 2^16, a log of 2^17
+// random initial edges and 4,096 groups of 64 edges, alternating add and
+// remove (removes draw uniformly from the live multiset, so most hit
+// spanning-forest edges), recovers at least 5× faster by folding the
+// records and attaching once than by replaying every frame through
+// AddEdges/RemoveEdges on a bare Solver — and to the oracle's partition
+// at the lockstep version.
+func TestRecoverFoldSpeedup(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("timing bar: the race detector slows per-frame replay ~40×; CI runs it in the non-race throughput step")
+	}
+	const (
+		n, m0, groups, batch = 1 << 16, 1 << 17, 4096, 64
+		bar                  = 5.0
+	)
+	rng := rand.New(rand.NewSource(1))
+	g0 := gen.GNM(n, m0, 1)
+	live := append([]parcc.Edge(nil), g0.Edges...)
+	recs := []walRecord{{kind: walKindCreate, n: n, batch: g0.Edges}}
+	for i := 0; i < groups; i++ {
+		es := make([]parcc.Edge, batch)
+		kind := walKindAdd
+		if i%2 == 1 {
+			kind = walKindRemove
+		}
+		for j := range es {
+			if kind == walKindAdd {
+				es[j] = parcc.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
+				live = append(live, es[j])
+				continue
+			}
+			k := rng.Intn(len(live))
+			es[j] = live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		recs = append(recs, walRecord{kind: kind, batch: es})
+	}
+	dir := t.TempDir()
+	writeWAL(t, dir, recs...)
+	data, err := os.ReadFile(walPath(dir, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := &parcc.Options{Seed: 1}
+
+	// Reference: decode, attach the head, then every frame through the
+	// incremental path, then the one publish.
+	replay := func() (*parcc.Snapshot, time.Duration) {
+		start := time.Now()
+		recs, _, err := decodeWAL(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := parcc.NewSolver(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		g := parcc.NewGraph(n)
+		g.Edges = append(g.Edges, recs[0].batch...)
+		if err := s.Attach(g); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs[1:] {
+			if rec.kind == walKindAdd {
+				err = s.AddEdges(rec.batch)
+			} else {
+				err = s.RemoveEdges(rec.batch)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.AdvanceSnapshotVersion(recs[len(recs)-1].seq)
+		sn, err := s.PublishSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn, time.Since(start)
+	}
+	fold := func() (*parcc.Snapshot, time.Duration) {
+		rdir := t.TempDir()
+		if err := os.WriteFile(walPath(rdir, "g"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng := New(Options{Solver: opt, WALDir: rdir})
+		t.Cleanup(eng.Close)
+		start := time.Now()
+		if _, err := eng.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		d := time.Since(start)
+		sn, err := eng.Snapshot("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn, d
+	}
+
+	refSn, refD := replay()
+	foldSn, foldD := fold()
+	for i := 0; i < 2; i++ {
+		_, d := fold()
+		foldD = min(foldD, d)
+	}
+	want := baseline.NewIncOracle(&graph.Graph{N: n, Edges: live}).Labels()
+	for name, sn := range map[string]*parcc.Snapshot{"fold": foldSn, "per-frame replay": refSn} {
+		if !graph.SamePartition(want, sn.Labels()) {
+			t.Fatalf("%s: partition differs from the oracle", name)
+		}
+		if got := sn.Version(); got != groups+2 {
+			t.Fatalf("%s: version %d, want %d", name, got, groups+2)
+		}
+	}
+	speedup := float64(refD) / float64(foldD)
+	t.Logf("n=%d m0=%d groups=%d×%d: per-frame replay %v, fold %v (%.1f×), %d components",
+		n, m0, groups, batch, refD, foldD, speedup, foldSn.NumComponents())
+	if speedup < bar {
+		t.Fatalf("fold recovery only %.2f× faster than per-frame replay, want ≥ %.0f×", speedup, bar)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
