@@ -1,6 +1,7 @@
 package parcc
 
 import (
+	"slices"
 	"testing"
 
 	"parcc/internal/baseline"
@@ -46,10 +47,11 @@ func TestFrontierEquivalenceAcrossFamilies(t *testing.T) {
 	}
 }
 
-// TestFrontierMeshDispatch pins the auto dispatcher's mesh rule on the
+// TestFrontierMeshDispatch pins the auto dispatcher on the
 // high-diameter lattice shapes the frontier engine targets: path, grid,
-// and torus all dispatch to frontier under the "mesh" rule, with the
-// measured edge locality recorded in the decision.
+// and torus all dispatch to cas under the "sparse" row (the splicing
+// union-find beats the engine there at procs 1 and 2), and frontier,
+// selected explicitly, still labels them with the same component minima.
 func TestFrontierMeshDispatch(t *testing.T) {
 	sq := 1 << 7
 	for _, c := range []struct {
@@ -68,18 +70,23 @@ func TestFrontierMeshDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Algorithm != Frontier {
-			t.Errorf("%s: auto picked %q, want frontier", c.name, res.Algorithm)
+		if res.Algorithm != CASUnite {
+			t.Errorf("%s: auto picked %q, want cas", c.name, res.Algorithm)
 		}
-		d := res.Trace.Dispatch
-		if d == nil || d.Rule != "mesh" {
-			t.Fatalf("%s: dispatch = %+v, want rule mesh", c.name, d)
+		if d := res.Trace.Dispatch; d == nil || d.Rule != "sparse" {
+			t.Fatalf("%s: dispatch = %+v, want rule sparse", c.name, d)
 		}
-		if d.Locality < frontierMeshLocality {
-			t.Errorf("%s: recorded locality %.3f below the mesh threshold %.2f",
-				c.name, d.Locality, frontierMeshLocality)
+		if res.Trace.Frontier != nil {
+			t.Errorf("%s: auto solve recorded frontier passes", c.name)
 		}
 		s.Close()
+		fr, err := ConnectedComponents(c.g, &Options{Algorithm: Frontier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Algorithm != Frontier || !slices.Equal(fr.Labels, res.Labels) {
+			t.Errorf("%s: frontier (%q) labels differ from auto's", c.name, fr.Algorithm)
+		}
 	}
 }
 
@@ -148,9 +155,8 @@ func incCheck(t *testing.T, stage string, s *Solver, oracle *baseline.IncOracle)
 // back to the scoped repair over the whole former component.  The test
 // fails unless the fallback fires, the partition matches the oracle, and
 // the repair's decision is the want/rule row of Auto's table and equals,
-// field for field (kernel, rule, region size, and the max degree and
-// locality the row consulted), the decision a fresh Solve(Auto) records
-// for the same region graph.  Returns the session (open) and the oracle
+// field for field (kernel, rule, region size and average degree), the
+// decision a fresh Solve(Auto) records for the same region graph.  Returns the session (open) and the oracle
 // after the delete.
 func bridgeFallback(t *testing.T, half *Graph, want Algorithm, rule string) (*Solver, *baseline.IncOracle) {
 	t.Helper()
@@ -205,12 +211,11 @@ func bridgeFallback(t *testing.T, half *Graph, want Algorithm, rule string) (*So
 	return s, oracle
 }
 
-// TestScopedRepairDispatchRows reaches the two repair rows the fast-path
-// tests below do not: a region under the tiny cutoff (two cycle halves) is
-// labeled by the sequential union-find, and a sparse random one (two GNM
-// halves of average degree 8, too low to sample, not id-local) by cas,
-// whose row consulted the region's max degree.  bridgeFallback checks the
-// partition and pins each decision to Solve(Auto)'s on the same region.
+// TestScopedRepairDispatchRows reaches the two repair rows the sampling
+// test does not: a region under the tiny cutoff (two cycle halves) is
+// labeled by the sequential union-find, and a sparse one (two GNM halves
+// of average degree 8) by cas.  bridgeFallback checks the partition and
+// pins each decision to Solve(Auto)'s on the same region.
 func TestScopedRepairDispatchRows(t *testing.T) {
 	for _, c := range []struct {
 		half *Graph
@@ -221,32 +226,23 @@ func TestScopedRepairDispatchRows(t *testing.T) {
 		{gen.GNM(1<<11, 1<<13, 9), CASUnite, "sparse"},
 	} {
 		s, _ := bridgeFallback(t, c.half, c.want, c.rule)
-		d := s.LastTrace().Dispatch
-		if d.Locality != -1 || (c.rule == "tiny") != (d.MaxDeg == 0) {
-			t.Errorf("%s repair recorded max-deg %d, locality %v: want only the statistics its row consulted",
-				c.rule, d.MaxDeg, d.Locality)
-		}
 		s.Close()
 	}
 }
 
-// TestFrontierIncrementalPaths reaches the scoped repair's frontier branch
-// through a real budget fallback: two id-local grid halves joined by one
-// id-adjacent bridge, whose deletion blows the replacement budget, leave a
-// mesh-shaped dirty region that the repair labels with the frontier
-// engine — its pass trace must be present, and the partition and count
-// must match the oracle.  A traced AddEdges after it records no frontier
-// passes: inserts run the union-find alone.
+// TestFrontierIncrementalPaths drives a mesh-shaped dirty region through a
+// real budget fallback: two id-local grid halves joined by one id-adjacent
+// bridge, whose deletion blows the replacement budget.  The repair labels
+// the region with cas, as Solve(Auto) would — no frontier passes in its
+// trace — and the partition and count must match the oracle.  A traced
+// AddEdges after it records no frontier passes either: inserts run the
+// union-find alone.
 func TestFrontierIncrementalPaths(t *testing.T) {
 	half := gen.Grid(64, 128) // m = 2·16192+1 ≥ 2^14 in total, avg degree ≈ 4
-	s, oracle := bridgeFallback(t, half, Frontier, "mesh")
+	s, oracle := bridgeFallback(t, half, CASUnite, "sparse")
 	defer s.Close()
-	if tr := s.LastTrace(); tr.Frontier == nil || tr.Frontier.Rounds == 0 {
-		t.Fatal("frontier scoped repair must record frontier passes in its trace")
-	}
-	if d := s.LastTrace().Dispatch; d.Locality < frontierMeshLocality || d.MaxDeg != 4 {
-		t.Errorf("mesh repair recorded locality %v, max-deg %d: want the sampled locality and the grid's degree 4",
-			d.Locality, d.MaxDeg)
+	if tr := s.LastTrace(); tr.Frontier != nil {
+		t.Fatalf("cas scoped repair recorded frontier passes %+v", tr.Frontier)
 	}
 
 	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}, {U: 17, V: 4000}}
@@ -256,7 +252,7 @@ func TestFrontierIncrementalPaths(t *testing.T) {
 	if err := oracle.AddEdges(add); err != nil {
 		t.Fatal(err)
 	}
-	incCheck(t, "insert after frontier repair", s, oracle)
+	incCheck(t, "insert after mesh repair", s, oracle)
 	if tr := s.LastTrace(); tr == nil || tr.Op != "add-edges" || tr.Frontier != nil {
 		t.Fatalf("add-edges trace = %+v, want no frontier passes", tr)
 	}

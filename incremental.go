@@ -52,6 +52,12 @@ type incSession struct {
 	// marks is AddEdges' reusable per-batch outcome buffer: the target
 	// of its UniteBatchMark (every slot is overwritten, never cleared).
 	marks []bool
+	// dirty flags, per root, the components RemoveEdges hands to the
+	// scoped repair, and dirtyRoots lists the flagged roots.  The flags
+	// are all zero between batches: a batch clears exactly the roots it
+	// set, so a batch that stays local costs O(|batch|), not O(n).  Both
+	// are allocated on the first RemoveEdges.
+	dirty, dirtyRoots []int32
 }
 
 // replaceBudgetFloor is the minimum adjacency-scan budget of a
@@ -267,7 +273,6 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	rec.Reset()
 	rec.Add(obs.CtrBatchEdges, int64(len(batch)))
 	span := rec.Begin()
-	cx := s.cx
 	parent := inc.parent
 	if inc.needsCompress {
 		// Flat-parent invariant: the searches read roots directly and the
@@ -286,8 +291,10 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		st.flush(parent)
 		movedPtr = &moved
 	}
-	dirty := cx.Grab32(n)
-	dirtyCount := 0
+	if inc.dirty == nil {
+		inc.dirty = make([]int32, n)
+	}
+	dirty, roots := inc.dirty, inc.dirtyRoots[:0]
 	splits := 0
 	fa, fb := s.frontierPair(n)
 	span = rec.Lap(obs.PhaseExtract, span)
@@ -324,23 +331,26 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		case par.ReplaceBudget:
 			rec.Add(obs.CtrBudgetFallbacks, 1)
 			dirty[root] = 1
-			dirtyCount++
+			roots = append(roots, root)
 		}
 	}
 	span = rec.Lap(obs.PhaseReplace, span)
 	if s.plan != nil && s.plan.G == inc.g {
 		s.plan = nil // removal invalidates the delta chain; force a rebuild
 	}
-	rec.Add(obs.CtrDirtyComponents, int64(splits+dirtyCount))
+	rec.Add(obs.CtrDirtyComponents, int64(splits+len(roots)))
 	rec.End(obs.PhaseExtract, span)
 	var pick *DispatchDecision
-	if dirtyCount > 0 {
-		pick = s.scopedRepair(dirty, dirtyCount)
+	if len(roots) > 0 {
+		pick = s.scopedRepair(dirty, len(roots))
+		for _, r := range roots {
+			dirty[r] = 0
+		}
 	}
+	inc.dirtyRoots = roots
 	// Entry Compress + flat splits and splices: queries need no further
 	// flatten.
 	inc.needsCompress = false
-	cx.Release32(dirty)
 	if rec != nil {
 		tr := incTraceFromRecorder(rec, "remove-edges", time.Since(start))
 		tr.Dispatch = pick
@@ -380,8 +390,8 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 	rec.Add(obs.CtrScopedVertices, int64(sub.N))
 	rec.Add(obs.CtrScopedEdges, int64(sub.M()))
 	span = rec.Lap(obs.PhaseExtract, span)
-	// The region's plan is built at most once, only when the decision or
-	// the kernel it picks needs adjacency, and dropped with the region.
+	// The region's plan is built at most once, only when the kernel the
+	// decision picks walks the CSR, and dropped with the region.
 	var sp *graph.Plan
 	plan := func() *graph.Plan {
 		if sp == nil {
@@ -389,7 +399,7 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 		}
 		return sp
 	}
-	pick := pickKernel(sub, plan)
+	pick := pickKernel(sub)
 	var subComps int
 	sc.SubLabels, subComps, _ = s.runKernel(pick.Chosen, sub, plan, sc.SubLabels)
 	// The kernel recorded its own phases; the scoped span pools them into

@@ -1,9 +1,11 @@
 package parcc
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"parcc/internal/baseline"
 	"parcc/internal/graph"
@@ -409,5 +411,63 @@ func TestComponentsIntoReusesBuffer(t *testing.T) {
 	}
 	if &res.Labels[0] != first {
 		t.Fatal("ComponentsInto reallocated the label buffer despite sufficient capacity")
+	}
+}
+
+// TestRemoveEdgesLocalBatchCostFlat: a deletion batch that stays inside
+// small components costs O(|batch|), not O(n).  The same 200 batches of
+// 8 removes, all inside the first 2^14 vertices of a union of 1024-vertex
+// GNM blocks with 1100 edges each (near-trees, so most removes are forest
+// deletes whose replacement search or split stays inside its block), run
+// on the sequential backend at n = 2^14 and n = 2^20; the per-batch time
+// at the larger n must stay within 3× of the smaller.  A batch that zeroes
+// an n-sized buffer fails it (≈30× at these sizes).  What growth remains
+// is cache misses in the edge store's key table, which grows with m.
+// Each size keeps its best of five passes; the removed edges are added
+// back and the forest flattened between passes, untimed.
+func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
+	const batches, per, block = 200, 8, 1024
+	perBatch := func(n int) time.Duration {
+		g := gen.ManyComponents(n/block, func(i int) *Graph {
+			return gen.GNM(block, 1100, uint64(i)+1)
+		})
+		rm := make([]Edge, batches*per)
+		for i := range rm {
+			rm[i] = g.Edges[11*i]
+			if rm[i].U >= 1<<14 || rm[i].V >= 1<<14 {
+				t.Fatalf("n=%d: removed edge %v lies outside the shared prefix", n, rm[i])
+			}
+		}
+		s, err := NewSolver(&Options{Backend: BackendSequential, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Attach(g); err != nil {
+			t.Fatal(err)
+		}
+		res := &Result{}
+		best := time.Duration(math.MaxInt64)
+		for pass := 0; pass < 5; pass++ {
+			t0 := time.Now()
+			for b := 0; b < batches; b++ {
+				if err := s.RemoveEdges(rm[b*per : (b+1)*per]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best = min(best, time.Since(t0))
+			if err := s.AddEdges(rm); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ComponentsInto(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return best / batches
+	}
+	small, large := perBatch(1<<14), perBatch(1<<20)
+	t.Logf("per batch: %v at n=2^14, %v at n=2^20 (%.2f×)", small, large, float64(large)/float64(small))
+	if large > 3*small {
+		t.Errorf("local remove batch costs %v at n=2^20 vs %v at n=2^14: want within 3×", large, small)
 	}
 }

@@ -81,29 +81,12 @@ func ExtendPlanOn(e Exec, prev *Plan, g *Graph) *Plan {
 		}
 	}
 
-	p := &Plan{
+	return &Plan{
 		G:      g,
 		CSR:    &CSR{Off: off, Nbr: nbr},
 		builtM: len(g.Edges),
 		fp:     edgeFold(prev.fp, added),
-		// Resample locality over the full list: the appended batch can
-		// change the statistic, and the sweep is O(localityProbes).
-		loc: EdgeLocality(n, g.Edges),
 	}
-	if n > 0 {
-		mn, mx := int32(1<<30), int32(0)
-		for v := 0; v < n; v++ {
-			d := int32(off[v+1] - off[v])
-			if d < mn {
-				mn = d
-			}
-			if d > mx {
-				mx = d
-			}
-		}
-		p.MinDeg, p.MaxDeg = mn, mx
-	}
-	return p
 }
 
 // InducedInto is the serving-path sibling of InducedSubgraph: extraction

@@ -21,20 +21,15 @@ type coarseExec interface {
 	RunCoarse(n int, body func(i int))
 }
 
-// Plan is the cached per-graph solve plan: the CSR adjacency plus degree
-// statistics, built once and shared by every consumer (baseline BFS,
+// Plan is the cached per-graph solve plan: the CSR adjacency, built once
+// and shared by every consumer (baseline BFS,
 // spectral estimators, repeated Solver.Solve calls).  A Plan is immutable
 // after construction and safe for concurrent readers.
 type Plan struct {
-	G   *Graph
-	CSR *CSR
-	// MinDeg and MaxDeg are the extreme vertex degrees (§2.1 convention:
-	// a self-loop counts once).  MinDeg is 0 when any vertex is isolated.
-	MinDeg, MaxDeg int32
-
+	G      *Graph
+	CSR    *CSR
 	builtM int    // len(G.Edges) at build time
 	fp     uint64 // content fingerprint of G.Edges[:builtM] at build time
-	loc    float64
 	degs   atomic.Pointer[[]int32]
 }
 
@@ -67,25 +62,10 @@ func NewPlan(g *Graph) *Plan { return BuildPlanOn(nil, g) }
 // sequential build).  The resulting adjacency layout is identical to
 // BuildCSR's for any executor and parallelism degree.
 func BuildPlanOn(e Exec, g *Graph) *Plan {
-	p := &Plan{
+	return &Plan{
 		G: g, CSR: BuildCSROn(e, g),
 		builtM: len(g.Edges), fp: edgeFingerprint(g.Edges),
-		loc: EdgeLocality(g.N, g.Edges),
 	}
-	if g.N > 0 {
-		mn, mx := int32(1<<30), int32(0)
-		for v := 0; v < g.N; v++ {
-			d := int32(p.CSR.Off[v+1] - p.CSR.Off[v])
-			if d < mn {
-				mn = d
-			}
-			if d > mx {
-				mx = d
-			}
-		}
-		p.MinDeg, p.MaxDeg = mn, mx
-	}
-	return p
 }
 
 // Valid reports whether the plan still describes its graph: both appends
@@ -104,70 +84,6 @@ func (p *Plan) ValidQuick() bool { return p.builtM == len(p.G.Edges) }
 
 // M returns the edge count the plan was built at.
 func (p *Plan) M() int { return p.builtM }
-
-// AvgDeg returns the mean adjacency-list length (2m/n, with each self-loop
-// counted once, matching the §2.1 degree convention MinDeg/MaxDeg use).
-// Zero on an empty vertex set.
-func (p *Plan) AvgDeg() float64 {
-	if p.G.N == 0 {
-		return 0
-	}
-	return float64(len(p.CSR.Nbr)) / float64(p.G.N)
-}
-
-// Density returns m / (n·(n−1)/2), the filled fraction of the simple-graph
-// edge slots (> 1 is possible on multigraphs).  Zero when n < 2.
-func (p *Plan) Density() float64 {
-	n := float64(p.G.N)
-	if p.G.N < 2 {
-		return 0
-	}
-	return float64(p.builtM) / (n * (n - 1) / 2)
-}
-
-// Locality returns the sampled edge-locality statistic of the build-time
-// edge list (see EdgeLocality) — the dispatcher's signal for mesh-like
-// graphs whose neighbors live close in vertex-id space.
-func (p *Plan) Locality() float64 { return p.loc }
-
-// localityProbes bounds EdgeLocality's sample; localityWindow is the
-// id-distance multiplier under which an edge counts as local.
-const (
-	localityProbes = 1024
-	localityWindow = 16
-)
-
-// EdgeLocality estimates the fraction of edges whose endpoints are close in
-// vertex-id space: an edge (u,v) is local when |u−v|·localityWindow ≤ n.
-// Generated meshes — grids, tori, paths — connect id-adjacent vertices and
-// score ≈ 1; random sparse graphs connect uniform pairs and score ≈
-// 2/localityWindow; stars and trees rooted at low ids land in between.  The
-// statistic is sampled by an even stride over at most localityProbes edges,
-// so it is O(1) per plan build, deterministic, and independent of edge
-// order within a stride bucket.  Zero on an empty edge list.
-func EdgeLocality(n int, edges []Edge) float64 {
-	m := len(edges)
-	if m == 0 || n == 0 {
-		return 0
-	}
-	stride := m / localityProbes
-	if stride < 1 {
-		stride = 1
-	}
-	probes, local := 0, 0
-	for i := 0; i < m; i += stride {
-		ed := edges[i]
-		d := int(ed.U) - int(ed.V)
-		if d < 0 {
-			d = -d
-		}
-		probes++
-		if d*localityWindow <= n {
-			local++
-		}
-	}
-	return float64(local) / float64(probes)
-}
 
 // Degree returns the degree of v from the cached adjacency.
 func (p *Plan) Degree(v int32) int { return p.CSR.Deg(v) }

@@ -277,9 +277,9 @@ func FrontierPropagate(rt *Runtime, labels []int32, csr *graph.CSR, res *Frontie
 // label — maxOut tracks the largest such) above v's final label.  The
 // pass is ~2m inspections — the engine's dominant cost — so the
 // single-proc variant is the same loop rewritten over plain loads and
-// stores: shaving the atomics off this inner loop is what lets the engine
-// undercut the union-find kernels on mesh families at procs=1.  Exactly
-// one of the two bodies is materialized.
+// stores: shaving the atomics off this inner loop is what keeps the
+// engine within reach of the union-find kernels on mesh families at
+// procs=1.  Exactly one of the two bodies is materialized.
 func flood(rt *Runtime, labels []int32, csr *graph.CSR, n int, dst *Frontier) (inspected, lowered int64) {
 	var insp, low atomic.Int64
 	var body func(lo, hi, c int)
@@ -390,7 +390,8 @@ func flood(rt *Runtime, labels []int32, csr *graph.CSR, n int, dst *Frontier) (i
 // by SkipUnite (which drives it over the full vertex range) and
 // FrontierPropagate's hook pass (which drives it from the residual
 // bitmap): neighbors sharing the vertex's cached root pv are dismissed
-// with one load, the rest go through Unite.  filtered selects the
+// with one load, the rest go through UniteRem (both callers want labels
+// only, which the splicing union provides).  filtered selects the
 // direction-filtered mode (only u > v processed); otherwise every
 // neighbor is processed (SkipUnite's majority mode, whose caller skips
 // majority vertices before calling, and the hook pass).
@@ -403,7 +404,7 @@ func finishVertex(p []int32, csr *graph.CSR, filtered bool, v, pv int32) (att, h
 				continue
 			}
 			att++
-			if Unite(p, v, u) {
+			if UniteRem(p, v, u) {
 				hk++
 			}
 		}
@@ -414,7 +415,7 @@ func finishVertex(p []int32, csr *graph.CSR, filtered bool, v, pv int32) (att, h
 				continue
 			}
 			att++
-			if Unite(p, v, u) {
+			if UniteRem(p, v, u) {
 				hk++
 			}
 		}
@@ -442,7 +443,7 @@ func finishSpan(p []int32, csr *graph.CSR, maj int32, lo, hi int) (att, hk int64
 // bitmap's vertices run finishVertex over all their neighbors, so the
 // work is Σ deg over the residual instead of n + Σ deg over everything.
 // Sound because the flood leaves every unsettled edge incident to the
-// residual; the fixpoint then equals a full Unite pass.  Each word is
+// residual; the fixpoint then equals a full union pass.  Each word is
 // consumed (zeroed) as it is scanned, leaving f empty.  Returns the
 // adjacency entries read and the hooks.  One body goes to ForSpans
 // directly, so a call allocates only that closure and its totals — which

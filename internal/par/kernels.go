@@ -55,6 +55,51 @@ func Unite(p []int32, u, v int32) bool {
 	}
 }
 
+// UniteRem links the sets of x and y with Rem's interleaved walk and
+// splicing, linking by index: the walk steps whichever side has the larger
+// parent, and either hooks that side under the other's parent (when it is
+// a root) or splices it there (lowering its parent to the other's) and
+// climbs on from its old parent, until both sides share a parent.
+// Parents only ever decrease and stay ≤ their vertex, so every tree's
+// root is its minimum and a pass of UniteRem over an edge list followed
+// by Compress labels each vertex with its component minimum under any
+// schedule — the labels Unite's pass produces.  Intra-set edges on a
+// flat forest cost two loads and no write: Unite's path halving issues a
+// CAS on every step of both finds, UniteRem writes only where a pointer
+// moves.  It reports whether this call hooked a root; a hook always joins
+// two distinct trees, so over a pass the hooks total exactly the merges.
+//
+// It is labels-only.  A splice moves a subtree of x's tree into y's tree
+// before the operation ends, so a concurrent union can find its endpoints
+// already joined through the subtree in transit and hook elsewhere: the
+// edges whose call hooked need not form a spanning forest, and the hooked
+// root is not the root x's set lost.  UniteBatchMark and UniteBatchTouch,
+// whose marks must be a spanning forest and whose loser roots must be
+// exact, keep Unite.
+func UniteRem(p []int32, x, y int32) bool {
+	for {
+		px, py := atomic.LoadInt32(&p[x]), atomic.LoadInt32(&p[y])
+		if px == py {
+			return false
+		}
+		if px < py {
+			x, y, px, py = y, x, py, px
+		}
+		// px > py: the smaller parent wins.
+		if px == x {
+			if atomic.CompareAndSwapInt32(&p[x], x, py) {
+				return true
+			}
+			continue // x stopped being a root: re-read it
+		}
+		// Splice: one CAS attempt, since a lost race means another
+		// operation already moved x's parent lower; either way the walk
+		// climbs on from the parent x had.
+		atomic.CompareAndSwapInt32(&p[x], px, py)
+		x = px
+	}
+}
+
 // Compress is full pointer jumping: after it returns, p[v] is the root of
 // v's tree for every v.  It works on any acyclic parent forest (parent
 // pointers need not decrease) because concurrent writes only replace a

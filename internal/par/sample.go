@@ -6,10 +6,10 @@
 // vertex settles those components almost entirely, after which the full
 // edge pass only needs one cheap root comparison per edge and a Unite for
 // the small surviving minority.  The kernels compose with the Liu–Tarjan
-// CAS machinery in kernels.go: the same Unite/Find/Compress primitives do
-// the hooking, so every intermediate state is a valid concurrent union-find
-// forest and the final labels are the component minima, deterministic for
-// any procs and schedule.
+// CAS machinery in kernels.go: the same Unite/UniteRem/Find/Compress
+// primitives do the hooking, so every intermediate state is a valid
+// concurrent union-find forest and the final labels are the component
+// minima, deterministic for any procs and schedule.
 //
 // The phase structure a caller (parcc's "sample" algorithm) composes:
 //
@@ -56,7 +56,11 @@ const sampleWindow = 16
 // which is the irreducible price of building the early forest.  The
 // choice of sampled neighbors never affects the final partition a
 // subsequent SkipUnite pass converges to — only how much of it is settled
-// early.  O(rounds·n) work.
+// early.  O(rounds·n) work.  The unions go through Unite, not UniteRem:
+// on this still-unflattened early forest Unite's path halving pays for
+// itself, and the splicing union measured 4–7% slower on gnm-dense and
+// random-regular at n = 2^16 (the finish pass, on a flattened forest, is
+// where UniteRem wins).
 //
 // Returns the number of Unite attempts issued and the number that hooked
 // (actually merged two sets).  The counts are kept in per-chunk locals and
@@ -163,7 +167,7 @@ func MajorityRoot(rt *Runtime, p []int32, probes int, scratch []int32) (int32, f
 // settled majority of the edge list rather than merely cheapening it.  The
 // surviving vertices walk their neighbor lists with the cached root in a
 // register: a neighbor sharing it is settled with a single random load, and
-// only genuinely unsettled pairs go through Unite.
+// only genuinely unsettled pairs go through UniteRem.
 //
 // maj ≥ 0 selects this majority mode; the skip is sound because an edge
 // internal to the majority component is already settled, and an edge
@@ -176,11 +180,11 @@ func MajorityRoot(rt *Runtime, p []int32, probes int, scratch []int32) (int32, f
 //
 // Stale reads are benign in both directions — an equal root proves the
 // endpoints were already connected (parents only move within a set), and
-// an unequal pair merely falls through to Unite, which re-derives the
-// roots.  Returns the number of Unite attempts (the processed minority;
+// an unequal pair merely falls through to UniteRem, which walks on to the
+// roots.  Returns the number of union attempts (the processed minority;
 // the caller derives the skip ratio) and the number that hooked — counted
 // in per-chunk locals, folded with one atomic add per chunk.  The final
-// partition equals a plain Unite pass over all edges: component minima,
+// partition equals a plain union pass over all edges: component minima,
 // deterministic for any procs and schedule.
 //
 // SkipUnite is the full-frontier instantiation of the shared finish

@@ -111,8 +111,10 @@ const (
 	// Auto picks for tiny inputs.
 	UnionFind Algorithm = "union-find"
 	// CASUnite is the barrier-free concurrent union-find on the internal/par
-	// runtime (unite-by-min hooking, path halving, full compression): the
-	// wall-clock-oriented companion to the charged PRAM algorithms.  Its
+	// runtime (Rem's interleaved walk with splicing, linking the larger
+	// parent under the smaller, then full compression): the
+	// wall-clock-oriented companion to the charged PRAM algorithms, and
+	// what Auto picks for every input that is neither tiny nor dense.  Its
 	// result is deterministic on every backend (labels are component
 	// minima); its Steps/Work are charged nominally (one O(log n)-deep
 	// contraction of linear work), since CAS retry counts are not a PRAM
@@ -139,24 +141,24 @@ const (
 	// graphs leaves only the chunk boundaries unsettled, then one
 	// union-find hook pass over that residual frontier and a flatten.
 	// At most 4m adjacency reads on every shape, with no diameter term —
-	// which wins the high-diameter, low-degree mesh regime (grids, tori,
-	// paths) where every round-based algorithm pays Θ(diameter) rounds
-	// and the sampling gamble has nothing to skip.  Labels are the
+	// which beats every round-based algorithm on the high-diameter,
+	// low-degree mesh regime (grids, tori, paths), where those pay
+	// Θ(diameter) rounds.  Auto does not pick it: CASUnite is at least as
+	// fast on every measured family.  Labels are the
 	// component minima, deterministic on every backend (labels only lower
 	// toward the same fixpoint); Steps/Work are charged nominally, like
 	// CASUnite.  With tracing enabled, the passes and their occupancy
 	// appear in Result.Trace.Frontier.
 	Frontier Algorithm = "frontier"
-	// Auto picks the solver per graph from the session's cached plan
-	// statistics (n, m, average/max degree, edge locality): union-find for
-	// tiny inputs, Sample when the degree statistics predict a high skip
-	// ratio, Frontier on low-degree high-locality mesh shapes, CASUnite
-	// otherwise.  The decision is recorded in Result.Algorithm — a result
-	// from an Auto solve echoes the concrete algorithm that ran, never
-	// "auto".  The same table labels the dirty region of a live session's
-	// scoped repair (RemoveEdges), so the FLS pipeline runs only when
-	// Options.Algorithm asks for FLS or FLSKnownGap.  The decision table
-	// is documented in docs/ARCHITECTURE.md.
+	// Auto picks the solver per graph from n and m alone: union-find for
+	// tiny inputs, Sample for dense ones (average degree 2m/n ≥ 24), and
+	// CASUnite otherwise.  The decision is recorded in Result.Algorithm —
+	// a result from an Auto solve echoes the concrete algorithm that ran,
+	// never "auto".  The same table labels the dirty region of a live
+	// session's scoped repair (RemoveEdges), so the FLS pipeline runs only
+	// when Options.Algorithm asks for FLS or FLSKnownGap.  The decision
+	// table and the measurement it is derived from are documented in
+	// docs/ARCHITECTURE.md.
 	Auto Algorithm = "auto"
 	// Incremental is the value Result.Algorithm echoes for results produced
 	// by the live-update path (Solver.Components after AddEdges/

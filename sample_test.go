@@ -59,9 +59,10 @@ func TestSampleAutoEquivalenceAcrossFamilies(t *testing.T) {
 	}
 }
 
-// TestAutoDecisionRecorded pins the dispatch table's four regimes on
+// TestAutoDecisionRecorded pins the dispatch table's three rows on
 // representative shapes: tiny → sequential union-find, dense → sample,
-// mesh (low-degree, id-local) → frontier, random-sparse → cas.
+// and everything else → cas, id-local meshes and random sparse graphs
+// alike.
 func TestAutoDecisionRecorded(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,7 +71,7 @@ func TestAutoDecisionRecorded(t *testing.T) {
 	}{
 		{"tiny", gen.Path(50), UnionFind},
 		{"dense", gen.GNM(4096, 1<<16, 3), Sample},
-		{"mesh", gen.Path(1 << 13), Frontier},
+		{"mesh", gen.Path(1 << 13), CASUnite},
 		{"sparse", gen.GNM(1<<13, 1<<13, 3), CASUnite},
 	}
 	for _, c := range cases {
@@ -87,11 +88,11 @@ func TestAutoDecisionRecorded(t *testing.T) {
 	}
 }
 
-// TestAutoStableAcrossPlanCaching: the dispatch decision may refine its
-// average-degree estimate from the cached plan once the session holds one;
-// the decision and the partition must stay consistent across that upgrade.
+// TestAutoStableAcrossPlanCaching: the dispatch decision reads n and m
+// alone, so a session that holds a cached plan must pick the same kernel
+// and partition as one that does not.
 func TestAutoStableAcrossPlanCaching(t *testing.T) {
-	g := gen.GNM(2000, 30000, 11) // avg deg 30: sample on either estimate
+	g := gen.GNM(2000, 30000, 11) // avg deg 30: the dense row
 	s, err := NewSolver(&Options{Algorithm: Auto})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestAutoStableAcrossPlanCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Plan(g) // cache the CSR plan: the dispatcher now reads exact stats
+	s.Plan(g) // cache the CSR plan
 	warm, err := s.Solve(g)
 	if err != nil {
 		t.Fatal(err)
@@ -124,10 +125,6 @@ func TestSampleIncrementalFastPaths(t *testing.T) {
 	half := gen.GNM(1<<11, 1<<15, 9) // avg degree 32, m = 2^16+1 in total
 	s, oracle := bridgeFallback(t, half, Sample, "dense")
 	defer s.Close()
-	if d := s.LastTrace().Dispatch; d.Locality != -1 || d.MaxDeg != 0 {
-		t.Errorf("dense repair recorded locality %v, max-deg %d: the dense row consults neither",
-			d.Locality, d.MaxDeg)
-	}
 
 	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}}
 	if err := s.AddEdges(add); err != nil {

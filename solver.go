@@ -180,8 +180,8 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	params := core.Default(g.N)
 	params.Seed ^= s.seed
 
-	// The session's cached plan for g, looked up at most once per solve:
-	// the dispatcher and the kernel it picks share one validation.
+	// The session's cached plan for g, looked up at most once per solve
+	// and only by the kernels that walk the CSR.
 	var pl *graph.Plan
 	plan := func() *graph.Plan {
 		if pl == nil {
@@ -192,12 +192,8 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	algo := o.Algorithm
 	var pick *DispatchDecision
 	if algo == Auto {
-		// The decision may build or revalidate the plan — charge that to
-		// the plan phase.
-		tp := rec.Begin()
-		pick = pickKernel(g, plan)
+		pick = pickKernel(g)
 		algo = pick.Chosen
-		rec.End(obs.PhasePlan, tp)
 	}
 	dst := res.Labels
 	*res = Result{
@@ -323,97 +319,41 @@ const (
 	// sequential union-find: at that scale pool dispatch and atomics cost
 	// more than the whole solve.
 	autoTinyCutoff = 1 << 13
-	// autoSampleAvgDeg is the average degree (2m/n) at which Auto
-	// switches from cas to sample unconditionally.  The sampling phase's
-	// cost is dominated by its ~n successful hooks — a hard floor
-	// independent of m — so sampling only pays once the edge pass it
-	// eliminates is worth several multiples of that floor; measured on
-	// this container the unconditional crossover sits at 2m/n ≈ 16.
-	autoSampleAvgDeg = 16.0
-	// autoSampleSkewDeg/autoSampleMaxDeg bound the inconclusive band
-	// below autoSampleAvgDeg where the average alone cannot decide: a
-	// moderate average hiding a high-degree core (lollipop/barbell-style
-	// clique cores) still samples well, because the core collapses in one
-	// round and its edges dominate m.  In that band Auto consults the
-	// plan's exact MaxDeg — building (and caching) the plan if the
-	// session does not hold one yet.
-	autoSampleSkewDeg = 4.0
-	autoSampleMaxDeg  = 64
-	// frontierMeshAvgDeg / frontierMeshMaxDeg / frontierMeshLocality /
-	// frontierCliqueMaxDeg describe the id-local regime the frontier
-	// engine wins: low average degree (grids are 4, tori 4, paths 2 —
-	// random sparse graphs sit higher or fail locality) and id-local
-	// edges (generated meshes connect id-adjacent vertices and score ≈ 1
-	// on the sampled locality; gnm-style random graphs score ≈
-	// 2/localityWindow).  Within that band the max degree separates the
-	// shapes whose flood pass leaves only a small residual for the hook
-	// pass from the ones where it does not: bounded-degree lattices
-	// (MaxDeg ≤ frontierMeshMaxDeg — every vertex adjacent to its
-	// immediate predecessors, so the ascending flood carries each chunk's
-	// minimum through and only chunk boundaries stay active) and locally
-	// dense blocks (MaxDeg ≥ frontierCliqueMaxDeg — cliques and hub
-	// clusters whose vertices see the region minimum directly, as in
-	// barbell and lollipop).  In the middle band — randomly wired sparse
-	// local blocks, e.g. a union of small gnm components — the flood
-	// leaves most vertices unsettled, so it would be paid on top of a
-	// full union-find pass; those stay with the union-find kernels.
-	frontierMeshAvgDeg   = 6.0
-	frontierMeshMaxDeg   = 8
-	frontierCliqueMaxDeg = 64
-	frontierMeshLocality = 0.95
+	// autoSampleAvgDeg is the average degree (2m/n) from which Auto picks
+	// sample over cas.  The sampling phase's cost is dominated by its ~n
+	// successful hooks — a floor independent of m — so sampling pays only
+	// once the edge pass it skips is worth several multiples of that
+	// floor.  Measured at n = 2^15 and 2^16, procs 1 and 2: cas wins up to
+	// 2m/n = 16 (hypercube at 2^16 by 1.6–1.7×, barabasi-albert by
+	// 1.7–1.8×), gnm-dense (32) and block (62) are within 1.25× either
+	// way, and community (35) and complete go to sample by 1.2–1.9×; the
+	// threshold sits between.
+	autoSampleAvgDeg = 24.0
 )
 
 // pickKernel is the one kernel decision, shared by SolveInto(Auto) and
 // the scoped repair of RemoveEdges: tiny inputs to the sequential
-// union-find, clearly dense ones to the sampling fast path, id-local
-// low-degree meshes to the frontier engine, skewed-degree ones to
-// sampling, and the rest to cas.  n and m decide the tiny and dense rows
-// in O(1).  Below the dense threshold the mesh rule runs first: an O(1)
-// sampled edge-locality sweep decides whether the graph looks id-local
-// (grids, tori, paths, barbells score ≈ 1; random sparse graphs ≈ 0.1),
-// and only then is the plan consulted for the exact MaxDeg that separates
-// the shapes the flood settles (bounded-degree lattices, locally dense
-// clique blocks) from id-local regions wired randomly inside — so purely
-// random sparse inputs with a low average still decide without a plan.
-// In the inconclusive band between the sparse and dense averages the
-// plan's max degree looks for a clique core whose edges dominate m.
+// union-find, dense ones to the sampling fast path, and everything else
+// to cas.  Both rows read n and m alone, so the decision is O(1) and
+// never builds a plan — cas walks the edge list, and only a sample pick
+// needs the CSR.  The frontier engine has no row: against the splicing
+// union-find it is never the fastest kernel in the measured matrix, and
+// its best procs-1 lead in any run was 1.05× (path-xl at 2^15).  The
+// table and what the matrix showed are documented in
+// docs/ARCHITECTURE.md §7.
 //
-// plan supplies the graph's plan on demand: the session's cached one for
-// a solve (an O(m) build or revalidation, reused by the kernel), a
-// transient one of the dirty region for a repair.  The result is the
-// Trace.Dispatch record: the kernel, the table row that fired ("tiny",
-// "dense", "mesh", "skewed", "sparse"), and the statistics the row
-// consulted.  The table is documented in docs/ARCHITECTURE.md.
-func pickKernel(g *graph.Graph, plan func() *graph.Plan) *DispatchDecision {
+// The result is the Trace.Dispatch record: the kernel, the table row
+// that fired ("tiny", "dense", "sparse"), and the statistics it read.
+func pickKernel(g *graph.Graph) *DispatchDecision {
 	n, m := g.N, g.M()
-	d := &DispatchDecision{N: n, M: m, AvgDeg: 2 * float64(m) / float64(max(n, 1)), Locality: -1}
+	d := &DispatchDecision{N: n, M: m, AvgDeg: 2 * float64(m) / float64(max(n, 1))}
 	switch {
 	case n+m <= autoTinyCutoff:
 		d.Chosen, d.Rule = UnionFind, "tiny"
-		return d
 	case d.AvgDeg >= autoSampleAvgDeg:
 		d.Chosen, d.Rule = Sample, "dense"
-		return d
-	}
-	if d.AvgDeg <= frontierMeshAvgDeg {
-		if loc := graph.EdgeLocality(n, g.Edges); loc >= frontierMeshLocality {
-			d.Locality, d.MaxDeg = loc, int(plan().MaxDeg)
-			if d.MaxDeg <= frontierMeshMaxDeg || d.MaxDeg >= frontierCliqueMaxDeg {
-				d.Chosen, d.Rule = Frontier, "mesh"
-				return d
-			}
-			// Id-local but randomly wired inside (moderate max degree —
-			// neither lattice nor dense block): the flood cannot settle
-			// such regions, so fall through to the degree bands.
-		}
-	}
-	d.Chosen, d.Rule = CASUnite, "sparse"
-	if d.AvgDeg >= autoSampleSkewDeg {
-		p := plan()
-		d.MaxDeg = int(p.MaxDeg)
-		if d.MaxDeg >= autoSampleMaxDeg && p.AvgDeg() >= autoSampleSkewDeg {
-			d.Chosen, d.Rule = Sample, "skewed"
-		}
+	default:
+		d.Chosen, d.Rule = CASUnite, "sparse"
 	}
 	return d
 }
@@ -434,9 +374,10 @@ func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
 	return 0, 0
 }
 
-// runKernel labels g with one of the four kernels pickKernel chooses
-// from, uncharged: SolveInto wraps it in nominalCharge, the scoped repair
-// of RemoveEdges runs it bare.  plan supplies the CSR the frontier and
+// runKernel labels g with one of the four wall-clock kernels — the three
+// pickKernel chooses from, and frontier, which runs only when
+// Options.Algorithm asks for it — uncharged: SolveInto wraps it in
+// nominalCharge, the scoped repair of RemoveEdges runs its pick bare.  plan supplies the CSR the frontier and
 // sample kernels walk.  Every arm records its own trace phases and
 // returns the labels (each component's root labels itself; every kernel
 // but union-find lands on the component minima), the exact component

@@ -60,8 +60,7 @@ type Trace struct {
 	// otherwise.
 	Dispatch *DispatchDecision `json:"dispatch,omitempty"`
 	// Frontier records the frontier engine's pass structure; nil unless
-	// the operation ran the frontier kernel — a solve that chose it, or a
-	// remove-edges operation whose scoped repair did.
+	// the operation was a solve with Options.Algorithm Frontier.
 	Frontier *TraceFrontier `json:"frontier,omitempty"`
 	// Incremental records the batch shape of a live-update operation; nil
 	// for plain solves.
@@ -80,33 +79,23 @@ type TracePhase struct {
 // call sites share one table, so a region is labeled by the kernel a
 // Solve(Auto) of the same region graph would pick.
 type DispatchDecision struct {
-	// Chosen is the concrete algorithm selected: union-find, cas,
-	// frontier, or sample — never the FLS pipeline, which runs only when
-	// Options.Algorithm asks for fls or fls-known-gap.  For a solve it
+	// Chosen is the concrete algorithm selected: union-find, cas, or
+	// sample — never frontier or the FLS pipeline, which run only when
+	// Options.Algorithm asks for them.  For a solve it
 	// equals the owning Result.Algorithm — the golden contract the
 	// dispatch tests pin.
 	Chosen Algorithm `json:"chosen"`
 	// Rule names the decision-table row that fired: "tiny" (sequential
-	// union-find), "mesh" (frontier on id-local low-degree shapes),
-	// "dense" (sample on average degree alone), "skewed" (sample on the
-	// plan's max-degree refinement), or "sparse" (cas).
+	// union-find), "dense" (sample), or "sparse" (cas).
 	Rule string `json:"rule"`
 	// N, M, AvgDeg are the O(1) statistics every decision starts from —
 	// for a scoped repair, those of the induced dirty region.
 	N      int     `json:"n"`
 	M      int     `json:"m"`
 	AvgDeg float64 `json:"avg_deg"`
-	// MaxDeg is the plan's exact maximum degree — consulted (and nonzero)
-	// only in the bands that build/validate the plan to refine the call.
-	MaxDeg int `json:"max_deg,omitempty"`
-	// Locality is the sampled edge-locality statistic the mesh rule
-	// measured (fraction of edges with id-close endpoints); −1 when the
-	// decision never computed it.
-	Locality float64 `json:"locality,omitempty"`
 }
 
-// TraceFrontier is the pass structure of a frontier-engine solve (of a
-// whole graph, or of a scoped repair's region).
+// TraceFrontier is the pass structure of a frontier-engine solve.
 type TraceFrontier struct {
 	// Rounds is the exact number of passes executed: the flood plus, when
 	// it left a residual, the hook pass (so 1 or 2).  Occupancy holds each
@@ -194,14 +183,7 @@ func (t *Trace) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  ltz: rounds=%d\n", t.LTZRounds)
 	}
 	if d := t.Dispatch; d != nil {
-		fmt.Fprintf(w, "  dispatch: %s (rule=%s n=%d m=%d avg-deg=%.2f", d.Chosen, d.Rule, d.N, d.M, d.AvgDeg)
-		if d.MaxDeg > 0 {
-			fmt.Fprintf(w, " max-deg=%d", d.MaxDeg)
-		}
-		if d.Locality >= 0 {
-			fmt.Fprintf(w, " locality=%.2f", d.Locality)
-		}
-		fmt.Fprintln(w, ")")
+		fmt.Fprintf(w, "  dispatch: %s (rule=%s n=%d m=%d avg-deg=%.2f)\n", d.Chosen, d.Rule, d.N, d.M, d.AvgDeg)
 	}
 	if f := t.Frontier; f != nil {
 		fmt.Fprintf(w, "  frontier: passes=%d inspected=%d lowered=%d\n",

@@ -62,9 +62,11 @@ func TestTraceAllocs(t *testing.T) {
 // decision must pick the pinned (kernel, rule) row of the decision table,
 // and the decision the Trace records must match the algorithm the Result
 // reports.  The table is a recording, not a derivation: a change to the
-// dispatcher that moves any cell fails here.  Every cell is also solved by
-// the three fixed kernels Auto chooses among (cas, sample, frontier), and
-// all four partitions must agree.
+// dispatcher that moves any cell fails here.  It is re-recorded only
+// together with the kernel matrix the table is derived from (CHANGES.md
+// and docs/ARCHITECTURE.md §7).  Every cell is also solved by the
+// fixed kernels cas, sample and frontier, and all four partitions must
+// agree.
 func TestTraceAutoDispatchGolden(t *testing.T) {
 	const (
 		UF  = parcc.UnionFind
@@ -84,11 +86,11 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 		large     parcc.Algorithm
 		largeRule string
 	}{
-		{"path", UF, "tiny", FR, "mesh"},
-		{"cycle", UF, "tiny", FR, "mesh"},
-		{"two-cycles", UF, "tiny", FR, "mesh"},
-		{"grid", FR, "mesh", FR, "mesh"},
-		{"torus", FR, "mesh", FR, "mesh"},
+		{"path", UF, "tiny", CAS, "sparse"},
+		{"cycle", UF, "tiny", CAS, "sparse"},
+		{"two-cycles", UF, "tiny", CAS, "sparse"},
+		{"grid", CAS, "sparse", CAS, "sparse"},
+		{"torus", CAS, "sparse", CAS, "sparse"},
 		{"hypercube", CAS, "sparse", CAS, "sparse"},
 		{"complete", SM, "dense", SM, "dense"},
 		{"star", UF, "tiny", CAS, "sparse"},
@@ -98,15 +100,15 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 		{"gnm-dense", SM, "dense", SM, "dense"},
 		{"block", SM, "dense", SM, "dense"},
 		{"community", SM, "dense", SM, "dense"},
-		{"lollipop", SM, "dense", SM, "skewed"},
-		{"barbell", SM, "dense", FR, "mesh"},
+		{"lollipop", SM, "dense", CAS, "sparse"},
+		{"barbell", SM, "dense", CAS, "sparse"},
 		{"union", CAS, "sparse", CAS, "sparse"},
 		{"many-components", CAS, "sparse", CAS, "sparse"},
 		{"watts-strogatz", CAS, "sparse", CAS, "sparse"},
-		{"barabasi-albert", SM, "skewed", SM, "skewed"},
-		{"path-xl", FR, "mesh", FR, "mesh"},
-		{"grid-xl", FR, "mesh", FR, "mesh"},
-		{"torus-xl", FR, "mesh", FR, "mesh"},
+		{"barabasi-albert", CAS, "sparse", CAS, "sparse"},
+		{"path-xl", CAS, "sparse", CAS, "sparse"},
+		{"grid-xl", CAS, "sparse", CAS, "sparse"},
+		{"torus-xl", CAS, "sparse", CAS, "sparse"},
 	} {
 		golden[r.family] = [2]pick{{r.small, r.smallRule}, {r.large, r.largeRule}}
 	}
