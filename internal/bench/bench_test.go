@@ -36,6 +36,12 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			if claim := smallClaims[e.ID]; claim != nil {
 				claim(t, tab)
 			}
+			if e.ID == "SP" {
+				return // wall-clock speedups: nothing deterministic to pin
+			}
+			if got, want := tableHash(tab), tableGolden[e.ID]; got != want {
+				t.Errorf("table hash %#x, want %#x:\n%s", got, want, tab.CSV())
+			}
 		})
 	}
 }

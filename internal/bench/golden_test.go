@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"parcc"
@@ -89,4 +90,54 @@ func TestFLSChargedCostGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tableGolden pins every E1–E17 table at Small scale, seed 3 (the tables
+// TestAllExperimentsRunSmall builds), hashed by tableHash.  The tables run
+// on the sequential simulator, so every charged round, work count, size
+// and verdict cell is deterministic; a change to any algorithm layer that
+// moves one of them fails here.
+var tableGolden = map[string]uint64{
+	"E1":  0x262f84e4cd5967d2,
+	"E2":  0x8ebded9475918318,
+	"E3":  0x20a0a2a44e685e3f,
+	"E4":  0xaa2be52979a8f2ce,
+	"E5":  0x8f848ad6ea8ed2e2,
+	"E6":  0xe4578c72f7d5c6d4,
+	"E7":  0x5387407bf3903d4c,
+	"E8":  0x5f7f9e3648c4bb01,
+	"E9":  0xca011fbd1fbc05ac,
+	"E10": 0xfd8a24216fdd954c,
+	"E11": 0xb2ed74aa3dc58f51,
+	"E12": 0xeb002932d7137c0a,
+	"E13": 0x3df2fe8701687b09,
+	"E14": 0xdb28da507f1393af,
+	"E15": 0xc2225d8f8eaa4798,
+	"E16": 0xa6f5fc2e1bcb27af,
+	"E17": 0xcb51703e3c0bed85,
+}
+
+// unpinnedColumns are the cells tableHash skips: wall-clock times, and the
+// spectral estimator's floating-point iterates, which may move in the last
+// printed digit with the platform's float rounding.
+var unpinnedColumns = []string{
+	"wall ms", "lambda", "lambda'", "|diff|", "log2(1/lambda)", "lambda(one)", "min λ'/λ",
+}
+
+// tableHash hashes a table's column names and every cell outside
+// unpinnedColumns.
+func tableHash(t *Table) uint64 {
+	h := fnv.New64a()
+	for _, c := range t.Columns {
+		fmt.Fprintf(h, "%s\x1f", c)
+	}
+	for _, r := range t.Rows {
+		for i, cell := range r {
+			if !slices.Contains(unpinnedColumns, t.Columns[i]) {
+				fmt.Fprintf(h, "%s\x1f", cell)
+			}
+		}
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }
