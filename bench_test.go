@@ -20,6 +20,7 @@ import (
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 	"parcc/internal/spectral"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
@@ -100,7 +101,7 @@ func BenchmarkMatchingOnce64k(b *testing.B) {
 		b.StopTimer()
 		m := pramtest.New(b, 0, pram.Seed(uint64(i+1)))
 		f := labeled.New(g.N)
-		r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+		r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 		b.StartTimer()
 		r.Matching(g.Edges)
 	}
@@ -113,7 +114,7 @@ func BenchmarkReduce64k(b *testing.B) {
 		b.StopTimer()
 		m := pramtest.New(b, 0, pram.Seed(uint64(i+1)))
 		f := labeled.New(g.N)
-		r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+		r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 		b.StartTimer()
 		r.Reduce(g)
 	}
@@ -125,14 +126,14 @@ func BenchmarkExpandMaxlinkRound64k(b *testing.B) {
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
-	st := ltz.NewState(m, f, V, g.Edges, ltz.DefaultParams(g.N))
+	st := ltz.NewState(solve.New(m), f, V, g.Edges, ltz.DefaultParams(g.N))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if st.Done() {
 			b.StopTimer()
 			f = labeled.New(g.N)
-			st = ltz.NewState(m, f, V, g.Edges, ltz.DefaultParams(g.N))
+			st = ltz.NewState(solve.New(m), f, V, g.Edges, ltz.DefaultParams(g.N))
 			b.StartTimer()
 		}
 		st.Round()
@@ -148,7 +149,7 @@ func BenchmarkSkeletonBuild64k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stage2.Build(m, V, g.Edges, p)
+		stage2.Build(solve.New(m), V, g.Edges, p)
 	}
 }
 
@@ -179,7 +180,7 @@ func BenchmarkSpectralGapExpander(b *testing.B) {
 	g := gen.RandomRegular(1<<12, 8, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		spectral.Gap(g, &spectral.Options{Seed: uint64(i + 1)})
+		spectral.Gap(graph.NewPlan(g), &spectral.Options{Seed: uint64(i + 1)})
 	}
 }
 
@@ -210,7 +211,7 @@ func BenchmarkConnectivityProcs(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := pramtest.New(b, w, pram.Seed(uint64(i+1)))
-				core.Connectivity(m, g, core.Default(g.N))
+				core.Connectivity(solve.New(m), g, core.Default(g.N), nil)
 			}
 		})
 	}

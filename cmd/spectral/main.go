@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"parcc/internal/cli"
+	"parcc/internal/graph"
 	"parcc/internal/spectral"
 )
 
@@ -33,20 +34,21 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("graph:     n=%d m=%d\n", g.N, g.M())
-	lam := spectral.Gap(g, nil)
+	pl := graph.NewPlan(g)
+	lam := spectral.Gap(pl, nil)
 	fmt.Printf("lambda:    %.6g (min over components)\n", lam)
 	if lam > 0 {
 		fmt.Printf("log2(1/λ): %.2f\n", math.Log2(1/lam))
 	}
 	if *perComp {
-		for i, l := range spectral.ComponentGaps(g, nil) {
+		for i, l := range spectral.ComponentGaps(pl, nil) {
 			fmt.Printf("component %d: λ = %.6g\n", i, l)
 		}
 	}
 	if *exact {
-		fmt.Printf("diameter:  %d (exact)\n", spectral.DiameterExact(g))
+		fmt.Printf("diameter:  %d (exact)\n", spectral.DiameterExact(pl))
 	} else {
-		fmt.Printf("diameter:  ≥ %d (double sweep)\n", spectral.DiameterApprox(g, 3))
+		fmt.Printf("diameter:  ≥ %d (double sweep)\n", spectral.DiameterApprox(pl, 3))
 	}
 	if *cond {
 		if g.N > 20 {

@@ -15,6 +15,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
 	"parcc/internal/stage3"
@@ -31,11 +32,12 @@ func main() {
 		g.N, g.M(), graph.NumLabels(truth))
 
 	m := pram.New(pram.Seed(42))
+	cx := solve.New(m) // one-shot context: no arena, no recorder
 	f := labeled.New(g.N)
 
 	// ---- Stage 1 (§4): contract to n/poly(log n) vertices -------------
 	fmt.Println("Stage 1 — REDUCE (§4): MATCHING/FILTER/EXTRACT contractions")
-	r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+	r := stage1.NewRunner(cx, f, stage1.DefaultParams(g.N))
 	red := r.Reduce(g)
 	live := map[int32]struct{}{}
 	for _, e := range red.Edges {
@@ -55,11 +57,11 @@ func main() {
 	fmt.Println("Stage 2 — INCREASE (§5): skeleton BUILD, DENSIFY, degree boost")
 	b := 8
 	p2 := stage2.DefaultParams(g.N, b)
-	H := stage2.Build(m, red.Roots, red.Edges, p2)
+	H := stage2.Build(cx, red.Roots, red.Edges, p2)
 	fmt.Printf("  skeleton edges:       %d (%.3f of m+n)   [Lemma 5.5]\n",
 		len(H), float64(len(H))/float64(g.M()+g.N))
 	E := append([]graph.Edge(nil), red.Edges...)
-	stage2.Increase(m, f, red.Roots, E, p2)
+	stage2.Increase(cx, f, red.Roots, E, p2)
 	deg := map[int32]int{}
 	for _, e := range E {
 		if e.U != e.V {
@@ -94,7 +96,7 @@ func main() {
 		}
 	}
 	E = labeled.Alter(m, f, E)
-	sampled := stage3.SampleSolve(m, f, roots, E, stage3.DefaultParams(g.N))
+	sampled := stage3.SampleSolve(cx, f, roots, E, stage3.DefaultParams(g.N))
 	fmt.Printf("  sampled edges solved: %d\n", sampled)
 	labeled.FlattenAll(m, f)
 

@@ -50,7 +50,7 @@ type incSession struct {
 	// it indexes g.Edges and mutates them in place.
 	forest *graph.DynForest
 	// marks is AddEdges' reusable per-batch outcome buffer: the target
-	// of its UniteBatchMark (every slot is overwritten, never cleared).
+	// of its UniteBatch (every slot is overwritten, never cleared).
 	marks []bool
 	// dirty flags, per root, the components RemoveEdges hands to the
 	// scoped repair, and dirtyRoots lists the flagged roots.  The flags
@@ -58,6 +58,13 @@ type incSession struct {
 	// set, so a batch that stays local costs O(|batch|), not O(n).  Both
 	// are allocated on the first RemoveEdges.
 	dirty, dirtyRoots []int32
+	// scopedVerts, scopedSub and scopedLabels are scopedRepair's reused
+	// backings: the dirty vertices (global ids), the subgraph they
+	// induce, and its labels.  A stream of budget fallbacks reuses one
+	// set instead of reallocating per batch; no invariants between calls.
+	scopedVerts  []int32
+	scopedSub    *graph.Graph
+	scopedLabels []int32
 }
 
 // replaceBudgetFloor is the minimum adjacency-scan budget of a
@@ -109,7 +116,7 @@ func (s *Solver) Attach(g *Graph) error {
 	// buffer over as its forest flags — one labeling pass, one copy of the
 	// flags.
 	flags := make([]bool, g.M())
-	merges := par.UniteBatchMark(e, p, g.Edges, flags)
+	merges := par.UniteBatch(e, p, g.Edges, flags, nil)
 	df := graph.NewDynForest(g, flags)
 	rec.Add(obs.CtrCASAttempts, int64(g.M()))
 	rec.Add(obs.CtrCASHooks, int64(merges))
@@ -173,25 +180,19 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	rec := s.rec
 	rec.Reset()
 	rec.Add(obs.CtrBatchEdges, int64(len(batch)))
-	// The cached plan (if it covers the live graph) is now a strict prefix;
-	// planFor extends it by delta on the next plan-consuming solve rather
-	// than rebuilding — nothing to do eagerly, and the insert path stays
-	// O(|batch|).
+	// A cached plan of the live graph goes stale with the appended edges;
+	// planFor rebuilds it on the next plan-consuming solve, so the insert
+	// path stays O(|batch|).
 	span := rec.Begin()
 	// Unite first, then register each edge with its outcome: a winning
 	// edge united two components and joins the spanning forest, the rest
 	// (loops, duplicates, intra-component edges) are non-forest.
-	var merges int
 	st := s.pages
 	if cap(inc.marks) < len(batch) {
 		inc.marks = make([]bool, len(batch))
 	}
 	marks := inc.marks[:len(batch)]
-	if st != nil {
-		merges = par.UniteBatchTouch(s.rt, inc.parent, batch, marks, st.loserBuf(len(batch)))
-	} else {
-		merges = par.UniteBatchMark(s.rt, inc.parent, batch, marks)
-	}
+	merges := par.UniteBatch(s.rt, inc.parent, batch, marks, st.loserBuf(len(batch)))
 	for i, ed := range batch {
 		inc.forest.Insert(ed, marks[i])
 	}
@@ -336,7 +337,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	}
 	span = rec.Lap(obs.PhaseReplace, span)
 	if s.plan != nil && s.plan.G == inc.g {
-		s.plan = nil // removal invalidates the delta chain; force a rebuild
+		s.plan = nil // removal rewrites edges in place, past TrustGraph's length check
 	}
 	rec.Add(obs.CtrDirtyComponents, int64(splits+len(roots)))
 	rec.End(obs.PhaseExtract, span)
@@ -376,17 +377,17 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 	n := inc.g.N
 	parent := inc.parent
 	span := rec.Begin()
-	sc := cx.Inc()
-	sc.Verts = sc.Verts[:0]
+	verts := inc.scopedVerts[:0]
 	vmap := cx.Grab32(n)
 	for v := 0; v < n; v++ {
 		if dirty[parent[v]] != 0 {
-			vmap[v] = int32(len(sc.Verts)) + 1
-			sc.Verts = append(sc.Verts, int32(v))
+			vmap[v] = int32(len(verts)) + 1
+			verts = append(verts, int32(v))
 		}
 	}
-	sub := graph.InducedInto(inc.g, vmap, len(sc.Verts), sc.Sub)
-	sc.Sub = sub
+	inc.scopedVerts = verts
+	sub := graph.InducedInto(inc.g, vmap, len(verts), inc.scopedSub)
+	inc.scopedSub = sub
 	rec.Add(obs.CtrScopedVertices, int64(sub.N))
 	rec.Add(obs.CtrScopedEdges, int64(sub.M()))
 	span = rec.Lap(obs.PhaseExtract, span)
@@ -401,16 +402,16 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 	}
 	pick := pickKernel(sub)
 	var subComps int
-	sc.SubLabels, subComps, _ = s.runKernel(pick.Chosen, sub, plan, sc.SubLabels)
+	inc.scopedLabels, subComps, _ = s.runKernel(pick.Chosen, sub, plan, inc.scopedLabels)
 	// The kernel recorded its own phases; the scoped span pools them into
 	// the headline number.
 	span = rec.Lap(obs.PhaseScoped, span)
-	par.SpliceLabels(e, parent, sc.Verts, sc.SubLabels)
+	par.SpliceLabels(e, parent, verts, inc.scopedLabels)
 	if s.pages != nil {
-		s.pages.rebuildRegion(parent, sc.Verts)
+		s.pages.rebuildRegion(parent, verts)
 	}
-	uf := cx.Grab32(len(sc.Verts))
-	inc.forest.RebuildRegion(sc.Verts, vmap, uf)
+	uf := cx.Grab32(len(verts))
+	inc.forest.RebuildRegion(verts, vmap, uf)
 	cx.Release32(uf)
 	rec.End(obs.PhaseSplice, span)
 	inc.ncomp += subComps - dirtyCount

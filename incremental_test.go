@@ -278,7 +278,7 @@ func TestIncrementalRandomizedVsScratch(t *testing.T) {
 
 // TestIncrementalInterleavedWithSolve: a live session and plain Solve
 // calls share the solver; the plan cache must follow the live graph
-// through appends (delta extension) and removals (rebuild).
+// through appends and removals (each forces a rebuild).
 func TestIncrementalInterleavedWithSolve(t *testing.T) {
 	s, err := NewSolver(&Options{Algorithm: Frontier})
 	if err != nil {

@@ -73,14 +73,9 @@ type UnionFind struct {
 	count  int
 }
 
-// NewUnionFind returns a forest of n singletons.
-func NewUnionFind(n int) *UnionFind {
-	return NewUnionFindOn(nil, n)
-}
-
-// NewUnionFindOn is NewUnionFind with the arrays drawn from an arena (nil
-// is equivalent to NewUnionFind); release them with Free.
-func NewUnionFindOn(a *par.Arena, n int) *UnionFind {
+// NewUnionFind returns a forest of n singletons with its arrays drawn from
+// a (nil: plain allocation); release them with Free.
+func NewUnionFind(a *par.Arena, n int) *UnionFind {
 	u := &UnionFind{parent: a.Grab32(n), rank: a.Grab32(n), count: n}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
@@ -133,7 +128,7 @@ func UnionFindLabels(g *graph.Graph) []int32 {
 // UnionFindLabelsInto is UnionFindLabels with the forest drawn from the
 // context's arena and labels written into dst when it has the capacity.
 func UnionFindLabelsInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
-	u := NewUnionFindOn(cx.A, g.N)
+	u := NewUnionFind(cx.A, g.N)
 	for _, e := range g.Edges {
 		u.Union(e.U, e.V)
 	}

@@ -6,6 +6,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 	"parcc/internal/stage1"
 )
 
@@ -31,7 +32,7 @@ func E16FilterDeletion(c Config) *Table {
 		f := labeled.New(g.N)
 		prm := stage1.DefaultParams(g.N)
 		prm.DeleteP64 = pram.P64(p)
-		r := stage1.NewRunner(m, f, prm)
+		r := stage1.NewRunner(solve.New(m), f, prm)
 		res := r.Reduce(g)
 		live := map[int32]struct{}{}
 		for _, e := range res.Edges {
@@ -81,7 +82,7 @@ func E17BudgetGrid(c Config) *Table {
 				f := labeled.New(fam.g.N)
 				V := make([]int32, fam.g.N)
 				m.Iota32(V)
-				rounds := ltz.SolveOn(m, f, V, fam.g.Edges, p)
+				rounds := ltz.SolveOn(solve.New(m), f, V, fam.g.Edges, p)
 				t.Add(beta, exp, fam.name, rounds,
 					float64(m.Work())/float64(fam.g.M()+fam.g.N))
 			}

@@ -24,6 +24,7 @@ import (
 	"parcc/internal/ltz"
 	"parcc/internal/par"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 )
 
 // Scale selects experiment sizes.
@@ -222,7 +223,7 @@ func runFLS(c Config, g *graph.Graph) (steps, work int64, wall time.Duration, re
 	p := core.Default(g.N)
 	p.Seed ^= c.seed()
 	t0 := time.Now()
-	res = core.Connectivity(m, g, p)
+	res = core.Connectivity(solve.New(m), g, p, nil)
 	return m.Steps(), m.Work(), time.Since(t0), res
 }
 

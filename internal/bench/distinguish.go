@@ -6,6 +6,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 )
 
 // Decision is the outcome of a round-budgeted connectivity probe.
@@ -32,7 +33,7 @@ func BudgetedDecide(g *graph.Graph, rounds int, seed uint64) Decision {
 	m.Iota32(V)
 	p := ltz.DefaultParams(g.N)
 	p.Seed = seed
-	st := ltz.NewState(m, f, V, g.Edges, p)
+	st := ltz.NewState(solve.New(m), f, V, g.Edges, p)
 	st.Run(rounds)
 	if !st.Done() {
 		return Unknown

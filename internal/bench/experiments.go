@@ -10,6 +10,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/liutarjan"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 	"parcc/internal/spectral"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
@@ -46,7 +47,7 @@ func E1TimeVsGap(c Config) *Table {
 	const seeds = 3
 	for _, name := range sortedKeys(fams) {
 		g := fams[name]
-		lam := spectral.Gap(g, &spectral.Options{Seed: c.seed()})
+		lam := spectral.Gap(graph.NewPlan(g), &spectral.Options{Seed: c.seed()})
 		var steps, work int64
 		for s := uint64(0); s < seeds; s++ {
 			cc := c
@@ -122,7 +123,7 @@ func E3MatchingShrink(c Config) *Table {
 		g := fams[name]
 		m := c.machine()
 		f := labeled.New(g.N)
-		r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+		r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 		before := len(f.Roots(nil))
 		r.Matching(g.Edges)
 		after := len(f.Roots(nil))
@@ -150,7 +151,7 @@ func E4ReduceShrink(c Config) *Table {
 		g := gen.RandomRegular(n, 4, c.seed())
 		m := c.machine()
 		f := labeled.New(g.N)
-		r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+		r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 		res := r.Reduce(g)
 		live := map[int32]struct{}{}
 		for _, e := range res.Edges {
@@ -194,7 +195,7 @@ func E5SkeletonSize(c Config) *Table {
 			V := make([]int32, g.N)
 			m.Iota32(V)
 			p := stage2.DefaultParams(g.N, b)
-			H := stage2.Build(m, V, g.Edges, p)
+			H := stage2.Build(solve.New(m), V, g.Edges, p)
 			t.Add(name, g.N, g.M(), b, len(H),
 				float64(len(H))/float64(g.M()+g.N))
 		}
@@ -248,12 +249,12 @@ func E6MinDegree(c Config) *Table {
 				m.Iota32(roots)
 				E = append([]graph.Edge(nil), g.Edges...)
 			} else {
-				r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+				r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 				red := r.Reduce(g)
 				roots = red.Roots
 				E = append([]graph.Edge(nil), red.Edges...)
 			}
-			stage2.Increase(m, f, roots, E, p2)
+			stage2.Increase(solve.New(m), f, roots, E, p2)
 			deg := map[int32]int{}
 			for _, e := range E {
 				if e.U != e.V {
@@ -296,9 +297,9 @@ func E7DiameterBlowup(c Config) *Table {
 	for _, n := range sizes {
 		tt := 4
 		g := gen.AppendixB(n, tt)
-		before := spectral.DiameterApprox(g, 3)
+		before := spectral.DiameterApprox(graph.NewPlan(g), 3)
 		s := gen.SampleEdges(g, 1/float64(tt), c.seed())
-		after := spectral.DiameterApprox(s, 3)
+		after := spectral.DiameterApprox(graph.NewPlan(s), 3)
 		comps := graph.NumLabels(baseline.BFSLabels(s))
 		t.Add(g.N, tt, g.M(), before, after,
 			comps == 1, float64(after)/float64(before+1))
@@ -323,9 +324,9 @@ func E8SampledGap(c Config) *Table {
 	for _, d := range []int{16, 32, 64} {
 		for _, p := range []float64{0.5, 0.25, 0.125} {
 			g := gen.RandomRegular(n, d, c.seed())
-			lam := spectral.Gap(g, &spectral.Options{Seed: c.seed()})
+			lam := spectral.Gap(graph.NewPlan(g), &spectral.Options{Seed: c.seed()})
 			s := gen.SampleEdges(g, p, c.seed()+7)
-			lam2 := spectral.Gap(s, &spectral.Options{Seed: c.seed()})
+			lam2 := spectral.Gap(graph.NewPlan(s), &spectral.Options{Seed: c.seed()})
 			bound := math.Sqrt(math.Log(float64(n)) / (p * float64(d)))
 			t.Add(d, p, lam, lam2, math.Abs(lam-lam2), bound)
 		}
@@ -465,7 +466,7 @@ func E12PhaseSchedule(c Config) *Table {
 		k = 64
 	}
 	run := func(profile string, g *graph.Graph, key any, strict, p1 bool) {
-		lam := spectral.Gap(g, &spectral.Options{Seed: c.seed()})
+		lam := spectral.Gap(graph.NewPlan(g), &spectral.Options{Seed: c.seed()})
 		m := c.machine()
 		p := core.Default(g.N)
 		p.Seed ^= c.seed()
@@ -484,7 +485,7 @@ func E12PhaseSchedule(c Config) *Table {
 			p.SampleP64 = pram.P64(1)
 			p.SkipStage1 = true
 		}
-		res := core.Connectivity(m, g, p)
+		res := core.Connectivity(solve.New(m), g, p, nil)
 		var last, tot int64
 		for _, r := range res.PhaseRounds {
 			tot += r

@@ -9,6 +9,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/par"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 )
 
 // SPSelfSpeedup measures the concurrent backend's self-speedup T1/TP: the
@@ -56,11 +57,11 @@ func SPSelfSpeedup(c Config) *Table {
 		{"fls", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
 			p := core.Default(g.N)
 			p.Seed ^= c.seed()
-			core.Connectivity(m, g, p)
+			core.Connectivity(solve.New(m), g, p, nil)
 			return m.Steps(), m.Work()
 		}},
 		{"cas-unite", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
-			par.Components(rt, g)
+			par.Components(rt, g, nil)
 			return -1, -1 // charged on the parcc facade, not here
 		}},
 		{"min-label", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {

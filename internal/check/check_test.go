@@ -9,6 +9,7 @@ import (
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
 )
@@ -98,7 +99,7 @@ func TestInstrumentedPipeline(t *testing.T) {
 	s := New(g, f)
 
 	// Stage 1.
-	r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+	r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 	red := r.Reduce(g)
 	if err := s.Safety(); err != nil {
 		t.Fatalf("after REDUCE: %v", err)
@@ -110,7 +111,7 @@ func TestInstrumentedPipeline(t *testing.T) {
 
 	// Stage 2.
 	E := append([]graph.Edge(nil), red.Edges...)
-	eclose := stage2.Increase(m, f, red.Roots, E, stage2.DefaultParams(g.N, 8))
+	eclose := stage2.Increase(solve.New(m), f, red.Roots, E, stage2.DefaultParams(g.N, 8))
 	if err := s.Safety(); err != nil {
 		t.Fatalf("after INCREASE: %v", err)
 	}
@@ -137,7 +138,7 @@ func TestInstrumentedPipeline(t *testing.T) {
 				V = append(V, e.V)
 			}
 		}
-		ltz.SolveOn(m, f, V, E, ltz.DefaultParams(g.N))
+		ltz.SolveOn(solve.New(m), f, V, E, ltz.DefaultParams(g.N))
 	}
 	labeled.FlattenAll(m, f)
 	if err := s.Safety(); err != nil {
@@ -159,7 +160,7 @@ func TestInstrumentedMatchingRounds(t *testing.T) {
 	m := pramtest.New(t, 0, pram.Seed(3))
 	f := labeled.New(g.N)
 	s := New(g, f)
-	r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+	r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 	E := append([]graph.Edge(nil), g.Edges...)
 	prevH := 0
 	for round := 0; round < 8; round++ {

@@ -25,13 +25,13 @@ func TestConnectivityOnParRuntime(t *testing.T) {
 		seqM := pram.New(pram.Seed(3))
 		pSeq := Default(g.N)
 		pSeq.Seed ^= 3
-		want := Connectivity(seqM, g, pSeq)
+		want := Connectivity(solve.New(seqM), g, pSeq, nil)
 
 		rt := par.New(par.Procs(4), par.Seed(3))
 		m := pram.New(pram.Seed(3), pram.OnExecutor(rt))
 		pCon := Default(g.N)
 		pCon.Seed ^= 3
-		got := Connectivity(m, g, pCon)
+		got := Connectivity(solve.New(m), g, pCon, nil)
 		rt.Close()
 
 		if !graph.SamePartition(want.Labels, got.Labels) {

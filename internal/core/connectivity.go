@@ -35,16 +35,10 @@ type Result struct {
 // with unknown spectral gap.  The returned labeling is always exact — the
 // REMAIN pass (and, under clamped practical parameters, a final backstop of
 // the same kind) completes any component the sampled subgraphs missed.
-func Connectivity(m *pram.Machine, g *graph.Graph, p Params) *Result {
-	return ConnectivityOn(solve.New(m), g, p, nil)
-}
-
-// ConnectivityOn is Connectivity against a solve context: the forest, the
-// Stage-1 scratch, the auxiliary array, and the per-phase working sets are
-// borrowed from the context's arena, and the labels are written into dst
-// when it has the capacity.  One-shot calls (nil arena) behave exactly
-// like the original allocation pattern.
-func ConnectivityOn(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Result {
+// The forest, the Stage-1 scratch, the auxiliary array, and the per-phase
+// working sets are borrowed from cx's arena (solve.New(m) for a one-shot
+// run), and the labels are written into dst when it has the capacity.
+func Connectivity(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Result {
 	m := cx.M
 	start := time.Now()
 	res := &Result{}
@@ -55,7 +49,7 @@ func ConnectivityOn(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Resul
 	// Step 1 is New's initialization (v.p = v).
 	// Step 2: REDUCE — contract to n/poly(log n) vertices (skipped only by
 	// the E12 ablation profile).
-	s1 := stage1.NewRunnerOn(cx, f, p.Stage1)
+	s1 := stage1.NewRunner(cx, f, p.Stage1)
 	var red stage1.Result
 	if p.SkipStage1 {
 		red = stage1.Result{Edges: cx.CopyEdges(g.Edges)}
@@ -70,7 +64,7 @@ func ConnectivityOn(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Resul
 	roots := red.Roots
 
 	// Auxiliary array over E(G′) (§7.4.1).
-	aux := stage2.BuildAuxOn(cx, g.N, Gp)
+	aux := stage2.BuildAux(cx, g.N, Gp)
 
 	// Step 3: pre-sample H₁ and H₂ with independent randomness.
 	H1 := cx.GrabEdgesCap(len(Gp)/4 + 4)
@@ -193,13 +187,13 @@ func interweave(cx *solve.Ctx, f *labeled.Forest, s1 *stage1.Runner, env phaseEn
 
 	if len(active) > 0 {
 		// Step 2: INCREASE(G′,H₁,H₂,b) — sparse skeleton + densify + heads.
-		H1, _ = stage2.IncreaseSparseOn(cx, f, active, env.aux, H1, H2, s2p)
+		H1, _ = stage2.IncreaseSparse(cx, f, active, env.aux, H1, H2, s2p)
 
 		// Step 3: 20·log b rounds of EXPAND-MAXLINK on H₁, then Theorem-2
 		// rounds, then ALTER(H₁).
 		lp := p.LTZ
 		lp.Seed ^= uint64(env.phase) * 0x9e37
-		st := ltz.NewStateOn(cx, f, active, H1, lp)
+		st := ltz.NewState(cx, f, active, H1, lp)
 		r1 := st.Run(p.H1Rounds * int(prim.Log2Ceil(b+1)))
 		r2 := st.Run(p.H1Rounds * int(prim.LogLog(f.Len()+4)))
 		cx.Rec.Add(obs.CtrLTZRounds, int64(r1+r2))
@@ -295,7 +289,7 @@ func remain(cx *solve.Ctx, f *labeled.Forest, env phaseEnv, p Params) {
 	cx.Release64(keys)
 	// Step 4: Theorem 2.
 	if len(Er) > 0 {
-		ltz.SolveOnCtx(cx, f, solve.VertexSet(cx, f.Len(), Er), Er, p.LTZ)
+		ltz.SolveOn(cx, f, solve.VertexSet(cx, f.Len(), Er), Er, p.LTZ)
 	}
 }
 
@@ -311,7 +305,7 @@ func backstop(cx *solve.Ctx, f *labeled.Forest, Gp []graph.Edge, p Params) bool 
 		cx.ReleaseEdges(E)
 		return false
 	}
-	ltz.SolveOnCtx(cx, f, solve.VertexSet(cx, f.Len(), E), E, p.LTZ)
+	ltz.SolveOn(cx, f, solve.VertexSet(cx, f.Len(), E), E, p.LTZ)
 	cx.ReleaseEdges(E)
 	return true
 }
@@ -384,14 +378,9 @@ func markVertexSet(cx *solve.Ctx, n int, E []graph.Edge) []int32 {
 // fixed degree target b — the algorithm for graphs whose component-wise
 // spectral gap is promised to be ≥ b^{-0.1}.  The result is exact for every
 // input regardless of the promise, because SAMPLESOLVE's Theorem-2 call is
-// followed by the same backstop cleanup CONNECTIVITY uses.
-func SolveKnownGap(m *pram.Machine, g *graph.Graph, b int, p Params) *Result {
-	return SolveKnownGapOn(solve.New(m), g, b, p, nil)
-}
-
-// SolveKnownGapOn is SolveKnownGap against a solve context (see
-// ConnectivityOn).
-func SolveKnownGapOn(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32) *Result {
+// followed by the same backstop cleanup CONNECTIVITY uses.  Scratch and
+// dst are handled as in Connectivity.
+func SolveKnownGap(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32) *Result {
 	m := cx.M
 	start := time.Now()
 	f := labeled.NewOn(cx.A, g.N)
@@ -399,7 +388,7 @@ func SolveKnownGapOn(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32
 	span := cx.Rec.Begin()
 
 	// Stage 1: REDUCE.
-	s1 := stage1.NewRunnerOn(cx, f, p.Stage1)
+	s1 := stage1.NewRunner(cx, f, p.Stage1)
 	red := s1.Reduce(g)
 	m.SetMark("stage1-reduce")
 	span = cx.Rec.Lap(obs.PhaseReduce, span)
@@ -409,7 +398,7 @@ func SolveKnownGapOn(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32
 	s2p.LTZ = p.LTZ
 	E := cx.CopyEdges(red.Edges)
 	if len(E) > 0 {
-		stage2.IncreaseOn(cx, f, red.Roots, E, s2p)
+		stage2.Increase(cx, f, red.Roots, E, s2p)
 	}
 	m.SetMark("stage2-increase")
 	span = cx.Rec.Lap(obs.PhaseIncrease, span)
@@ -418,7 +407,7 @@ func SolveKnownGapOn(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32
 	active := activeRoots(cx, f, red.Roots, E)
 	if len(active) > 0 {
 		E = labeled.Alter(m, f, E)
-		stage3.SampleSolveOn(cx, f, active, E, p.Stage3)
+		stage3.SampleSolve(cx, f, active, E, p.Stage3)
 	}
 	m.SetMark("stage3-samplesolve")
 	span = cx.Rec.Lap(obs.PhaseSampleSolve, span)

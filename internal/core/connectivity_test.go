@@ -10,6 +10,7 @@ import (
 	"parcc/internal/par"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 // suite returns the graph families every correctness test runs against.
@@ -54,7 +55,7 @@ func TestConnectivityMatchesBFS(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			m := pramtest.New(t, 0, pram.Seed(42))
-			res := Connectivity(m, g, Default(g.N))
+			res := Connectivity(solve.New(m), g, Default(g.N), nil)
 			checkLabels(t, name, g, res.Labels)
 		})
 	}
@@ -66,7 +67,7 @@ func TestConnectivitySequentialOrders(t *testing.T) {
 	g := gen.Union(gen.Cycle(120), gen.Grid(9, 13), gen.RandomRegular(128, 3, 3))
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
 		m := pram.New(pram.WriteOrder(ord), pram.Seed(7))
-		res := Connectivity(m, g, Default(g.N))
+		res := Connectivity(solve.New(m), g, Default(g.N), nil)
 		checkLabels(t, ord.String(), g, res.Labels)
 	}
 }
@@ -74,7 +75,7 @@ func TestConnectivitySequentialOrders(t *testing.T) {
 func TestConnectivityPaperParams(t *testing.T) {
 	g := gen.Union(gen.RandomRegular(256, 4, 9), gen.Path(100))
 	m := pramtest.New(t, 0, pram.Seed(1))
-	res := Connectivity(m, g, Paper(g.N))
+	res := Connectivity(solve.New(m), g, Paper(g.N), nil)
 	checkLabels(t, "paper-params", g, res.Labels)
 }
 
@@ -84,7 +85,7 @@ func TestConnectivityManySeeds(t *testing.T) {
 		p := Default(g.N)
 		p.Seed = seed
 		m := pramtest.New(t, 0, pram.Seed(seed))
-		res := Connectivity(m, g, p)
+		res := Connectivity(solve.New(m), g, p, nil)
 		checkLabels(t, fmt.Sprintf("seed=%d", seed), g, res.Labels)
 	}
 }
@@ -94,7 +95,7 @@ func TestSolveKnownGapMatchesBFS(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			m := pramtest.New(t, 0, pram.Seed(42))
-			res := SolveKnownGap(m, g, 16, Default(g.N))
+			res := SolveKnownGap(solve.New(m), g, 16, Default(g.N), nil)
 			checkLabels(t, name, g, res.Labels)
 		})
 	}
@@ -105,7 +106,7 @@ func TestConnectivityWorkBounded(t *testing.T) {
 	// well-connected graph (the Theorem-1 regime).
 	g := gen.RandomRegular(4096, 8, 21)
 	m := pramtest.New(t, 0, pram.Seed(5))
-	res := Connectivity(m, g, Default(g.N))
+	res := Connectivity(solve.New(m), g, Default(g.N), nil)
 	checkLabels(t, "expander", g, res.Labels)
 	mn := int64(g.M() + g.N)
 	if res.Work > 600*mn {
@@ -119,7 +120,7 @@ func TestConnectivityWorkBounded(t *testing.T) {
 func TestResultFields(t *testing.T) {
 	g := gen.Cycle(64)
 	m := pramtest.New(t, 0, pram.Seed(2))
-	res := Connectivity(m, g, Default(g.N))
+	res := Connectivity(solve.New(m), g, Default(g.N), nil)
 	if res.NumComponents != 1 {
 		t.Fatalf("cycle: got %d components, want 1", res.NumComponents)
 	}
@@ -157,7 +158,7 @@ func TestConnectivityManySpans(t *testing.T) {
 	graphs["gnm-large"] = gen.GNM(3000, 6000, 19)
 	for name, g := range graphs {
 		m := pram.New(pram.Seed(7), pram.OnExecutor(rt), pram.Grain(16))
-		res := Connectivity(m, g, Default(g.N))
+		res := Connectivity(solve.New(m), g, Default(g.N), nil)
 		checkLabels(t, name, g, res.Labels)
 	}
 }

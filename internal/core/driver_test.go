@@ -8,6 +8,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 func TestRemainOrBackstopCompletesSparseGraphs(t *testing.T) {
@@ -16,7 +17,7 @@ func TestRemainOrBackstopCompletesSparseGraphs(t *testing.T) {
 	// completion mechanism must fire and the result must be exact.
 	g := gen.Path(4000)
 	m := pramtest.New(t, 0, pram.Seed(3))
-	res := Connectivity(m, g, Default(g.N))
+	res := Connectivity(solve.New(m), g, Default(g.N), nil)
 	if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 		t.Fatal("path result wrong")
 	}
@@ -28,7 +29,7 @@ func TestRemainOrBackstopCompletesSparseGraphs(t *testing.T) {
 func TestPhaseRoundsRecorded(t *testing.T) {
 	g := gen.RandomRegular(2048, 6, 5)
 	m := pramtest.New(t, 0, pram.Seed(5))
-	res := Connectivity(m, g, Default(g.N))
+	res := Connectivity(solve.New(m), g, Default(g.N), nil)
 	if len(res.PhaseRounds) != res.Phases {
 		t.Fatalf("recorded %d phase-round entries for %d phases",
 			len(res.PhaseRounds), res.Phases)
@@ -49,7 +50,7 @@ func TestStrictBudgetsEscalatePhases(t *testing.T) {
 	p.H1Rounds = 1
 	p.B0 = 4
 	m := pramtest.New(t, 0, pram.Seed(9))
-	res := Connectivity(m, g, p)
+	res := Connectivity(solve.New(m), g, p, nil)
 	if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 		t.Fatal("strict-budget run wrong")
 	}
@@ -69,7 +70,7 @@ func TestRevertIsolatesFailedPhases(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		p.Seed = seed
 		m := pramtest.New(t, 0, pram.Seed(seed))
-		res := Connectivity(m, g, p)
+		res := Connectivity(solve.New(m), g, p, nil)
 		if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 			t.Fatalf("seed %d: revert corrupted the run", seed)
 		}
@@ -99,12 +100,12 @@ func TestAdversarialRelabeling(t *testing.T) {
 			perm[i] = p
 			used[p] = true
 		}
-		g, err := graph.Relabel(base, perm)
-		if err != nil {
-			t.Fatal(err)
+		g := graph.New(base.N)
+		for _, e := range base.Edges {
+			g.Edges = append(g.Edges, graph.Edge{U: perm[e.U], V: perm[e.V]})
 		}
 		m := pramtest.New(t, 0, pram.Seed(4))
-		res := Connectivity(m, g, Default(g.N))
+		res := Connectivity(solve.New(m), g, Default(g.N), nil)
 		if !graph.SamePartition(baseline.BFSLabels(g), res.Labels) {
 			t.Errorf("%s relabeling broke the run", name)
 		}
@@ -126,9 +127,9 @@ func TestManyComponentsAllRegimes(t *testing.T) {
 		m := pramtest.New(t, 0, pram.Seed(11))
 		var res *Result
 		if known {
-			res = SolveKnownGap(m, g, 8, Default(g.N))
+			res = SolveKnownGap(solve.New(m), g, 8, Default(g.N), nil)
 		} else {
-			res = Connectivity(m, g, Default(g.N))
+			res = Connectivity(solve.New(m), g, Default(g.N), nil)
 		}
 		if res.NumComponents != want {
 			t.Errorf("known=%v: %d components, want %d", known, res.NumComponents, want)
@@ -139,7 +140,7 @@ func TestManyComponentsAllRegimes(t *testing.T) {
 func TestBreakdownPartitionsTotals(t *testing.T) {
 	g := gen.RandomRegular(1024, 4, 7)
 	m := pramtest.New(t, 0, pram.Seed(2))
-	res := Connectivity(m, g, Default(g.N))
+	res := Connectivity(solve.New(m), g, Default(g.N), nil)
 	var steps, work int64
 	for _, mk := range res.Breakdown {
 		steps += mk.Steps
@@ -153,7 +154,7 @@ func TestBreakdownPartitionsTotals(t *testing.T) {
 func TestKnownGapBreakdownStages(t *testing.T) {
 	g := gen.RandomRegular(1024, 6, 3)
 	m := pramtest.New(t, 0, pram.Seed(2))
-	res := SolveKnownGap(m, g, 8, Default(g.N))
+	res := SolveKnownGap(solve.New(m), g, 8, Default(g.N), nil)
 	labels := map[string]bool{}
 	for _, mk := range res.Breakdown {
 		labels[mk.Label] = true

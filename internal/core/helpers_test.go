@@ -105,7 +105,7 @@ func TestSkipStage1StillExact(t *testing.T) {
 	p := Default(g.N)
 	p.SkipStage1 = true
 	m := pramtest.New(t, 0, pram.Seed(5))
-	res := Connectivity(m, g, p)
+	res := Connectivity(solve.New(m), g, p, nil)
 	if graph.NumLabels(res.Labels) != 2 {
 		t.Fatalf("skip-stage1 run found %d components", graph.NumLabels(res.Labels))
 	}

@@ -6,6 +6,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 func TestDefaultParamsSane(t *testing.T) {
@@ -77,7 +78,7 @@ func TestSolveRoundsCDefaultInInterweave(t *testing.T) {
 	p := Default(g.N)
 	p.SolveRoundsC = 0
 	m := pramtest.New(t, 0, pram.Seed(1))
-	res := Connectivity(m, g, p)
+	res := Connectivity(solve.New(m), g, p, nil)
 	if res.NumComponents != 1 {
 		t.Fatal("wrong result with zero SolveRoundsC")
 	}

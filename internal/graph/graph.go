@@ -26,8 +26,8 @@ type Edge struct {
 
 // CanonKey packs the edge into a 64-bit multiset key with the smaller
 // endpoint in the high word, so both orientations of an undirected edge
-// collide — the one canonical form shared by Simplify's dedup and the
-// incremental path's remove-batch matching.  O(1), pure, safe anywhere.
+// collide — the canonical form the incremental path's remove-batch
+// matching keys on.  O(1), pure, safe anywhere.
 func (e Edge) CanonKey() int64 {
 	u, v := e.U, e.V
 	if u > v {
@@ -100,22 +100,6 @@ func (g *Graph) Degrees() []int32 {
 	return deg
 }
 
-// MinDegree returns the minimum degree over all vertices (0 if any vertex is
-// isolated), matching deg(G) in §2.1.
-func (g *Graph) MinDegree() int32 {
-	deg := g.Degrees()
-	if len(deg) == 0 {
-		return 0
-	}
-	mn := deg[0]
-	for _, d := range deg[1:] {
-		if d < mn {
-			mn = d
-		}
-	}
-	return mn
-}
-
 // CSR is a compressed adjacency representation.  Nbr[Off[v]:Off[v+1]] lists
 // the neighbors of v; a self-loop appears once, a non-loop edge appears in
 // both endpoints' lists.
@@ -132,8 +116,8 @@ func (c *CSR) Neighbors(v int32) []int32 { return c.Nbr[c.Off[v]:c.Off[v+1]] }
 
 // BuildCSR constructs adjacency lists for g by sequential counting sort:
 // O(m+n) time, two passes over the edge list.  Each vertex's neighbors
-// appear in edge-scan order — the canonical layout BuildCSROn and
-// ExtendPlanOn reproduce exactly on any executor.
+// appear in edge-scan order — the canonical layout BuildCSROn reproduces
+// exactly on any executor.
 func BuildCSR(g *Graph) *CSR {
 	n := g.N
 	cnt := make([]int64, n+1)
@@ -158,31 +142,6 @@ func BuildCSR(g *Graph) *CSR {
 		}
 	}
 	return &CSR{Off: cnt, Nbr: nbr}
-}
-
-// Simplify returns a copy of g with self-loops and parallel edges removed.
-// The dedup key is canonical in the endpoint order — (u,v) and (v,u) are
-// the same undirected edge, so the smaller endpoint goes in the high word —
-// and output edges are emitted in that canonical orientation.
-func Simplify(g *Graph) *Graph {
-	seen := make(map[int64]struct{}, len(g.Edges))
-	out := New(g.N)
-	for _, e := range g.Edges {
-		if e.U == e.V {
-			continue
-		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		k := e.CanonKey()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Edges = append(out.Edges, Edge{u, v})
-	}
-	return out
 }
 
 // WriteEdgeList writes "n m" followed by one "u v" line per edge.
@@ -273,4 +232,34 @@ func NumLabels(labels []int32) int {
 		set[l] = struct{}{}
 	}
 	return len(set)
+}
+
+// InducedInto extracts the subgraph of g induced by the vertices v with
+// vmap[v] != 0, through a caller-owned dense vertex map and a reusable
+// output graph, relabeled to the compact ids vmap[v]-1 (the +1 convention
+// lets callers hand in a zeroed arena buffer with 0 meaning "absent").
+// Edges are kept when their first endpoint is selected — the incremental
+// path guarantees endpoints of one edge are always in the same component,
+// so selection is component-closed; nVerts is the number of selected
+// vertices.  The result reuses out's edge backing when provided (pass nil
+// for a fresh graph), which makes repeated dirty-region extractions
+// allocation-free once warm.
+//
+// Uncharged helper: one sequential O(m) edge scan (the scoped re-solve it
+// feeds is the expensive part).  Not safe for concurrent use with writers
+// of g or vmap.
+func InducedInto(g *Graph, vmap []int32, nVerts int, out *Graph) *Graph {
+	if out == nil {
+		out = New(nVerts)
+	}
+	out.N = nVerts
+	out.Edges = out.Edges[:0]
+	for _, ed := range g.Edges {
+		su := vmap[ed.U]
+		if su == 0 {
+			continue
+		}
+		out.Edges = append(out.Edges, Edge{U: su - 1, V: vmap[ed.V] - 1})
+	}
+	return out
 }

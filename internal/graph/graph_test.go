@@ -54,16 +54,6 @@ func TestDegreesSelfLoopCountsOnce(t *testing.T) {
 	}
 }
 
-func TestMinDegree(t *testing.T) {
-	g := FromPairs(4, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	if g.MinDegree() != 0 {
-		t.Fatalf("isolated vertex 3 should give min degree 0, got %d", g.MinDegree())
-	}
-	if New(0).MinDegree() != 0 {
-		t.Fatal("empty graph min degree should be 0")
-	}
-}
-
 func TestBuildCSR(t *testing.T) {
 	g := FromPairs(4, [][2]int{{0, 1}, {1, 2}, {3, 3}, {0, 1}})
 	c := BuildCSR(g)
@@ -76,49 +66,29 @@ func TestBuildCSR(t *testing.T) {
 	}
 }
 
-func TestSimplify(t *testing.T) {
-	g := FromPairs(4, [][2]int{{0, 1}, {1, 0}, {2, 2}, {2, 3}, {2, 3}})
-	s := Simplify(g)
-	if s.M() != 2 {
-		t.Fatalf("simplified m=%d, want 2", s.M())
-	}
-	for _, e := range s.Edges {
-		if e.U == e.V {
-			t.Fatal("loop survived simplify")
-		}
-		if e.U > e.V {
-			t.Fatal("simplify should canonicalize orientation")
-		}
-	}
-}
-
-// TestSimplifyReversedParallelEdges is the regression test for the dedup
-// key: parallel edges recorded in opposite orientations must collapse to
-// one edge, including at vertex ids large enough to exercise the packed
-// key's word boundaries.
-func TestSimplifyReversedParallelEdges(t *testing.T) {
+// TestCanonKeyReversedParallelEdges is the regression test for the
+// canonical edge key: parallel edges recorded in opposite orientations
+// must share one key, including at vertex ids large enough to exercise
+// the packed key's word boundaries, and distinct edges must not.
+func TestCanonKeyReversedParallelEdges(t *testing.T) {
 	n := 1 << 21
-	big := n - 1
+	big := int32(n - 1)
 	g := FromPairs(n, [][2]int{
 		{3, 9}, {9, 3}, {9, 3}, {3, 9},
-		{0, big}, {big, 0},
-		{big - 1, big}, {big, big - 1},
-		{7, 7}, // loop mixed in
+		{0, int(big)}, {int(big), 0},
+		{int(big) - 1, int(big)}, {int(big), int(big) - 1},
 	})
-	s := Simplify(g)
-	if s.M() != 3 {
-		t.Fatalf("simplified m=%d, want 3 (reversed parallels must merge): %v", s.M(), s.Edges)
+	keys := map[int64]int{}
+	for _, e := range g.Edges {
+		keys[e.CanonKey()]++
 	}
-	seen := map[[2]int32]bool{}
-	for _, e := range s.Edges {
-		if e.U >= e.V {
-			t.Fatalf("edge (%d,%d) not canonically oriented", e.U, e.V)
-		}
-		seen[[2]int32{e.U, e.V}] = true
+	want := map[Edge]int{{U: 3, V: 9}: 4, {U: 0, V: big}: 2, {U: big - 1, V: big}: 2}
+	if len(keys) != len(want) {
+		t.Fatalf("%d distinct keys, want %d (reversed parallels must share a key)", len(keys), len(want))
 	}
-	for _, want := range [][2]int32{{3, 9}, {0, int32(big)}, {int32(big) - 1, int32(big)}} {
-		if !seen[want] {
-			t.Fatalf("missing edge %v in %v", want, s.Edges)
+	for e, c := range want {
+		if keys[e.CanonKey()] != c {
+			t.Errorf("key of %v counted %d times, want %d", e, keys[e.CanonKey()], c)
 		}
 	}
 }
@@ -205,5 +175,34 @@ func TestNumLabels(t *testing.T) {
 	}
 	if NumLabels(nil) != 0 {
 		t.Error("NumLabels(nil) should be 0")
+	}
+}
+
+// TestInducedInto: compact relabeling, +1 vmap convention, and backing
+// reuse.
+func TestInducedInto(t *testing.T) {
+	g := FromPairs(6, [][2]int{{0, 1}, {1, 0}, {2, 2}, {3, 4}, {4, 5}})
+	vmap := make([]int32, 6)
+	// Select {0,1,2} -> compact ids 0,1,2: edges (0,1), (1,0), loop at 2.
+	vmap[0], vmap[1], vmap[2] = 1, 2, 3
+	sub := InducedInto(g, vmap, 3, nil)
+	if sub.N != 3 || sub.M() != 3 {
+		t.Fatalf("sub = (n=%d, m=%d), want (3, 3)", sub.N, sub.M())
+	}
+	if sub.Edges[0] != (Edge{U: 0, V: 1}) || sub.Edges[1] != (Edge{U: 1, V: 0}) || sub.Edges[2] != (Edge{U: 2, V: 2}) {
+		t.Fatalf("sub edges = %v", sub.Edges)
+	}
+	// Reuse: the smaller selection {3,4,5} fits the warm backing.
+	clear(vmap)
+	for i, v := range []int32{3, 4, 5} {
+		vmap[v] = int32(i) + 1
+	}
+	before := &sub.Edges[0]
+	sub2 := InducedInto(g, vmap, 3, sub)
+	if sub2 != sub || &sub2.Edges[0] != before {
+		t.Fatal("InducedInto must reuse the provided backing")
+	}
+	if sub2.M() != 2 || sub2.Edges[0] != (Edge{U: 0, V: 1}) || sub2.Edges[1] != (Edge{U: 1, V: 2}) {
+		t.Fatalf("reused sub edges = %v", sub2.Edges)
 	}
 }

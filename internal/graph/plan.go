@@ -33,26 +33,18 @@ type Plan struct {
 	degs   atomic.Pointer[[]int32]
 }
 
-// fpOffset is the FNV offset basis the edge fingerprint folds from.
-const fpOffset = uint64(0xcbf29ce484222325)
-
-// edgeFold continues an order-sensitive content hash of an edge list (an
-// FNV-style fold) from h.  Because it is a pure left fold, the fingerprint
-// of an extended edge list is edgeFold(fp, added) — which is what lets
-// ExtendPlanOn carry a valid fingerprint forward without rescanning the
-// prefix.  Uncharged helper; single-threaded.
-func edgeFold(h uint64, edges []Edge) uint64 {
+// edgeFingerprint is an order-sensitive content hash of an edge list (an
+// FNV-style fold).  Validating a cached plan against it costs one cheap
+// pass over the edges — negligible next to any solve, which is Ω(m) — and
+// catches in-place mutation, which a length check alone would miss.
+// Uncharged helper; single-threaded.
+func edgeFingerprint(edges []Edge) uint64 {
+	h := uint64(0xcbf29ce484222325) // FNV offset basis
 	for _, e := range edges {
 		h = (h ^ (uint64(uint32(e.U))<<32 | uint64(uint32(e.V)))) * 0x100000001b3
 	}
 	return h
 }
-
-// edgeFingerprint is the fold over a whole edge list.  Validating a cached
-// plan against it costs one cheap pass over the edges — negligible next to
-// any solve, which is Ω(m) — and catches in-place mutation, which a length
-// check alone would miss.
-func edgeFingerprint(edges []Edge) uint64 { return edgeFold(fpOffset, edges) }
 
 // NewPlan builds a plan single-threaded.
 func NewPlan(g *Graph) *Plan { return BuildPlanOn(nil, g) }
@@ -84,9 +76,6 @@ func (p *Plan) ValidQuick() bool { return p.builtM == len(p.G.Edges) }
 
 // M returns the edge count the plan was built at.
 func (p *Plan) M() int { return p.builtM }
-
-// Degree returns the degree of v from the cached adjacency.
-func (p *Plan) Degree(v int32) int { return p.CSR.Deg(v) }
 
 // Degrees returns the per-vertex degree array, materialized on first use
 // and cached (callers must not modify it).

@@ -58,9 +58,6 @@ func TestPlanDegreeStats(t *testing.T) {
 		if got[v] != want[v] {
 			t.Errorf("deg[%d] = %d, want %d", v, got[v], want[v])
 		}
-		if p.Degree(int32(v)) != int(want[v]) {
-			t.Errorf("Degree(%d) = %d, want %d", v, p.Degree(int32(v)), want[v])
-		}
 	}
 	if !p.Valid() {
 		t.Error("fresh plan must be valid")

@@ -70,35 +70,16 @@ func (f *Forest) Root(v int32) int32 {
 	return v
 }
 
-// Snapshot returns a copy of the parent array, for the phase-revert step of
-// INTERWEAVE (Step 5).
-func (f *Forest) Snapshot() []int32 {
-	s := make([]int32, len(f.P))
-	copy(s, f.P)
-	return s
-}
-
-// Restore overwrites the parent array from a snapshot.
-func (f *Forest) Restore(s []int32) {
-	copy(f.P, s)
-}
-
-// SnapshotOf copies the parents of the listed vertices only (the paper's
-// revert copies pointers for v ∈ V(G′), Lemma 7.17).
-func (f *Forest) SnapshotOf(vs []int32) []int32 {
-	s := make([]int32, len(vs))
-	f.SnapshotOfInto(vs, s)
-	return s
-}
-
-// SnapshotOfInto is SnapshotOf into a caller-owned buffer of len(vs).
+// SnapshotOfInto copies the parents of the listed vertices into dst, a
+// caller-owned buffer of len(vs) (the paper's revert copies pointers for
+// v ∈ V(G′), Lemma 7.17).
 func (f *Forest) SnapshotOfInto(vs, dst []int32) {
 	for i, v := range vs {
 		dst[i] = f.P[v]
 	}
 }
 
-// RestoreOf undoes SnapshotOf.
+// RestoreOf undoes SnapshotOfInto.
 func (f *Forest) RestoreOf(vs []int32, s []int32) {
 	for i, v := range vs {
 		f.P[v] = s[i]

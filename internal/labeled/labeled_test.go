@@ -127,13 +127,8 @@ func TestLabelsDeepChain(t *testing.T) {
 
 func TestSnapshotRestore(t *testing.T) {
 	f := New(4)
-	s := f.Snapshot()
-	f.P[2] = 0
-	f.Restore(s)
-	if f.P[2] != 2 {
-		t.Fatal("restore failed")
-	}
-	sub := f.SnapshotOf([]int32{1, 3})
+	sub := make([]int32, 2)
+	f.SnapshotOfInto([]int32{1, 3}, sub)
 	f.P[1] = 0
 	f.P[3] = 0
 	f.RestoreOf([]int32{1, 3}, sub)

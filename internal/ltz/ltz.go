@@ -101,15 +101,10 @@ type State struct {
 }
 
 // NewState prepares a run over vertex set V and edge set E (copied).  The
-// level field is fresh (all ones, per §5.2.1).
-func NewState(m *pram.Machine, f *labeled.Forest, V []int32, E []graph.Edge, p Params) *State {
-	return NewStateOn(solve.New(m), f, V, E, p)
-}
-
-// NewStateOn is NewState drawing the level field, the maxlink scratch, the
-// edge copy, and every per-round table from the context's arena.  Pair it
-// with Free.
-func NewStateOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) *State {
+// level field is fresh (all ones, per §5.2.1).  The level field, the
+// maxlink scratch, the edge copy, and every per-round table are drawn from
+// the context's arena; pair it with Free.
+func NewState(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) *State {
 	m := cx.M
 	s := &State{
 		M:     m,
@@ -517,16 +512,11 @@ func log2(n int) int {
 // (V, E), updating the shared forest.  If the safety round cap is hit (never
 // observed in practice; the cap exists because our budgets are the practical
 // profile, not the paper's polylogs), it falls back to deterministic
-// min-hooking so the contraction always completes.  Returns rounds used.
-func SolveOn(m *pram.Machine, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int64 {
-	return SolveOnCtx(solve.New(m), f, V, E, p)
-}
-
-// SolveOnCtx is SolveOn drawing all working state from the solve context.
-// Rounds executed are accrued onto the context recorder's ltz_rounds
-// counter (a no-op with tracing off).
-func SolveOnCtx(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int64 {
-	s := NewStateOn(cx, f, V, E, p)
+// min-hooking so the contraction always completes.  Returns rounds used,
+// which are also accrued onto the context recorder's ltz_rounds counter
+// (a no-op with tracing off).
+func SolveOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int64 {
+	s := NewState(cx, f, V, E, p)
 	defer s.Free()
 	defer func() { cx.Rec.Add(obs.CtrLTZRounds, s.round) }()
 	maxR := p.MaxRounds
@@ -551,7 +541,7 @@ func Solve(m *pram.Machine, g *graph.Graph, p Params) *labeled.Forest {
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
-	SolveOn(m, f, V, g.Edges, p)
+	SolveOn(solve.New(m), f, V, g.Edges, p)
 	labeled.FlattenAll(m, f)
 	return f
 }

@@ -10,6 +10,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 func solveLabels(t *testing.T, g *graph.Graph, p Params) []int32 {
@@ -94,7 +95,7 @@ func TestRoundsScaleWithDiameter(t *testing.T) {
 			f := labeled.New(g.N)
 			V := make([]int32, g.N)
 			m.Iota32(V)
-			tot += SolveOn(m, f, V, g.Edges, p)
+			tot += SolveOn(solve.New(m), f, V, g.Edges, p)
 		}
 		return float64(tot) / seeds
 	}
@@ -111,7 +112,7 @@ func TestRunStopsEarlyWhenDone(t *testing.T) {
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
-	s := NewState(m, f, V, g.Edges, DefaultParams(g.N))
+	s := NewState(solve.New(m), f, V, g.Edges, DefaultParams(g.N))
 	used := s.Run(1000)
 	if used >= 1000 {
 		t.Fatal("K8 should contract in far fewer than 1000 rounds")
@@ -131,7 +132,7 @@ func TestStatePreservesComponents(t *testing.T) {
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
-	s := NewState(m, f, V, g.Edges, DefaultParams(g.N))
+	s := NewState(solve.New(m), f, V, g.Edges, DefaultParams(g.N))
 	for r := 0; r < 6 && !s.Done(); r++ {
 		s.Round()
 		// Invariant: parents never cross ground-truth components, and all
@@ -153,7 +154,7 @@ func TestLevelsNondecreasingAndBudgetsGrow(t *testing.T) {
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
-	s := NewState(m, f, V, g.Edges, DefaultParams(g.N))
+	s := NewState(solve.New(m), f, V, g.Edges, DefaultParams(g.N))
 	prev := append([]int32(nil), s.Level...)
 	for r := 0; r < 5 && !s.Done(); r++ {
 		s.Round()
@@ -192,7 +193,7 @@ func TestDedupExtraBounded(t *testing.T) {
 	f := labeled.New(g.N)
 	V := make([]int32, g.N)
 	m.Iota32(V)
-	s := NewState(m, f, V, g.Edges, p)
+	s := NewState(solve.New(m), f, V, g.Edges, p)
 	for r := 0; r < 8 && !s.Done(); r++ {
 		s.Round()
 		if len(s.Extra) > 4*p.DedupThreshold*(g.M()+1) {

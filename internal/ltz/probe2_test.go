@@ -8,6 +8,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 func TestProbePathScaling(t *testing.T) {
@@ -24,7 +25,7 @@ func TestProbePathScaling(t *testing.T) {
 			f := labeled.New(g.N)
 			V := make([]int32, g.N)
 			m.Iota32(V)
-			tot += SolveOn(m, f, V, g.Edges, p)
+			tot += SolveOn(solve.New(m), f, V, g.Edges, p)
 		}
 		t.Logf("path 2^%d: avg rounds=%.1f", lg, float64(tot)/5)
 	}

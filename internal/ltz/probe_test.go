@@ -9,6 +9,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 // TestProbeRounds is a diagnostic: it logs round counts per family and
@@ -33,7 +34,7 @@ func TestProbeRounds(t *testing.T) {
 				f := labeled.New(g.N)
 				V := make([]int32, g.N)
 				m.Iota32(V)
-				r := SolveOn(m, f, V, g.Edges, p)
+				r := SolveOn(solve.New(m), f, V, g.Edges, p)
 				t.Logf("beta=%3d exp=%.2f %-13s rounds=%3d work/m=%5.1f",
 					beta, exp, name, r, float64(m.Work())/float64(g.M()+g.N))
 			}

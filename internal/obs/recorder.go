@@ -40,8 +40,7 @@ type Phase uint8
 const (
 	// PhaseValidate is the edge-range validation sweep of Solve entry.
 	PhaseValidate Phase = iota
-	// PhasePlan is CSR plan lookup: cache validation, delta extension, or
-	// a full rebuild.
+	// PhasePlan is CSR plan lookup: cache validation or a full rebuild.
 	PhasePlan
 	// PhaseSample is the neighbor-sampling rounds (par.SampleUnite).
 	PhaseSample
@@ -68,7 +67,7 @@ const (
 	PhaseSampleSolve
 	// PhaseFinish is the FLS flatten/backstop completion.
 	PhaseFinish
-	// PhaseUnite is the incremental insert path (par.UniteBatchMark).
+	// PhaseUnite is the incremental insert path (par.UniteBatch).
 	PhaseUnite
 	// PhaseExtract is the deletion path's sweep + dirty-subgraph
 	// extraction (filter, vertex gather, graph.InducedInto).

@@ -8,16 +8,11 @@ import "parcc/internal/graph"
 // wall-clock-oriented companion to the charged PRAM algorithms, in the
 // spirit of the Liu–Tarjan CAS formulations.  The result is deterministic
 // for any procs and schedule: every vertex is labeled by the minimum vertex
-// of its component.
-func Components(rt *Runtime, g *graph.Graph) []int32 {
-	return ComponentsInto(rt, g, nil)
-}
-
-// ComponentsInto is Components writing into dst when it has the capacity —
-// the zero-allocation serving path for session reuse.  The edge pass runs
-// in grain-sized spans, so the per-edge work is the union alone, not a
-// closure call.
-func ComponentsInto(rt *Runtime, g *graph.Graph, dst []int32) []int32 {
+// of its component.  The labels are written into dst when it has the
+// capacity, the zero-allocation serving path for session reuse.  The edge
+// pass runs in grain-sized spans, so the per-edge work is the union alone,
+// not a closure call.
+func Components(rt *Runtime, g *graph.Graph, dst []int32) []int32 {
 	p := dst
 	if cap(p) < g.N {
 		p = make([]int32, g.N)

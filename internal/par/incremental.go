@@ -12,50 +12,35 @@ import (
 // Both are uncharged serving helpers (no PRAM cost is booked); their
 // concurrency contracts are stated per kernel.
 
-// UniteBatchMark runs Unite over every non-loop edge of batch on e and
+// UniteBatch unites the endpoints of every non-loop edge of batch on e and
 // returns the number of unions that actually merged two distinct sets —
 // the component-count delta the caller maintains.  O(|batch|·α) amortized
 // work, parallel over the batch; the merge count is exact under any
-// interleaving because Unite reports success precisely for the winning
-// CAS of each merge.  The resulting partition (and, at quiescence, every
-// root, which is its component's minimum reachable representative) is
-// deterministic for any procs and schedule; concurrent Find/Unite on the
-// same forest is safe, concurrent readers that bypass Find are not.
+// interleaving because each union reports success precisely for the
+// winning CAS of its merge.  The resulting partition (and, at quiescence,
+// every root, which is its component's minimum reachable representative)
+// is deterministic for any procs and schedule; concurrent Find/Unite on
+// the same forest is safe, concurrent readers that bypass Find are not.
 //
 // Per-edge outcomes are reported too: marks[i] is set true exactly when
-// batch[i]'s Unite merged two distinct sets (false for loops, duplicates,
+// batch[i]'s union merged two distinct sets (false for loops, duplicates,
 // and lost races — every slot is written, so a recycled buffer needs no
 // clearing).  The marked subset is a valid spanning-forest extension
-// under any interleaving: each winning Unite connected two components
+// under any interleaving: each winning union connected two components
 // that were distinct at its linearization point, so the marked edges are
 // acyclic and span exactly what the batch merged — the property the live
 // session's DynForest builds its forest flags from.
-func UniteBatchMark(e Exec, p []int32, batch []graph.Edge, marks []bool) int {
+//
+// When losers is non-nil (capacity len(batch)), the hooked (losing) root
+// of every merge is stored in its prefix, whose length is the return
+// value.  The prefix is unordered (slots are reserved with an atomic
+// cursor) and duplicate-free within the batch — a root can lose at most
+// once, because the winning CAS retires it from roothood forever.  This is
+// the bookkeeping feed of the copy-on-write snapshot mirror: the caller
+// charges each losing root's member list against the winner without
+// scanning the forest.
+func UniteBatch(e Exec, p []int32, batch []graph.Edge, marks []bool, losers []int32) int {
 	var merges atomic.Int64
-	e.Run(len(batch), func(i int) {
-		ed := batch[i]
-		ok := ed.U != ed.V && Unite(p, ed.U, ed.V)
-		marks[i] = ok
-		if ok {
-			merges.Add(1)
-		}
-	})
-	return int(merges.Load())
-}
-
-// UniteBatchTouch is UniteBatchMark additionally reporting WHICH root lost
-// each merge: the hooked (losing) root of every successful union is
-// appended into losers, whose filled prefix length is the return value
-// (== the merge count).  Every marks slot is written, as in
-// UniteBatchMark.  The losers prefix is unordered (slots are reserved
-// with an atomic cursor) and duplicate-free within the batch — a root can
-// lose at most once, because the winning CAS retires it from roothood
-// forever.  losers must have capacity len(batch).  This is the bookkeeping feed of the
-// copy-on-write snapshot mirror: the caller charges each losing root's
-// member list against the winner without scanning the forest.  Same
-// contract and cost as UniteBatchMark otherwise.
-func UniteBatchTouch(e Exec, p []int32, batch []graph.Edge, marks []bool, losers []int32) int {
-	var cur atomic.Int64
 	e.Run(len(batch), func(i int) {
 		ed := batch[i]
 		var ru int32
@@ -65,10 +50,13 @@ func UniteBatchTouch(e Exec, p []int32, batch []graph.Edge, marks []bool, losers
 		}
 		marks[i] = ok
 		if ok {
-			losers[cur.Add(1)-1] = ru
+			k := merges.Add(1)
+			if losers != nil {
+				losers[k-1] = ru
+			}
 		}
 	})
-	return int(cur.Load())
+	return int(merges.Load())
 }
 
 // uniteLoser is Unite (kernels.go) returning the hooked root on success:

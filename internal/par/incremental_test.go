@@ -21,7 +21,7 @@ func TestUniteBatchMergeCount(t *testing.T) {
 			p[i] = int32(i)
 		}
 		marks := make([]bool, len(edges))
-		merges := UniteBatchMark(rt, p, edges, marks)
+		merges := UniteBatch(rt, p, edges, marks, nil)
 		if merges != 5 { // {0,1}+{2,3,4} fuse into {0..4}; {6,7}; loop & dup no-ops
 			t.Fatalf("procs=%d: merges = %d, want 5", procs, merges)
 		}
@@ -63,7 +63,7 @@ func TestSpliceLabels(t *testing.T) {
 		}
 	}
 	// Roots are self-parented: further Unite batches work on the result.
-	if m := UniteBatchMark(rt, p, []graph.Edge{{U: 1, V: 3}}, make([]bool, 1)); m != 1 {
+	if m := UniteBatch(rt, p, []graph.Edge{{U: 1, V: 3}}, make([]bool, 1), nil); m != 1 {
 		t.Fatalf("post-splice unite merges = %d, want 1", m)
 	}
 	if Find(p, 0) != Find(p, 2) {

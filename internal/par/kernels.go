@@ -73,9 +73,8 @@ func Unite(p []int32, u, v int32) bool {
 // before the operation ends, so a concurrent union can find its endpoints
 // already joined through the subtree in transit and hook elsewhere: the
 // edges whose call hooked need not form a spanning forest, and the hooked
-// root is not the root x's set lost.  UniteBatchMark and UniteBatchTouch,
-// whose marks must be a spanning forest and whose loser roots must be
-// exact, keep Unite.
+// root is not the root x's set lost.  UniteBatch, whose marks must be a
+// spanning forest and whose loser roots must be exact, keeps Unite.
 func UniteRem(p []int32, x, y int32) bool {
 	for {
 		px, py := atomic.LoadInt32(&p[x]), atomic.LoadInt32(&p[y])

@@ -40,7 +40,7 @@ func TestSamplePipelineMatchesBFS(t *testing.T) {
 					t.Errorf("procs=%d %s maj=%v: processed=%d out of [0,2m]", procs, name, useMajority, processed)
 				}
 				// The fixpoint of the CAS forest is min-labeled components.
-				want := Components(r, g)
+				want := Components(r, g, nil)
 				for v := range want {
 					if labels[v] != want[v] {
 						t.Fatalf("procs=%d %s maj=%v: label[%d]=%d, want min-label %d",
@@ -88,7 +88,7 @@ func TestMajorityRootFindsDominantComponent(t *testing.T) {
 	defer r.Close()
 	p := make([]int32, g.N)
 	r.Run(g.N, func(v int) { p[v] = int32(v) })
-	UniteBatchMark(r, p, g.Edges, make([]bool, g.M()))
+	UniteBatch(r, p, g.Edges, make([]bool, g.M()), nil)
 	Compress(r, p)
 	root, cover := MajorityRoot(r, p, 512, nil)
 	if want := Find(p, 0); root != want {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSnapshotLabels checks the publish kernel (SnapshotPages) against a
-// sequential reference on a forest built by UniteBatchMark: every label
+// sequential reference on a forest built by UniteBatch: every label
 // slot holds v's root, the size slots count each root's component
 // exactly, and p itself is not mutated beyond what the chases read.
 func TestSnapshotLabels(t *testing.T) {
@@ -28,7 +28,7 @@ func TestSnapshotLabels(t *testing.T) {
 		for v := range p {
 			p[v] = int32(v)
 		}
-		UniteBatchMark(e, p, g.Edges, make([]bool, g.M()))
+		UniteBatch(e, p, g.Edges, make([]bool, g.M()), nil)
 
 		before := make([]int32, n)
 		copy(before, p)

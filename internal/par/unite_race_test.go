@@ -13,7 +13,7 @@ import (
 // TestUniteRemMatchesSequentialMinima is the schedule test of the
 // splicing union-find: on every bench family at n = 2^12, in the given
 // and the reversed edge order, plus a path with descending ids and a
-// star, ComponentsInto's UniteRem pass at procs 2, 4 and 8 must label
+// star, Components's UniteRem pass at procs 2, 4 and 8 must label
 // every vertex with exactly its component minimum — the labels a
 // sequential union-find pass produces.  Each procs runs five seeds, and
 // the seed also picks a small grain (32 to 512 edges), so chunks change
@@ -45,7 +45,7 @@ func TestUniteRemMatchesSequentialMinima(t *testing.T) {
 			rt := par.New(par.Procs(procs), par.Seed(seed), par.Grain(16<<seed))
 			var dst []int32
 			for name, g := range cases {
-				dst = par.ComponentsInto(rt, g, dst)
+				dst = par.Components(rt, g, dst)
 				if i := firstDiff(dst, want[name]); i >= 0 {
 					t.Errorf("%s procs=%d seed=%d: label[%d] = %d, want component minimum %d",
 						name, procs, seed, i, dst[i], want[name][i])

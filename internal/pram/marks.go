@@ -29,19 +29,6 @@ func (m *Machine) Marks() []Mark {
 	return out
 }
 
-// MarkTotals aggregates marks by label (several phases may share one).
-func (m *Machine) MarkTotals() map[string]Mark {
-	out := map[string]Mark{}
-	for _, mk := range m.marks {
-		t := out[mk.Label]
-		t.Label = mk.Label
-		t.Steps += mk.Steps
-		t.Work += mk.Work
-		out[mk.Label] = t
-	}
-	return out
-}
-
 // ResetMarks clears the checkpoint log (counters are untouched); the log
 // keeps its capacity, since Marks hands out copies.
 func (m *Machine) ResetMarks() {

@@ -29,18 +29,6 @@ func TestMarksPartitionCharges(t *testing.T) {
 	}
 }
 
-func TestMarkTotalsAggregates(t *testing.T) {
-	m := New()
-	m.For(10, func(int) {})
-	m.SetMark("x")
-	m.For(20, func(int) {})
-	m.SetMark("x")
-	tot := m.MarkTotals()
-	if tot["x"].Work != 30 || tot["x"].Steps != 2 {
-		t.Errorf("aggregate = %+v", tot["x"])
-	}
-}
-
 func TestResetMarks(t *testing.T) {
 	m := New()
 	m.For(10, func(int) {})

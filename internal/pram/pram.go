@@ -416,9 +416,6 @@ func CAS32(a []int32, i int, old, new int32) bool {
 	return atomic.CompareAndSwapInt32(&a[i], old, new)
 }
 
-// Add32 atomically adds d to a[i] and returns the new value.
-func Add32(a []int32, i int, d int32) int32 { return atomic.AddInt32(&a[i], d) }
-
 // SetFlag atomically sets a[i] to 1.  A flag already set is left alone:
 // the same state, without the locked store.
 func SetFlag(a []int32, i int) {
@@ -429,11 +426,6 @@ func SetFlag(a []int32, i int) {
 
 // Flag reports whether a[i] is nonzero.
 func Flag(a []int32, i int) bool { return atomic.LoadInt32(&a[i]) != 0 }
-
-// Fill32 sets every element of a to v as one charged step of len(a) work.
-func (m *Machine) Fill32(a []int32, v int32) {
-	m.For(len(a), func(i int) { a[i] = v })
-}
 
 // Iota32 fills a with 0,1,2,... as one charged step.
 func (m *Machine) Iota32(a []int32) {

@@ -171,12 +171,6 @@ func TestRandDeterministic(t *testing.T) {
 func TestFillAndIota(t *testing.T) {
 	m := New()
 	a := make([]int32, 100)
-	m.Fill32(a, 7)
-	for _, v := range a {
-		if v != 7 {
-			t.Fatal("Fill32 missed an element")
-		}
-	}
 	m.Iota32(a)
 	for i, v := range a {
 		if v != int32(i) {
@@ -205,10 +199,6 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 }
 
 func TestAddAndFlags(t *testing.T) {
-	a32 := []int32{0}
-	if Add32(a32, 0, 5) != 5 {
-		t.Error("Add32 wrong return")
-	}
 	a64 := []int64{1}
 	if Add64(a64, 0, 2) != 3 {
 		t.Error("Add64 wrong return")

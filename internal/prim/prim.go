@@ -16,8 +16,6 @@
 package prim
 
 import (
-	"slices"
-
 	"parcc/internal/par"
 	"parcc/internal/pram"
 )
@@ -79,22 +77,6 @@ func LogLogLog(n int) int64 {
 	return lll
 }
 
-// PrefixSum computes the exclusive prefix sum of a and the total.  Charged as
-// a work-efficient parallel scan: O(log n) time, O(n) work.
-func PrefixSum(m *pram.Machine, a []int32) (out []int32, total int64) {
-	n := len(a)
-	out = make([]int32, n)
-	m.Contract(Log2Ceil(n)+1, int64(n), func() {
-		var s int64
-		for i := 0; i < n; i++ {
-			out[i] = int32(s)
-			s += int64(a[i])
-		}
-		total = s
-	})
-	return out, total
-}
-
 // CompactIndices returns the indices i in [0,n) for which keep(i) is true,
 // in increasing order.  It fulfils the approximate-compaction contract of
 // Lemma 4.2 (in fact exactly: the k distinguished items land one-to-one in a
@@ -122,20 +104,6 @@ func compactSeq(m *pram.Machine, n int, keep func(i int) bool) []int32 {
 	return out
 }
 
-// CountOccupied counts the nonzero entries of table using the binary-tree
-// technique of Lemma 5.1: O(log s) time, O(s) work for a size-s table.
-func CountOccupied(m *pram.Machine, table []int32) int {
-	var c int
-	m.Contract(Log2Ceil(len(table))+1, int64(len(table)), func() {
-		for _, v := range table {
-			if v != 0 {
-				c++
-			}
-		}
-	})
-	return c
-}
-
 // Hash is a seeded universal-style hash into [0, size).
 type Hash struct {
 	seed uint64
@@ -153,20 +121,6 @@ func NewHash(seed uint64, size int) Hash {
 // Apply hashes x into [0,size).
 func (h Hash) Apply(x int32) int {
 	return int(pram.SplitMix64(h.seed^uint64(uint32(x))) % h.size)
-}
-
-// Apply2 hashes an ordered pair into [0,size).
-func (h Hash) Apply2(x, y int32) int {
-	v := uint64(uint32(x))<<32 | uint64(uint32(y))
-	return int(pram.SplitMix64(h.seed^v) % h.size)
-}
-
-// SortInt64 sorts keys ascending.  Charged with the padded-sort contract of
-// Lemma 7.9: O(log log n) time, O(n) work.
-func SortInt64(m *pram.Machine, keys []int64) {
-	m.Contract(LogLog(len(keys))+1, int64(len(keys)), func() {
-		slices.Sort(keys)
-	})
 }
 
 // DedupPairs removes duplicate (u,v) pairs (and, when dropLoops is set, pairs

@@ -37,29 +37,6 @@ func TestLogLogFamilies(t *testing.T) {
 	}
 }
 
-func TestPrefixSum(t *testing.T) {
-	m := pramtest.New(t, 0)
-	in := []int32{3, 1, 4, 1, 5}
-	out, total := PrefixSum(m, in)
-	want := []int32{0, 3, 4, 8, 9}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, out[i], want[i])
-		}
-	}
-	if total != 14 {
-		t.Errorf("total = %d, want 14", total)
-	}
-}
-
-func TestPrefixSumEmpty(t *testing.T) {
-	m := pramtest.New(t, 0)
-	out, total := PrefixSum(m, nil)
-	if len(out) != 0 || total != 0 {
-		t.Error("empty prefix sum should be empty")
-	}
-}
-
 func TestCompactIndices(t *testing.T) {
 	m := pramtest.New(t, 0)
 	got := CompactIndices(m, 10, func(i int) bool { return i%3 == 0 })
@@ -99,13 +76,6 @@ func TestCompactChargesContract(t *testing.T) {
 	}
 }
 
-func TestCountOccupied(t *testing.T) {
-	m := pramtest.New(t, 0)
-	if got := CountOccupied(m, []int32{0, 1, 0, 2, 0}); got != 2 {
-		t.Errorf("CountOccupied = %d, want 2", got)
-	}
-}
-
 func TestHashInRange(t *testing.T) {
 	f := func(seed uint64, x int32) bool {
 		h := NewHash(seed, 97)
@@ -131,29 +101,6 @@ func TestHashZeroSize(t *testing.T) {
 	h := NewHash(1, 0)
 	if h.Apply(5) != 0 {
 		t.Error("size-0 hash should clamp to size 1")
-	}
-}
-
-func TestHash2(t *testing.T) {
-	h := NewHash(9, 128)
-	a := h.Apply2(1, 2)
-	b := h.Apply2(2, 1)
-	if a < 0 || a >= 128 || b < 0 || b >= 128 {
-		t.Error("Apply2 out of range")
-	}
-	if h.Apply2(1, 2) != a {
-		t.Error("Apply2 not deterministic")
-	}
-}
-
-func TestSortInt64(t *testing.T) {
-	m := pramtest.New(t, 0)
-	keys := []int64{5, -1, 3, 3, 0}
-	SortInt64(m, keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			t.Fatalf("not sorted: %v", keys)
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -56,6 +57,10 @@ type StreamFrame struct {
 	Batch []parcc.Edge // edges (create/checkpoint/add/remove)
 }
 
+// streamReadStep bounds how far ReadStreamFrame's buffer grows ahead of the
+// bytes received.
+const streamReadStep = 1 << 20
+
 // ReadStreamFrame reads and validates one frame from a replication
 // stream.  io.EOF marks a cleanly closed stream between frames; a cut
 // inside a frame surfaces as io.ErrUnexpectedEOF; framing damage is a
@@ -77,13 +82,23 @@ func ReadStreamFrame(br *bufio.Reader) (*StreamFrame, error) {
 	if length < walMinFrame || length > walMaxFrame {
 		return nil, walErr(0, false, "stream frame length %d out of range [%d,%d]", length, walMinFrame, walMaxFrame)
 	}
-	buf := make([]byte, walHeaderLen+length)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(br, buf[walHeaderLen:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// The length is untrusted until the CRC checks, so the body is read in
+	// bounded steps: the buffer grows with the bytes that actually arrive,
+	// and a header claiming 1 GiB costs at most one step before a cut
+	// stream fails.  Frames up to one step still take one exact allocation.
+	total := walHeaderLen + length
+	buf := append(make([]byte, 0, min(total, walHeaderLen+streamReadStep)), hdr[:]...)
+	for len(buf) < total {
+		k := min(total-len(buf), streamReadStep)
+		buf = slices.Grow(buf, k)
+		n, err := io.ReadFull(br, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		return nil, err
 	}
 	rec, _, err := decodeWALFrame(buf, 0)
 	if err != nil {

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -463,5 +466,24 @@ func copyWALDir(t *testing.T, from, to string) {
 		if err := os.WriteFile(filepath.Join(to, ent.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestReadStreamFrameBoundsAllocation: a frame's length field is untrusted
+// until its CRC checks, so a header declaring the largest legal frame,
+// followed by a few body bytes and EOF, must fail as a torn frame with an
+// allocation that tracks the bytes received, not the 1 GiB declared.
+func TestReadStreamFrameBoundsAllocation(t *testing.T) {
+	in := make([]byte, walHeaderLen+16)
+	binary.LittleEndian.PutUint32(in, walMaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadStreamFrame(bufio.NewReader(bytes.NewReader(in)))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("reading a truncated %d-byte frame allocated %d bytes, want < 4 MiB", walMaxFrame, d)
 	}
 }

@@ -1,11 +1,10 @@
-// Package solve defines the solve-context threaded from a parcc.Solver
+// Package solve defines the solve context threaded from a parcc.Solver
 // down through every algorithm layer: the PRAM machine doing the cost
 // accounting, the scratch arena recycling working arrays across solves,
-// and the provider of cached CSR plans.  The compatibility wrappers of the
-// algorithm packages build a bare context (nil arena, uncached plans)
-// around their machine argument, so one-shot calls behave exactly as
-// before; a Solver installs a persistent arena and plan cache, turning the
-// same code paths near-zero-alloc on repeat solves.
+// and the trace recorder.  Each layer has one entry point, taking the
+// context: a one-shot caller passes solve.New(m) (nil arena, so every
+// Grab is a plain make), and a Solver passes its persistent context,
+// turning the same code paths near-zero-alloc on repeat solves.
 package solve
 
 import (
@@ -19,11 +18,10 @@ import (
 )
 
 // Ctx carries the borrowed per-solve state.  The machine is always
-// non-nil; a nil Arena degrades every Grab to make (one-shot mode); a nil
-// plan provider builds plans on demand without caching.  A Ctx is owned by
-// the session's single orchestrating goroutine and must never be shared
-// across concurrent solves — the same discipline as the arena and machine
-// it wraps.  The Grab/Release accessors are uncharged (scratch management
+// non-nil; a nil Arena degrades every Grab to make (one-shot mode).  A
+// Ctx is owned by the session's single orchestrating goroutine and must
+// never be shared across concurrent solves — the same discipline as the
+// arena and machine it wraps.  The Grab/Release accessors are uncharged (scratch management
 // is serving infrastructure, not PRAM work); charged helpers (VertexSet,
 // NumLabels via Contract) say so explicitly.
 type Ctx struct {
@@ -35,38 +33,9 @@ type Ctx struct {
 	// layers call it unconditionally (the nil-safety contract of
 	// internal/obs).
 	Rec *obs.Recorder
-
-	planFn func(*graph.Graph) *graph.Plan
-	inc    *IncScratch
 }
 
-// IncScratch is the dirty-set scratch of the incremental path: the working
-// buffers Solver.RemoveEdges needs to extract and re-solve the subgraph
-// induced by the components its deletions touched.  It lives on the Ctx so
-// the buffers persist across batches — a steady stream of deletion batches
-// reuses one set of backings instead of reallocating per batch.  All
-// fields are plain reusable storage with no invariants between calls;
-// owned by the session's single orchestrating goroutine (the same
-// discipline as the arena), never shared.
-type IncScratch struct {
-	// Verts lists the dirty vertices (global ids) of the current batch.
-	Verts []int32
-	// Sub is the reused backing for the induced dirty subgraph.
-	Sub *graph.Graph
-	// SubLabels is the reused label output of the scoped re-solve.
-	SubLabels []int32
-}
-
-// Inc returns the context's incremental scratch, lazily created.  Uncharged
-// accessor; see IncScratch for the ownership contract.
-func (c *Ctx) Inc() *IncScratch {
-	if c.inc == nil {
-		c.inc = &IncScratch{}
-	}
-	return c.inc
-}
-
-// New returns a bare one-shot context around m: no arena, no plan cache.
+// New returns a bare one-shot context around m: no arena, no recorder.
 func New(m *pram.Machine) *Ctx { return &Ctx{M: m} }
 
 // WithArena installs a scratch arena and returns c.
@@ -75,25 +44,6 @@ func (c *Ctx) WithArena(a *par.Arena) *Ctx { c.A = a; return c }
 // WithRecorder installs a trace recorder (nil keeps tracing off) and
 // returns c.
 func (c *Ctx) WithRecorder(r *obs.Recorder) *Ctx { c.Rec = r; return c }
-
-// WithPlanner installs a plan provider (typically a Solver's cache) and
-// returns c.
-func (c *Ctx) WithPlanner(fn func(*graph.Graph) *graph.Plan) *Ctx {
-	c.planFn = fn
-	return c
-}
-
-// Plan returns the CSR plan for g — from the installed provider when one
-// is set (the Solver's cache), otherwise freshly built on the machine's
-// executor.
-func (c *Ctx) Plan(g *graph.Graph) *graph.Plan {
-	if c.planFn != nil {
-		if p := c.planFn(g); p != nil {
-			return p
-		}
-	}
-	return graph.BuildPlanOn(c.M.Exec(), g)
-}
 
 // Grab32 returns a zeroed []int32 of length n from the arena (or make).
 func (c *Ctx) Grab32(n int) []int32 { return c.A.Grab32(n) }

@@ -95,15 +95,10 @@ func splitComponents(pl *graph.Plan) []*component {
 // Gap returns the minimum spectral gap over all connected components with at
 // least 2 vertices (the paper's λ).  Components that are single vertices are
 // skipped; if the graph has no multi-vertex component the result is 2 (the
-// maximum possible eigenvalue).
-func Gap(g *graph.Graph, o *Options) float64 {
-	return GapOn(graph.NewPlan(g), o)
-}
-
-// GapOn is Gap against a prebuilt plan, so a Solver serving repeated
-// spectral queries reuses the cached adjacency instead of rebuilding it.
-func GapOn(pl *graph.Plan, o *Options) float64 {
-	gaps := ComponentGapsOn(pl, o)
+// maximum possible eigenvalue).  It reads the adjacency of a prebuilt plan,
+// so a Solver serving repeated spectral queries reuses its cached CSR.
+func Gap(pl *graph.Plan, o *Options) float64 {
+	gaps := ComponentGaps(pl, o)
 	min := 2.0
 	for _, l := range gaps {
 		if !math.IsNaN(l) && l < min {
@@ -115,12 +110,7 @@ func GapOn(pl *graph.Plan, o *Options) float64 {
 
 // ComponentGaps returns λ(C) for every connected component C, in order of
 // each component's smallest vertex.  Single-vertex components yield NaN.
-func ComponentGaps(g *graph.Graph, o *Options) []float64 {
-	return ComponentGapsOn(graph.NewPlan(g), o)
-}
-
-// ComponentGapsOn is ComponentGaps against a prebuilt plan.
-func ComponentGapsOn(pl *graph.Plan, o *Options) []float64 {
+func ComponentGaps(pl *graph.Plan, o *Options) []float64 {
 	opt := o.defaults()
 	comps := splitComponents(pl)
 	out := make([]float64, len(comps))
@@ -409,12 +399,7 @@ func eccentricity(csr *graph.CSR, n int, s int32, dist []int32) (far int32, ecc 
 // DiameterExact returns the maximum eccentricity over all vertices, computed
 // per component (the paper's d: longest shortest path within a component).
 // O(n·m); use for small graphs.
-func DiameterExact(g *graph.Graph) int {
-	return DiameterExactOn(graph.NewPlan(g))
-}
-
-// DiameterExactOn is DiameterExact against a prebuilt plan.
-func DiameterExactOn(pl *graph.Plan) int {
+func DiameterExact(pl *graph.Plan) int {
 	g := pl.G
 	csr := pl.CSR
 	dist := make([]int32, g.N)
@@ -430,12 +415,7 @@ func DiameterExactOn(pl *graph.Plan) int {
 
 // DiameterApprox lower-bounds the diameter with iterated double sweeps from
 // every component, which is exact on trees and typically tight in practice.
-func DiameterApprox(g *graph.Graph, sweeps int) int {
-	return DiameterApproxOn(graph.NewPlan(g), sweeps)
-}
-
-// DiameterApproxOn is DiameterApprox against a prebuilt plan.
-func DiameterApproxOn(pl *graph.Plan, sweeps int) int {
+func DiameterApprox(pl *graph.Plan, sweeps int) int {
 	g := pl.G
 	if sweeps < 1 {
 		sweeps = 2

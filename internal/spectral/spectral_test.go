@@ -15,7 +15,7 @@ func TestGapCompleteGraph(t *testing.T) {
 	for _, n := range []int{4, 8, 16} {
 		g := gen.Complete(n)
 		want := float64(n) / float64(n-1)
-		if got := Gap(g, nil); !almost(got, want, 0.02) {
+		if got := Gap(graph.NewPlan(g), nil); !almost(got, want, 0.02) {
 			t.Errorf("K%d: gap = %f, want %f", n, got, want)
 		}
 	}
@@ -26,7 +26,7 @@ func TestGapCycle(t *testing.T) {
 	for _, n := range []int{8, 16, 32} {
 		g := gen.Cycle(n)
 		want := 1 - math.Cos(2*math.Pi/float64(n))
-		if got := Gap(g, nil); !almost(got, want, 0.01) {
+		if got := Gap(graph.NewPlan(g), nil); !almost(got, want, 0.01) {
 			t.Errorf("C%d: gap = %f, want %f", n, got, want)
 		}
 	}
@@ -36,7 +36,7 @@ func TestGapPath(t *testing.T) {
 	// λ(P_n) = 1 - cos(π/(n-1)) for the path's normalized Laplacian.
 	g := gen.Path(16)
 	want := 1 - math.Cos(math.Pi/15)
-	if got := Gap(g, nil); !almost(got, want, 0.01) {
+	if got := Gap(graph.NewPlan(g), nil); !almost(got, want, 0.01) {
 		t.Errorf("P16: gap = %f, want %f", got, want)
 	}
 }
@@ -46,7 +46,7 @@ func TestGapHypercube(t *testing.T) {
 	for _, d := range []int{3, 4, 5} {
 		g := gen.Hypercube(d)
 		want := 2 / float64(d)
-		if got := Gap(g, nil); !almost(got, want, 0.02) {
+		if got := Gap(graph.NewPlan(g), nil); !almost(got, want, 0.02) {
 			t.Errorf("Q%d: gap = %f, want %f", d, got, want)
 		}
 	}
@@ -54,7 +54,7 @@ func TestGapHypercube(t *testing.T) {
 
 func TestGapStar(t *testing.T) {
 	// λ(K_{1,n}) = 1.
-	if got := Gap(gen.Star(12), nil); !almost(got, 1, 0.02) {
+	if got := Gap(graph.NewPlan(gen.Star(12)), nil); !almost(got, 1, 0.02) {
 		t.Errorf("star gap = %f, want 1", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestGapMatchesDenseOracle(t *testing.T) {
 	}
 	for i, g := range graphs {
 		want := GapDense(g)
-		got := Gap(g, &Options{MaxIter: 20000, Tol: 1e-12})
+		got := Gap(graph.NewPlan(g), &Options{MaxIter: 20000, Tol: 1e-12})
 		if !almost(got, want, 0.02) {
 			t.Errorf("graph %d: power-iter gap %f vs dense %f", i, got, want)
 		}
@@ -77,7 +77,7 @@ func TestGapDisconnectedIsZero(t *testing.T) {
 	g := gen.Union(gen.Cycle(8), gen.Cycle(8))
 	// Component-wise λ: the min over components (each is a connected cycle).
 	want := 1 - math.Cos(2*math.Pi/8)
-	if got := Gap(g, nil); !almost(got, want, 0.01) {
+	if got := Gap(graph.NewPlan(g), nil); !almost(got, want, 0.01) {
 		t.Errorf("two-cycles component gap = %f, want %f", got, want)
 	}
 	// But the whole-graph dense λ2 of a disconnected graph is 0.
@@ -88,7 +88,7 @@ func TestGapDisconnectedIsZero(t *testing.T) {
 
 func TestComponentGapsSkipsSingletons(t *testing.T) {
 	g := gen.Union(gen.Cycle(6), graph.New(3))
-	gaps := ComponentGaps(g, nil)
+	gaps := ComponentGaps(graph.NewPlan(g), nil)
 	nan := 0
 	for _, l := range gaps {
 		if math.IsNaN(l) {
@@ -98,21 +98,21 @@ func TestComponentGapsSkipsSingletons(t *testing.T) {
 	if nan != 3 {
 		t.Errorf("expected 3 singleton NaNs, got %d (gaps=%v)", nan, gaps)
 	}
-	if Gap(g, nil) > 2 || Gap(g, nil) <= 0 {
+	if Gap(graph.NewPlan(g), nil) > 2 || Gap(graph.NewPlan(g), nil) <= 0 {
 		t.Error("gap of union should come from the cycle")
 	}
 }
 
 func TestGapExpanderConstant(t *testing.T) {
 	g := gen.RandomRegular(256, 6, 5)
-	if got := Gap(g, nil); got < 0.15 {
+	if got := Gap(graph.NewPlan(g), nil); got < 0.15 {
 		t.Errorf("6-regular expander gap = %f, suspiciously small", got)
 	}
 }
 
 func TestSelfLoopsRaiseNoPanic(t *testing.T) {
 	g := graph.FromPairs(3, [][2]int{{0, 0}, {0, 1}, {1, 2}, {2, 2}})
-	got := Gap(g, nil)
+	got := Gap(graph.NewPlan(g), nil)
 	want := GapDense(g)
 	if !almost(got, want, 0.03) {
 		t.Errorf("loops: %f vs dense %f", got, want)
@@ -160,16 +160,16 @@ func TestEigenvaluesDenseIdentity(t *testing.T) {
 }
 
 func TestDiameterExact(t *testing.T) {
-	if d := DiameterExact(gen.Path(10)); d != 9 {
+	if d := DiameterExact(graph.NewPlan(gen.Path(10))); d != 9 {
 		t.Errorf("path diameter = %d", d)
 	}
-	if d := DiameterExact(gen.Cycle(10)); d != 5 {
+	if d := DiameterExact(graph.NewPlan(gen.Cycle(10))); d != 5 {
 		t.Errorf("cycle diameter = %d", d)
 	}
-	if d := DiameterExact(gen.Complete(6)); d != 1 {
+	if d := DiameterExact(graph.NewPlan(gen.Complete(6))); d != 1 {
 		t.Errorf("K6 diameter = %d", d)
 	}
-	if d := DiameterExact(gen.Grid(3, 4)); d != 5 {
+	if d := DiameterExact(graph.NewPlan(gen.Grid(3, 4))); d != 5 {
 		t.Errorf("grid diameter = %d", d)
 	}
 }
@@ -177,15 +177,15 @@ func TestDiameterExact(t *testing.T) {
 func TestDiameterApproxOnTrees(t *testing.T) {
 	// Double sweep is exact on trees.
 	g := gen.BinaryTree(63)
-	if got, want := DiameterApprox(g, 2), DiameterExact(g); got != want {
+	if got, want := DiameterApprox(graph.NewPlan(g), 2), DiameterExact(graph.NewPlan(g)); got != want {
 		t.Errorf("tree diameter approx %d vs exact %d", got, want)
 	}
 }
 
 func TestDiameterApproxLowerBounds(t *testing.T) {
 	g := gen.Torus(8, 8)
-	lo := DiameterApprox(g, 3)
-	hi := DiameterExact(g)
+	lo := DiameterApprox(graph.NewPlan(g), 3)
+	hi := DiameterExact(graph.NewPlan(g))
 	if lo > hi {
 		t.Errorf("approx %d exceeds exact %d", lo, hi)
 	}
@@ -196,10 +196,10 @@ func TestDiameterApproxLowerBounds(t *testing.T) {
 
 func TestDiameterMultiComponent(t *testing.T) {
 	g := gen.Union(gen.Path(5), gen.Path(11))
-	if d := DiameterExact(g); d != 10 {
+	if d := DiameterExact(graph.NewPlan(g)); d != 10 {
 		t.Errorf("union diameter = %d, want 10", d)
 	}
-	if d := DiameterApprox(g, 2); d != 10 {
+	if d := DiameterApprox(graph.NewPlan(g), 2); d != 10 {
 		t.Errorf("approx union diameter = %d, want 10", d)
 	}
 }
@@ -207,9 +207,9 @@ func TestDiameterMultiComponent(t *testing.T) {
 func TestGapSampledStaysClose(t *testing.T) {
 	// Corollary C.3 shape: with large min degree, sampling perturbs λ little.
 	g := gen.RandomRegular(300, 24, 11)
-	lam := Gap(g, nil)
+	lam := Gap(graph.NewPlan(g), nil)
 	s := gen.SampleEdges(g, 0.5, 7)
-	lam2 := Gap(s, nil)
+	lam2 := Gap(graph.NewPlan(s), nil)
 	if math.Abs(lam-lam2) > 0.35 {
 		t.Errorf("sampled gap moved too far: %f -> %f", lam, lam2)
 	}

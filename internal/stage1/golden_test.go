@@ -6,6 +6,7 @@ import (
 	"parcc/internal/graph"
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
+	"parcc/internal/solve"
 )
 
 // Golden tests: tiny instances where MATCHING's step-by-step effect can be
@@ -18,7 +19,7 @@ func seqRunner(n int, seed uint64) (*pram.Machine, *labeled.Forest, *Runner) {
 	f := labeled.New(n)
 	p := DefaultParams(n)
 	p.Seed = seed
-	return m, f, NewRunner(m, f, p)
+	return m, f, NewRunner(solve.New(m), f, p)
 }
 
 func TestGoldenSingleEdge(t *testing.T) {
@@ -129,7 +130,7 @@ func TestGoldenTriangleAllSeeds(t *testing.T) {
 			f := labeled.New(3)
 			p := DefaultParams(3)
 			p.Seed = seed
-			r := NewRunner(m, f, p)
+			r := NewRunner(solve.New(m), f, p)
 			E := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}
 			// The per-round progress guarantee (Lemma 4.4) is
 			// probabilistic and aimed at large root counts; on a

@@ -74,14 +74,9 @@ type Runner struct {
 	sc [4][]int64
 }
 
-// NewRunner allocates scratch for the forest's vertex count.
-func NewRunner(m *pram.Machine, f *labeled.Forest, prm Params) *Runner {
-	return NewRunnerOn(solve.New(m), f, prm)
-}
-
-// NewRunnerOn is NewRunner drawing the per-vertex scratch from the solve
-// context's arena; release it with Free when the solve is done.
-func NewRunnerOn(cx *solve.Ctx, f *labeled.Forest, prm Params) *Runner {
+// NewRunner draws per-vertex scratch for the forest's vertex count from
+// the solve context's arena; release it with Free when the solve is done.
+func NewRunner(cx *solve.Ctx, f *labeled.Forest, prm Params) *Runner {
 	r := &Runner{M: cx.M, F: f, Prm: prm, cx: cx}
 	for i := range r.sc {
 		r.sc[i] = cx.Grab64(f.Len())

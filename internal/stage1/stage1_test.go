@@ -1,6 +1,7 @@
 package stage1
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +11,13 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 func newRunner(tb testing.TB, g *graph.Graph, seed uint64) (*pram.Machine, *labeled.Forest, *Runner) {
 	m := pramtest.New(tb, 0, pram.Seed(seed))
 	f := labeled.New(g.N)
-	return m, f, NewRunner(m, f, DefaultParams(g.N))
+	return m, f, NewRunner(solve.New(m), f, DefaultParams(g.N))
 }
 
 // liveRoots counts roots that still have a non-loop edge to another root
@@ -81,7 +83,7 @@ func TestMatchingContractionSafety(t *testing.T) {
 func TestMatchingUpdatedListIsAccurate(t *testing.T) {
 	g := gen.RandomRegular(300, 4, 1)
 	_, f, r := newRunner(t, g, 2)
-	before := f.Snapshot()
+	before := slices.Clone(f.P)
 	upd := r.Matching(g.Edges)
 	changed := map[int32]bool{}
 	for v := range before {
@@ -187,7 +189,7 @@ func TestReduceShrinksAndStaysCorrect(t *testing.T) {
 			}
 			// Finishing from the reduced graph must recover the partition:
 			// contract the remainder with min-hook union-find and compare.
-			u := baseline.NewUnionFind(g.N)
+			u := baseline.NewUnionFind(nil, g.N)
 			for v := 0; v < g.N; v++ {
 				u.Union(int32(v), f.Root(int32(v)))
 			}
@@ -272,7 +274,7 @@ func TestMatchingSequentialOrders(t *testing.T) {
 	for _, ord := range []pram.Order{pram.Forward, pram.Reverse, pram.Shuffled} {
 		m := pram.New(pram.WriteOrder(ord), pram.Seed(3))
 		f := labeled.New(g.N)
-		r := NewRunner(m, f, DefaultParams(g.N))
+		r := NewRunner(solve.New(m), f, DefaultParams(g.N))
 		r.Matching(g.Edges)
 		if err := labeled.CheckSameComponent(f, truth); err != nil {
 			t.Errorf("%v: %v", ord, err)

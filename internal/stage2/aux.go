@@ -24,14 +24,9 @@ type Aux struct {
 }
 
 // BuildAux runs BUILDAUXILIARY(G′) (§7.4.1): padded sort (Lemma 7.9 charge:
-// O(log log m) time, O(m) work) plus the range-delimiting passes.
-func BuildAux(m *pram.Machine, n int, E []graph.Edge) *Aux {
-	return BuildAuxOn(solve.New(m), n, E)
-}
-
-// BuildAuxOn is BuildAux with the array storage drawn from the solve
-// context's arena; pair with Free.
-func BuildAuxOn(cx *solve.Ctx, n int, E []graph.Edge) *Aux {
+// O(log log m) time, O(m) work) plus the range-delimiting passes.  The
+// array storage is drawn from the solve context's arena; pair with Free.
+func BuildAux(cx *solve.Ctx, n int, E []graph.Edge) *Aux {
 	m := cx.M
 	a := &Aux{
 		edges: cx.GrabEdgesCap(2 * len(E)),

@@ -90,12 +90,7 @@ func DefaultParams(n, b int) Params {
 // Build runs BUILD(V,E,b) (§5.1) over the current graph (V = its vertices,
 // all roots; E = its edges) and returns the skeleton edge set E′ with
 // parallel edges and loops removed.  O(log b) time, O(m+n) work w.h.p.
-func Build(m *pram.Machine, V []int32, E []graph.Edge, p Params) []graph.Edge {
-	return BuildOn(solve.New(m), V, E, p)
-}
-
-// BuildOn is Build drawing its tables from the solve context's arena.
-func BuildOn(cx *solve.Ctx, V []int32, E []graph.Edge, p Params) []graph.Edge {
+func Build(cx *solve.Ctx, V []int32, E []graph.Edge, p Params) []graph.Edge {
 	m := cx.M
 	n32 := maxVertex(V, E) + 1
 	// Steps 1–2: hash each edge endpoint into the other end's table.
@@ -132,12 +127,7 @@ func BuildOn(cx *solve.Ctx, V []int32, E []graph.Edge, p Params) []graph.Edge {
 // SparseBuild runs SPARSEBUILD(G′,H₂,b) (§7.3.1): degree estimation from the
 // pre-sampled subgraph H₂ only, plus the auxiliary-array gather of all
 // original edges adjacent to low parents, in O(|E′|) work (Lemma 7.13).
-func SparseBuild(m *pram.Machine, f *labeled.Forest, active []int32, aux *Aux, H2 []graph.Edge, p Params) []graph.Edge {
-	return SparseBuildOn(solve.New(m), f, active, aux, H2, p)
-}
-
-// SparseBuildOn is SparseBuild on a solve context.
-func SparseBuildOn(cx *solve.Ctx, f *labeled.Forest, active []int32, aux *Aux, H2 []graph.Edge, p Params) []graph.Edge {
+func SparseBuild(cx *solve.Ctx, f *labeled.Forest, active []int32, aux *Aux, H2 []graph.Edge, p Params) []graph.Edge {
 	m := cx.M
 	n := f.Len()
 	tbl := newTables(cx, active, p.TableSize, n)
@@ -273,15 +263,10 @@ type DensifyResult struct {
 
 // Densify runs DENSIFY(H,b) (§5.2.1) on the skeleton H = (V, EH), updating
 // the shared forest, and returns E_close.
-func Densify(m *pram.Machine, f *labeled.Forest, V []int32, EH []graph.Edge, p Params) DensifyResult {
-	return DensifyOn(solve.New(m), f, V, EH, p)
-}
-
-// DensifyOn is Densify on a solve context.
-func DensifyOn(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p Params) DensifyResult {
+func Densify(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p Params) DensifyResult {
 	m := cx.M
 	// Step 1: 20·log b rounds of EXPAND-MAXLINK.
-	st := ltz.NewStateOn(cx, f, V, EH, p.LTZ)
+	st := ltz.NewState(cx, f, V, EH, p.LTZ)
 	st.Run(p.DensifyRounds)
 	// Step 3: shortcut + alter until the trees over V are flat.
 	for r := 0; r < p.ShortcutRounds; r++ {
@@ -299,11 +284,11 @@ func DensifyOn(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p P
 	if len(eclose) > 0 {
 		verts := solve.VertexSet(cx, f.Len(), eclose)
 		if p.SolveRounds > 0 {
-			st2 := ltz.NewStateOn(cx, f, verts, eclose, p.LTZ)
+			st2 := ltz.NewState(cx, f, verts, eclose, p.LTZ)
 			st2.Run(p.SolveRounds)
 			st2.Free()
 		} else {
-			ltz.SolveOnCtx(cx, f, verts, eclose, p.LTZ)
+			ltz.SolveOn(cx, f, verts, eclose, p.LTZ)
 		}
 	}
 	// Step 6: ALTER(E_close).
@@ -316,16 +301,11 @@ func DensifyOn(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p P
 // loops retained for Stage 3).  Afterwards every root in the current graph
 // has degree ≥ b, except roots of components already fully contracted
 // (Lemma 5.24/5.25).  Returns E_close for inspection by tests.
-func Increase(m *pram.Machine, f *labeled.Forest, V []int32, E []graph.Edge, p Params) []graph.Edge {
-	return IncreaseOn(solve.New(m), f, V, E, p)
-}
-
-// IncreaseOn is Increase on a solve context.
-func IncreaseOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) []graph.Edge {
+func Increase(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) []graph.Edge {
 	// Step 1: skeleton.
-	EH := BuildOn(cx, V, E, p)
+	EH := Build(cx, V, E, p)
 	// Step 2: densify.
-	res := DensifyOn(cx, f, V, EH, p)
+	res := Densify(cx, f, V, EH, p)
 	finishIncrease(cx, f, V, E, res.Eclose, p)
 	return res.Eclose
 }
@@ -333,15 +313,10 @@ func IncreaseOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p P
 // IncreaseSparse is the §7.3 variant: skeleton from the pre-sampled H₂ via
 // the auxiliary array, then the same Steps 2–9, then ALTER(E(H₁)).
 // H1 is altered in place (loops dropped); its remaining edges are returned.
-func IncreaseSparse(m *pram.Machine, f *labeled.Forest, active []int32, aux *Aux, H1, H2 []graph.Edge, p Params) (h1 []graph.Edge, eclose []graph.Edge) {
-	return IncreaseSparseOn(solve.New(m), f, active, aux, H1, H2, p)
-}
-
-// IncreaseSparseOn is IncreaseSparse on a solve context.
-func IncreaseSparseOn(cx *solve.Ctx, f *labeled.Forest, active []int32, aux *Aux, H1, H2 []graph.Edge, p Params) (h1 []graph.Edge, eclose []graph.Edge) {
+func IncreaseSparse(cx *solve.Ctx, f *labeled.Forest, active []int32, aux *Aux, H1, H2 []graph.Edge, p Params) (h1 []graph.Edge, eclose []graph.Edge) {
 	m := cx.M
-	EH := SparseBuildOn(cx, f, active, aux, H2, p)
-	res := DensifyOn(cx, f, active, EH, p)
+	EH := SparseBuild(cx, f, active, aux, H2, p)
+	res := Densify(cx, f, active, EH, p)
 	finishIncrease(cx, f, active, nil, res.Eclose, p)
 	h1 = labeled.Alter(m, f, H1)
 	return h1, res.Eclose

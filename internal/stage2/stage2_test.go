@@ -19,7 +19,7 @@ func reduced(t *testing.T, g *graph.Graph, seed uint64) (*pram.Machine, *labeled
 	t.Helper()
 	m := pramtest.New(t, 0, pram.Seed(seed))
 	f := labeled.New(g.N)
-	r := stage1.NewRunner(m, f, stage1.DefaultParams(g.N))
+	r := stage1.NewRunner(solve.New(m), f, stage1.DefaultParams(g.N))
 	return m, f, r.Reduce(g)
 }
 
@@ -27,7 +27,7 @@ func TestBuildSkeletonIsSubset(t *testing.T) {
 	g := gen.RandomRegular(2000, 6, 3)
 	m, _, red := reduced(t, g, 1)
 	p := DefaultParams(g.N, 8)
-	H := Build(m, red.Roots, red.Edges, p)
+	H := Build(solve.New(m), red.Roots, red.Edges, p)
 	// Every skeleton edge (canonicalized) must exist in the current graph.
 	have := map[int64]bool{}
 	for _, e := range red.Edges {
@@ -72,10 +72,15 @@ func TestBuildKeepsLowDegreeEdges(t *testing.T) {
 	V := make([]int32, g.N)
 	m.Iota32(V)
 	p := DefaultParams(g.N, 64) // threshold far above any degree here
-	H := Build(m, V, g.Edges, p)
-	simple := graph.Simplify(g)
-	if len(H) != simple.M() {
-		t.Fatalf("all-low graph: skeleton has %d edges, want %d", len(H), simple.M())
+	H := Build(solve.New(m), V, g.Edges, p)
+	simple := map[int64]bool{} // distinct non-loop edges
+	for _, e := range g.Edges {
+		if e.U != e.V {
+			simple[e.CanonKey()] = true
+		}
+	}
+	if len(H) != len(simple) {
+		t.Fatalf("all-low graph: skeleton has %d edges, want %d", len(H), len(simple))
 	}
 }
 
@@ -87,7 +92,7 @@ func TestBuildSamplesHighHighEdges(t *testing.T) {
 	V := make([]int32, g.N)
 	m.Iota32(V)
 	p := DefaultParams(g.N, 8) // every vertex is high (deg 199 > 32)
-	H := Build(m, V, g.Edges, p)
+	H := Build(solve.New(m), V, g.Edges, p)
 	if len(H) >= g.M()/2 {
 		t.Fatalf("skeleton %d edges of %d — no down-sampling happened", len(H), g.M())
 	}
@@ -106,7 +111,7 @@ func TestDensifyContractsSmallComponents(t *testing.T) {
 	V := make([]int32, g.N)
 	m.Iota32(V)
 	p := DefaultParams(g.N, 8)
-	res := Densify(m, f, V, append([]graph.Edge(nil), g.Edges...), p)
+	res := Densify(solve.New(m), f, V, append([]graph.Edge(nil), g.Edges...), p)
 	if err := labeled.CheckSameComponent(f, truth); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestIncreaseRaisesMinDegree(t *testing.T) {
 	b := 8
 	p := DefaultParams(g.N, b)
 	E := append([]graph.Edge(nil), red.Edges...)
-	Increase(m, f, red.Roots, E, p)
+	Increase(solve.New(m), f, red.Roots, E, p)
 	// degree of roots in current graph: count altered edge endpoints.
 	deg := map[int32]int{}
 	for _, e := range E {
@@ -167,7 +172,7 @@ func TestIncreaseContractionSafety(t *testing.T) {
 	truth := baseline.BFSLabels(g)
 	m, f, red := reduced(t, g, 13)
 	E := append([]graph.Edge(nil), red.Edges...)
-	Increase(m, f, red.Roots, E, DefaultParams(g.N, 8))
+	Increase(solve.New(m), f, red.Roots, E, DefaultParams(g.N, 8))
 	if err := labeled.CheckSameComponent(f, truth); err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +192,10 @@ func TestSparseBuildMatchesDense(t *testing.T) {
 	g := gen.GNM(1500, 4000, 21)
 	truth := baseline.BFSLabels(g)
 	m, f, red := reduced(t, g, 3)
-	aux := BuildAux(m, g.N, red.Edges)
+	aux := BuildAux(solve.New(m), g.N, red.Edges)
 	H2 := gen.SampleEdges(&graph.Graph{N: g.N, Edges: red.Edges}, 0.5, 99).Edges
 	p := DefaultParams(g.N, 8)
-	EH := SparseBuild(m, f, red.Roots, aux, H2, p)
+	EH := SparseBuild(solve.New(m), f, red.Roots, aux, H2, p)
 	for _, e := range EH {
 		if truth[e.U] != truth[e.V] {
 			t.Fatal("sparse skeleton edge crosses components")
@@ -201,7 +206,7 @@ func TestSparseBuildMatchesDense(t *testing.T) {
 func TestAuxGatherFindsAllEdges(t *testing.T) {
 	g := gen.GNM(300, 500, 5)
 	m := pramtest.New(t, 0, pram.Seed(1))
-	aux := BuildAux(m, g.N, g.Edges)
+	aux := BuildAux(solve.New(m), g.N, g.Edges)
 	// predicate true for all: gather must return both orientations of
 	// every non-loop edge plus loops once.
 	all := aux.Gather(m, func(int32) bool { return true })
@@ -238,7 +243,7 @@ func TestAuxGatherFindsAllEdges(t *testing.T) {
 func TestAuxGatherEmptyPredicate(t *testing.T) {
 	g := gen.Cycle(10)
 	m := pramtest.New(t, 0)
-	aux := BuildAux(m, g.N, g.Edges)
+	aux := BuildAux(solve.New(m), g.N, g.Edges)
 	if got := aux.Gather(m, func(int32) bool { return false }); len(got) != 0 {
 		t.Fatalf("gather(false) returned %d edges", len(got))
 	}
@@ -258,12 +263,12 @@ func TestIncreaseSparseKeepsH1Consistent(t *testing.T) {
 	g := gen.RandomRegular(2000, 6, 31)
 	truth := baseline.BFSLabels(g)
 	m, f, red := reduced(t, g, 17)
-	aux := BuildAux(m, g.N, red.Edges)
+	aux := BuildAux(solve.New(m), g.N, red.Edges)
 	H1 := gen.SampleEdges(&graph.Graph{N: g.N, Edges: red.Edges}, 0.4, 1).Edges
 	H2 := gen.SampleEdges(&graph.Graph{N: g.N, Edges: red.Edges}, 0.4, 2).Edges
 	p := DefaultParams(g.N, 8)
 	p.LTZ = ltz.DefaultParams(g.N)
-	h1, eclose := IncreaseSparse(m, f, red.Roots, aux, H1, H2, p)
+	h1, eclose := IncreaseSparse(solve.New(m), f, red.Roots, aux, H1, H2, p)
 	if err := labeled.CheckSameComponent(f, truth); err != nil {
 		t.Fatal(err)
 	}

@@ -57,19 +57,14 @@ func smallCut(n int) int {
 // finishes with the Step-4 triple pointer jump so that all original-graph
 // trees become flat.  Returns the number of sampled edges (for the work
 // accounting experiments).
-func SampleSolve(m *pram.Machine, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int {
-	return SampleSolveOn(solve.New(m), f, V, E, p)
-}
-
-// SampleSolveOn is SampleSolve on a solve context.
-func SampleSolveOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int {
+func SampleSolve(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int {
 	m := cx.M
 	sampled := 0
 	if len(V) <= p.SmallN {
 		// Step 1: tiny instance — simplify exactly and solve directly.
 		simple := dedup(m, E)
 		if len(simple) > 0 {
-			ltz.SolveOnCtx(cx, f, V, simple, p.LTZ)
+			ltz.SolveOn(cx, f, V, simple, p.LTZ)
 		}
 		sampled = len(simple)
 	} else {
@@ -85,7 +80,7 @@ func SampleSolveOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, 
 		sampled = len(G2)
 		// Step 3: Theorem 2 on the sampled subgraph.
 		if len(G2) > 0 {
-			ltz.SolveOnCtx(cx, f, V, G2, p.LTZ)
+			ltz.SolveOn(cx, f, V, G2, p.LTZ)
 		}
 		cx.ReleaseEdges(G2)
 	}

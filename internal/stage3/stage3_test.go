@@ -9,6 +9,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/solve"
 )
 
 func TestSampleSolveSmallInstanceExact(t *testing.T) {
@@ -21,7 +22,7 @@ func TestSampleSolveSmallInstanceExact(t *testing.T) {
 	m.Iota32(V)
 	p := DefaultParams(g.N)
 	p.SmallN = g.N + 1
-	SampleSolve(m, f, V, g.Edges, p)
+	SampleSolve(solve.New(m), f, V, g.Edges, p)
 	if !graph.SamePartition(truth, f.Labels()) {
 		t.Fatal("small-instance path must solve exactly")
 	}
@@ -39,7 +40,7 @@ func TestSampleSolveDenseGraphSurvivesSampling(t *testing.T) {
 	p := DefaultParams(g.N)
 	p.SmallN = 1 // force the sampling path
 	p.SampleP64 = pram.P64(0.5)
-	SampleSolve(m, f, V, g.Edges, p)
+	SampleSolve(solve.New(m), f, V, g.Edges, p)
 	if !graph.SamePartition(truth, f.Labels()) {
 		t.Fatal("dense expander lost connectivity through sampling")
 	}
@@ -57,7 +58,7 @@ func TestSampleSolveContractionSafety(t *testing.T) {
 	p := DefaultParams(g.N)
 	p.SmallN = 1
 	p.SampleP64 = pram.P64(0.1)
-	SampleSolve(m, f, V, g.Edges, p)
+	SampleSolve(solve.New(m), f, V, g.Edges, p)
 	if err := labeled.CheckSameComponent(f, truth); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSampleSolveReportsSampledCount(t *testing.T) {
 	p := DefaultParams(g.N)
 	p.SmallN = 1
 	p.SampleP64 = pram.P64(0.25)
-	got := SampleSolve(m, f, V, g.Edges, p)
+	got := SampleSolve(solve.New(m), f, V, g.Edges, p)
 	frac := float64(got) / float64(g.M())
 	if frac < 0.15 || frac > 0.35 {
 		t.Errorf("sampled fraction %.3f, want ≈0.25", frac)
@@ -90,7 +91,7 @@ func TestSampleSolveFlattensOriginalTrees(t *testing.T) {
 	m := pramtest.New(t, 0)
 	p := DefaultParams(n)
 	p.SmallN = n + 1
-	SampleSolve(m, f, []int32{0}, nil, p)
+	SampleSolve(solve.New(m), f, []int32{0}, nil, p)
 	if h := f.MaxHeight(); h > 1 {
 		t.Fatalf("height %d after final jump", h)
 	}

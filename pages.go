@@ -16,7 +16,7 @@ import (
 // of a deletion, so chase-on-read against old pages would be unsound).
 // Exactness is restored at every flush point from two delta feeds:
 //
-//   - AddEdges reports each merge's LOSING root (par.UniteBatchTouch).
+//   - AddEdges reports each merge's LOSING root (par.UniteBatch).
 //     The size transfer is applied eagerly — O(1) per merge — and the
 //     member relabel is deferred: the loser goes on a pending list, and
 //     flush walks its member circle once, however many batches queued it.
@@ -64,7 +64,7 @@ type pageStore struct {
 	// only RemoveEdges — which flushes at entry — can mint new roots).
 	pending []int32
 	cloned  int     // pages cloned since the last publish
-	losers  []int32 // scratch for par.UniteBatchTouch
+	losers  []int32 // scratch for par.UniteBatch
 }
 
 func numPages(n int) int { return (n + pageSize - 1) / pageSize }
@@ -138,8 +138,12 @@ func (st *pageStore) linkAfter(r, x int32) {
 	st.prev[x] = r
 }
 
-// loserBuf returns the scratch slice UniteBatchTouch fills, sized to k.
+// loserBuf returns the scratch slice UniteBatch fills with losing roots,
+// sized to k; nil on a nil store (no snapshot mirror, nothing to feed).
 func (st *pageStore) loserBuf(k int) []int32 {
+	if st == nil {
+		return nil
+	}
 	if cap(st.losers) < k {
 		st.losers = make([]int32, k)
 	}

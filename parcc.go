@@ -327,17 +327,19 @@ func VerifyCertificate(g *Graph, c *Certificate) error {
 // SpectralGap estimates λ(G): the minimum spectral gap (second-smallest
 // normalized-Laplacian eigenvalue, Definition 2.2) over all connected
 // components with ≥ 2 vertices.
-func SpectralGap(g *Graph) float64 { return spectral.Gap(g, nil) }
+func SpectralGap(g *Graph) float64 { return spectral.Gap(graph.NewPlan(g), nil) }
 
 // ComponentSpectralGaps returns λ per component (NaN for singletons).
-func ComponentSpectralGaps(g *Graph) []float64 { return spectral.ComponentGaps(g, nil) }
+func ComponentSpectralGaps(g *Graph) []float64 {
+	return spectral.ComponentGaps(graph.NewPlan(g), nil)
+}
 
 // Diameter returns the exact maximum intra-component diameter (O(nm); for
 // large graphs prefer DiameterApprox).
-func Diameter(g *Graph) int { return spectral.DiameterExact(g) }
+func Diameter(g *Graph) int { return spectral.DiameterExact(graph.NewPlan(g)) }
 
 // DiameterApprox lower-bounds the diameter by iterated double sweeps.
-func DiameterApprox(g *Graph) int { return spectral.DiameterApprox(g, 3) }
+func DiameterApprox(g *Graph) int { return spectral.DiameterApprox(graph.NewPlan(g), 3) }
 
 // Generator re-exports.  Each family is documented in internal/graph/gen
 // with the spectral-gap regime it exercises.

@@ -119,7 +119,7 @@ func NewSolver(opt *Options) (*Solver, error) {
 		s.rec = obs.NewRecorder()
 	}
 	s.m = pram.New(pram.Seed(s.seed), pram.OnExecutor(exec))
-	s.cx = solve.New(s.m).WithArena(s.arena).WithPlanner(s.planFor).WithRecorder(s.rec)
+	s.cx = solve.New(s.m).WithArena(s.arena).WithRecorder(s.rec)
 	return s, nil
 }
 
@@ -202,11 +202,11 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	}
 	switch algo {
 	case FLS:
-		r := core.ConnectivityOn(cx, g, params, dst)
+		r := core.Connectivity(cx, g, params, dst)
 		res.Labels, res.NumComponents, res.Phases = r.Labels, r.NumComponents, r.Phases
 		res.Breakdown = stageCostsInto(res.Breakdown, r.Breakdown)
 	case FLSKnownGap:
-		r := core.SolveKnownGapOn(cx, g, o.KnownGapB, params, dst)
+		r := core.SolveKnownGap(cx, g, o.KnownGapB, params, dst)
 		res.Labels, res.NumComponents = r.Labels, r.NumComponents
 		res.Breakdown = stageCostsInto(res.Breakdown, r.Breakdown)
 	default:
@@ -241,48 +241,28 @@ func (s *Solver) Plan(g *Graph) *graph.Plan {
 
 // SpectralGap is parcc.SpectralGap against the session's cached plan.
 func (s *Solver) SpectralGap(g *Graph) float64 {
-	return spectral.GapOn(s.Plan(g), nil)
+	return spectral.Gap(s.Plan(g), nil)
 }
 
 // ComponentSpectralGaps is parcc.ComponentSpectralGaps against the
 // session's cached plan.
 func (s *Solver) ComponentSpectralGaps(g *Graph) []float64 {
-	return spectral.ComponentGapsOn(s.Plan(g), nil)
+	return spectral.ComponentGaps(s.Plan(g), nil)
 }
 
 // planFor is the single-slot plan cache (callers hold s.mu).  Validation
 // honors Options.TrustGraph: the default revalidates edge content with an
 // O(m) fingerprint pass (catching in-place mutation), TrustGraph checks
-// only the edge count.  A cached plan whose graph has grown by appended
-// edges is extended in place (old adjacency memcpy + scatter of the new
-// endpoints) rather than rebuilt by counting sort — the delta path
-// AddEdges relies on.  On a closed solver the pool is gone, so the plan is
-// built sequentially and not cached — Plan/SpectralGap degrade gracefully
-// instead of panicking on the released runtime.
+// only the edge count.  A cached plan whose graph has changed is rebuilt.
+// On a closed solver the pool is gone, so the plan is built sequentially
+// and not cached — Plan/SpectralGap degrade gracefully instead of
+// panicking on the released runtime.
 func (s *Solver) planFor(g *graph.Graph) *graph.Plan {
 	if s.closed {
 		return graph.NewPlan(g)
 	}
-	if s.plan != nil && s.plan.G == g {
-		if s.planStillValid() {
-			return s.plan
-		}
-		if np := graph.ExtendPlanOn(s.rt, s.plan, g); np != nil {
-			// The extension trusts the prefix, so verify it — even under
-			// TrustGraph, whose promise covers only same-length overwrites:
-			// a caller that compacted edges out and appended others changes
-			// the length, and must be caught here, not served stale labels.
-			// The one provable exception is the session-owned live graph,
-			// whose mutations all pass through AddEdges/RemoveEdges under
-			// this same lock (and RemoveEdges drops the plan), so its
-			// prefix cannot have been rewritten — skipping the O(m) scan
-			// there keeps AddEdges-then-solve streams on the delta path's
-			// O(batch) cost.  A mutated prefix falls through to rebuild.
-			if (s.inc != nil && s.inc.g == g) || np.Valid() {
-				s.plan = np
-				return s.plan
-			}
-		}
+	if s.plan != nil && s.plan.G == g && s.planStillValid() {
+		return s.plan
 	}
 	s.plan = graph.BuildPlanOn(s.rt, g)
 	return s.plan
@@ -402,7 +382,7 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 		labels = baseline.UnionFindLabelsInto(cx, g, dst)
 		span = rec.Lap(obs.PhaseSolve, span)
 	case CASUnite:
-		labels = par.ComponentsInto(e, g, dst)
+		labels = par.Components(e, g, dst)
 		span = rec.Lap(obs.PhaseSolve, span)
 	case Frontier:
 		csr := plan().CSR
