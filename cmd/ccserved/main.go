@@ -175,7 +175,6 @@ func main() {
 		follower, err = repl.New(repl.Options{
 			Primary: *follow,
 			Engine:  eng,
-			Solver:  solverOpt,
 			MaxLag:  *maxLag,
 		})
 		if err != nil {

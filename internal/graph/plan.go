@@ -30,7 +30,6 @@ type Plan struct {
 	CSR    *CSR
 	builtM int    // len(G.Edges) at build time
 	fp     uint64 // content fingerprint of G.Edges[:builtM] at build time
-	degs   atomic.Pointer[[]int32]
 }
 
 // edgeFingerprint is an order-sensitive content hash of an edge list (an
@@ -73,23 +72,6 @@ func (p *Plan) Valid() bool {
 // O(m) fingerprint pass.  Steady-state serving on an unchanging graph
 // uses it to make plan-cache validation free.
 func (p *Plan) ValidQuick() bool { return p.builtM == len(p.G.Edges) }
-
-// M returns the edge count the plan was built at.
-func (p *Plan) M() int { return p.builtM }
-
-// Degrees returns the per-vertex degree array, materialized on first use
-// and cached (callers must not modify it).
-func (p *Plan) Degrees() []int32 {
-	if d := p.degs.Load(); d != nil {
-		return *d
-	}
-	deg := make([]int32, p.G.N)
-	for v := range deg {
-		deg[v] = int32(p.CSR.Off[v+1] - p.CSR.Off[v])
-	}
-	p.degs.Store(&deg)
-	return deg
-}
 
 // planParallelCutoff is the edge count below which the parallel CSR build
 // isn't worth the extra scans.

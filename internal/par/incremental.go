@@ -46,7 +46,7 @@ func UniteBatch(e Exec, p []int32, batch []graph.Edge, marks []bool, losers []in
 		var ru int32
 		ok := false
 		if ed.U != ed.V {
-			ru, ok = uniteLoser(p, ed.U, ed.V)
+			ru, ok = Unite(p, ed.U, ed.V)
 		}
 		marks[i] = ok
 		if ok {
@@ -57,25 +57,6 @@ func UniteBatch(e Exec, p []int32, batch []graph.Edge, marks []bool, losers []in
 		}
 	})
 	return int(merges.Load())
-}
-
-// uniteLoser is Unite (kernels.go) returning the hooked root on success:
-// the CAS that wins the merge installs p[ru] = rv with ru > rv, so ru is
-// exactly the root that stopped being one.  Identical linearization and
-// cost; concurrent Find/Unite on the same forest is safe.
-func uniteLoser(p []int32, u, v int32) (int32, bool) {
-	for {
-		ru, rv := Find(p, u), Find(p, v)
-		if ru == rv {
-			return 0, false
-		}
-		if ru < rv {
-			ru, rv = rv, ru
-		}
-		if atomic.CompareAndSwapInt32(&p[ru], ru, rv) {
-			return ru, true
-		}
-	}
 }
 
 // SpliceLabels installs a scoped re-solve's partition into the global

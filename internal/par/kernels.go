@@ -34,23 +34,25 @@ func Find(p []int32, v int32) int32 {
 
 // Unite links the sets of u and v by hooking the larger root under the
 // smaller (unite-by-min), retrying on contention.  It reports whether the
-// two were in distinct sets.  Because roots only acquire strictly smaller
-// parents, the forest is acyclic under any interleaving and every set's root
-// is its minimum element — which makes the fixpoint of a Unite pass over an
-// edge list deterministic: p[v] chases to the minimum vertex of v's
-// component.
-func Unite(p []int32, u, v int32) bool {
+// two were in distinct sets and, if so, the root it hooked: the CAS that
+// wins the merge installs p[ru] = rv with ru > rv, so ru is exactly the
+// root that stopped being one.  Because roots only acquire strictly
+// smaller parents, the forest is acyclic under any interleaving and every
+// set's root is its minimum element — which makes the fixpoint of a Unite
+// pass over an edge list deterministic: p[v] chases to the minimum vertex
+// of v's component.
+func Unite(p []int32, u, v int32) (int32, bool) {
 	for {
 		ru, rv := Find(p, u), Find(p, v)
 		if ru == rv {
-			return false
+			return 0, false
 		}
 		if ru < rv {
 			ru, rv = rv, ru
 		}
 		// ru > rv: hook ru under rv if ru is still a root.
 		if atomic.CompareAndSwapInt32(&p[ru], ru, rv) {
-			return true
+			return ru, true
 		}
 	}
 }

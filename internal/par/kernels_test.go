@@ -91,16 +91,16 @@ func TestComponentsDeterministicAcrossProcs(t *testing.T) {
 
 func TestUniteFindSequentialSemantics(t *testing.T) {
 	p := []int32{0, 1, 2, 3, 4}
-	if Unite(p, 0, 0) {
+	if _, ok := Unite(p, 0, 0); ok {
 		t.Fatal("self-unite should report false")
 	}
-	if !Unite(p, 3, 4) || Find(p, 4) != 3 || Find(p, 3) != 3 {
-		t.Fatal("unite(3,4) should root at 3")
+	if r, ok := Unite(p, 3, 4); !ok || r != 4 || Find(p, 4) != 3 || Find(p, 3) != 3 {
+		t.Fatal("unite(3,4) should hook 4 and root at 3")
 	}
-	if !Unite(p, 4, 1) || Find(p, 3) != 1 {
-		t.Fatal("unite(4,1) should re-root the {3,4} set at 1")
+	if r, ok := Unite(p, 4, 1); !ok || r != 3 || Find(p, 3) != 1 {
+		t.Fatal("unite(4,1) should hook 3, re-rooting the {3,4} set at 1")
 	}
-	if Unite(p, 1, 3) {
+	if _, ok := Unite(p, 1, 3); ok {
 		t.Fatal("already united")
 	}
 }

@@ -80,7 +80,7 @@ func SampleUnite(rt *Runtime, p []int32, csr *graph.CSR, rounds int) (attempts, 
 				for r := 0; r < d; r++ {
 					if u := csr.Nbr[off+int64(r)]; u != int32(v) {
 						la++
-						if Unite(p, int32(v), u) {
+						if _, ok := Unite(p, int32(v), u); ok {
 							lh++
 						}
 					}
@@ -94,7 +94,7 @@ func SampleUnite(rt *Runtime, p []int32, csr *graph.CSR, rounds int) (attempts, 
 			for r := 0; r < rounds; r++ {
 				if u := csr.Nbr[off+int64(rng.Intn(w))]; u != int32(v) {
 					la++
-					if Unite(p, int32(v), u) {
+					if _, ok := Unite(p, int32(v), u); ok {
 						lh++
 					}
 				}

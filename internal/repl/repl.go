@@ -1,25 +1,29 @@
 // Package repl is the replication layer: a Follower tails a primary's
-// per-graph write-ahead-log streams (service's GET /graphs/{name}/wal),
-// re-applies each committed group through a real incremental session, and
-// publishes snapshots at exactly the versions the stream encodes — so a
-// read served by the follower is indistinguishable, at its reported
-// version, from the same read served by the primary.
+// per-graph write-ahead-log streams (service's GET /graphs/{name}/wal)
+// and hands each committed group to its read-only engine
+// (service.Engine.ApplyReplicaGroup), which applies it and publishes the
+// snapshot at exactly the version the stream encodes — so a read served
+// by the follower is indistinguishable, at its reported version, from the
+// same read served by the primary.  The engine owns the replica sessions;
+// this package owns transport, discovery, backoff and the resume
+// position.
 //
 // Correctness rules (schedule-independent, like the kernels underneath):
 //
-//   - Groups are buffered frame by frame and applied only when the
+//   - Groups are buffered frame by frame and handed over only when the
 //     group's COMMIT frame arrives.  A stream cut mid-group discards the
 //     partial buffer; the reconnect resumes from the last APPLIED seq, so
 //     no group is ever half-applied or applied twice.
-//   - A create/checkpoint frame resets the replica to the full state it
-//     carries (publishing at its seq); the epoch field detects a primary
-//     whose graph was dropped and re-created, so two histories are never
-//     spliced.
-//   - The snapshot version is forced to the group's seq via
-//     AdvanceSnapshotVersion(seq-1) + PublishSnapshot — versions a
-//     follower serves are exactly the versions the primary's log assigned,
-//     even across primary recoveries (whose own publish seq is never in
-//     the log; followers simply skip it).
+//   - A create/checkpoint frame makes the engine rebuild the replica from
+//     the full state it carries (publishing at its seq); the epoch field
+//     detects a primary whose graph was dropped and re-created, so two
+//     histories are never spliced.
+//   - Versions a follower serves are exactly the versions the primary's
+//     log assigned, even across primary recoveries (whose own publish seq
+//     is never in the log; followers simply skip it).
+//   - A graph's tailer is stopped and waited for before its replica is
+//     dropped, so no tailer of a dropped graph outlives it and applies
+//     to a name a newer tailer owns.
 //
 // Liveness: the tailer retries with jittered exponential backoff, a
 // stall watchdog severs connections that stop producing frames (the
@@ -51,9 +55,11 @@ type Options struct {
 	// and echoed in operator-facing errors.
 	Primary string
 	// Engine is the follower's read-only serving engine (service.Options
-	// ReadOnly: true); replicas are installed into it as they sync.
+	// ReadOnly: true); it builds the replica sessions, from its own
+	// service.Options.Solver, as groups arrive.
 	Engine *service.Engine
-	// Solver configures each replica session (nil: parcc defaults).
+	// Deprecated: unused; the engine's service.Options.Solver configures
+	// the replica sessions.
 	Solver *parcc.Options
 	// MaxLag is the bounded-staleness threshold: Ready() reports an error
 	// once the follower has gone longer than this without being caught up
@@ -115,7 +121,7 @@ type Follower struct {
 	reconnects atomic.Uint64 // stream (re)connect attempts after the first
 	resets     atomic.Uint64 // full-state resets (create/checkpoint applied)
 	groups     atomic.Uint64 // committed groups applied
-	applyErrs  atomic.Uint64 // groups the session rejected (forced resync)
+	applyErrs  atomic.Uint64 // groups the engine rejected (forced resync)
 	frames     atomic.Uint64 // stream frames received
 }
 
@@ -140,17 +146,17 @@ func (f *Follower) Start() {
 	go f.discover()
 }
 
-// Stop halts replication and releases every replica session.  The engine
-// keeps serving the last published snapshots until it is closed (readers
-// holding a snapshot are never invalidated).
+// Stop halts replication and drops every replica session from the
+// engine; readers already holding a snapshot keep a valid frozen view.
 func (f *Follower) Stop() {
 	f.cancel()
 	f.wg.Wait()
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	for name, t := range f.tailers {
+	ts := f.tailers
+	f.tailers = make(map[string]*tailer)
+	f.mu.Unlock()
+	for _, t := range ts {
 		t.teardown()
-		delete(f.tailers, name)
 	}
 }
 
@@ -184,24 +190,31 @@ func (f *Follower) syncOnce() {
 	for _, n := range names {
 		want[n] = true
 	}
+	var dropped []*tailer
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.ctx.Err() != nil {
+		f.mu.Unlock()
 		return
 	}
 	for _, name := range names {
 		if _, ok := f.tailers[name]; !ok {
 			t := f.newTailer(name)
 			f.tailers[name] = t
-			f.wg.Add(1)
 			go t.run()
 		}
 	}
 	for name, t := range f.tailers {
 		if !want[name] {
-			t.teardown()
+			dropped = append(dropped, t)
 			delete(f.tailers, name)
 		}
+	}
+	f.mu.Unlock()
+	// Outside the lock: teardown waits for the tailer's goroutine, which
+	// may be mid-apply.  Only this goroutine starts tailers, so none for
+	// a dropped name starts before its old one is gone.
+	for _, t := range dropped {
+		t.teardown()
 	}
 }
 
@@ -318,6 +331,11 @@ type tailer struct {
 	f    *Follower
 	name string
 	rng  *rand.Rand // backoff jitter; owned by the run goroutine
+	// ctx ends the run goroutine (teardown cancels it; Stop cancels the
+	// follower's ctx it derives from); done is closed when run returns.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	// Replication position, read by Ready/Status/metrics.
 	applied atomic.Uint64 // last seq whose group is applied AND published
@@ -326,14 +344,6 @@ type tailer struct {
 	// freshAt is when the replica was last caught up (applied >= head at
 	// a commit frame); 0 until the first catch-up.
 	freshAt atomic.Int64
-
-	// Session state; owned by the run goroutine (teardown synchronizes
-	// through closed).
-	mu     sync.Mutex
-	solver *parcc.Solver
-	rep    *service.Replica
-	edges  int64
-	closed bool
 }
 
 // lagSeqs is the primary's advertised head minus the last applied seq
@@ -354,32 +364,29 @@ func (f *Follower) newTailer(name string) *tailer {
 	for _, c := range name {
 		h = h*131 + int64(c)
 	}
-	return &tailer{f: f, name: name, rng: rand.New(rand.NewSource(f.opt.Seed ^ h))}
+	ctx, cancel := context.WithCancel(f.ctx)
+	return &tailer{
+		f: f, name: name, rng: rand.New(rand.NewSource(f.opt.Seed ^ h)),
+		ctx: ctx, cancel: cancel, done: make(chan struct{}),
+	}
 }
 
-// teardown removes the replica from the engine and closes its session.
-// Readers that already hold the snapshot keep a valid frozen view.
+// teardown stops the tailer, waits for its goroutine to return, and drops
+// the replica from the engine.  Readers that already hold the snapshot
+// keep a valid frozen view.
 func (t *tailer) teardown() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
-	if t.rep != nil {
-		t.f.opt.Engine.DropReplica(t.name)
-		t.rep = nil
-	}
-	if t.solver != nil {
-		t.solver.Close()
-		t.solver = nil
-	}
+	t.cancel()
+	<-t.done
+	t.f.opt.Engine.DropReplica(t.name) // ErrGraphNotFound: never synced
 }
 
 // run is the tailer's connection loop: connect, consume frames until the
 // stream dies, back off, reconnect from the last applied seq.
 func (t *tailer) run() {
-	defer t.f.wg.Done()
+	defer close(t.done)
 	attempt := 0
 	for {
-		if t.f.ctx.Err() != nil {
+		if t.ctx.Err() != nil {
 			return
 		}
 		if attempt > 0 {
@@ -389,7 +396,7 @@ func (t *tailer) run() {
 			}
 		}
 		attempt++
-		rc, err := t.f.opt.Transport.Stream(t.f.ctx, t.name, t.applied.Load(), t.epoch.Load())
+		rc, err := t.f.opt.Transport.Stream(t.ctx, t.name, t.applied.Load(), t.epoch.Load())
 		if err != nil {
 			continue
 		}
@@ -415,7 +422,7 @@ func (t *tailer) backoff(attempt int) time.Duration {
 
 func (t *tailer) sleep(d time.Duration) bool {
 	select {
-	case <-t.f.ctx.Done():
+	case <-t.ctx.Done():
 		return false
 	case <-time.After(d):
 		return true
@@ -431,11 +438,11 @@ func (t *tailer) consume(rc io.ReadCloser) bool {
 	// so the read below unblocks and the caller reconnects.
 	watch := time.AfterFunc(t.f.opt.Stall, func() { rc.Close() })
 	defer watch.Stop()
-	stop := context.AfterFunc(t.f.ctx, func() { rc.Close() })
+	stop := context.AfterFunc(t.ctx, func() { rc.Close() })
 	defer stop()
 
 	br := bufio.NewReaderSize(rc, 64<<10)
-	var pend []*service.StreamFrame // current group's frames, commit pending
+	var pend []service.StreamFrame // current group's frames, commit pending
 	var pendSeq uint64
 	progressed := false
 	for {
@@ -453,17 +460,17 @@ func (t *tailer) consume(rc io.ReadCloser) bool {
 				pend, pendSeq = nil, 0
 				continue
 			}
-			pend, pendSeq = []*service.StreamFrame{fr}, fr.Seq
+			pend, pendSeq = []service.StreamFrame{*fr}, fr.Seq
 		case service.FrameAdd, service.FrameRemove:
 			if pendSeq != 0 && fr.Seq != pendSeq {
 				// A new group began without a commit for the previous one —
 				// should not happen, but never splice two groups together.
 				pend = nil
 			}
-			pend, pendSeq = append(pend, fr), fr.Seq
+			pend, pendSeq = append(pend, *fr), fr.Seq
 		case service.FrameCommit:
 			if pendSeq != 0 && fr.Seq == pendSeq {
-				if !t.applyGroup(pend) {
+				if !t.apply(pend) {
 					return progressed // forced resync: reconnect from scratch
 				}
 				progressed = true
@@ -477,106 +484,22 @@ func (t *tailer) consume(rc io.ReadCloser) bool {
 	}
 }
 
-// applyGroup applies one committed group through the replica session and
-// publishes at exactly the group's seq.  Returns false when the session
-// rejected the group — the tailer then falls back to a full resync
-// (epoch 0 forces the server to stream the head record).
-func (t *tailer) applyGroup(group []*service.StreamFrame) bool {
-	seq := group[0].Seq
-	if head := group[0]; head.Kind == service.FrameCreate || head.Kind == service.FrameCheckpoint {
-		if !t.reset(head) {
-			return false
-		}
-		group = group[1:]
-		if len(group) > 0 {
-			// A head record always commits alone (it IS the group).
-			return false
-		}
-		t.applied.Store(seq)
-		t.f.groups.Add(1)
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || t.solver == nil {
-		return false
-	}
-	edges := t.edges
-	for _, fr := range group {
-		var err error
-		if fr.Kind == service.FrameRemove {
-			err = t.solver.RemoveEdges(fr.Batch)
-			edges -= int64(len(fr.Batch))
-		} else {
-			err = t.solver.AddEdges(fr.Batch)
-			edges += int64(len(fr.Batch))
-		}
-		if err != nil {
-			// The log is the truth; a rejection means this replica diverged.
-			// Force a full resync rather than serve a forked state.
-			t.f.applyErrs.Add(1)
-			t.applied.Store(0)
-			t.epoch.Store(0)
-			return false
-		}
-	}
-	t.solver.AdvanceSnapshotVersion(seq - 1)
-	if _, err := t.solver.PublishSnapshot(); err != nil {
+// apply hands one committed group to the engine, which applies it and
+// publishes at exactly the group's seq.  Returns false when the engine
+// rejected the group: the replica may have diverged, so the tailer falls
+// back to a full resync (epoch 0 makes the server stream the head record).
+func (t *tailer) apply(group []service.StreamFrame) bool {
+	if err := t.f.opt.Engine.ApplyReplicaGroup(t.name, group); err != nil {
 		t.f.applyErrs.Add(1)
 		t.applied.Store(0)
 		t.epoch.Store(0)
 		return false
 	}
-	t.edges = edges
-	t.rep.SetEdges(edges)
-	t.rep.AddApplied()
-	t.applied.Store(seq)
+	if head := group[0]; head.Kind == service.FrameCreate || head.Kind == service.FrameCheckpoint {
+		t.epoch.Store(head.Epoch)
+		t.f.resets.Add(1)
+	}
+	t.applied.Store(group[0].Seq)
 	t.f.groups.Add(1)
-	return true
-}
-
-// reset rebuilds the replica from a full-state head record (create or
-// checkpoint) and swaps it into the engine, publishing at the record's
-// seq.
-func (t *tailer) reset(head *service.StreamFrame) bool {
-	s, err := parcc.NewSolver(t.f.opt.Solver)
-	if err != nil {
-		return false
-	}
-	g := parcc.NewGraph(head.N)
-	g.Edges = append(g.Edges, head.Batch...)
-	if err := s.Attach(g); err != nil {
-		s.Close()
-		t.f.applyErrs.Add(1)
-		return false
-	}
-	s.AdvanceSnapshotVersion(head.Seq - 1)
-	if _, err := s.PublishSnapshot(); err != nil {
-		s.Close()
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		s.Close()
-		return false
-	}
-	// InstallReplica atomically replaces an existing replica shard, so a
-	// reset never makes the graph 404 between drop and re-install.
-	old := t.solver
-	rep, err := t.f.opt.Engine.InstallReplica(t.name, head.N, s)
-	if err != nil {
-		s.Close()
-		return false
-	}
-	if old != nil {
-		old.Close() // late readers still hold valid frozen snapshots
-	}
-	t.solver = s
-	t.rep = rep
-	t.edges = int64(len(head.Batch))
-	rep.SetEdges(t.edges)
-	t.epoch.Store(head.Epoch)
-	t.f.resets.Add(1)
 	return true
 }

@@ -5,9 +5,13 @@
 package repl_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,5 +314,53 @@ func TestFollowerDropRecreate(t *testing.T) {
 	sn = waitSnapshot(12, 15*time.Second)
 	if sn.NumComponents() != 12 {
 		t.Fatalf("re-created graph components: %d, want 12", sn.NumComponents())
+	}
+}
+
+// streamCounter counts the Stream calls a follower makes through it.
+type streamCounter struct {
+	repl.Transport
+	streams atomic.Int64
+}
+
+func (c *streamCounter) Stream(ctx context.Context, name string, from, epoch uint64) (io.ReadCloser, error) {
+	c.streams.Add(1)
+	return c.Transport.Stream(ctx, name, from, epoch)
+}
+
+// TestFollowerStopsDroppedGraphTailer: once discovery drops a graph and
+// its replica is gone from the engine, the graph's tailer has stopped —
+// it opens no further streams (a leftover tailer reconnects every backoff
+// period until Stop).
+func TestFollowerStopsDroppedGraphTailer(t *testing.T) {
+	e, srv := newPrimary(t)
+	if err := e.Create("g", gen.Cycle(8)); err != nil {
+		t.Fatal(err)
+	}
+	tr := &streamCounter{Transport: repl.NewHTTPTransport(srv.URL)}
+	fe, _ := newFollower(t, tr)
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		stop := time.Now().Add(15 * time.Second)
+		for !ok() {
+			if time.Now().After(stop) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor("the replica", func() bool { _, err := fe.Snapshot("g"); return err == nil })
+
+	if err := e.Drop("g"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the drop", func() bool {
+		_, err := fe.Snapshot("g")
+		return errors.Is(err, service.ErrGraphNotFound)
+	})
+	before := tr.streams.Load()
+	time.Sleep(300 * time.Millisecond) // ≥ 6 reconnects at RetryMax 50ms
+	if after := tr.streams.Load(); after != before {
+		t.Fatalf("dropped graph's tailer opened %d streams after teardown", after-before)
 	}
 }

@@ -113,8 +113,9 @@ type Options struct {
 	NoFsync bool
 	// ReadOnly makes the engine a follower replica: every mutating call
 	// (Create, Drop, AddEdges, RemoveEdges, Compact) fails with a
-	// *parcc.ReadOnlyReplicaError, and sessions are installed only through
-	// InstallReplica by the replication layer tailing a primary's logs.
+	// *parcc.ReadOnlyReplicaError, and sessions are built only by
+	// ApplyReplicaGroup from the log groups a replication layer streams
+	// from the primary.
 	ReadOnly bool
 	// Primary is the base URL of the primary that accepts writes for this
 	// replica's graphs; it rides in the ReadOnlyReplicaError (and the HTTP
@@ -466,29 +467,28 @@ type mutation struct {
 // queue, and the serving counters.  Exactly one writer goroutine consumes
 // reqs; any number of readers answer from the solver's published snapshot.
 type shard struct {
-	name         string
-	n            int // vertex count, fixed at Create
-	s            *parcc.Solver
-	reqs         chan *mutation
-	done         chan struct{}  // closed when the writer has drained and exited
-	publish      *obs.Histogram // engine-wide snapshot-publish latency
-	publishFull  *obs.Histogram // … split: full O(n) page builds
-	publishDelta *obs.Histogram // … split: O(delta) copy-on-write publishes
+	eng  *Engine // publish histograms and the WAL failure counter
+	name string
+	n    int // vertex count, fixed at Create
+	s    *parcc.Solver
+	reqs chan *mutation
+	done chan struct{} // closed when the writer has drained and exited
 	// wal is the shard's write-ahead-log handle (nil: durability off).
 	// Appended to only by the writer goroutine, after a group is applied
 	// and before its snapshot is published and its callers released.
 	// Atomic because it is published after the shard is registered, while
 	// metric collectors and the stream endpoint may already be reading.
-	wal     atomic.Pointer[walWriter]
-	walErrs *atomic.Uint64 // engine-wide append-failure counter
-	// replica marks a follower-installed shard: no writer goroutine, no
-	// queue, no WAL — the replication layer owns the solver and applies
-	// streamed groups itself; the engine only serves reads from it.
+	wal atomic.Pointer[walWriter]
+	// replica marks a shard built by ApplyReplicaGroup: no writer
+	// goroutine, no queue, no WAL — streamed groups are applied under the
+	// write side of state instead.
 	replica bool
 
 	// state guards the closing flag against enqueuers: senders hold the
 	// read side across the channel send, Drop/Close take the write side
-	// before closing reqs, so a send can never hit a closed channel.
+	// before closing reqs, so a send can never hit a closed channel.  On a
+	// replica, ApplyReplicaGroup holds the write side across each group,
+	// so shutdown never closes the session under an apply.
 	state   sync.RWMutex
 	closing bool
 
@@ -529,14 +529,10 @@ func (e *Engine) Create(name string, g *parcc.Graph) error {
 		s.Close()
 		return err
 	}
-	t0 := time.Now()
-	if _, err := s.PublishSnapshot(); err != nil {
+	if _, err := e.publishSnapshot(s); err != nil {
 		s.Close()
 		return err
 	}
-	d := time.Since(t0)
-	e.publish.Observe(d)
-	e.publishFull.Observe(d)
 	sh := e.newShard(name, g.N, s)
 	sh.edges.Store(int64(g.M()))
 	if _, raced := e.shards.LoadOrStore(name, sh); raced {
@@ -578,16 +574,31 @@ func (e *Engine) Create(name string, g *parcc.Graph) error {
 // newShard builds a shard around an attached, published solver.
 func (e *Engine) newShard(name string, n int, s *parcc.Solver) *shard {
 	return &shard{
-		name:         name,
-		n:            n,
-		s:            s,
-		reqs:         make(chan *mutation, e.opt.QueueDepth),
-		done:         make(chan struct{}),
-		publish:      e.publish,
-		publishFull:  e.publishFull,
-		publishDelta: e.publishDelta,
-		walErrs:      &e.walErrs,
+		eng:  e,
+		name: name,
+		n:    n,
+		s:    s,
+		reqs: make(chan *mutation, e.opt.QueueDepth),
+		done: make(chan struct{}),
 	}
+}
+
+// publishSnapshot publishes s's next snapshot and observes its latency in
+// the publish histograms, split by kind.
+func (e *Engine) publishSnapshot(s *parcc.Solver) (*parcc.Snapshot, error) {
+	t0 := time.Now()
+	sn, err := s.PublishSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	d := time.Since(t0)
+	e.publish.Observe(d)
+	if sn.PublishedFull() {
+		e.publishFull.Observe(d)
+	} else {
+		e.publishDelta.Observe(d)
+	}
+	return sn, nil
 }
 
 // attachWAL creates the shard's log and makes its birth record durable.
@@ -655,77 +666,89 @@ func (e *Engine) Compact(name string) error {
 	return <-m.err
 }
 
-// Replica is the bookkeeping handle InstallReplica returns: the narrow
-// surface through which the replication layer (which applies streamed
-// groups outside the engine's writer path) keeps the engine's serving
-// counters honest.
-type Replica struct{ sh *shard }
-
-// SetEdges records the replica's live edge count after an applied group.
-func (r *Replica) SetEdges(edges int64) { r.sh.edges.Store(edges) }
-
-// AddApplied charges one applied stream group to the serving counters
-// (surfaces in /stats and parcc_engine_applies_total).
-func (r *Replica) AddApplied() {
-	r.sh.applies.Add(1)
-	r.sh.writes.Add(1)
-}
-
-// InstallReplica registers a read-only session around a follower-owned
-// solver.  The shard gets no writer goroutine, no queue, and no log: the
-// replication layer owns the solver — it applies streamed groups and
-// publishes snapshots itself, and must keep the solver alive until the
-// shard is dropped (DropReplica) or the engine is closed.  The engine
-// only serves reads from it.  Errors: ErrEngineClosed, ErrGraphExists.
-func (e *Engine) InstallReplica(name string, n int, s *parcc.Solver) (*Replica, error) {
+// ApplyReplicaGroup applies one committed group of a primary's log stream
+// to the named replica session and publishes it at the group's seq, the
+// version the primary published it at.  A group that opens with a create
+// or checkpoint record replaces the session with one built from the group
+// the way Recover builds one from a log (fold, one attach, one publish);
+// the shard is swapped in atomically, so readers never see the graph
+// missing, and the old session is closed.  Any other group runs frame by
+// frame through the writer's apply path.  A failed group may leave the
+// session partly applied but never publishes it: the caller must resync
+// from a head record.  Calls for one name must not overlap.  Errors:
+// ErrEngineClosed, ErrGraphNotFound (no session to apply to), a
+// *parcc.WALCorruptionError for a malformed group, or whatever the
+// incremental path rejects.
+func (e *Engine) ApplyReplicaGroup(name string, group []StreamFrame) error {
+	if !e.opt.ReadOnly {
+		return fmt.Errorf("service: replica groups apply only to a read-only engine")
+	}
+	if len(group) == 0 || group[0].Seq == 0 {
+		return &parcc.WALCorruptionError{Reason: "replica group without a seq"}
+	}
 	e.life.RLock()
 	defer e.life.RUnlock()
 	if e.closed.Load() {
-		return nil, ErrEngineClosed
+		return ErrEngineClosed
 	}
-	if name == "" {
-		return nil, fmt.Errorf("service: empty graph name")
-	}
-	if s == nil || s.ReadView() == nil {
-		return nil, fmt.Errorf("service: replica solver has no published snapshot")
-	}
-	sh := e.newShard(name, n, s)
-	sh.replica = true
-	sh.reqs = nil // no writer: len(nil chan) = 0 keeps the queue gauges honest
-	for {
-		v, raced := e.shards.LoadOrStore(name, sh)
-		if !raced {
-			break
+	seq := group[0].Seq
+	if k := group[0].Kind; k == walKindCreate || k == walKindCheckpoint {
+		s, live, _, err := e.buildSession(group, seq)
+		if err != nil {
+			return err
 		}
-		old := v.(*shard)
-		if !old.replica {
-			return nil, fmt.Errorf("%w: %q", ErrGraphExists, name)
-		}
-		// Replacing a replica (full-state reset) swaps the shard atomically:
-		// readers move from the old snapshot to the new one without ever
-		// observing the graph missing.  The old solver stays the replication
-		// layer's to close.
-		if e.shards.CompareAndSwap(name, v, sh) {
-			break
+		sh := e.newShard(name, group[0].N, s)
+		sh.replica = true
+		sh.reqs = nil // no writer: len(nil chan) = 0 keeps the queue gauges honest
+		sh.edges.Store(live)
+		for {
+			v, loaded := e.shards.LoadOrStore(name, sh)
+			if !loaded {
+				return nil
+			}
+			if e.shards.CompareAndSwap(name, v, sh) {
+				v.(*shard).shutdown() // readers holding its snapshot keep a valid view
+				return nil
+			}
 		}
 	}
-	return &Replica{sh: sh}, nil
+	sh, err := e.lookup(name)
+	if err != nil {
+		return err
+	}
+	sh.state.Lock()
+	defer sh.state.Unlock()
+	if sh.closing {
+		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+	}
+	for i, fr := range group {
+		if (fr.Kind != walKindAdd && fr.Kind != walKindRemove) || fr.Seq != seq {
+			return &parcc.WALCorruptionError{Reason: fmt.Sprintf("replica group frame %d: kind %d seq %d in a group at seq %d", i, fr.Kind, fr.Seq, seq)}
+		}
+		if err := sh.applyOne(fr.Kind == walKindRemove, fr.Batch); err != nil {
+			return err
+		}
+	}
+	sh.s.AdvanceSnapshotVersion(seq - 1)
+	if _, err := e.publishSnapshot(sh.s); err != nil {
+		return err
+	}
+	sh.writes.Add(1)
+	return nil
 }
 
-// DropReplica removes a replica session (e.g. when the primary's log
-// identity changed and the follower must rebuild).  The solver is not
-// closed — the replication layer owns it; readers already holding its
-// snapshot keep a valid frozen view.
+// DropReplica removes a replica session and closes it (the replication
+// layer stopped following the graph).  Readers already holding its
+// snapshot keep a valid frozen view.  Errors: ErrGraphNotFound.
 func (e *Engine) DropReplica(name string) error {
+	if !e.opt.ReadOnly {
+		return fmt.Errorf("service: replicas drop only from a read-only engine")
+	}
 	v, ok := e.shards.LoadAndDelete(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
-	sh := v.(*shard)
-	if !sh.replica {
-		e.shards.LoadOrStore(name, sh) // not ours to drop this way
-		return fmt.Errorf("service: graph %q is not a replica", name)
-	}
+	v.(*shard).shutdown()
 	return nil
 }
 
@@ -1004,13 +1027,15 @@ func checkVertex(v, n int) error {
 // Safe to call once per shard (Drop and Close both route through
 // LoadAndDelete, which elects a single caller).
 func (sh *shard) shutdown() {
-	if sh.replica {
-		// Follower-installed shard: no writer, no queue, no WAL; the
-		// replication layer owns (and closes) the solver.
-		return
-	}
 	sh.state.Lock()
 	sh.closing = true
+	if sh.replica {
+		// No writer, queue or WAL: closing under the state lock waits out
+		// an ApplyReplicaGroup in flight.
+		sh.s.Close()
+		sh.state.Unlock()
+		return
+	}
 	close(sh.reqs)
 	sh.state.Unlock()
 	<-sh.done // writer drains remaining queued mutations, then exits
@@ -1165,7 +1190,7 @@ func (sh *shard) apply(group []*mutation) {
 			// read-your-writes holds — but its durability failed, so
 			// every caller whose batch landed gets the WAL error instead
 			// of success (a write acknowledged as durable must be).
-			sh.walErrs.Add(1)
+			sh.eng.walErrs.Add(1)
 			for i := range errs {
 				if errs[i] == nil {
 					errs[i] = werr
@@ -1176,17 +1201,7 @@ func (sh *shard) apply(group []*mutation) {
 	if mutated {
 		// Cannot fail: the writer owns the session, which is attached and
 		// not closed until this goroutine exits.
-		t0 := time.Now()
-		sn, _ := sh.s.PublishSnapshot()
-		d := time.Since(t0)
-		sh.publish.Observe(d)
-		if sn != nil {
-			if sn.PublishedFull() {
-				sh.publishFull.Observe(d)
-			} else {
-				sh.publishDelta.Observe(d)
-			}
-		}
+		sh.eng.publishSnapshot(sh.s)
 	}
 	for i, m := range group {
 		m.err <- errs[i]

@@ -12,8 +12,6 @@ import (
 	"slices"
 	"strconv"
 	"time"
-
-	"parcc"
 )
 
 // Replication stream: GET /graphs/{name}/wal?from=<seq>&epoch=<epoch>
@@ -46,16 +44,6 @@ const (
 	FrameCheckpoint byte = walKindCheckpoint
 	FrameCommit     byte = walKindCommit
 )
-
-// StreamFrame is one decoded replication-stream frame.
-type StreamFrame struct {
-	Kind  byte
-	Seq   uint64       // snapshot version that exposes the frame's group
-	Epoch uint64       // log identity (create/checkpoint only)
-	Head  uint64       // primary's last durable seq (commit only)
-	N     int          // vertex count (create/checkpoint only)
-	Batch []parcc.Edge // edges (create/checkpoint/add/remove)
-}
 
 // streamReadStep bounds how far ReadStreamFrame's buffer grows ahead of the
 // bytes received.
@@ -100,18 +88,11 @@ func ReadStreamFrame(br *bufio.Reader) (*StreamFrame, error) {
 			return nil, err
 		}
 	}
-	rec, _, err := decodeWALFrame(buf, 0)
+	fr, _, err := decodeWALFrame(buf, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamFrame{
-		Kind:  rec.kind,
-		Seq:   rec.seq,
-		Epoch: rec.epoch,
-		Head:  rec.head,
-		N:     rec.n,
-		Batch: rec.batch,
-	}, nil
+	return &fr, nil
 }
 
 // streamWAL serves one replication-stream request.  heartbeat bounds how
@@ -156,7 +137,7 @@ func (e *Engine) streamWAL(w http.ResponseWriter, r *http.Request, heartbeat tim
 		return true
 	}
 	sendCommit := func(seq uint64) bool {
-		scratch = appendWALFrame(scratch[:0], &walRecord{kind: walKindCommit, seq: seq, head: h.headSeq.Load()})
+		scratch = appendWALFrame(scratch[:0], &StreamFrame{Kind: walKindCommit, Seq: seq, Head: h.headSeq.Load()})
 		return send(scratch)
 	}
 	flush := func() bool {
@@ -235,7 +216,7 @@ func streamFile(
 				}
 				raw := chunk[o:next]
 				o = next
-				if rec.kind == walKindCreate || rec.kind == walKindCheckpoint {
+				if rec.Kind == walKindCreate || rec.Kind == walKindCheckpoint {
 					if !headRecord {
 						return false // head record mid-file: never valid
 					}
@@ -243,7 +224,7 @@ func streamFile(
 					// Resume only when the follower is on this log's history
 					// AND past its head; otherwise stream the full head record
 					// and let the follower reset.
-					if clientEpoch == rec.epoch && *sent >= rec.seq {
+					if clientEpoch == rec.Epoch && *sent >= rec.Seq {
 						filter = true
 						resume = *sent
 						continue
@@ -252,14 +233,14 @@ func streamFile(
 					if !send(raw) {
 						return false
 					}
-					*sent = rec.seq
-					pending = rec.seq
+					*sent = rec.Seq
+					pending = rec.Seq
 					continue
 				}
-				if filter && rec.seq <= resume {
+				if filter && rec.Seq <= resume {
 					continue
 				}
-				if pending != 0 && rec.seq != pending {
+				if pending != 0 && rec.Seq != pending {
 					if !sendCommit(pending) {
 						return false
 					}
@@ -267,8 +248,8 @@ func streamFile(
 				if !send(raw) {
 					return false
 				}
-				*sent = rec.seq
-				pending = rec.seq
+				*sent = rec.Seq
+				pending = rec.Seq
 			}
 			off = durable
 			// The durable boundary is a group boundary: close the last group

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,8 +220,8 @@ func TestWALCheckpointCompact(t *testing.T) {
 	if err != nil || next != len(data) {
 		t.Fatalf("compacted log is not a single record: %v next=%d len=%d", err, next, len(data))
 	}
-	if rec.kind != walKindCheckpoint || rec.seq != want.Version() || rec.n != 16 || len(rec.batch) != 4 {
-		t.Fatalf("checkpoint record: kind=%d seq=%d n=%d m=%d", rec.kind, rec.seq, rec.n, len(rec.batch))
+	if rec.Kind != walKindCheckpoint || rec.Seq != want.Version() || rec.N != 16 || len(rec.Batch) != 4 {
+		t.Fatalf("checkpoint record: kind=%d seq=%d n=%d m=%d", rec.Kind, rec.Seq, rec.N, len(rec.Batch))
 	}
 
 	// The stream now serves the checkpoint as its head record.
@@ -288,8 +289,8 @@ func TestWALCheckpointOnCleanShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, next, err := decodeWALFrame(data, 0)
-	if err != nil || next != len(data) || rec.kind != walKindCheckpoint || rec.seq != want.Version() {
-		t.Fatalf("shutdown checkpoint: err=%v next=%d/%d kind=%d seq=%d", err, next, len(data), rec.kind, rec.seq)
+	if err != nil || next != len(data) || rec.Kind != walKindCheckpoint || rec.Seq != want.Version() {
+		t.Fatalf("shutdown checkpoint: err=%v next=%d/%d kind=%d seq=%d", err, next, len(data), rec.Kind, rec.Seq)
 	}
 
 	// Recover, read, close without writing: the log must not be rewritten.
@@ -408,24 +409,163 @@ func TestReadOnlyReplicaRejectsWrites(t *testing.T) {
 	}
 
 	// Install a replica the way the replication layer does and read it.
-	s, err := parcc.NewSolver(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := parcc.NewGraph(4)
-	g.Edges = append(g.Edges, parcc.Edge{U: 0, V: 1})
-	if err := s.Attach(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PublishSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.InstallReplica("g", 4, s); err != nil {
+	head := []StreamFrame{{Kind: FrameCreate, Seq: 1, N: 4, Batch: []parcc.Edge{{U: 0, V: 1}}}}
+	if err := e.ApplyReplicaGroup("g", head); err != nil {
 		t.Fatal(err)
 	}
 	st, body = doJSON(t, "GET", srv.URL+"/graphs/g/connected?u=0&v=1", "")
 	if st != 200 || body["connected"] != true {
 		t.Fatalf("replica read: %d %v", st, body)
+	}
+}
+
+// TestReplicaApplyTracksPrimary: a read-only engine fed a primary's
+// stream group by group through ApplyReplicaGroup publishes every group at
+// its seq with the primary's partition at that version — through a
+// compaction's checkpoint reset too — while concurrent readers only ever
+// see such versions; its counters and publish histogram follow the
+// groups, and malformed or rejected groups publish nothing.
+func TestReplicaApplyTracksPrimary(t *testing.T) {
+	e, srv, _ := walServer(t)
+	if err := e.ApplyReplicaGroup("g", []StreamFrame{{Kind: FrameCreate, Seq: 1, N: 4}}); err == nil {
+		t.Fatal("a writable engine accepted a replica group")
+	}
+	if err := e.Create("g", mkGraph(16, parcc.Edge{U: 0, V: 1}, parcc.Edge{U: 2, V: 3})); err != nil {
+		t.Fatal(err)
+	}
+	var history sync.Map // version -> the primary's labels
+	record := func() uint64 {
+		sn, err := e.Snapshot("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		history.Store(sn.Version(), sn.Labels())
+		return sn.Version()
+	}
+
+	fe := New(Options{ReadOnly: true})
+	t.Cleanup(fe.Close)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sn, err := fe.Snapshot("g")
+				if err != nil {
+					continue
+				}
+				want, ok := history.Load(sn.Version())
+				if !ok || !graph.SamePartition(want.([]int32), sn.Labels()) {
+					t.Errorf("replica served version %d off the primary's history", sn.Version())
+					return
+				}
+			}
+		}()
+	}
+
+	// This reader never passes the epoch back, so after the compaction's
+	// file swap the stream serves the checkpoint record as a reset.
+	br := openStream(t, srv.URL, "g", 0, 0)
+	var group []StreamFrame
+	groups, resets, frames := 0, 0, 0
+	follow := func(until uint64) {
+		t.Helper()
+		for applied := uint64(0); applied < until; {
+			fr := mustFrame(t, br)
+			if fr.Kind != FrameCommit {
+				group = append(group, *fr)
+				continue
+			}
+			if len(group) == 0 {
+				continue
+			}
+			if err := fe.ApplyReplicaGroup("g", group); err != nil {
+				t.Fatalf("group at seq %d: %v", group[0].Seq, err)
+			}
+			applied = group[0].Seq
+			sn, err := fe.Snapshot("g")
+			if err != nil || sn.Version() != applied {
+				t.Fatalf("after the group at seq %d: %v %v", applied, sn, err)
+			}
+			if want, _ := history.Load(applied); !graph.SamePartition(want.([]int32), sn.Labels()) {
+				t.Fatalf("replica partition at version %d differs from the primary's", applied)
+			}
+			groups++
+			frames += len(group)
+			if k := group[0].Kind; k == FrameCreate || k == FrameCheckpoint {
+				resets++
+				frames = 0
+			}
+			group = nil
+		}
+	}
+	follow(record())
+	for i := 0; i < 12; i++ {
+		var err error
+		if i%3 == 2 {
+			err = e.RemoveEdges("g", []parcc.Edge{{U: int32(i), V: int32(i + 1)}})
+		} else {
+			err = e.AddEdges("g", []parcc.Edge{{U: int32(i), V: int32(i + 1)}, {U: int32(i + 1), V: int32(i + 2)}})
+		}
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		follow(record())
+	}
+	if err := e.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	follow(record())
+	if err := e.AddEdges("g", []parcc.Edge{{U: 14, V: 15}}); err != nil {
+		t.Fatal(err)
+	}
+	final := record()
+	follow(final)
+	close(stop)
+	readers.Wait()
+	if resets != 2 {
+		t.Fatalf("resets = %d, want the create and the checkpoint", resets)
+	}
+	st, want := fe.Stats()[0], e.Stats()[0]
+	if st.Edges != want.Edges || st.Applies != uint64(frames) || st.Writes != 1 {
+		t.Fatalf("replica stats %+v, want edges %d, applies %d and writes 1 since the checkpoint", st, want.Edges, frames)
+	}
+	var page bytes.Buffer
+	fe.WriteMetrics(&page)
+	if line := "parcc_snapshot_publish_seconds_count " + strconv.Itoa(groups); !strings.Contains(page.String(), line) {
+		t.Fatalf("/metrics lacks %q after %d groups", line, groups)
+	}
+
+	rejected := [][]StreamFrame{
+		{{Kind: FrameRemove, Seq: final + 1, Batch: []parcc.Edge{{U: 7, V: 9}}}},           // no such edge
+		{{Kind: FrameAdd, Seq: final + 1, Batch: []parcc.Edge{{U: 0, V: 16}}}},             // out of range
+		{{Kind: FrameAdd, Seq: final + 1}, {Kind: FrameCreate, Seq: final + 1, N: 16}},     // head mid-group
+		{{Kind: FrameAdd, Seq: final + 1}, {Kind: FrameAdd, Seq: final + 2}},               // two seqs
+		{{Kind: FrameCheckpoint, Seq: final + 1, N: 4, Batch: []parcc.Edge{{U: 0, V: 4}}}}, // bad head
+	}
+	for i, grp := range rejected {
+		if err := fe.ApplyReplicaGroup("g", grp); err == nil {
+			t.Fatalf("rejected group %d was accepted", i)
+		}
+		if sn, _ := fe.Snapshot("g"); sn.Version() != final {
+			t.Fatalf("rejected group %d published version %d", i, sn.Version())
+		}
+	}
+	if err := fe.ApplyReplicaGroup("h", []StreamFrame{{Kind: FrameAdd, Seq: 2}}); !errors.Is(err, ErrGraphNotFound) {
+		t.Fatalf("group for an unknown replica: %v", err)
+	}
+	if err := fe.DropReplica("g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fe.Snapshot("g"); !errors.Is(err, ErrGraphNotFound) {
+		t.Fatalf("dropped replica still served: %v", err)
 	}
 }
 

@@ -95,33 +95,34 @@ func walPath(dir, name string) string {
 	return filepath.Join(dir, url.QueryEscape(name)+walSuffix)
 }
 
-// walRecord is one decoded frame.
-type walRecord struct {
-	kind  byte
-	seq   uint64
-	epoch uint64 // log identity (create/checkpoint frames only)
-	head  uint64 // primary's last durable seq (commit frames only)
-	n     int    // vertex count (create/checkpoint frames only)
-	batch []parcc.Edge
+// StreamFrame is one decoded frame: a log record, or a replication-stream
+// frame (the stream's wire format is the log's).
+type StreamFrame struct {
+	Kind  byte
+	Seq   uint64       // snapshot version that exposes the frame's group
+	Epoch uint64       // log identity (create/checkpoint only)
+	Head  uint64       // primary's last durable seq (commit only)
+	N     int          // vertex count (create/checkpoint only)
+	Batch []parcc.Edge // edges (create/checkpoint/add/remove)
 }
 
 // appendWALFrame encodes rec as one frame onto buf.
-func appendWALFrame(buf []byte, rec *walRecord) []byte {
+func appendWALFrame(buf []byte, rec *StreamFrame) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc, patched below
 	p0 := len(buf)
-	buf = append(buf, rec.kind)
-	buf = binary.LittleEndian.AppendUint64(buf, rec.seq)
-	switch rec.kind {
+	buf = append(buf, rec.Kind)
+	buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
+	switch rec.Kind {
 	case walKindCommit:
-		buf = binary.LittleEndian.AppendUint64(buf, rec.head)
+		buf = binary.LittleEndian.AppendUint64(buf, rec.Head)
 	default:
-		if rec.kind == walKindCreate || rec.kind == walKindCheckpoint {
-			buf = binary.LittleEndian.AppendUint64(buf, rec.epoch)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.n))
+		if rec.Kind == walKindCreate || rec.Kind == walKindCheckpoint {
+			buf = binary.LittleEndian.AppendUint64(buf, rec.Epoch)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.N))
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rec.batch)))
-		for _, ed := range rec.batch {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rec.Batch)))
+		for _, ed := range rec.Batch {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(ed.U))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(ed.V))
 		}
@@ -145,8 +146,8 @@ func walErr(off int, torn bool, format string, args ...any) error {
 // the internal length/count consistency before allocating anything sized
 // by untrusted fields, so garbage input can neither panic nor force a
 // huge allocation.
-func decodeWALFrame(data []byte, off int) (walRecord, int, error) {
-	var rec walRecord
+func decodeWALFrame(data []byte, off int) (StreamFrame, int, error) {
+	var rec StreamFrame
 	rem := len(data) - off
 	if rem < walHeaderLen {
 		return rec, off, walErr(off, true, "truncated frame header (%d bytes)", rem)
@@ -163,15 +164,15 @@ func decodeWALFrame(data []byte, off int) (walRecord, int, error) {
 	if crc := crc32.ChecksumIEEE(payload); crc != wantCRC {
 		return rec, off, walErr(off, false, "checksum mismatch (stored %08x, computed %08x)", wantCRC, crc)
 	}
-	rec.kind = payload[0]
-	rec.seq = binary.LittleEndian.Uint64(payload[1:])
+	rec.Kind = payload[0]
+	rec.Seq = binary.LittleEndian.Uint64(payload[1:])
 	body := payload[walMinFrame:]
-	switch rec.kind {
+	switch rec.Kind {
 	case walKindCreate, walKindCheckpoint:
 		if len(body) < 24 {
 			return rec, off, walErr(off, false, "create frame too short (%d bytes)", len(body))
 		}
-		rec.epoch = binary.LittleEndian.Uint64(body)
+		rec.Epoch = binary.LittleEndian.Uint64(body)
 		n := binary.LittleEndian.Uint64(body[8:])
 		m := binary.LittleEndian.Uint64(body[16:])
 		if n > 1<<31-1 {
@@ -180,13 +181,13 @@ func decodeWALFrame(data []byte, off int) (walRecord, int, error) {
 		if rest := len(body) - 24; rest%8 != 0 || m != uint64(rest/8) {
 			return rec, off, walErr(off, false, "create frame declares %d edges, carries %d bytes", m, len(body)-24)
 		}
-		rec.n = int(n)
-		rec.batch = decodeWALEdges(body[24:])
+		rec.N = int(n)
+		rec.Batch = decodeWALEdges(body[24:])
 	case walKindCommit:
 		if len(body) != 8 {
 			return rec, off, walErr(off, false, "commit frame carries %d body bytes, want 8", len(body))
 		}
-		rec.head = binary.LittleEndian.Uint64(body)
+		rec.Head = binary.LittleEndian.Uint64(body)
 	case walKindAdd, walKindRemove:
 		if len(body) < 8 {
 			return rec, off, walErr(off, false, "batch frame too short (%d bytes)", len(body))
@@ -195,9 +196,9 @@ func decodeWALFrame(data []byte, off int) (walRecord, int, error) {
 		if rest := len(body) - 8; rest%8 != 0 || count != uint64(rest/8) {
 			return rec, off, walErr(off, false, "batch frame declares %d edges, carries %d bytes", count, len(body)-8)
 		}
-		rec.batch = decodeWALEdges(body[8:])
+		rec.Batch = decodeWALEdges(body[8:])
 	default:
-		return rec, off, walErr(off, false, "unknown record kind %d", rec.kind)
+		return rec, off, walErr(off, false, "unknown record kind %d", rec.Kind)
 	}
 	return rec, off + walHeaderLen + length, nil
 }
@@ -219,8 +220,8 @@ func decodeWALEdges(b []byte) []parcc.Edge {
 // stopped decoding (nil at a clean end of input).  The error is always a
 // *parcc.WALCorruptionError; Torn distinguishes a truncated final frame
 // from mid-log corruption.
-func decodeWAL(data []byte) ([]walRecord, int, error) {
-	var recs []walRecord
+func decodeWAL(data []byte) ([]StreamFrame, int, error) {
+	var recs []StreamFrame
 	off := 0
 	for off < len(data) {
 		rec, next, err := decodeWALFrame(data, off)
@@ -346,7 +347,7 @@ func (w *walWriter) tailWait() <-chan struct{} {
 // publish Create issues — and syncs it; a Create whose birth record
 // cannot be made durable fails.
 func (w *walWriter) appendCreate(n int, edges []parcc.Edge) error {
-	w.buf = appendWALFrame(w.buf[:0], &walRecord{kind: walKindCreate, seq: 1, epoch: w.epoch, n: n, batch: edges})
+	w.buf = appendWALFrame(w.buf[:0], &StreamFrame{Kind: walKindCreate, Seq: 1, Epoch: w.epoch, N: n, Batch: edges})
 	if err := w.write(1); err != nil {
 		return err
 	}
@@ -377,7 +378,7 @@ func (w *walWriter) appendGroup(entries []walEntry) error {
 		if en.remove {
 			kind = walKindRemove
 		}
-		w.buf = appendWALFrame(w.buf, &walRecord{kind: kind, seq: seq, batch: en.batch})
+		w.buf = appendWALFrame(w.buf, &StreamFrame{Kind: kind, Seq: seq, Batch: en.batch})
 	}
 	if err := w.write(len(entries)); err != nil {
 		return err
@@ -400,12 +401,12 @@ func (w *walWriter) appendGroup(entries []walEntry) error {
 // directory is synced, so a compaction that returns nil survives power
 // loss.
 func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
-	buf := appendWALFrame(nil, &walRecord{
-		kind:  walKindCheckpoint,
-		seq:   w.lastSeq,
-		epoch: w.epoch,
-		n:     n,
-		batch: edges,
+	buf := appendWALFrame(nil, &StreamFrame{
+		Kind:  walKindCheckpoint,
+		Seq:   w.lastSeq,
+		Epoch: w.epoch,
+		N:     n,
+		Batch: edges,
 	})
 	tmp := w.path + ".tmp"
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -534,48 +535,66 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	if recs[0].kind != walKindCreate && recs[0].kind != walKindCheckpoint {
-		return nil, &parcc.WALCorruptionError{Path: path, Reason: "first record is not a create or checkpoint"}
-	}
-	live, replayed, reason := foldWAL(recs)
-	if reason != "" {
-		return nil, &parcc.WALCorruptionError{Path: path, Reason: reason}
-	}
-	s, err := parcc.NewSolver(e.opt.Solver)
+	name, err := url.QueryUnescape(filepath.Base(path[:len(path)-len(walSuffix)]))
 	if err != nil {
-		return nil, err
-	}
-	g := parcc.NewGraph(recs[0].n)
-	g.Edges = live
-	if err := s.Attach(g); err != nil {
-		s.Close()
-		return nil, &parcc.WALCorruptionError{Path: path, Reason: fmt.Sprintf("folded log rejected on attach: %v", err)}
+		return nil, &parcc.WALCorruptionError{Path: path, Reason: fmt.Sprintf("undecodable graph name: %v", err)}
 	}
 	// Resume the version lockstep: one publish, stamped past every
 	// version that was observable before the crash (see the file header).
-	s.AdvanceSnapshotVersion(recs[len(recs)-1].seq)
-	sn, err := s.PublishSnapshot()
+	lastSeq := recs[len(recs)-1].Seq
+	s, live, replayed, err := e.buildSession(recs, lastSeq+1)
 	if err != nil {
-		s.Close()
+		var ce *parcc.WALCorruptionError
+		if errors.As(err, &ce) {
+			ce.Path = path
+		}
 		return nil, err
-	}
-	name, err := url.QueryUnescape(filepath.Base(path[:len(path)-len(walSuffix)]))
-	if err != nil {
-		s.Close()
-		return nil, &parcc.WALCorruptionError{Path: path, Reason: fmt.Sprintf("undecodable graph name: %v", err)}
 	}
 	return &replayedShard{
 		name:     name,
 		solver:   s,
-		n:        recs[0].n,
-		edges:    int64(len(live)),
+		n:        recs[0].N,
+		edges:    live,
 		replayed: replayed,
 		records:  len(recs),
-		version:  sn.Version(),
-		lastSeq:  recs[len(recs)-1].seq,
-		epoch:    recs[0].epoch,
+		version:  s.ReadView().Version(),
+		lastSeq:  lastSeq,
+		epoch:    recs[0].Epoch,
 		size:     int64(valid),
 	}, nil
+}
+
+// buildSession builds a session from log records, head record first: it
+// folds them into the edge multiset they leave live, attaches that in one
+// linear-work pass, and publishes it at version.  Recovery publishes past
+// the last logged seq; a follower's reset publishes at the head record's
+// own seq.  It returns the session, its live edge count and the edges
+// decoded.  A log the incremental path would have rejected fails with a
+// *parcc.WALCorruptionError.
+func (e *Engine) buildSession(recs []StreamFrame, version uint64) (*parcc.Solver, int64, int64, error) {
+	if recs[0].Kind != walKindCreate && recs[0].Kind != walKindCheckpoint {
+		return nil, 0, 0, &parcc.WALCorruptionError{Reason: "first record is not a create or checkpoint"}
+	}
+	live, decoded, reason := foldWAL(recs)
+	if reason != "" {
+		return nil, 0, 0, &parcc.WALCorruptionError{Reason: reason}
+	}
+	s, err := parcc.NewSolver(e.opt.Solver)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	g := parcc.NewGraph(recs[0].N)
+	g.Edges = live
+	if err := s.Attach(g); err != nil {
+		s.Close()
+		return nil, 0, 0, &parcc.WALCorruptionError{Reason: fmt.Sprintf("folded log rejected on attach: %v", err)}
+	}
+	s.AdvanceSnapshotVersion(version - 1)
+	if _, err := e.publishSnapshot(s); err != nil {
+		s.Close()
+		return nil, 0, 0, err
+	}
+	return s, int64(len(live)), decoded, nil
 }
 
 // foldWAL folds a decoded log (head record first) into the edge multiset
@@ -590,27 +609,27 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 // each key some remove names, a stack of its live occurrences; a remove
 // pops one and tombstones it, and a last sweep drops the tombstones.  The
 // work is O(edges decoded), expected.
-func foldWAL(recs []walRecord) ([]parcc.Edge, int64, string) {
-	n := recs[0].n
-	decoded, removes := int64(len(recs[0].batch)), 0
+func foldWAL(recs []StreamFrame) ([]parcc.Edge, int64, string) {
+	n := recs[0].N
+	decoded, removes := int64(len(recs[0].Batch)), 0
 	// Only keys some remove names are tracked: slot numbers them, and a
 	// hash filter of 32 bits per key rules out almost every other edge
 	// before the map is touched.
 	slot := map[int64]int32{}
 	for i, rec := range recs[1:] {
-		switch rec.kind {
+		switch rec.Kind {
 		case walKindAdd:
 		case walKindRemove:
-			removes += len(rec.batch)
-			for _, ed := range rec.batch {
+			removes += len(rec.Batch)
+			for _, ed := range rec.Batch {
 				if _, ok := slot[ed.CanonKey()]; !ok {
 					slot[ed.CanonKey()] = int32(len(slot))
 				}
 			}
 		default:
-			return nil, 0, fmt.Sprintf("record %d has unexpected kind %d mid-log", i+1, rec.kind)
+			return nil, 0, fmt.Sprintf("record %d has unexpected kind %d mid-log", i+1, rec.Kind)
 		}
-		decoded += int64(len(rec.batch))
+		decoded += int64(len(rec.Batch))
 	}
 	shift := uint(58)
 	for shift > 1 && 1<<(64-shift) < 32*len(slot) {
@@ -631,12 +650,12 @@ func foldWAL(recs []walRecord) ([]parcc.Edge, int64, string) {
 	var occ []struct{ pos, below int32 }
 	live := make([]parcc.Edge, 0, decoded-int64(removes))
 	for i, rec := range recs {
-		for x, ed := range rec.batch {
+		for x, ed := range rec.Batch {
 			if ed.U < 0 || int(ed.U) >= n || ed.V < 0 || int(ed.V) >= n {
 				return nil, 0, fmt.Sprintf("record %d: edge (%d,%d) out of range [0,%d)", i, ed.U, ed.V, n)
 			}
 			k := ed.CanonKey()
-			if rec.kind == walKindRemove {
+			if rec.Kind == walKindRemove {
 				j := slot[k]
 				t := top[j]
 				if t == 0 {
@@ -651,8 +670,8 @@ func foldWAL(recs []walRecord) ([]parcc.Edge, int64, string) {
 				}
 			}
 		}
-		if rec.kind != walKindRemove {
-			live = append(live, rec.batch...)
+		if rec.Kind != walKindRemove {
+			live = append(live, rec.Batch...)
 		}
 	}
 	if removes == 0 {

@@ -371,9 +371,9 @@ func TestRecoveringMapsTo503(t *testing.T) {
 // and never yield records past the damage.  The seeded corpus runs in
 // CI's ordinary (non-fuzz) test mode.
 func FuzzWALDecode(f *testing.F) {
-	valid := appendWALFrame(nil, &walRecord{kind: walKindCreate, seq: 1, n: 8, batch: []parcc.Edge{{U: 0, V: 1}}})
-	valid = appendWALFrame(valid, &walRecord{kind: walKindAdd, seq: 2, batch: []parcc.Edge{{U: 2, V: 3}, {U: 4, V: 5}}})
-	valid = appendWALFrame(valid, &walRecord{kind: walKindRemove, seq: 3, batch: []parcc.Edge{{U: 2, V: 3}}})
+	valid := appendWALFrame(nil, &StreamFrame{Kind: walKindCreate, Seq: 1, N: 8, Batch: []parcc.Edge{{U: 0, V: 1}}})
+	valid = appendWALFrame(valid, &StreamFrame{Kind: walKindAdd, Seq: 2, Batch: []parcc.Edge{{U: 2, V: 3}, {U: 4, V: 5}}})
+	valid = appendWALFrame(valid, &StreamFrame{Kind: walKindRemove, Seq: 3, Batch: []parcc.Edge{{U: 2, V: 3}}})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail
 	f.Add(valid[:5])            // truncated length prefix
@@ -434,11 +434,11 @@ func crcFrame(kind byte, seq uint64, words ...uint64) []byte {
 // writeWAL writes a hand-built log for graph "g" under dir, one frame per
 // record, stamping seqs the way the writer does: 1 for the head, then one
 // fresh seq per record.
-func writeWAL(t *testing.T, dir string, recs ...walRecord) {
+func writeWAL(t *testing.T, dir string, recs ...StreamFrame) {
 	t.Helper()
 	var buf []byte
 	for i := range recs {
-		recs[i].seq = uint64(i + 1)
+		recs[i].Seq = uint64(i + 1)
 		buf = appendWALFrame(buf, &recs[i])
 	}
 	if err := os.WriteFile(walPath(dir, "g"), buf, 0o644); err != nil {
@@ -451,19 +451,19 @@ func writeWAL(t *testing.T, dir string, recs ...walRecord) {
 // *parcc.WALCorruptionError naming the offending record, and registers
 // no shard.
 func TestWALFoldRejectsWhatReplayWould(t *testing.T) {
-	head := walRecord{kind: walKindCreate, n: 8, batch: []parcc.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 3, V: 2}}}
-	add := func(es ...parcc.Edge) walRecord { return walRecord{kind: walKindAdd, batch: es} }
-	remove := func(es ...parcc.Edge) walRecord { return walRecord{kind: walKindRemove, batch: es} }
+	head := StreamFrame{Kind: walKindCreate, N: 8, Batch: []parcc.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 3, V: 2}}}
+	add := func(es ...parcc.Edge) StreamFrame { return StreamFrame{Kind: walKindAdd, Batch: es} }
+	remove := func(es ...parcc.Edge) StreamFrame { return StreamFrame{Kind: walKindRemove, Batch: es} }
 	for _, tc := range []struct {
 		name   string
-		recs   []walRecord
+		recs   []StreamFrame
 		record string
 	}{
-		{"remove before its add", []walRecord{head, remove(parcc.Edge{U: 4, V: 5}), add(parcc.Edge{U: 4, V: 5})}, "record 1 "},
-		{"remove never present", []walRecord{head, add(parcc.Edge{U: 4, V: 5}), remove(parcc.Edge{U: 5, V: 6})}, "record 2 "},
-		{"third of two parallel copies", []walRecord{head, remove(parcc.Edge{U: 2, V: 3}, parcc.Edge{U: 2, V: 3}), add(parcc.Edge{U: 0, V: 7}), remove(parcc.Edge{U: 3, V: 2})}, "record 3 "},
-		{"add endpoint out of range", []walRecord{head, add(parcc.Edge{U: 1, V: 2}), add(parcc.Edge{U: 0, V: 8})}, "record 2:"},
-		{"head kind mid-log", []walRecord{head, head}, "record 1 "},
+		{"remove before its add", []StreamFrame{head, remove(parcc.Edge{U: 4, V: 5}), add(parcc.Edge{U: 4, V: 5})}, "record 1 "},
+		{"remove never present", []StreamFrame{head, add(parcc.Edge{U: 4, V: 5}), remove(parcc.Edge{U: 5, V: 6})}, "record 2 "},
+		{"third of two parallel copies", []StreamFrame{head, remove(parcc.Edge{U: 2, V: 3}, parcc.Edge{U: 2, V: 3}), add(parcc.Edge{U: 0, V: 7}), remove(parcc.Edge{U: 3, V: 2})}, "record 3 "},
+		{"add endpoint out of range", []StreamFrame{head, add(parcc.Edge{U: 1, V: 2}), add(parcc.Edge{U: 0, V: 8})}, "record 2:"},
+		{"head kind mid-log", []StreamFrame{head, head}, "record 1 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -492,10 +492,10 @@ func TestWALFoldRejectsWhatReplayWould(t *testing.T) {
 func TestWALFoldKeepsMultisetEdges(t *testing.T) {
 	dir := t.TempDir()
 	writeWAL(t, dir,
-		walRecord{kind: walKindCreate, n: 8, batch: []parcc.Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 2}}},
-		walRecord{kind: walKindAdd, batch: []parcc.Edge{{U: 3, V: 3}, {U: 4, V: 5}, {U: 5, V: 6}}},
-		walRecord{kind: walKindRemove, batch: []parcc.Edge{{U: 0, V: 1}, {U: 6, V: 5}}},
-		walRecord{kind: walKindAdd, batch: []parcc.Edge{{U: 6, V: 5}}},
+		StreamFrame{Kind: walKindCreate, N: 8, Batch: []parcc.Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 2}}},
+		StreamFrame{Kind: walKindAdd, Batch: []parcc.Edge{{U: 3, V: 3}, {U: 4, V: 5}, {U: 5, V: 6}}},
+		StreamFrame{Kind: walKindRemove, Batch: []parcc.Edge{{U: 0, V: 1}, {U: 6, V: 5}}},
+		StreamFrame{Kind: walKindAdd, Batch: []parcc.Edge{{U: 6, V: 5}}},
 	)
 	eng := New(Options{Solver: &parcc.Options{}, WALDir: dir})
 	defer eng.Close()
@@ -548,7 +548,7 @@ func TestWALRecoverEdgesCountsDecodedEdges(t *testing.T) {
 	}
 	want := int64(0)
 	for _, rec := range recs {
-		want += int64(len(rec.batch))
+		want += int64(len(rec.Batch))
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, st.file), st.data, 0o644); err != nil {
@@ -583,7 +583,7 @@ func TestRecoverFoldSpeedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g0 := gen.GNM(n, m0, 1)
 	live := append([]parcc.Edge(nil), g0.Edges...)
-	recs := []walRecord{{kind: walKindCreate, n: n, batch: g0.Edges}}
+	recs := []StreamFrame{{Kind: walKindCreate, N: n, Batch: g0.Edges}}
 	for i := 0; i < groups; i++ {
 		es := make([]parcc.Edge, batch)
 		kind := walKindAdd
@@ -601,7 +601,7 @@ func TestRecoverFoldSpeedup(t *testing.T) {
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		recs = append(recs, walRecord{kind: kind, batch: es})
+		recs = append(recs, StreamFrame{Kind: kind, Batch: es})
 	}
 	dir := t.TempDir()
 	writeWAL(t, dir, recs...)
@@ -625,21 +625,21 @@ func TestRecoverFoldSpeedup(t *testing.T) {
 		}
 		t.Cleanup(s.Close)
 		g := parcc.NewGraph(n)
-		g.Edges = append(g.Edges, recs[0].batch...)
+		g.Edges = append(g.Edges, recs[0].Batch...)
 		if err := s.Attach(g); err != nil {
 			t.Fatal(err)
 		}
 		for _, rec := range recs[1:] {
-			if rec.kind == walKindAdd {
-				err = s.AddEdges(rec.batch)
+			if rec.Kind == walKindAdd {
+				err = s.AddEdges(rec.Batch)
 			} else {
-				err = s.RemoveEdges(rec.batch)
+				err = s.RemoveEdges(rec.Batch)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.AdvanceSnapshotVersion(recs[len(recs)-1].seq)
+		s.AdvanceSnapshotVersion(recs[len(recs)-1].Seq)
 		sn, err := s.PublishSnapshot()
 		if err != nil {
 			t.Fatal(err)
