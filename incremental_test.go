@@ -414,20 +414,25 @@ func TestComponentsIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestRemoveEdgesLocalBatchCostFlat: a deletion batch that stays inside
-// small components costs O(|batch|), not O(n).  The same 200 batches of
-// 8 removes, all inside the first 2^14 vertices of a union of 1024-vertex
-// GNM blocks with 1100 edges each (near-trees, so most removes are forest
-// deletes whose replacement search or split stays inside its block), run
-// on the sequential backend at n = 2^14 and n = 2^20; the per-batch time
-// at the larger n must stay within 3× of the smaller.  A batch that zeroes
-// an n-sized buffer fails it (≈30× at these sizes).  What growth remains
-// is cache misses in the edge store's key table, which grows with m.
-// Each size keeps its best of five passes; the removed edges are added
-// back and the forest flattened between passes, untimed.
+// TestRemoveEdgesLocalBatchCostFlat: a deletion batch whose edges have a
+// small endpoint costs O(|batch|), not O(n) or O(max degree).  Two cases,
+// each timing the same batches of 8 removes at a small and a large size
+// on the sequential backend, and asserting the per-batch time at the
+// larger within 3× of the smaller:
+//
+//   - local: 200 batches, all inside the first 2^14 vertices of a union of
+//     1024-vertex GNM blocks with 1100 edges each (near-trees, so most
+//     removes are forest deletes whose replacement search or split stays
+//     inside its block), at n = 2^14 and n = 2^20.  A batch that zeroes an
+//     n-sized buffer fails it (≈30× at these sizes).
+//   - hub: a star whose every spoke is doubled, hub degree 2^10 and 2^16;
+//     64 batches remove the non-forest copies of the first 512 spokes.
+//     The hub is vertex 0, the first endpoint of every key, so a key
+//     lookup that walks only that endpoint's incidence list fails it; the
+//     edge store's walk ends with the spoke's two-entry list.
 func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
 	const batches, per, block = 200, 8, 1024
-	perBatch := func(n int) time.Duration {
+	local := func(n int) time.Duration {
 		g := gen.ManyComponents(n/block, func(i int) *Graph {
 			return gen.GNM(block, 1100, uint64(i)+1)
 		})
@@ -438,36 +443,63 @@ func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
 				t.Fatalf("n=%d: removed edge %v lies outside the shared prefix", n, rm[i])
 			}
 		}
-		s, err := NewSolver(&Options{Backend: BackendSequential, Seed: 1})
-		if err != nil {
+		return removeBatchCost(t, g, rm, per)
+	}
+	hub := func(deg int) time.Duration {
+		g := gen.Star(deg/2 + 1)
+		rm := g.Edges[:512]
+		g.Edges = append(g.Edges, g.Edges...)
+		return removeBatchCost(t, g, rm, per)
+	}
+	for _, c := range []struct {
+		name         string
+		cost         func(int) time.Duration
+		small, large int
+		size         string
+	}{
+		{"local", local, 1 << 14, 1 << 20, "n=2^14 / n=2^20"},
+		{"hub", hub, 1 << 10, 1 << 16, "hub degree 2^10 / 2^16"},
+	} {
+		small, large := c.cost(c.small), c.cost(c.large)
+		t.Logf("%s: per batch %v / %v at %s (%.2f×)", c.name, small, large, c.size, float64(large)/float64(small))
+		if large > 3*small {
+			t.Errorf("%s: remove batch costs %v at the larger size vs %v (%s): want within 3×", c.name, large, small, c.size)
+		}
+	}
+}
+
+// removeBatchCost returns the per-batch time of removing rm from g in
+// batches of per on a sequential session, best of five passes.  Each pass
+// attaches a fresh copy of g, so every pass walks the same incidence
+// lists (edges added back would sit at the lists' fronts), and warms the
+// session's per-remove buffers untimed by adding and removing a loop at
+// g's last vertex.
+func removeBatchCost(t *testing.T, g *Graph, rm []Edge, per int) time.Duration {
+	t.Helper()
+	s, err := NewSolver(&Options{Backend: BackendSequential, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	warm := []Edge{{U: int32(g.N - 1), V: int32(g.N - 1)}}
+	best := time.Duration(math.MaxInt64)
+	for pass := 0; pass < 5; pass++ {
+		if err := s.Attach(g.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		if err := s.Attach(g); err != nil {
+		if err := s.AddEdges(warm); err != nil {
 			t.Fatal(err)
 		}
-		res := &Result{}
-		best := time.Duration(math.MaxInt64)
-		for pass := 0; pass < 5; pass++ {
-			t0 := time.Now()
-			for b := 0; b < batches; b++ {
-				if err := s.RemoveEdges(rm[b*per : (b+1)*per]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			best = min(best, time.Since(t0))
-			if err := s.AddEdges(rm); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.ComponentsInto(res); err != nil {
+		if err := s.RemoveEdges(warm); err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		for b := 0; b < len(rm); b += per {
+			if err := s.RemoveEdges(rm[b : b+per]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return best / batches
+		best = min(best, time.Since(t0))
 	}
-	small, large := perBatch(1<<14), perBatch(1<<20)
-	t.Logf("per batch: %v at n=2^14, %v at n=2^20 (%.2f×)", small, large, float64(large)/float64(small))
-	if large > 3*small {
-		t.Errorf("local remove batch costs %v at n=2^20 vs %v at n=2^14: want within 3×", large, small)
-	}
+	return best / time.Duration(len(rm)/per)
 }

@@ -174,3 +174,60 @@ func incReplay(t *testing.T, opts *parcc.Options, base *graph.Graph, steps []inc
 	}
 	return incWall, coldWall
 }
+
+// BenchmarkRemoveEdgesByShape reports the wall-clock cost per removed
+// edge (ns/edge) of RemoveEdges batches of 8 on a warm sequential
+// session, across degree shapes: the edge store finds each removed copy
+// by walking both endpoints' incidence lists, O(min degree), so the dense
+// shapes show that cost.  Each shape removes up to 512 batches of
+// distinct random edges, then re-attaches a fresh copy untimed.
+//
+//	go test -run '^$' -bench RemoveEdgesByShape -benchtime 2000x ./internal/bench/
+func BenchmarkRemoveEdgesByShape(b *testing.B) {
+	const n, per, batches = 1 << 15, 8, 512
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		// ccperf's serve shard: 1024-vertex GNM blocks, average degree 4.
+		{"serve", gen.ManyComponents(n/1024, func(i int) *graph.Graph { return gen.GNM(1024, 2048, uint64(i)+1) })},
+		{"gnm-deg32", gen.GNM(n, 16*n, 1)},
+		{"barabasi-albert-8", gen.BarabasiAlbert(n, 8, 1)},
+		{"complete-1024", gen.Complete(1024)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			rm := make([]graph.Edge, per*batches)
+			for i, p := range rng.Perm(c.g.M())[:len(rm)] {
+				rm[i] = c.g.Edges[p]
+			}
+			s, err := parcc.NewSolver(&parcc.Options{Backend: parcc.BackendSequential, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			// attach binds a fresh copy and warms the session's
+			// per-remove buffers with a loop added and removed.
+			attach := func() {
+				warm := []graph.Edge{{U: 0, V: 0}}
+				if s.Attach(c.g.Clone()) != nil || s.AddEdges(warm) != nil || s.RemoveEdges(warm) != nil {
+					b.Fatal("attach and warm-up failed")
+				}
+			}
+			attach()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % batches
+				if k == 0 && i > 0 {
+					b.StopTimer()
+					attach()
+					b.StartTimer()
+				}
+				if err := s.RemoveEdges(rm[k*per : (k+1)*per]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*per), "ns/edge")
+		})
+	}
+}

@@ -10,18 +10,17 @@ import (
 // RemoveEdges): the adjacency, multiset, and forest-flag views of a Graph
 // whose edge list the incremental API mutates in place.  It holds each
 // edge once — a handle is a position in g.Edges, which also supplies the
-// endpoints — and offers two O(1) (amortized) access paths besides
-// positional identity:
+// endpoints — and keeps one index besides positional identity: per-vertex
+// incident-edge iteration (First/NextIncident), the walk the
+// replacement-edge search runs — a doubly-linked handle list per
+// endpoint, so Remove unlinks in O(1).
 //
-//   - per-vertex incident-edge iteration (First/NextIncident), the walk
-//     the replacement-edge search runs — a doubly-linked handle list per
-//     endpoint, so Remove unlinks in O(1);
-//   - multiset lookup by canonical key (CountKey/PickRemovable and
-//     KeyFirst/KeyNext), the deletion contract's "one occurrence per batch
-//     entry, either orientation" without an O(m) sweep — a singly linked
-//     chain per CanonKey, its head in a flat open-addressing table
-//     (power-of-two size, linear probing, load ≤ 1/2, backward-shift
-//     deletion).  Slots hold handles; keys are recomputed from g.Edges.
+// Multiset lookup by canonical key (CountKey/PickRemovable), the deletion
+// contract's "one occurrence per batch entry, either orientation", walks
+// the lists of the key's two endpoints in lockstep: every copy of {u,v}
+// sits on both lists, so when the shorter one ends the walk has seen them
+// all, after at most 2·min(deg u, deg v) + 1 entries, with no hashed
+// state to keep.
 //
 // Remove swap-removes: the last edge moves into the hole and takes over
 // its handle, so a handle is valid only until the next Remove — callers
@@ -35,14 +34,9 @@ type DynForest struct {
 	head []int32 // per-vertex adjacency head handle, -1 when empty
 
 	// Per handle: links on side 0 (the list at U) and side 1 (at V; a
-	// self-loop uses side 0 only), the key-chain link, the forest flag.
+	// self-loop uses side 0 only), the forest flag.
 	next, prev [][2]int32
-	keyNext    []int32
 	forest     []bool
-
-	table []int32 // chain head per distinct key, -1 when the slot is empty
-	shift uint    // 64 − log2(len(table)): Fibonacci-hash shift
-	keys  int     // occupied slots
 }
 
 // NewDynForest indexes g's edge list and takes it over (mutate it only
@@ -54,14 +48,12 @@ func NewDynForest(g *Graph, forest []bool) *DynForest {
 		forest = make([]bool, m)
 	}
 	df := &DynForest{
-		g:       g,
-		head:    slices.Repeat([]int32{-1}, g.N),
-		next:    make([][2]int32, m),
-		prev:    make([][2]int32, m),
-		keyNext: make([]int32, m),
-		forest:  forest[:m],
+		g:      g,
+		head:   slices.Repeat([]int32{-1}, g.N),
+		next:   make([][2]int32, m),
+		prev:   make([][2]int32, m),
+		forest: forest[:m],
 	}
-	df.resize(2 * m)
 	for h := range g.Edges {
 		df.link(int32(h))
 	}
@@ -87,19 +79,20 @@ func (df *DynForest) Other(h, x int32) int32 { return df.g.Edges[h].U ^ df.g.Edg
 func (df *DynForest) First(x int32) int32           { return df.head[x] }
 func (df *DynForest) NextIncident(x, h int32) int32 { return df.next[h][df.sideOf(h, x)] }
 
-// KeyFirst returns the first live handle with canonical key k (-1 when
-// the key is absent); KeyNext continues that key's chain.
-func (df *DynForest) KeyFirst(k int64) int32 { return df.table[df.slot(k)] }
-func (df *DynForest) KeyNext(h int32) int32  { return df.keyNext[h] }
-
 // CountKey returns the number of live occurrences of the canonical key k,
-// counting at most max (the validation pass only needs "enough").
+// counting at most max (the validation pass only needs "enough").  Each
+// endpoint's list holds every copy, so a list's count is exact once it
+// ends, and either count reaching max settles it.
 func (df *DynForest) CountKey(k int64, max int) int {
-	c := 0
-	for h := df.KeyFirst(k); h >= 0 && c < max; h = df.keyNext[h] {
-		c++
+	var c [2]int
+	df.walkKey(k, func(side int, _ int32) bool {
+		c[side]++
+		return c[side] < max
+	})
+	if c[1] > c[0] {
+		c[0] = c[1]
 	}
-	return c
+	return min(c[0], max)
 }
 
 // PickRemovable returns a live handle with canonical key k, preferring a
@@ -107,13 +100,37 @@ func (df *DynForest) CountKey(k int64, max int) int {
 // forest, and the acyclicity invariant (at most one forest copy per key)
 // makes any non-forest pick safe.  Returns -1 when the key is absent.
 func (df *DynForest) PickRemovable(k int64) int32 {
-	first := df.KeyFirst(k)
-	for h := first; h >= 0; h = df.keyNext[h] {
-		if !df.forest[h] {
-			return h
+	pick := int32(-1)
+	df.walkKey(k, func(_ int, h int32) bool {
+		if pick < 0 || !df.forest[h] {
+			pick = h
+		}
+		return df.forest[h]
+	})
+	return pick
+}
+
+// walkKey visits the copies of key k = {u,v}: it steps through u's list
+// (side 0) and v's list (side 1) one entry each in turn, until visit
+// returns false or either list ends.  Every copy sits on both lists, so
+// the end of the shorter one means all were seen, after at most
+// 2·min(deg u, deg v) + 1 entries.  A self-loop key walks its one list
+// on both sides.
+func (df *DynForest) walkKey(k int64, visit func(side int, h int32) bool) {
+	ends := [2]int32{int32(k >> 32), int32(uint32(k))}
+	at := [2]int32{df.head[ends[0]], df.head[ends[1]]}
+	for {
+		for side, x := range ends {
+			h := at[side]
+			if h < 0 {
+				return
+			}
+			if df.Other(h, x) == ends[1-side] && !visit(side, h) {
+				return
+			}
+			at[side] = df.NextIncident(x, h)
 		}
 	}
-	return first
 }
 
 // Insert appends e to g.Edges and registers it, returning its handle.
@@ -121,30 +138,24 @@ func (df *DynForest) Insert(e Edge, forest bool) int32 {
 	h := int32(len(df.g.Edges))
 	df.g.Edges = append(df.g.Edges, e)
 	df.next, df.prev = append(df.next, [2]int32{}), append(df.prev, [2]int32{})
-	df.keyNext, df.forest = append(df.keyNext, -1), append(df.forest, forest)
+	df.forest = append(df.forest, forest)
 	df.link(h)
 	return h
 }
 
 // Remove deletes handle h, then moves the last edge into position h and
-// re-points its list neighbours (or vertex heads) and its key-chain link
-// (or table slot) there.
+// re-points its list neighbours (or vertex heads) there.
 func (df *DynForest) Remove(h int32) {
-	e := df.g.Edges[h]
-	df.relink(h, e, -1)
-	df.rekey(e.CanonKey(), h, df.keyNext[h])
+	df.relink(h, df.g.Edges[h], -1)
 	last := int32(len(df.g.Edges) - 1)
 	if h != last {
 		me := df.g.Edges[last]
 		df.relink(last, me, h)
-		df.rekey(me.CanonKey(), last, h)
 		df.g.Edges[h] = me
-		df.next[h], df.prev[h] = df.next[last], df.prev[last]
-		df.keyNext[h], df.forest[h] = df.keyNext[last], df.forest[last]
+		df.next[h], df.prev[h], df.forest[h] = df.next[last], df.prev[last], df.forest[last]
 	}
 	df.g.Edges = df.g.Edges[:last]
-	df.next, df.prev = df.next[:last], df.prev[:last]
-	df.keyNext, df.forest = df.keyNext[:last], df.forest[:last]
+	df.next, df.prev, df.forest = df.next[:last], df.prev[:last], df.forest[:last]
 }
 
 // sideOf is h's side anchored at x: 0 iff x is h's U (so loops use 0).
@@ -155,8 +166,7 @@ func (df *DynForest) sideOf(h, x int32) int {
 	return 1
 }
 
-// link pushes h onto the front of its endpoints' lists and its key's
-// chain, doubling the table first if a new key could exceed load 1/2.
+// link pushes h onto the front of its endpoints' lists.
 func (df *DynForest) link(h int32) {
 	e := df.g.Edges[h]
 	nv := int32(-1)
@@ -165,14 +175,6 @@ func (df *DynForest) link(h int32) {
 	}
 	df.next[h], df.prev[h] = [2]int32{df.head[e.U], nv}, [2]int32{-1, -1}
 	df.relink(h, e, h)
-	if 2*(df.keys+1) > len(df.table) {
-		df.resize(2 * len(df.table))
-	}
-	i := df.slot(e.CanonKey())
-	if df.table[i] < 0 {
-		df.keys++
-	}
-	df.keyNext[h], df.table[i] = df.table[i], h
 }
 
 // relink re-points the list neighbours of h (which holds e) at both
@@ -196,69 +198,6 @@ func (df *DynForest) relink(h int32, e Edge, to int32) {
 		}
 		if nh >= 0 {
 			df.prev[nh][df.sideOf(nh, x)] = sp
-		}
-	}
-}
-
-// rekey redirects the reference to h on key k's chain — its table slot
-// or its predecessor's link — to `to`, clearing the slot when the chain
-// empties.
-func (df *DynForest) rekey(k int64, h, to int32) {
-	i := df.slot(k)
-	if cur := df.table[i]; cur != h {
-		for df.keyNext[cur] != h {
-			cur = df.keyNext[cur]
-		}
-		df.keyNext[cur] = to
-	} else if df.table[i] = to; to < 0 {
-		df.clearSlot(i)
-	}
-}
-
-// home is k's preferred table slot (Fibonacci hashing on the folded key).
-func (df *DynForest) home(k int64) int {
-	x := uint64(k)
-	return int((x ^ x>>32) * 0x9e3779b97f4a7c15 >> df.shift)
-}
-
-// slot returns the table index holding k's chain head, or the empty slot
-// where it would go.
-func (df *DynForest) slot(k int64) int {
-	mask := len(df.table) - 1
-	for i := df.home(k); ; i = (i + 1) & mask {
-		if h := df.table[i]; h < 0 || df.g.Edges[h].CanonKey() == k {
-			return i
-		}
-	}
-}
-
-// clearSlot empties table slot i by backward shift: each later entry of
-// the probe run whose home does not lie cyclically in (i, j] moves into
-// the hole, so lookups never need tombstones.
-func (df *DynForest) clearSlot(i int) {
-	mask := len(df.table) - 1
-	for j := (i + 1) & mask; df.table[j] >= 0; j = (j + 1) & mask {
-		if home := df.home(df.g.Edges[df.table[j]].CanonKey()); (j-home)&mask >= (j-i)&mask {
-			df.table[i] = df.table[j]
-			i = j
-		}
-	}
-	df.table[i] = -1
-	df.keys--
-}
-
-// resize rebuilds the table at the smallest power-of-two size ≥ want (at
-// least 8), re-placing every chain head.
-func (df *DynForest) resize(want int) {
-	size, shift := 8, uint(61)
-	for size < want {
-		size, shift = size*2, shift-1
-	}
-	old := df.table
-	df.table, df.shift = slices.Repeat([]int32{-1}, size), shift
-	for _, h := range old {
-		if h >= 0 {
-			df.table[df.slot(df.g.Edges[h].CanonKey())] = h
 		}
 	}
 }
@@ -325,10 +264,9 @@ func (df *DynForest) Check(g *Graph, labels []int32) error {
 	return nil
 }
 
-// checkIndex asserts the store's two indexes cover g.Edges exactly: every
-// position sits in its endpoints' incidence lists (no entry twice, 2m −
-// loops entries in total), and every position sits in exactly one key
-// chain, reached from the table under its own key.
+// checkIndex asserts the incidence lists cover g.Edges exactly: every
+// position sits in its endpoints' lists, no entry twice, 2m − loops
+// entries in total.
 func (df *DynForest) checkIndex() error {
 	g := df.g
 	m := len(g.Edges)
@@ -357,28 +295,6 @@ func (df *DynForest) checkIndex() error {
 	}
 	if total != want {
 		return fmt.Errorf("dynforest: incidence lists hold %d entries, want 2m − loops = %d", total, want)
-	}
-	chained := make([]bool, m)
-	count := 0
-	for _, e := range g.Edges {
-		k := e.CanonKey()
-		head := df.KeyFirst(k)
-		if head < 0 {
-			return fmt.Errorf("dynforest: key of {%d,%d} unreachable from the table", e.U, e.V)
-		}
-		if chained[head] {
-			continue // this key's chain was walked already
-		}
-		for h := head; h >= 0; h = df.KeyNext(h) {
-			if int(h) >= m || chained[h] || g.Edges[h].CanonKey() != k {
-				return fmt.Errorf("dynforest: key chain of {%d,%d} reaches handle %d out of place", e.U, e.V, h)
-			}
-			chained[h] = true
-			count++
-		}
-	}
-	if count != m {
-		return fmt.Errorf("dynforest: key chains hold %d positions, want %d", count, m)
 	}
 	return nil
 }

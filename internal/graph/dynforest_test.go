@@ -71,7 +71,7 @@ func TestDynForestRemoveSwapKeepsPositions(t *testing.T) {
 		}
 	}
 	// The moved edge answers at the hole: its endpoints, forest flag,
-	// incidence lists, and key chain all name handle h now.
+	// incidence lists, and key lookup all name handle h now.
 	if df.U(h) != 4 || df.V(h) != 5 || !df.IsForest(h) {
 		t.Fatalf("hole %d holds {%d,%d} forest=%v, want the moved {4,5} forest=true", h, df.U(h), df.V(h), df.IsForest(h))
 	}
@@ -84,8 +84,8 @@ func TestDynForestRemoveSwapKeepsPositions(t *testing.T) {
 			t.Fatalf("vertex %d's list does not reach the moved edge at %d", x, h)
 		}
 	}
-	if k := (Edge{U: 5, V: 4}).CanonKey(); df.KeyFirst(k) != h || df.PickRemovable(k) != h {
-		t.Fatalf("key chain of the moved edge starts at %d, want %d", df.KeyFirst(k), h)
+	if got := df.PickRemovable(Edge{U: 5, V: 4}.CanonKey()); got != h {
+		t.Fatalf("key lookup of the moved edge finds %d, want %d", got, h)
 	}
 	// The removed edge left every incidence list.
 	for _, x := range []int32{1, 2} {
@@ -139,9 +139,9 @@ func TestDynForestPickRemovablePrefersNonForest(t *testing.T) {
 type refCounts map[int64][2]int
 
 // checkAgainst asserts df indexes exactly ref: incidence lists hold every
-// position at each endpoint (2m − loops entries), each key's chain holds
-// its copies with the right forest flags, and the table stays at load
-// ≤ 1/2 with every occupied slot reachable by probing (no tombstones).
+// position at each endpoint (2m − loops entries), each key counts exactly
+// its copies, and each key's pick is a copy of it, non-forest whenever a
+// non-forest copy lives.
 func checkAgainst(t *testing.T, df *DynForest, g *Graph, ref refCounts) {
 	t.Helper()
 	m, want := 0, 0
@@ -172,27 +172,15 @@ func checkAgainst(t *testing.T, df *DynForest, g *Graph, ref refCounts) {
 		t.Fatalf("incidence lists hold %d entries, want %d", total, want)
 	}
 	for k, c := range ref {
-		var got [2]int
-		for h := df.KeyFirst(k); h >= 0; h = df.KeyNext(h) {
-			if g.Edges[h].CanonKey() != k {
-				t.Fatalf("chain of key %x reaches position %d {%d,%d}", k, h, g.Edges[h].U, g.Edges[h].V)
-			}
-			if df.IsForest(h) {
-				got[1]++
-			} else {
-				got[0]++
-			}
+		if got := df.CountKey(k, m+1); got != c[0]+c[1] {
+			t.Fatalf("key %x: CountKey = %d, reference %v (non-forest, forest)", k, got, c)
 		}
-		if got != c {
-			t.Fatalf("key %x: chain holds %v (non-forest, forest), reference %v", k, got, c)
+		h := df.PickRemovable(k)
+		if h < 0 || g.Edges[h].CanonKey() != k {
+			t.Fatalf("key %x: PickRemovable = %d, not a copy of the key", k, h)
 		}
-	}
-	if df.keys != len(ref) || 2*df.keys > len(df.table) {
-		t.Fatalf("table: %d keys in %d slots, reference %d keys", df.keys, len(df.table), len(ref))
-	}
-	for i, h := range df.table {
-		if h >= 0 && df.slot(g.Edges[h].CanonKey()) != i {
-			t.Fatalf("slot %d (key of position %d) unreachable by probing", i, h)
+		if c[0] > 0 && df.IsForest(h) {
+			t.Fatalf("key %x: PickRemovable chose a forest copy, reference %v (non-forest, forest)", k, c)
 		}
 	}
 }
@@ -204,7 +192,6 @@ func TestDynForestChurnVsReference(t *testing.T) {
 		g := &Graph{N: n}
 		df := NewDynForest(g, nil)
 		ref := refCounts{}
-		initial := len(df.table)
 		add := func(c *[2]int, forest bool, d int) {
 			if forest {
 				c[1] += d
@@ -212,9 +199,8 @@ func TestDynForestChurnVsReference(t *testing.T) {
 				c[0] += d
 			}
 		}
-		// Grow to ~3000 edges, shrink to ~100, grow again: the table
-		// doubles several times on the way up, and the way down empties
-		// keys (backward-shift deletes) while swap-moving survivors.
+		// Grow to ~3000 edges, shrink to ~100, grow again: the way down
+		// empties keys while swap-moving survivors.
 		for step, target := range []int{3000, 100, 2500, 0} {
 			for ops := 0; df.M() != target && ops < 20000; ops++ {
 				grow := df.M() < target
@@ -262,16 +248,13 @@ func TestDynForestChurnVsReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: stuck at m=%d, target %d", seed, step, df.M(), target)
 			}
 			checkAgainst(t, df, g, ref)
-			if step == 0 && len(df.table) < 64*initial {
-				t.Fatalf("seed %d: table grew %d → %d, want several doublings", seed, initial, len(df.table))
-			}
 		}
 	}
 }
 
 // TestDynForestMemoryPerEdge pins the store's footprint: indexing 2^16
-// edges allocates at most 40 bytes per edge (per-position links, key
-// chain, forest flags, the flat key table at load 1/2, vertex heads).
+// edges allocates at most 24 bytes per edge (per-position links, forest
+// flags, vertex heads).
 func TestDynForestMemoryPerEdge(t *testing.T) {
 	const m, n = 1 << 16, 1 << 14
 	rng := rand.New(rand.NewSource(7))
@@ -284,8 +267,8 @@ func TestDynForestMemoryPerEdge(t *testing.T) {
 	df := NewDynForest(g, nil)
 	runtime.ReadMemStats(&after)
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / m
-	if perEdge > 40 {
-		t.Fatalf("NewDynForest allocated %.1f B/edge at m=2^16, want ≤ 40", perEdge)
+	if perEdge > 24 {
+		t.Fatalf("NewDynForest allocated %.1f B/edge at m=2^16, want ≤ 24", perEdge)
 	}
 	if df.M() != m {
 		t.Fatalf("M = %d, want %d", df.M(), m)

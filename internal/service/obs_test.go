@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -224,4 +225,96 @@ func TestMetricsRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// scrapeTotals reads every unlabeled _total counter off e's /metrics page.
+func scrapeTotals(t *testing.T, e *Engine) map[string]uint64 {
+	t.Helper()
+	var page strings.Builder
+	e.WriteMetrics(&page)
+	out := map[string]uint64{}
+	for _, line := range strings.Split(page.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasSuffix(name, "_total") || strings.HasPrefix(name, "#") {
+			continue
+		}
+		v, err := strconv.ParseUint(val, 10, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestEngineTotalsNeverFall: the engine-wide _total counters, summed over
+// sessions at scrape time, keep the counts of sessions that leave — a
+// dropped graph on a WAL primary, a replica reset by a checkpoint group,
+// a dropped replica — so no scrape ever reads one lower than the last.
+func TestEngineTotalsNeverFall(t *testing.T) {
+	var last map[string]uint64
+	rising := func(e *Engine, stage string) {
+		t.Helper()
+		cur := scrapeTotals(t, e)
+		for name, v := range last {
+			if cur[name] < v {
+				t.Errorf("%s: %s fell from %d to %d", stage, name, v, cur[name])
+			}
+		}
+		last = cur
+	}
+
+	e, _, _ := walServer(t)
+	for _, name := range []string{"a", "b"} {
+		if err := e.Create(name, gen.Cycle(64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rising(e, "after create")
+	for i := 0; i < 8; i++ {
+		for _, name := range []string{"a", "b"} {
+			if _, err := e.Connected(name, 0, i); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AddEdges(name, []parcc.Edge{{U: int32(i), V: int32(i + 32)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rising(e, "after serving")
+	if last["parcc_engine_reads_total"] != 16 || last["parcc_engine_writes_total"] != 16 || last["parcc_wal_appends_total"] == 0 {
+		t.Fatalf("totals before the drop: %v", last)
+	}
+	if err := e.Drop("a"); err != nil {
+		t.Fatal(err)
+	}
+	rising(e, "after drop")
+
+	last = nil
+	fe := New(Options{ReadOnly: true})
+	defer fe.Close()
+	head := func(seq uint64) []StreamFrame {
+		return []StreamFrame{{Kind: FrameCheckpoint, Seq: seq, N: 8, Batch: []parcc.Edge{{U: 0, V: 1}}}}
+	}
+	for seq, grp := range [][]StreamFrame{
+		{{Kind: FrameCreate, Seq: 1, N: 8}},
+		{{Kind: FrameAdd, Seq: 2, Batch: []parcc.Edge{{U: 0, V: 1}}}},
+		head(3),
+		{{Kind: FrameAdd, Seq: 4, Batch: []parcc.Edge{{U: 1, V: 2}}}},
+	} {
+		if err := fe.ApplyReplicaGroup("r", grp); err != nil {
+			t.Fatalf("group at seq %d: %v", seq+1, err)
+		}
+		if _, err := fe.Connected("r", 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		rising(fe, "replica group")
+	}
+	if st := fe.Stats()[0]; st.Reads != 4 || st.Writes != 2 || st.Applies != 2 {
+		t.Fatalf("replica /stats %+v after a reset, want reads 4, writes 2, applies 2", st)
+	}
+	if err := fe.DropReplica("r"); err != nil {
+		t.Fatal(err)
+	}
+	rising(fe, "after replica drop")
 }

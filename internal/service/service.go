@@ -180,6 +180,86 @@ type Engine struct {
 	replayRecords atomic.Uint64
 	replayEdges   atomic.Uint64
 	replayNanos   atomic.Int64
+
+	// retired holds the counts of shards that left the live map (dropped
+	// sessions and replicas, closed engines), so the engine-wide _total
+	// counters never fall.  totalsMu makes a shard's move from the map
+	// into retired atomic to scrapes, which take it while summing.
+	totalsMu sync.Mutex
+	retired  counts
+}
+
+// Engine-wide counters that shards feed, as indexes into counts.
+const (
+	cReads = iota
+	cWrites
+	cApplies
+	cCoalesced
+	cWALAppends
+	cWALBytes
+	cWALFsyncs
+	cWALCheckpoints
+	numCounts
+)
+
+// counts is one reading of the counters a shard feeds.
+type counts [numCounts]uint64
+
+// counts reads sh's serving counters and its log's.
+func (sh *shard) counts() counts {
+	c := counts{cReads: sh.reads.Load(), cWrites: sh.writes.Load(), cApplies: sh.applies.Load(), cCoalesced: sh.coalesced.Load()}
+	if w := sh.wal.Load(); w != nil {
+		c[cWALAppends], c[cWALBytes], c[cWALFsyncs], c[cWALCheckpoints] = w.appends.Load(), w.bytes.Load(), w.fsyncs.Load(), w.checkpoints.Load()
+	}
+	return c
+}
+
+// totals sums the counters over the live shards and the retired ones.
+func (e *Engine) totals() counts {
+	e.totalsMu.Lock()
+	defer e.totalsMu.Unlock()
+	t := e.retired
+	e.eachShard(func(sh *shard) {
+		for i, v := range sh.counts() {
+			t[i] += v
+		}
+	})
+	return t
+}
+
+// unlist deletes name's shard from the live map and adds its counts to
+// the retired totals in the same step, under totalsMu, so no scrape
+// misses or double-counts them.  It returns the shard (nil when no
+// session has the name) and the counts it moved.
+func (e *Engine) unlist(name string) (*shard, counts) {
+	e.totalsMu.Lock()
+	defer e.totalsMu.Unlock()
+	v, ok := e.shards.LoadAndDelete(name)
+	if !ok {
+		return nil, counts{}
+	}
+	sh := v.(*shard)
+	at := sh.counts()
+	for i, c := range at {
+		e.retired[i] += c
+	}
+	return sh, at
+}
+
+// retire unlists name's shard and shuts it down, then adds what the
+// shard counted while it drained.  It returns the shard, or nil.
+func (e *Engine) retire(name string) *shard {
+	sh, at := e.unlist(name)
+	if sh == nil {
+		return nil
+	}
+	sh.shutdown()
+	e.totalsMu.Lock()
+	for i, c := range sh.counts() {
+		e.retired[i] += c - at[i]
+	}
+	e.totalsMu.Unlock()
+	return sh
 }
 
 // New returns an empty engine.  Close releases every session.
@@ -195,9 +275,9 @@ func New(opt Options) *Engine {
 }
 
 // registerMetrics builds the engine's Prometheus surface: engine-wide
-// totals summed over shards at scrape time, derived gauges (coalesce
-// ratio, queue depth), the snapshot-publish latency histogram, and the
-// per-shard labeled series.  The full name table is in
+// totals summed over live and retired shards at scrape time, derived
+// gauges (coalesce ratio, queue depth), the snapshot-publish latency
+// histogram, and the per-shard labeled series.  The full name table is in
 // docs/ARCHITECTURE.md §8.
 func (e *Engine) registerMetrics() {
 	e.reg.GaugeFunc("parcc_engine_uptime_seconds",
@@ -210,46 +290,23 @@ func (e *Engine) registerMetrics() {
 			e.eachShard(func(*shard) { n++ })
 			return float64(n)
 		})
-	e.reg.Collect("parcc_engine_reads_total",
-		"Point queries served, summed over all sessions.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) { total += sh.reads.Load() })
-			fmt.Fprintf(w, "%s %d\n", name, total)
+	total := func(name, help string, i int) {
+		e.reg.Collect(name, help, "counter", func(w io.Writer, name string) {
+			fmt.Fprintf(w, "%s %d\n", name, e.totals()[i])
 		})
-	e.reg.Collect("parcc_engine_writes_total",
-		"Mutations accepted (callers), summed over all sessions.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) { total += sh.writes.Load() })
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
-	e.reg.Collect("parcc_engine_applies_total",
-		"Combined batches applied through the incremental path.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) { total += sh.applies.Load() })
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
-	e.reg.Collect("parcc_engine_coalesced_total",
-		"Mutations that shared a combined apply with another caller.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) { total += sh.coalesced.Load() })
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
+	}
+	total("parcc_engine_reads_total", "Point queries served, summed over all sessions.", cReads)
+	total("parcc_engine_writes_total", "Mutations accepted (callers), summed over all sessions.", cWrites)
+	total("parcc_engine_applies_total", "Combined batches applied through the incremental path.", cApplies)
+	total("parcc_engine_coalesced_total", "Mutations that shared a combined apply with another caller.", cCoalesced)
 	e.reg.GaugeFunc("parcc_engine_coalesce_ratio",
 		"Fraction of accepted mutations that shared an apply (coalesced/writes).",
 		func() float64 {
-			var coalesced, writes uint64
-			e.eachShard(func(sh *shard) {
-				coalesced += sh.coalesced.Load()
-				writes += sh.writes.Load()
-			})
-			if writes == 0 {
+			t := e.totals()
+			if t[cWrites] == 0 {
 				return 0
 			}
-			return float64(coalesced) / float64(writes)
+			return float64(t[cCoalesced]) / float64(t[cWrites])
 		})
 	e.reg.GaugeFunc("parcc_engine_edges",
 		"Live edges across all sessions.",
@@ -271,39 +328,9 @@ func (e *Engine) registerMetrics() {
 		"Latency of full snapshot publishes (the O(n) page build of the first publish after attach or recovery).")
 	e.publishDelta = e.reg.Histogram("parcc_snapshot_publish_delta_seconds",
 		"Latency of delta snapshot publishes (copy-on-write: O(pages touched by the write group)).")
-	e.reg.Collect("parcc_wal_appends_total",
-		"Write-ahead-log frames appended, summed over all sessions.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) {
-				if w := sh.wal.Load(); w != nil {
-					total += w.appends.Load()
-				}
-			})
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
-	e.reg.Collect("parcc_wal_bytes_total",
-		"Write-ahead-log bytes appended, summed over all sessions.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) {
-				if w := sh.wal.Load(); w != nil {
-					total += w.bytes.Load()
-				}
-			})
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
-	e.reg.Collect("parcc_wal_fsyncs_total",
-		"Write-ahead-log fsyncs issued, summed over all sessions.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) {
-				if w := sh.wal.Load(); w != nil {
-					total += w.fsyncs.Load()
-				}
-			})
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
+	total("parcc_wal_appends_total", "Write-ahead-log frames appended, summed over all sessions.", cWALAppends)
+	total("parcc_wal_bytes_total", "Write-ahead-log bytes appended, summed over all sessions.", cWALBytes)
+	total("parcc_wal_fsyncs_total", "Write-ahead-log fsyncs issued, summed over all sessions.", cWALFsyncs)
 	e.reg.Collect("parcc_wal_errors_total",
 		"Mutation groups whose write-ahead-log append failed (applied in memory, error returned to callers).", "counter",
 		func(w io.Writer, name string) {
@@ -322,17 +349,7 @@ func (e *Engine) registerMetrics() {
 	e.reg.GaugeFunc("parcc_wal_replay_seconds",
 		"Wall time of the last Recover's replay.",
 		func() float64 { return time.Duration(e.replayNanos.Load()).Seconds() })
-	e.reg.Collect("parcc_wal_checkpoints_total",
-		"Write-ahead-log checkpoint rewrites (compaction), summed over all sessions.", "counter",
-		func(w io.Writer, name string) {
-			var total uint64
-			e.eachShard(func(sh *shard) {
-				if w := sh.wal.Load(); w != nil {
-					total += w.checkpoints.Load()
-				}
-			})
-			fmt.Fprintf(w, "%s %d\n", name, total)
-		})
+	total("parcc_wal_checkpoints_total", "Write-ahead-log checkpoint rewrites (compaction), summed over all sessions.", cWALCheckpoints)
 	e.reg.Collect("parcc_wal_stream_conns_total",
 		"Replication stream requests accepted.", "counter",
 		func(w io.Writer, name string) {
@@ -545,7 +562,7 @@ func (e *Engine) Create(name string, g *parcc.Graph) error {
 		// file; mutations that queued meanwhile are failed out below if
 		// the log cannot be opened — the shard is torn back down.
 		if err := e.attachWAL(sh, g); err != nil {
-			e.shards.Delete(name)
+			e.unlist(name)
 			// Fail out anything that queued meanwhile.  Drain concurrently
 			// with taking the state lock: a sender blocked on a full queue
 			// holds the read side, so the drain is what lets the write
@@ -625,12 +642,10 @@ func (e *Engine) Drop(name string) error {
 	if e.opt.ReadOnly {
 		return &parcc.ReadOnlyReplicaError{Primary: e.opt.Primary}
 	}
-	v, ok := e.shards.LoadAndDelete(name)
-	if !ok {
+	sh := e.retire(name)
+	if sh == nil {
 		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
-	sh := v.(*shard)
-	sh.shutdown()
 	if w := sh.wal.Load(); w != nil {
 		os.Remove(w.path)
 	}
@@ -706,8 +721,17 @@ func (e *Engine) ApplyReplicaGroup(name string, group []StreamFrame) error {
 			if !loaded {
 				return nil
 			}
-			if e.shards.CompareAndSwap(name, v, sh) {
-				v.(*shard).shutdown() // readers holding its snapshot keep a valid view
+			// The new session carries the old one's counts on, taken in
+			// the same step as the swap so no scrape counts them twice.
+			old := v.(*shard)
+			e.totalsMu.Lock()
+			sh.reads.Store(old.reads.Load())
+			sh.writes.Store(old.writes.Load())
+			sh.applies.Store(old.applies.Load())
+			swapped := e.shards.CompareAndSwap(name, v, sh)
+			e.totalsMu.Unlock()
+			if swapped {
+				old.shutdown() // readers holding its snapshot keep a valid view
 				return nil
 			}
 		}
@@ -744,11 +768,9 @@ func (e *Engine) DropReplica(name string) error {
 	if !e.opt.ReadOnly {
 		return fmt.Errorf("service: replicas drop only from a read-only engine")
 	}
-	v, ok := e.shards.LoadAndDelete(name)
-	if !ok {
+	if e.retire(name) == nil {
 		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
-	v.(*shard).shutdown()
 	return nil
 }
 
@@ -775,10 +797,8 @@ func (e *Engine) Close() {
 		e.wg.Wait() // a concurrent Close drains; wait for it
 		return
 	}
-	e.shards.Range(func(k, v any) bool {
-		if _, ours := e.shards.LoadAndDelete(k); ours {
-			v.(*shard).shutdown()
-		}
+	e.shards.Range(func(k, _ any) bool {
+		e.retire(k.(string))
 		return true
 	})
 	e.wg.Wait()

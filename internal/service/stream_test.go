@@ -424,7 +424,8 @@ func TestReadOnlyReplicaRejectsWrites(t *testing.T) {
 // its seq with the primary's partition at that version — through a
 // compaction's checkpoint reset too — while concurrent readers only ever
 // see such versions; its counters and publish histogram follow the
-// groups, and malformed or rejected groups publish nothing.
+// groups, the reset carrying the /stats counts on, and malformed or
+// rejected groups publish nothing.
 func TestReplicaApplyTracksPrimary(t *testing.T) {
 	e, srv, _ := walServer(t)
 	if err := e.ApplyReplicaGroup("g", []StreamFrame{{Kind: FrameCreate, Seq: 1, N: 4}}); err == nil {
@@ -498,10 +499,10 @@ func TestReplicaApplyTracksPrimary(t *testing.T) {
 				t.Fatalf("replica partition at version %d differs from the primary's", applied)
 			}
 			groups++
-			frames += len(group)
 			if k := group[0].Kind; k == FrameCreate || k == FrameCheckpoint {
 				resets++
-				frames = 0
+			} else {
+				frames += len(group)
 			}
 			group = nil
 		}
@@ -519,10 +520,14 @@ func TestReplicaApplyTracksPrimary(t *testing.T) {
 		}
 		follow(record())
 	}
+	before := fe.Stats()[0]
 	if err := e.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
 	follow(record())
+	if after := fe.Stats()[0]; after.Reads < before.Reads || after.Writes != before.Writes || after.Applies != before.Applies {
+		t.Fatalf("replica stats %+v after the checkpoint reset, want the counts carried on from %+v", after, before)
+	}
 	if err := e.AddEdges("g", []parcc.Edge{{U: 14, V: 15}}); err != nil {
 		t.Fatal(err)
 	}
@@ -534,8 +539,8 @@ func TestReplicaApplyTracksPrimary(t *testing.T) {
 		t.Fatalf("resets = %d, want the create and the checkpoint", resets)
 	}
 	st, want := fe.Stats()[0], e.Stats()[0]
-	if st.Edges != want.Edges || st.Applies != uint64(frames) || st.Writes != 1 {
-		t.Fatalf("replica stats %+v, want edges %d, applies %d and writes 1 since the checkpoint", st, want.Edges, frames)
+	if st.Edges != want.Edges || st.Applies != uint64(frames) || st.Writes != uint64(groups-resets) {
+		t.Fatalf("replica stats %+v, want edges %d, applies %d and writes %d", st, want.Edges, frames, groups-resets)
 	}
 	var page bytes.Buffer
 	fe.WriteMetrics(&page)
