@@ -56,7 +56,7 @@ func main() {
 			// Retract a slice of an earlier batch: each deletion resolves
 			// through the session's spanning forest (an O(1) drop or a
 			// bounded replacement search); only a search that blows its
-			// budget re-solves its component, scoped to it.
+			// budget relabels its component, in place.
 			op = "add+del"
 			if err := s.RemoveEdges(full.Edges[:per/8]); err != nil {
 				log.Fatal(err)
@@ -91,5 +91,5 @@ func main() {
 	fmt.Println("\nthe live session folds each batch into the standing partition and")
 	fmt.Println("answers from it; the cold column re-pays O(m+n) per batch.  deletions")
 	fmt.Println("resolve through the spanning forest; only a blown search budget")
-	fmt.Println("re-solves, and then only the dirty components.")
+	fmt.Println("relabels, and then only the dirty components, in one union pass.")
 }

@@ -55,7 +55,7 @@ func forestCheckAgainstOracle(t *testing.T, stage string, s *Solver, oracle *bas
 // TestForestNonForestDeleteIsO1 is the acceptance counter test: deleting
 // a non-forest edge (a cycle chord, a parallel copy) must resolve through
 // the O(1) path — no replacement search, no dirty component, no scoped
-// re-solve — observable in the trace counters.
+// repair — observable in the trace counters.
 func TestForestNonForestDeleteIsO1(t *testing.T) {
 	// A triangle with a parallel copy of one side: {0,1},{1,2},{2,0},{1,0}.
 	g := graph.FromPairs(3, [][2]int{{0, 1}, {1, 2}, {2, 0}, {1, 0}})
@@ -86,7 +86,7 @@ func TestForestNonForestDeleteIsO1(t *testing.T) {
 					be, step, inc.ReplaceScans)
 			}
 			if inc.DirtyComponents != 0 || inc.ScopedVertices != 0 {
-				t.Errorf("%s step %d: non-forest delete triggered a re-solve (dirty=%d scoped=%dv)",
+				t.Errorf("%s step %d: non-forest delete triggered a repair (dirty=%d scoped=%dv)",
 					be, step, inc.DirtyComponents, inc.ScopedVertices)
 			}
 			if d := tr.Phase("scoped"); d != 0 {
@@ -290,21 +290,7 @@ func TestForestBudgetFallback(t *testing.T) {
 	// edge {511,0} is the one non-forest edge; cutting {256,257} puts the
 	// only replacement half a cycle from both BFS seeds.
 	s, oracle := forestSession(t, g, BackendSequential)
-	res := &Result{}
-	mirrorCheck := func(stage string) {
-		t.Helper()
-		sn, err := s.PublishSnapshot()
-		if err != nil {
-			t.Fatalf("%s: publish: %v", stage, err)
-		}
-		if err := s.ComponentsInto(res); err != nil {
-			t.Fatalf("%s: flatten: %v", stage, err)
-		}
-		if !slices.Equal(sn.Labels(), res.Labels) || sn.NumComponents() != res.NumComponents {
-			t.Fatalf("%s: snapshot labels/count diverge from eager flatten", stage)
-		}
-	}
-	mirrorCheck("before fallback")
+	mirrorCheck(t, "before fallback", s)
 	batch := []Edge{{U: 256, V: 257}, {U: 100, V: 101}}
 	if err := s.RemoveEdges(batch); err != nil {
 		t.Fatal(err)
@@ -312,10 +298,9 @@ func TestForestBudgetFallback(t *testing.T) {
 	if err := oracle.RemoveEdges(batch); err != nil {
 		t.Fatal(err)
 	}
-	// The 512-vertex region is under Auto's tiny cutoff, so the repair
-	// labels it with the sequential union-find, as Solve(Auto) would.
-	if d := s.LastTrace().Dispatch; d == nil || d.Chosen != UnionFind || d.Rule != "tiny" {
-		t.Errorf("repair dispatch = %+v, want union-find under rule tiny", d)
+	// The repair relabels the region in place; no solve kernel runs.
+	if d := s.LastTrace().Dispatch; d != nil {
+		t.Errorf("repair recorded a kernel dispatch %+v, want none", d)
 	}
 	tr := s.LastTrace().Incremental
 	if tr.BudgetFallbacks != 1 {
@@ -325,12 +310,116 @@ func TestForestBudgetFallback(t *testing.T) {
 		t.Errorf("forest deletes = %d, want 2 (second entry takes the dirty short-circuit)", tr.ForestDeletes)
 	}
 	if tr.DirtyComponents < 1 || tr.ScopedVertices == 0 {
-		t.Errorf("fallback must dirty the component and re-solve it scoped (dirty=%d scoped=%dv)",
+		t.Errorf("fallback must dirty the component and repair it scoped (dirty=%d scoped=%dv)",
 			tr.DirtyComponents, tr.ScopedVertices)
 	}
 	forestCheckAgainstOracle(t, "budget fallback", s, oracle)
-	mirrorCheck("after fallback")
+	mirrorCheck(t, "after fallback", s)
 	s.Close()
+}
+
+// mirrorCheck publishes a snapshot and asserts its labels and count are
+// byte-identical to an eager flatten of the live partition.
+func mirrorCheck(t *testing.T, stage string, s *Solver) {
+	t.Helper()
+	sn, err := s.PublishSnapshot()
+	if err != nil {
+		t.Fatalf("%s: publish: %v", stage, err)
+	}
+	res, err := s.Components()
+	if err != nil {
+		t.Fatalf("%s: flatten: %v", stage, err)
+	}
+	if !slices.Equal(sn.Labels(), res.Labels) || sn.NumComponents() != res.NumComponents {
+		t.Fatalf("%s: snapshot labels/count diverge from eager flatten", stage)
+	}
+}
+
+// bridgeGraph returns two copies of half joined by one bridge between
+// id-adjacent vertices (the last of the first copy, the first of the
+// second), and the bridge.  Each side of the cut holds half the edges, so
+// the two-sided replacement search must scan about m adjacency entries
+// to prove the split — past the budget — and deleting the bridge falls
+// back to the scoped repair over the whole former component.
+func bridgeGraph(half *Graph) (*Graph, Edge) {
+	g := gen.Union(half, half)
+	bridge := Edge{U: int32(half.N - 1), V: int32(half.N)}
+	g.Edges = append(g.Edges, bridge)
+	return g, bridge
+}
+
+// TestScopedRepairRegions deletes the bridge of bridgeGraph over four
+// region shapes — cycle, sparse and dense GNM, and grid halves — on a
+// concurrent session with a published snapshot, and asserts the budget
+// fallback fires once and relabels the region in place with no kernel
+// dispatch, sized exactly as the bridge's former component (vertices, and
+// live edges after the delete); that partition, count and forest
+// certificate match the oracle; that the next publish's snapshot equals
+// an eager flatten; and that an insert batch on top stays exact.
+func TestScopedRepairRegions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		half *Graph
+	}{
+		{"cycle", gen.Cycle(1000)},
+		{"gnm-sparse", gen.GNM(1<<11, 1<<13, 9)}, // avg degree 8
+		{"gnm-dense", gen.GNM(1<<11, 1<<15, 9)},  // avg degree 32
+		{"grid", gen.Grid(64, 128)},
+	} {
+		g, bridge := bridgeGraph(c.half)
+		s, err := NewSolver(&Options{Backend: BackendConcurrent, Procs: 4, Seed: 2, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := baseline.NewIncOracle(g)
+		if err := s.Attach(g.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		mirrorCheck(t, c.name+" attach", s)
+		rm := []Edge{bridge}
+		if err := s.RemoveEdges(rm); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.RemoveEdges(rm); err != nil {
+			t.Fatal(err)
+		}
+		tr := s.LastTrace()
+		if tr.Incremental.BudgetFallbacks != 1 {
+			t.Fatalf("%s: bridge delete must blow the replacement budget once (trace %+v)", c.name, tr.Incremental)
+		}
+		if tr.Dispatch != nil {
+			t.Errorf("%s: repair recorded a kernel dispatch %+v, want none", c.name, tr.Dispatch)
+		}
+		before := baseline.BFSLabels(g)
+		region := before[bridge.U]
+		var nv, ne int64
+		for _, l := range before {
+			if l == region {
+				nv++
+			}
+		}
+		for _, ed := range s.Live().Edges {
+			if before[ed.U] == region {
+				ne++
+			}
+		}
+		if tr.Incremental.ScopedVertices != nv || tr.Incremental.ScopedEdges != ne {
+			t.Errorf("%s: repair scoped %dv/%de, want the former component's %dv/%de",
+				c.name, tr.Incremental.ScopedVertices, tr.Incremental.ScopedEdges, nv, ne)
+		}
+		forestCheckAgainstOracle(t, c.name+" scoped repair", s, oracle)
+		mirrorCheck(t, c.name+" scoped repair", s)
+
+		add := []Edge{{U: 0, V: 1}, {U: 17, V: int32(g.N - 5)}, {U: 17, V: int32(g.N - 5)}}
+		if err := s.AddEdges(add); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.AddEdges(add); err != nil {
+			t.Fatal(err)
+		}
+		forestCheckAgainstOracle(t, c.name+" insert after repair", s, oracle)
+		s.Close()
+	}
 }
 
 // TestRemoveEdgesMultisetRegression pins the PR 3 multiset contract on

@@ -129,131 +129,3 @@ func TestFrontierFewerInspections(t *testing.T) {
 		}
 	}
 }
-
-// incCheck asserts the session's partition and maintained count against
-// the from-scratch oracle.
-func incCheck(t *testing.T, stage string, s *Solver, oracle *baseline.IncOracle) {
-	t.Helper()
-	res, err := s.Components()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle.Labels()
-	if !graph.SamePartition(want, res.Labels) {
-		t.Fatalf("%s: partition differs from oracle", stage)
-	}
-	if wantN := graph.NumLabels(want); res.NumComponents != wantN {
-		t.Fatalf("%s: count = %d, want %d", stage, res.NumComponents, wantN)
-	}
-}
-
-// bridgeFallback attaches two copies of half joined by one bridge between
-// id-adjacent vertices (the last of the first copy, the first of the
-// second), then deletes the bridge.  Each side of the cut holds half the
-// edges, so the two-sided replacement search must scan about m adjacency
-// entries to prove the split — past the budget — and the deletion falls
-// back to the scoped repair over the whole former component.  The test
-// fails unless the fallback fires, the partition matches the oracle, and
-// the repair's decision is the want/rule row of Auto's table and equals,
-// field for field (kernel, rule, region size and average degree), the
-// decision a fresh Solve(Auto) records for the same region graph.  Returns the session (open) and the oracle
-// after the delete.
-func bridgeFallback(t *testing.T, half *Graph, want Algorithm, rule string) (*Solver, *baseline.IncOracle) {
-	t.Helper()
-	base := gen.Union(half, half)
-	bridge := Edge{U: int32(half.N - 1), V: int32(half.N)}
-	base.Edges = append(base.Edges, bridge)
-	s, err := NewSolver(&Options{Backend: BackendConcurrent, Procs: 4, Seed: 2, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := baseline.NewIncOracle(base)
-	if err := s.Attach(base.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	incCheck(t, "attach", s, oracle)
-	rm := []Edge{bridge}
-	if err := s.RemoveEdges(rm); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.RemoveEdges(rm); err != nil {
-		t.Fatal(err)
-	}
-	incCheck(t, "scoped repair", s, oracle)
-	tr := s.LastTrace()
-	if tr.Incremental.BudgetFallbacks < 1 {
-		t.Fatalf("bridge delete must blow the replacement budget (trace %+v)", tr.Incremental)
-	}
-	d := tr.Dispatch
-	if d == nil || d.Chosen != want || d.Rule != rule {
-		t.Fatalf("repair dispatch = %+v, want %s under rule %q", d, want, rule)
-	}
-
-	// The region the repair re-solved: the bridge's former component, in
-	// ascending vertex order, over the live edges after the delete.
-	before := baseline.BFSLabels(base)
-	vmap := make([]int32, base.N)
-	k := int32(0)
-	for v, l := range before {
-		if l == before[bridge.U] {
-			k++
-			vmap[v] = k
-		}
-	}
-	region := graph.InducedInto(s.Live(), vmap, int(k), nil)
-	fresh, err := ConnectedComponents(region, &Options{Algorithm: Auto, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *d != *fresh.Trace.Dispatch {
-		t.Fatalf("repair dispatch = %+v, but Solve(Auto) of the region records %+v", d, fresh.Trace.Dispatch)
-	}
-	return s, oracle
-}
-
-// TestScopedRepairDispatchRows reaches the two repair rows the sampling
-// test does not: a region under the tiny cutoff (two cycle halves) is
-// labeled by the sequential union-find, and a sparse one (two GNM halves
-// of average degree 8) by cas.  bridgeFallback checks the partition and
-// pins each decision to Solve(Auto)'s on the same region.
-func TestScopedRepairDispatchRows(t *testing.T) {
-	for _, c := range []struct {
-		half *Graph
-		want Algorithm
-		rule string
-	}{
-		{gen.Cycle(1000), UnionFind, "tiny"},
-		{gen.GNM(1<<11, 1<<13, 9), CASUnite, "sparse"},
-	} {
-		s, _ := bridgeFallback(t, c.half, c.want, c.rule)
-		s.Close()
-	}
-}
-
-// TestFrontierIncrementalPaths drives a mesh-shaped dirty region through a
-// real budget fallback: two id-local grid halves joined by one id-adjacent
-// bridge, whose deletion blows the replacement budget.  The repair labels
-// the region with cas, as Solve(Auto) would — no frontier passes in its
-// trace — and the partition and count must match the oracle.  A traced
-// AddEdges after it records no frontier passes either: inserts run the
-// union-find alone.
-func TestFrontierIncrementalPaths(t *testing.T) {
-	half := gen.Grid(64, 128) // m = 2·16192+1 ≥ 2^14 in total, avg degree ≈ 4
-	s, oracle := bridgeFallback(t, half, CASUnite, "sparse")
-	defer s.Close()
-	if tr := s.LastTrace(); tr.Frontier != nil {
-		t.Fatalf("cas scoped repair recorded frontier passes %+v", tr.Frontier)
-	}
-
-	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}, {U: 17, V: 4000}}
-	if err := s.AddEdges(add); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.AddEdges(add); err != nil {
-		t.Fatal(err)
-	}
-	incCheck(t, "insert after mesh repair", s, oracle)
-	if tr := s.LastTrace(); tr == nil || tr.Op != "add-edges" || tr.Frontier != nil {
-		t.Fatalf("add-edges trace = %+v, want no frontier passes", tr)
-	}
-}

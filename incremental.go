@@ -22,9 +22,9 @@ import (
 // smaller-side replacement search (par.ReplacementSearch) that either
 // promotes a crossing edge or relabels the split-off side in place.  Only
 // when a search blows its scan budget does the session fall back to the
-// scoped repair: mark the component dirty, re-solve the subgraph the
-// dirty set induces from scratch with the kernel Auto's decision table
-// picks for it, and splice the scoped labels back.
+// scoped repair: mark the component dirty, then relabel the dirty
+// components in place with one sequential union pass over their edges,
+// which re-derives their forest flags in the same pass.
 // Components/ComponentsInto re-query the live partition without solving
 // anything.
 //
@@ -53,18 +53,15 @@ type incSession struct {
 	// of its UniteBatch (every slot is overwritten, never cleared).
 	marks []bool
 	// dirty flags, per root, the components RemoveEdges hands to the
-	// scoped repair, and dirtyRoots lists the flagged roots.  The flags
-	// are all zero between batches: a batch clears exactly the roots it
-	// set, so a batch that stays local costs O(|batch|), not O(n).  Both
-	// are allocated on the first RemoveEdges.
-	dirty, dirtyRoots []int32
-	// scopedVerts, scopedSub and scopedLabels are scopedRepair's reused
-	// backings: the dirty vertices (global ids), the subgraph they
-	// induce, and its labels.  A stream of budget fallbacks reuses one
-	// set instead of reallocating per batch; no invariants between calls.
-	scopedVerts  []int32
-	scopedSub    *graph.Graph
-	scopedLabels []int32
+	// scoped repair, which widens the flags to every vertex of those
+	// components and clears them after.  The flags are all zero between
+	// batches, so a batch that never falls back costs O(|batch|), not
+	// O(n).  Allocated on the first RemoveEdges.
+	dirty []int32
+	// scopedVerts is scopedRepair's reused backing for the dirty
+	// vertices: a stream of budget fallbacks reuses one instead of
+	// reallocating per batch; no invariants between calls.
+	scopedVerts []int32
 }
 
 // replaceBudgetFloor is the minimum adjacency-scan budget of a
@@ -221,17 +218,18 @@ func (s *Solver) AddEdges(batch []Edge) error {
 
 // RemoveEdges deletes one occurrence per batch entry from the live graph
 // (either orientation of an undirected edge matches) and repairs the
-// partition through the session's spanning forest.  Validation is
-// O(|batch|) through the DynForest key index; each deletion then removes
-// one occurrence (a non-forest one when the key has any) and resolves
-// through its forest flag: a non-forest occurrence or a self-loop costs
+// partition through the session's spanning forest.  Validation finds
+// each key by walking its two endpoints' incidence lists in lockstep,
+// O(min degree) per key; each deletion then removes one occurrence (a
+// non-forest one when the key has any) and resolves through its forest
+// flag: a non-forest occurrence or a self-loop costs
 // O(1) — the partition provably cannot change — and a forest occurrence
 // runs a budget-bounded smaller-side replacement search
 // (par.ReplacementSearch) that either promotes a crossing edge into the
 // forest or relabels the split-off side in place.  Only a search that
 // blows its budget marks its component dirty for scopedRepair; later
 // forest deletes in a dirty component skip the search, since the
-// region's flags are re-derived after the re-solve.  A batch entry with
+// repair re-derives the region's flags.  A batch entry with
 // no remaining occurrence is an error and leaves the live state
 // unchanged.
 func (s *Solver) RemoveEdges(batch []Edge) error {
@@ -251,8 +249,8 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	n := inc.g.N
 	df := inc.forest
 	// Validation before any mutation: range check, then per-key occurrence
-	// counts against the live multiset (the key index answers "at least c
-	// copies?" in O(c)).
+	// counts against the live multiset (CountKey answers "at least c
+	// copies?" by the lockstep walk, O(min degree) per key).
 	need := make(map[int64]int, len(batch))
 	for _, e := range batch {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
@@ -295,7 +293,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	if inc.dirty == nil {
 		inc.dirty = make([]int32, n)
 	}
-	dirty, roots := inc.dirty, inc.dirtyRoots[:0]
+	dirty, dirtied := inc.dirty, 0
 	splits := 0
 	fa, fb := s.frontierPair(n)
 	span = rec.Lap(obs.PhaseExtract, span)
@@ -311,9 +309,9 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		rec.Add(obs.CtrForestDeletes, 1)
 		root := parent[u]
 		if dirty[root] != 0 {
-			// The component is already awaiting the scoped re-solve, whose
-			// rebuild re-derives its flags; a search over the stale flags
-			// would be unsound, so only the occurrence is removed.
+			// The component is already awaiting the scoped repair, which
+			// re-derives its flags; a search over the stale flags would be
+			// unsound, so only the occurrence is removed.
 			continue
 		}
 		sr := par.ReplacementSearch(df, parent, u, v, fa, fb, replaceBudget(df.M()), movedPtr)
@@ -332,91 +330,63 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 		case par.ReplaceBudget:
 			rec.Add(obs.CtrBudgetFallbacks, 1)
 			dirty[root] = 1
-			roots = append(roots, root)
+			dirtied++
 		}
 	}
 	span = rec.Lap(obs.PhaseReplace, span)
 	if s.plan != nil && s.plan.G == inc.g {
 		s.plan = nil // removal rewrites edges in place, past TrustGraph's length check
 	}
-	rec.Add(obs.CtrDirtyComponents, int64(splits+len(roots)))
+	rec.Add(obs.CtrDirtyComponents, int64(splits+dirtied))
 	rec.End(obs.PhaseExtract, span)
-	var pick *DispatchDecision
-	if len(roots) > 0 {
-		pick = s.scopedRepair(dirty, len(roots))
-		for _, r := range roots {
-			dirty[r] = 0
-		}
+	if dirtied > 0 {
+		s.scopedRepair(dirty, dirtied)
 	}
-	inc.dirtyRoots = roots
-	// Entry Compress + flat splits and splices: queries need no further
+	// Entry Compress + flat splits and repairs: queries need no further
 	// flatten.
 	inc.needsCompress = false
 	if rec != nil {
-		tr := incTraceFromRecorder(rec, "remove-edges", time.Since(start))
-		tr.Dispatch = pick
-		s.lastTrace = tr
+		s.lastTrace = incTraceFromRecorder(rec, "remove-edges", time.Since(start))
 	}
 	return nil
 }
 
 // scopedRepair is RemoveEdges' budget fallback: it gathers the vertices of
 // the dirty components (dirty[root] != 0 for dirtyCount roots of the flat
-// live forest), builds the subgraph they induce in compact ids, labels it
-// from scratch, splices the labels back, and re-derives the region's
-// snapshot mirror and forest flags (the only state the scoped labels do
-// not fix).  Everything outside the dirty set is untouched.  The region
-// is labeled exactly as SolveInto(Auto) would label it as a graph of its
-// own: pickKernel decides on the region's statistics, and runKernel runs
-// the choice uncharged over a transient, uncached plan of the subgraph.
-// Returns the decision for the operation's Trace.Dispatch.  Callers hold
-// s.mu.
-func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
-	inc, cx, rec := s.inc, s.cx, s.rec
-	e := s.rt
-	n := inc.g.N
+// live forest), widening dirty to a membership mask of that region as it
+// goes, relabels the region in place — DynForest.RebuildRegion resets it
+// to singletons and unites its edges in one pass over the live edge
+// array, which yields the region's flat minima labels and forest flags
+// together — re-derives the region's snapshot mirror, and clears the
+// mask.  Labels outside the region are untouched.  O(n) gather + O(m)
+// edge pass + O(region·α) unions, sequential.  Callers hold s.mu.
+func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) {
+	inc, rec := s.inc, s.rec
 	parent := inc.parent
 	span := rec.Begin()
 	verts := inc.scopedVerts[:0]
-	vmap := cx.Grab32(n)
-	for v := 0; v < n; v++ {
-		if dirty[parent[v]] != 0 {
-			vmap[v] = int32(len(verts)) + 1
+	for v, r := range parent {
+		// A member's flag never changes a root's: the region's roots are
+		// already flagged, and the rest of the region are not roots.
+		if dirty[r] != 0 {
+			dirty[v] = 1
 			verts = append(verts, int32(v))
 		}
 	}
 	inc.scopedVerts = verts
-	sub := graph.InducedInto(inc.g, vmap, len(verts), inc.scopedSub)
-	inc.scopedSub = sub
-	rec.Add(obs.CtrScopedVertices, int64(sub.N))
-	rec.Add(obs.CtrScopedEdges, int64(sub.M()))
 	span = rec.Lap(obs.PhaseExtract, span)
-	// The region's plan is built at most once, only when the kernel the
-	// decision picks walks the CSR, and dropped with the region.
-	var sp *graph.Plan
-	plan := func() *graph.Plan {
-		if sp == nil {
-			sp = graph.BuildPlanOn(e, sub)
-		}
-		return sp
-	}
-	pick := pickKernel(sub)
-	var subComps int
-	inc.scopedLabels, subComps, _ = s.runKernel(pick.Chosen, sub, plan, inc.scopedLabels)
-	// The kernel recorded its own phases; the scoped span pools them into
-	// the headline number.
+	comps, edges := inc.forest.RebuildRegion(parent, verts, dirty)
+	rec.Add(obs.CtrScopedVertices, int64(len(verts)))
+	rec.Add(obs.CtrScopedEdges, int64(edges))
 	span = rec.Lap(obs.PhaseScoped, span)
-	par.SpliceLabels(e, parent, verts, inc.scopedLabels)
 	if s.pages != nil {
 		s.pages.rebuildRegion(parent, verts)
 	}
-	uf := cx.Grab32(len(verts))
-	inc.forest.RebuildRegion(verts, vmap, uf)
-	cx.Release32(uf)
+	for _, v := range verts {
+		dirty[v] = 0
+	}
 	rec.End(obs.PhaseSplice, span)
-	inc.ncomp += subComps - dirtyCount
-	cx.Release32(vmap)
-	return pick
+	inc.ncomp += comps - dirtyCount
 }
 
 // Components returns the live partition as a freshly allocated Result —
@@ -425,7 +395,7 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) *DispatchDecision {
 // below any from-scratch solve) and a copy of the labels.  NumComponents
 // is maintained exactly across batches.  Result.Algorithm echoes
 // Incremental; Steps/Work are zero (every kernel of the live path,
-// RemoveEdges' scoped re-solves included, is an uncharged serving
+// RemoveEdges' scoped repairs included, is an uncharged serving
 // helper).  Use ComponentsInto to recycle the Result in a serving loop.
 func (s *Solver) Components() (*Result, error) {
 	res := &Result{}

@@ -73,8 +73,8 @@ func TestAddEdgesMerges(t *testing.T) {
 	check(3)
 }
 
-// TestRemoveEdgesSplits: deleting a bridge must split a component via the
-// scoped re-solve; deleting one copy of a parallel edge must not.
+// TestRemoveEdgesSplits: deleting a bridge must split a component;
+// deleting one copy of a parallel edge must not.
 func TestRemoveEdgesSplits(t *testing.T) {
 	s, err := NewSolver(nil)
 	if err != nil {
@@ -464,6 +464,57 @@ func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
 		t.Logf("%s: per batch %v / %v at %s (%.2f×)", c.name, small, large, c.size, float64(large)/float64(small))
 		if large > 3*small {
 			t.Errorf("%s: remove batch costs %v at the larger size vs %v (%s): want within 3×", c.name, large, small, c.size)
+		}
+	}
+}
+
+// TestBudgetFallbackCostNearAttach bars the scoped repair's cost:
+// deleting the bridge of bridgeGraph blows the replacement budget, and
+// the delete — the search that blew it, then the fallback that relabels
+// the whole former component in place with one vertex gather and one
+// union pass over the live edge array — must cost at most 2× a fresh
+// Attach of the same graph, whose union pass does the same order of work
+// (medians of 9 passes, a sequential session, each pass on a fresh copy).
+func TestBudgetFallbackCostNearAttach(t *testing.T) {
+	const passes = 9
+	for _, c := range []struct {
+		name string
+		half *Graph
+	}{
+		{"cycle 2×2^12", gen.Cycle(1 << 12)},
+		{"gnm 2×2^15 degree 8", gen.GNM(1<<15, 1<<17, 3)},
+		{"gnm 2×2^14 degree 32", gen.GNM(1<<14, 1<<18, 3)},
+		{"grid 2×256²", gen.Grid(256, 256)},
+	} {
+		g, bridge := bridgeGraph(c.half)
+		s, err := NewSolver(&Options{Backend: BackendSequential, Seed: 1, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var attach, repair [passes]time.Duration
+		for i := range passes {
+			live := g.Clone()
+			t0 := time.Now()
+			if err := s.Attach(live); err != nil {
+				t.Fatal(err)
+			}
+			attach[i] = time.Since(t0)
+			t0 = time.Now()
+			if err := s.RemoveEdges([]Edge{bridge}); err != nil {
+				t.Fatal(err)
+			}
+			repair[i] = time.Since(t0)
+			if fb := s.LastTrace().Incremental.BudgetFallbacks; fb != 1 {
+				t.Fatalf("%s: bridge delete took %d budget fallbacks, want 1", c.name, fb)
+			}
+		}
+		s.Close()
+		slices.Sort(attach[:])
+		slices.Sort(repair[:])
+		a, r := attach[passes/2], repair[passes/2]
+		t.Logf("%s: fallback delete %v, attach %v (%.2f×)", c.name, r, a, float64(r)/float64(a))
+		if r > 2*a {
+			t.Errorf("%s: fallback delete costs %v vs attach %v: want within 2×", c.name, r, a)
 		}
 	}
 }

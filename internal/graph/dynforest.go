@@ -202,28 +202,37 @@ func (df *DynForest) relink(h int32, e Edge, to int32) {
 	}
 }
 
-// RebuildRegion recomputes the forest flags of a re-solved region after
-// the session's scoped fallback: verts are the region's vertices, vmap
-// the compact map used for the induced solve (vmap[v] = compact id + 1, 0
-// outside), and uf a scratch array of len ≥ len(verts).  A sequential
-// union-find pass over the region's edges re-derives the flags — every
-// edge incident to a region vertex has both endpoints in the region
-// (dirty components are closed under adjacency), and iterating side-0
-// handles only visits each exactly once.  O(region vertices + region
-// edges · α).
-func (df *DynForest) RebuildRegion(verts, vmap, uf []int32) {
-	for i := range verts {
-		uf[i] = int32(i)
+// RebuildRegion relabels a region of whole components from scratch in
+// the live union-find array parent and re-derives the region's forest
+// flags in the same pass: verts are the region's vertices in ascending
+// order, and in[v] != 0 exactly for them.  It resets the region's
+// vertices to singletons, then makes one pass over the contiguous edge
+// array and unites each region edge — one whose U is in the region;
+// regions are closed under adjacency, so its V is too — with the
+// min-linking seqUnite, an edge being a forest edge exactly when its
+// union merged.  Last it flattens in ascending order, which one pass
+// completes because min-linking keeps parent[v] ≤ v.  Each component of
+// the region comes out labeled by its minimum vertex, the label the
+// concurrent kernels agree on (Liu–Tarjan's min-linking result, of which
+// the sequential schedule is one instance).  Returns the region's
+// component and edge counts.  O(|verts| + m + region edges·α).
+func (df *DynForest) RebuildRegion(parent, verts, in []int32) (comps, edges int) {
+	for _, v := range verts {
+		parent[v] = v
 	}
-	for _, gv := range verts {
-		for h := df.First(gv); h >= 0; h = df.NextIncident(gv, h) {
-			if df.U(h) != gv {
-				continue // side-1 visit; counted from the u endpoint
-			}
-			cu, cv := vmap[df.U(h)]-1, vmap[df.V(h)]-1
-			df.SetForest(h, cu != cv && seqUnite(uf, cu, cv))
+	for h, e := range df.g.Edges {
+		if in[e.U] != 0 {
+			edges++
+			df.forest[h] = e.U != e.V && seqUnite(parent, e.U, e.V)
 		}
 	}
+	for _, v := range verts {
+		parent[v] = parent[parent[v]]
+		if parent[v] == v {
+			comps++
+		}
+	}
+	return comps, edges
 }
 
 // Check asserts the store indexes exactly the live graph g and that the
@@ -300,7 +309,8 @@ func (df *DynForest) checkIndex() error {
 }
 
 // seqFind / seqUnite are the sequential union-find helpers of the rebuild
-// and checker paths (path halving; union by minimum is unnecessary here).
+// and checker paths: path halving, and union by minimum, so a root is
+// always its set's minimum vertex — RebuildRegion's labels rely on it.
 func seqFind(p []int32, v int32) int32 {
 	for p[v] != v {
 		p[v] = p[p[v]]

@@ -365,29 +365,60 @@ func TestDynForestCheck(t *testing.T) {
 	}
 }
 
-// TestDynForestRebuildRegion pins the scoped fallback's flag repair: after
-// a forest edge of a cycle is removed without a replacement search, the
-// flags under-span the still-connected cycle, and RebuildRegion over the
-// region (here the whole vertex set, one compact component) re-derives a
-// spanning forest the checker accepts.
+// TestDynForestRebuildRegion pins the scoped fallback's in-place
+// relabel: two forest edges of a cycle are removed without a replacement
+// search, which leaves the labels one component too coarse and the flags
+// under-spanning, and RebuildRegion over the cycle (a parallel copy and a
+// self-loop among its edges) must count the region's two components and
+// its edges, label each component by its minimum vertex, leave the path
+// component outside the region untouched, and re-derive a spanning
+// forest the checker accepts.
 func TestDynForestRebuildRegion(t *testing.T) {
-	n := 64
-	pairs := make([][2]int, n)
-	for i := range pairs {
-		pairs[i] = [2]int{i, (i + 1) % n}
+	const cyc, n = 64, 80
+	pairs := [][2]int{{5, 6}, {7, 7}}
+	for i := range cyc {
+		pairs = append(pairs, [2]int{i, (i + 1) % cyc})
+	}
+	for i := cyc; i+1 < n; i++ {
+		pairs = append(pairs, [2]int{i, i + 1})
 	}
 	g := FromPairs(n, pairs)
 	df, labels := forestStore(g)
-	df.Remove(df.PickRemovable(Edge{U: 32, V: 33}.CanonKey()))
+	for _, e := range []Edge{{U: 32, V: 33}, {U: 10, V: 11}} {
+		h := df.PickRemovable(e.CanonKey())
+		if !df.IsForest(h) {
+			t.Fatalf("edge %v must be a forest edge", e)
+		}
+		df.Remove(h)
+	}
 	if err := df.Check(g, labels); err == nil {
-		t.Fatal("removing a forest edge without repair must leave the forest under-spanning")
+		t.Fatal("removing forest edges without repair must leave the forest under-spanning")
 	}
-	verts, vmap := make([]int32, n), make([]int32, n)
-	for i := range verts {
-		verts[i], vmap[i] = int32(i), int32(i)+1
+	var verts []int32
+	in := make([]int32, n)
+	for v := range int32(cyc) {
+		verts = append(verts, v)
+		in[v] = 1
 	}
-	df.RebuildRegion(verts, vmap, make([]int32, n))
-	if err := df.Check(g, labels); err != nil {
+	parent := slices.Clone(labels)
+	// The cycle less its two removed edges, plus the copy and the loop.
+	wantEdges := cyc - 2 + 2
+	if c, m := df.RebuildRegion(parent, verts, in); c != 2 || m != wantEdges {
+		t.Fatalf("region components/edges = %d/%d, want 2/%d", c, m, wantEdges)
+	}
+	for v := range parent {
+		want := int32(0) // {33..63, 0..10}
+		switch {
+		case v >= cyc:
+			want = cyc
+		case v >= 11 && v <= 32:
+			want = 11
+		}
+		if parent[v] != want {
+			t.Fatalf("parent[%d] = %d, want the minimum %d of its component", v, parent[v], want)
+		}
+	}
+	if err := df.Check(g, parent); err != nil {
 		t.Fatalf("rebuilt region fails the invariant: %v", err)
 	}
 }

@@ -233,33 +233,3 @@ func NumLabels(labels []int32) int {
 	}
 	return len(set)
 }
-
-// InducedInto extracts the subgraph of g induced by the vertices v with
-// vmap[v] != 0, through a caller-owned dense vertex map and a reusable
-// output graph, relabeled to the compact ids vmap[v]-1 (the +1 convention
-// lets callers hand in a zeroed arena buffer with 0 meaning "absent").
-// Edges are kept when their first endpoint is selected — the incremental
-// path guarantees endpoints of one edge are always in the same component,
-// so selection is component-closed; nVerts is the number of selected
-// vertices.  The result reuses out's edge backing when provided (pass nil
-// for a fresh graph), which makes repeated dirty-region extractions
-// allocation-free once warm.
-//
-// Uncharged helper: one sequential O(m) edge scan (the scoped re-solve it
-// feeds is the expensive part).  Not safe for concurrent use with writers
-// of g or vmap.
-func InducedInto(g *Graph, vmap []int32, nVerts int, out *Graph) *Graph {
-	if out == nil {
-		out = New(nVerts)
-	}
-	out.N = nVerts
-	out.Edges = out.Edges[:0]
-	for _, ed := range g.Edges {
-		su := vmap[ed.U]
-		if su == 0 {
-			continue
-		}
-		out.Edges = append(out.Edges, Edge{U: su - 1, V: vmap[ed.V] - 1})
-	}
-	return out
-}

@@ -177,32 +177,3 @@ func TestNumLabels(t *testing.T) {
 		t.Error("NumLabels(nil) should be 0")
 	}
 }
-
-// TestInducedInto: compact relabeling, +1 vmap convention, and backing
-// reuse.
-func TestInducedInto(t *testing.T) {
-	g := FromPairs(6, [][2]int{{0, 1}, {1, 0}, {2, 2}, {3, 4}, {4, 5}})
-	vmap := make([]int32, 6)
-	// Select {0,1,2} -> compact ids 0,1,2: edges (0,1), (1,0), loop at 2.
-	vmap[0], vmap[1], vmap[2] = 1, 2, 3
-	sub := InducedInto(g, vmap, 3, nil)
-	if sub.N != 3 || sub.M() != 3 {
-		t.Fatalf("sub = (n=%d, m=%d), want (3, 3)", sub.N, sub.M())
-	}
-	if sub.Edges[0] != (Edge{U: 0, V: 1}) || sub.Edges[1] != (Edge{U: 1, V: 0}) || sub.Edges[2] != (Edge{U: 2, V: 2}) {
-		t.Fatalf("sub edges = %v", sub.Edges)
-	}
-	// Reuse: the smaller selection {3,4,5} fits the warm backing.
-	clear(vmap)
-	for i, v := range []int32{3, 4, 5} {
-		vmap[v] = int32(i) + 1
-	}
-	before := &sub.Edges[0]
-	sub2 := InducedInto(g, vmap, 3, sub)
-	if sub2 != sub || &sub2.Edges[0] != before {
-		t.Fatal("InducedInto must reuse the provided backing")
-	}
-	if sub2.M() != 2 || sub2.Edges[0] != (Edge{U: 0, V: 1}) || sub2.Edges[1] != (Edge{U: 1, V: 2}) {
-		t.Fatalf("reused sub edges = %v", sub2.Edges)
-	}
-}

@@ -69,12 +69,15 @@ const (
 	PhaseFinish
 	// PhaseUnite is the incremental insert path (par.UniteBatch).
 	PhaseUnite
-	// PhaseExtract is the deletion path's sweep + dirty-subgraph
-	// extraction (filter, vertex gather, graph.InducedInto).
+	// PhaseExtract is the deletion path's setup (entry flatten, mirror
+	// flush) and the scoped repair's gather of the dirty region's
+	// vertices.
 	PhaseExtract
-	// PhaseScoped is the scoped re-solve of the dirty subgraph.
+	// PhaseScoped is the scoped repair's in-place union pass over the
+	// dirty region's edges (labels and forest flags together).
 	PhaseScoped
-	// PhaseSplice is splicing scoped labels back into the live forest.
+	// PhaseSplice is re-deriving the snapshot page mirror of the region
+	// the scoped repair relabeled.
 	PhaseSplice
 	// PhaseReplace is the deletion path's replacement-edge searches (all
 	// of a batch's searches pooled, like the other stage loops).
@@ -117,9 +120,11 @@ const (
 	CtrBatchEdges
 	// CtrDirtyComponents counts components a deletion batch dirtied.
 	CtrDirtyComponents
-	// CtrScopedVertices counts vertices of the re-solved dirty subgraph.
+	// CtrScopedVertices counts vertices of the dirty region the scoped
+	// repair relabeled.
 	CtrScopedVertices
-	// CtrScopedEdges counts edges of the re-solved dirty subgraph.
+	// CtrScopedEdges counts edges of the dirty region the scoped repair
+	// relabeled.
 	CtrScopedEdges
 	// CtrFrontierRounds counts frontier-engine passes executed (it is also
 	// the write cursor of the per-pass occupancy record — see
@@ -146,10 +151,10 @@ const (
 	CtrSplits
 	// CtrReplaceScans counts adjacency entries the replacement searches
 	// inspected — the smaller-side work measure, against the component
-	// sizes a scoped re-solve would have paid.
+	// sizes a scoped repair would have paid.
 	CtrReplaceScans
 	// CtrBudgetFallbacks counts replacement searches that blew their scan
-	// budget and handed the component to the scoped re-solve.
+	// budget and handed the component to the scoped repair.
 	CtrBudgetFallbacks
 
 	// NumCounters bounds the enum; keep it last.

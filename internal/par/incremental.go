@@ -6,11 +6,9 @@ import (
 	"parcc/internal/graph"
 )
 
-// Incremental-connectivity kernels: the batched form of the CAS union-find
-// used by Solver.AddEdges, and the partition splice that installs a scoped
-// re-solve's labels back into the live forest after Solver.RemoveEdges.
-// Both are uncharged serving helpers (no PRAM cost is booked); their
-// concurrency contracts are stated per kernel.
+// Incremental-connectivity kernel: the batched form of the CAS union-find
+// used by Solver.AddEdges.  An uncharged serving helper (no PRAM cost is
+// booked).
 
 // UniteBatch unites the endpoints of every non-loop edge of batch on e and
 // returns the number of unions that actually merged two distinct sets —
@@ -57,19 +55,4 @@ func UniteBatch(e Exec, p []int32, batch []graph.Edge, marks []bool, losers []in
 		}
 	})
 	return int(merges.Load())
-}
-
-// SpliceLabels installs a scoped re-solve's partition into the global
-// forest: for each selected vertex verts[i], the parent becomes the global
-// id of its sub-solve representative, p[verts[i]] = verts[sub[i]].  Because
-// a representative's own label is itself, the spliced region comes out as
-// a flat two-level forest (roots self-parented), ready for further Unite
-// batches.  O(|verts|) work, parallel over verts; writes are disjoint
-// (verts has no duplicates) so no atomics are needed, but no concurrent
-// Find/Unite may run during the splice — the Solver serializes mutations
-// under the session lock.
-func SpliceLabels(e Exec, p []int32, verts, sub []int32) {
-	e.Run(len(verts), func(i int) {
-		p[verts[i]] = verts[sub[i]]
-	})
 }

@@ -46,27 +46,3 @@ func TestUniteBatchMergeCount(t *testing.T) {
 		rt.Close()
 	}
 }
-
-// TestSpliceLabels: the scoped re-solve's sub-space labels must land as a
-// flat forest over the selected vertices only.
-func TestSpliceLabels(t *testing.T) {
-	rt := New(Procs(2))
-	defer rt.Close()
-	p := []int32{0, 0, 0, 0, 4, 4} // {0,1,2,3} and {4,5}
-	verts := []int32{0, 1, 2, 3}   // dirty component, compact ids 0..3
-	sub := []int32{0, 0, 2, 2}     // re-solve split it into {0,1} and {2,3}
-	SpliceLabels(rt, p, verts, sub)
-	want := []int32{0, 0, 2, 2, 4, 4}
-	for v, w := range want {
-		if p[v] != w {
-			t.Fatalf("p = %v, want %v", p, want)
-		}
-	}
-	// Roots are self-parented: further Unite batches work on the result.
-	if m := UniteBatch(rt, p, []graph.Edge{{U: 1, V: 3}}, make([]bool, 1), nil); m != 1 {
-		t.Fatalf("post-splice unite merges = %d, want 1", m)
-	}
-	if Find(p, 0) != Find(p, 2) {
-		t.Fatal("post-splice unite did not merge the split halves")
-	}
-}

@@ -29,7 +29,7 @@ import (
 //     not exhaustion, is the certificate.
 //
 // Everything is bounded by `budget` adjacency entries (replacement searches
-// must not regress to the scoped re-solve they replace); on overrun the
+// must not regress to the scoped repair they replace); on overrun the
 // kernel backs out having mutated nothing and the caller falls back.
 type ReplaceOutcome uint8
 
@@ -41,7 +41,7 @@ const (
 	// relabeled to Result.NewRoot (Result.Moved vertices).
 	ReplaceSplit
 	// ReplaceBudget: the scan budget blew before a verdict; nothing was
-	// mutated.  The caller falls back to the scoped re-solve.
+	// mutated.  The caller falls back to the scoped repair.
 	ReplaceBudget
 )
 

@@ -21,8 +21,9 @@ import (
 //     member relabel is deferred: the loser goes on a pending list, and
 //     flush walks its member circle once, however many batches queued it.
 //   - RemoveEdges reports each split's moved side (the moved list of
-//     par.ReplacementSearch) and each scoped repair's region vertex set; both relabel through the mirror directly, so the mirror
-//     is exact again at batch exit.
+//     par.ReplacementSearch) and each scoped repair's region vertex
+//     set; both relabel through the mirror directly, so the mirror is
+//     exact again at batch exit.
 //
 // Membership is tracked with one circular doubly-linked list per
 // component (next/prev), giving O(|component|) member walks and O(1)
@@ -215,7 +216,7 @@ func (st *pageStore) split(moved []int32, oldRoot, newRoot int32) {
 }
 
 // rebuildRegion re-derives the mirror for a scoped repair's region after
-// par.SpliceLabels wrote the re-solved (flat) labels into parent: labels
+// DynForest.RebuildRegion wrote its flat labels into parent: labels
 // copy straight from parent, sizes are zeroed and recounted, circles are
 // rebuilt in two passes.  Regions are whole components (dirty sets are
 // closed under adjacency, and mid-batch splits keep circles

@@ -154,10 +154,8 @@ const (
 	// tiny inputs, Sample for dense ones (average degree 2m/n ≥ 24), and
 	// CASUnite otherwise.  The decision is recorded in Result.Algorithm —
 	// a result from an Auto solve echoes the concrete algorithm that ran,
-	// never "auto".  The same table labels the dirty region of a live
-	// session's scoped repair (RemoveEdges), so the FLS pipeline runs only
-	// when Options.Algorithm asks for FLS or FLSKnownGap.  The decision
-	// table and the measurement it is derived from are documented in
+	// never "auto".  The FLS pipeline runs only when Options.Algorithm
+	// asks for FLS or FLSKnownGap.  The decision table and the measurement it is derived from are documented in
 	// docs/ARCHITECTURE.md.
 	Auto Algorithm = "auto"
 	// Incremental is the value Result.Algorithm echoes for results produced

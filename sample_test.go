@@ -114,24 +114,3 @@ func TestAutoStableAcrossPlanCaching(t *testing.T) {
 		t.Fatal("auto partitions diverged across plan caching")
 	}
 }
-
-// TestSampleIncrementalFastPaths reaches the scoped repair's sampling
-// branch through a real budget fallback: two dense GNM halves joined by
-// one bridge, whose deletion blows the replacement budget, leave a dense
-// dirty region that the repair labels with the sampling fast path.  The
-// partition and count must match the oracle before and after, and after
-// an insert batch on top.
-func TestSampleIncrementalFastPaths(t *testing.T) {
-	half := gen.GNM(1<<11, 1<<15, 9) // avg degree 32, m = 2^16+1 in total
-	s, oracle := bridgeFallback(t, half, Sample, "dense")
-	defer s.Close()
-
-	add := []Edge{{U: 0, V: 1}, {U: 17, V: 4000}}
-	if err := s.AddEdges(add); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.AddEdges(add); err != nil {
-		t.Fatal(err)
-	}
-	incCheck(t, "insert after sample repair", s, oracle)
-}

@@ -311,9 +311,8 @@ const (
 	autoSampleAvgDeg = 24.0
 )
 
-// pickKernel is the one kernel decision, shared by SolveInto(Auto) and
-// the scoped repair of RemoveEdges: tiny inputs to the sequential
-// union-find, dense ones to the sampling fast path, and everything else
+// pickKernel is Auto's kernel decision in SolveInto: tiny inputs to the
+// sequential union-find, dense ones to the sampling fast path, and everything else
 // to cas.  Both rows read n and m alone, so the decision is O(1) and
 // never builds a plan — cas walks the edge list, and only a sample pick
 // needs the CSR.  The frontier engine has no row: against the splicing
@@ -357,8 +356,8 @@ func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
 // runKernel labels g with one of the four wall-clock kernels — the three
 // pickKernel chooses from, and frontier, which runs only when
 // Options.Algorithm asks for it — uncharged: SolveInto wraps it in
-// nominalCharge, the scoped repair of RemoveEdges runs its pick bare.  plan supplies the CSR the frontier and
-// sample kernels walk.  Every arm records its own trace phases and
+// nominalCharge.  plan supplies the CSR the frontier and sample kernels
+// walk.  Every arm records its own trace phases and
 // returns the labels (each component's root labels itself; every kernel
 // but union-find lands on the component minima), the exact component
 // count, and — for sample — the skip ratio.  Callers hold s.mu.

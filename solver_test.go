@@ -294,7 +294,7 @@ func TestSeedZeroReachable(t *testing.T) {
 // TestCloseReleasesSessionGoroutines drives a session on each backend
 // through every path that runs on its runtime — an FLS and a CASUnite
 // solve, Attach, AddEdges, a RemoveEdges whose replacement search blows
-// its budget and falls back to a scoped FLS repair, and PublishSnapshot —
+// its budget and falls back to the scoped repair, and PublishSnapshot —
 // and checks that Close gives back every goroutine the session started.
 func TestCloseReleasesSessionGoroutines(t *testing.T) {
 	defer func(old int64) { replaceBudgetFloor = old }(replaceBudgetFloor)

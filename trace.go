@@ -33,8 +33,8 @@ type Trace struct {
 	Total time.Duration `json:"total_ns"`
 	// Phases lists the per-phase wall times in execution order; phases
 	// that did not run are omitted.  Interleaved stage loops (FLS
-	// INTERWEAVE, the incremental splice) pool all iterations under one
-	// phase name.
+	// INTERWEAVE, a deletion batch's replacement searches) pool all
+	// iterations under one phase name.
 	Phases []TracePhase `json:"phases"`
 	// CASAttempts counts Unite calls the kernels issued (edges that
 	// survived every skip test); CASHooks counts the ones that actually
@@ -54,10 +54,8 @@ type Trace struct {
 	// LTZRounds counts EXPAND-MAXLINK rounds across every LTZ invocation
 	// of the operation (interweave Step 3, REMAIN, backstops, ltz proper).
 	LTZRounds int64 `json:"ltz_rounds"`
-	// Dispatch records the kernel decision of the one dispatcher, Auto's
-	// table: for a solve with Options.Algorithm Auto, and for a
-	// remove-edges operation whose scoped repair it labeled; nil
-	// otherwise.
+	// Dispatch records the kernel decision of Auto's table for a solve
+	// with Options.Algorithm Auto; nil otherwise.
 	Dispatch *DispatchDecision `json:"dispatch,omitempty"`
 	// Frontier records the frontier engine's pass structure; nil unless
 	// the operation was a solve with Options.Algorithm Frontier.
@@ -73,11 +71,8 @@ type TracePhase struct {
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// DispatchDecision is a kernel choice of Auto's decision table and its
-// inputs: for a solve, over the whole graph; for a remove-edges
-// operation, over the dirty region its scoped repair re-solved.  Both
-// call sites share one table, so a region is labeled by the kernel a
-// Solve(Auto) of the same region graph would pick.
+// DispatchDecision is an Auto solve's kernel choice and the inputs of
+// the decision table that made it.
 type DispatchDecision struct {
 	// Chosen is the concrete algorithm selected: union-find, cas, or
 	// sample — never frontier or the FLS pipeline, which run only when
@@ -88,8 +83,7 @@ type DispatchDecision struct {
 	// Rule names the decision-table row that fired: "tiny" (sequential
 	// union-find), "dense" (sample), or "sparse" (cas).
 	Rule string `json:"rule"`
-	// N, M, AvgDeg are the O(1) statistics every decision starts from —
-	// for a scoped repair, those of the induced dirty region.
+	// N, M, AvgDeg are the O(1) statistics every decision starts from.
 	N      int     `json:"n"`
 	M      int     `json:"m"`
 	AvgDeg float64 `json:"avg_deg"`
@@ -116,8 +110,8 @@ type TraceIncremental struct {
 	BatchEdges int64 `json:"batch_edges"`
 	// DirtyComponents counts the components a deletion batch touched.
 	DirtyComponents int64 `json:"dirty_components,omitempty"`
-	// ScopedVertices/ScopedEdges size the induced dirty subgraph the
-	// deletion path re-solved.
+	// ScopedVertices/ScopedEdges size the dirty region the deletion
+	// path's scoped repair relabeled.
 	ScopedVertices int64 `json:"scoped_vertices,omitempty"`
 	ScopedEdges    int64 `json:"scoped_edges,omitempty"`
 	// Forest deletion counters: deleted forest vs non-forest edges,
@@ -133,10 +127,7 @@ type TraceIncremental struct {
 
 // PhaseSum returns the sum of the phase wall times — with tracing on, the
 // instrumented paths keep it within a few percent of Total (the remainder
-// is lock acquisition and the machine's bookkeeping).  One exception: a
-// "remove-edges" trace's "scoped" span pools the dirty-subgraph re-solve
-// whose own phases are listed alongside it, so summing over such a trace
-// counts that time twice.
+// is lock acquisition and the machine's bookkeeping).
 func (t *Trace) PhaseSum() time.Duration {
 	var sum time.Duration
 	for _, ph := range t.Phases {

@@ -215,7 +215,9 @@ func TestTracePhaseSum(t *testing.T) {
 }
 
 // TestTraceIncrementalOps: the live-update operations each leave a trace
-// with the right op name and batch-shape counters.
+// with the right op name and batch-shape counters, and a delete that
+// falls back to the scoped repair lists live-path phases only — no solve
+// kernel's spans, no dispatch — whose sum stays within Total.
 func TestTraceIncrementalOps(t *testing.T) {
 	s, err := parcc.NewSolver(&parcc.Options{Trace: true})
 	if err != nil {
@@ -255,6 +257,36 @@ func TestTraceIncrementalOps(t *testing.T) {
 	tr.WriteText(&sb)
 	if !strings.Contains(sb.String(), "op=remove-edges") || !strings.Contains(sb.String(), "incremental:") {
 		t.Errorf("WriteText output missing expected lines:\n%s", sb.String())
+	}
+
+	// Two 2^12-cycles joined by a bridge: proving the split would scan
+	// about m entries, past the m/4 budget, so the delete falls back.
+	const half = 1 << 12
+	g = gen.Union(gen.Cycle(half), gen.Cycle(half))
+	bridge = []parcc.Edge{{U: half - 1, V: half}}
+	g.Edges = append(g.Edges, bridge...)
+	if err := s.Attach(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveEdges(bridge); err != nil {
+		t.Fatal(err)
+	}
+	tr = s.LastTrace()
+	if tr.Incremental.BudgetFallbacks != 1 || tr.Dispatch != nil {
+		t.Fatalf("fallback trace: fallbacks=%d dispatch=%+v, want 1 and none",
+			tr.Incremental.BudgetFallbacks, tr.Dispatch)
+	}
+	live := map[string]bool{"extract": true, "replace": true, "scoped": true, "splice": true}
+	for _, ph := range tr.Phases {
+		if !live[ph.Name] {
+			t.Errorf("fallback trace lists phase %q, want live-path phases only (%v)", ph.Name, tr.Phases)
+		}
+	}
+	if tr.Phase("scoped") == 0 {
+		t.Errorf("fallback trace has no scoped phase: %v", tr.Phases)
+	}
+	if sum := tr.PhaseSum(); sum > tr.Total {
+		t.Errorf("fallback trace phases sum to %v, over the total %v", sum, tr.Total)
 	}
 }
 
