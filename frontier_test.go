@@ -49,9 +49,10 @@ func TestFrontierEquivalenceAcrossFamilies(t *testing.T) {
 
 // TestFrontierMeshDispatch pins the auto dispatcher on the
 // high-diameter lattice shapes the frontier engine targets: path, grid,
-// and torus all dispatch to cas under the "sparse" row (the splicing
-// union-find beats the engine there at procs 1 and 2), and frontier,
-// selected explicitly, still labels them with the same component minima.
+// and torus dispatch to union-find under the "sparse" row on a procs-2
+// session and to cas under the "wide" row on a procs-4 one (the splicing
+// union-find beats the engine there), and frontier, selected explicitly,
+// still labels them with the same component minima.
 func TestFrontierMeshDispatch(t *testing.T) {
 	sq := 1 << 7
 	for _, c := range []struct {
@@ -62,30 +63,36 @@ func TestFrontierMeshDispatch(t *testing.T) {
 		{"grid", gen.Grid(sq, sq)},
 		{"torus", gen.Torus(sq, sq)},
 	} {
-		s, err := NewSolver(&Options{Algorithm: Auto, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Solve(c.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Algorithm != CASUnite {
-			t.Errorf("%s: auto picked %q, want cas", c.name, res.Algorithm)
-		}
-		if d := res.Trace.Dispatch; d == nil || d.Rule != "sparse" {
-			t.Fatalf("%s: dispatch = %+v, want rule sparse", c.name, d)
-		}
-		if res.Trace.Frontier != nil {
-			t.Errorf("%s: auto solve recorded frontier passes", c.name)
-		}
-		s.Close()
 		fr, err := ConnectedComponents(c.g, &Options{Algorithm: Frontier})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr.Algorithm != Frontier || !slices.Equal(fr.Labels, res.Labels) {
-			t.Errorf("%s: frontier (%q) labels differ from auto's", c.name, fr.Algorithm)
+		for _, w := range []struct {
+			procs int
+			algo  Algorithm
+			rule  string
+		}{{2, UnionFind, "sparse"}, {4, CASUnite, "wide"}} {
+			s, err := NewSolver(&Options{Algorithm: Auto, Procs: w.procs, Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Solve(c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if res.Algorithm != w.algo {
+				t.Errorf("%s procs=%d: auto picked %q, want %q", c.name, w.procs, res.Algorithm, w.algo)
+			}
+			if d := res.Trace.Dispatch; d == nil || d.Rule != w.rule || d.Procs != w.procs {
+				t.Fatalf("%s procs=%d: dispatch = %+v, want rule %s", c.name, w.procs, d, w.rule)
+			}
+			if res.Trace.Frontier != nil {
+				t.Errorf("%s procs=%d: auto solve recorded frontier passes", c.name, w.procs)
+			}
+			if fr.Algorithm != Frontier || !slices.Equal(fr.Labels, res.Labels) {
+				t.Errorf("%s procs=%d: frontier (%q) labels differ from auto's", c.name, w.procs, fr.Algorithm)
+			}
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"parcc/internal/par"
 	"parcc/internal/pram"
 	"parcc/internal/prim"
-	"parcc/internal/solve"
 )
 
 // BFSLabels returns component labels (smallest vertex in the component) by
@@ -73,22 +72,13 @@ type UnionFind struct {
 	count  int
 }
 
-// NewUnionFind returns a forest of n singletons with its arrays drawn from
-// a (nil: plain allocation); release them with Free.
-func NewUnionFind(a *par.Arena, n int) *UnionFind {
-	u := &UnionFind{parent: a.Grab32(n), rank: a.Grab32(n), count: n}
+// NewUnionFind returns a forest of n singletons.
+func NewUnionFind(n int) *UnionFind {
+	u := &UnionFind{parent: make([]int32, n), rank: make([]int32, n), count: n}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
 	}
 	return u
-}
-
-// Free returns the forest's arrays to the arena.  The forest must not be
-// used afterwards.
-func (u *UnionFind) Free(a *par.Arena) {
-	a.Release32(u.parent)
-	a.Release32(u.rank)
-	u.parent, u.rank = nil, nil
 }
 
 // Find returns the representative of x with path compression.
@@ -120,27 +110,18 @@ func (u *UnionFind) Union(a, b int32) bool {
 // Count returns the number of disjoint sets.
 func (u *UnionFind) Count() int { return u.count }
 
-// UnionFindLabels labels components with a sequential union-find pass.
+// UnionFindLabels labels components with a sequential union-find pass:
+// each vertex gets its set's representative, which need not be the
+// component minimum.
 func UnionFindLabels(g *graph.Graph) []int32 {
-	return UnionFindLabelsInto(solve.New(nil), g, nil)
-}
-
-// UnionFindLabelsInto is UnionFindLabels with the forest drawn from the
-// context's arena and labels written into dst when it has the capacity.
-func UnionFindLabelsInto(cx *solve.Ctx, g *graph.Graph, dst []int32) []int32 {
-	u := NewUnionFind(cx.A, g.N)
+	u := NewUnionFind(g.N)
 	for _, e := range g.Edges {
 		u.Union(e.U, e.V)
 	}
-	labels := dst
-	if cap(labels) < g.N {
-		labels = make([]int32, g.N)
-	}
-	labels = labels[:g.N]
+	labels := make([]int32, g.N)
 	for v := range labels {
 		labels[v] = u.Find(int32(v))
 	}
-	u.Free(cx.A)
 	return labels
 }
 

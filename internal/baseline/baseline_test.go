@@ -79,7 +79,7 @@ func TestLabelPropMatchesBFS(t *testing.T) {
 }
 
 func TestUnionFindCount(t *testing.T) {
-	u := NewUnionFind(nil, 5)
+	u := NewUnionFind(5)
 	if u.Count() != 5 {
 		t.Fatal("fresh count")
 	}

@@ -11,9 +11,10 @@ import (
 	"parcc/internal/graph"
 )
 
-// solveAlgos are the four wall-clock algorithms the solve sweep compares:
-// the three fixed kernels, then the auto dispatcher.
-var solveAlgos = []parcc.Algorithm{parcc.CASUnite, parcc.Sample, parcc.Frontier, parcc.Auto}
+// solveAlgos are the five wall-clock algorithms the solve sweep compares:
+// the four fixed kernels (cas first, the partition the others are checked
+// against), then the auto dispatcher.
+var solveAlgos = []parcc.Algorithm{parcc.CASUnite, parcc.UnionFind, parcc.Sample, parcc.Frontier, parcc.Auto}
 
 // solveSessions opens one warm session per algorithm of solveAlgos on the
 // concurrent backend with GOMAXPROCS procs.  The sweep never mutates a
@@ -40,7 +41,7 @@ func solveSessions(tb testing.TB) map[parcc.Algorithm]*parcc.Solver {
 // warmed once untimed (plan cache, label buffers), then the algorithms
 // take turns in `rounds` rounds of `burst`-solve bursts, so machine-wide
 // drift lands on every algorithm alike.  The warm solves also check that
-// the four partitions agree, so no ratio comes from a wrong answer.
+// the five partitions agree, so no ratio comes from a wrong answer.
 // Returns each algorithm's wall samples in seconds.
 func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name string, g *graph.Graph, rounds, burst int) map[parcc.Algorithm][]float64 {
 	res := &parcc.Result{}
@@ -71,9 +72,10 @@ func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name 
 }
 
 // BenchmarkSolveFamilies is the raw-solve sweep: every generator family at
-// n = 2^16 (the scale its bars bind at) solved by the four wall-clock
-// algorithms — the cas union-find baseline, the Afforest-style sampling
-// fast path, the two-pass frontier engine and the auto dispatcher — on
+// n = 2^16 (the scale its bars bind at) solved by the five wall-clock
+// algorithms — the cas union-find baseline, the one-worker union-find,
+// the Afforest-style sampling fast path, the two-pass frontier engine
+// and the auto dispatcher — on
 // warm sessions of the concurrent backend with GOMAXPROCS procs (`-cpu`
 // picks it), timed by solveBursts in 3 rounds of 3-solve bursts.  Wall
 // times are per-algorithm minima.  It reports one metric per bar,
@@ -104,13 +106,14 @@ func BenchmarkSolveFamilies(b *testing.B) {
 			walls := solveBursts(b, solvers, f.name, graphs[i], 3, 3)
 			cas, sample := slices.Min(walls[parcc.CASUnite]), slices.Min(walls[parcc.Sample])
 			frontier, auto := slices.Min(walls[parcc.Frontier]), slices.Min(walls[parcc.Auto])
+			others := min(cas, slices.Min(walls[parcc.UnionFind]), sample)
 			switch {
 			case f.barred:
 				sampleMin = math.Min(sampleMin, cas/sample)
 			case f.hidiam:
-				frontierMin = math.Min(frontierMin, math.Min(cas, sample)/frontier)
+				frontierMin = math.Min(frontierMin, others/frontier)
 			}
-			autoMax = math.Max(autoMax, auto/math.Min(frontier, math.Min(cas, sample)))
+			autoMax = math.Max(autoMax, auto/math.Min(frontier, others))
 		}
 		b.ReportMetric(sampleMin, "sample/cas-min")
 		b.ReportMetric(frontierMin, "frontier/fix-min")
@@ -120,7 +123,8 @@ func BenchmarkSolveFamilies(b *testing.B) {
 
 // TestAutoWithinBestFixed asserts the auto/best-max bar: on every
 // generator family at n = 2^15, the median warm auto solve is within 1.1×
-// of the median of the fastest fixed kernel (cas, sample or frontier),
+// of the median of the fastest fixed kernel (cas, union-find, sample or
+// frontier),
 // timed by solveBursts in 5 rounds of 3-solve bursts.  A family over the
 // bar is re-timed up to twice more and passes if any attempt is within
 // it: a dispatch-table error is a gap every attempt reproduces (the
@@ -144,7 +148,7 @@ func TestAutoWithinBestFixed(t *testing.T) {
 		for try := 0; try < attempts; try++ {
 			walls := solveBursts(t, solvers, f.name, g, 5, 3)
 			best = parcc.CASUnite
-			for _, a := range []parcc.Algorithm{parcc.Sample, parcc.Frontier} {
+			for _, a := range []parcc.Algorithm{parcc.UnionFind, parcc.Sample, parcc.Frontier} {
 				if median(walls[a]) < median(walls[best]) {
 					best = a
 				}

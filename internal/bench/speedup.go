@@ -15,9 +15,12 @@ import (
 // SPSelfSpeedup measures the concurrent backend's self-speedup T1/TP: the
 // same algorithm, same seed, same charged PRAM costs, run on the
 // internal/par pool at increasing procs.  The graph is an expander (the
-// paper's best case, λ = Θ(1)), n = 2^18 at full scale.  Two rows per procs
-// setting: the paper's CONNECTIVITY executing its charged steps on the pool,
-// and the barrier-free cas-unite kernel as the wall-clock reference point.
+// paper's best case, λ = Θ(1)), n = 2^18 at full scale.  Per procs
+// setting: the paper's CONNECTIVITY executing its charged steps on the
+// pool, the barrier-free cas-unite kernel as the wall-clock reference
+// point, the one-worker union-find pass that cas-unite must beat for the
+// pool to pay (it ignores procs, so its wall is the bar for cas-unite's at
+// every width, and its T1/TP reads ≈1), and min-label propagation.
 func SPSelfSpeedup(c Config) *Table {
 	n := 1 << 16
 	if c.Scale == Full {
@@ -63,6 +66,10 @@ func SPSelfSpeedup(c Config) *Table {
 		{"cas-unite", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
 			par.Components(rt, g, nil)
 			return -1, -1 // charged on the parcc facade, not here
+		}},
+		{"union-find", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
+			par.Components(nil, g, nil)
+			return -1, -1 // uncharged, like the sequential baselines
 		}},
 		{"min-label", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
 			labels := make([]int32, g.N)

@@ -76,7 +76,8 @@ var Verdicts = map[string]string{
 		"flat; round counts may shift a few percent across procs because ARBITRARY " +
 		"concurrent-write winners steer the randomized control flow) while the wall " +
 		"clock scales with procs; the barrier-free cas-unite kernel gives the " +
-		"wall-clock floor the synchronous algorithms are measured against. On a " +
+		"wall-clock floor the synchronous algorithms are measured against, and " +
+		"the one-worker union-find row the wall cas-unite's pool must beat. On a " +
 		"single-CPU host T1/TP honestly reports ≈1.0x — goroutines timeshare one " +
 		"core — and the table says so in its footnote.",
 }

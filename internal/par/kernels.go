@@ -71,13 +71,20 @@ func Unite(p []int32, u, v int32) (int32, bool) {
 // moves.  It reports whether this call hooked a root; a hook always joins
 // two distinct trees, so over a pass the hooks total exactly the merges.
 //
+// seq selects the one-worker schedule: when no other worker can touch p,
+// the hook and the splice are plain stores.  That schedule is one of the
+// "any schedule" above, so the walk and its labels are unchanged; it only
+// drops the locked CAS, which costs several plain stores.  Callers pass a
+// constant, and the body inlines into their edge loops, so the other
+// branch compiles away.
+//
 // It is labels-only.  A splice moves a subtree of x's tree into y's tree
 // before the operation ends, so a concurrent union can find its endpoints
 // already joined through the subtree in transit and hook elsewhere: the
 // edges whose call hooked need not form a spanning forest, and the hooked
 // root is not the root x's set lost.  UniteBatch, whose marks must be a
 // spanning forest and whose loser roots must be exact, keeps Unite.
-func UniteRem(p []int32, x, y int32) bool {
+func UniteRem(p []int32, x, y int32, seq bool) bool {
 	for {
 		px, py := atomic.LoadInt32(&p[x]), atomic.LoadInt32(&p[y])
 		if px == py {
@@ -86,18 +93,20 @@ func UniteRem(p []int32, x, y int32) bool {
 		if px < py {
 			x, y, px, py = y, x, py, px
 		}
-		// px > py: the smaller parent wins.
-		if px == x {
-			if atomic.CompareAndSwapInt32(&p[x], x, py) {
-				return true
-			}
-			continue // x stopped being a root: re-read it
+		// px > py: x's parent drops to the smaller one — a hook when x
+		// is a root, a splice otherwise.  A lost hook re-reads x; a
+		// splice takes one attempt, since a lost race means another
+		// operation already moved x's parent lower, and either way the
+		// walk climbs on from the parent x had.
+		ok := seq || atomic.CompareAndSwapInt32(&p[x], px, py)
+		if seq {
+			p[x] = py
 		}
-		// Splice: one CAS attempt, since a lost race means another
-		// operation already moved x's parent lower; either way the walk
-		// climbs on from the parent x had.
-		atomic.CompareAndSwapInt32(&p[x], px, py)
-		x = px
+		if px != x {
+			x = px
+		} else if ok {
+			return true
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func TestComponentsMatchesBFS(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		r := New(Procs(procs), Grain(64))
 		for name, g := range kernelGraphs() {
-			labels := Components(r, g, nil)
+			labels, _ := Components(r, g, nil)
 			if !graph.SamePartition(bfsLabels(g), labels) {
 				t.Errorf("procs=%d %s: wrong partition", procs, name)
 			}
@@ -76,10 +76,10 @@ func TestComponentsDeterministicAcrossProcs(t *testing.T) {
 	g := gen.GNM(2000, 3000, 7)
 	r1 := New(Procs(1))
 	defer r1.Close()
-	want := Components(r1, g, nil)
+	want, _ := Components(r1, g, nil)
 	for _, procs := range []int{2, 8} {
 		r := New(Procs(procs), Grain(128))
-		got := Components(r, g, nil)
+		got, _ := Components(r, g, nil)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("procs=%d: label[%d]=%d, want %d", procs, v, got[v], want[v])
@@ -170,7 +170,7 @@ func TestUniteStressParallel(t *testing.T) {
 	r := New(Procs(8), Grain(256))
 	defer r.Close()
 	for trial := 0; trial < 4; trial++ {
-		labels := Components(r, g, nil)
+		labels, _ := Components(r, g, nil)
 		for v := range labels {
 			if labels[v] != 0 {
 				t.Fatalf("trial %d: label[%d]=%d", trial, v, labels[v])

@@ -58,6 +58,11 @@ type Runtime struct {
 	// make the reuse safe, and it keeps every For/Run on the pool
 	// allocation-free.
 	jb job
+	// hooks is Components' hook tally for its concurrent edge pass: a
+	// field rather than a captured local, so the warm pass allocates only
+	// its body closure.  The one-orchestrator contract keeps it private
+	// to one loop at a time.
+	hooks atomic.Int64
 }
 
 // Option configures a Runtime.

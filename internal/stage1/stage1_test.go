@@ -189,7 +189,7 @@ func TestReduceShrinksAndStaysCorrect(t *testing.T) {
 			}
 			// Finishing from the reduced graph must recover the partition:
 			// contract the remainder with min-hook union-find and compare.
-			u := baseline.NewUnionFind(nil, g.N)
+			u := baseline.NewUnionFind(g.N)
 			for v := 0; v < g.N; v++ {
 				u.Union(int32(v), f.Root(int32(v)))
 			}

@@ -107,18 +107,23 @@ const (
 	FLS Algorithm = "fls"
 	// FLSKnownGap is the fixed-b three-stage pipeline (Theorem 3).
 	FLSKnownGap Algorithm = "fls-known-gap"
-	// UnionFind is the sequential disjoint-set pass: uncharged, and what
-	// Auto picks for tiny inputs.
+	// UnionFind is the sequential union-find: CASUnite's kernel run by one
+	// worker on any session, so its links and splices are plain stores
+	// rather than CASes, followed by one ascending flatten.  Labels are
+	// the component minima; it is uncharged, like the sequential
+	// baselines.  Auto picks it for tiny inputs and, on sessions of at
+	// most two procs, for every input that is not dense.
 	UnionFind Algorithm = "union-find"
 	// CASUnite is the barrier-free concurrent union-find on the internal/par
 	// runtime (Rem's interleaved walk with splicing, linking the larger
 	// parent under the smaller, then full compression): the
 	// wall-clock-oriented companion to the charged PRAM algorithms, and
-	// what Auto picks for every input that is neither tiny nor dense.  Its
-	// result is deterministic on every backend (labels are component
-	// minima); its Steps/Work are charged nominally (one O(log n)-deep
-	// contraction of linear work), since CAS retry counts are not a PRAM
-	// quantity.
+	// what Auto picks on sessions wider than two procs for every input
+	// that is neither tiny nor dense.  On a one-proc session it runs the
+	// same one-worker pass as UnionFind.  Its result is deterministic on
+	// every backend (labels are component minima); its Steps/Work are
+	// charged nominally (one O(log n)-deep contraction of linear work),
+	// since CAS retry counts are not a PRAM quantity.
 	CASUnite Algorithm = "cas"
 	// Sample is the Afforest-style sampling fast path (Sutton et al.,
 	// Adaptive Work-Efficient Connected Components on the GPU): a few
@@ -150,13 +155,16 @@ const (
 	// CASUnite.  With tracing enabled, the passes and their occupancy
 	// appear in Result.Trace.Frontier.
 	Frontier Algorithm = "frontier"
-	// Auto picks the solver per graph from n and m alone: union-find for
-	// tiny inputs, Sample for dense ones (average degree 2m/n ≥ 24), and
-	// CASUnite otherwise.  The decision is recorded in Result.Algorithm —
-	// a result from an Auto solve echoes the concrete algorithm that ran,
-	// never "auto".  The FLS pipeline runs only when Options.Algorithm
-	// asks for FLS or FLSKnownGap.  The decision table and the measurement it is derived from are documented in
-	// docs/ARCHITECTURE.md.
+	// Auto picks the solver per graph from n, m and the session's procs:
+	// UnionFind for tiny inputs, Sample for dense ones (average degree
+	// 2m/n ≥ 34), and for the rest UnionFind on sessions of at most two
+	// procs and CASUnite on wider ones.  Its Steps/Work are those of the
+	// kernel it picked, so a UnionFind pick charges none.  The decision
+	// is recorded in Result.Algorithm — a result from an Auto solve
+	// echoes the concrete algorithm that ran, never "auto".  The FLS
+	// pipeline runs only when Options.Algorithm asks for FLS or
+	// FLSKnownGap.  The decision table and the measurement it is derived
+	// from are documented in docs/ARCHITECTURE.md.
 	Auto Algorithm = "auto"
 	// Incremental is the value Result.Algorithm echoes for results produced
 	// by the live-update path (Solver.Components after AddEdges/

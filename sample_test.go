@@ -59,31 +59,39 @@ func TestSampleAutoEquivalenceAcrossFamilies(t *testing.T) {
 	}
 }
 
-// TestAutoDecisionRecorded pins the dispatch table's three rows on
-// representative shapes: tiny → sequential union-find, dense → sample,
-// and everything else → cas, id-local meshes and random sparse graphs
-// alike.
+// TestAutoDecisionRecorded pins the dispatch table's rows on
+// representative shapes, on a session of two procs (narrow) and of four
+// (wide): tiny → union-find and dense (2m/n ≥ 34) → sample at any width;
+// the rest → union-find on the narrow session and cas on the wide one,
+// id-local meshes and random graphs just under the dense row alike.
 func TestAutoDecisionRecorded(t *testing.T) {
 	cases := []struct {
-		name string
-		g    *Graph
-		want Algorithm
+		name         string
+		g            *Graph
+		narrow, wide Algorithm
 	}{
-		{"tiny", gen.Path(50), UnionFind},
-		{"dense", gen.GNM(4096, 1<<16, 3), Sample},
-		{"mesh", gen.Path(1 << 13), CASUnite},
-		{"sparse", gen.GNM(1<<13, 1<<13, 3), CASUnite},
+		{"tiny", gen.Path(50), UnionFind, UnionFind},
+		{"complete", gen.Complete(1024), Sample, Sample},
+		{"dense", gen.GNM(4096, 1<<17, 3), Sample, Sample},
+		{"gnm-32", gen.GNM(4096, 1<<16, 3), UnionFind, CASUnite},
+		{"mesh", gen.Path(1 << 13), UnionFind, CASUnite},
+		{"sparse", gen.GNM(1<<13, 1<<13, 3), UnionFind, CASUnite},
 	}
 	for _, c := range cases {
-		res, err := ConnectedComponents(c.g, &Options{Algorithm: Auto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Algorithm != c.want {
-			t.Errorf("%s: auto picked %q, want %q", c.name, res.Algorithm, c.want)
-		}
-		if !Verify(c.g, res.Labels) {
-			t.Errorf("%s: auto labels wrong", c.name)
+		for _, w := range []struct {
+			procs int
+			want  Algorithm
+		}{{2, c.narrow}, {4, c.wide}} {
+			res, err := ConnectedComponents(c.g, &Options{Algorithm: Auto, Procs: w.procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Algorithm != w.want {
+				t.Errorf("%s procs=%d: auto picked %q, want %q", c.name, w.procs, res.Algorithm, w.want)
+			}
+			if !Verify(c.g, res.Labels) {
+				t.Errorf("%s procs=%d: auto labels wrong", c.name, w.procs)
+			}
 		}
 	}
 }
@@ -92,7 +100,7 @@ func TestAutoDecisionRecorded(t *testing.T) {
 // alone, so a session that holds a cached plan must pick the same kernel
 // and partition as one that does not.
 func TestAutoStableAcrossPlanCaching(t *testing.T) {
-	g := gen.GNM(2000, 30000, 11) // avg deg 30: the dense row
+	g := gen.GNM(2000, 40000, 11) // avg deg 40: the dense row
 	s, err := NewSolver(&Options{Algorithm: Auto})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parcc/internal/baseline"
 	"parcc/internal/core"
 	"parcc/internal/graph"
 	"parcc/internal/obs"
@@ -192,7 +191,7 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	algo := o.Algorithm
 	var pick *DispatchDecision
 	if algo == Auto {
-		pick = pickKernel(g)
+		pick = pickKernel(g, s.procs)
 		algo = pick.Chosen
 	}
 	dst := res.Labels
@@ -295,44 +294,55 @@ const (
 	// itself.  Below it the pass runs direction-filtered, which keeps
 	// multi-community graphs (every block settled, none dominant) cheap.
 	sampleMajorityCover = 0.45
-	// autoTinyCutoff is the n+m size below which Auto picks the
-	// sequential union-find: at that scale pool dispatch and atomics cost
-	// more than the whole solve.
+	// autoTinyCutoff is the n+m size below which Auto picks union-find
+	// at any procs: at that scale pool dispatch and atomics cost more than
+	// the whole solve.
 	autoTinyCutoff = 1 << 13
 	// autoSampleAvgDeg is the average degree (2m/n) from which Auto picks
-	// sample over cas.  The sampling phase's cost is dominated by its ~n
-	// successful hooks — a floor independent of m — so sampling pays only
-	// once the edge pass it skips is worth several multiples of that
-	// floor.  Measured at n = 2^15 and 2^16, procs 1 and 2: cas wins up to
-	// 2m/n = 16 (hypercube at 2^16 by 1.6–1.7×, barabasi-albert by
-	// 1.7–1.8×), gnm-dense (32) and block (62) are within 1.25× either
-	// way, and community (35) and complete go to sample by 1.2–1.9×; the
-	// threshold sits between.
-	autoSampleAvgDeg = 24.0
+	// sample over the edge-pass kernels.  The sampling phase's cost is
+	// dominated by its ~n successful hooks — a floor independent of m —
+	// so sampling pays only once the edge pass it skips is worth several
+	// multiples of that floor.  Measured at n = 2^15 and 2^16, procs 2,
+	// against union-find: union-find wins up to 2m/n = 32 (gnm-dense by
+	// 1.06–1.2×), while community (35) goes to sample by 1.3×, block (62)
+	// by 1.07–1.3× and complete by 1.3–1.5×.  The threshold sits between
+	// gnm-dense and community.
+	autoSampleAvgDeg = 34.0
+	// autoSeqProcs is the widest session on which Auto sends a sparse
+	// graph to union-find rather than cas.  On a 2-vCPU host, the widest
+	// measured, union-find beat cas at procs 2 on every family with
+	// 2m/n ≤ 16 by 1.06–4× (hypercube at 2^16 a tie): a CAS costs several
+	// plain stores there, and the second worker buys no speedup on random
+	// parent updates.  Wider sessions keep cas until a host's SP table
+	// shows where the pool starts to pay.
+	autoSeqProcs = 2
 )
 
-// pickKernel is Auto's kernel decision in SolveInto: tiny inputs to the
-// sequential union-find, dense ones to the sampling fast path, and everything else
-// to cas.  Both rows read n and m alone, so the decision is O(1) and
-// never builds a plan — cas walks the edge list, and only a sample pick
-// needs the CSR.  The frontier engine has no row: against the splicing
-// union-find it is never the fastest kernel in the measured matrix, and
-// its best procs-1 lead in any run was 1.05× (path-xl at 2^15).  The
-// table and what the matrix showed are documented in
-// docs/ARCHITECTURE.md §7.
+// pickKernel is Auto's kernel decision in SolveInto: tiny inputs to
+// union-find, dense ones to the sampling fast path, and sparse ones to
+// union-find on sessions of at most autoSeqProcs procs and to cas on
+// wider ones.  The rows read n, m and the session's procs alone, so the
+// decision is O(1) and never builds a plan — the union-find kernels walk
+// the edge list, and only a sample pick needs the CSR.  The frontier
+// engine has no row: against the splicing union-find it is never the
+// fastest kernel in the measured matrix.  The table and what the matrix
+// showed are documented in docs/ARCHITECTURE.md §7.
 //
 // The result is the Trace.Dispatch record: the kernel, the table row
-// that fired ("tiny", "dense", "sparse"), and the statistics it read.
-func pickKernel(g *graph.Graph) *DispatchDecision {
+// that fired ("tiny", "dense", "sparse", "wide"), and the statistics it
+// read.
+func pickKernel(g *graph.Graph, procs int) *DispatchDecision {
 	n, m := g.N, g.M()
-	d := &DispatchDecision{N: n, M: m, AvgDeg: 2 * float64(m) / float64(max(n, 1))}
+	d := &DispatchDecision{N: n, M: m, AvgDeg: 2 * float64(m) / float64(max(n, 1)), Procs: procs}
 	switch {
 	case n+m <= autoTinyCutoff:
 		d.Chosen, d.Rule = UnionFind, "tiny"
 	case d.AvgDeg >= autoSampleAvgDeg:
 		d.Chosen, d.Rule = Sample, "dense"
+	case procs <= autoSeqProcs:
+		d.Chosen, d.Rule = UnionFind, "sparse"
 	default:
-		d.Chosen, d.Rule = CASUnite, "sparse"
+		d.Chosen, d.Rule = CASUnite, "wide"
 	}
 	return d
 }
@@ -357,19 +367,24 @@ func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
 // pickKernel chooses from, and frontier, which runs only when
 // Options.Algorithm asks for it — uncharged: SolveInto wraps it in
 // nominalCharge.  plan supplies the CSR the frontier and sample kernels
-// walk.  Every arm records its own trace phases and
-// returns the labels (each component's root labels itself; every kernel
-// but union-find lands on the component minima), the exact component
-// count, and — for sample — the skip ratio.  Callers hold s.mu.
+// walk.  Every arm records its own trace phases and returns the
+// component-minimum labels, the exact component count, and — for sample
+// — the skip ratio.  Callers hold s.mu.
 //
-//   - union-find: the sequential disjoint-set pass over the edge list;
-//   - cas: the barrier-free concurrent union-find over the edge list;
+//   - union-find: par.Components' one-worker form on any session — an
+//     identity loop, one plain-store UniteRem pass over the edge list and
+//     one ascending flatten;
+//   - cas: par.Components on the session's pool, which is that same
+//     one-worker form when the pool has one proc;
 //   - frontier: identity labels, then the two-pass propagate (flood
 //     [0,n), then hook the residual) into one of the session's reusable
 //     frontiers;
 //   - sample: Afforest's sampling rounds, flatten, majority vote, then
 //     the finish pass that skips the majority's adjacency ranges unread
 //     (direction-filtered when no component dominates), and a flatten.
+//
+// The union-find kernels count the components from their hooks (n minus
+// the merges) and the other two by a pass over the labels.
 func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Plan, dst []int32) ([]int32, int, float64) {
 	cx, rec, e := s.cx, s.cx.Rec, s.rt
 	n := g.N
@@ -377,12 +392,17 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 	var labels []int32
 	skip := 0.0
 	switch algo {
-	case UnionFind:
-		labels = baseline.UnionFindLabelsInto(cx, g, dst)
-		span = rec.Lap(obs.PhaseSolve, span)
-	case CASUnite:
-		labels = par.Components(e, g, dst)
-		span = rec.Lap(obs.PhaseSolve, span)
+	case UnionFind, CASUnite:
+		rt := e
+		if algo == UnionFind {
+			rt = nil
+		}
+		p, comps := par.Components(rt, g, dst)
+		rec.End(obs.PhaseSolve, span)
+		// Every edge is attempted once; the hooks are the merges.
+		rec.Add(obs.CtrCASAttempts, int64(g.M()))
+		rec.Add(obs.CtrCASHooks, int64(n-comps))
+		return p, comps, 0
 	case Frontier:
 		csr := plan().CSR
 		span = rec.Lap(obs.PhasePlan, span)
@@ -439,12 +459,6 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 	}
 	comps := solve.NumLabels(cx, labels, n)
 	rec.End(obs.PhaseCount, span)
-	if algo == CASUnite {
-		// The CAS union-find attempts every edge once; the hooks that
-		// merged are exactly the spanning-forest edges.
-		rec.Add(obs.CtrCASAttempts, int64(g.M()))
-		rec.Add(obs.CtrCASHooks, int64(n-comps))
-	}
 	return labels, comps, skip
 }
 

@@ -80,13 +80,17 @@ type DispatchDecision struct {
 	// equals the owning Result.Algorithm — the golden contract the
 	// dispatch tests pin.
 	Chosen Algorithm `json:"chosen"`
-	// Rule names the decision-table row that fired: "tiny" (sequential
-	// union-find), "dense" (sample), or "sparse" (cas).
+	// Rule names the decision-table row that fired: "tiny" (union-find
+	// at any procs), "dense" (sample), "sparse" (union-find, the
+	// one-worker plain-store pass, on a session of at most two procs),
+	// or "wide" (cas, a sparse graph on a wider session).
 	Rule string `json:"rule"`
-	// N, M, AvgDeg are the O(1) statistics every decision starts from.
+	// N, M, AvgDeg and Procs (the session's) are the O(1) statistics the
+	// decision reads.
 	N      int     `json:"n"`
 	M      int     `json:"m"`
 	AvgDeg float64 `json:"avg_deg"`
+	Procs  int     `json:"procs"`
 }
 
 // TraceFrontier is the pass structure of a frontier-engine solve.
@@ -174,7 +178,7 @@ func (t *Trace) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  ltz: rounds=%d\n", t.LTZRounds)
 	}
 	if d := t.Dispatch; d != nil {
-		fmt.Fprintf(w, "  dispatch: %s (rule=%s n=%d m=%d avg-deg=%.2f)\n", d.Chosen, d.Rule, d.N, d.M, d.AvgDeg)
+		fmt.Fprintf(w, "  dispatch: %s (rule=%s n=%d m=%d avg-deg=%.2f procs=%d)\n", d.Chosen, d.Rule, d.N, d.M, d.AvgDeg, d.Procs)
 	}
 	if f := t.Frontier; f != nil {
 		fmt.Fprintf(w, "  frontier: passes=%d inspected=%d lowered=%d\n",

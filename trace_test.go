@@ -1,12 +1,12 @@
 package parcc_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"parcc"
 	"parcc/internal/bench"
-	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
 
@@ -58,70 +58,74 @@ func TestTraceAllocs(t *testing.T) {
 }
 
 // TestTraceAutoDispatchGolden is the dispatch golden test: on every
-// generator family at 2^12 and 2^15 (seed 1), on both backends, the Auto
-// decision must pick the pinned (kernel, rule) row of the decision table,
-// and the decision the Trace records must match the algorithm the Result
+// generator family at 2^12 and 2^15 (seed 1), the Auto decision must pick
+// the pinned (kernel, rule) row of the decision table on a narrow
+// session (procs 2, on both backends; the sequential one runs procs 1)
+// and on a wide one (the concurrent backend at procs 4), and the
+// decision the Trace records must match the algorithm the Result
 // reports.  The table is a recording, not a derivation: a change to the
 // dispatcher that moves any cell fails here.  It is re-recorded only
 // together with the kernel matrix the table is derived from (CHANGES.md
-// and docs/ARCHITECTURE.md §7).  Every cell is also solved by the
-// fixed kernels cas, sample and frontier, and all four partitions must
-// agree.
+// and docs/ARCHITECTURE.md §7).  Every cell is also solved by the fixed
+// kernels union-find, cas, sample and frontier on the same backend, and
+// all five label arrays must be byte-identical: every kernel lands on
+// the component minima.
 func TestTraceAutoDispatchGolden(t *testing.T) {
-	const (
-		UF  = parcc.UnionFind
-		CAS = parcc.CASUnite
-		SM  = parcc.Sample
-		FR  = parcc.Frontier
-	)
 	type pick struct {
 		algo parcc.Algorithm
 		rule string
 	}
-	golden := map[string][2]pick{}
-	for _, r := range []struct {
-		family    string
-		small     parcc.Algorithm
-		smallRule string
-		large     parcc.Algorithm
-		largeRule string
-	}{
-		{"path", UF, "tiny", CAS, "sparse"},
-		{"cycle", UF, "tiny", CAS, "sparse"},
-		{"two-cycles", UF, "tiny", CAS, "sparse"},
-		{"grid", CAS, "sparse", CAS, "sparse"},
-		{"torus", CAS, "sparse", CAS, "sparse"},
-		{"hypercube", CAS, "sparse", CAS, "sparse"},
-		{"complete", SM, "dense", SM, "dense"},
-		{"star", UF, "tiny", CAS, "sparse"},
-		{"binary-tree", UF, "tiny", CAS, "sparse"},
-		{"random-regular", CAS, "sparse", CAS, "sparse"},
-		{"gnm-sparse", CAS, "sparse", CAS, "sparse"},
-		{"gnm-dense", SM, "dense", SM, "dense"},
-		{"block", SM, "dense", SM, "dense"},
-		{"community", SM, "dense", SM, "dense"},
-		{"lollipop", SM, "dense", CAS, "sparse"},
-		{"barbell", SM, "dense", CAS, "sparse"},
-		{"union", CAS, "sparse", CAS, "sparse"},
-		{"many-components", CAS, "sparse", CAS, "sparse"},
-		{"watts-strogatz", CAS, "sparse", CAS, "sparse"},
-		{"barabasi-albert", CAS, "sparse", CAS, "sparse"},
-		{"path-xl", CAS, "sparse", CAS, "sparse"},
-		{"grid-xl", CAS, "sparse", CAS, "sparse"},
-		{"torus-xl", CAS, "sparse", CAS, "sparse"},
-	} {
-		golden[r.family] = [2]pick{{r.small, r.smallRule}, {r.large, r.largeRule}}
+	var (
+		tiny   = pick{parcc.UnionFind, "tiny"}
+		sparse = pick{parcc.UnionFind, "sparse"}
+		dense  = pick{parcc.Sample, "dense"}
+		wide   = pick{parcc.CASUnite, "wide"}
+	)
+	// Per family: the narrow picks at 2^12 and 2^15, then the wide ones.
+	golden := map[string][4]pick{
+		"path":            {tiny, sparse, tiny, wide},
+		"cycle":           {tiny, sparse, tiny, wide},
+		"two-cycles":      {tiny, sparse, tiny, wide},
+		"grid":            {sparse, sparse, wide, wide},
+		"torus":           {sparse, sparse, wide, wide},
+		"hypercube":       {sparse, sparse, wide, wide},
+		"complete":        {dense, dense, dense, dense},
+		"star":            {tiny, sparse, tiny, wide},
+		"binary-tree":     {tiny, sparse, tiny, wide},
+		"random-regular":  {sparse, sparse, wide, wide},
+		"gnm-sparse":      {sparse, sparse, wide, wide},
+		"gnm-dense":       {sparse, sparse, wide, wide},
+		"block":           {dense, dense, dense, dense},
+		"community":       {dense, dense, dense, dense},
+		"lollipop":        {dense, sparse, dense, wide},
+		"barbell":         {sparse, sparse, wide, wide},
+		"union":           {sparse, sparse, wide, wide},
+		"many-components": {sparse, sparse, wide, wide},
+		"watts-strogatz":  {sparse, sparse, wide, wide},
+		"barabasi-albert": {sparse, sparse, wide, wide},
+		"path-xl":         {sparse, sparse, wide, wide},
+		"grid-xl":         {sparse, sparse, wide, wide},
+		"torus-xl":        {sparse, sparse, wide, wide},
 	}
-	for _, be := range []parcc.Backend{parcc.BackendSequential, parcc.BackendConcurrent} {
+	for _, sess := range []struct {
+		be    parcc.Backend
+		procs int
+		col   int // golden column of the 2^12 pick; the 2^15 one follows
+	}{
+		{parcc.BackendSequential, 2, 0},
+		{parcc.BackendConcurrent, 2, 0},
+		{parcc.BackendConcurrent, 4, 2},
+	} {
+		be := sess.be
 		s, err := parcc.NewSolver(&parcc.Options{
-			Algorithm: parcc.Auto, Backend: be, Procs: 2, Seed: 3, Trace: true,
+			Algorithm: parcc.Auto, Backend: be, Procs: sess.procs, Seed: 3, Trace: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var fixed []*parcc.Solver
-		for _, a := range []parcc.Algorithm{CAS, SM, FR} {
-			fs, err := parcc.NewSolver(&parcc.Options{Algorithm: a, Backend: be, Procs: 2, Seed: 3})
+		for _, a := range []parcc.Algorithm{parcc.UnionFind, parcc.CASUnite, parcc.Sample, parcc.Frontier} {
+			fs, err := parcc.NewSolver(&parcc.Options{Algorithm: a, Backend: be, Procs: sess.procs, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,10 +138,11 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 				t.Fatalf("%d families at n=%d, golden table pins %d", len(fams), n, len(golden))
 			}
 			for _, f := range fams {
-				want, ok := golden[f.Name]
+				row, ok := golden[f.Name]
 				if !ok {
 					t.Fatalf("family %q has no golden dispatch row", f.Name)
 				}
+				want := row[sess.col+i]
 				g := f.Make()
 				if err := s.SolveInto(g, res); err != nil {
 					t.Fatalf("%s/%s@%d: %v", be, f.Name, n, err)
@@ -146,9 +151,9 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 				if tr == nil || tr.Dispatch == nil {
 					t.Fatalf("%s/%s@%d: auto solve with tracing must record a dispatch decision", be, f.Name, n)
 				}
-				if got := (pick{tr.Dispatch.Chosen, tr.Dispatch.Rule}); got != want[i] {
-					t.Errorf("%s/%s@%d: auto picked %s/%q, golden %s/%q",
-						be, f.Name, n, got.algo, got.rule, want[i].algo, want[i].rule)
+				if got := (pick{tr.Dispatch.Chosen, tr.Dispatch.Rule}); got != want {
+					t.Errorf("%s procs=%d/%s@%d: auto picked %s/%q, golden %s/%q",
+						be, sess.procs, f.Name, n, got.algo, got.rule, want.algo, want.rule)
 				}
 				if tr.Dispatch.Chosen != res.Algorithm {
 					t.Errorf("%s/%s@%d: trace dispatch chose %q but Result.Algorithm is %q",
@@ -161,8 +166,9 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 					if err := fs.SolveInto(g, fixedRes); err != nil {
 						t.Fatalf("%s/%s@%d: %v", be, f.Name, n, err)
 					}
-					if !graph.SamePartition(res.Labels, fixedRes.Labels) {
-						t.Errorf("%s/%s@%d: %s partition differs from auto's", be, f.Name, n, fixedRes.Algorithm)
+					if !slices.Equal(res.Labels, fixedRes.Labels) {
+						t.Errorf("%s procs=%d/%s@%d: %s labels differ from auto's",
+							be, sess.procs, f.Name, n, fixedRes.Algorithm)
 					}
 				}
 			}
