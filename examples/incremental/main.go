@@ -2,7 +2,7 @@
 // occasional retractions — and component counts are needed after every
 // batch.  This is the workload the live-session API serves: Attach binds a
 // Solver to the graph, AddEdges folds insert batches into the live
-// partition in O(batch) CAS union-find work, RemoveEdges resolves each
+// partition in O(batch) union-find work, RemoveEdges resolves each
 // deletion through the session's spanning forest (re-solving a component
 // only when a replacement search blows its budget), and Components
 // re-queries without solving anything.  The

@@ -348,6 +348,60 @@ func bridgeGraph(half *Graph) (*Graph, Edge) {
 	return g, bridge
 }
 
+// TestForestSplitSeedChain pins the live forest's flatten after a split
+// leaves a leaf pointing up: removing {1,7} from 0–1–7–4 relabels the
+// split-off side to its seed 7, so p[4] = 7 > 4.  Two later batches hook
+// 7 under 2 and 2 under 0, which leaves the chain 4 → 7 → 2 → 0; a
+// one-pass ascending flatten would label 4 with 2 (7 is not flat yet when
+// 4 is read), so both Components and a published snapshot must see
+// {0,1,2,4,7} as one component of 4, on either backend.
+func TestForestSplitSeedChain(t *testing.T) {
+	g := graph.FromPairs(8, [][2]int{{0, 1}, {1, 7}, {7, 4}})
+	for _, be := range []Backend{BackendSequential, BackendConcurrent} {
+		s, oracle := forestSession(t, g, be)
+		if _, err := s.PublishSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RemoveEdges([]Edge{{U: 1, V: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		if p := s.inc.parent; p[7] != 7 || p[4] != 7 {
+			t.Fatalf("%s: split relabel p[7], p[4] = %d, %d, want the seed 7 for both", be, p[7], p[4])
+		}
+		for _, b := range [][]Edge{{{U: 7, V: 2}}, {{U: 2, V: 1}}} {
+			if err := s.AddEdges(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.AddEdges(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Components()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := s.PublishSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, l := range map[string][]int32{"Components": res.Labels, "snapshot": sn.Labels()} {
+			for _, v := range []int32{1, 2, 4, 7} {
+				if l[v] != l[0] {
+					t.Fatalf("%s %s: label[%d] = %d, label[0] = %d: want one component {0,1,2,4,7}", be, name, v, l[v], l[0])
+				}
+			}
+			if c := graph.NumLabels(l); c != 4 {
+				t.Fatalf("%s %s: %d components, want 4", be, name, c)
+			}
+		}
+		if res.NumComponents != 4 || sn.NumComponents() != 4 {
+			t.Fatalf("%s: NumComponents = %d (Components), %d (snapshot), want 4", be, res.NumComponents, sn.NumComponents())
+		}
+		forestCheckAgainstOracle(t, string(be), s, oracle)
+		s.Close()
+	}
+}
+
 // TestScopedRepairRegions deletes the bridge of bridgeGraph over four
 // region shapes — cycle, sparse and dense GNM, and grid halves — on a
 // concurrent session with a published snapshot, and asserts the budget

@@ -12,9 +12,9 @@ import (
 // This file is the incremental-update subsystem on top of solver sessions:
 // a Solver can hold a live graph (Attach) and keep its component partition
 // current across batched mutations.  Insertions never look at the rest of
-// the graph — AddEdges runs the batch through the lock-free CAS union-find
-// (internal/par Unite), O(|batch|·α) amortized work, parallel over the
-// batch on the session's runtime.  Deletions cannot be absorbed by a
+// the graph — AddEdges runs the batch through par.UniteBatch, Rem's
+// union-find walk with plain stores on one worker, O(|batch|·α) amortized
+// work on either backend.  Deletions cannot be absorbed by a
 // union-find, so RemoveEdges leans on the session's spanning forest — a
 // graph.DynForest whose per-edge flags record which edges united two
 // components when they arrived: a deleted non-forest edge is O(1) — the
@@ -23,8 +23,9 @@ import (
 // promotes a crossing edge or relabels the split-off side in place.  Only
 // when a search blows its scan budget does the session fall back to the
 // scoped repair: mark the component dirty, then relabel the dirty
-// components in place with one sequential union pass over their edges,
-// which re-derives their forest flags in the same pass.
+// components in place with one pass of the same one-worker union over
+// their edges (par.RebuildRegion), which re-derives their forest flags in
+// the same pass.
 // Components/ComponentsInto re-query the live partition without solving
 // anything.
 //
@@ -33,7 +34,7 @@ import (
 // live path runs or charges the paper's FLS pipeline.
 
 // incSession is the live state behind Attach/AddEdges/RemoveEdges: the
-// session-owned graph, the CAS union-find forest over it, the maintained
+// session-owned graph, the union-find forest over it, the maintained
 // component count, and the spanning forest.  Guarded by the Solver's
 // mutex.
 type incSession struct {
@@ -85,9 +86,9 @@ func replaceBudget(m int) int64 {
 // Components) available.  The solver takes ownership of g: mutate it only
 // through the incremental API afterwards (Live returns it for read-only
 // use).  Attaching again replaces the previous live graph.  The initial
-// solve is uncharged CAS union-find work, parallel on the session's
-// runtime — not a charged PRAM run: one O(m·α) Unite pass, whose merges
-// are also the spanning forest's flags.
+// solve is uncharged union-find work, not a charged PRAM run: one
+// O(m·α) par.UniteBatch pass on one worker, whose merges are also the
+// spanning forest's flags, then a Compress on the session's runtime.
 func (s *Solver) Attach(g *Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -107,21 +108,22 @@ func (s *Solver) Attach(g *Graph) error {
 	rec := s.rec
 	rec.Reset()
 	rec.Add(obs.CtrBatchEdges, int64(g.M()))
-	e := s.rt
 	p := make([]int32, g.N)
 	span := rec.Begin()
-	e.Run(g.N, func(v int) { p[v] = int32(v) })
-	// The Unite pass reports per-edge outcomes: the winning edges are
+	for v := range p {
+		p[v] = int32(v)
+	}
+	// The union pass reports per-edge outcomes: the merging edges are
 	// exactly the initial spanning forest, and the store takes the mark
 	// buffer over as its forest flags — one labeling pass, one copy of the
 	// flags.
 	flags := make([]bool, g.M())
-	merges := par.UniteBatch(e, p, g.Edges, flags, nil)
+	merges := par.UniteBatch(p, g.Edges, flags, nil)
 	df := graph.NewDynForest(g, flags)
 	rec.Add(obs.CtrCASAttempts, int64(g.M()))
 	rec.Add(obs.CtrCASHooks, int64(merges))
 	span = rec.Lap(obs.PhaseUnite, span)
-	par.Compress(e, p)
+	par.Compress(s.rt, p)
 	rec.End(obs.PhaseCompress, span)
 	s.inc = &incSession{g: g, parent: p, ncomp: g.N - merges, forest: df}
 	// Unpublish: a snapshot of the previous live graph must not answer for
@@ -151,10 +153,10 @@ func (s *Solver) Live() *Graph {
 }
 
 // AddEdges appends a batch of edges to the live graph and folds them into
-// the partition: O(|batch|·α) amortized work on the session's runtime,
-// independent of the size of the rest of the graph — the fast path of the
-// incremental subsystem.  Self-loops and parallel edges are permitted
-// (§2.1); endpoints must be in range.  On error the live state is
+// the partition: O(|batch|·α) amortized work, one par.UniteBatch pass on
+// one worker whatever the backend, independent of the size of the rest of
+// the graph — the fast path of the incremental subsystem.  Self-loops and
+// parallel edges are permitted (§2.1); endpoints must be in range.  On error the live state is
 // unchanged.  Safe for concurrent callers (the session lock serializes all
 // mutations and queries).
 func (s *Solver) AddEdges(batch []Edge) error {
@@ -184,7 +186,7 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	// planFor rebuilds it on the next plan-consuming solve, so the insert
 	// path stays O(|batch|).
 	span := rec.Begin()
-	// Unite first, then register each edge with its outcome: a winning
+	// Unite first, then register each edge with its outcome: a merging
 	// edge united two components and joins the spanning forest, the rest
 	// (loops, duplicates, intra-component edges) are non-forest.
 	st := s.pages
@@ -192,7 +194,7 @@ func (s *Solver) AddEdges(batch []Edge) error {
 		inc.marks = make([]bool, len(batch))
 	}
 	marks := inc.marks[:len(batch)]
-	merges := par.UniteBatch(s.rt, inc.parent, batch, marks, st.loserBuf(len(batch)))
+	merges := par.UniteBatch(inc.parent, batch, marks, st.loserBuf(len(batch)))
 	for i, ed := range batch {
 		inc.forest.Insert(ed, marks[i])
 	}
@@ -209,8 +211,8 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	rec.Add(obs.CtrCASHooks, int64(merges))
 	if merges > 0 {
 		inc.ncomp -= merges
-		// Only a winning hook can leave a chain; failed unites and finds
-		// at most shorten paths.
+		// Only a merging call writes to a flat forest: an intra-set edge
+		// there returns on its first two loads.
 		inc.needsCompress = true
 	}
 	if rec != nil {
@@ -357,8 +359,8 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 // scopedRepair is RemoveEdges' budget fallback: it gathers the vertices of
 // the dirty components (dirty[root] != 0 for dirtyCount roots of the flat
 // live forest), widening dirty to a membership mask of that region as it
-// goes, relabels the region in place — DynForest.RebuildRegion resets it
-// to singletons and unites its edges in one pass over the live edge
+// goes, relabels the region in place — par.RebuildRegion resets it to
+// singletons and unites its edges in one pass over the live edge
 // array, which yields the region's flat minima labels and forest flags
 // together — re-derives the region's snapshot mirror, and clears the
 // mask.  Labels outside the region are untouched.  O(n) gather + O(m)
@@ -378,7 +380,7 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) {
 	}
 	inc.scopedVerts = verts
 	span = rec.Lap(obs.PhaseExtract, span)
-	comps, edges := inc.forest.RebuildRegion(parent, verts, dirty)
+	comps, edges := par.RebuildRegion(inc.forest, parent, verts, dirty)
 	rec.Add(obs.CtrScopedVertices, int64(len(verts)))
 	rec.Add(obs.CtrScopedEdges, int64(edges))
 	span = rec.Lap(obs.PhaseScoped, span)

@@ -18,7 +18,7 @@ import (
 // n = 2^16:
 //
 //   - insert-only: 24 batches of 512 random inserts on GNM(n, 2n) run ≥5×
-//     faster live than cold (AddEdges does O(batch·α) CAS union-find work,
+//     faster live than cold (AddEdges does O(batch·α) union-find work,
 //     a re-solve re-pays O(m+n));
 //   - delete-dominated: 32 delete-only batches of 32 existing edges on a
 //     dense GNM(n, 8n) giant component run ≥10× faster live (a non-forest

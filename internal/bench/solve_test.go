@@ -40,7 +40,11 @@ func solveSessions(tb testing.TB) map[parcc.Algorithm]*parcc.Solver {
 // solveBursts times the warm solves of g on every session: each is
 // warmed once untimed (plan cache, label buffers), then the algorithms
 // take turns in `rounds` rounds of `burst`-solve bursts, so machine-wide
-// drift lands on every algorithm alike.  The warm solves also check that
+// drift lands on every algorithm alike.  Round r starts at the r-th
+// algorithm, so over len(solveAlgos) rounds every algorithm runs in every
+// position: a solve that runs slower right after another algorithm's
+// (cache and allocator state left by the one before) is not always
+// charged to the same algorithm.  The warm solves also check that
 // the five partitions agree, so no ratio comes from a wrong answer.
 // Returns each algorithm's wall samples in seconds.
 func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name string, g *graph.Graph, rounds, burst int) map[parcc.Algorithm][]float64 {
@@ -58,7 +62,8 @@ func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name 
 	}
 	walls := map[parcc.Algorithm][]float64{}
 	for r := 0; r < rounds; r++ {
-		for _, a := range solveAlgos {
+		for k := range solveAlgos {
+			a := solveAlgos[(r+k)%len(solveAlgos)]
 			for j := 0; j < burst; j++ {
 				t0 := time.Now()
 				if err := solvers[a].SolveInto(g, res); err != nil {

@@ -202,45 +202,13 @@ func (df *DynForest) relink(h int32, e Edge, to int32) {
 	}
 }
 
-// RebuildRegion relabels a region of whole components from scratch in
-// the live union-find array parent and re-derives the region's forest
-// flags in the same pass: verts are the region's vertices in ascending
-// order, and in[v] != 0 exactly for them.  It resets the region's
-// vertices to singletons, then makes one pass over the contiguous edge
-// array and unites each region edge — one whose U is in the region;
-// regions are closed under adjacency, so its V is too — with the
-// min-linking seqUnite, an edge being a forest edge exactly when its
-// union merged.  Last it flattens in ascending order, which one pass
-// completes because min-linking keeps parent[v] ≤ v.  Each component of
-// the region comes out labeled by its minimum vertex, the label the
-// concurrent kernels agree on (Liu–Tarjan's min-linking result, of which
-// the sequential schedule is one instance).  Returns the region's
-// component and edge counts.  O(|verts| + m + region edges·α).
-func (df *DynForest) RebuildRegion(parent, verts, in []int32) (comps, edges int) {
-	for _, v := range verts {
-		parent[v] = v
-	}
-	for h, e := range df.g.Edges {
-		if in[e.U] != 0 {
-			edges++
-			df.forest[h] = e.U != e.V && seqUnite(parent, e.U, e.V)
-		}
-	}
-	for _, v := range verts {
-		parent[v] = parent[parent[v]]
-		if parent[v] == v {
-			comps++
-		}
-	}
-	return comps, edges
-}
-
 // Check asserts the store indexes exactly the live graph g and that the
 // maintained forest is a valid spanning forest of it whose partition is
-// labels: forest edges are loop-free and acyclic, and the partition they
-// induce equals labels exactly — together with forest ⊆ live (structural:
-// flags live on positions) this is the certificate invariant.
-// Verification code for tests; O(n + m·α).
+// labels: the forest-flagged edges, handed to VerifyCertificate, must be
+// acyclic (a flagged self-loop closes a cycle) and induce exactly the
+// partition labels — together with forest ⊆ live (structural: flags live
+// on positions) this is the certificate invariant.  Verification code for
+// tests; O(n + m·α).
 func (df *DynForest) Check(g *Graph, labels []int32) error {
 	if df.g != g {
 		return fmt.Errorf("dynforest: store indexes a different graph than the one checked")
@@ -248,27 +216,14 @@ func (df *DynForest) Check(g *Graph, labels []int32) error {
 	if err := df.checkIndex(); err != nil {
 		return err
 	}
-	uf := make([]int32, g.N)
-	for i := range uf {
-		uf[i] = int32(i)
-	}
+	c := &Certificate{Labels: labels}
 	for h, ed := range g.Edges {
-		if !df.IsForest(int32(h)) {
-			continue
-		}
-		if ed.U == ed.V {
-			return fmt.Errorf("dynforest: self-loop {%d,%d} flagged as forest edge", ed.U, ed.V)
-		}
-		if !seqUnite(uf, ed.U, ed.V) {
-			return fmt.Errorf("dynforest: forest edge {%d,%d} closes a cycle", ed.U, ed.V)
+		if df.forest[h] {
+			c.Forest = append(c.Forest, ed)
 		}
 	}
-	forestLabels := make([]int32, g.N)
-	for v := range forestLabels {
-		forestLabels[v] = seqFind(uf, int32(v))
-	}
-	if !SamePartition(forestLabels, labels) {
-		return fmt.Errorf("dynforest: forest partition disagrees with live labels (forest under- or over-spans)")
+	if err := VerifyCertificate(g, c); err != nil {
+		return fmt.Errorf("dynforest: %w", err)
 	}
 	return nil
 }
@@ -306,28 +261,4 @@ func (df *DynForest) checkIndex() error {
 		return fmt.Errorf("dynforest: incidence lists hold %d entries, want 2m − loops = %d", total, want)
 	}
 	return nil
-}
-
-// seqFind / seqUnite are the sequential union-find helpers of the rebuild
-// and checker paths: path halving, and union by minimum, so a root is
-// always its set's minimum vertex — RebuildRegion's labels rely on it.
-func seqFind(p []int32, v int32) int32 {
-	for p[v] != v {
-		p[v] = p[p[v]]
-		v = p[v]
-	}
-	return v
-}
-
-func seqUnite(p []int32, a, b int32) bool {
-	ra, rb := seqFind(p, a), seqFind(p, b)
-	if ra == rb {
-		return false
-	}
-	if ra < rb {
-		p[rb] = ra
-	} else {
-		p[ra] = rb
-	}
-	return true
 }

@@ -278,19 +278,24 @@ func TestDynForestMemoryPerEdge(t *testing.T) {
 
 // forestStore builds a store over g the way the session's attach and
 // insert paths do — each edge flagged forest exactly when it unites two
-// components in arrival order — and returns it with the component labels.
+// components in arrival order — and returns it with labels naming each
+// component by one of its vertices.  Relabels a whole component per
+// merge: O(n·m), for small fixtures.
 func forestStore(g *Graph) (*DynForest, []int32) {
-	uf := make([]int32, g.N)
-	for v := range uf {
-		uf[v] = int32(v)
+	labels := make([]int32, g.N)
+	for v := range labels {
+		labels[v] = int32(v)
 	}
 	flags := make([]bool, len(g.Edges))
 	for i, e := range g.Edges {
-		flags[i] = seqUnite(uf, e.U, e.V)
-	}
-	labels := make([]int32, g.N)
-	for v := range labels {
-		labels[v] = seqFind(uf, int32(v))
+		lu, lv := labels[e.U], labels[e.V]
+		if flags[i] = lu != lv; flags[i] {
+			for v, l := range labels {
+				if l == lv {
+					labels[v] = lu
+				}
+			}
+		}
 	}
 	return NewDynForest(g, flags), labels
 }
@@ -362,63 +367,5 @@ func TestDynForestCheck(t *testing.T) {
 	}
 	if err := df.Check(g, labels); err != nil {
 		t.Fatalf("flags not restored: %v", err)
-	}
-}
-
-// TestDynForestRebuildRegion pins the scoped fallback's in-place
-// relabel: two forest edges of a cycle are removed without a replacement
-// search, which leaves the labels one component too coarse and the flags
-// under-spanning, and RebuildRegion over the cycle (a parallel copy and a
-// self-loop among its edges) must count the region's two components and
-// its edges, label each component by its minimum vertex, leave the path
-// component outside the region untouched, and re-derive a spanning
-// forest the checker accepts.
-func TestDynForestRebuildRegion(t *testing.T) {
-	const cyc, n = 64, 80
-	pairs := [][2]int{{5, 6}, {7, 7}}
-	for i := range cyc {
-		pairs = append(pairs, [2]int{i, (i + 1) % cyc})
-	}
-	for i := cyc; i+1 < n; i++ {
-		pairs = append(pairs, [2]int{i, i + 1})
-	}
-	g := FromPairs(n, pairs)
-	df, labels := forestStore(g)
-	for _, e := range []Edge{{U: 32, V: 33}, {U: 10, V: 11}} {
-		h := df.PickRemovable(e.CanonKey())
-		if !df.IsForest(h) {
-			t.Fatalf("edge %v must be a forest edge", e)
-		}
-		df.Remove(h)
-	}
-	if err := df.Check(g, labels); err == nil {
-		t.Fatal("removing forest edges without repair must leave the forest under-spanning")
-	}
-	var verts []int32
-	in := make([]int32, n)
-	for v := range int32(cyc) {
-		verts = append(verts, v)
-		in[v] = 1
-	}
-	parent := slices.Clone(labels)
-	// The cycle less its two removed edges, plus the copy and the loop.
-	wantEdges := cyc - 2 + 2
-	if c, m := df.RebuildRegion(parent, verts, in); c != 2 || m != wantEdges {
-		t.Fatalf("region components/edges = %d/%d, want 2/%d", c, m, wantEdges)
-	}
-	for v := range parent {
-		want := int32(0) // {33..63, 0..10}
-		switch {
-		case v >= cyc:
-			want = cyc
-		case v >= 11 && v <= 32:
-			want = 11
-		}
-		if parent[v] != want {
-			t.Fatalf("parent[%d] = %d, want the minimum %d of its component", v, parent[v], want)
-		}
-	}
-	if err := df.Check(g, parent); err != nil {
-		t.Fatalf("rebuilt region fails the invariant: %v", err)
 	}
 }

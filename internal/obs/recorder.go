@@ -67,7 +67,8 @@ const (
 	PhaseSampleSolve
 	// PhaseFinish is the FLS flatten/backstop completion.
 	PhaseFinish
-	// PhaseUnite is the incremental insert path (par.UniteBatch).
+	// PhaseUnite is the one-worker union of Attach and AddEdges
+	// (par.UniteBatch).
 	PhaseUnite
 	// PhaseExtract is the deletion path's setup (entry flatten, mirror
 	// flush) and the scoped repair's gather of the dirty region's

@@ -33,7 +33,7 @@ func Components(rt *Runtime, g *graph.Graph, dst []int32) ([]int32, int) {
 		}
 		hooks := 0
 		for _, ed := range edges {
-			if UniteRem(p, ed.U, ed.V, true) {
+			if UniteRem(p, ed.U, ed.V, true) >= 0 {
 				hooks++
 			}
 		}
@@ -47,7 +47,7 @@ func Components(rt *Runtime, g *graph.Graph, dst []int32) ([]int32, int) {
 	rt.ForSpans(len(edges), func(lo, hi, _ int) {
 		h := int64(0)
 		for _, ed := range edges[lo:hi] {
-			if UniteRem(p, ed.U, ed.V, false) {
+			if UniteRem(p, ed.U, ed.V, false) >= 0 {
 				h++
 			}
 		}

@@ -404,7 +404,7 @@ func finishVertex(p []int32, csr *graph.CSR, filtered bool, v, pv int32) (att, h
 				continue
 			}
 			att++
-			if UniteRem(p, v, u, false) {
+			if UniteRem(p, v, u, false) >= 0 {
 				hk++
 			}
 		}
@@ -415,7 +415,7 @@ func finishVertex(p []int32, csr *graph.CSR, filtered bool, v, pv int32) (att, h
 				continue
 			}
 			att++
-			if UniteRem(p, v, u, false) {
+			if UniteRem(p, v, u, false) >= 0 {
 				hk++
 			}
 		}

@@ -61,34 +61,51 @@ func Unite(p []int32, u, v int32) (int32, bool) {
 // splicing, linking by index: the walk steps whichever side has the larger
 // parent, and either hooks that side under the other's parent (when it is
 // a root) or splices it there (lowering its parent to the other's) and
-// climbs on from its old parent, until both sides share a parent.
-// Parents only ever decrease and stay ≤ their vertex, so every tree's
-// root is its minimum and a pass of UniteRem over an edge list followed
-// by Compress labels each vertex with its component minimum under any
-// schedule — the labels Unite's pass produces.  Intra-set edges on a
-// flat forest cost two loads and no write: Unite's path halving issues a
-// CAS on every step of both finds, UniteRem writes only where a pointer
-// moves.  It reports whether this call hooked a root; a hook always joins
-// two distinct trees, so over a pass the hooks total exactly the merges.
+// climbs on from its old parent, until both sides share a parent.  It
+// returns the root this call hooked, or −1 when it hooked none.  Intra-set
+// edges on a flat forest cost two loads and no write: Unite's path
+// halving issues a CAS on every step of both finds, UniteRem writes only
+// where a pointer moves.
+//
+// Soundness needs less than "parents stay ≤ their vertex", which holds
+// only on a fresh forest.  The live session's forest breaks it after a
+// split: ReplacementSearch relabels the split-off side to its seed
+// endpoint, so p[4] = 7 is possible.  The walk needs only this weaker
+// invariant, which every writer of the live forest keeps: only roots and
+// hooked vertices are ever named by a parent pointer, and their chains
+// strictly decrease; leaves may point up.  A leaf's parent is read only
+// as the walk's first step, every later pointer lies on a decreasing
+// chain, and a hook or splice stores such a pointer below the vertex it
+// moves, so no cycle forms.  From an identity forest, a pass of UniteRem
+// over an edge list followed by Compress labels each vertex with its
+// component minimum under any schedule — the labels Unite's pass
+// produces.  A leaf that points up is why the live path flattens with
+// Compress and must not use Components' one-pass ascending flatten: that
+// flatten reads a leaf's parent before the parent is flat (with 4 → 7 →
+// 2 → 0 it labels 4 with 2).
 //
 // seq selects the one-worker schedule: when no other worker can touch p,
 // the hook and the splice are plain stores.  That schedule is one of the
 // "any schedule" above, so the walk and its labels are unchanged; it only
 // drops the locked CAS, which costs several plain stores.  Callers pass a
 // constant, and the body inlines into their edge loops, so the other
-// branch compiles away.
+// branch compiles away.  On one worker every hooking call joins two whole
+// sets — a splice moves a subtree only until the same call's hook — so
+// over a pass the calls that hooked are exactly a spanning forest of the
+// edges and each returned root is exactly the root its set lost: the
+// bookkeeping UniteBatch reports.
 //
-// It is labels-only.  A splice moves a subtree of x's tree into y's tree
-// before the operation ends, so a concurrent union can find its endpoints
-// already joined through the subtree in transit and hook elsewhere: the
-// edges whose call hooked need not form a spanning forest, and the hooked
-// root is not the root x's set lost.  UniteBatch, whose marks must be a
-// spanning forest and whose loser roots must be exact, keeps Unite.
-func UniteRem(p []int32, x, y int32, seq bool) bool {
+// Under concurrency the result is labels-only.  A splice moves a subtree
+// of x's tree into y's tree before the operation ends, so a concurrent
+// union can find its endpoints already joined through the subtree in
+// transit and hook elsewhere: the hooks still total exactly the merges,
+// but the edges whose call hooked need not form a spanning forest, and
+// the hooked root is not the root x's set lost.
+func UniteRem(p []int32, x, y int32, seq bool) int32 {
 	for {
 		px, py := atomic.LoadInt32(&p[x]), atomic.LoadInt32(&p[y])
 		if px == py {
-			return false
+			return -1
 		}
 		if px < py {
 			x, y, px, py = y, x, py, px
@@ -105,7 +122,7 @@ func UniteRem(p []int32, x, y int32, seq bool) bool {
 		if px != x {
 			x = px
 		} else if ok {
-			return true
+			return x
 		}
 	}
 }

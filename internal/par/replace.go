@@ -211,3 +211,38 @@ func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, fu, fv *Front
 		}
 	}
 }
+
+// RebuildRegion is the scoped repair's in-place relabel: it relabels a
+// region of whole components from scratch in the live union-find array p
+// and re-derives the region's forest flags in df in the same pass.  verts
+// are the region's vertices in ascending order, and in[v] != 0 exactly
+// for them.  It resets the region's vertices to singletons, then makes
+// one pass over df's edges and runs UniteBatch's one-worker UniteRem on
+// each region edge — one whose U is in the region; regions are closed
+// under adjacency, so its V is too — an edge being a forest edge exactly
+// when its call hooked.  Last it flattens in ascending order, which one
+// pass completes because the region restarted from singletons, where
+// parents stay ≤ their vertex.  Each component of the region comes out
+// labeled by its minimum vertex, the label the concurrent kernels agree
+// on.  Returns the region's component and edge counts.
+// O(|verts| + m + region edges·α), sequential and orchestrator-owned like
+// ReplacementSearch.
+func RebuildRegion(df *graph.DynForest, p, verts, in []int32) (comps, edges int) {
+	for _, v := range verts {
+		p[v] = v
+	}
+	for h := range int32(df.M()) {
+		u := df.U(h)
+		if in[u] != 0 {
+			edges++
+			df.SetForest(h, UniteRem(p, u, df.V(h), true) >= 0)
+		}
+	}
+	for _, v := range verts {
+		p[v] = p[p[v]]
+		if p[v] == v {
+			comps++
+		}
+	}
+	return comps, edges
+}

@@ -145,3 +145,77 @@ func TestFrontierHas(t *testing.T) {
 	}
 	f.Clear()
 }
+
+// forestStore builds a store over g the way Attach does — one UniteBatch
+// over the edge list, whose marks are the forest flags — and returns it
+// with the flat minimum labels.
+func forestStore(g *graph.Graph) (*graph.DynForest, []int32) {
+	p := make([]int32, g.N)
+	for v := range p {
+		p[v] = int32(v)
+	}
+	flags := make([]bool, g.M())
+	UniteBatch(p, g.Edges, flags, nil)
+	for v, pv := range p { // ascending flatten: a fresh forest's parents stay ≤ their vertex
+		p[v] = p[pv]
+	}
+	return graph.NewDynForest(g, flags), p
+}
+
+// TestDynForestRebuildRegion pins the scoped fallback's in-place
+// relabel: two forest edges of a cycle are removed without a replacement
+// search, which leaves the labels one component too coarse and the flags
+// under-spanning, and RebuildRegion over the cycle (a parallel copy and a
+// self-loop among its edges) must count the region's two components and
+// its edges, label each component by its minimum vertex, leave the path
+// component outside the region untouched, and re-derive a spanning
+// forest the checker accepts.
+func TestDynForestRebuildRegion(t *testing.T) {
+	const cyc, n = 64, 80
+	pairs := [][2]int{{5, 6}, {7, 7}}
+	for i := range cyc {
+		pairs = append(pairs, [2]int{i, (i + 1) % cyc})
+	}
+	for i := cyc; i+1 < n; i++ {
+		pairs = append(pairs, [2]int{i, i + 1})
+	}
+	g := graph.FromPairs(n, pairs)
+	df, labels := forestStore(g)
+	for _, e := range []graph.Edge{{U: 32, V: 33}, {U: 10, V: 11}} {
+		h := df.PickRemovable(e.CanonKey())
+		if !df.IsForest(h) {
+			t.Fatalf("edge %v must be a forest edge", e)
+		}
+		df.Remove(h)
+	}
+	if err := df.Check(g, labels); err == nil {
+		t.Fatal("removing forest edges without repair must leave the forest under-spanning")
+	}
+	var verts []int32
+	in := make([]int32, n)
+	for v := range int32(cyc) {
+		verts = append(verts, v)
+		in[v] = 1
+	}
+	parent := slices.Clone(labels)
+	// The cycle less its two removed edges, plus the copy and the loop.
+	wantEdges := cyc - 2 + 2
+	if c, m := RebuildRegion(df, parent, verts, in); c != 2 || m != wantEdges {
+		t.Fatalf("region components/edges = %d/%d, want 2/%d", c, m, wantEdges)
+	}
+	for v := range parent {
+		want := int32(0) // {33..63, 0..10}
+		switch {
+		case v >= cyc:
+			want = cyc
+		case v >= 11 && v <= 32:
+			want = 11
+		}
+		if parent[v] != want {
+			t.Fatalf("parent[%d] = %d, want the minimum %d of its component", v, parent[v], want)
+		}
+	}
+	if err := df.Check(g, parent); err != nil {
+		t.Fatalf("rebuilt region fails the invariant: %v", err)
+	}
+}

@@ -28,7 +28,7 @@ func TestSnapshotLabels(t *testing.T) {
 		for v := range p {
 			p[v] = int32(v)
 		}
-		UniteBatch(e, p, g.Edges, make([]bool, g.M()), nil)
+		UniteBatch(p, g.Edges, make([]bool, g.M()), nil)
 
 		before := make([]int32, n)
 		copy(before, p)

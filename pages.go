@@ -216,7 +216,7 @@ func (st *pageStore) split(moved []int32, oldRoot, newRoot int32) {
 }
 
 // rebuildRegion re-derives the mirror for a scoped repair's region after
-// DynForest.RebuildRegion wrote its flat labels into parent: labels
+// par.RebuildRegion wrote its flat labels into parent: labels
 // copy straight from parent, sizes are zeroed and recounted, circles are
 // rebuilt in two passes.  Regions are whole components (dirty sets are
 // closed under adjacency, and mid-batch splits keep circles
