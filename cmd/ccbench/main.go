@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"parcc"
 	"parcc/internal/bench"
 )
 
@@ -47,6 +48,10 @@ func main() {
 	case "sequential", "concurrent":
 	default:
 		fmt.Fprintf(os.Stderr, "ccbench: unknown backend %q (want sequential or concurrent)\n", *backend)
+		os.Exit(1)
+	}
+	if *procs < 0 {
+		fmt.Fprintln(os.Stderr, "ccbench:", &parcc.ProcsRangeError{Procs: *procs})
 		os.Exit(1)
 	}
 	cfg := bench.Config{Seed: *seed, Backend: *backend, Procs: *procs}

@@ -5,7 +5,6 @@
 //
 //	ccrun -gen expander:n=65536,d=8 -algo fls
 //	ccrun -graph edges.txt -algo fls-known-gap -backend sequential
-//	ccrun -gen expander:n=262144,d=8 -backend concurrent -procs 8 -speedup
 //	graphgen -gen cycle:n=100000 | ccrun -graph - -algo auto
 //
 // Algorithms: fls (the paper), fls-known-gap, union-find, cas, sample,
@@ -13,9 +12,8 @@
 // run through ccbench's experiment tables, not through ccrun.
 //
 // Backends: sequential (deterministic single-threaded simulation) and
-// concurrent (the default: the internal/par goroutine pool); -speedup
-// additionally runs the concurrent backend at procs=1 and reports T1/TP
-// self-speedup.
+// concurrent (the default: the internal/par goroutine pool).  The T1/TP
+// self-speedup of the concurrent backend is ccbench's SP table.
 package main
 
 import (
@@ -37,7 +35,6 @@ func main() {
 		procs     = flag.Int("procs", 0, "parallelism of the concurrent backend (0 = NumCPU)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		b         = flag.Int("b", 16, "degree target for fls-known-gap")
-		speedup   = flag.Bool("speedup", false, "report T1/TP self-speedup of the concurrent backend (runs twice)")
 		verify    = flag.Bool("verify", false, "check the result against BFS")
 		list      = flag.Bool("components", false, "print every component")
 		trace     = flag.Bool("trace", false, "record and print the solve-phase trace (wall time per phase, kernel counters)")
@@ -58,11 +55,6 @@ func main() {
 		KnownGapB: *b,
 		Trace:     *trace,
 	}
-	if *speedup && opt.Backend == parcc.BackendSequential {
-		fmt.Fprintln(os.Stderr, "ccrun: -speedup measures the concurrent backend; it cannot run with -backend sequential")
-		os.Exit(1)
-	}
-
 	start := time.Now()
 	res, err := parcc.ConnectedComponents(g, &opt)
 	if err != nil {
@@ -84,21 +76,6 @@ func main() {
 	}
 	if *trace && res.Trace != nil {
 		res.Trace.WriteText(os.Stdout)
-	}
-
-	if *speedup {
-		p := res.Procs
-		one := opt
-		one.Procs = 1
-		t0 := time.Now()
-		if _, err := parcc.ConnectedComponents(g, &one); err != nil {
-			fmt.Fprintln(os.Stderr, "ccrun:", err)
-			os.Exit(1)
-		}
-		t1 := time.Since(t0)
-		fmt.Printf("T1 (procs=1): %v\n", t1)
-		fmt.Printf("TP (procs=%d): %v\n", p, wall)
-		fmt.Printf("self-speedup: %.2fx\n", float64(t1)/float64(wall))
 	}
 
 	if *verify {

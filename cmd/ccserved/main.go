@@ -18,18 +18,17 @@
 //
 // Observability: GET /metrics exposes the engine's Prometheus counters and
 // the snapshot-publish latency histogram; GET /graphs/{name}/trace returns
-// the session's last solve-phase trace (-trace, on by default); -pprof
+// the session's last solve-phase trace (sessions always trace); -pprof
 // mounts net/http/pprof under /debug/pprof/ (off by default).  GET /healthz
 // is pure liveness (200 while the process serves); GET /readyz is
 // readiness — 503 while recovering from the WAL or, on a follower, while
 // replication lags beyond -max-lag.
 //
 // Durability: -wal-dir enables a per-graph write-ahead log — every applied
-// mutation group is logged and (by default) fsync'd before its callers are
-// released, and the logs are replayed on startup, reconstructing every
-// graph at its last durable state (-fsync=false trades that guarantee for
-// append latency; see docs/OPERATIONS.md §durability).  On clean shutdown
-// each log is compacted to a checkpoint of the live state.
+// mutation group is logged and fsync'd before its callers are released,
+// and the logs are replayed on startup, reconstructing every graph at its
+// last durable state (see docs/OPERATIONS.md §durability).  On clean
+// shutdown each log is compacted to a checkpoint of the live state.
 //
 // Replication: -follow http://primary:8080 runs this process as a
 // read-only follower — it discovers the primary's graphs, tails each
@@ -67,18 +66,13 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		backend  = flag.String("backend", string(parcc.BackendConcurrent), "solver backend per session: sequential | concurrent")
-		procs    = flag.Int("procs", 0, "parallelism of each session's concurrent backend (0 = NumCPU)")
-		seed     = flag.Uint64("seed", 1, "solver seed")
-		window   = flag.Duration("window", 0, "batch-coalesce window per shard writer (0 = coalesce only what is queued)")
-		maxBatch = flag.Int("maxbatch", 1<<16, "max edges combined into one coalesced apply")
-		queue    = flag.Int("queue", 256, "per-shard mutation queue depth (back pressure beyond it)")
-		drain    = flag.Duration("drain", 15*time.Second, "graceful shutdown timeout for in-flight HTTP requests")
-		trace    = flag.Bool("trace", true, "record per-operation solve traces (GET /graphs/{name}/trace)")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (trusted networks only)")
-		walDir   = flag.String("wal-dir", "", "write-ahead-log directory: every applied mutation group is logged there before callers are released, and the logs are replayed on startup (empty = durability off)")
-		fsync    = flag.Bool("fsync", true, "fsync the WAL after every coalesced group; -fsync=false trades crash durability for append latency")
+		addr    = flag.String("addr", ":8080", "listen address")
+		backend = flag.String("backend", string(parcc.BackendConcurrent), "solver backend per session: sequential | concurrent")
+		procs   = flag.Int("procs", 0, "parallelism of each session's concurrent backend (0 = NumCPU)")
+		window  = flag.Duration("window", 0, "batch-coalesce window per shard writer (0 = coalesce only what is queued)")
+		drain   = flag.Duration("drain", 15*time.Second, "graceful shutdown timeout for in-flight HTTP requests")
+		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (trusted networks only)")
+		walDir  = flag.String("wal-dir", "", "write-ahead-log directory: every applied mutation group is logged and fsync'd there before callers are released, and the logs are replayed on startup (empty = durability off)")
 
 		// Replication.
 		follow = flag.String("follow", "", "run as a read-only follower of the primary at this base URL (e.g. http://primary:8080); writes are rejected with 409")
@@ -111,11 +105,13 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// Sessions run at seed 1 and record their solve traces
+	// (GET /graphs/{name}/trace).
 	solverOpt := &parcc.Options{
 		Backend: parcc.Backend(strings.ToLower(*backend)),
 		Procs:   *procs,
-		Seed:    *seed,
-		Trace:   *trace,
+		Seed:    1,
+		Trace:   true,
 	}
 	// Validate the session options once, before listening: every graph
 	// the engine creates builds a Solver from them.
@@ -128,10 +124,7 @@ func main() {
 	eng := service.New(service.Options{
 		Solver:         solverOpt,
 		CoalesceWindow: *window,
-		MaxBatchEdges:  *maxBatch,
-		QueueDepth:     *queue,
 		WALDir:         *walDir,
-		NoFsync:        !*fsync,
 		ReadOnly:       *follow != "",
 		Primary:        *follow,
 	})

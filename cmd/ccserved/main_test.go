@@ -20,29 +20,11 @@ import (
 
 	"parcc"
 	"parcc/internal/baseline"
+	"parcc/internal/cmdtest"
 	"parcc/internal/graph"
 )
 
-// argsEnv carries ccserved's arguments, one per line, to a re-run of this
-// test binary: TestMain then runs ccserved's main instead of the tests, so
-// every test drives real ccserved processes without a separate build.
-const argsEnv = "CCSERVED_TEST_ARGS"
-
-func TestMain(m *testing.M) {
-	if args, ok := os.LookupEnv(argsEnv); ok {
-		os.Args = append([]string{"ccserved"}, strings.Split(args, "\n")...)
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// ccserved returns an unstarted ccserved process with the given arguments.
-func ccserved(args ...string) *exec.Cmd {
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), argsEnv+"="+strings.Join(args, "\n"))
-	return cmd
-}
+func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
 // server is one ccserved process on a fixed loopback address, so that a
 // restart comes back where its followers expect it.
@@ -87,7 +69,7 @@ func (s *server) restart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s.cmd = ccserved(s.args...)
+	s.cmd = cmdtest.Command(s.args...)
 	s.cmd.Stdout, s.cmd.Stderr = f, f
 	if err := s.cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -220,14 +202,22 @@ func edgesJSON(n int, edges []parcc.Edge) string {
 	return string(b)
 }
 
-// TestServeLifecycle: invalid options fail before listening; a served
-// process answers health probes, mutations, point queries, the NDJSON
-// batch, stats, metrics and traces, keeps pprof off by default, serves its
-// -preload graph, and exits 0 on SIGTERM.
+// TestServeLifecycle: invalid options (a negative -procs, an unknown
+// backend, -follow with -wal-dir or -preload, a flag that does not exist)
+// fail before listening; a served process answers health probes,
+// mutations, point queries, the NDJSON batch, stats, metrics and traces,
+// keeps pprof off by default, serves its -preload graph, and exits 0 on
+// SIGTERM.
 func TestServeLifecycle(t *testing.T) {
-	for _, bad := range [][]string{{"-procs", "-1"}, {"-backend", "gpu"}} {
+	for _, bad := range [][]string{
+		{"-procs", "-1"},
+		{"-backend", "gpu"},
+		{"-follow", "http://127.0.0.1:1", "-wal-dir", t.TempDir()},
+		{"-follow", "http://127.0.0.1:1", "-preload", "demo=cycle:n=8"},
+		{"-fsync=false"},
+	} {
 		var out strings.Builder
-		cmd := ccserved(append([]string{"-addr", "127.0.0.1:0"}, bad...)...)
+		cmd := cmdtest.Command(append([]string{"-addr", "127.0.0.1:0"}, bad...)...)
 		cmd.Stdout, cmd.Stderr = &out, &out
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -276,6 +266,41 @@ func TestServeLifecycle(t *testing.T) {
 	s.cmd.Process.Signal(syscall.SIGTERM)
 	if err := s.cmd.Wait(); err != nil {
 		t.Errorf("SIGTERM: %v, want exit 0", err)
+	}
+}
+
+// TestWindowAndPprof: -window makes the shard writer combine concurrent
+// single-edge writes into fewer applies, and -pprof mounts the profiler.
+func TestWindowAndPprof(t *testing.T) {
+	const writers = 16
+	s := start(t, "-window", "200ms", "-pprof")
+	call(t, 200, "GET", s.url+"/debug/pprof/", "", nil)
+	g := s.url + "/graphs/g"
+	call(t, 201, "PUT", g, `{"n":64,"edges":[]}`, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if st, b, err := fetch("POST", g+"/edges", fmt.Sprintf(`{"edges":[[%d,%d]]}`, w, w+1)); err != nil || st != 200 {
+				t.Errorf("add %d-%d: status %d err %v body %s", w, w+1, st, err, b)
+			}
+		}()
+	}
+	wg.Wait()
+	if !connected(t, g, 0, writers) {
+		t.Fatalf("0-%d not connected after the adds", writers)
+	}
+	var stats struct {
+		Graphs []struct{ Writes, Applies, Coalesced int }
+	}
+	call(t, 200, "GET", s.url+"/stats", "", &stats)
+	if len(stats.Graphs) != 1 {
+		t.Fatalf("/stats lists %d graphs, want 1", len(stats.Graphs))
+	}
+	if st := stats.Graphs[0]; st.Writes != writers || st.Coalesced == 0 || st.Applies >= writers {
+		t.Errorf("-window 200ms: writes=%d applies=%d coalesced=%d; want %d writes in fewer applies",
+			st.Writes, st.Applies, st.Coalesced, writers)
 	}
 }
 

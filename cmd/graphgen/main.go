@@ -20,7 +20,6 @@ func main() {
 	var (
 		genSpec = flag.String("gen", "", "generator spec (families: "+cli.Families()+")")
 		out     = flag.String("out", "", "output file (default stdout)")
-		stats   = flag.Bool("stats", false, "print n/m/degree stats to stderr")
 	)
 	flag.Parse()
 	if *genSpec == "" {
@@ -50,21 +49,5 @@ func main() {
 	if err := graph.WriteEdgeList(w, g); err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
-	}
-	if *stats {
-		deg := g.Degrees()
-		var min, max int32
-		if len(deg) > 0 {
-			min, max = deg[0], deg[0]
-			for _, d := range deg {
-				if d < min {
-					min = d
-				}
-				if d > max {
-					max = d
-				}
-			}
-		}
-		fmt.Fprintf(os.Stderr, "n=%d m=%d degree min=%d max=%d\n", g.N, g.M(), min, max)
 	}
 }

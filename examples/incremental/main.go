@@ -20,10 +20,14 @@ import (
 	"parcc"
 )
 
+// n is the stream's vertex count, batches its number of insert batches.
+const n, batches = 20000, 10
+
+// stream is the graph whose edges arrive, in order, across the batches.
+func stream() *parcc.Graph { return parcc.GNM(n, 3*n, 7) }
+
 func main() {
-	const n = 20000
-	const batches = 10
-	full := parcc.GNM(n, 3*n, 7)
+	full := stream()
 	per := full.M() / batches
 
 	fmt.Printf("stream: n=%d, %d insert batches of %d edges, retraction every 4th\n\n", n, batches, per)

@@ -11,15 +11,20 @@ import (
 	"parcc"
 )
 
-func main() {
-	// Build a graph: two communities (random 8-regular expanders, λ = Θ(1))
-	// plus a long path (λ = Θ(1/n²)) and a few isolated vertices.
-	g := parcc.UnionGraphs(
+// input is the example's graph: two communities (random 8-regular
+// expanders, λ = Θ(1)) plus a long path (λ = Θ(1/n²)) and a few isolated
+// vertices.
+func input() *parcc.Graph {
+	return parcc.UnionGraphs(
 		parcc.RandomRegular(2000, 8, 1),
 		parcc.RandomRegular(1500, 8, 2),
 		parcc.Path(800),
 		parcc.NewGraph(5),
 	)
+}
+
+func main() {
+	g := input()
 	fmt.Printf("input: n=%d m=%d  λ=%.4g\n", g.N, g.M(), parcc.SpectralGap(g))
 
 	// The default algorithm is FLS — the paper's CONNECTIVITY (Theorem 1):

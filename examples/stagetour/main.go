@@ -21,12 +21,17 @@ import (
 	"parcc/internal/stage3"
 )
 
-func main() {
-	g := gen.Union(
+// input is the toured graph: an expander, a ring of cliques and a cycle.
+func input() *graph.Graph {
+	return gen.Union(
 		gen.RandomRegular(6000, 6, 1),
 		gen.RingOfCliques(20, 12, 2, 3),
 		gen.Cycle(800),
 	)
+}
+
+func main() {
+	g := input()
 	truth := baseline.BFSLabels(g)
 	fmt.Printf("input graph: n=%d m=%d components=%d\n\n",
 		g.N, g.M(), graph.NumLabels(truth))

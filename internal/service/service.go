@@ -92,25 +92,11 @@ type Options struct {
 	// one snapshot publish, one WAL append and fsync, and at most one
 	// scoped repair per batch, however many callers share it.
 	CoalesceWindow time.Duration
-	// MaxBatchEdges caps the edges combined into one coalesced apply
-	// (default 1 << 16).  A cap keeps worst-case apply latency — and thus
-	// snapshot staleness — bounded under write floods.
-	MaxBatchEdges int
-	// QueueDepth is the per-shard mutation queue capacity (default 256).
-	// Writers beyond it block in Add/RemoveEdges — closed-loop back
-	// pressure, not an error.
-	QueueDepth int
 	// WALDir enables per-shard durability: every coalesced mutation group
-	// is appended to a write-ahead log under this directory before its
-	// callers are released, and Recover replays the logs on startup.
-	// Empty (the default) disables the WAL entirely.
+	// is appended to a write-ahead log under this directory and fsync'd
+	// before its callers are released, and Recover replays the logs on
+	// startup.  Empty (the default) disables the WAL entirely.
 	WALDir string
-	// NoFsync skips the fsync after each logged group.  The zero value —
-	// fsync on — is the safe default: with NoFsync a crash can lose
-	// acknowledged writes up to the OS flush interval, in exchange for
-	// append latency (docs/OPERATIONS.md §durability).  Ignored when
-	// WALDir is empty.
-	NoFsync bool
 	// ReadOnly makes the engine a follower replica: every mutating call
 	// (Create, Drop, AddEdges, RemoveEdges, Compact) fails with a
 	// *parcc.ReadOnlyReplicaError, and sessions are built only by
@@ -123,15 +109,16 @@ type Options struct {
 	Primary string
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxBatchEdges <= 0 {
-		o.MaxBatchEdges = 1 << 16
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
-	}
-	return o
-}
+const (
+	// maxBatchEdges caps the edges combined into one coalesced apply, so
+	// worst-case apply latency — and with it snapshot staleness — stays
+	// bounded under write floods.
+	maxBatchEdges = 1 << 16
+	// queueDepth is the per-shard mutation queue capacity.  Writers
+	// beyond it block in Add/RemoveEdges: closed-loop back pressure, not
+	// an error.
+	queueDepth = 256
+)
 
 // Engine is the multi-session connectivity service.  All methods are safe
 // for concurrent use.
@@ -264,7 +251,7 @@ func (e *Engine) retire(name string) *shard {
 
 // New returns an empty engine.  Close releases every session.
 func New(opt Options) *Engine {
-	e := &Engine{opt: opt.withDefaults(), start: time.Now(), reg: obs.NewRegistry()}
+	e := &Engine{opt: opt, start: time.Now(), reg: obs.NewRegistry()}
 	if e.opt.WALDir != "" {
 		// Best-effort: an unusable directory surfaces as a typed error on
 		// the first Create/Recover that touches it.
@@ -595,7 +582,7 @@ func (e *Engine) newShard(name string, n int, s *parcc.Solver) *shard {
 		name: name,
 		n:    n,
 		s:    s,
-		reqs: make(chan *mutation, e.opt.QueueDepth),
+		reqs: make(chan *mutation, queueDepth),
 		done: make(chan struct{}),
 	}
 }
@@ -620,7 +607,7 @@ func (e *Engine) publishSnapshot(s *parcc.Solver) (*parcc.Snapshot, error) {
 
 // attachWAL creates the shard's log and makes its birth record durable.
 func (e *Engine) attachWAL(sh *shard, g *parcc.Graph) error {
-	w, err := createWAL(e.opt.WALDir, sh.name, !e.opt.NoFsync)
+	w, err := createWAL(e.opt.WALDir, sh.name)
 	if err != nil {
 		return err
 	}
@@ -855,7 +842,7 @@ func (e *Engine) Recover() (RecoverStats, error) {
 			os.Remove(path) // no durable records: the graph never existed
 			continue
 		}
-		w, err := openWAL(path, !e.opt.NoFsync, rr.version, rr.lastSeq, rr.epoch, rr.size)
+		w, err := openWAL(path, rr.version, rr.lastSeq, rr.epoch, rr.size)
 		if err != nil {
 			rr.solver.Close()
 			st.Elapsed = time.Since(t0)
@@ -1073,7 +1060,7 @@ func (sh *shard) shutdown() {
 }
 
 // writer is the shard's single mutator: it picks up one queued mutation,
-// coalesces whatever else is waiting (bounded by MaxBatchEdges and the
+// coalesces whatever else is waiting (bounded by maxBatchEdges and the
 // CoalesceWindow), applies the combined batches through the incremental
 // path, publishes one snapshot for the whole group, and only then releases
 // the callers.  Compaction barriers run between groups, never inside one.
@@ -1106,7 +1093,7 @@ func (e *Engine) collect(sh *shard, first *mutation) ([]*mutation, *mutation) {
 	if e.opt.CoalesceWindow > 0 {
 		window = time.After(e.opt.CoalesceWindow)
 	}
-	for edges < e.opt.MaxBatchEdges {
+	for edges < maxBatchEdges {
 		var m *mutation
 		var ok bool
 		if window == nil {

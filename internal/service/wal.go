@@ -239,9 +239,8 @@ func decodeWAL(data []byte) ([]StreamFrame, int, error) {
 // the metrics scraper and an atomic durable boundary + wakeup channel for
 // the replication stream readers tailing the file concurrently.
 type walWriter struct {
-	f     *os.File
-	path  string
-	fsync bool
+	f    *os.File
+	path string
 	// lastSeq mirrors the session's current published snapshot version;
 	// the next group's frames are stamped lastSeq+1 (see the file header
 	// comment for the lockstep argument).
@@ -290,22 +289,20 @@ func newEpoch() uint64 {
 
 // createWAL opens (truncating) the shard's log file.  A fresh Create
 // supersedes any stale log under the same name — a crash-recovered graph
-// re-registers through Engine.Recover before Create can race it.  With
-// fsync on, the directory is synced too, so the new file's entry — and
-// with it the birth record appendCreate syncs — survives power loss.
-func createWAL(dir, name string, fsync bool) (*walWriter, error) {
+// re-registers through Engine.Recover before Create can race it.  The
+// directory is synced too, so the new file's entry — and with it the
+// birth record appendCreate syncs — survives power loss.
+func createWAL(dir, name string) (*walWriter, error) {
 	path := walPath(dir, name)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: wal create: %w", err)
 	}
-	if fsync {
-		if err := syncDir(dir); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("service: wal create: %w", err)
-		}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("service: wal create: %w", err)
 	}
-	return &walWriter{f: f, path: path, fsync: fsync, epoch: newEpoch(), tail: make(chan struct{})}, nil
+	return &walWriter{f: f, path: path, epoch: newEpoch(), tail: make(chan struct{})}, nil
 }
 
 // openWAL reopens an existing log for appending after replay.  lastSeq is
@@ -315,12 +312,12 @@ func createWAL(dir, name string, fsync bool) (*walWriter, error) {
 // stream heartbeats advertise a head a follower can actually reach.
 // epoch and size come from the replayed head record and the truncated
 // file.
-func openWAL(path string, fsync bool, lastSeq, headSeq, epoch uint64, size int64) (*walWriter, error) {
+func openWAL(path string, lastSeq, headSeq, epoch uint64, size int64) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: wal open: %w", err)
 	}
-	w := &walWriter{f: f, path: path, fsync: fsync, lastSeq: lastSeq, epoch: epoch, tail: make(chan struct{})}
+	w := &walWriter{f: f, path: path, lastSeq: lastSeq, epoch: epoch, tail: make(chan struct{})}
 	w.durable.Store(size)
 	w.headSeq.Store(headSeq)
 	return w, nil
@@ -453,20 +450,17 @@ func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 	return nil
 }
 
-// write flushes buf to the file (and syncs, when fsync is on), charging
-// the counters.
+// write flushes buf to the file and syncs it, charging the counters.
 func (w *walWriter) write(frames int) error {
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("service: wal append %s: %w", w.path, err)
 	}
 	w.appends.Add(uint64(frames))
 	w.bytes.Add(uint64(len(w.buf)))
-	if w.fsync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("service: wal fsync %s: %w", w.path, err)
-		}
-		w.fsyncs.Add(1)
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("service: wal fsync %s: %w", w.path, err)
 	}
+	w.fsyncs.Add(1)
 	return nil
 }
 
@@ -487,8 +481,8 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Close releases the file handle (the OS flushes on close; every released
-// caller's group was already synced if fsync is on).
+// Close releases the file handle (every released caller's group was
+// already synced).
 func (w *walWriter) Close() error { return w.f.Close() }
 
 // replayedShard is one log's reconstructed session.

@@ -341,7 +341,7 @@ func TestWALDropRemovesLog(t *testing.T) {
 // succeeds on a real directory and reports a missing one.
 func TestWALSyncDir(t *testing.T) {
 	dir := t.TempDir()
-	w, err := createWAL(dir, "g", true)
+	w, err := createWAL(dir, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
