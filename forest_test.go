@@ -283,7 +283,7 @@ func TestForestChurnReturnsToOriginal(t *testing.T) {
 // search).
 func TestForestBudgetFallback(t *testing.T) {
 	defer func(old int64) { replaceBudgetFloor = old }(replaceBudgetFloor)
-	replaceBudgetFloor = 16 // cycle m/4 stays the binding budget: 128 « the ~1000-entry search
+	replaceBudgetFloor = 16 // cycle m/8 stays the binding budget: 64 « the ~1000-entry search
 
 	g := gen.Cycle(512)
 	// Sequential attach unites the edge list in order, so the cycle-closing

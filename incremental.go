@@ -63,22 +63,35 @@ type incSession struct {
 	// vertices: a stream of budget fallbacks reuses one instead of
 	// reallocating per batch; no invariants between calls.
 	scopedVerts []int32
+	// sets is the replacement searches' visited bitmaps and queues,
+	// sized on the first forest delete and empty between searches.
+	sets par.ReplaceSets
 }
 
 // replaceBudgetFloor is the minimum adjacency-scan budget of a
-// replacement search, below the m/4 proportional term.  A variable so
-// tests can force the budget-blow fallback on small graphs.
+// replacement search, below the proportional m/replaceBudgetDiv term.  A
+// variable so tests can force the budget-blow fallback on small graphs.
 var replaceBudgetFloor int64 = 1024
 
+// replaceBudgetDiv sets the replacement search's proportional budget,
+// m/replaceBudgetDiv scans: the ratio of a search step's cost to the
+// scoped repair's cost per live edge, so a search that blows its budget
+// costs about as much as the repair that follows it, never more.
+// Measured on the bridge graphs of TestBudgetFallbackCostNearAttach
+// (sequential session, 2-vCPU host, medians of 9): a blown search step
+// costs 72 ns on GNM 2×2^14 of degree 32, 46 ns on GNM 2×2^15 of degree
+// 8, 14 ns on the 2×2^12 cycle and 12 ns on the 2×256² grid; the repair
+// costs 8.9, 20.8, 8.0 and 7.0 ns per live edge.  The widest ratio,
+// 72/8.9 ≈ 8 on the degree-32 GNM, sets the divisor.
+const replaceBudgetDiv = 8
+
 // replaceBudget is the replacement search's adjacency-scan allowance over
-// a live graph of m edges: a quarter of m, floored by replaceBudgetFloor.
-// Proportional so a search that blows it stays within the O(m) order of
-// the fallback it guards.  Only the order is bounded, not the constant: a
-// scan step chases the incidence lists and the edge array, and on a
-// 2×2^14-vertex GNM of degree 32 a blown search (m/4 = 131,136 scans)
-// took 28–74 ms against ≈7 ms for the in-place repair that followed.
+// a live graph of m edges: m/replaceBudgetDiv, floored by
+// replaceBudgetFloor.  Proportional so a search that blows it stays
+// within the O(m) order of the fallback it guards, and sized by
+// replaceBudgetDiv so it stays within its constant too.
 func replaceBudget(m int) int64 {
-	return max(int64(m)/4, replaceBudgetFloor)
+	return max(int64(m)/replaceBudgetDiv, replaceBudgetFloor)
 }
 
 // Attach binds the solver to a live graph and computes its initial
@@ -87,8 +100,9 @@ func replaceBudget(m int) int64 {
 // through the incremental API afterwards (Live returns it for read-only
 // use).  Attaching again replaces the previous live graph.  The initial
 // solve is uncharged union-find work, not a charged PRAM run: one
-// O(m·α) par.UniteBatch pass on one worker, whose merges are also the
-// spanning forest's flags, then a Compress on the session's runtime.
+// O(n + m·α) par.AttachForest pass on one worker, which unites each edge,
+// takes its merge as its spanning-forest flag and links it into the edge
+// store, then one ascending flatten.
 func (s *Solver) Attach(g *Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -108,23 +122,11 @@ func (s *Solver) Attach(g *Graph) error {
 	rec := s.rec
 	rec.Reset()
 	rec.Add(obs.CtrBatchEdges, int64(g.M()))
-	p := make([]int32, g.N)
 	span := rec.Begin()
-	for v := range p {
-		p[v] = int32(v)
-	}
-	// The union pass reports per-edge outcomes: the merging edges are
-	// exactly the initial spanning forest, and the store takes the mark
-	// buffer over as its forest flags — one labeling pass, one copy of the
-	// flags.
-	flags := make([]bool, g.M())
-	merges := par.UniteBatch(p, g.Edges, flags, nil)
-	df := graph.NewDynForest(g, flags)
+	p, df, merges := par.AttachForest(g)
 	rec.Add(obs.CtrCASAttempts, int64(g.M()))
 	rec.Add(obs.CtrCASHooks, int64(merges))
-	span = rec.Lap(obs.PhaseUnite, span)
-	par.Compress(s.rt, p)
-	rec.End(obs.PhaseCompress, span)
+	rec.End(obs.PhaseUnite, span)
 	s.inc = &incSession{g: g, parent: p, ncomp: g.N - merges, forest: df}
 	// Unpublish: a snapshot of the previous live graph must not answer for
 	// the new one.  The version counter keeps running, so a reader that
@@ -300,7 +302,6 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	}
 	dirty, dirtied := inc.dirty, 0
 	splits := 0
-	fa, fb := s.frontierPair(n)
 	span = rec.Lap(obs.PhaseExtract, span)
 	for _, ed := range batch {
 		h := df.PickRemovable(ed.CanonKey())
@@ -319,7 +320,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 			// unsound, so only the occurrence is removed.
 			continue
 		}
-		sr := par.ReplacementSearch(df, parent, u, v, fa, fb, replaceBudget(df.M()), movedPtr)
+		sr := par.ReplacementSearch(df, parent, u, v, &inc.sets, replaceBudget(df.M()), movedPtr)
 		rec.Add(obs.CtrReplaceScans, sr.Scanned)
 		switch sr.Outcome {
 		case par.ReplaceFound:

@@ -11,9 +11,15 @@ import (
 // whose edge list the incremental API mutates in place.  It holds each
 // edge once — a handle is a position in g.Edges, which also supplies the
 // endpoints — and keeps one index besides positional identity: per-vertex
-// incident-edge iteration (First/NextIncident), the walk the
-// replacement-edge search runs — a doubly-linked handle list per
-// endpoint, so Remove unlinks in O(1).
+// incidence lists, the walk the replacement-edge search runs.
+//
+// The lists link slots, not handles: slot 2h+0 is handle h's entry in
+// its U's list and slot 2h+1 its entry in its V's list (a self-loop uses
+// slot 2h only).  A slot names its side, so linking, unlinking and
+// moving an entry touch only the link arrays and the vertex heads, never
+// a neighbouring edge's endpoints, and a walk over x's list
+// (Head/Next/Far) reads one edge per entry, the entry's own.  Lists are
+// doubly linked, so Remove unlinks in O(1).
 //
 // Multiset lookup by canonical key (CountKey/PickRemovable), the deletion
 // contract's "one occurrence per batch entry, either orientation", walks
@@ -26,38 +32,65 @@ import (
 // its handle, so a handle is valid only until the next Remove — callers
 // resolve and use handles within one operation.  The permuted edge order
 // matters to nothing downstream (the session drops its cached plan on
-// every removal).  m < 2^31, like the rest of the int32-indexed stack.
+// every removal).  m < 2^30, so slots fit the int32-indexed stack.
 // Orchestrator-owned (the Solver's session lock): not safe for concurrent
 // use.
 type DynForest struct {
 	g    *Graph
-	head []int32 // per-vertex adjacency head handle, -1 when empty
+	head []int32 // per-vertex first slot, -1 when empty
 
-	// Per handle: links on side 0 (the list at U) and side 1 (at V; a
-	// self-loop uses side 0 only), the forest flag.
-	next, prev [][2]int32
+	// Per slot: the next and previous slot of the same list (-1 at the
+	// ends).  Per handle: the forest flag.
+	next, prev []int32
 	forest     []bool
 }
 
 // NewDynForest indexes g's edge list and takes it over (mutate it only
 // through Insert/Remove afterwards).  forest holds the initial flags by
-// position (nil: all false) and is taken over too, not copied.
+// position (nil: all false); it is copied, not kept.
 func NewDynForest(g *Graph, forest []bool) *DynForest {
-	m := len(g.Edges)
-	if forest == nil {
-		forest = make([]bool, m)
-	}
-	df := &DynForest{
-		g:      g,
-		head:   slices.Repeat([]int32{-1}, g.N),
-		next:   make([][2]int32, m),
-		prev:   make([][2]int32, m),
-		forest: forest[:m],
-	}
-	for h := range g.Edges {
-		df.link(int32(h))
+	df := BeginDynForest(g)
+	copy(df.forest, forest)
+	for h, e := range g.Edges {
+		df.Link(int32(h), e)
 	}
 	return df
+}
+
+// BeginDynForest returns a store over g sized for g's edges with none of
+// them indexed yet and every forest flag false: the caller must Link
+// every position in ascending order before any other call.  NewDynForest
+// does so in one pass, and par.AttachForest does so fused with its union
+// pass, setting each flag from the edge's union as it goes.
+func BeginDynForest(g *Graph) *DynForest {
+	m := len(g.Edges)
+	return &DynForest{
+		g:      g,
+		head:   slices.Repeat([]int32{-1}, g.N),
+		next:   make([]int32, 2*m),
+		prev:   make([]int32, 2*m),
+		forest: make([]bool, m),
+	}
+}
+
+// Link indexes handle h, which holds e: it pushes h's slots onto the
+// fronts of e's endpoints' lists.  The one indexing step of every
+// constructor and of Insert.
+func (df *DynForest) Link(h int32, e Edge) {
+	df.push(e.U, 2*h)
+	if e.V != e.U {
+		df.push(e.V, 2*h+1)
+	}
+}
+
+// push puts slot s at the front of x's list.
+func (df *DynForest) push(x, s int32) {
+	o := df.head[x]
+	df.next[s], df.prev[s] = o, -1
+	if o >= 0 {
+		df.prev[o] = s
+	}
+	df.head[x] = s
 }
 
 // M returns the number of live edges.
@@ -70,14 +103,20 @@ func (df *DynForest) V(h int32) int32           { return df.g.Edges[h].V }
 func (df *DynForest) IsForest(h int32) bool     { return df.forest[h] }
 func (df *DynForest) SetForest(h int32, b bool) { df.forest[h] = b }
 
-// Other returns the endpoint of h opposite x (x itself for a self-loop);
-// x is one of the two, so the xor cancels it.
-func (df *DynForest) Other(h, x int32) int32 { return df.g.Edges[h].U ^ df.g.Edges[h].V ^ x }
-
-// First returns the first incident handle of x and NextIncident the one
-// after h in x's list (-1 at the end; h must be incident to x).
-func (df *DynForest) First(x int32) int32           { return df.head[x] }
-func (df *DynForest) NextIncident(x, h int32) int32 { return df.next[h][df.sideOf(h, x)] }
+// Head returns the first slot of x's list and Next the slot after s on
+// the same list (-1 at the end).  Handle maps a slot to its edge's
+// handle, and Far returns the endpoint across slot s's edge from the
+// list's own vertex (that vertex again for a self-loop).
+func (df *DynForest) Head(x int32) int32 { return df.head[x] }
+func (df *DynForest) Next(s int32) int32 { return df.next[s] }
+func Handle(s int32) int32               { return s >> 1 }
+func (df *DynForest) Far(s int32) int32 {
+	e := df.g.Edges[s>>1]
+	if s&1 == 0 {
+		return e.V
+	}
+	return e.U
+}
 
 // CountKey returns the number of live occurrences of the canonical key k,
 // counting at most max (the validation pass only needs "enough").  Each
@@ -120,15 +159,15 @@ func (df *DynForest) walkKey(k int64, visit func(side int, h int32) bool) {
 	ends := [2]int32{int32(k >> 32), int32(uint32(k))}
 	at := [2]int32{df.head[ends[0]], df.head[ends[1]]}
 	for {
-		for side, x := range ends {
-			h := at[side]
-			if h < 0 {
+		for side := range ends {
+			s := at[side]
+			if s < 0 {
 				return
 			}
-			if df.Other(h, x) == ends[1-side] && !visit(side, h) {
+			if df.Far(s) == ends[1-side] && !visit(side, s>>1) {
 				return
 			}
-			at[side] = df.NextIncident(x, h)
+			at[side] = df.next[s]
 		}
 	}
 }
@@ -137,68 +176,58 @@ func (df *DynForest) walkKey(k int64, visit func(side int, h int32) bool) {
 func (df *DynForest) Insert(e Edge, forest bool) int32 {
 	h := int32(len(df.g.Edges))
 	df.g.Edges = append(df.g.Edges, e)
-	df.next, df.prev = append(df.next, [2]int32{}), append(df.prev, [2]int32{})
+	df.next, df.prev = append(df.next, 0, 0), append(df.prev, 0, 0)
 	df.forest = append(df.forest, forest)
-	df.link(h)
+	df.Link(h, e)
 	return h
 }
 
-// Remove deletes handle h, then moves the last edge into position h and
-// re-points its list neighbours (or vertex heads) there.
+// Remove deletes handle h, then moves the last edge into position h: its
+// slots' list neighbours (or vertex heads) are re-pointed at h's slots.
 func (df *DynForest) Remove(h int32) {
-	df.relink(h, df.g.Edges[h], -1)
+	e := df.g.Edges[h]
+	df.unlink(e.U, 2*h)
+	if e.V != e.U {
+		df.unlink(e.V, 2*h+1)
+	}
 	last := int32(len(df.g.Edges) - 1)
 	if h != last {
 		me := df.g.Edges[last]
-		df.relink(last, me, h)
+		df.move(me.U, 2*last, 2*h)
+		if me.V != me.U {
+			df.move(me.V, 2*last+1, 2*h+1)
+		}
 		df.g.Edges[h] = me
-		df.next[h], df.prev[h], df.forest[h] = df.next[last], df.prev[last], df.forest[last]
+		df.forest[h] = df.forest[last]
 	}
 	df.g.Edges = df.g.Edges[:last]
-	df.next, df.prev, df.forest = df.next[:last], df.prev[:last], df.forest[:last]
+	df.next, df.prev, df.forest = df.next[:2*last], df.prev[:2*last], df.forest[:last]
 }
 
-// sideOf is h's side anchored at x: 0 iff x is h's U (so loops use 0).
-func (df *DynForest) sideOf(h, x int32) int {
-	if df.g.Edges[h].U == x {
-		return 0
+// unlink takes slot s out of x's list.
+func (df *DynForest) unlink(x, s int32) {
+	n, p := df.next[s], df.prev[s]
+	if p >= 0 {
+		df.next[p] = n
+	} else {
+		df.head[x] = n
 	}
-	return 1
-}
-
-// link pushes h onto the front of its endpoints' lists.
-func (df *DynForest) link(h int32) {
-	e := df.g.Edges[h]
-	nv := int32(-1)
-	if e.V != e.U {
-		nv = df.head[e.V]
+	if n >= 0 {
+		df.prev[n] = p
 	}
-	df.next[h], df.prev[h] = [2]int32{df.head[e.U], nv}, [2]int32{-1, -1}
-	df.relink(h, e, h)
 }
 
-// relink re-points the list neighbours of h (which holds e) at both
-// endpoints — each predecessor's next (or the vertex head) and each
-// successor's prev — at position to, or past h when to < 0 (unlinking
-// it).  link uses it to push h at the heads, Remove to unlink and move.
-func (df *DynForest) relink(h int32, e Edge, to int32) {
-	for side, x := range [2]int32{e.U, e.V} {
-		if side == 1 && x == e.U {
-			break // a self-loop lives on side 0 only
-		}
-		nh, ph := df.next[h][side], df.prev[h][side]
-		pn, sp := to, to
-		if to < 0 {
-			pn, sp = nh, ph
-		}
-		if ph >= 0 {
-			df.next[ph][df.sideOf(ph, x)] = pn
-		} else {
-			df.head[x] = pn
-		}
-		if nh >= 0 {
-			df.prev[nh][df.sideOf(nh, x)] = sp
-		}
+// move re-homes slot from of x's list at slot to, which is unlinked.
+func (df *DynForest) move(x, from, to int32) {
+	n, p := df.next[from], df.prev[from]
+	df.next[to], df.prev[to] = n, p
+	if p >= 0 {
+		df.next[p] = to
+	} else {
+		df.head[x] = to
+	}
+	if n >= 0 {
+		df.prev[n] = to
 	}
 }
 
@@ -229,26 +258,30 @@ func (df *DynForest) Check(g *Graph, labels []int32) error {
 }
 
 // checkIndex asserts the incidence lists cover g.Edges exactly: every
-// position sits in its endpoints' lists, no entry twice, 2m − loops
-// entries in total.
+// slot sits in its own endpoint's list with its back link intact, no
+// slot twice, a self-loop's second slot nowhere, 2m − loops entries in
+// total.
 func (df *DynForest) checkIndex() error {
 	g := df.g
 	m := len(g.Edges)
-	seen := make([]uint8, m) // bit 1: listed at U (side 0), bit 2: at V
+	seen := make([]bool, 2*m)
 	want, total := 2*m, 0
 	for x := int32(0); int(x) < g.N; x++ {
-		for h := df.First(x); h >= 0; h = df.NextIncident(x, h) {
-			if int(h) >= m {
-				return fmt.Errorf("dynforest: vertex %d lists handle %d, m = %d", x, h, m)
+		prev := int32(-1)
+		for s := df.head[x]; s >= 0; s = df.next[s] {
+			if int(s) >= 2*m {
+				return fmt.Errorf("dynforest: vertex %d lists slot %d, m = %d", x, s, m)
 			}
-			e, bit := g.Edges[h], uint8(1)
-			if e.U != x {
-				bit = 2
+			e := g.Edges[s>>1]
+			at := e.U
+			if s&1 == 1 {
+				at = e.V
 			}
-			if e.U != x && e.V != x || seen[h]&bit != 0 {
-				return fmt.Errorf("dynforest: vertex %d lists position %d {%d,%d} wrongly or twice", x, h, e.U, e.V)
+			if at != x || s&1 == 1 && e.U == e.V || seen[s] || df.prev[s] != prev {
+				return fmt.Errorf("dynforest: vertex %d lists slot %d of {%d,%d} wrongly or twice", x, s, e.U, e.V)
 			}
-			seen[h] |= bit
+			seen[s] = true
+			prev = s
 			total++
 		}
 	}

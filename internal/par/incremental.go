@@ -3,8 +3,7 @@ package par
 import "parcc/internal/graph"
 
 // Incremental-connectivity kernel: the batched union-find of
-// Solver.Attach and Solver.AddEdges.  An uncharged serving helper (no PRAM
-// cost is booked).
+// Solver.AddEdges.  An uncharged serving helper (no PRAM cost is booked).
 
 // UniteBatch unites the endpoints of every edge of batch in the forest p
 // with one-worker UniteRem calls and returns the number of unions that

@@ -5,10 +5,55 @@ import (
 	"testing"
 
 	"parcc/internal/baseline"
+	"parcc/internal/bench"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 	"parcc/internal/par"
 )
+
+// TestAttachForestMatchesUniteBatch pins the one-pass build of Attach
+// against the separate passes it fuses: on loops and parallel edges, an
+// empty and an edgeless graph, and every bench family at n = 2^10, each
+// edge's forest flag must equal UniteBatch's mark for it in the same
+// edge order, the merges must be n minus the components, the store must
+// pass its certificate check over the returned labels, and those labels
+// must be par.Components' component minima.
+func TestAttachForestMatchesUniteBatch(t *testing.T) {
+	cases := map[string]*graph.Graph{
+		"loops and parallels": graph.FromPairs(6, [][2]int{{0, 1}, {1, 0}, {2, 2}, {0, 1}, {3, 4}, {4, 3}, {4, 4}, {1, 3}}),
+		"n=0":                 {N: 0},
+		"edgeless":            {N: 37},
+	}
+	for _, f := range bench.Families(1<<10, 1) {
+		cases[f.Name] = f.Make()
+	}
+	for name, g := range cases {
+		p0 := make([]int32, g.N)
+		for v := range p0 {
+			p0[v] = int32(v)
+		}
+		marks := make([]bool, g.M())
+		wantMerges := par.UniteBatch(p0, g.Edges, marks, nil)
+		want, comps := par.Components(nil, g, nil)
+
+		live := g.Clone()
+		p, df, merges := par.AttachForest(live)
+		if merges != wantMerges || g.N-merges != comps {
+			t.Errorf("%s: %d merges, UniteBatch %d, n − components %d", name, merges, wantMerges, g.N-comps)
+		}
+		for h := range int32(g.M()) {
+			if df.IsForest(h) != marks[h] {
+				t.Fatalf("%s: edge %d %v has forest flag %v, UniteBatch marked %v", name, h, g.Edges[h], df.IsForest(h), marks[h])
+			}
+		}
+		if err := df.Check(live, p); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !slices.Equal(p, want) {
+			t.Errorf("%s: labels differ from par.Components' minima", name)
+		}
+	}
+}
 
 // TestUniteBatchMergeCount: the reported merge count must equal the drop
 // in the number of sets and the number of marked edges, with loops and

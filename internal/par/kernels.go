@@ -79,10 +79,11 @@ func Unite(p []int32, u, v int32) (int32, bool) {
 // moves, so no cycle forms.  From an identity forest, a pass of UniteRem
 // over an edge list followed by Compress labels each vertex with its
 // component minimum under any schedule — the labels Unite's pass
-// produces.  A leaf that points up is why the live path flattens with
-// Compress and must not use Components' one-pass ascending flatten: that
-// flatten reads a leaf's parent before the parent is flat (with 4 → 7 →
-// 2 → 0 it labels 4 with 2).
+// produces.  A leaf that points up is why the live path flattens its
+// batches with Compress: the one-pass ascending flatten reads a leaf's
+// parent before the parent is flat (with 4 → 7 → 2 → 0 it labels 4
+// with 2), so only a forest rebuilt from identity uses it (Components,
+// AttachForest, RebuildRegion's region).
 //
 // seq selects the one-worker schedule: when no other worker can touch p,
 // the hook and the splice are plain stores.  That schedule is one of the

@@ -14,19 +14,19 @@ import (
 //
 //   - Two tree BFSes, one from each endpoint, expand over FOREST edges
 //     only, interleaved in small quanta so whichever side is smaller
-//     exhausts first.  Each side's frontier doubles as queue (the sparse
-//     list, walked by cursor) and visited set (the bitmap, probed by Has).
+//     exhausts first.  Each side keeps a visited bitmap and a queue of
+//     the vertices it visited, walked by cursor.
 //   - Any non-forest edge scanned whose far endpoint is already visited by
 //     the OTHER side is a replacement — found without either side being
 //     fully enumerated.
-//   - When a side's tree BFS exhausts, its list is exactly that subtree's
-//     vertex set.  A crossing scan over it then decides: an incident edge
-//     whose far endpoint is outside the side must reach the other subtree
-//     (edges never leave a component), so it is a replacement; if no edge
-//     leaves the set, the split is proven and the list is the side to
-//     relabel.  The interleaved phase alone cannot prove a split — the
-//     other side's visited set is still partial — which is why the scan,
-//     not exhaustion, is the certificate.
+//   - When a side's tree BFS exhausts, its queue is exactly that
+//     subtree's vertex set.  A crossing scan over it then decides: an
+//     incident edge whose far endpoint is outside the side must reach the
+//     other subtree (edges never leave a component), so it is a
+//     replacement; if no edge leaves the set, the split is proven and the
+//     queue is the side to relabel.  The interleaved phase alone cannot
+//     prove a split — the other side's visited set is still partial —
+//     which is why the scan, not exhaustion, is the certificate.
 //
 // Everything is bounded by `budget` adjacency entries (replacement searches
 // must not regress to the scoped repair they replace); on overrun the
@@ -60,69 +60,95 @@ type ReplaceResult struct {
 // amortize the switch.
 const replaceQuota = 32
 
-// replaceSide is one side's resumable BFS state over a frontier used as
-// queue + visited set.
+// ReplaceSets is the replacement search's reusable scratch: per side, a
+// visited bitmap over the vertices and a queue of the visited vertices
+// that grows by append with the search.  A session owns one; it is empty
+// between searches, and the zero value is ready: the first search sizes
+// the bitmaps to the vertex count, and later ones allocate only when a
+// queue outgrows every earlier search.  Sequential, like the search:
+// plain loads and stores.
+type ReplaceSets struct {
+	seen  [2][]uint64
+	queue [2][]int32
+}
+
+// replaceSide is one side's resumable BFS state.
 type replaceSide struct {
-	f     *Frontier
-	other *Frontier
-	qi    int   // queue cursor into f's sparse list
-	curX  int32 // vertex mid-scan, -1 when between vertices
-	curH  int32 // next incident handle of curX
+	seen  []uint64
+	queue []int32
+	qi    int   // queue cursor
+	x     int32 // vertex mid-scan
+	s     int32 // next slot of x's list, -1 when between vertices
+}
+
+func (r *replaceSide) has(y int32) bool { return r.seen[y>>6]&(1<<(y&63)) != 0 }
+
+// visit adds y to the side unless it is already there.
+func (r *replaceSide) visit(y int32) {
+	if w, b := y>>6, uint64(1)<<(y&63); r.seen[w]&b == 0 {
+		r.seen[w] |= b
+		r.queue = append(r.queue, y)
+	}
 }
 
 // ReplacementSearch decides the fate of deleting forest edge {u,v} (the
 // edge itself already removed from df).  p must be flat for the affected
 // component (every member's parent is the root directly) — the relabel on
 // a split writes a flat result back, so flatness is preserved across a
-// whole deletion batch.  fu and fv must be empty Frontiers sized to the
-// graph; both are left empty on every path.  When moved is non-nil and
-// the outcome is ReplaceSplit, the vertices that received the new root
-// are appended to *moved (reset to its empty prefix first) — the delta
-// the copy-on-write snapshot mirror needs to update its member lists
-// without scanning the component; nothing is appended on the other
-// outcomes.  Sequential, orchestrator-owned (the session lock), like the
-// DynForest it walks.
-func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, fu, fv *Frontier, budget int64, moved *[]int32) ReplaceResult {
+// whole deletion batch.  sets must be empty, as every call leaves it.
+// When moved is non-nil and the outcome is ReplaceSplit, the vertices
+// that received the new root are appended to *moved (reset to its empty
+// prefix first) — the delta the copy-on-write snapshot mirror needs to
+// update its member lists without scanning the component; nothing is
+// appended on the other outcomes.  Sequential, orchestrator-owned (the
+// session lock), like the DynForest it walks.
+func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, sets *ReplaceSets, budget int64, moved *[]int32) ReplaceResult {
 	root := p[u]
-	fu.BeginCollect(true)
-	fu.Add(u)
-	fv.BeginCollect(true)
-	fv.Add(v)
+	words := (len(p) + 63) >> 6
+	var side [2]replaceSide
+	for i := range side {
+		if len(sets.seen[i]) < words {
+			sets.seen[i] = make([]uint64, words)
+		}
+		side[i] = replaceSide{seen: sets.seen[i], queue: sets.queue[i][:0], s: -1}
+	}
+	a, b := &side[0], &side[1]
+	a.visit(u)
+	b.visit(v)
 	defer func() {
-		fu.Clear()
-		fv.Clear()
+		for i := range side {
+			for _, x := range side[i].queue {
+				side[i].seen[x>>6] = 0
+			}
+			sets.queue[i] = side[i].queue[:0]
+		}
 	}()
-	a := &replaceSide{f: fu, other: fv, curX: -1, curH: -1}
-	b := &replaceSide{f: fv, other: fu, curX: -1, curH: -1}
 	var scanned int64
 
-	// advance runs up to quota adjacency entries of s's tree BFS.  A
+	// advance runs up to quota adjacency entries of r's tree BFS.  A
 	// non-forest edge into the other side's visited set short-circuits as
-	// a replacement; exhaustion means s's list is its full subtree.
-	advance := func(s *replaceSide, quota int64) (found int32, exhausted bool) {
+	// a replacement; exhaustion means r's queue is its full subtree.
+	advance := func(r, o *replaceSide, quota int64) (found int32, exhausted bool) {
 		for quota > 0 {
-			if s.curX < 0 {
-				if s.qi >= s.f.Len() {
+			if r.s < 0 {
+				if r.qi >= len(r.queue) {
 					return -1, true
 				}
-				s.curX = s.f.At(s.qi)
-				s.qi++
-				s.curH = df.First(s.curX)
+				r.x = r.queue[r.qi]
+				r.qi++
+				r.s = df.Head(r.x)
 			}
-			for s.curH >= 0 && quota > 0 {
-				h := s.curH
-				s.curH = df.NextIncident(s.curX, h)
+			for r.s >= 0 && quota > 0 {
+				s := r.s
+				r.s = df.Next(s)
 				scanned++
 				quota--
-				y := df.Other(h, s.curX)
+				h, y := graph.Handle(s), df.Far(s)
 				if df.IsForest(h) {
-					s.f.Add(y) // bitmap dedups the BFS parent
-				} else if y != s.curX && s.other.Has(y) {
+					r.visit(y) // the bitmap dedups the BFS parent
+				} else if y != r.x && o.has(y) {
 					return h, false
 				}
-			}
-			if s.curH < 0 {
-				s.curX = -1
 			}
 		}
 		return -1, false
@@ -131,83 +157,74 @@ func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, fu, fv *Front
 	// crossingScan decides an exhausted side: the first incident edge
 	// leaving the visited set is a replacement (its far end is in the
 	// other subtree); none means a true split.
-	crossingScan := func(s *replaceSide) (found int32, overBudget bool) {
-		for i := 0; i < s.f.Len(); i++ {
-			x := s.f.At(i)
-			for h := df.First(x); h >= 0; h = df.NextIncident(x, h) {
+	crossingScan := func(r *replaceSide) (found int32, overBudget bool) {
+		for _, x := range r.queue {
+			for s := df.Head(x); s >= 0; s = df.Next(s) {
 				scanned++
 				if scanned > budget {
 					return -1, true
 				}
-				y := df.Other(h, x)
-				if !s.f.Has(y) {
-					return h, false
+				if !r.has(df.Far(s)) {
+					return graph.Handle(s), false
 				}
 			}
 		}
 		return -1, false
 	}
 
-	// finish resolves an exhausted side s: replacement, or split with the
-	// side not holding the union-find root relabeled (relabeling the
-	// root's own side would orphan the complement, whose parents point at
-	// the root).  Enumerating the other side when needed is bounded by its
-	// subtree — never worse than the component, i.e. than the fallback.
-	finish := func(s *replaceSide) ReplaceResult {
-		h, over := crossingScan(s)
+	// finish resolves an exhausted side r (o is the other): replacement,
+	// or split with the side not holding the union-find root relabeled
+	// (relabeling the root's own side would orphan the complement, whose
+	// parents point at the root).  Enumerating the other side when needed
+	// is bounded by its subtree — never worse than the component, i.e.
+	// than the fallback.
+	finish := func(r, o *replaceSide) ReplaceResult {
+		h, over := crossingScan(r)
 		if over {
 			return ReplaceResult{Outcome: ReplaceBudget, Scanned: scanned}
 		}
 		if h >= 0 {
 			return ReplaceResult{Outcome: ReplaceFound, Handle: h, Scanned: scanned}
 		}
-		target := s
-		if s.f.Has(root) {
-			o := a
-			if s == a {
-				o = b
-			}
+		target := r
+		if r.has(root) {
 			for {
-				oh, exhausted := advance(o, 1<<30)
+				oh, exhausted := advance(o, r, 1<<30)
 				if exhausted {
 					break
 				}
 				if oh >= 0 {
-					// Unreachable once s's crossing scan came up empty (no
-					// edge leaves s's subtree), but a found edge is always a
+					// Unreachable once r's crossing scan came up empty (no
+					// edge leaves r's subtree), but a found edge is always a
 					// safe answer.
 					return ReplaceResult{Outcome: ReplaceFound, Handle: oh, Scanned: scanned}
 				}
 			}
 			target = o
 		}
-		seed := target.f.At(0)
-		if moved != nil {
-			*moved = (*moved)[:0]
-		}
-		for i := 0; i < target.f.Len(); i++ {
-			x := target.f.At(i)
+		seed := target.queue[0]
+		for _, x := range target.queue {
 			p[x] = seed
-			if moved != nil {
-				*moved = append(*moved, x)
-			}
 		}
-		return ReplaceResult{Outcome: ReplaceSplit, NewRoot: seed, Moved: target.f.Len(), Scanned: scanned}
+		if moved != nil {
+			*moved = append((*moved)[:0], target.queue...)
+		}
+		return ReplaceResult{Outcome: ReplaceSplit, NewRoot: seed, Moved: len(target.queue), Scanned: scanned}
 	}
 
 	for {
 		if scanned > budget {
 			return ReplaceResult{Outcome: ReplaceBudget, Scanned: scanned}
 		}
-		if h, exhausted := advance(a, replaceQuota); h >= 0 {
+		if h, exhausted := advance(a, b, replaceQuota); h >= 0 {
 			return ReplaceResult{Outcome: ReplaceFound, Handle: h, Scanned: scanned}
 		} else if exhausted {
-			return finish(a)
+			return finish(a, b)
 		}
-		if h, exhausted := advance(b, replaceQuota); h >= 0 {
+		if h, exhausted := advance(b, a, replaceQuota); h >= 0 {
 			return ReplaceResult{Outcome: ReplaceFound, Handle: h, Scanned: scanned}
 		} else if exhausted {
-			return finish(b)
+			return finish(b, a)
 		}
 	}
 }

@@ -8,27 +8,38 @@ import (
 )
 
 // replaceFixture builds a DynForest over pairs with the given forest
-// flags, a flat parent array labeling every vertex with root, and a
-// frontier pair — the exact state ReplacementSearch sees inside a
-// deletion batch.
-func replaceFixture(n int, pairs [][2]int, forest []bool, root int32) (*graph.DynForest, []int32, *Frontier, *Frontier) {
+// flags, a flat parent array labeling every vertex with root, and empty
+// search sets — the exact state ReplacementSearch sees inside a deletion
+// batch.
+func replaceFixture(n int, pairs [][2]int, forest []bool, root int32) (*graph.DynForest, []int32, *ReplaceSets) {
 	g := graph.FromPairs(n, pairs)
 	df := graph.NewDynForest(g, forest)
 	p := make([]int32, n)
 	for i := range p {
 		p[i] = root
 	}
-	return df, p, NewFrontier(nil, n), NewFrontier(nil, n)
+	return df, p, &ReplaceSets{}
+}
+
+// setsEmpty reports whether a search left its sets empty: no queued
+// vertex and no visited bit on either side.
+func setsEmpty(sets *ReplaceSets) bool {
+	for i := range sets.seen {
+		if len(sets.queue[i]) != 0 || slices.ContainsFunc(sets.seen[i], func(w uint64) bool { return w != 0 }) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestReplacementSearchFindsCrossing(t *testing.T) {
 	// Square 0-1-2-3 with forest edges {0,1},{1,2},{2,3} and non-forest
 	// closing edge {3,0}.  Deleting forest edge {1,2} must promote {3,0}.
-	df, p, fu, fv := replaceFixture(4,
+	df, p, sets := replaceFixture(4,
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}},
 		[]bool{true, true, true, false}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 1, V: 2}.CanonKey()))
-	res := ReplacementSearch(df, p, 1, 2, fu, fv, 1<<20, nil)
+	res := ReplacementSearch(df, p, 1, 2, sets, 1<<20, nil)
 	if res.Outcome != ReplaceFound {
 		t.Fatalf("outcome = %v, want ReplaceFound", res.Outcome)
 	}
@@ -41,8 +52,8 @@ func TestReplacementSearchFindsCrossing(t *testing.T) {
 			t.Fatalf("found-replacement search mutated labels (p[%d]=%d)", v, pv)
 		}
 	}
-	if fu.Count() != 0 || fv.Count() != 0 || fu.Len() != 0 {
-		t.Fatal("frontiers must be left empty")
+	if !setsEmpty(sets) {
+		t.Fatal("search sets must be left empty")
 	}
 }
 
@@ -51,12 +62,12 @@ func TestReplacementSearchSplitRelabelsNonRootSide(t *testing.T) {
 	// the side holding root 0 must keep its labels and the far side
 	// {2,3,4} must be relabeled flat to its BFS seed and reported through
 	// moved, whose stale contents are reset first.
-	df, p, fu, fv := replaceFixture(5,
+	df, p, sets := replaceFixture(5,
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
 		[]bool{true, true, true, true}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 1, V: 2}.CanonKey()))
 	moved := []int32{99}
-	res := ReplacementSearch(df, p, 1, 2, fu, fv, 1<<20, &moved)
+	res := ReplacementSearch(df, p, 1, 2, sets, 1<<20, &moved)
 	if res.Outcome != ReplaceSplit {
 		t.Fatalf("outcome = %v, want ReplaceSplit", res.Outcome)
 	}
@@ -79,11 +90,11 @@ func TestReplacementSearchSplitRootOnSmallerSide(t *testing.T) {
 	// holds the root... so test the other orientation: cut {0,1} with
 	// root 0 — the exhausting side {0} holds the root, forcing the
 	// kernel to enumerate and relabel the complement {1,2,3,4}.
-	df, p, fu, fv := replaceFixture(5,
+	df, p, sets := replaceFixture(5,
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
 		[]bool{true, true, true, true}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 0, V: 1}.CanonKey()))
-	res := ReplacementSearch(df, p, 0, 1, fu, fv, 1<<20, nil)
+	res := ReplacementSearch(df, p, 0, 1, sets, 1<<20, nil)
 	if res.Outcome != ReplaceSplit {
 		t.Fatalf("outcome = %v, want ReplaceSplit", res.Outcome)
 	}
@@ -107,9 +118,9 @@ func TestReplacementSearchBudgetMutatesNothing(t *testing.T) {
 		pairs[i] = [2]int{i, i + 1}
 		forest[i] = true
 	}
-	df, p, fu, fv := replaceFixture(n, pairs, forest, 0)
+	df, p, sets := replaceFixture(n, pairs, forest, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 31, V: 32}.CanonKey()))
-	res := ReplacementSearch(df, p, 31, 32, fu, fv, 4, nil)
+	res := ReplacementSearch(df, p, 31, 32, sets, 4, nil)
 	if res.Outcome != ReplaceBudget {
 		t.Fatalf("outcome = %v, want ReplaceBudget", res.Outcome)
 	}
@@ -118,11 +129,11 @@ func TestReplacementSearchBudgetMutatesNothing(t *testing.T) {
 			t.Fatalf("budget bailout mutated labels (p[%d]=%d)", v, pv)
 		}
 	}
-	if fu.Count() != 0 || fv.Count() != 0 {
-		t.Fatal("frontiers must be left empty on budget bailout")
+	if !setsEmpty(sets) {
+		t.Fatal("search sets must be left empty on budget bailout")
 	}
 	// The same search with budget restored succeeds and relabels.
-	if res = ReplacementSearch(df, p, 31, 32, fu, fv, 1<<20, nil); res.Outcome != ReplaceSplit {
+	if res = ReplacementSearch(df, p, 31, 32, sets, 1<<20, nil); res.Outcome != ReplaceSplit {
 		t.Fatalf("re-run outcome = %v, want ReplaceSplit", res.Outcome)
 	}
 }

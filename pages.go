@@ -6,10 +6,12 @@ import (
 
 // This file is the copy-on-write paged mirror behind O(delta) snapshot
 // publishing.  The first PublishSnapshot after an Attach pays one O(n)
-// full build (par.SnapshotPages); every publish after that shares the
-// previous snapshot's label and size pages and clones only the pages the
-// intervening write groups touched — a group touching k vertices
-// republishes in O(k + ⌈k/pageSize⌉) work instead of O(n).
+// full build (newPageStore): one sequential pass over the flat parent
+// array fills the label pages, tallies sizes with plain adds and links
+// each vertex into its root's member circle.  Every publish after that
+// shares the previous snapshot's label and size pages and clones only the
+// pages the intervening write groups touched — a group touching k
+// vertices republishes in O(k + ⌈k/pageSize⌉) work instead of O(n).
 //
 // The mirror holds exact flattened labels (not a lazy view over the
 // union-find forest: a historical root can migrate to the split-off side
@@ -46,8 +48,8 @@ const (
 // pageStore is the mirror's state.  labels[v>>pageShift][v&pageMask] is
 // v's exact flattened label as of the last flush point; sizes holds the
 // per-component tallies at the root's slot (zero elsewhere) — the layout
-// par.SnapshotPages writes on a full build, so a delta-maintained mirror
-// and a full rebuild are byte-comparable.
+// newPageStore writes on a full build, so a delta-maintained mirror and a
+// full rebuild are byte-comparable.
 type pageStore struct {
 	n      int
 	labels [][]int32
@@ -70,9 +72,12 @@ type pageStore struct {
 
 func numPages(n int) int { return (n + pageSize - 1) / pageSize }
 
-// newPageStore full-builds the mirror from the live forest: one parallel
-// page-granular flatten plus a sequential member-list build, O(n).
-func newPageStore(e par.Exec, parent []int32) *pageStore {
+// newPageStore full-builds the mirror from the flat live forest (parent[v]
+// is v's root) in one sequential pass, O(n).  Every circle starts as a
+// self-loop and each non-root joins its root's circle when the pass
+// reaches it, so the build holds whether or not roots are their
+// components' minima (after a deletion split they need not be).
+func newPageStore(parent []int32) *pageStore {
 	n := len(parent)
 	np := numPages(n)
 	st := &pageStore{
@@ -84,19 +89,21 @@ func newPageStore(e par.Exec, parent []int32) *pageStore {
 		next:    make([]int32, n),
 		prev:    make([]int32, n),
 	}
-	for pg := 0; pg < np; pg++ {
+	for pg := range np {
 		st.labels[pg] = make([]int32, pageSize)
 		st.sizes[pg] = make([]int32, pageSize)
 	}
-	par.SnapshotPages(e, parent, pageSize, st.labels, st.sizes)
-	for v := int32(0); int(v) < n; v++ {
-		if st.label(v) == v {
-			st.next[v], st.prev[v] = v, v
-		}
+	for v := range int32(n) {
+		st.next[v], st.prev[v] = v, v
 	}
-	for v := int32(0); int(v) < n; v++ {
-		if r := st.label(v); r != v {
-			st.linkAfter(r, v)
+	for pg, lp := range st.labels {
+		base := pg << pageShift
+		for i, r := range parent[base:min(base+pageSize, n)] {
+			lp[i] = r
+			st.sizes[r>>pageShift][r&pageMask]++
+			if v := int32(base + i); r != v {
+				st.linkAfter(r, v)
+			}
 		}
 	}
 	return st

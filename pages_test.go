@@ -232,3 +232,125 @@ func TestSnapshotEquivalenceRandomized(t *testing.T) {
 		})
 	}
 }
+
+// TestFirstPublishPagesMatchReference pins the first publish's one-pass
+// page build against a reference taken from the flat parent array it
+// reads (checkPagesAgainstParent): exact labels, size tallies at the
+// roots' slots and zero elsewhere, and member circles that each cover
+// their component exactly.  Three sessions per backend, over a sparse
+// GNM with a loop and a parallel copy and a ragged last page: a fresh
+// attach, an attach plus an insert batch (the publish flattens first),
+// and an attach plus a batch of forest deletes, whose split-off sides
+// are labeled by their search seeds — the case asserts that some label
+// is not its component's minimum, so the build is exercised off minima.
+func TestFirstPublishPagesMatchReference(t *testing.T) {
+	const n = 3*pageSize + 77
+	base := gen.GNM(n, n, 11)
+	base.Edges = append(base.Edges, Edge{U: 5, V: 5}, base.Edges[0])
+	splitBatch := func(s *Solver) []Edge {
+		var batch []Edge
+		df := s.inc.forest
+		for h := int32(0); int(h) < df.M() && len(batch) < 60; h += 7 {
+			if df.IsForest(h) {
+				batch = append(batch, Edge{U: df.U(h), V: df.V(h)})
+			}
+		}
+		return batch
+	}
+	for _, be := range []Backend{BackendSequential, BackendConcurrent} {
+		for _, c := range []struct {
+			name   string
+			mutate func(*Solver) error
+		}{
+			{"attach", func(*Solver) error { return nil }},
+			{"attach+add", func(s *Solver) error { return s.AddEdges(gen.GNM(n, 40, 12).Edges) }},
+			{"attach+split", func(s *Solver) error { return s.RemoveEdges(splitBatch(s)) }},
+		} {
+			name := string(be) + "/" + c.name
+			s, err := NewSolver(&Options{Backend: be, Procs: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Attach(base.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.mutate(s); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sn, err := s.PublishSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sn.PublishedFull() {
+				t.Fatalf("%s: first publish must be a full build", name)
+			}
+			nonMin := checkPagesAgainstParent(t, name, s.pages, s.inc.parent)
+			if c.name == "attach+split" && nonMin == 0 {
+				t.Fatalf("%s: every label is its component's minimum; the case must split off a non-minimum seed", name)
+			}
+			res, err := s.Components()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sn.Labels(), res.Labels) || sn.NumComponents() != res.NumComponents {
+				t.Fatalf("%s: snapshot labels/count diverge from the live partition", name)
+			}
+			s.Close()
+		}
+	}
+}
+
+// checkPagesAgainstParent asserts st mirrors the flat forest parent
+// exactly — labels, sizes at root slots and zero elsewhere, one member
+// circle per component holding exactly its vertices with intact back
+// links — and returns how many labels are not their component's minimum.
+func checkPagesAgainstParent(t *testing.T, name string, st *pageStore, parent []int32) (nonMin int) {
+	t.Helper()
+	n := len(parent)
+	count := make([]int32, n)
+	minOf := make(map[int32]int32)
+	for v, r := range parent {
+		if parent[r] != r {
+			t.Fatalf("%s: parent is not flat at %d", name, v)
+		}
+		if got := st.label(int32(v)); got != r {
+			t.Fatalf("%s: label(%d) = %d, want root %d", name, v, got, r)
+		}
+		count[r]++
+		if m, ok := minOf[r]; !ok || int32(v) < m {
+			minOf[r] = int32(v)
+		}
+	}
+	covered := 0
+	for v := range int32(n) {
+		if got := st.size(v); got != count[v] {
+			t.Fatalf("%s: size slot %d = %d, want %d", name, v, got, count[v])
+		}
+		if parent[v] != v {
+			continue
+		}
+		if minOf[v] != v {
+			nonMin++
+		}
+		members := int32(0)
+		for x := v; ; {
+			if parent[x] != v || st.prev[st.next[x]] != x {
+				t.Fatalf("%s: circle of %d reaches %d (root %d) or breaks its back link", name, v, x, parent[x])
+			}
+			if members++; members > count[v] {
+				t.Fatalf("%s: circle of %d holds more than its %d members", name, v, count[v])
+			}
+			if x = st.next[x]; x == v {
+				break
+			}
+		}
+		if members != count[v] {
+			t.Fatalf("%s: circle of %d holds %d members, want %d", name, v, members, count[v])
+		}
+		covered += int(members)
+	}
+	if covered != n {
+		t.Fatalf("%s: circles cover %d vertices, want %d", name, covered, n)
+	}
+	return nonMin
+}

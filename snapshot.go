@@ -130,14 +130,13 @@ func (s *Solver) PublishSnapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := s.rt
 	full := false
 	if s.pages == nil {
 		if inc.needsCompress {
-			par.Compress(e, inc.parent)
+			par.Compress(s.rt, inc.parent)
 			inc.needsCompress = false
 		}
-		s.pages = newPageStore(e, inc.parent)
+		s.pages = newPageStore(inc.parent)
 		full = true
 	} else {
 		s.pages.flush(inc.parent)

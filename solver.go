@@ -58,11 +58,10 @@ type Solver struct {
 	inc       *incSession // live incremental session (nil until Attach)
 	lastTrace *Trace      // most recent traced operation (tracing on only)
 	closed    bool
-	// fCur/fNxt are the session's reusable active-vertex-set pair — the
-	// frontier engine's residual and the two sides of RemoveEdges'
-	// replacement search (nil until first needed; empty between
-	// operations), so warm frontier solves and deletions allocate nothing.
-	fCur, fNxt *par.Frontier
+	// front is the frontier engine's reusable residual set (nil until
+	// first needed; empty between solves), so warm frontier solves
+	// allocate nothing.
+	front *par.Frontier
 
 	// snap is the published read view (see PublishSnapshot/ReadView):
 	// written under mu, loaded lock-free by any number of readers.
@@ -407,7 +406,7 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 		csr := plan().CSR
 		span = rec.Lap(obs.PhasePlan, span)
 		p := identityInto(e, dst, n)
-		res, _ := s.frontierPair(n)
+		res := s.frontier(n)
 		// The per-pass occupancy hook is bound only when tracing is on, so
 		// the tracing-off path carries a nil check per pass, not a call.
 		var onRound func(occ int64)
@@ -474,24 +473,20 @@ func identityInto(e *par.Runtime, dst []int32, n int) []int32 {
 	return p
 }
 
-// frontierPair returns the session's reusable frontier pair sized for n
-// vertices, building or growing it through the arena on demand.  Both
-// frontiers are empty between operations (the engine and the replacement
-// search leave them so), so reuse and Resize need no clearing.  Callers
+// frontier returns the session's reusable frontier sized for n
+// vertices, building or growing it through the arena on demand.  The
+// engine leaves it empty, so reuse and Resize need no clearing.  Callers
 // hold s.mu.
-func (s *Solver) frontierPair(n int) (*par.Frontier, *par.Frontier) {
-	if s.fCur == nil || s.fCur.Cap() < n {
-		if s.fCur != nil {
-			s.fCur.Free(s.arena)
-			s.fNxt.Free(s.arena)
+func (s *Solver) frontier(n int) *par.Frontier {
+	if s.front == nil || s.front.Cap() < n {
+		if s.front != nil {
+			s.front.Free(s.arena)
 		}
-		s.fCur = par.NewFrontier(s.arena, n)
-		s.fNxt = par.NewFrontier(s.arena, n)
-		return s.fCur, s.fNxt
+		s.front = par.NewFrontier(s.arena, n)
+		return s.front
 	}
-	s.fCur.Resize(n)
-	s.fNxt.Resize(n)
-	return s.fCur, s.fNxt
+	s.front.Resize(n)
+	return s.front
 }
 
 func knownAlgorithm(a Algorithm) bool {

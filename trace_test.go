@@ -266,7 +266,7 @@ func TestTraceIncrementalOps(t *testing.T) {
 	}
 
 	// Two 2^12-cycles joined by a bridge: proving the split would scan
-	// about m entries, past the m/4 budget, so the delete falls back.
+	// about m entries, past the m/8 budget, so the delete falls back.
 	const half = 1 << 12
 	g = gen.Union(gen.Cycle(half), gen.Cycle(half))
 	bridge = []parcc.Edge{{U: half - 1, V: half}}
