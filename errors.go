@@ -16,8 +16,9 @@ import (
 //	                    Components, ComponentsInto, PublishSnapshot) before
 //	                    Attach bound a live graph.
 //	ErrNilGraph       — a nil *Graph was passed where a graph is required.
-//	*EdgeRangeError   — a batch edge has an endpoint outside [0, n); the
-//	                    error carries the offending edge and the bound.
+//	*EdgeRangeError   — an attached or batch edge has an endpoint outside
+//	                    [0, n); the error carries the offending edge and
+//	                    the bound.
 //	*ProcsRangeError  — Options.Procs was negative; parallelism is zero
 //	                    (defaulted) or positive, never clamped silently.
 //	*MissingEdgeError — a RemoveEdges batch references more occurrences of
@@ -51,7 +52,7 @@ var ErrNotAttached = errors.New("parcc: no live graph attached (call Attach firs
 var ErrNilGraph = errors.New("parcc: nil graph")
 
 // EdgeRangeError reports a batch edge whose endpoint is outside [0, N).
-// Returned (wrapped) by AddEdges and RemoveEdges; match with errors.As.
+// Returned by Attach, AddEdges and RemoveEdges; match with errors.As.
 type EdgeRangeError struct {
 	Edge Edge // the offending edge
 	N    int  // the live graph's vertex-count bound

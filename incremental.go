@@ -2,6 +2,7 @@ package parcc
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"parcc/internal/graph"
@@ -102,13 +103,17 @@ func replaceBudget(m int) int64 {
 // solve is uncharged union-find work, not a charged PRAM run: one
 // O(n + m·α) par.AttachForest pass on one worker, which unites each edge,
 // takes its merge as its spanning-forest flag and links it into the edge
-// store, then one ascending flatten.
+// store, then one ascending flatten.  An edge with an endpoint outside
+// [0, g.N) fails it with *EdgeRangeError, as it fails AddEdges.
 func (s *Solver) Attach(g *Graph) error {
 	if g == nil {
 		return ErrNilGraph
 	}
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("parcc: %w", err)
+	if g.N < 0 || g.N > math.MaxInt32 {
+		return fmt.Errorf("parcc: vertex count %d out of range [0,%d]", g.N, math.MaxInt32)
+	}
+	if err := checkEdges(g.Edges, g.N); err != nil {
+		return err
 	}
 	var start time.Time
 	if s.rec != nil {
@@ -172,11 +177,8 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	if err != nil {
 		return err
 	}
-	n := inc.g.N
-	for _, e := range batch {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return &EdgeRangeError{Edge: e, N: n}
-		}
+	if err := checkEdges(batch, inc.g.N); err != nil {
+		return err
 	}
 	if len(batch) == 0 {
 		return nil
@@ -439,6 +441,17 @@ func (s *Solver) ComponentsInto(res *Result) error {
 		Backend:       s.opt.Backend,
 		Procs:         s.procs,
 		Breakdown:     res.Breakdown[:0],
+	}
+	return nil
+}
+
+// checkEdges reports the first edge of batch with an endpoint outside
+// [0, n) as an *EdgeRangeError.
+func checkEdges(batch []Edge, n int) error {
+	for _, e := range batch {
+		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+			return &EdgeRangeError{Edge: e, N: n}
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package parcc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -118,6 +119,26 @@ func TestRemoveEdgesSplits(t *testing.T) {
 	}
 	if s.Live().M() != 0 {
 		t.Fatalf("live graph still has %d edges", s.Live().M())
+	}
+}
+
+// TestAttachEdgeRangeError: Attach reports an out-of-range edge as the
+// *EdgeRangeError AddEdges returns, carrying the edge and the bound, and
+// binds nothing.
+func TestAttachEdgeRangeError(t *testing.T) {
+	s, err := NewSolver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := NewGraph(4)
+	g.Edges = []Edge{{U: 0, V: 1}, {U: 2, V: 4}}
+	var re *EdgeRangeError
+	if err := s.Attach(g); !errors.As(err, &re) || re.Edge != (Edge{U: 2, V: 4}) || re.N != 4 {
+		t.Fatalf("Attach = %v, want *EdgeRangeError for (2,4) in [0,4)", err)
+	}
+	if s.Live() != nil {
+		t.Fatal("a rejected Attach bound a live graph")
 	}
 }
 

@@ -31,14 +31,15 @@ import (
 //	     ErrWALDisabled (compact/stream need a log)
 //	413  *http.MaxBytesError (mutation body over the cap)
 //	503  ErrEngineClosed (draining), parcc.ErrRecovering (replaying),
-//	     *StaleVersionError (?min_version= newer than the snapshot)
+//	     *StaleVersionError (?min_version= newer than the snapshot),
+//	     ErrShardFailed (the graph's log failed; reads still serve)
 //	500  anything else
 //
 // Health probes are split: GET /healthz is liveness (200 whenever the
 // process serves HTTP at all) and GET /readyz is readiness — 503 while
-// recovering or while a follower lags its primary beyond -max-lag; wait
-// loops and load balancers should gate on /readyz
-// (docs/OPERATIONS.md §replication).
+// recovering, while a shard has failed stop, or while a follower lags its
+// primary beyond -max-lag; wait loops and load balancers should gate on
+// /readyz (docs/OPERATIONS.md §replication).
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -99,6 +100,12 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "recovering"})
 			return
 		}
+		if err := e.Failed(); err != nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+				"status": "failed", "reason": err.Error(),
+			})
+			return
+		}
 		if opts.Readiness != nil {
 			if err := opts.Readiness(); err != nil {
 				writeJSON(w, http.StatusServiceUnavailable, map[string]string{
@@ -154,14 +161,7 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 		}
 		g := parcc.NewGraph(body.N)
 		for _, p := range body.Edges {
-			ed := parcc.Edge{U: p[0], V: p[1]}
-			// Validate here so a bad edge is a 400 (EdgeRangeError), not
-			// Attach's untyped validation error surfacing as a 500.
-			if int(ed.U) < 0 || int(ed.U) >= body.N || int(ed.V) < 0 || int(ed.V) >= body.N {
-				writeError(w, &parcc.EdgeRangeError{Edge: ed, N: body.N})
-				return
-			}
-			g.Edges = append(g.Edges, ed)
+			g.Edges = append(g.Edges, parcc.Edge{U: p[0], V: p[1]})
 		}
 		name := r.PathValue("name")
 		if err := e.Create(name, g); err != nil {
@@ -514,7 +514,7 @@ func writeError(w http.ResponseWriter, err error) {
 		errors.Is(err, parcc.ErrNilGraph), errors.Is(err, errBadParam):
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrEngineClosed), errors.Is(err, parcc.ErrRecovering),
-		errors.As(err, &sv):
+		errors.Is(err, ErrShardFailed), errors.As(err, &sv):
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, apiError{err.Error()})

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,23 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 	if st, _ = doJSON(t, "DELETE", u+"/graphs/demo", ""); st != http.StatusNotFound {
 		t.Fatalf("double drop: %d", st)
+	}
+}
+
+// TestCreateOutOfRangeEdge: PUT /graphs/{name} with an edge outside
+// [0, n) answers 400 naming the edge — Attach's *parcc.EdgeRangeError —
+// and leaves neither a graph nor a log behind.
+func TestCreateOutOfRangeEdge(t *testing.T) {
+	e, srv, dir := walServer(t)
+	st, body := doJSON(t, "PUT", srv.URL+"/graphs/bad", `{"n":4,"edges":[[0,1],[2,9]]}`)
+	if msg, _ := body["error"].(string); st != http.StatusBadRequest || !strings.Contains(msg, "(2,9)") {
+		t.Fatalf("create with out-of-range edge: %d %v, want 400 naming (2,9)", st, body)
+	}
+	if names := e.Names(); len(names) != 0 {
+		t.Fatalf("rejected create registered %v", names)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("rejected create left %d log file(s) (%v)", len(entries), err)
 	}
 }
 

@@ -56,6 +56,12 @@ var ErrNoTrace = errors.New("service: no trace recorded")
 // on an engine running without Options.WALDir.
 var ErrWALDisabled = errors.New("service: write-ahead log disabled")
 
+// ErrShardFailed reports a mutation or compaction on a shard that failed
+// stop on a log write, fsync or checkpoint error (see shard.fail); the
+// error returned names the graph and wraps the cause.  Reads keep serving
+// the last published snapshot.  Mapped to HTTP 503; a restart recovers.
+var ErrShardFailed = errors.New("service: shard failed stop on a write-ahead-log error")
+
 // StaleVersionError reports a read that demanded a snapshot at least as
 // new as MinVersion (?min_version=) from a session whose published
 // snapshot is older — the bounded-staleness contract's refusal.  Mapped to
@@ -155,8 +161,7 @@ type Engine struct {
 	// until every log has been replayed, so no reader can observe a graph
 	// at a pre-crash state mid-replay.
 	recovering atomic.Bool
-	// walErrs counts groups whose WAL append failed (the in-memory apply
-	// still published; the callers got the error — see shard.apply).
+	// walErrs counts the log errors that failed a shard stop (shard.fail).
 	walErrs atomic.Uint64
 	// WAL streaming counters (the replication endpoint in stream.go).
 	streamConns  atomic.Uint64 // stream requests accepted
@@ -319,7 +324,7 @@ func (e *Engine) registerMetrics() {
 	total("parcc_wal_bytes_total", "Write-ahead-log bytes appended, summed over all sessions.", cWALBytes)
 	total("parcc_wal_fsyncs_total", "Write-ahead-log fsyncs issued, summed over all sessions.", cWALFsyncs)
 	e.reg.Collect("parcc_wal_errors_total",
-		"Mutation groups whose write-ahead-log append failed (applied in memory, error returned to callers).", "counter",
+		"Write-ahead-log append, fsync or checkpoint errors; each fails its shard stop (no publish, writes answer 503).", "counter",
 		func(w io.Writer, name string) {
 			fmt.Fprintf(w, "%s %d\n", name, e.walErrs.Load())
 		})
@@ -487,6 +492,8 @@ type shard struct {
 	// goroutine, no queue, no WAL — streamed groups are applied under the
 	// write side of state instead.
 	replica bool
+	// failed is the shard's fail-stop error, nil while healthy (see fail).
+	failed atomic.Pointer[error]
 
 	// state guards the closing flag against enqueuers: senders hold the
 	// read side across the channel send, Drop/Close take the write side
@@ -504,9 +511,12 @@ type shard struct {
 }
 
 // Create attaches g as a new live session under name and publishes its
-// first snapshot; the engine owns g afterwards (mutate it only through
-// AddEdges/RemoveEdges).  Errors: ErrEngineClosed, ErrGraphExists, or
-// whatever Solver.Attach rejects (e.g. an out-of-range edge in g).
+// first snapshot once its birth record is durable; the engine owns g
+// afterwards (mutate it only through AddEdges/RemoveEdges).  Errors:
+// ErrEngineClosed, ErrGraphExists, whatever Solver.Attach rejects (a
+// *parcc.EdgeRangeError for an out-of-range edge), or ErrShardFailed when
+// the birth record fails — the graph was never readable, and its log may
+// or may not bring it back on the next recovery.
 func (e *Engine) Create(name string, g *parcc.Graph) error {
 	e.life.RLock()
 	defer e.life.RUnlock()
@@ -533,49 +543,32 @@ func (e *Engine) Create(name string, g *parcc.Graph) error {
 		s.Close()
 		return err
 	}
-	if _, err := e.publishSnapshot(s); err != nil {
-		s.Close()
-		return err
-	}
 	sh := e.newShard(name, g.N, s)
 	sh.edges.Store(int64(g.M()))
 	if _, raced := e.shards.LoadOrStore(name, sh); raced {
 		s.Close()
 		return fmt.Errorf("%w: %q", ErrGraphExists, name)
 	}
+	// Registered but unpublished: readers get ErrGraphNotFound and writers
+	// queue until the birth record is durable.  The name is registered, so
+	// no concurrent Create shares the log file.
 	if e.opt.WALDir != "" {
-		// The birth record must be durable before the shard serves writes.
-		// The name is registered, so no concurrent Create shares the log
-		// file; mutations that queued meanwhile are failed out below if
-		// the log cannot be opened — the shard is torn back down.
-		if err := e.attachWAL(sh, g); err != nil {
-			e.unlist(name)
-			// Fail out anything that queued meanwhile.  Drain concurrently
-			// with taking the state lock: a sender blocked on a full queue
-			// holds the read side, so the drain is what lets the write
-			// side ever be acquired.
-			drained := make(chan struct{})
-			go func() {
-				for m := range sh.reqs {
-					m.err <- fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-				}
-				close(drained)
-			}()
-			sh.state.Lock()
-			sh.closing = true
-			close(sh.reqs)
-			sh.state.Unlock()
-			<-drained
-			s.Close()
-			return err
-		}
+		err = e.attachWAL(sh, g)
+	}
+	if err == nil {
+		e.publishSnapshot(s) // cannot fail: attached, and no writer runs yet
+	} else {
+		err = sh.fail(err)
 	}
 	e.wg.Add(1)
 	go e.writer(sh)
-	return nil
+	if err != nil {
+		e.retire(name) // the writer fails out whatever queued
+	}
+	return err
 }
 
-// newShard builds a shard around an attached, published solver.
+// newShard builds a shard around an attached solver.
 func (e *Engine) newShard(name string, n int, s *parcc.Solver) *shard {
 	return &shard{
 		eng:  e,
@@ -611,13 +604,39 @@ func (e *Engine) attachWAL(sh *shard, g *parcc.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := w.appendCreate(g.N, g.Edges); err != nil {
-		w.Close()
-		os.Remove(w.path)
-		return err
-	}
 	sh.wal.Store(w)
+	return w.appendCreate(g.N, g.Edges)
+}
+
+// fail stops the shard on a log error: from now on it publishes, appends
+// and checkpoints nothing, and answers every mutation and compaction with
+// the returned error, which matches ErrShardFailed and wraps cause.  The
+// first cause sticks.
+func (sh *shard) fail(cause error) error {
+	err := fmt.Errorf("%w: graph %q: %w", ErrShardFailed, sh.name, cause)
+	if sh.failed.CompareAndSwap(nil, &err) {
+		sh.eng.walErrs.Add(1)
+	}
+	return sh.err()
+}
+
+// err returns the shard's fail-stop error, or nil while it is healthy.
+func (sh *shard) err() error {
+	if p := sh.failed.Load(); p != nil {
+		return *p
+	}
 	return nil
+}
+
+// Failed returns the fail-stop error of some failed shard, or nil while
+// every shard is healthy: the readiness probe's failed state.
+func (e *Engine) Failed() (err error) {
+	e.eachShard(func(sh *shard) {
+		if err == nil {
+			err = sh.err()
+		}
+	})
+	return err
 }
 
 // Drop removes the named session: queued mutations are drained and
@@ -645,7 +664,8 @@ func (e *Engine) Drop(name string) error {
 // The request rides the shard's writer queue — it runs after every
 // mutation queued before it, never inside a coalesced group — and returns
 // once the rewritten log is durable.  Errors: ErrGraphNotFound,
-// ErrWALDisabled, *parcc.ReadOnlyReplicaError, or the rewrite's I/O error.
+// ErrWALDisabled, *parcc.ReadOnlyReplicaError, or ErrShardFailed (a
+// failed rewrite fails the shard stop).
 func (e *Engine) Compact(name string) error {
 	if e.opt.ReadOnly {
 		return &parcc.ReadOnlyReplicaError{Primary: e.opt.Primary}
@@ -654,7 +674,7 @@ func (e *Engine) Compact(name string) error {
 	if err != nil {
 		return err
 	}
-	if sh.wal.Load() == nil {
+	if e.opt.WALDir == "" {
 		return ErrWALDisabled
 	}
 	m := &mutation{compact: true, err: make(chan error, 1)}
@@ -895,8 +915,8 @@ func (e *Engine) view(name string) (*shard, *parcc.Snapshot, error) {
 	}
 	sn := sh.s.ReadView()
 	if sn == nil {
-		// Unreachable by construction (Create publishes before the shard
-		// becomes visible, and nothing unpublishes); fail closed anyway.
+		// Not yet durable: Create registers the shard before its birth
+		// record lands and publishes only after.
 		return nil, nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
 	return sh, sn, nil
@@ -1031,6 +1051,8 @@ func checkVertex(v, n int) error {
 // since the last head record (so restarts replay a snapshot, not
 // history), then the WAL handle is closed, then the session — so a
 // graceful stop loses nothing and the log ends on a whole-frame boundary.
+// A failed shard checkpoints nothing: its session may hold a group the
+// log never did.
 // Safe to call once per shard (Drop and Close both route through
 // LoadAndDelete, which elects a single caller).
 func (sh *shard) shutdown() {
@@ -1048,11 +1070,9 @@ func (sh *shard) shutdown() {
 	<-sh.done // writer drains remaining queued mutations, then exits
 	if w := sh.wal.Load(); w != nil {
 		if w.groupsSinceHead > 0 {
-			// Best-effort: a failed checkpoint leaves the (longer, equally
-			// durable) pre-compaction log for the next recovery to replay.
-			if g := sh.s.Live(); g != nil {
-				w.writeCheckpoint(g.N, g.Edges)
-			}
+			// A failed checkpoint leaves the (longer, equally durable)
+			// pre-compaction log for the next recovery to replay.
+			sh.compact()
 		}
 		w.Close()
 	}
@@ -1123,18 +1143,18 @@ func (e *Engine) collect(sh *shard, first *mutation) ([]*mutation, *mutation) {
 
 // compact checkpoints the shard's log: the live state becomes the new
 // head record at the current seq and the applied history before it is
-// dropped.  Runs on the writer goroutine between groups, so the captured
-// state is exactly the log's state at lastSeq.
+// dropped.  Runs on the writer goroutine between groups (or in shutdown
+// after it exits), so the captured state is exactly the log's state at
+// lastSeq — unless the shard failed, when it checkpoints nothing.
 func (sh *shard) compact() error {
-	w := sh.wal.Load()
-	if w == nil {
-		return ErrWALDisabled
+	if err := sh.err(); err != nil {
+		return err
 	}
-	g := sh.s.Live()
-	if g == nil {
-		return parcc.ErrNotAttached // unreachable while the writer runs
+	g := sh.s.Live() // attached: shutdown closes the session only after this
+	if err := sh.wal.Load().writeCheckpoint(g.N, g.Edges); err != nil {
+		return sh.fail(err)
 	}
-	return w.writeCheckpoint(g.N, g.Edges)
+	return nil
 }
 
 // apply runs the group through the incremental path: consecutive
@@ -1146,9 +1166,18 @@ func (sh *shard) compact() error {
 // are logged and fsync'd; then one snapshot publish covers the whole
 // group, and only then are the callers released — so a write is never
 // acknowledged, and never visible to any reader, before it is durable.
+// A failed append fails the shard stop: the group never publishes, and
+// every caller of it and of every later group gets the fail-stop error.
 func (sh *shard) apply(group []*mutation) {
 	errs := make([]error, len(group))
+	if err := sh.err(); err != nil {
+		for _, m := range group {
+			m.err <- err
+		}
+		return
+	}
 	mutated := false
+	edges := sh.edges.Load() // restored if the group never publishes
 	wal := sh.wal.Load()
 	var logged []walEntry
 	ok := func(remove bool, batch []parcc.Edge) {
@@ -1192,17 +1221,13 @@ func (sh *shard) apply(group []*mutation) {
 		lo = hi
 	}
 	if mutated && wal != nil {
-		if werr := wal.appendGroup(logged); werr != nil {
-			// The group is applied in memory and will publish below —
-			// read-your-writes holds — but its durability failed, so
-			// every caller whose batch landed gets the WAL error instead
-			// of success (a write acknowledged as durable must be).
-			sh.eng.walErrs.Add(1)
+		if err := wal.appendGroup(logged); err != nil {
+			err = sh.fail(err)
 			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = werr
-				}
+				errs[i] = err
 			}
+			mutated = false
+			sh.edges.Store(edges)
 		}
 	}
 	if mutated {
@@ -1254,6 +1279,7 @@ type ShardStats struct {
 	Applies    uint64 `json:"applies"`
 	Coalesced  uint64 `json:"coalesced"`
 	Queue      int    `json:"queue"`
+	Failed     string `json:"failed,omitempty"` // the fail-stop error; empty while healthy
 }
 
 // Stats reports every live session's counters, sorted by name.  It reads
@@ -1271,6 +1297,9 @@ func (e *Engine) Stats() []ShardStats {
 			Applies:   sh.applies.Load(),
 			Coalesced: sh.coalesced.Load(),
 			Queue:     len(sh.reqs),
+		}
+		if err := sh.err(); err != nil {
+			st.Failed = err.Error()
 		}
 		if sn := sh.s.ReadView(); sn != nil {
 			st.Components = sn.NumComponents()

@@ -599,18 +599,8 @@ func mkGraph(n int, edges ...parcc.Edge) *parcc.Graph {
 // copyWALDir clones every log file (recovery must see the same images).
 func copyWALDir(t *testing.T, from, to string) {
 	t.Helper()
-	entries, err := os.ReadDir(from)
-	if err != nil {
+	if err := copyDir(from, to); err != nil {
 		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		data, err := os.ReadFile(filepath.Join(from, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(to, ent.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

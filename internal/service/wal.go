@@ -234,12 +234,46 @@ func decodeWAL(data []byte) ([]StreamFrame, int, error) {
 	return recs, off, nil
 }
 
+// walFile is the log's handle on a file: an *os.File, or in tests one
+// that fails on demand.
+type walFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// The log's file opens, its checkpoint rename and its directory syncs go
+// through these variables, which tests swap to inject disk faults.
+var (
+	walOpen   = func(path string, flag int) (walFile, error) { return os.OpenFile(path, flag, 0o644) }
+	walRename = os.Rename
+	// syncDir fsyncs a directory, making the creates and renames inside it
+	// durable.
+	syncDir = func(dir string) error {
+		d, err := os.Open(dir)
+		if err != nil {
+			return fmt.Errorf("open dir: %w", err)
+		}
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("fsync dir %s: %w", dir, err)
+		}
+		return nil
+	}
+)
+
 // walWriter is a shard's append handle: owned by the shard's writer
 // goroutine (appends are naturally serialized), with atomic counters for
 // the metrics scraper and an atomic durable boundary + wakeup channel for
-// the replication stream readers tailing the file concurrently.
+// the replication stream readers tailing the file concurrently.  Its
+// shard fails stop on the first error any of its writes, fsyncs or
+// checkpoints returns, so nothing is ever appended after a failed write:
+// a partial frame can only be the log's tail, which recovery truncates.
 type walWriter struct {
-	f    *os.File
+	f    walFile
 	path string
 	// lastSeq mirrors the session's current published snapshot version;
 	// the next group's frames are stamped lastSeq+1 (see the file header
@@ -294,7 +328,7 @@ func newEpoch() uint64 {
 // birth record appendCreate syncs — survives power loss.
 func createWAL(dir, name string) (*walWriter, error) {
 	path := walPath(dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := walOpen(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("service: wal create: %w", err)
 	}
@@ -313,7 +347,7 @@ func createWAL(dir, name string) (*walWriter, error) {
 // epoch and size come from the replayed head record and the truncated
 // file.
 func openWAL(path string, lastSeq, headSeq, epoch uint64, size int64) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := walOpen(path, os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("service: wal open: %w", err)
 	}
@@ -391,12 +425,12 @@ func (w *walWriter) appendGroup(entries []walEntry) error {
 // writeCheckpoint compacts the log: the full live state (n vertices, the
 // edge multiset) becomes a checkpoint head record at the current seq, and
 // every fully-applied frame before it is dropped.  The rewrite goes
-// through a temp file + fsync + rename so a crash at any point leaves
-// either the old log or the new one, never a mix; the append handle is
-// then swapped to the renamed file and gen is bumped so stream readers
-// holding the pre-rename inode restart from the new head.  Last, the
-// directory is synced, so a compaction that returns nil survives power
-// loss.
+// through a temp file + fsync + rename + directory sync, so a crash at any
+// point leaves either the old log or the new one, never a mix, and a
+// compaction that returns nil survives power loss.  Only then is the
+// append handle swapped to the renamed file and gen bumped, so stream
+// readers holding the pre-rename inode restart from a head that is
+// durable.
 func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 	buf := appendWALFrame(nil, &StreamFrame{
 		Kind:  walKindCheckpoint,
@@ -406,29 +440,28 @@ func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 		Batch: edges,
 	})
 	tmp := w.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	tf, err := walOpen(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("service: wal checkpoint create: %w", err)
 	}
-	if _, err := tf.Write(buf); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: wal checkpoint write: %w", err)
+	_, err = tf.Write(buf)
+	if err == nil {
+		err = tf.Sync()
 	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: wal checkpoint fsync: %w", err)
+	if cerr := tf.Close(); err == nil {
+		err = cerr
 	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: wal checkpoint close: %w", err)
+	if err == nil {
+		err = walRename(tmp, w.path)
 	}
-	if err := os.Rename(tmp, w.path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("service: wal checkpoint rename: %w", err)
+		return fmt.Errorf("service: wal checkpoint: %w", err)
 	}
-	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
+		return fmt.Errorf("service: wal checkpoint: %w", err)
+	}
+	nf, err := walOpen(w.path, os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return fmt.Errorf("service: wal checkpoint reopen: %w", err)
 	}
@@ -442,11 +475,6 @@ func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 	w.durable.Store(int64(len(buf)))
 	w.gen.Add(1)
 	w.wake()
-	// The handle already follows the renamed file, so later appends land
-	// in the new log whether or not the directory sync succeeds.
-	if err := syncDir(filepath.Dir(w.path)); err != nil {
-		return fmt.Errorf("service: wal checkpoint: %w", err)
-	}
 	return nil
 }
 
@@ -461,23 +489,6 @@ func (w *walWriter) write(frames int) error {
 		return fmt.Errorf("service: wal fsync %s: %w", w.path, err)
 	}
 	w.fsyncs.Add(1)
-	return nil
-}
-
-// syncDir fsyncs a directory, making the creates and renames inside it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("open dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("fsync dir %s: %w", dir, err)
-	}
 	return nil
 }
 
