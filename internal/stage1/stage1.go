@@ -176,15 +176,25 @@ func (r *Runner) Matching(E []graph.Edge) (updated []int32) {
 
 	// Pass 1 — Step 2; Step 3a: each tail bids for its one kept outgoing
 	// arc; Step 4a: both ends note they had an arc before Step 3.
+	// The span is scanned downwards and a tail's first bid stands, so a
+	// tail costs one locked store, not one per arc.  On one span (the
+	// sequential and procs-1 machines) the winner is the tail's
+	// highest-index arc, the last writer of a forward pass; at procs ≥ 2
+	// it is any one of the tail's arcs, as before.  Only heads note
+	// hadArc: every tail keeps exactly one arc, so pass 2 sets its arc
+	// cell to 2 whatever pass 1 wrote, and pass 3 reads the cell only at
+	// heads.
 	m.ForRange(nd, 3, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			out.set(D[i].U, int32(i)+1)
-			arc.set(D[i].U, 1)
+		for i := hi - 1; i >= lo; i-- {
+			if out.get(D[i].U) == 0 {
+				out.set(D[i].U, int32(i)+1)
+			}
 			arc.set(D[i].V, 1)
 		}
 	})
 	// Pass 2 — Step 3b: the bid winner keeps its arc; Step 4b: both ends
-	// of a kept arc still have one; Step 5a: kept arcs bid at their head.
+	// of a kept arc still have one (for a tail, its only arc-cell write);
+	// Step 5a: kept arcs bid at their head.
 	m.ForRange(nd, 3, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			if out.get(D[i].U) != int32(i)+1 {
