@@ -18,7 +18,11 @@ import (
 // changes neither the accounting nor any concurrent-write winner.  At
 // procs ≥ 2 the winners (and with them the step counts) legitimately vary
 // from run to run, so those modes are not pinned.  The two pinned modes
-// agree with each other, so one table serves both.
+// agree with each other, so one table serves both.  The community,
+// lollipop, grid-xl and torus-xl Work values were re-recorded when
+// BuildAux's unstable sort became a stable counting sort: the order within
+// an endpoint's run reaches MATCHING through Gather, and it moved no Steps,
+// component count or label.
 var flsGolden = map[string]goldenRun{
 	"path":            {Steps: 773, Work: 295814, Comps: 1, LabelHash: 0x54bc0bb20f1db25},
 	"cycle":           {Steps: 773, Work: 304105, Comps: 1, LabelHash: 0x2939a16376cddb25},
@@ -33,16 +37,16 @@ var flsGolden = map[string]goldenRun{
 	"gnm-sparse":      {Steps: 629, Work: 314763, Comps: 19, LabelHash: 0xc10b5d21708baaec},
 	"gnm-dense":       {Steps: 709, Work: 3817473, Comps: 1, LabelHash: 0xb93a0c83ce3b6325},
 	"block":           {Steps: 534, Work: 6126120, Comps: 9, LabelHash: 0xef1df0a2b8bd46e5},
-	"community":       {Steps: 933, Work: 4410388, Comps: 1, LabelHash: 0x1d24dca62fd2a325},
-	"lollipop":        {Steps: 931, Work: 2214333, Comps: 1, LabelHash: 0x9947367924500b25},
+	"community":       {Steps: 933, Work: 4410452, Comps: 1, LabelHash: 0x1d24dca62fd2a325},
+	"lollipop":        {Steps: 931, Work: 2214311, Comps: 1, LabelHash: 0x9947367924500b25},
 	"barbell":         {Steps: 736, Work: 15333285, Comps: 1, LabelHash: 0x42a47795c24b4325},
 	"union":           {Steps: 849, Work: 272659, Comps: 23, LabelHash: 0x2a3c945dd7cb941f},
 	"many-components": {Steps: 774, Work: 130210, Comps: 122, LabelHash: 0x9c4f17399863748e},
 	"watts-strogatz":  {Steps: 623, Work: 566786, Comps: 1, LabelHash: 0x8f09f715fef24325},
 	"barabasi-albert": {Steps: 745, Work: 1668857, Comps: 1, LabelHash: 0x5f1ae2cde716a325},
 	"path-xl":         {Steps: 1153, Work: 1476752, Comps: 1, LabelHash: 0x9dd6ec1b1ffac325},
-	"grid-xl":         {Steps: 854, Work: 2248930, Comps: 1, LabelHash: 0xfe51b12a91b50325},
-	"torus-xl":        {Steps: 931, Work: 1974945, Comps: 1, LabelHash: 0x4eaa95dd56392325},
+	"grid-xl":         {Steps: 854, Work: 2248954, Comps: 1, LabelHash: 0xfe51b12a91b50325},
+	"torus-xl":        {Steps: 931, Work: 1974951, Comps: 1, LabelHash: 0x4eaa95dd56392325},
 }
 
 type goldenRun struct {
@@ -96,9 +100,10 @@ func TestFLSChargedCostGolden(t *testing.T) {
 // TestAllExperimentsRunSmall builds), hashed by tableHash.  The tables run
 // on the sequential simulator, so every charged round, work count, size
 // and verdict cell is deterministic; a change to any algorithm layer that
-// moves one of them fails here.
+// moves one of them fails here.  E1 was re-recorded with the stable
+// BuildAux order above (its grid work/(m+n) 188.8 → 188.6).
 var tableGolden = map[string]uint64{
-	"E1":  0x262f84e4cd5967d2,
+	"E1":  0x2dc439ca9436f4e4,
 	"E2":  0x8ebded9475918318,
 	"E3":  0x20a0a2a44e685e3f,
 	"E4":  0xaa2be52979a8f2ce,

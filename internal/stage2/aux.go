@@ -1,9 +1,6 @@
 package stage2
 
 import (
-	"cmp"
-	"slices"
-
 	"parcc/internal/graph"
 	"parcc/internal/pram"
 	"parcc/internal/prim"
@@ -17,15 +14,22 @@ import (
 // whose first endpoint satisfies a predicate in O(output) work instead of
 // rescanning all of E(G′) every phase.
 type Aux struct {
-	edges []graph.Edge // sorted by U; both orientations of every edge
+	edges []graph.Edge // grouped by U; both orientations of every edge
 	start []int64      // start[v] = v.l; -1 when v has no edges
 	count []int64      // count[v] = number of entries (v.s)
-	verts []int32      // vertices with at least one entry
+	verts []int32      // vertices with at least one entry, ascending
 }
 
 // BuildAux runs BUILDAUXILIARY(G′) (§7.4.1): padded sort (Lemma 7.9 charge:
 // O(log log m) time, O(m) work) plus the range-delimiting passes.  The
 // array storage is drawn from the solve context's arena; pair with Free.
+//
+// The sort is a counting sort on the first endpoint, O(m+n) on the
+// orchestrator: count each vertex's entries, take the exclusive prefix
+// into start, then scatter e and its reversal in input order with start
+// as the write cursor and rewind it.  A run therefore keeps input order
+// (a loop is entered once), and that order reaches MATCHING through
+// Gather, so it is part of the labels TestFLSChargedCostGolden pins.
 func BuildAux(cx *solve.Ctx, n int, E []graph.Edge) *Aux {
 	m := cx.M
 	a := &Aux{
@@ -33,27 +37,34 @@ func BuildAux(cx *solve.Ctx, n int, E []graph.Edge) *Aux {
 		start: cx.Grab64(n),
 		count: cx.Grab64(n),
 	}
-	for i := range a.start {
-		a.start[i] = -1
-	}
 	m.Contract(prim.LogLog(2*len(E)+4)+2, int64(2*len(E))+int64(n), func() {
 		for _, e := range E {
-			a.edges = append(a.edges, e)
+			a.count[e.U]++
 			if e.U != e.V {
-				a.edges = append(a.edges, graph.Edge{U: e.V, V: e.U})
+				a.count[e.V]++
 			}
 		}
-		// The order within an endpoint's run reaches MATCHING through
-		// Gather, so it is part of the labels TestFLSChargedCostGolden
-		// pins; this is the same pdqsort sort.Slice runs, without the
-		// reflection-based swaps.
-		slices.SortFunc(a.edges, func(x, y graph.Edge) int { return cmp.Compare(x.U, y.U) })
-		for i, e := range a.edges {
-			if a.start[e.U] < 0 {
-				a.start[e.U] = int64(i)
-				a.verts = append(a.verts, e.U)
+		var off int64
+		for v, c := range a.count {
+			if c == 0 {
+				a.start[v] = -1
+				continue
 			}
-			a.count[e.U]++
+			a.start[v] = off
+			a.verts = append(a.verts, int32(v))
+			off += c
+		}
+		a.edges = a.edges[:off]
+		for _, e := range E {
+			a.edges[a.start[e.U]] = e
+			a.start[e.U]++
+			if e.U != e.V {
+				a.edges[a.start[e.V]] = graph.Edge{U: e.V, V: e.U}
+				a.start[e.V]++
+			}
+		}
+		for _, v := range a.verts {
+			a.start[v] -= a.count[v]
 		}
 	})
 	return a

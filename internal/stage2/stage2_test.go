@@ -1,6 +1,7 @@
 package stage2
 
 import (
+	"slices"
 	"testing"
 
 	"parcc/internal/baseline"
@@ -246,6 +247,74 @@ func TestAuxGatherEmptyPredicate(t *testing.T) {
 	aux := BuildAux(solve.New(m), g.N, g.Edges)
 	if got := aux.Gather(m, func(int32) bool { return false }); len(got) != 0 {
 		t.Fatalf("gather(false) returned %d edges", len(got))
+	}
+}
+
+// TestBuildAuxStableGrouping checks the counting sort against a reference:
+// a stable group-by-U of [e, reversed e] taken in input order, loops once.
+func TestBuildAuxStableGrouping(t *testing.T) {
+	random := gen.GNM(300, 900, 7).Edges
+	random = append(random, random[:50]...) // multi-edges
+	random = append(random, graph.Edge{U: 4, V: 4}, graph.Edge{U: 299, V: 299})
+	cases := []struct {
+		name string
+		n    int
+		E    []graph.Edge
+	}{
+		{"small", 9, []graph.Edge{{U: 3, V: 1}, {U: 1, V: 3}, {U: 3, V: 1}, {U: 2, V: 2}, {U: 0, V: 3}, {U: 5, V: 5}, {U: 3, V: 0}, {U: 1, V: 2}}},
+		{"empty", 5, nil},
+		{"no-vertices", 0, nil},
+		{"gnm-multi-loops", 300, random},
+	}
+	for _, tc := range cases {
+		var seq []graph.Edge
+		for _, e := range tc.E {
+			seq = append(seq, e)
+			if e.U != e.V {
+				seq = append(seq, graph.Edge{U: e.V, V: e.U})
+			}
+		}
+		var want []graph.Edge
+		var verts []int32
+		for v := int32(0); v < int32(tc.n); v++ {
+			before := len(want)
+			for _, e := range seq {
+				if e.U == v {
+					want = append(want, e)
+				}
+			}
+			if len(want) > before {
+				verts = append(verts, v)
+			}
+		}
+
+		a := BuildAux(solve.New(pramtest.New(t, 0)), tc.n, tc.E)
+		if !slices.Equal(a.edges, want) {
+			t.Fatalf("%s: edges %v, want %v", tc.name, a.edges, want)
+		}
+		if !slices.Equal(a.verts, verts) {
+			t.Fatalf("%s: verts %v, want %v", tc.name, a.verts, verts)
+		}
+		for v := 0; v < tc.n; v++ {
+			lo, c := a.start[v], a.count[v]
+			if c == 0 {
+				if lo != -1 {
+					t.Fatalf("%s: vertex %d has no entries but start %d", tc.name, v, lo)
+				}
+				continue
+			}
+			if lo < 0 || lo+c > int64(len(a.edges)) {
+				t.Fatalf("%s: vertex %d range [%d,+%d) out of bounds", tc.name, v, lo, c)
+			}
+			if lo > 0 && a.edges[lo-1].U == int32(v) || lo+c < int64(len(a.edges)) && a.edges[lo+c].U == int32(v) {
+				t.Fatalf("%s: vertex %d range [%d,+%d) is not its whole run", tc.name, v, lo, c)
+			}
+			for _, e := range a.edges[lo : lo+c] {
+				if e.U != int32(v) {
+					t.Fatalf("%s: vertex %d range holds %v", tc.name, v, e)
+				}
+			}
+		}
 	}
 }
 
