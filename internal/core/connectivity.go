@@ -194,9 +194,8 @@ func interweave(cx *solve.Ctx, f *labeled.Forest, s1 *stage1.Runner, env phaseEn
 		lp := p.LTZ
 		lp.Seed ^= uint64(env.phase) * 0x9e37
 		st := ltz.NewState(cx, f, active, H1, lp)
-		r1 := st.Run(p.H1Rounds * int(prim.Log2Ceil(b+1)))
-		r2 := st.Run(p.H1Rounds * int(prim.LogLog(f.Len()+4)))
-		cx.Rec.Add(obs.CtrLTZRounds, int64(r1+r2))
+		st.Run(p.H1Rounds * int(prim.Log2Ceil(b+1)))
+		st.Run(p.H1Rounds * int(prim.LogLog(f.Len()+4)))
 		eh := labeled.Alter(m, f, st.CurrentEdges())
 		cx.ReleaseEdges(H1) // pre-Step-3 backing, already copied into st
 		H1 = eh

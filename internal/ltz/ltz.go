@@ -191,10 +191,13 @@ func (s *State) Run(rounds int) int {
 	return rounds
 }
 
-// Round executes one EXPAND-MAXLINK(H) (§5.2.1 Steps 1–10).
+// Round executes one EXPAND-MAXLINK(H) (§5.2.1 Steps 1–10) and counts it
+// on the context recorder's ltz_rounds counter (a no-op with tracing off),
+// so every caller of Run, Round or SolveOn is counted.
 func (s *State) Round() {
 	m, f := s.M, s.F
 	s.round++
+	s.cx.Rec.Add(obs.CtrLTZRounds, 1)
 	n := f.Len()
 
 	// Step 2: MAXLINK(V); ALTER(E).
@@ -512,13 +515,10 @@ func log2(n int) int {
 // (V, E), updating the shared forest.  If the safety round cap is hit (never
 // observed in practice; the cap exists because our budgets are the practical
 // profile, not the paper's polylogs), it falls back to deterministic
-// min-hooking so the contraction always completes.  Returns rounds used,
-// which are also accrued onto the context recorder's ltz_rounds counter
-// (a no-op with tracing off).
+// min-hooking so the contraction always completes.  Returns rounds used.
 func SolveOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Params) int64 {
 	s := NewState(cx, f, V, E, p)
 	defer s.Free()
-	defer func() { cx.Rec.Add(obs.CtrLTZRounds, s.round) }()
 	maxR := p.MaxRounds
 	if maxR <= 0 {
 		maxR = 4*log2(len(f.P)+2) + 64

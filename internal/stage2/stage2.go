@@ -258,7 +258,7 @@ func dedupEdges(m *pram.Machine, E []graph.Edge) []graph.Edge {
 // DensifyResult carries what INCREASE needs from DENSIFY.
 type DensifyResult struct {
 	Eclose []graph.Edge // the close-edge set (altered; loops dropped)
-	Rounds int64        // EXPAND-MAXLINK rounds executed
+	Rounds int64        // EXPAND-MAXLINK rounds executed, Steps 1 and 5
 }
 
 // Densify runs DENSIFY(H,b) (§5.2.1) on the skeleton H = (V, EH), updating
@@ -267,7 +267,7 @@ func Densify(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p Par
 	m := cx.M
 	// Step 1: 20·log b rounds of EXPAND-MAXLINK.
 	st := ltz.NewState(cx, f, V, EH, p.LTZ)
-	st.Run(p.DensifyRounds)
+	rounds := int64(st.Run(p.DensifyRounds))
 	// Step 3: shortcut + alter until the trees over V are flat.
 	for r := 0; r < p.ShortcutRounds; r++ {
 		labeled.Shortcut(m, f, V)
@@ -276,7 +276,6 @@ func Densify(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p Par
 	}
 	// Step 4: E_close = all current edges (altered originals + added).
 	eclose := st.CurrentEdges()
-	rounds := st.Rounds()
 	st.Free()
 	// Step 5: Theorem 2 on (V(E_close), E_close) — round-limited inside an
 	// INTERWEAVE phase (§3.4: each stage runs for O(log b) time), full
@@ -285,10 +284,10 @@ func Densify(cx *solve.Ctx, f *labeled.Forest, V []int32, EH []graph.Edge, p Par
 		verts := solve.VertexSet(cx, f.Len(), eclose)
 		if p.SolveRounds > 0 {
 			st2 := ltz.NewState(cx, f, verts, eclose, p.LTZ)
-			st2.Run(p.SolveRounds)
+			rounds += int64(st2.Run(p.SolveRounds))
 			st2.Free()
 		} else {
-			ltz.SolveOn(cx, f, verts, eclose, p.LTZ)
+			rounds += ltz.SolveOn(cx, f, verts, eclose, p.LTZ)
 		}
 	}
 	// Step 6: ALTER(E_close).

@@ -9,6 +9,7 @@ import (
 	"parcc/internal/graph/gen"
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
+	"parcc/internal/obs"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
 	"parcc/internal/solve"
@@ -125,6 +126,30 @@ func TestDensifyContractsSmallComponents(t *testing.T) {
 	// all components fully contracted: labels match truth already
 	if !graph.SamePartition(truth, f.Labels()) {
 		t.Fatal("small components should be fully contracted by DENSIFY")
+	}
+}
+
+// TestDensifyCountsLTZRounds: a recorder around Densify counts exactly the
+// EXPAND-MAXLINK rounds its Step-1 and Step-5 states ran, with Step 5
+// round-limited (inside an INTERWEAVE phase) and run to completion.  Step 1
+// is cut to two rounds so that Step 5 has rounds of its own to run.
+func TestDensifyCountsLTZRounds(t *testing.T) {
+	g := gen.Union(gen.RandomRegular(600, 4, 3), gen.Cycle(300))
+	for _, solveRounds := range []int{0, 4} {
+		rec := obs.NewRecorder()
+		cx := solve.New(pramtest.New(t, 0, pram.Seed(5))).WithRecorder(rec)
+		V := make([]int32, g.N)
+		cx.M.Iota32(V)
+		p := DefaultParams(g.N, 8)
+		p.DensifyRounds = 2
+		p.SolveRounds = solveRounds
+		res := Densify(cx, labeled.New(g.N), V, append([]graph.Edge(nil), g.Edges...), p)
+		if res.Rounds <= int64(p.DensifyRounds) {
+			t.Fatalf("SolveRounds=%d: Densify ran %d rounds, want Step 5 to run some", solveRounds, res.Rounds)
+		}
+		if got := rec.Count(obs.CtrLTZRounds); got != res.Rounds {
+			t.Errorf("SolveRounds=%d: recorder counted %d LTZ rounds, Densify ran %d", solveRounds, got, res.Rounds)
+		}
 	}
 }
 

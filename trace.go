@@ -52,7 +52,8 @@ type Trace struct {
 	// FLSPhases mirrors Result.Phases: INTERWEAVE phases executed.
 	FLSPhases int `json:"fls_phases"`
 	// LTZRounds counts EXPAND-MAXLINK rounds across every LTZ invocation
-	// of the operation (interweave Step 3, REMAIN, backstops, ltz proper).
+	// of the operation (DENSIFY's two inside INCREASE, interweave Step 3,
+	// REMAIN, backstops, ltz proper): each round counts itself.
 	LTZRounds int64 `json:"ltz_rounds"`
 	// Dispatch records the kernel decision of Auto's table for a solve
 	// with Options.Algorithm Auto; nil otherwise.

@@ -331,3 +331,22 @@ func TestTraceAliases(t *testing.T) {
 		t.Errorf("sample trace must include a sample phase span, got %v", d)
 	}
 }
+
+// TestTraceLTZRoundsCountsDensify: a traced one-shot FLS call counts the
+// EXPAND-MAXLINK rounds DENSIFY runs inside INCREASE.  On two-cycles at
+// n = 2^15 those are the only LTZ rounds the call runs, so ltz_rounds
+// reads 0 there when a DENSIFY state goes uncounted.
+func TestTraceLTZRoundsCountsDensify(t *testing.T) {
+	for _, n := range []int{1 << 14, 1 << 15} {
+		res, err := parcc.ConnectedComponents(gen.TwoCycles(n), &parcc.Options{Algorithm: parcc.FLS, Seed: 1, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace.FLSPhases == 0 {
+			t.Fatalf("n=%d: FLS ran no INTERWEAVE phase", n)
+		}
+		if res.Trace.LTZRounds <= 0 {
+			t.Errorf("n=%d: ltz_rounds %d, want > 0", n, res.Trace.LTZRounds)
+		}
+	}
+}
