@@ -175,15 +175,14 @@ func (r *Runner) Matching(E []graph.Edge) (updated []int32) {
 	live, rec := r.cx.Grab32(nd), r.cx.Grab32(nd)
 
 	// Pass 1 — Step 2; Step 3a: each tail bids for its one kept outgoing
-	// arc; Step 4a: both ends note they had an arc before Step 3.
-	// The span is scanned downwards and a tail's first bid stands, so a
-	// tail costs one locked store, not one per arc.  On one span (the
-	// sequential and procs-1 machines) the winner is the tail's
-	// highest-index arc, the last writer of a forward pass; at procs ≥ 2
-	// it is any one of the tail's arcs, as before.  Only heads note
-	// hadArc: every tail keeps exactly one arc, so pass 2 sets its arc
-	// cell to 2 whatever pass 1 wrote, and pass 3 reads the cell only at
-	// heads.
+	// arc; Step 4a: heads note they had an arc before Step 3.  The span is
+	// scanned downwards and a tail's first bid stands, so a tail costs one
+	// locked store, not one per arc.  On one span (the sequential and
+	// procs-1 machines) the winner is the tail's highest-index arc, the
+	// last writer of a forward pass; at procs ≥ 2 it is any one of the
+	// tail's arcs (an arbitrary CRCW write).  Tails need no hadArc note:
+	// every tail keeps exactly one arc, so pass 2 sets its arc cell to 2,
+	// and pass 3 reads the cell only at heads.
 	m.ForRange(nd, 3, func(lo, hi, _ int) {
 		for i := hi - 1; i >= lo; i-- {
 			if out.get(D[i].U) == 0 {
