@@ -22,7 +22,6 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/par"
 	"parcc/internal/pram"
-	"parcc/internal/prim"
 )
 
 // BFSLabels returns component labels (smallest vertex in the component) by
@@ -360,68 +359,4 @@ func LabelProp(m *pram.Machine, g *graph.Graph) []int32 {
 		cur, touched = touched, cur
 	}
 	return lab
-}
-
-// ParallelBFS labels components by multi-source level-synchronous BFS: all
-// unvisited vertices start a frontier wave per component.  It is the
-// natural work-optimal comparator at the other end of the time spectrum:
-// O(d) rounds and O(m+n) total work (each edge relaxes O(1) times per
-// wave), against which the paper's O(log(1/λ) + log log n) rounds are
-// measured.  Frontier compaction per round uses the approximate-compaction
-// contract like the rest of the codebase.
-func ParallelBFS(m *pram.Machine, g *graph.Graph) []int32 {
-	n := g.N
-	csr := graph.BuildPlanOn(m.Exec(), g).CSR
-	labels := make([]int32, n)
-	m.For(n, func(v int) { labels[v] = int32(v) })
-	// Every vertex is initially its own frontier; a vertex adopts the
-	// smallest label seen among its neighbors' waves.  Rather than running
-	// one BFS per component sequentially (which would charge Σd rounds),
-	// all components proceed in parallel: per round, every frontier vertex
-	// relaxes its edges once.
-	frontier := make([]int32, n)
-	m.Iota32(frontier)
-	lab64 := make([]int64, n)
-	inNf := make([]int32, n) // membership of the next frontier (uncharged dedup)
-	// Hoisted round bodies (closures capture the frontier/nf variables, so
-	// reassigning them between rounds is visible inside).
-	var nf []int32
-	snap := func(i int) {
-		v := frontier[i]
-		pram.Store64(lab64, int(v), int64(labels[v]))
-	}
-	relax := func(i int) {
-		v := frontier[i]
-		lv := int64(labels[v])
-		for _, w := range csr.Neighbors(v) {
-			pram.Min64(lab64, int(w), lv)
-		}
-	}
-	advance := func() {
-		for _, v := range frontier {
-			for _, w := range csr.Neighbors(v) {
-				if int32(lab64[w]) < labels[w] && inNf[w] == 0 {
-					inNf[w] = 1
-					nf = append(nf, w)
-				}
-			}
-		}
-		for _, w := range nf {
-			labels[w] = int32(lab64[w])
-			inNf[w] = 0
-		}
-	}
-	for len(frontier) > 0 {
-		m.ForWork(len(frontier), int64(len(frontier)), snap)
-		var relaxWork int64
-		for _, v := range frontier {
-			relaxWork += int64(csr.Deg(v))
-		}
-		m.ForWork(len(frontier), relaxWork, relax)
-		// Next frontier: vertices whose label improved.
-		nf = make([]int32, 0, n)
-		m.Contract(prim.LogStar(n)+1, int64(len(frontier)), advance)
-		frontier = nf
-	}
-	return labels
 }

@@ -156,40 +156,6 @@ func TestBFSLabelsUseSmallestVertex(t *testing.T) {
 	}
 }
 
-func TestParallelBFSMatchesBFS(t *testing.T) {
-	for name, g := range testGraphs() {
-		m := pramtest.New(t, 0, pram.Seed(1))
-		got := ParallelBFS(m, g)
-		if !graph.SamePartition(BFSLabels(g), got) {
-			t.Errorf("%s: parallel BFS disagrees with BFS", name)
-		}
-	}
-}
-
-func TestParallelBFSRoundsScaleWithDiameter(t *testing.T) {
-	rounds := func(g *graph.Graph) int64 {
-		m := pramtest.New(t, 0, pram.Seed(1))
-		ParallelBFS(m, g)
-		return m.Steps()
-	}
-	short := rounds(gen.Star(1024))
-	long := rounds(gen.Path(1024))
-	if long <= short*4 {
-		t.Errorf("path rounds %d should dwarf star rounds %d", long, short)
-	}
-}
-
-func TestParallelBFSWorkLinear(t *testing.T) {
-	// O(m+n) total work: each edge relaxes O(1) times overall.
-	g := gen.RandomRegular(1<<13, 4, 3)
-	m := pramtest.New(t, 0, pram.Seed(1))
-	ParallelBFS(m, g)
-	norm := float64(m.Work()) / float64(g.M()+g.N)
-	if norm > 20 {
-		t.Errorf("parallel BFS normalized work %.1f too high", norm)
-	}
-}
-
 func TestShiloachVishkinNoLivelock(t *testing.T) {
 	// Regression: a union of eight 4-regular expanders livelocked the
 	// star-hooking step (a conditional hook and a star hook formed a

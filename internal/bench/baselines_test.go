@@ -34,7 +34,6 @@ var baselines = []struct {
 		f, _ := liutarjan.Solve(m, g, liutarjan.Config{Connect: liutarjan.ParentConnect, Alter: true})
 		return f.Labels()
 	}},
-	{"parallel-bfs", baseline.ParallelBFS},
 	{"bfs", func(_ *pram.Machine, g *graph.Graph) []int32 { return baseline.BFSLabels(g) }},
 }
 

@@ -6,7 +6,8 @@
 // §1 maps the paper's results to the packages the experiments exercise.
 //
 // Experiments run at two scales: Small (seconds; used by unit tests and the
-// benchmark suite) and Full (the sizes the verdicts were written from).
+// benchmark suite; bench_test.go asserts each claim on the seed-3 tables)
+// and Full (the larger sizes ccbench -scale full prints).
 package bench
 
 import (

@@ -465,6 +465,7 @@ func E12PhaseSchedule(c Config) *Table {
 	if c.Scale == Full {
 		k = 64
 	}
+	escalated := 0
 	run := func(profile string, g *graph.Graph, key any, strict, p1 bool) {
 		lam := spectral.Gap(graph.NewPlan(g), &spectral.Options{Seed: c.seed()})
 		m := c.machine()
@@ -498,6 +499,9 @@ func E12PhaseSchedule(c Config) *Table {
 			frac = float64(last) / float64(tot)
 		}
 		t.Add(profile, key, lam, res.Phases, res.FinalB, m.Steps(), last, frac)
+		if res.Phases > 1 {
+			escalated++
+		}
 	}
 	for _, bridges := range []int{1, 4, 16, 64} {
 		run("default", gen.RingOfCliques(k, s, bridges, c.seed()), bridges, false, false)
@@ -509,7 +513,7 @@ func E12PhaseSchedule(c Config) *Table {
 		run("strict-p1-cycle", gen.Cycle(1<<lgn), 1<<lgn, true, true)
 	}
 	t.Note("strict: SolveRoundsC=1, H1Rounds=1, DensifyRoundsC=1, B0=4; strict-p1-cycle additionally samples H₁/H₂ at probability 1 and skips Stage 1 (key column = n)")
-	t.Note("finding: even under strict budgets phase 0 terminates at feasible n — Stage 1 plus the level-based contraction finish instances long before the schedule must escalate; the escalation is exercised structurally (bSchedule/revert tests), not dynamically")
+	t.Note("%d of %d instances escalated past phase 0", escalated, len(t.Rows))
 	return t
 }
 

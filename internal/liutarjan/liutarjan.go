@@ -173,18 +173,6 @@ func casInt32(a []int32, i int, oldv, newv int32) bool {
 	return pram.CAS32(a, i, oldv, newv)
 }
 
-// Variants enumerates the six canonical framework members for benchmarks.
-func Variants() []Config {
-	return []Config{
-		{Connect: ParentConnect, Alter: false},
-		{Connect: ParentConnect, Alter: true},
-		{Connect: ExtremeConnect, Alter: false},
-		{Connect: ExtremeConnect, Alter: true},
-		{Connect: RootConnect, Alter: false},
-		{Connect: RootConnect, Alter: true},
-	}
-}
-
 // Name renders a config like "parent-connect+alter".
 func Name(cfg Config) string {
 	s := cfg.Connect.String()

@@ -32,6 +32,18 @@ func battery() map[string]*graph.Graph {
 	}
 }
 
+// Variants enumerates the six canonical framework members.
+func Variants() []Config {
+	return []Config{
+		{Connect: ParentConnect, Alter: false},
+		{Connect: ParentConnect, Alter: true},
+		{Connect: ExtremeConnect, Alter: false},
+		{Connect: ExtremeConnect, Alter: true},
+		{Connect: RootConnect, Alter: false},
+		{Connect: RootConnect, Alter: true},
+	}
+}
+
 func TestAllVariantsMatchBFS(t *testing.T) {
 	for _, cfg := range Variants() {
 		cfg := cfg

@@ -1,7 +1,6 @@
 // Package spectral computes the spectral quantities the paper's bounds are
 // parameterized by: the spectral gap λ(G) (second-smallest eigenvalue of the
-// normalized Laplacian, Definition 2.1/2.2), the conductance φ(G)
-// (Definition 2.3), and graph diameters.
+// normalized Laplacian, Definition 2.1/2.2) and graph diameters.
 //
 // The gap is estimated per connected component by deflated power iteration
 // on the positive-semidefinite matrix M = (I + D^{-1/2} A D^{-1/2})/2, whose
@@ -331,44 +330,6 @@ func GapDense(g *graph.Graph) float64 {
 		return math.NaN()
 	}
 	return ev[1]
-}
-
-// Conductance computes φ(G) (Definition 2.3) exactly by enumerating vertex
-// subsets.  Only usable for n ≤ ~20; test oracle for Cheeger checks.
-func Conductance(g *graph.Graph) float64 {
-	n := g.N
-	deg := g.Degrees()
-	var vol int64
-	for _, d := range deg {
-		vol += int64(d)
-	}
-	best := math.Inf(1)
-	for mask := 1; mask < 1<<n-1; mask++ {
-		var volS, cut int64
-		for v := 0; v < n; v++ {
-			if mask>>v&1 == 1 {
-				volS += int64(deg[v])
-			}
-		}
-		if volS == 0 || volS*2 > vol {
-			continue
-		}
-		for _, e := range g.Edges {
-			if e.U == e.V {
-				continue
-			}
-			inU := mask>>e.U&1 == 1
-			inV := mask>>e.V&1 == 1
-			if inU != inV {
-				cut++
-			}
-		}
-		phi := float64(cut) / float64(volS)
-		if phi < best {
-			best = phi
-		}
-	}
-	return best
 }
 
 // Eccentricity returns max distance from s (-1 if g is disconnected from s

@@ -134,6 +134,44 @@ func TestCheegerInequality(t *testing.T) {
 	}
 }
 
+// Conductance computes φ(G) (Definition 2.3) exactly by enumerating vertex
+// subsets.  Only usable for n ≤ ~20; the Cheeger test's oracle.
+func Conductance(g *graph.Graph) float64 {
+	n := g.N
+	deg := g.Degrees()
+	var vol int64
+	for _, d := range deg {
+		vol += int64(d)
+	}
+	best := math.Inf(1)
+	for mask := 1; mask < 1<<n-1; mask++ {
+		var volS, cut int64
+		for v := 0; v < n; v++ {
+			if mask>>v&1 == 1 {
+				volS += int64(deg[v])
+			}
+		}
+		if volS == 0 || volS*2 > vol {
+			continue
+		}
+		for _, e := range g.Edges {
+			if e.U == e.V {
+				continue
+			}
+			inU := mask>>e.U&1 == 1
+			inV := mask>>e.V&1 == 1
+			if inU != inV {
+				cut++
+			}
+		}
+		phi := float64(cut) / float64(volS)
+		if phi < best {
+			best = phi
+		}
+	}
+	return best
+}
+
 func TestNormalizedLaplacianDefinition(t *testing.T) {
 	// Definition 2.1 on a triangle with a self-loop at 0.
 	g := graph.FromPairs(3, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 0}})

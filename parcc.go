@@ -11,8 +11,8 @@
 //     concurrent CAS union-find, sampling, frontier) and the Auto
 //     dispatcher that picks among them.  The classical baselines the
 //     paper compares against ([LTZ20], Shiloach–Vishkin, random-mate,
-//     label propagation, Liu–Tarjan, parallel BFS) live in internal
-//     packages and run in the experiment harness, not through Options;
+//     label propagation, Liu–Tarjan) live in internal packages and run
+//     in the experiment harness, not through Options;
 //   - Solver: the session form of the same engine for serving repeated
 //     queries — NewSolver builds the goroutine pool, PRAM machine, scratch
 //     arena, and CSR plan cache once; Solve/SolveInto reuse them, making
