@@ -22,6 +22,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/par"
 	"parcc/internal/pram"
+	"parcc/internal/prim"
 )
 
 // BFSLabels returns component labels (smallest vertex in the component) by
@@ -143,7 +144,7 @@ func ShiloachVishkin(m *pram.Machine, g *graph.Graph) *labeled.Forest {
 	// Past this cap the star-hooking step is disabled: conditional hooking
 	// plus shortcutting alone is a terminating, correct (slower) algorithm,
 	// so the cap is a liveness backstop, never a correctness risk.
-	capRounds := 4*log2ceil(n) + 64
+	capRounds := 4*int(prim.Log2Ceil(n)) + 64
 	for rounds := 0; changed[0] != 0; rounds++ {
 		changed[0] = 0
 		// Conditional hooking: roots hook onto strictly smaller roots.
@@ -236,14 +237,6 @@ func hookStar(p, old, star []int32, u, v int32, changed []int32) {
 	}
 }
 
-func log2ceil(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
-}
-
 // computeStars marks star[v] = 1 iff v belongs to a tree of height ≤ 1,
 // using the standard three-step procedure.
 func computeStars(m *pram.Machine, p []int32, star []int32) {
@@ -318,7 +311,7 @@ func RandomMate(m *pram.Machine, g *graph.Graph, seed uint64) *labeled.Forest {
 // boundary), so no per-round snapshot pass runs at all.
 func LabelProp(m *pram.Machine, g *graph.Graph) []int32 {
 	n := g.N
-	csr := graph.BuildPlanOn(m.Exec(), g).CSR
+	csr := graph.BuildCSR(g)
 	lab := make([]int32, n)
 	m.Iota32(lab)
 	lab64 := make([]int64, n)

@@ -6,6 +6,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/ltz"
 	"parcc/internal/pram"
+	"parcc/internal/prim"
 	"parcc/internal/solve"
 )
 
@@ -54,7 +55,7 @@ func RoundsToDistinguish(n int, seeds []uint64) float64 {
 	var total float64
 	for _, s := range seeds {
 		r := 1
-		for ; r < 4*lg(n)+64; r++ {
+		for ; r < 4*int(prim.Log2Ceil(n))+64; r++ {
 			d1 := BudgetedDecide(one, r, s)
 			d2 := BudgetedDecide(two, r, s)
 			if d1 == OneComponent && d2 == ManyComponents {

@@ -10,6 +10,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/liutarjan"
 	"parcc/internal/pram"
+	"parcc/internal/prim"
 	"parcc/internal/solve"
 	"parcc/internal/spectral"
 	"parcc/internal/stage1"
@@ -38,7 +39,7 @@ func E1TimeVsGap(c Config) *Table {
 	}
 	fams := map[string]*graph.Graph{
 		"expander-d8": gen.RandomRegular(n, 8, c.seed()),
-		"hypercube":   gen.Hypercube(lg(n)),
+		"hypercube":   gen.Hypercube(int(prim.Log2Ceil(n))),
 		"torus":       gen.Torus(side, side),
 		"grid":        gen.Grid(side, side),
 		"cycle":       gen.Cycle(n),
@@ -594,14 +595,6 @@ func E14NaiveSampling(c Config) *Table {
 }
 
 // --- helpers ---
-
-func lg(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
-}
 
 func distrib(xs []int) (min, median int) {
 	if len(xs) == 0 {

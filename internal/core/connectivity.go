@@ -224,7 +224,7 @@ func interweave(cx *solve.Ctx, f *labeled.Forest, s1 *stage1.Runner, env phaseEn
 	for r := 0; r < rounds; r++ {
 		s1.Matching(Efilter)
 		Efilter = labeled.Alter(m, f, Efilter)
-		Efilter = deleteEdges(m, Efilter, p.FilterDeleteP64, p.Seed^0xdead^uint64(env.phase)<<20^uint64(r))
+		Efilter = prim.DeleteEdges(m, Efilter, p.FilterDeleteP64, p.Seed^0xdead^uint64(env.phase)<<20^uint64(r))
 		if len(Efilter) == 0 {
 			break
 		}
@@ -347,18 +347,6 @@ func filterRounds(p Params, phase, n int) int {
 		r = 1
 	}
 	return int(r)
-}
-
-func deleteEdges(m *pram.Machine, E []graph.Edge, p64 uint64, seed uint64) []graph.Edge {
-	out := E[:0]
-	m.Contract(1, int64(len(E)), func() {
-		for i, e := range E {
-			if pram.SplitMix64(seed^uint64(i)*0x9e3779b97f4a7c15) >= p64 {
-				out = append(out, e)
-			}
-		}
-	})
-	return out
 }
 
 func markVertexSet(cx *solve.Ctx, n int, E []graph.Edge) []int32 {

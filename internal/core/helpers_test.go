@@ -8,6 +8,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/pram"
 	"parcc/internal/pram/pramtest"
+	"parcc/internal/prim"
 	"parcc/internal/solve"
 )
 
@@ -63,15 +64,15 @@ func TestMarkVertexSetAndList(t *testing.T) {
 func TestDeleteEdgesProbabilities(t *testing.T) {
 	m := pramtest.New(t, 0)
 	E := make([]graph.Edge, 10000)
-	kept := deleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(0), 1)
+	kept := prim.DeleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(0), 1)
 	if len(kept) != len(E) {
 		t.Fatalf("p=0 deleted edges: %d left", len(kept))
 	}
-	kept = deleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(1), 1)
+	kept = prim.DeleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(1), 1)
 	if len(kept) != 0 {
 		t.Fatalf("p=1 kept %d edges", len(kept))
 	}
-	kept = deleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(0.5), 1)
+	kept = prim.DeleteEdges(m, append([]graph.Edge(nil), E...), pram.P64(0.5), 1)
 	frac := float64(len(kept)) / float64(len(E))
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("p=0.5 kept fraction %.3f", frac)

@@ -80,7 +80,7 @@ func Default(n int) Params {
 	}
 	return Params{
 		Stage1:           stage1.DefaultParams(n),
-		B0:               maxInt(8, lg/2),
+		B0:               max(8, lg/2),
 		BGrowth:          1.5,
 		MaxPhases:        int(4 * prim.LogLog(n+4)),
 		SampleP64:        pram.P64(1 / float64(lg)),
@@ -107,19 +107,12 @@ func Paper(n int) Params {
 	if b0 > 4096 {
 		b0 = 4096
 	}
-	p.B0 = maxInt(8, int(b0))
+	p.B0 = max(8, int(b0))
 	p.BGrowth = 1.1
 	p.FilterGrowth = 1.1
 	p.MaxPhases = int(10 * prim.LogLog(n+4))
 	p.LTZ = ltz.PaperParams(n)
 	return p
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bSchedule returns the phase-i gap guess: B0^(BGrowth^i), capped.

@@ -116,8 +116,7 @@ func (c *CSR) Neighbors(v int32) []int32 { return c.Nbr[c.Off[v]:c.Off[v+1]] }
 
 // BuildCSR constructs adjacency lists for g by sequential counting sort:
 // O(m+n) time, two passes over the edge list.  Each vertex's neighbors
-// appear in edge-scan order — the canonical layout BuildCSROn reproduces
-// exactly on any executor.
+// appear in edge-scan order.
 func BuildCSR(g *Graph) *CSR {
 	n := g.N
 	cnt := make([]int64, n+1)

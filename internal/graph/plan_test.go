@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"parcc/internal/graph"
-	"parcc/internal/par"
 	"parcc/internal/pram"
 )
 
@@ -19,33 +18,6 @@ func randomGraph(n, m int, seed uint64) *graph.Graph {
 		g.AddEdge(u, v)
 	}
 	return g
-}
-
-// TestBuildCSROnMatchesSequential is the layout-determinism contract: the
-// parallel counting-sort build must produce byte-identical Off and Nbr to
-// the sequential builder, for any parallelism degree.
-func TestBuildCSROnMatchesSequential(t *testing.T) {
-	g := randomGraph(500, 20000, 42) // above the parallel cutoff
-	want := graph.BuildCSR(g)
-	for _, procs := range []int{2, 3, 8} {
-		rt := par.New(par.Procs(procs))
-		got := graph.BuildCSROn(rt, g)
-		rt.Close()
-		if len(got.Off) != len(want.Off) || len(got.Nbr) != len(want.Nbr) {
-			t.Fatalf("procs=%d: size mismatch", procs)
-		}
-		for i := range want.Off {
-			if got.Off[i] != want.Off[i] {
-				t.Fatalf("procs=%d: Off[%d] = %d, want %d", procs, i, got.Off[i], want.Off[i])
-			}
-		}
-		for i := range want.Nbr {
-			if got.Nbr[i] != want.Nbr[i] {
-				t.Fatalf("procs=%d: Nbr[%d] = %d, want %d (layout must match sequential exactly)",
-					procs, i, got.Nbr[i], want.Nbr[i])
-			}
-		}
-	}
 }
 
 func TestPlanDegreeStats(t *testing.T) {

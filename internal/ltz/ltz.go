@@ -24,6 +24,7 @@ import (
 	"parcc/internal/labeled"
 	"parcc/internal/obs"
 	"parcc/internal/pram"
+	"parcc/internal/prim"
 	"parcc/internal/solve"
 )
 
@@ -220,7 +221,7 @@ func (s *State) Round() {
 	step := s.round * 131
 	m.ForRange(len(roots), 1, func(lo, hi, _ int) {
 		for _, v := range roots[lo:hi] {
-			if m.Coin(step, int(v), s.upP64[minInt(int(lvl[v])-1, len(s.upP64)-1)]) {
+			if m.Coin(step, int(v), s.upP64[min(int(lvl[v])-1, len(s.upP64)-1)]) {
 				lvl[v]++
 			}
 		}
@@ -396,7 +397,7 @@ func (s *State) Round() {
 	// dormant roots unconditionally would double-step them; track parity.)
 	m.ForRange(len(roots), 1, func(lo, hi, _ int) {
 		for _, v := range roots[lo:hi] {
-			if f.IsRoot(v) && pram.Flag(dormant, int(v)) && !m.Coin(step, int(v), s.upP64[minInt(int(lvl[v])-1, len(s.upP64)-1)]) {
+			if f.IsRoot(v) && pram.Flag(dormant, int(v)) && !m.Coin(step, int(v), s.upP64[min(int(lvl[v])-1, len(s.upP64)-1)]) {
 				lvl[v]++
 			}
 		}
@@ -471,7 +472,7 @@ func (s *State) dedupExtra() {
 	m := s.M
 	keys := s.cx.Grab64Cap(len(s.Extra))
 	for _, e := range s.Extra {
-		keys = append(keys, packEdge(e.U, e.V))
+		keys = append(keys, prim.PackEdge(e.U, e.V))
 	}
 	m.Contract(1, int64(len(keys)), func() {})
 	seen := make(map[int64]struct{}, len(keys))
@@ -488,29 +489,6 @@ func (s *State) dedupExtra() {
 	s.Extra = out
 }
 
-func packEdge(u, v int32) int64 {
-	if u > v {
-		u, v = v, u
-	}
-	return int64(u)<<32 | int64(uint32(v))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func log2(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // SolveOn runs the Theorem-2 algorithm to completion on the sub-instance
 // (V, E), updating the shared forest.  If the safety round cap is hit (never
 // observed in practice; the cap exists because our budgets are the practical
@@ -521,7 +499,7 @@ func SolveOn(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p Para
 	defer s.Free()
 	maxR := p.MaxRounds
 	if maxR <= 0 {
-		maxR = 4*log2(len(f.P)+2) + 64
+		maxR = 4*prim.Log2Floor(len(f.P)+2) + 64
 	}
 	for r := 0; r < maxR; r++ {
 		if s.Done() {

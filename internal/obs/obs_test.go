@@ -132,7 +132,8 @@ func TestHistogramBuckets(t *testing.T) {
 // +Inf terminator, and labeled collect lines.
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("parcc_test_total", "a counter")
+	var c CounterMetric
+	reg.Counter("parcc_test_total", "a counter", &c)
 	c.Add(41)
 	c.Inc()
 	reg.GaugeFunc("parcc_test_ratio", "a gauge", func() float64 { return 0.75 })

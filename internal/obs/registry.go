@@ -47,7 +47,9 @@ func (reg *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// CounterMetric is a monotonically increasing exported counter.
+// CounterMetric is a monotonically increasing exported counter.  The zero
+// value counts from zero, so it can live in a struct field and be bumped
+// before (or without) being registered.
 type CounterMetric struct{ v atomic.Int64 }
 
 // Inc adds one.
@@ -56,17 +58,15 @@ func (c *CounterMetric) Inc() { c.v.Add(1) }
 // Add adds d (d must be >= 0 for the exposition to stay monotone).
 func (c *CounterMetric) Add(d int64) { c.v.Add(d) }
 
-// Value returns the current count.
-func (c *CounterMetric) Value() int64 { return c.v.Load() }
+// Load returns the current count.
+func (c *CounterMetric) Load() int64 { return c.v.Load() }
 
-// Counter registers and returns a counter.  Prometheus convention: name
-// ends in _total.
-func (reg *Registry) Counter(name, help string) *CounterMetric {
-	c := &CounterMetric{}
+// Counter registers c under name.  Prometheus convention: name ends in
+// _total.
+func (reg *Registry) Counter(name, help string, c *CounterMetric) {
 	reg.add(name, help, "counter", func(w io.Writer, name string) {
-		fmt.Fprintf(w, "%s %d\n", name, c.Value())
+		fmt.Fprintf(w, "%s %d\n", name, c.Load())
 	})
-	return c
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —

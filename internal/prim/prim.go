@@ -16,6 +16,7 @@
 package prim
 
 import (
+	"parcc/internal/graph"
 	"parcc/internal/par"
 	"parcc/internal/pram"
 )
@@ -25,13 +26,14 @@ import (
 func LogStar(n int) int64 {
 	s := int64(0)
 	for n > 1 {
-		n = bits(n)
+		n = Log2Floor(n)
 		s++
 	}
 	return s
 }
 
-func bits(n int) int {
+// Log2Floor returns floor(log2(n)) for n >= 1, and 0 below.
+func Log2Floor(n int) int {
 	b := 0
 	for n > 1 {
 		n >>= 1
@@ -143,6 +145,37 @@ func DedupPairs(m *pram.Machine, keys []int64, dropLoops bool) []int64 {
 			}
 			seen[k] = struct{}{}
 			out = append(out, k)
+		}
+	})
+	return out
+}
+
+// DedupEdges returns the distinct non-loop edges of E, each with the
+// smaller endpoint first, through DedupPairs (and its charge).
+func DedupEdges(m *pram.Machine, E []graph.Edge) []graph.Edge {
+	keys := make([]int64, len(E))
+	for i, e := range E {
+		keys[i] = PackEdge(e.U, e.V)
+	}
+	keys = DedupPairs(m, keys, true)
+	out := make([]graph.Edge, len(keys))
+	for i, k := range keys {
+		u, v := UnpackEdge(k)
+		out[i] = graph.Edge{U: u, V: v}
+	}
+	return out
+}
+
+// DeleteEdges deletes each edge of E independently with probability
+// p64/2^64, the coin of edge i drawn from seed and i, compacting the
+// survivors in place (E's order kept).  Charged O(1) time, O(|E|) work.
+func DeleteEdges(m *pram.Machine, E []graph.Edge, p64 uint64, seed uint64) []graph.Edge {
+	out := E[:0]
+	m.Contract(1, int64(len(E)), func() {
+		for i, e := range E {
+			if pram.SplitMix64(seed^uint64(i)*0x9e3779b97f4a7c15) >= p64 {
+				out = append(out, e)
+			}
 		}
 	})
 	return out

@@ -118,11 +118,11 @@ type Follower struct {
 	tailers map[string]*tailer
 	synced  atomic.Bool // at least one successful discovery round
 
-	reconnects atomic.Uint64 // stream (re)connect attempts after the first
-	resets     atomic.Uint64 // full-state resets (create/checkpoint applied)
-	groups     atomic.Uint64 // committed groups applied
-	applyErrs  atomic.Uint64 // groups the engine rejected (forced resync)
-	frames     atomic.Uint64 // stream frames received
+	reconnects obs.CounterMetric // stream (re)connect attempts after the first
+	resets     obs.CounterMetric // full-state resets (create/checkpoint applied)
+	groups     obs.CounterMetric // committed groups applied
+	applyErrs  obs.CounterMetric // groups the engine rejected (forced resync)
+	frames     obs.CounterMetric // stream frames received
 }
 
 // New builds a Follower; Start begins replication.
@@ -309,21 +309,14 @@ func (f *Follower) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("parcc_repl_lag_seconds",
 		"Worst staleness across graphs: seconds since the replica was last caught up to the primary's head.",
 		func() float64 { _, s := f.lag(); return s })
-	reg.Collect("parcc_repl_groups_total",
-		"Committed mutation groups applied from the replication stream.", "counter",
-		func(w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, f.groups.Load()) })
-	reg.Collect("parcc_repl_resets_total",
-		"Full-state resets applied (create/checkpoint frames).", "counter",
-		func(w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, f.resets.Load()) })
-	reg.Collect("parcc_repl_reconnects_total",
-		"Replication stream reconnect attempts.", "counter",
-		func(w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, f.reconnects.Load()) })
-	reg.Collect("parcc_repl_apply_errors_total",
-		"Stream groups the replica session rejected (forces a full resync).", "counter",
-		func(w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, f.applyErrs.Load()) })
-	reg.Collect("parcc_repl_frames_total",
-		"Replication stream frames received (including commit heartbeats).", "counter",
-		func(w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, f.frames.Load()) })
+	reg.Counter("parcc_repl_groups_total",
+		"Committed mutation groups applied from the replication stream.", &f.groups)
+	reg.Counter("parcc_repl_resets_total", "Full-state resets applied (create/checkpoint frames).", &f.resets)
+	reg.Counter("parcc_repl_reconnects_total", "Replication stream reconnect attempts.", &f.reconnects)
+	reg.Counter("parcc_repl_apply_errors_total",
+		"Stream groups the replica session rejected (forces a full resync).", &f.applyErrs)
+	reg.Counter("parcc_repl_frames_total",
+		"Replication stream frames received (including commit heartbeats).", &f.frames)
 }
 
 // tailer replicates one graph.
@@ -390,7 +383,7 @@ func (t *tailer) run() {
 			return
 		}
 		if attempt > 0 {
-			t.f.reconnects.Add(1)
+			t.f.reconnects.Inc()
 			if !t.sleep(t.backoff(attempt)) {
 				return
 			}
@@ -451,7 +444,7 @@ func (t *tailer) consume(rc io.ReadCloser) bool {
 			return progressed
 		}
 		watch.Reset(t.f.opt.Stall)
-		t.f.frames.Add(1)
+		t.f.frames.Inc()
 		switch fr.Kind {
 		case service.FrameCreate, service.FrameCheckpoint:
 			if fr.Epoch == t.epoch.Load() && fr.Seq <= t.applied.Load() {
@@ -490,16 +483,16 @@ func (t *tailer) consume(rc io.ReadCloser) bool {
 // back to a full resync (epoch 0 makes the server stream the head record).
 func (t *tailer) apply(group []service.StreamFrame) bool {
 	if err := t.f.opt.Engine.ApplyReplicaGroup(t.name, group); err != nil {
-		t.f.applyErrs.Add(1)
+		t.f.applyErrs.Inc()
 		t.applied.Store(0)
 		t.epoch.Store(0)
 		return false
 	}
 	if head := group[0]; head.Kind == service.FrameCreate || head.Kind == service.FrameCheckpoint {
 		t.epoch.Store(head.Epoch)
-		t.f.resets.Add(1)
+		t.f.resets.Inc()
 	}
 	t.applied.Store(group[0].Seq)
-	t.f.groups.Add(1)
+	t.f.groups.Inc()
 	return true
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -240,7 +241,8 @@ func scrapeTotals(t *testing.T, e *Engine) map[string]uint64 {
 		}
 		v, err := strconv.ParseUint(val, 10, 64)
 		if err != nil {
-			t.Fatalf("metric line %q: %v", line, err)
+			t.Errorf("metric line %q: %v", line, err) // scrapers run off the test goroutine
+			continue
 		}
 		out[name] = v
 	}
@@ -317,4 +319,151 @@ func TestEngineTotalsNeverFall(t *testing.T) {
 		t.Fatal(err)
 	}
 	rising(fe, "after replica drop")
+}
+
+// TestEngineTotalsUnderChurn: scrapers read /metrics while a WAL primary
+// creates, writes, reads and drops graphs and a read-only engine takes
+// checkpoint resets between its groups.  No _total falls between two
+// scrapes, and at quiescence each engine total equals the events issued.
+func TestEngineTotalsUnderChurn(t *testing.T) {
+	e, _, _ := walServer(t)
+	fe := New(Options{ReadOnly: true})
+	defer fe.Close()
+
+	stop := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for _, eng := range []*Engine{e, fe, e} {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			last := scrapeTotals(t, eng)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cur := scrapeTotals(t, eng)
+				for name, v := range last {
+					if cur[name] < v {
+						t.Errorf("%s fell from %d to %d", name, v, cur[name])
+					}
+				}
+				last = cur
+			}
+		}()
+	}
+
+	// want holds the primary's expected totals; each writer adds its own
+	// counts once it is done.
+	const writers, rounds, adds = 3, 4, 5
+	var mu sync.Mutex
+	want := map[string]uint64{}
+	frameLen := func(fr StreamFrame) uint64 { return uint64(len(appendWALFrame(nil, &fr))) }
+	var work sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		work.Add(1)
+		go func() {
+			defer work.Done()
+			got := map[string]uint64{}
+			for r := 0; r < rounds; r++ {
+				name := fmt.Sprintf("w%d-r%d", w, r)
+				g := gen.Cycle(32)
+				got["parcc_wal_bytes_total"] += frameLen(StreamFrame{Kind: walKindCreate, N: g.N, Batch: g.Edges})
+				if err := e.Create(name, g); err != nil {
+					t.Error(err)
+					return
+				}
+				live := 32
+				for i := 0; i < adds; i++ {
+					ed := []parcc.Edge{{U: int32(i), V: int32(i + 16)}}
+					if err := e.AddEdges(name, ed); err != nil {
+						t.Error(err)
+						return
+					}
+					live++
+					got["parcc_wal_bytes_total"] += frameLen(StreamFrame{Kind: walKindAdd, Batch: ed})
+					if _, err := e.Connected(name, i, i+16); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := e.ComponentCount(name); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				// Drop checkpoints the log on the way out: one more frame.
+				got["parcc_wal_bytes_total"] += frameLen(StreamFrame{Kind: walKindCheckpoint, N: 32, Batch: make([]parcc.Edge, live)})
+				if err := e.Drop(name); err != nil {
+					t.Error(err)
+					return
+				}
+				got["parcc_engine_reads_total"] += 2 * adds
+				got["parcc_engine_writes_total"] += adds
+				got["parcc_engine_applies_total"] += adds
+				got["parcc_wal_appends_total"] += adds + 2
+				got["parcc_wal_fsyncs_total"] += adds + 2
+				got["parcc_wal_checkpoints_total"]++
+			}
+			mu.Lock()
+			for k, v := range got {
+				want[k] += v
+			}
+			mu.Unlock()
+		}()
+	}
+
+	// The follower: a create, then groups with a checkpoint reset every
+	// third seq, a read after each.
+	const groups = 24
+	var replicaWrites uint64
+	work.Add(1)
+	go func() {
+		defer work.Done()
+		for seq := uint64(1); seq <= groups; seq++ {
+			grp := []StreamFrame{{Kind: FrameAdd, Seq: seq, Batch: []parcc.Edge{{U: 0, V: int32(seq % 8)}}}}
+			switch {
+			case seq == 1:
+				grp = []StreamFrame{{Kind: FrameCreate, Seq: seq, N: 8}}
+			case seq%3 == 0:
+				grp = []StreamFrame{{Kind: FrameCheckpoint, Seq: seq, N: 8, Batch: []parcc.Edge{{U: 0, V: 1}}}}
+			default:
+				replicaWrites++
+			}
+			if err := fe.ApplyReplicaGroup("r", grp); err != nil {
+				t.Errorf("group at seq %d: %v", seq, err)
+				return
+			}
+			if _, err := fe.Connected("r", 0, 1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	work.Wait()
+	close(stop)
+	scrapers.Wait()
+
+	for _, c := range []struct {
+		eng  *Engine
+		want map[string]uint64
+	}{
+		{e, want},
+		{fe, map[string]uint64{
+			"parcc_engine_reads_total":   groups,
+			"parcc_engine_writes_total":  replicaWrites,
+			"parcc_engine_applies_total": replicaWrites,
+		}},
+	} {
+		got := scrapeTotals(t, c.eng)
+		for _, name := range []string{
+			"parcc_engine_reads_total", "parcc_engine_writes_total", "parcc_engine_applies_total",
+			"parcc_engine_coalesced_total", "parcc_wal_appends_total", "parcc_wal_bytes_total",
+			"parcc_wal_fsyncs_total", "parcc_wal_checkpoints_total",
+		} {
+			if got[name] != c.want[name] {
+				t.Errorf("%s = %d at quiescence, want %d (read-only %v)", name, got[name], c.want[name], c.eng.ReadOnly())
+			}
+		}
+	}
 }

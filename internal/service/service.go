@@ -161,96 +161,34 @@ type Engine struct {
 	// until every log has been replayed, so no reader can observe a graph
 	// at a pre-crash state mid-replay.
 	recovering atomic.Bool
+
+	// The engine-wide totals, each bumped at its event, beside the shard's
+	// own counter or in the walWriter (wal.go): they belong to the engine,
+	// not to a session, so none falls when a session leaves.
+	reads, writes, applies, coalesced obs.CounterMetric
+	wal                               walCounts
 	// walErrs counts the log errors that failed a shard stop (shard.fail).
-	walErrs atomic.Uint64
+	walErrs obs.CounterMetric
 	// WAL streaming counters (the replication endpoint in stream.go).
-	streamConns  atomic.Uint64 // stream requests accepted
-	streamActive atomic.Int64  // streams currently open
-	streamFrames atomic.Uint64 // frames sent to followers
-	streamBytes  atomic.Uint64 // bytes sent to followers
+	streamConns  obs.CounterMetric // stream requests accepted
+	streamActive atomic.Int64      // streams currently open
+	streamFrames obs.CounterMetric // frames sent to followers
+	streamBytes  obs.CounterMetric // bytes sent to followers
 	// Replay totals of the last Recover, for the metrics surface.
 	replayRecords atomic.Uint64
 	replayEdges   atomic.Uint64
 	replayNanos   atomic.Int64
-
-	// retired holds the counts of shards that left the live map (dropped
-	// sessions and replicas, closed engines), so the engine-wide _total
-	// counters never fall.  totalsMu makes a shard's move from the map
-	// into retired atomic to scrapes, which take it while summing.
-	totalsMu sync.Mutex
-	retired  counts
 }
 
-// Engine-wide counters that shards feed, as indexes into counts.
-const (
-	cReads = iota
-	cWrites
-	cApplies
-	cCoalesced
-	cWALAppends
-	cWALBytes
-	cWALFsyncs
-	cWALCheckpoints
-	numCounts
-)
-
-// counts is one reading of the counters a shard feeds.
-type counts [numCounts]uint64
-
-// counts reads sh's serving counters and its log's.
-func (sh *shard) counts() counts {
-	c := counts{cReads: sh.reads.Load(), cWrites: sh.writes.Load(), cApplies: sh.applies.Load(), cCoalesced: sh.coalesced.Load()}
-	if w := sh.wal.Load(); w != nil {
-		c[cWALAppends], c[cWALBytes], c[cWALFsyncs], c[cWALCheckpoints] = w.appends.Load(), w.bytes.Load(), w.fsyncs.Load(), w.checkpoints.Load()
-	}
-	return c
-}
-
-// totals sums the counters over the live shards and the retired ones.
-func (e *Engine) totals() counts {
-	e.totalsMu.Lock()
-	defer e.totalsMu.Unlock()
-	t := e.retired
-	e.eachShard(func(sh *shard) {
-		for i, v := range sh.counts() {
-			t[i] += v
-		}
-	})
-	return t
-}
-
-// unlist deletes name's shard from the live map and adds its counts to
-// the retired totals in the same step, under totalsMu, so no scrape
-// misses or double-counts them.  It returns the shard (nil when no
-// session has the name) and the counts it moved.
-func (e *Engine) unlist(name string) (*shard, counts) {
-	e.totalsMu.Lock()
-	defer e.totalsMu.Unlock()
+// retire deletes name's shard from the live map and shuts it down.  It
+// returns the shard, or nil when no session has the name.
+func (e *Engine) retire(name string) *shard {
 	v, ok := e.shards.LoadAndDelete(name)
 	if !ok {
-		return nil, counts{}
-	}
-	sh := v.(*shard)
-	at := sh.counts()
-	for i, c := range at {
-		e.retired[i] += c
-	}
-	return sh, at
-}
-
-// retire unlists name's shard and shuts it down, then adds what the
-// shard counted while it drained.  It returns the shard, or nil.
-func (e *Engine) retire(name string) *shard {
-	sh, at := e.unlist(name)
-	if sh == nil {
 		return nil
 	}
+	sh := v.(*shard)
 	sh.shutdown()
-	e.totalsMu.Lock()
-	for i, c := range sh.counts() {
-		e.retired[i] += c - at[i]
-	}
-	e.totalsMu.Unlock()
 	return sh
 }
 
@@ -267,9 +205,8 @@ func New(opt Options) *Engine {
 }
 
 // registerMetrics builds the engine's Prometheus surface: engine-wide
-// totals summed over live and retired shards at scrape time, derived
-// gauges (coalesce ratio, queue depth), the snapshot-publish latency
-// histogram, and the per-shard labeled series.  The full name table is in
+// totals, derived gauges (coalesce ratio, queue depth), the
+// snapshot-publish latency histogram, and the per-shard labeled series.  The full name table is in
 // docs/ARCHITECTURE.md §8.
 func (e *Engine) registerMetrics() {
 	e.reg.GaugeFunc("parcc_engine_uptime_seconds",
@@ -282,29 +219,24 @@ func (e *Engine) registerMetrics() {
 			e.eachShard(func(*shard) { n++ })
 			return float64(n)
 		})
-	total := func(name, help string, i int) {
-		e.reg.Collect(name, help, "counter", func(w io.Writer, name string) {
-			fmt.Fprintf(w, "%s %d\n", name, e.totals()[i])
-		})
-	}
-	total("parcc_engine_reads_total", "Point queries served, summed over all sessions.", cReads)
-	total("parcc_engine_writes_total", "Mutations accepted (callers), summed over all sessions.", cWrites)
-	total("parcc_engine_applies_total", "Combined batches applied through the incremental path.", cApplies)
-	total("parcc_engine_coalesced_total", "Mutations that shared a combined apply with another caller.", cCoalesced)
+	e.reg.Counter("parcc_engine_reads_total", "Point queries served, summed over all sessions.", &e.reads)
+	e.reg.Counter("parcc_engine_writes_total", "Mutations accepted (callers), summed over all sessions.", &e.writes)
+	e.reg.Counter("parcc_engine_applies_total", "Combined batches applied through the incremental path.", &e.applies)
+	e.reg.Counter("parcc_engine_coalesced_total", "Mutations that shared a combined apply with another caller.", &e.coalesced)
 	e.reg.GaugeFunc("parcc_engine_coalesce_ratio",
 		"Fraction of accepted mutations that shared an apply (coalesced/writes).",
 		func() float64 {
-			t := e.totals()
-			if t[cWrites] == 0 {
+			writes := e.writes.Load()
+			if writes == 0 {
 				return 0
 			}
-			return float64(t[cCoalesced]) / float64(t[cWrites])
+			return float64(e.coalesced.Load()) / float64(writes)
 		})
 	e.reg.GaugeFunc("parcc_engine_edges",
 		"Live edges across all sessions.",
 		func() float64 {
-			var total int64
-			e.eachShard(func(sh *shard) { total += sh.edges.Load() })
+			total := 0
+			e.eachShard(func(sh *shard) { total += sh.edges() })
 			return float64(total)
 		})
 	e.reg.GaugeFunc("parcc_engine_queue_depth",
@@ -320,14 +252,11 @@ func (e *Engine) registerMetrics() {
 		"Latency of full snapshot publishes (the O(n) page build of the first publish after attach or recovery).")
 	e.publishDelta = e.reg.Histogram("parcc_snapshot_publish_delta_seconds",
 		"Latency of delta snapshot publishes (copy-on-write: O(pages touched by the write group)).")
-	total("parcc_wal_appends_total", "Write-ahead-log frames appended, summed over all sessions.", cWALAppends)
-	total("parcc_wal_bytes_total", "Write-ahead-log bytes appended, summed over all sessions.", cWALBytes)
-	total("parcc_wal_fsyncs_total", "Write-ahead-log fsyncs issued, summed over all sessions.", cWALFsyncs)
-	e.reg.Collect("parcc_wal_errors_total",
-		"Write-ahead-log append, fsync or checkpoint errors; each fails its shard stop (no publish, writes answer 503).", "counter",
-		func(w io.Writer, name string) {
-			fmt.Fprintf(w, "%s %d\n", name, e.walErrs.Load())
-		})
+	e.reg.Counter("parcc_wal_appends_total", "Write-ahead-log frames appended, summed over all sessions.", &e.wal.appends)
+	e.reg.Counter("parcc_wal_bytes_total", "Write-ahead-log bytes appended, summed over all sessions.", &e.wal.bytes)
+	e.reg.Counter("parcc_wal_fsyncs_total", "Write-ahead-log fsyncs issued, summed over all sessions.", &e.wal.fsyncs)
+	e.reg.Counter("parcc_wal_errors_total",
+		"Write-ahead-log append, fsync or checkpoint errors; each fails its shard stop (no publish, writes answer 503).", &e.walErrs)
 	e.reg.Collect("parcc_wal_replay_records_total",
 		"Write-ahead-log records replayed by the last Recover.", "counter",
 		func(w io.Writer, name string) {
@@ -341,25 +270,14 @@ func (e *Engine) registerMetrics() {
 	e.reg.GaugeFunc("parcc_wal_replay_seconds",
 		"Wall time of the last Recover's replay.",
 		func() float64 { return time.Duration(e.replayNanos.Load()).Seconds() })
-	total("parcc_wal_checkpoints_total", "Write-ahead-log checkpoint rewrites (compaction), summed over all sessions.", cWALCheckpoints)
-	e.reg.Collect("parcc_wal_stream_conns_total",
-		"Replication stream requests accepted.", "counter",
-		func(w io.Writer, name string) {
-			fmt.Fprintf(w, "%s %d\n", name, e.streamConns.Load())
-		})
+	e.reg.Counter("parcc_wal_checkpoints_total", "Write-ahead-log checkpoint rewrites (compaction), summed over all sessions.", &e.wal.checkpoints)
+	e.reg.Counter("parcc_wal_stream_conns_total", "Replication stream requests accepted.", &e.streamConns)
 	e.reg.GaugeFunc("parcc_wal_stream_conns_active",
 		"Replication streams currently open.",
 		func() float64 { return float64(e.streamActive.Load()) })
-	e.reg.Collect("parcc_wal_stream_frames_total",
-		"Frames sent on replication streams (including commit heartbeats).", "counter",
-		func(w io.Writer, name string) {
-			fmt.Fprintf(w, "%s %d\n", name, e.streamFrames.Load())
-		})
-	e.reg.Collect("parcc_wal_stream_bytes_total",
-		"Bytes sent on replication streams.", "counter",
-		func(w io.Writer, name string) {
-			fmt.Fprintf(w, "%s %d\n", name, e.streamBytes.Load())
-		})
+	e.reg.Counter("parcc_wal_stream_frames_total",
+		"Frames sent on replication streams (including commit heartbeats).", &e.streamFrames)
+	e.reg.Counter("parcc_wal_stream_bytes_total", "Bytes sent on replication streams.", &e.streamBytes)
 	e.reg.Collect("parcc_shard_reads_total",
 		"Point queries served, per session.", "counter",
 		e.perShard(func(sh *shard) string { return fmt.Sprintf("%d", sh.reads.Load()) }))
@@ -368,7 +286,7 @@ func (e *Engine) registerMetrics() {
 		e.perShard(func(sh *shard) string { return fmt.Sprintf("%d", sh.writes.Load()) }))
 	e.reg.Collect("parcc_shard_edges",
 		"Live edge count, per session.", "gauge",
-		e.perShard(func(sh *shard) string { return fmt.Sprintf("%d", sh.edges.Load()) }))
+		e.perShard(func(sh *shard) string { return fmt.Sprintf("%d", sh.edges()) }))
 	e.reg.Collect("parcc_shard_queue_depth",
 		"Queued mutations, per session.", "gauge",
 		e.perShard(func(sh *shard) string { return fmt.Sprintf("%d", len(sh.reqs)) }))
@@ -476,7 +394,7 @@ type mutation struct {
 // queue, and the serving counters.  Exactly one writer goroutine consumes
 // reqs; any number of readers answer from the solver's published snapshot.
 type shard struct {
-	eng  *Engine // publish histograms and the WAL failure counter
+	eng  *Engine // engine totals, publish histograms, WAL failure counter
 	name string
 	n    int // vertex count, fixed at Create
 	s    *parcc.Solver
@@ -503,11 +421,33 @@ type shard struct {
 	state   sync.RWMutex
 	closing bool
 
+	// The shard's share of the engine totals, for the labeled series and
+	// /stats; each is bumped beside its engine total.
 	reads     atomic.Uint64 // point queries served
 	writes    atomic.Uint64 // mutations accepted (callers)
 	applies   atomic.Uint64 // combined batches applied
 	coalesced atomic.Uint64 // mutations that shared an apply with another
-	edges     atomic.Int64  // live edge count (maintained, not measured)
+}
+
+// read counts one point query served.
+func (sh *shard) read() {
+	sh.reads.Add(1)
+	sh.eng.reads.Inc()
+}
+
+// wrote counts one mutation accepted.
+func (sh *shard) wrote() {
+	sh.writes.Add(1)
+	sh.eng.writes.Inc()
+}
+
+// edges is the live edge count at the shard's published version (0
+// before its first publish).
+func (sh *shard) edges() int {
+	if sn := sh.s.ReadView(); sn != nil {
+		return sn.NumEdges()
+	}
+	return 0
 }
 
 // Create attaches g as a new live session under name and publishes its
@@ -544,7 +484,6 @@ func (e *Engine) Create(name string, g *parcc.Graph) error {
 		return err
 	}
 	sh := e.newShard(name, g.N, s)
-	sh.edges.Store(int64(g.M()))
 	if _, raced := e.shards.LoadOrStore(name, sh); raced {
 		s.Close()
 		return fmt.Errorf("%w: %q", ErrGraphExists, name)
@@ -600,7 +539,7 @@ func (e *Engine) publishSnapshot(s *parcc.Solver) (*parcc.Snapshot, error) {
 
 // attachWAL creates the shard's log and makes its birth record durable.
 func (e *Engine) attachWAL(sh *shard, g *parcc.Graph) error {
-	w, err := createWAL(e.opt.WALDir, sh.name)
+	w, err := createWAL(e.opt.WALDir, sh.name, &e.wal)
 	if err != nil {
 		return err
 	}
@@ -615,7 +554,7 @@ func (e *Engine) attachWAL(sh *shard, g *parcc.Graph) error {
 func (sh *shard) fail(cause error) error {
 	err := fmt.Errorf("%w: graph %q: %w", ErrShardFailed, sh.name, cause)
 	if sh.failed.CompareAndSwap(nil, &err) {
-		sh.eng.walErrs.Add(1)
+		sh.eng.walErrs.Inc()
 	}
 	return sh.err()
 }
@@ -715,29 +654,24 @@ func (e *Engine) ApplyReplicaGroup(name string, group []StreamFrame) error {
 	}
 	seq := group[0].Seq
 	if k := group[0].Kind; k == walKindCreate || k == walKindCheckpoint {
-		s, live, _, err := e.buildSession(group, seq)
+		s, _, err := e.buildSession(group, seq)
 		if err != nil {
 			return err
 		}
 		sh := e.newShard(name, group[0].N, s)
 		sh.replica = true
 		sh.reqs = nil // no writer: len(nil chan) = 0 keeps the queue gauges honest
-		sh.edges.Store(live)
 		for {
 			v, loaded := e.shards.LoadOrStore(name, sh)
 			if !loaded {
 				return nil
 			}
-			// The new session carries the old one's counts on, taken in
-			// the same step as the swap so no scrape counts them twice.
+			// The new session carries the old one's /stats counts on.
 			old := v.(*shard)
-			e.totalsMu.Lock()
 			sh.reads.Store(old.reads.Load())
 			sh.writes.Store(old.writes.Load())
 			sh.applies.Store(old.applies.Load())
-			swapped := e.shards.CompareAndSwap(name, v, sh)
-			e.totalsMu.Unlock()
-			if swapped {
+			if e.shards.CompareAndSwap(name, v, sh) {
 				old.shutdown() // readers holding its snapshot keep a valid view
 				return nil
 			}
@@ -764,7 +698,7 @@ func (e *Engine) ApplyReplicaGroup(name string, group []StreamFrame) error {
 	if _, err := e.publishSnapshot(sh.s); err != nil {
 		return err
 	}
-	sh.writes.Add(1)
+	sh.wrote()
 	return nil
 }
 
@@ -862,7 +796,7 @@ func (e *Engine) Recover() (RecoverStats, error) {
 			os.Remove(path) // no durable records: the graph never existed
 			continue
 		}
-		w, err := openWAL(path, rr.version, rr.lastSeq, rr.epoch, rr.size)
+		w, err := openWAL(path, rr.version, rr.lastSeq, rr.epoch, rr.size, &e.wal)
 		if err != nil {
 			rr.solver.Close()
 			st.Elapsed = time.Since(t0)
@@ -870,7 +804,6 @@ func (e *Engine) Recover() (RecoverStats, error) {
 		}
 		sh := e.newShard(rr.name, rr.n, rr.solver)
 		sh.wal.Store(w)
-		sh.edges.Store(rr.edges)
 		if _, raced := e.shards.LoadOrStore(rr.name, sh); raced {
 			// Two log files decoding to one name (hand-copied files).
 			w.Close()
@@ -935,7 +868,7 @@ func (e *Engine) Connected(name string, u, v int) (bool, error) {
 	if err := checkVertex(v, sh.n); err != nil {
 		return false, err
 	}
-	sh.reads.Add(1)
+	sh.read()
 	return sn.Connected(u, v), nil
 }
 
@@ -949,7 +882,7 @@ func (e *Engine) ComponentOf(name string, u int) (int32, error) {
 	if err := checkVertex(u, sh.n); err != nil {
 		return 0, err
 	}
-	sh.reads.Add(1)
+	sh.read()
 	return sn.ComponentOf(u), nil
 }
 
@@ -962,7 +895,7 @@ func (e *Engine) ComponentSize(name string, u int) (int, error) {
 	if err := checkVertex(u, sh.n); err != nil {
 		return 0, err
 	}
-	sh.reads.Add(1)
+	sh.read()
 	return sn.ComponentSize(u), nil
 }
 
@@ -972,7 +905,7 @@ func (e *Engine) ComponentCount(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	sh.reads.Add(1)
+	sh.read()
 	return sn.NumComponents(), nil
 }
 
@@ -984,7 +917,7 @@ func (e *Engine) Snapshot(name string) (*parcc.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh.reads.Add(1)
+	sh.read()
 	return sn, nil
 }
 
@@ -1033,7 +966,7 @@ func (e *Engine) mutate(name string, remove bool, batch []parcc.Edge) error {
 	}
 	sh.reqs <- m // may block: queue-depth back pressure
 	sh.state.RUnlock()
-	sh.writes.Add(1)
+	sh.wrote()
 	return <-m.err
 }
 
@@ -1177,7 +1110,6 @@ func (sh *shard) apply(group []*mutation) {
 		return
 	}
 	mutated := false
-	edges := sh.edges.Load() // restored if the group never publishes
 	wal := sh.wal.Load()
 	var logged []walEntry
 	ok := func(remove bool, batch []parcc.Edge) {
@@ -1217,6 +1149,7 @@ func (sh *shard) apply(group []*mutation) {
 		} else {
 			ok(run[0].remove, combined)
 			sh.coalesced.Add(uint64(len(run)))
+			sh.eng.coalesced.Add(int64(len(run)))
 		}
 		lo = hi
 	}
@@ -1227,7 +1160,6 @@ func (sh *shard) apply(group []*mutation) {
 				errs[i] = err
 			}
 			mutated = false
-			sh.edges.Store(edges)
 		}
 	}
 	if mutated {
@@ -1250,11 +1182,7 @@ func (sh *shard) applyOne(remove bool, batch []parcc.Edge) error {
 	}
 	if err == nil {
 		sh.applies.Add(1)
-		if remove {
-			sh.edges.Add(int64(-len(batch)))
-		} else {
-			sh.edges.Add(int64(len(batch)))
-		}
+		sh.eng.applies.Inc()
 	}
 	return err
 }
@@ -1291,7 +1219,6 @@ func (e *Engine) Stats() []ShardStats {
 		st := ShardStats{
 			Name:      sh.name,
 			N:         sh.n,
-			Edges:     sh.edges.Load(),
 			Reads:     sh.reads.Load(),
 			Writes:    sh.writes.Load(),
 			Applies:   sh.applies.Load(),
@@ -1302,6 +1229,7 @@ func (e *Engine) Stats() []ShardStats {
 			st.Failed = err.Error()
 		}
 		if sn := sh.s.ReadView(); sn != nil {
+			st.Edges = int64(sn.NumEdges())
 			st.Components = sn.NumComponents()
 			st.Version = sn.Version()
 		}

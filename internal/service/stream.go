@@ -122,7 +122,7 @@ func (e *Engine) streamWAL(w http.ResponseWriter, r *http.Request, heartbeat tim
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 
-	e.streamConns.Add(1)
+	e.streamConns.Inc()
 	e.streamActive.Add(1)
 	defer e.streamActive.Add(-1)
 
@@ -132,8 +132,8 @@ func (e *Engine) streamWAL(w http.ResponseWriter, r *http.Request, heartbeat tim
 		if _, err := bw.Write(raw); err != nil {
 			return false
 		}
-		e.streamFrames.Add(1)
-		e.streamBytes.Add(uint64(len(raw)))
+		e.streamFrames.Inc()
+		e.streamBytes.Add(int64(len(raw)))
 		return true
 	}
 	sendCommit := func(seq uint64) bool {

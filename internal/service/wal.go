@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"parcc"
+	"parcc/internal/obs"
 )
 
 // Per-shard write-ahead log.  When Options.WALDir is set, every shard
@@ -265,10 +266,18 @@ var (
 	}
 )
 
+// walCounts are the engine's log totals, which every walWriter feeds.
+type walCounts struct {
+	appends     obs.CounterMetric // frames written
+	bytes       obs.CounterMetric // bytes written
+	fsyncs      obs.CounterMetric // fsyncs issued
+	checkpoints obs.CounterMetric // checkpoint rewrites (compactions)
+}
+
 // walWriter is a shard's append handle: owned by the shard's writer
-// goroutine (appends are naturally serialized), with atomic counters for
-// the metrics scraper and an atomic durable boundary + wakeup channel for
-// the replication stream readers tailing the file concurrently.  Its
+// goroutine (appends are naturally serialized), charging the engine's log
+// totals, with an atomic durable boundary + wakeup channel for the
+// replication stream readers tailing the file concurrently.  Its
 // shard fails stop on the first error any of its writes, fsyncs or
 // checkpoints returns, so nothing is ever appended after a failed write:
 // a partial frame can only be the log's tail, which recovery truncates.
@@ -287,11 +296,7 @@ type walWriter struct {
 	// record (create or checkpoint) — a clean shutdown checkpoints only
 	// when it is non-zero, so an idle log is not rewritten for nothing.
 	groupsSinceHead int
-
-	appends     atomic.Uint64 // frames written
-	bytes       atomic.Uint64 // bytes written
-	fsyncs      atomic.Uint64 // fsyncs issued
-	checkpoints atomic.Uint64 // checkpoint rewrites (compactions)
+	ctr             *walCounts
 
 	// durable is the byte length of the whole-group prefix of the file:
 	// advanced only after a complete group's frames (and fsync) land, so a
@@ -325,8 +330,9 @@ func newEpoch() uint64 {
 // supersedes any stale log under the same name — a crash-recovered graph
 // re-registers through Engine.Recover before Create can race it.  The
 // directory is synced too, so the new file's entry — and with it the
-// birth record appendCreate syncs — survives power loss.
-func createWAL(dir, name string) (*walWriter, error) {
+// birth record appendCreate syncs — survives power loss.  The writer
+// charges its appends to ctr.
+func createWAL(dir, name string, ctr *walCounts) (*walWriter, error) {
 	path := walPath(dir, name)
 	f, err := walOpen(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
@@ -336,7 +342,7 @@ func createWAL(dir, name string) (*walWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("service: wal create: %w", err)
 	}
-	return &walWriter{f: f, path: path, epoch: newEpoch(), tail: make(chan struct{})}, nil
+	return &walWriter{f: f, path: path, epoch: newEpoch(), ctr: ctr, tail: make(chan struct{})}, nil
 }
 
 // openWAL reopens an existing log for appending after replay.  lastSeq is
@@ -345,13 +351,13 @@ func createWAL(dir, name string) (*walWriter, error) {
 // less than lastSeq after recovery, whose publish is never logged — so
 // stream heartbeats advertise a head a follower can actually reach.
 // epoch and size come from the replayed head record and the truncated
-// file.
-func openWAL(path string, lastSeq, headSeq, epoch uint64, size int64) (*walWriter, error) {
+// file.  The writer charges its appends to ctr.
+func openWAL(path string, lastSeq, headSeq, epoch uint64, size int64, ctr *walCounts) (*walWriter, error) {
 	f, err := walOpen(path, os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("service: wal open: %w", err)
 	}
-	w := &walWriter{f: f, path: path, lastSeq: lastSeq, epoch: epoch, tail: make(chan struct{})}
+	w := &walWriter{f: f, path: path, lastSeq: lastSeq, epoch: epoch, ctr: ctr, tail: make(chan struct{})}
 	w.durable.Store(size)
 	w.headSeq.Store(headSeq)
 	return w, nil
@@ -467,10 +473,10 @@ func (w *walWriter) writeCheckpoint(n int, edges []parcc.Edge) error {
 	}
 	w.f.Close()
 	w.f = nf
-	w.appends.Add(1)
-	w.bytes.Add(uint64(len(buf)))
-	w.fsyncs.Add(1)
-	w.checkpoints.Add(1)
+	w.ctr.appends.Inc()
+	w.ctr.bytes.Add(int64(len(buf)))
+	w.ctr.fsyncs.Inc()
+	w.ctr.checkpoints.Inc()
 	w.groupsSinceHead = 0
 	w.durable.Store(int64(len(buf)))
 	w.gen.Add(1)
@@ -483,12 +489,12 @@ func (w *walWriter) write(frames int) error {
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("service: wal append %s: %w", w.path, err)
 	}
-	w.appends.Add(uint64(frames))
-	w.bytes.Add(uint64(len(w.buf)))
+	w.ctr.appends.Add(int64(frames))
+	w.ctr.bytes.Add(int64(len(w.buf)))
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("service: wal fsync %s: %w", w.path, err)
 	}
-	w.fsyncs.Add(1)
+	w.ctr.fsyncs.Inc()
 	return nil
 }
 
@@ -501,7 +507,6 @@ type replayedShard struct {
 	name     string
 	solver   *parcc.Solver
 	n        int
-	edges    int64 // live edge count after recovery
 	replayed int64 // edges decoded from the log: the head record plus every batch
 	records  int
 	version  uint64 // published version after the recovery publish
@@ -547,7 +552,7 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 	// Resume the version lockstep: one publish, stamped past every
 	// version that was observable before the crash (see the file header).
 	lastSeq := recs[len(recs)-1].Seq
-	s, live, replayed, err := e.buildSession(recs, lastSeq+1)
+	s, replayed, err := e.buildSession(recs, lastSeq+1)
 	if err != nil {
 		var ce *parcc.WALCorruptionError
 		if errors.As(err, &ce) {
@@ -559,7 +564,6 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 		name:     name,
 		solver:   s,
 		n:        recs[0].N,
-		edges:    live,
 		replayed: replayed,
 		records:  len(recs),
 		version:  s.ReadView().Version(),
@@ -573,33 +577,33 @@ func (e *Engine) replayWAL(path string) (*replayedShard, error) {
 // folds them into the edge multiset they leave live, attaches that in one
 // linear-work pass, and publishes it at version.  Recovery publishes past
 // the last logged seq; a follower's reset publishes at the head record's
-// own seq.  It returns the session, its live edge count and the edges
-// decoded.  A log the incremental path would have rejected fails with a
+// own seq.  It returns the session and the edges decoded.  A log the
+// incremental path would have rejected fails with a
 // *parcc.WALCorruptionError.
-func (e *Engine) buildSession(recs []StreamFrame, version uint64) (*parcc.Solver, int64, int64, error) {
+func (e *Engine) buildSession(recs []StreamFrame, version uint64) (*parcc.Solver, int64, error) {
 	if recs[0].Kind != walKindCreate && recs[0].Kind != walKindCheckpoint {
-		return nil, 0, 0, &parcc.WALCorruptionError{Reason: "first record is not a create or checkpoint"}
+		return nil, 0, &parcc.WALCorruptionError{Reason: "first record is not a create or checkpoint"}
 	}
 	live, decoded, reason := foldWAL(recs)
 	if reason != "" {
-		return nil, 0, 0, &parcc.WALCorruptionError{Reason: reason}
+		return nil, 0, &parcc.WALCorruptionError{Reason: reason}
 	}
 	s, err := parcc.NewSolver(e.opt.Solver)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	g := parcc.NewGraph(recs[0].N)
 	g.Edges = live
 	if err := s.Attach(g); err != nil {
 		s.Close()
-		return nil, 0, 0, &parcc.WALCorruptionError{Reason: fmt.Sprintf("folded log rejected on attach: %v", err)}
+		return nil, 0, &parcc.WALCorruptionError{Reason: fmt.Sprintf("folded log rejected on attach: %v", err)}
 	}
 	s.AdvanceSnapshotVersion(version - 1)
 	if _, err := e.publishSnapshot(s); err != nil {
 		s.Close()
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return s, int64(len(live)), decoded, nil
+	return s, decoded, nil
 }
 
 // foldWAL folds a decoded log (head record first) into the edge multiset

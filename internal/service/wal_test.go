@@ -341,7 +341,7 @@ func TestWALDropRemovesLog(t *testing.T) {
 // succeeds on a real directory and reports a missing one.
 func TestWALSyncDir(t *testing.T) {
 	dir := t.TempDir()
-	w, err := createWAL(dir, "g")
+	w, err := createWAL(dir, "g", &walCounts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,8 +528,8 @@ func TestWALFoldKeepsMultisetEdges(t *testing.T) {
 	for _, ed := range []parcc.Edge{{U: 0, V: 1}, {U: 2, V: 2}, {U: 3, V: 3}, {U: 4, V: 5}, {U: 5, V: 6}} {
 		want[ed.CanonKey()]++
 	}
-	if len(keys) != len(want) || sh.edges.Load() != 5 {
-		t.Fatalf("live multiset %v (count %d), want %v", keys, sh.edges.Load(), want)
+	if len(keys) != len(want) || sh.edges() != 5 {
+		t.Fatalf("live multiset %v (count %d), want %v", keys, sh.edges(), want)
 	}
 	for k, c := range want {
 		if keys[k] != c {

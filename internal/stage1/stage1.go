@@ -360,7 +360,7 @@ func (r *Runner) Filter(E []graph.Edge, k int, seed uint64) (VE []int32, updated
 		upd := r.Matching(cur)
 		rounds = append(rounds, upd)
 		cur = labeled.Alter(m, r.F, cur)
-		cur = deleteEdges(m, cur, r.Prm.DeleteP64, seed^0xf117e4^uint64(j)<<17)
+		cur = prim.DeleteEdges(m, cur, r.Prm.DeleteP64, seed^0xf117e4^uint64(j)<<17)
 	}
 	r.unwind(rounds)
 	for _, u := range rounds {
@@ -383,18 +383,6 @@ func (r *Runner) unwind(rounds [][]int32) {
 			}
 		})
 	}
-}
-
-func deleteEdges(m *pram.Machine, E []graph.Edge, p64 uint64, seed uint64) []graph.Edge {
-	out := E[:0]
-	m.Contract(1, int64(len(E)), func() {
-		for i, e := range E {
-			if pram.SplitMix64(seed^uint64(i)*0x9e3779b97f4a7c15) >= p64 {
-				out = append(out, e)
-			}
-		}
-	})
-	return out
 }
 
 // Extract runs EXTRACT(E,k) (§4.2): repeated FILTER rounds that peel off the

@@ -118,7 +118,7 @@ func Build(cx *solve.Ctx, V []int32, E []graph.Edge, p Params) []graph.Edge {
 		}
 	})
 	// Step 5: remove parallel edges and loops (perfect hashing contract).
-	out := dedupEdges(m, keep)
+	out := prim.DedupEdges(m, keep)
 	cx.ReleaseEdges(keep)
 	tbl.free(cx, high)
 	return out
@@ -239,20 +239,6 @@ func maxVertex(V []int32, E []graph.Edge) int32 {
 		}
 	}
 	return mx
-}
-
-func dedupEdges(m *pram.Machine, E []graph.Edge) []graph.Edge {
-	keys := make([]int64, len(E))
-	for i, e := range E {
-		keys[i] = prim.PackEdge(e.U, e.V)
-	}
-	keys = prim.DedupPairs(m, keys, true)
-	out := make([]graph.Edge, len(keys))
-	for i, k := range keys {
-		u, v := prim.UnpackEdge(k)
-		out[i] = graph.Edge{U: u, V: v}
-	}
-	return out
 }
 
 // DensifyResult carries what INCREASE needs from DENSIFY.

@@ -390,3 +390,48 @@ func TestDefaultParamsClampB(t *testing.T) {
 		t.Error("table must be larger than the high threshold")
 	}
 }
+
+// TestIncreaseShortcutsFlattenHooks crafts the groups INCREASE regroups
+// into so that both hook steps fire: non-head root b (one member x)
+// shares a close edge with head a, so Step 6 hooks b under a, and leader
+// head v shares one with non-leader a, so Step 8 hooks a under v.  Each
+// hook deepens the trees below it by one level, and only the SHORTCUTs of
+// Steps 7 and 9 bring every vertex of V back to depth ≤ 1.
+func TestIncreaseShortcutsFlattenHooks(t *testing.T) {
+	const n, members = 40, 12
+	p := DefaultParams(n, 4)
+	p.TableSize, p.HeadOccupancy = 8, 4 // a 13-vertex group is a head, b's two vertices are not
+	leader := func(u int32) bool { return pram.SplitMix64(p.Seed^0x1ead3a^uint64(uint32(u)))&1 == 1 }
+	var leaders, others []int32
+	for u := int32(0); u < n; u++ {
+		if leader(u) {
+			leaders = append(leaders, u)
+		} else {
+			others = append(others, u)
+		}
+	}
+	// v leads, a and b do not; the group members' coins do not matter.
+	v, a, b := leaders[0], others[0], others[1]
+	rest := append(append([]int32(nil), leaders[1:]...), others[2:]...)
+	if len(rest) < 2*members+1 {
+		t.Fatalf("only %d spare vertices", len(rest))
+	}
+	f := labeled.New(n)
+	for i, u := range rest[:2*members] {
+		f.P[u] = []int32{a, v}[i%2]
+	}
+	x := rest[2*members]
+	f.P[x] = b
+	V := append([]int32{v, a, b, x}, rest[:2*members]...)
+	eclose := []graph.Edge{{U: a, V: b}, {U: v, V: a}}
+
+	finishIncrease(solve.New(pramtest.New(t, 0)), f, V, nil, eclose, p)
+	for _, u := range V {
+		if f.Root(u) != v {
+			t.Fatalf("vertex %d ends under root %d, want %d: a hook step did not fire", u, f.Root(u), v)
+		}
+		if f.P[f.P[u]] != f.P[u] {
+			t.Errorf("vertex %d at depth > 1 after INCREASE (parent %d, grandparent %d)", u, f.P[u], f.P[f.P[u]])
+		}
+	}
+}

@@ -62,7 +62,7 @@ func SampleSolve(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p 
 	sampled := 0
 	if len(V) <= p.SmallN {
 		// Step 1: tiny instance — simplify exactly and solve directly.
-		simple := dedup(m, E)
+		simple := prim.DedupEdges(m, E)
 		if len(simple) > 0 {
 			ltz.SolveOn(cx, f, V, simple, p.LTZ)
 		}
@@ -92,18 +92,4 @@ func SampleSolve(cx *solve.Ctx, f *labeled.Forest, V []int32, E []graph.Edge, p 
 		pram.Store32(pp, v, pram.Load32(pp, int(b)))
 	})
 	return sampled
-}
-
-func dedup(m *pram.Machine, E []graph.Edge) []graph.Edge {
-	keys := make([]int64, len(E))
-	for i, e := range E {
-		keys[i] = prim.PackEdge(e.U, e.V)
-	}
-	keys = prim.DedupPairs(m, keys, true)
-	out := make([]graph.Edge, len(keys))
-	for i, k := range keys {
-		u, v := prim.UnpackEdge(k)
-		out[i] = graph.Edge{U: u, V: v}
-	}
-	return out
 }

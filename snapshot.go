@@ -33,6 +33,7 @@ type Snapshot struct {
 	labels  [][]int32 // labels[v>>pageShift][v&pageMask] = v's representative
 	sizes   [][]int32 // component size at the root's slot, zero elsewhere
 	ncomp   int
+	edges   int // live edge count at version
 	version uint64
 	full    bool // produced by a full O(n) build, not a delta publish
 	cloned  int  // pages the write groups since the previous publish cloned
@@ -56,6 +57,10 @@ func (sn *Snapshot) Version() uint64 { return sn.version }
 // NumComponents is the exact number of connected components at the
 // snapshot's version.
 func (sn *Snapshot) NumComponents() int { return sn.ncomp }
+
+// NumEdges is the live graph's edge count (a multiset: parallel edges and
+// self-loops count) at the snapshot's version.
+func (sn *Snapshot) NumEdges() int { return sn.edges }
 
 // ComponentOf returns u's component representative.  Representatives are
 // stable within one snapshot (ComponentOf(u) == ComponentOf(v) iff u and v
@@ -147,6 +152,7 @@ func (s *Solver) PublishSnapshot() (*Snapshot, error) {
 		labels: append([][]int32(nil), st.labels...),
 		sizes:  append([][]int32(nil), st.sizes...),
 		ncomp:  inc.ncomp,
+		edges:  inc.g.M(),
 		full:   full,
 		cloned: st.cloned,
 	}

@@ -252,17 +252,11 @@ func (s *Solver) ComponentSpectralGaps(g *Graph) []float64 {
 // honors Options.TrustGraph: the default revalidates edge content with an
 // O(m) fingerprint pass (catching in-place mutation), TrustGraph checks
 // only the edge count.  A cached plan whose graph has changed is rebuilt.
-// On a closed solver the pool is gone, so the plan is built sequentially
-// and not cached — Plan/SpectralGap degrade gracefully instead of
-// panicking on the released runtime.
 func (s *Solver) planFor(g *graph.Graph) *graph.Plan {
-	if s.closed {
-		return graph.NewPlan(g)
-	}
 	if s.plan != nil && s.plan.G == g && s.planStillValid() {
 		return s.plan
 	}
-	s.plan = graph.BuildPlanOn(s.rt, g)
+	s.plan = graph.NewPlan(g)
 	return s.plan
 }
 
