@@ -260,11 +260,11 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	// Validation before any mutation: range check, then per-key occurrence
 	// counts against the live multiset (CountKey answers "at least c
 	// copies?" by the lockstep walk, O(min degree) per key).
+	if err := checkEdges(batch, n); err != nil {
+		return err
+	}
 	need := make(map[int64]int, len(batch))
 	for _, e := range batch {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return &EdgeRangeError{Edge: e, N: n}
-		}
 		need[e.CanonKey()]++
 	}
 	missing := 0

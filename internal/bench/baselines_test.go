@@ -63,9 +63,9 @@ func TestBaselineEquivalenceAcrossFamilies(t *testing.T) {
 		truth := baseline.BFSLabels(g)
 		for _, b := range baselines {
 			seq := pram.New(pram.Seed(5))
-			one := pram.New(pram.Seed(5), pram.OnExecutor(rt1))
+			one := pram.New(pram.Seed(5), pram.OnRuntime(rt1))
 			seqL, oneL := b.run(seq, g), b.run(one, g)
-			conL := b.run(pram.New(pram.Seed(5), pram.OnExecutor(rt4)), g)
+			conL := b.run(pram.New(pram.Seed(5), pram.OnRuntime(rt4)), g)
 			if !graph.SamePartition(truth, seqL) {
 				t.Errorf("%s/%s: sequential partition differs from BFS", name, b.name)
 			}

@@ -96,7 +96,7 @@ func sharedPool(procs int) *par.Runtime {
 
 func (c Config) machine() *pram.Machine {
 	if c.backend() == parcc.BackendConcurrent {
-		return pram.New(pram.Seed(c.seed()), pram.OnExecutor(sharedPool(c.procs())))
+		return pram.New(pram.Seed(c.seed()), pram.OnRuntime(sharedPool(c.procs())))
 	}
 	return pram.New(pram.Seed(c.seed()))
 }

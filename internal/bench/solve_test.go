@@ -46,34 +46,78 @@ func solveSessions(tb testing.TB) map[parcc.Algorithm]*parcc.Solver {
 // (cache and allocator state left by the one before) is not always
 // charged to the same algorithm.  The warm solves also check that
 // the five partitions agree, so no ratio comes from a wrong answer.
-// Returns each algorithm's wall samples in seconds.
-func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name string, g *graph.Graph, rounds, burst int) map[parcc.Algorithm][]float64 {
+//
+// An algorithm whose solve runs wholly on the calling goroutine — the
+// one-worker union-find at any procs (auto when it picks it), and every
+// kernel at procs 1 — is also timed on its OS thread's CPU clock
+// (timeOnThread), which a thread descheduled by host noise does not
+// advance.  The pool kernels spread their work over other threads, so
+// they have wall samples only.
+func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name string, g *graph.Graph, rounds, burst int) solveTimes {
 	res := &parcc.Result{}
 	var casLabels []int32
+	st := solveTimes{wall: map[parcc.Algorithm][]float64{}, thread: map[parcc.Algorithm][]float64{}}
+	onCaller := map[parcc.Algorithm]bool{}
 	for _, a := range solveAlgos {
 		if err := solvers[a].SolveInto(g, res); err != nil {
 			tb.Fatal(err)
 		}
+		onCaller[a] = res.Algorithm == parcc.UnionFind || res.Procs == 1
 		if a == parcc.CASUnite {
 			casLabels = append(casLabels[:0], res.Labels...)
 		} else if !graph.SamePartition(casLabels, res.Labels) {
 			tb.Fatalf("%s: %s partition differs from cas", name, a)
 		}
 	}
-	walls := map[parcc.Algorithm][]float64{}
 	for r := 0; r < rounds; r++ {
 		for k := range solveAlgos {
 			a := solveAlgos[(r+k)%len(solveAlgos)]
 			for j := 0; j < burst; j++ {
-				t0 := time.Now()
-				if err := solvers[a].SolveInto(g, res); err != nil {
+				var err error
+				if onCaller[a] {
+					var wall, thread float64
+					wall, thread, err = timeOnThread(func() error { return solvers[a].SolveInto(g, res) })
+					st.wall[a] = append(st.wall[a], wall)
+					st.thread[a] = append(st.thread[a], thread)
+				} else {
+					t0 := time.Now()
+					err = solvers[a].SolveInto(g, res)
+					st.wall[a] = append(st.wall[a], time.Since(t0).Seconds())
+				}
+				if err != nil {
 					tb.Fatal(err)
 				}
-				walls[a] = append(walls[a], time.Since(t0).Seconds())
 			}
 		}
 	}
-	return walls
+	return st
+}
+
+// solveTimes is solveBursts' result: every algorithm's wall samples and,
+// for the algorithms that solve on the calling goroutine only, their
+// thread-clock samples, in seconds.
+type solveTimes struct {
+	wall, thread map[parcc.Algorithm][]float64
+}
+
+// ratio is a's median solve over b's, with the clock it was read on: the
+// thread clock when both solve on the calling goroutine, the wall clock
+// otherwise.
+func (st solveTimes) ratio(a, b parcc.Algorithm) (float64, string) {
+	if st.thread[a] != nil && st.thread[b] != nil {
+		return median(st.thread[a]) / median(st.thread[b]), "thread"
+	}
+	return median(st.wall[a]) / median(st.wall[b]), "wall"
+}
+
+// timeOnThread runs f with its goroutine locked to the OS thread and
+// returns f's wall time and the thread's CPU time (threadNow), in seconds.
+func timeOnThread(f func() error) (wall, thread float64, err error) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	c0, t0 := threadNow(), time.Now()
+	err = f()
+	return time.Since(t0).Seconds(), (threadNow() - c0).Seconds(), err
 }
 
 // median returns the median of w (the upper one for an even count)
@@ -117,7 +161,7 @@ func BenchmarkSolveFamilies(b *testing.B) {
 	for b.Loop() {
 		sampleMin, frontierMin, autoMax := math.Inf(1), math.Inf(1), 0.0
 		for i, f := range fams {
-			walls := solveBursts(b, solvers, f.name, graphs[i], 3, 3)
+			walls := solveBursts(b, solvers, f.name, graphs[i], 3, 3).wall
 			cas, sample := median(walls[parcc.CASUnite]), median(walls[parcc.Sample])
 			frontier, auto := median(walls[parcc.Frontier]), median(walls[parcc.Auto])
 			others := min(cas, median(walls[parcc.UnionFind]), sample)
@@ -139,7 +183,12 @@ func BenchmarkSolveFamilies(b *testing.B) {
 // generator family at n = 2^15, the median warm auto solve is within 1.1×
 // of the median of the fastest fixed kernel (cas, union-find, sample or
 // frontier),
-// timed by solveBursts in 5 rounds of 3-solve bursts.  A family over the
+// timed by solveBursts in 5 rounds of 3-solve bursts.  The fastest kernel
+// is the one of least median wall time; the ratio is taken on the thread
+// clock when auto's pick and that kernel both solve on the calling
+// goroutine (union-find at any procs, any kernel at procs 1), which keeps
+// host noise that deschedules the thread out of it, and on the wall clock
+// otherwise.  A family over the
 // bar is re-timed up to twice more and passes if any attempt is within
 // it: a dispatch-table error is a gap every attempt reproduces (the
 // table with a frontier row read 1.2–1.7 on grid, torus and the three
@@ -154,23 +203,24 @@ func TestAutoWithinBestFixed(t *testing.T) {
 		g := f.make()
 		var ratio float64
 		var best parcc.Algorithm
+		var clock string
 		for try := 0; try < attempts; try++ {
-			walls := solveBursts(t, solvers, f.name, g, 5, 3)
+			st := solveBursts(t, solvers, f.name, g, 5, 3)
 			best = parcc.CASUnite
 			for _, a := range []parcc.Algorithm{parcc.UnionFind, parcc.Sample, parcc.Frontier} {
-				if median(walls[a]) < median(walls[best]) {
+				if median(st.wall[a]) < median(st.wall[best]) {
 					best = a
 				}
 			}
-			ratio = median(walls[parcc.Auto]) / median(walls[best])
+			ratio, clock = st.ratio(parcc.Auto, best)
 			if ratio <= 1.1 {
 				break
 			}
 		}
-		t.Logf("%-16s auto/%s = %.3f", f.name, best, ratio)
+		t.Logf("%-16s auto/%s = %.3f (%s clock)", f.name, best, ratio, clock)
 		if ratio > 1.1 {
-			t.Errorf("%s: median auto solve is %.2f× the fastest fixed kernel (%s) in all %d attempts, want ≤ 1.1×",
-				f.name, ratio, best, attempts)
+			t.Errorf("%s: median auto solve is %.2f× the fastest fixed kernel (%s, %s clock) in all %d attempts, want ≤ 1.1×",
+				f.name, ratio, best, clock, attempts)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func SPSelfSpeedup(c Config) *Table {
 		}},
 		{"min-label", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
 			labels := make([]int32, g.N)
-			rt.For(g.N, func(v int) { labels[v] = int32(v) })
+			rt.Run(g.N, func(v int) { labels[v] = int32(v) })
 			rounds := par.PropagateMin(rt, g.Edges, labels)
 			return int64(rounds), -1 // Θ(diameter) CAS rounds, uncharged
 		}},
@@ -84,7 +84,7 @@ func SPSelfSpeedup(c Config) *Table {
 		var t1 time.Duration
 		for _, p := range plist {
 			rt := par.New(par.Procs(p), par.Seed(c.seed()))
-			m := pram.New(pram.Seed(c.seed()), pram.OnExecutor(rt))
+			m := pram.New(pram.Seed(c.seed()), pram.OnRuntime(rt))
 			t0 := time.Now()
 			steps, work := r.run(rt, m)
 			wall := time.Since(t0)

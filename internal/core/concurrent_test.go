@@ -28,7 +28,7 @@ func TestConnectivityOnParRuntime(t *testing.T) {
 		want := Connectivity(solve.New(seqM), g, pSeq, nil)
 
 		rt := par.New(par.Procs(4), par.Seed(3))
-		m := pram.New(pram.Seed(3), pram.OnExecutor(rt))
+		m := pram.New(pram.Seed(3), pram.OnRuntime(rt))
 		pCon := Default(g.N)
 		pCon.Seed ^= 3
 		got := Connectivity(solve.New(m), g, pCon, nil)
@@ -68,5 +68,5 @@ func TestVertexSetListDeterministicSorted(t *testing.T) {
 	check(pram.New())
 	rt := par.New(par.Procs(3))
 	defer rt.Close()
-	check(pram.New(pram.OnExecutor(rt)))
+	check(pram.New(pram.OnRuntime(rt)))
 }

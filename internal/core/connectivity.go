@@ -123,7 +123,7 @@ func Connectivity(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Result 
 	m.SetMark("finish")
 	span = cx.Rec.Lap(obs.PhaseFinish, span)
 
-	res.Labels = labeled.LabelsOnInto(m.Exec(), f, dst)
+	res.Labels = labeled.LabelsOnInto(m.Runtime(), f, dst)
 	res.NumComponents = solve.NumLabels(cx, res.Labels, g.N)
 	cx.Rec.End(obs.PhaseCount, span)
 	cx.Rec.Add(obs.CtrFLSPhases, int64(res.Phases))
@@ -406,7 +406,7 @@ func SolveKnownGap(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32) 
 	m.SetMark("backstop")
 	span = cx.Rec.Lap(obs.PhaseFinish, span)
 
-	labels := labeled.LabelsOnInto(m.Exec(), f, dst)
+	labels := labeled.LabelsOnInto(m.Runtime(), f, dst)
 	ncomp := solve.NumLabels(cx, labels, g.N)
 	cx.Rec.End(obs.PhaseCount, span)
 	res := &Result{

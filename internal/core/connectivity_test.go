@@ -157,7 +157,7 @@ func TestConnectivityManySpans(t *testing.T) {
 	graphs := suite()
 	graphs["gnm-large"] = gen.GNM(3000, 6000, 19)
 	for name, g := range graphs {
-		m := pram.New(pram.Seed(7), pram.OnExecutor(rt), pram.Grain(16))
+		m := pram.New(pram.Seed(7), pram.OnRuntime(rt), pram.Grain(16))
 		res := Connectivity(solve.New(m), g, Default(g.N), nil)
 		checkLabels(t, name, g, res.Labels)
 	}

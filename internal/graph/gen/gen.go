@@ -14,10 +14,28 @@
 // All randomized generators take an explicit seed and are reproducible.
 package gen
 
-import (
-	"parcc/internal/graph"
-	"parcc/internal/pram"
-)
+import "parcc/internal/graph"
+
+// splitMix64 and p64 are pram.SplitMix64 and pram.P64 (TestMixMatchesPRAM
+// pins them): gen imports nothing above graph, because internal/par's own
+// tests generate graphs and pram imports par.
+func splitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	z := x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func p64(p float64) uint64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return ^uint64(0)
+	}
+	return uint64(p * float64(1<<63) * 2)
+}
 
 type rng struct{ s uint64 }
 
@@ -25,7 +43,7 @@ func newRNG(seed uint64) *rng { return &rng{s: seed} }
 
 func (r *rng) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
-	return pram.SplitMix64(r.s)
+	return splitMix64(r.s)
 }
 
 // Intn returns a value in [0,n).
@@ -298,10 +316,10 @@ func ManyComponents(k int, mk func(i int) *graph.Graph) *graph.Graph {
 // SampleEdges returns a copy of g keeping each edge independently with
 // probability p (seeded).  This is the random edge sampling of Stage 3.
 func SampleEdges(g *graph.Graph, p float64, seed uint64) *graph.Graph {
-	thr := pram.P64(p)
+	thr := p64(p)
 	out := graph.New(g.N)
 	for i, e := range g.Edges {
-		if pram.SplitMix64(seed^uint64(i)*0x9e3779b97f4a7c15) < thr {
+		if splitMix64(seed^uint64(i)*0x9e3779b97f4a7c15) < thr {
 			out.Edges = append(out.Edges, e)
 		}
 	}

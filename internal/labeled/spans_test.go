@@ -39,7 +39,7 @@ func TestFusedPassesAgreeAcrossSpanLayouts(t *testing.T) {
 	defer rt.Close()
 	machines := map[string]func() *pram.Machine{
 		"reverse": func() *pram.Machine { return pram.New(pram.WriteOrder(pram.Reverse)) },
-		"runtime": func() *pram.Machine { return pram.New(pram.OnExecutor(rt), pram.Grain(16)) },
+		"runtime": func() *pram.Machine { return pram.New(pram.OnRuntime(rt), pram.Grain(16)) },
 	}
 	const n, m = 3000, 5000
 	// synchronous asserts one shortcut step read only pre-step parents:

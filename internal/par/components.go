@@ -27,7 +27,7 @@ func Components(rt *Runtime, g *graph.Graph, dst []int32) ([]int32, int) {
 	}
 	p = p[:g.N]
 	edges := g.Edges
-	if rt == nil || rt.Procs() == 1 {
+	if rt.Procs() == 1 {
 		for v := range p {
 			p[v] = int32(v)
 		}

@@ -133,8 +133,8 @@ func UniteRem(p []int32, x, y int32, seq bool) int32 {
 // pointers need not decrease) because concurrent writes only replace a
 // pointer with that vertex's root, which preserves root reachability and
 // only shortens chases.
-func Compress(e Exec, p []int32) {
-	e.Run(len(p), func(v int) {
+func Compress(rt *Runtime, p []int32) {
+	rt.Run(len(p), func(v int) {
 		// Two-try fast path: in the forests this runs on (post-Unite, or
 		// re-flattening after an incremental batch) almost every vertex is
 		// a root or points at one, so the common cases resolve from the
@@ -170,13 +170,13 @@ func chase(p []int32, v int32) int32 {
 // caller (identity for component labeling).  Returns the number of rounds —
 // Θ(diameter) on a connected graph.  The fixpoint (per-component minimum of
 // the initial labels) is deterministic.
-func PropagateMin(e Exec, edges []graph.Edge, labels []int32) int {
+func PropagateMin(rt *Runtime, edges []graph.Edge, labels []int32) int {
 	rounds := 0
 	changed := int32(1)
 	for changed != 0 {
 		changed = 0
 		rounds++
-		e.Run(len(edges), func(i int) {
+		rt.Run(len(edges), func(i int) {
 			ed := edges[i]
 			a := lowerMin(labels, ed.U, atomic.LoadInt32(&labels[ed.V]))
 			b := lowerMin(labels, ed.V, atomic.LoadInt32(&labels[ed.U]))
@@ -204,20 +204,17 @@ func lowerMin(labels []int32, v int32, x int32) bool {
 // CompactIndices returns the indices i in [0,n) with keep(i), in increasing
 // order — the parallel compaction primitive (count per block, exclusive
 // scan, scatter), writing the indices directly (no materialized identity
-// array).  Output is identical to the sequential filter for any procs.  The
-// count and scatter passes go through runCoarse: each block is one
-// schedulable task, so they actually spread across the pool (a plain Run
-// over the handful of block indices would be folded into a single
-// grain-sized chunk and silently serialize).
-func CompactIndices(e Exec, n int, keep func(i int) bool) []int32 {
-	block := 4096
-	if e != nil {
-		if b := (n + 8*e.Procs() - 1) / (8 * e.Procs()); b > block {
-			block = b
-		}
-	}
+// array).  Output is identical to the sequential filter for any procs, and
+// a one-proc or nil runtime runs that filter.  The count and scatter
+// passes go through RunCoarse: each block is one schedulable task, so they
+// actually spread across the pool (a plain Run over the handful of block
+// indices would be folded into a single grain-sized chunk and silently
+// serialize).
+func CompactIndices(rt *Runtime, n int, keep func(i int) bool) []int32 {
+	procs := rt.Procs()
+	block := max(4096, (n+8*procs-1)/(8*procs))
 	nblocks := (n + block - 1) / block
-	if nblocks <= 1 || e == nil || e.Procs() == 1 {
+	if nblocks <= 1 || procs == 1 {
 		out := make([]int32, 0, 16)
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -227,7 +224,7 @@ func CompactIndices(e Exec, n int, keep func(i int) bool) []int32 {
 		return out
 	}
 	counts := make([]int64, nblocks)
-	runCoarse(e, nblocks, func(c int) {
+	rt.RunCoarse(nblocks, func(c int) {
 		lo, hi := c*block, min((c+1)*block, n)
 		var k int64
 		for i := lo; i < hi; i++ {
@@ -243,7 +240,7 @@ func CompactIndices(e Exec, n int, keep func(i int) bool) []int32 {
 		total += k
 	}
 	out := make([]int32, total)
-	runCoarse(e, nblocks, func(c int) {
+	rt.RunCoarse(nblocks, func(c int) {
 		lo, hi := c*block, min((c+1)*block, n)
 		at := counts[c]
 		for i := lo; i < hi; i++ {

@@ -130,7 +130,7 @@ func TestPropagateMinFixpoint(t *testing.T) {
 	r := New(Procs(4), Grain(32))
 	defer r.Close()
 	labels := make([]int32, g.N)
-	r.For(g.N, func(v int) { labels[v] = int32(v) })
+	r.Run(g.N, func(v int) { labels[v] = int32(v) })
 	rounds := PropagateMin(r, g.Edges, labels)
 	if rounds < 2 {
 		t.Fatalf("implausibly few rounds: %d", rounds)

@@ -1,15 +1,14 @@
 // Package par is the shared-memory parallel runtime behind the concurrent
-// backend: a persistent goroutine pool executing chunked parallel loops and
-// reductions, plus lock-free CAS kernels for the connectivity primitives the
+// backend: a persistent goroutine pool executing chunked parallel loops,
+// plus lock-free CAS kernels for the connectivity primitives the
 // paper's algorithms are built from — hooking, pointer jumping (compression),
 // minimum-label propagation, and compaction.
 //
 // The PRAM simulator in internal/pram expresses every algorithm as a
 // sequence of synchronous parallel loops and charges model costs per loop.
-// Runtime implements the simulator's Executor contract (structurally — par
-// does not import pram), so the very same algorithms execute their loop
-// bodies on real goroutines when a Runtime is installed on the Machine: the
-// cost accounting stays the model's, the wall clock becomes the hardware's.
+// A pram.Machine holds a *Runtime, so the very same algorithms execute
+// their loop bodies on real goroutines when one is installed: the cost
+// accounting stays the model's, the wall clock becomes the hardware's.
 // The CAS kernels additionally give the uncharged helpers (label extraction,
 // compaction inside Contract blocks) and the cas-unite algorithm a
 // barrier-free fast path in the style of Liu–Tarjan [LT19] and the
@@ -20,6 +19,12 @@
 // a shared atomic cursor.  Chunk boundaries depend only on n and the grain —
 // never on the number of procs — so per-chunk RNG streams (ForChunks) are
 // reproducible across any parallelism degree.
+//
+// A nil *Runtime is the sequential runtime: Run, ForSpans and RunCoarse
+// run their bodies inline on the caller, in index order, exactly as a
+// one-proc runtime of the default grain does, and Procs reports 1.  Kernels
+// and the simulator therefore take a *Runtime and never branch on whether
+// one is installed.
 package par
 
 import (
@@ -28,23 +33,12 @@ import (
 	"sync/atomic"
 )
 
-// Exec is the minimal executor surface the kernels in this package need.  It
-// is satisfied by *Runtime and is structurally identical to the simulator's
-// pram.Executor, so a Machine's installed executor can be passed straight to
-// the kernels.
-type Exec interface {
-	// Run executes body(i) for every i in [0,n), returning when all calls
-	// have completed.
-	Run(n int, body func(i int))
-	// Procs reports the parallelism degree.
-	Procs() int
-}
-
 // Runtime is a pooled parallel runtime.  Construct with New; an idle Runtime
 // holds procs-1 parked goroutines, released by Close (or by the garbage
 // collector if the Runtime becomes unreachable).  Parallel constructs must
 // be issued from one orchestrating goroutine at a time; loop bodies run
-// concurrently.
+// concurrently.  A nil *Runtime runs every loop inline (see the package
+// comment).
 type Runtime struct {
 	procs int
 	grain int
@@ -55,7 +49,7 @@ type Runtime struct {
 	close sync.Once
 	// jb is the dispatch descriptor, reused across parallel loops: the
 	// orchestration contract (one loop at a time) plus the wg.Wait barrier
-	// make the reuse safe, and it keeps every For/Run on the pool
+	// make the reuse safe, and it keeps every loop on the pool
 	// allocation-free.
 	jb job
 	// hooks is Components' hook tally for its concurrent edge pass: a
@@ -94,9 +88,13 @@ func Seed(s uint64) Option {
 	return func(r *Runtime) { r.seed = s }
 }
 
+// defaultGrain is the chunk size of a runtime built without Grain, and of
+// the nil runtime.
+const defaultGrain = 2048
+
 // New returns a runtime with procs-1 pooled workers started and parked.
 func New(opts ...Option) *Runtime {
-	r := &Runtime{procs: runtime.NumCPU(), grain: 2048, seed: 0x9e3779b97f4a7c15}
+	r := &Runtime{procs: runtime.NumCPU(), grain: defaultGrain, seed: 0x9e3779b97f4a7c15}
 	for _, o := range opts {
 		o(r)
 	}
@@ -123,12 +121,22 @@ func (r *Runtime) Close() {
 	})
 }
 
-// Procs reports the parallelism degree.
-func (r *Runtime) Procs() int { return r.procs }
+// Procs reports the parallelism degree: 1 on the nil runtime.
+func (r *Runtime) Procs() int {
+	if r == nil {
+		return 1
+	}
+	return r.procs
+}
 
 // Grain reports the chunk size loops are split into: ForSpans' span c is
 // [c·Grain, min((c+1)·Grain, n)).
-func (r *Runtime) Grain() int { return r.grain }
+func (r *Runtime) Grain() int {
+	if r == nil {
+		return defaultGrain
+	}
+	return r.grain
+}
 
 // job is one parallel loop: workers repeatedly claim the next chunk off the
 // shared cursor until the index space is exhausted.  Exactly one of body
@@ -172,18 +180,16 @@ func worker(jobs chan *job) {
 }
 
 // dispatch runs body/each over the chunk-size-`chunk` chunking of [0,n),
-// on the pool when it pays.  Exactly one of body and each is non-nil; the
-// reused descriptor makes pooled loops allocation-free.
+// on the pool when it pays and inline otherwise (always on the nil
+// runtime, whose Procs is 1).  Exactly one of body and each is non-nil;
+// the reused descriptor makes pooled loops allocation-free.
 func (r *Runtime) dispatch(n, chunk int, body func(lo, hi, c int), each func(i int)) {
 	if n <= 0 {
 		return
 	}
 	nchunks := (n + chunk - 1) / chunk
-	helpers := r.procs - 1
-	if helpers > nchunks-1 {
-		helpers = nchunks - 1
-	}
-	if r.jobs == nil || helpers <= 0 {
+	helpers := min(r.Procs()-1, nchunks-1)
+	if helpers <= 0 {
 		if each != nil {
 			for i := 0; i < n; i++ {
 				each(i)
@@ -192,11 +198,7 @@ func (r *Runtime) dispatch(n, chunk int, body func(lo, hi, c int), each func(i i
 		}
 		for c := 0; c < nchunks; c++ {
 			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi, c)
+			body(lo, min(lo+chunk, n), c)
 		}
 		return
 	}
@@ -218,33 +220,20 @@ func (r *Runtime) dispatch(n, chunk int, body func(lo, hi, c int), each func(i i
 	j.body, j.each = nil, nil // drop closure references until the next loop
 }
 
-// For executes body(i) for every i in [0,n) across the pool and returns when
+// Run executes body(i) for every i in [0,n) across the pool and returns when
 // all iterations have completed.  Iterations touching shared cells must use
-// atomics; the completion of For happens-before its return.
-func (r *Runtime) For(n int, body func(i int)) {
-	r.dispatch(n, r.grain, nil, body)
+// atomics; the completion of Run happens-before its return.
+func (r *Runtime) Run(n int, body func(i int)) {
+	r.dispatch(n, r.Grain(), nil, body)
 }
 
-// Run is For under the name the simulator's Executor contract uses.
-func (r *Runtime) Run(n int, body func(i int)) { r.For(n, body) }
-
-// ForRanges executes body over the grain-sized chunks [lo,hi) of [0,n) —
-// the chunked form of For, for kernels whose inner loop is tight enough
-// that a per-index closure call would dominate (SkipUnite's two-load skip
-// test is the motivating case: the per-edge work is a pair of loads and a
-// compare, so the loop must live inside the kernel, not the dispatcher).
-func (r *Runtime) ForRanges(n int, body func(lo, hi int)) {
-	r.dispatch(n, r.grain, func(lo, hi, _ int) { body(lo, hi) }, nil)
-}
-
-// ForSpans is ForRanges on the dispatcher's native signature (the chunk
-// index rides along): no adapter closure is created, so a kernel pays only
-// for its own body closure — the frontier engine's passes are the
-// motivating case (ForRanges pays one more closure allocation per call to
-// hide the chunk index, which the warm solve path's allocation budget
-// cannot absorb).
+// ForSpans executes body once per grain-sized span [lo,hi) of [0,n), c
+// being the span index — the chunked form of Run, for kernels whose inner
+// loop is tight enough that a per-index closure call would dominate
+// (SkipUnite's two-load skip test, the frontier engine's passes).  The body
+// goes to the dispatcher as is, so a kernel pays only for its own closure.
 func (r *Runtime) ForSpans(n int, body func(lo, hi, c int)) {
-	r.dispatch(n, r.grain, body, nil)
+	r.dispatch(n, r.Grain(), body, nil)
 }
 
 // RunCoarse executes body(i) for every i in [0,n) treating each index as one
@@ -256,69 +245,16 @@ func (r *Runtime) RunCoarse(n int, body func(i int)) {
 	r.dispatch(n, 1, nil, body)
 }
 
-// coarseRunner is the optional Exec extension RunCoarse provides; kernels
-// fall back to Run when an executor lacks it.
-type coarseRunner interface {
-	RunCoarse(n int, body func(i int))
-}
-
-// runCoarse dispatches n coarse tasks on e, via RunCoarse when available.
-func runCoarse(e Exec, n int, body func(i int)) {
-	if cr, ok := e.(coarseRunner); ok {
-		cr.RunCoarse(n, body)
-		return
-	}
-	e.Run(n, body)
-}
-
 // ForChunks executes body once per grain-sized chunk [lo,hi) of [0,n), each
 // with its own deterministic RNG stream.  The stream depends on (seed, epoch,
 // chunk index) only — epoch advances once per ForChunks call — so the random
 // choices made for a given chunk are identical no matter how many procs run
-// the loop or which worker claims the chunk.
+// the loop or which worker claims the chunk.  The streams derive from the
+// runtime's seed, so ForChunks needs a non-nil runtime.
 func (r *Runtime) ForChunks(n int, body func(lo, hi int, rng *RNG)) {
 	e := r.epoch.Add(1)
 	r.dispatch(n, r.grain, func(lo, hi, c int) {
 		rng := NewRNG(r.seed, e, uint64(c))
 		body(lo, hi, rng)
 	}, nil)
-}
-
-// Reduce computes combine over leaf(i) for i in [0,n) with identity id.  The
-// per-chunk partials are combined in chunk order, so for a fixed grain the
-// result is deterministic across procs (exactly reproducible even for
-// non-commutative or floating-point combines).
-func Reduce[T any](r *Runtime, n int, id T, leaf func(i int) T, combine func(a, b T) T) T {
-	if n <= 0 {
-		return id
-	}
-	nchunks := (n + r.grain - 1) / r.grain
-	parts := make([]T, nchunks)
-	r.dispatch(n, r.grain, func(lo, hi, c int) {
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, leaf(i))
-		}
-		parts[c] = acc
-	}, nil)
-	acc := id
-	for _, p := range parts {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
-// Sum64 is Reduce specialized to int64 addition.
-func Sum64(r *Runtime, n int, leaf func(i int) int64) int64 {
-	return Reduce(r, n, 0, leaf, func(a, b int64) int64 { return a + b })
-}
-
-// Count tallies the i in [0,n) for which pred holds.
-func Count(r *Runtime, n int, pred func(i int) bool) int64 {
-	return Sum64(r, n, func(i int) int64 {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	})
 }

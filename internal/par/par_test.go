@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 		r := New(Procs(procs), Grain(7))
 		n := 10_000
 		hits := make([]int32, n)
-		r.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		r.Run(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("procs=%d: index %d executed %d times", procs, i, h)
@@ -24,9 +25,9 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForSmallAndEmpty(t *testing.T) {
 	r := New(Procs(4))
 	defer r.Close()
-	r.For(0, func(i int) { t.Fatal("body called for n=0") })
+	r.Run(0, func(i int) { t.Fatal("body called for n=0") })
 	var n32 int32
-	r.For(1, func(i int) { atomic.AddInt32(&n32, 1) })
+	r.Run(1, func(i int) { atomic.AddInt32(&n32, 1) })
 	if n32 != 1 {
 		t.Fatalf("n=1 ran %d bodies", n32)
 	}
@@ -37,7 +38,7 @@ func TestPoolReuseAcrossManyLoops(t *testing.T) {
 	defer r.Close()
 	var total int64
 	for k := 0; k < 500; k++ {
-		r.For(100, func(i int) { atomic.AddInt64(&total, 1) })
+		r.Run(100, func(i int) { atomic.AddInt64(&total, 1) })
 	}
 	if total != 500*100 {
 		t.Fatalf("total = %d", total)
@@ -85,37 +86,68 @@ func TestForChunksEpochAdvances(t *testing.T) {
 	}
 }
 
-func TestReduceDeterministicAndCorrect(t *testing.T) {
-	for _, procs := range []int{1, 3, 8} {
-		r := New(Procs(procs), Grain(10))
-		n := 5000
-		sum := Sum64(r, n, func(i int) int64 { return int64(i) })
-		if want := int64(n) * int64(n-1) / 2; sum != want {
-			t.Fatalf("procs=%d: sum = %d, want %d", procs, sum, want)
-		}
-		// Non-commutative combine: string-order concatenation length proxy —
-		// chunk-ordered combination must match the sequential left fold.
-		cat := Reduce(r, 26, "", func(i int) string { return string(rune('a' + i)) },
-			func(a, b string) string { return a + b })
-		if cat != "abcdefghijklmnopqrstuvwxyz" {
-			t.Fatalf("procs=%d: ordered reduce = %q", procs, cat)
-		}
-		r.Close()
+// The nil runtime runs Run, ForSpans and RunCoarse inline, every index
+// once and in order, with the default grain's spans; and Compress and
+// CompactIndices on it equal their one-proc results.
+func TestNilRuntimeRunsInline(t *testing.T) {
+	var r *Runtime
+	if r.Procs() != 1 || r.Grain() != defaultGrain {
+		t.Fatalf("nil runtime: procs %d grain %d, want 1 and %d", r.Procs(), r.Grain(), defaultGrain)
 	}
-}
+	const n = 3*defaultGrain + 5
+	loops := map[string]func(visit func(i int)){
+		"Run":       func(visit func(i int)) { r.Run(n, visit) },
+		"RunCoarse": func(visit func(i int)) { r.RunCoarse(n, visit) },
+		"ForSpans": func(visit func(i int)) {
+			r.ForSpans(n, func(lo, hi, c int) {
+				if lo != c*defaultGrain || hi != min(lo+defaultGrain, n) {
+					t.Errorf("ForSpans: span %d = [%d,%d)", c, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					visit(i)
+				}
+			})
+		},
+	}
+	for name, loop := range loops {
+		var order []int
+		loop(func(i int) { order = append(order, i) })
+		if len(order) != n {
+			t.Fatalf("%s: visited %d indices, want %d", name, len(order), n)
+		}
+		for k, i := range order {
+			if i != k {
+				t.Fatalf("%s: visit %d was index %d", name, k, i)
+			}
+		}
+	}
+	r.Run(0, func(int) { t.Fatal("body called for n=0") })
 
-func TestCount(t *testing.T) {
-	r := New(Procs(4), Grain(32))
-	defer r.Close()
-	c := Count(r, 1000, func(i int) bool { return i%3 == 0 })
-	if c != 334 {
-		t.Fatalf("count = %d", c)
+	one := New(Procs(1))
+	defer one.Close()
+	forest := func() []int32 {
+		rng := NewRNG(7, 0, 0)
+		p := make([]int32, 50_000)
+		for v := range p {
+			p[v] = int32(rng.Intn(v + 1)) // parents ≤ v: an acyclic forest
+		}
+		return p
+	}
+	pn, p1 := forest(), forest()
+	Compress(nil, pn)
+	Compress(one, p1)
+	if !slices.Equal(pn, p1) {
+		t.Fatal("Compress on the nil runtime differs from one proc")
+	}
+	keep := func(i int) bool { return i%3 == 0 || pn[i] == int32(i) }
+	if a, b := CompactIndices(nil, len(pn), keep), CompactIndices(one, len(pn), keep); !slices.Equal(a, b) {
+		t.Fatalf("CompactIndices: nil runtime kept %d indices, one proc %d", len(a), len(b))
 	}
 }
 
 func TestRunCoarseSpreadsSmallTaskCounts(t *testing.T) {
-	// Regression: Compact's per-block passes hand the executor a handful of
-	// coarse tasks; routed through For they would be folded into one
+	// Regression: Compact's per-block passes hand the runtime a handful of
+	// coarse tasks; routed through Run they would be folded into one
 	// grain-sized chunk and serialize.  RunCoarse must overlap them.
 	r := New(Procs(4), Grain(2048))
 	defer r.Close()

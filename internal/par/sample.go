@@ -193,7 +193,7 @@ func MajorityRoot(rt *Runtime, p []int32, probes int, scratch []int32) (int32, f
 // its residual bitmap, so the two passes cannot drift apart semantically.
 func SkipUnite(rt *Runtime, p []int32, csr *graph.CSR, maj int32) (attempts, hooks int64) {
 	var processed, hooked atomic.Int64
-	rt.ForRanges(len(p), func(lo, hi int) {
+	rt.ForSpans(len(p), func(lo, hi, _ int) {
 		a, h := finishSpan(p, csr, maj, lo, hi)
 		processed.Add(a)
 		hooked.Add(h)

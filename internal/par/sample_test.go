@@ -145,20 +145,3 @@ func TestSkipUniteMajorityModeRevisitsBoundary(t *testing.T) {
 		t.Fatalf("labels = %v, want all 0", p)
 	}
 }
-
-func TestForRangesCoversEveryIndexOnce(t *testing.T) {
-	r := New(Procs(4), Grain(16))
-	defer r.Close()
-	hits := make([]int32, 1000)
-	r.ForRanges(len(hits), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hits[i]++
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-	r.ForRanges(0, func(lo, hi int) { t.Fatal("body must not run for n=0") })
-}

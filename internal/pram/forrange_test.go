@@ -65,7 +65,7 @@ func TestForRangeRunsEachIndexOnce(t *testing.T) {
 		"forward":  func() *Machine { return New(WriteOrder(Forward)) },
 		"reverse":  func() *Machine { return New(WriteOrder(Reverse)) },
 		"shuffled": func() *Machine { return New(WriteOrder(Shuffled), Seed(5)) },
-		"runtime":  func() *Machine { return New(OnExecutor(rt), Grain(16)) },
+		"runtime":  func() *Machine { return New(OnRuntime(rt), Grain(16)) },
 	}
 	for name, mk := range machines {
 		for _, n := range []int{0, 1, 2, 17, 257, 5000} {
@@ -97,7 +97,7 @@ func TestForRangeFollowsSequentialOrder(t *testing.T) {
 func TestForRangeSpansOnRuntimeFollowGrain(t *testing.T) {
 	rt := par.New(par.Procs(2), par.Grain(100))
 	defer rt.Close()
-	m := New(OnExecutor(rt), Grain(10))
+	m := New(OnRuntime(rt), Grain(10))
 	n := 1050
 	if got := m.Spans(n); got != 11 {
 		t.Fatalf("Spans(%d) = %d, want 11 spans of the runtime grain", n, got)

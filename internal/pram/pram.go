@@ -6,7 +6,7 @@
 // Machine.For is one such loop: it charges one unit of parallel time (a PRAM
 // step) and one unit of work per active item, and executes the body — on
 // the calling goroutine in WriteOrder by default, or across the goroutine
-// pool of an executor installed with OnExecutor.  Concurrent writes to the
+// pool of a runtime installed with OnRuntime.  Concurrent writes to the
 // same cell must be performed through the atomic helpers in this package;
 // the winner is arbitrary, and — exactly as the ARBITRARY CRCW model
 // demands — the algorithms built on top are correct no matter which writer
@@ -40,6 +40,8 @@ package pram
 import (
 	"fmt"
 	"sync/atomic"
+
+	"parcc/internal/par"
 )
 
 // Order controls how serially run loops resolve concurrent writes.  In a
@@ -70,28 +72,6 @@ func (o Order) String() string {
 	}
 }
 
-// Executor runs the bodies of parallel loops on behalf of a Machine.  It is
-// the seam between the PRAM simulation and a real parallel runtime: install
-// one with OnExecutor and every charged loop large enough to split executes
-// its bodies there (the accounting is untouched).  internal/par.Runtime
-// satisfies it.
-type Executor interface {
-	// Run executes body(i) for every i in [0,n) and returns when all calls
-	// have completed (establishing the step barrier).
-	Run(n int, body func(i int))
-	// Procs reports the parallelism degree.
-	Procs() int
-}
-
-// ranger is the optional Executor extension ForRange runs on: one body
-// call per fixed-size span [c·Grain, min((c+1)·Grain, n)) of the index
-// space, c being the span index.  internal/par.Runtime satisfies it; on
-// any other executor ForRange runs one index per span.
-type ranger interface {
-	ForSpans(n int, body func(lo, hi, c int))
-	Grain() int
-}
-
 // Machine is a simulated ARBITRARY CRCW PRAM.  The zero value is not usable;
 // construct with New.  All orchestration methods (For, Contract, ...) must be
 // called from a single goroutine; loop bodies run concurrently.
@@ -99,7 +79,7 @@ type Machine struct {
 	order Order
 	seed  uint64
 	grain int
-	exec  Executor
+	rt    *par.Runtime
 
 	suspend int // >0 while running inside a Contract
 	steps   int64
@@ -114,8 +94,8 @@ type Machine struct {
 type Option func(*Machine)
 
 // WriteOrder selects the iteration order of serially run loops: every loop
-// of a machine without an executor, which makes concurrent-write resolution
-// reproducible, and the sub-grain loops of one with an executor.
+// of a machine without a runtime, which makes concurrent-write resolution
+// reproducible, and the sub-grain loops of one with a runtime.
 func WriteOrder(o Order) Option {
 	return func(m *Machine) { m.order = o }
 }
@@ -125,7 +105,8 @@ func Seed(s uint64) Option {
 	return func(m *Machine) { m.seed = s }
 }
 
-// Grain sets the minimum loop size that is handed to the executor.
+// Grain sets the minimum loop size that is handed to the runtime.  It is
+// the machine's serial threshold, separate from the runtime's chunk grain.
 func Grain(g int) Option {
 	return func(m *Machine) {
 		if g >= 1 {
@@ -134,11 +115,11 @@ func Grain(g int) Option {
 	}
 }
 
-// OnExecutor installs a parallel runtime: loop bodies large enough to split
-// run there, unless the executor has a single proc.  A nil executor (the
+// OnRuntime installs a parallel runtime: loop bodies large enough to split
+// run there, unless the runtime has a single proc.  A nil runtime (the
 // default) makes the machine the sequential simulator.
-func OnExecutor(e Executor) Option {
-	return func(m *Machine) { m.exec = e }
+func OnRuntime(rt *par.Runtime) Option {
+	return func(m *Machine) { m.rt = rt }
 }
 
 // New returns a machine with the given options applied.
@@ -154,10 +135,10 @@ func New(opts ...Option) *Machine {
 	return m
 }
 
-// Exec returns the installed parallel runtime, or nil on a sequential
+// Runtime returns the installed parallel runtime, or nil on a sequential
 // machine.  Uncharged helpers (label extraction, compaction inside Contract
-// bodies) use it to pick the concurrent fast path.
-func (m *Machine) Exec() Executor { return m.exec }
+// bodies) run their loops on it; the nil runtime runs them inline.
+func (m *Machine) Runtime() *par.Runtime { return m.rt }
 
 // Steps reports the number of parallel time steps charged so far.
 func (m *Machine) Steps() int64 { return m.steps }
@@ -252,11 +233,7 @@ func (m *Machine) ForRange(n, k int, body func(lo, hi, c int)) {
 	case m.serial(n):
 		m.runSeq(n, func(i int) { body(i, i+1, i) })
 	default:
-		if r, ok := m.exec.(ranger); ok {
-			r.ForSpans(n, body)
-			return
-		}
-		m.exec.Run(n, func(i int) { body(i, i+1, i) })
+		m.rt.ForSpans(n, body)
 	}
 }
 
@@ -273,24 +250,22 @@ func (m *Machine) Spans(n int) int {
 // span is the span size ForRange uses for a loop of n.  Wherever For runs
 // its loop serially, so does ForRange: as one span in Forward order, and
 // one index per span in the Reverse and Shuffled orders.  Otherwise spans
-// are the runtime's grain on a ranger executor, and single indices on any
-// other executor.
+// are the runtime's grain.
 func (m *Machine) span(n int) int {
-	if m.serial(n) {
-		if m.order == Forward {
-			return n
-		}
-		return 1
+	if !m.serial(n) {
+		return m.rt.Grain()
 	}
-	if r, ok := m.exec.(ranger); ok {
-		return r.Grain()
+	if m.order == Forward {
+		return n
 	}
 	return 1
 }
 
-// serial reports whether a loop of n runs on the calling goroutine.
+// serial reports whether a loop of n runs on the calling goroutine: on a
+// sequential machine (whose nil runtime has one proc), below the grain, and
+// on a one-proc runtime.
 func (m *Machine) serial(n int) bool {
-	return m.exec == nil || n < m.grain || m.exec.Procs() <= 1
+	return n < m.grain || m.rt.Procs() <= 1
 }
 
 func (m *Machine) run(n int, body func(i int)) {
@@ -301,7 +276,7 @@ func (m *Machine) run(n int, body func(i int)) {
 		m.runSeq(n, body)
 		return
 	}
-	m.exec.Run(n, body)
+	m.rt.Run(n, body)
 }
 
 func (m *Machine) runSeq(n int, body func(i int)) {

@@ -16,5 +16,5 @@ import (
 func New(tb testing.TB, procs int, opts ...pram.Option) *pram.Machine {
 	rt := par.New(par.Procs(procs))
 	tb.Cleanup(rt.Close)
-	return pram.New(append(opts, pram.OnExecutor(rt))...)
+	return pram.New(append(opts, pram.OnRuntime(rt))...)
 }

@@ -86,23 +86,8 @@ func LogLogLog(n int) int64 {
 func CompactIndices(m *pram.Machine, n int, keep func(i int) bool) []int32 {
 	var out []int32
 	m.Contract(LogStar(n)+1, int64(n), func() {
-		out = compactSeq(m, n, keep)
+		out = par.CompactIndices(m.Runtime(), n, keep)
 	})
-	return out
-}
-
-func compactSeq(m *pram.Machine, n int, keep func(i int) bool) []int32 {
-	if e := m.Exec(); e != nil {
-		// Concurrent backend: chunked two-pass compaction on the pooled
-		// runtime (deterministic output, identical to the sequential scan).
-		return par.CompactIndices(e, n, keep)
-	}
-	out := make([]int32, 0, 16)
-	for i := 0; i < n; i++ {
-		if keep(i) {
-			out = append(out, int32(i))
-		}
-	}
 	return out
 }
 

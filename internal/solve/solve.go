@@ -114,22 +114,12 @@ func VertexSet(c *Ctx, n int, E []graph.Edge) []int32 {
 	m.Contract(prim.LogStar(n)+1, int64(len(E)), func() {
 		if 16*len(E) >= n {
 			flag := c.Grab32(n)
-			if e := m.Exec(); e != nil {
-				e.Run(len(E), func(i int) {
-					pram.SetFlag(flag, int(E[i].U))
-					pram.SetFlag(flag, int(E[i].V))
-				})
-				out = par.CompactIndices(e, n, func(v int) bool { return flag[v] != 0 })
-			} else {
-				for _, ed := range E {
-					flag[ed.U], flag[ed.V] = 1, 1
-				}
-				for v := 0; v < n; v++ {
-					if flag[v] != 0 {
-						out = append(out, int32(v))
-					}
-				}
-			}
+			rt := m.Runtime()
+			rt.Run(len(E), func(i int) {
+				pram.SetFlag(flag, int(E[i].U))
+				pram.SetFlag(flag, int(E[i].V))
+			})
+			out = par.CompactIndices(rt, n, func(v int) bool { return flag[v] != 0 })
 			c.Release32(flag)
 			return
 		}

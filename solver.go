@@ -53,7 +53,7 @@ type Solver struct {
 	m         *pram.Machine
 	rt        *par.Runtime // the session's one pool: Procs wide, 1 for sequential
 	arena     *par.Arena
-	cx        *solve.Ctx  // persistent solve context (machine+arena+plan cache)
+	cx        *solve.Ctx  // persistent solve context (machine+arena+recorder)
 	plan      *graph.Plan // single-slot plan cache (most recent graph)
 	inc       *incSession // live incremental session (nil until Attach)
 	lastTrace *Trace      // most recent traced operation (tracing on only)
@@ -109,14 +109,14 @@ func NewSolver(opt *Options) (*Solver, error) {
 	}
 	s := &Solver{opt: o, seed: effectiveSeed(o), arena: par.NewArena(), procs: procs}
 	s.rt = par.New(par.Procs(procs), par.Seed(s.seed))
-	var exec pram.Executor // nil: the machine is the sequential simulator
+	var rt *par.Runtime // nil: the machine is the sequential simulator
 	if o.Backend == BackendConcurrent {
-		exec = s.rt
+		rt = s.rt
 	}
 	if o.Trace {
 		s.rec = obs.NewRecorder()
 	}
-	s.m = pram.New(pram.Seed(s.seed), pram.OnExecutor(exec))
+	s.m = pram.New(pram.Seed(s.seed), pram.OnRuntime(rt))
 	s.cx = solve.New(s.m).WithArena(s.arena).WithRecorder(s.rec)
 	return s, nil
 }
@@ -227,9 +227,8 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	return nil
 }
 
-// Plan returns the session's cached CSR plan for g, building it (on the
-// runtime, for the concurrent backend) if the cache holds another or a
-// stale graph.  Useful for driving the spectral estimators against the
+// Plan returns the session's cached CSR plan for g, building it if the
+// cache holds another or a stale graph.  Useful for driving the spectral estimators against the
 // same adjacency the solves use.
 func (s *Solver) Plan(g *Graph) *graph.Plan {
 	s.mu.Lock()
@@ -411,10 +410,7 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 		rec.Add(obs.CtrFrontierInspected, st.Inspected)
 		rec.Add(obs.CtrFrontierLowered, st.Lowered)
 		span = rec.Lap(obs.PhaseSolve, span)
-		// A minimum labels itself exactly once per component.
-		comps := par.Count(e, n, func(v int) bool { return p[v] == int32(v) })
-		rec.End(obs.PhaseCount, span)
-		return p, int(comps), 0
+		labels = p
 	case Sample:
 		csr := plan().CSR
 		span = rec.Lap(obs.PhasePlan, span)
