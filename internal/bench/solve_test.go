@@ -41,10 +41,14 @@ func solveSessions(tb testing.TB) map[parcc.Algorithm]*parcc.Solver {
 // warmed once untimed (plan cache, label buffers), then the algorithms
 // take turns in `rounds` rounds of `burst`-solve bursts, so machine-wide
 // drift lands on every algorithm alike.  Round r starts at the r-th
-// algorithm, so over len(solveAlgos) rounds every algorithm runs in every
-// position: a solve that runs slower right after another algorithm's
-// (cache and allocator state left by the one before) is not always
-// charged to the same algorithm.  The warm solves also check that
+// algorithm and walks the list with step 1 + r mod 4 (len(solveAlgos)
+// = 5 is prime, so every step visits each algorithm once), so over four
+// rounds every algorithm follows each of the others: a solve that runs
+// slower right after another algorithm's (cache and allocator state left
+// by the one before) is not always charged to the same algorithm.  With
+// step 1 alone, auto always followed frontier and union-find always
+// followed cas, and auto read up to 1.5× union-find on the thread clock
+// while both ran the very same pass.  The warm solves also check that
 // the five partitions agree, so no ratio comes from a wrong answer.
 //
 // An algorithm whose solve runs wholly on the calling goroutine — the
@@ -70,8 +74,9 @@ func solveBursts(tb testing.TB, solvers map[parcc.Algorithm]*parcc.Solver, name 
 		}
 	}
 	for r := 0; r < rounds; r++ {
+		step := 1 + r%(len(solveAlgos)-1)
 		for k := range solveAlgos {
-			a := solveAlgos[(r+k)%len(solveAlgos)]
+			a := solveAlgos[(r+k*step)%len(solveAlgos)]
 			for j := 0; j < burst; j++ {
 				var err error
 				if onCaller[a] {

@@ -7,6 +7,7 @@ package graph
 type Plan struct {
 	G      *Graph
 	CSR    *CSR
+	builtN int    // G.N at build time: the CSR's vertex count
 	builtM int    // len(G.Edges) at build time
 	fp     uint64 // content fingerprint of G.Edges[:builtM] at build time
 }
@@ -25,21 +26,21 @@ func edgeFingerprint(edges []Edge) uint64 {
 }
 
 // NewPlan builds g's plan: the CSR by BuildCSR's sequential counting
-// sort, and the fingerprint Valid checks against.
+// sort, and the vertex count and fingerprint Valid checks against.
 func NewPlan(g *Graph) *Plan {
-	return &Plan{G: g, CSR: BuildCSR(g), builtM: len(g.Edges), fp: edgeFingerprint(g.Edges)}
+	return &Plan{G: g, CSR: BuildCSR(g), builtN: g.N, builtM: len(g.Edges), fp: edgeFingerprint(g.Edges)}
 }
 
-// Valid reports whether the plan still describes its graph: both appends
-// and in-place edge mutations after the build make the cached adjacency
-// stale.  Costs one O(m) fingerprint pass.
+// Valid reports whether the plan still describes its graph: a changed
+// vertex count, appends, and in-place edge mutations after the build all
+// make the cached adjacency stale.  Costs one O(m) fingerprint pass.
 func (p *Plan) Valid() bool {
-	return p.builtM == len(p.G.Edges) && p.fp == edgeFingerprint(p.G.Edges)
+	return p.ValidQuick() && p.fp == edgeFingerprint(p.G.Edges)
 }
 
 // ValidQuick is the O(1) structural check behind Options.TrustGraph: it
-// catches appends and removals (the edge count changed) but trusts the
-// caller not to have mutated existing edges in place, skipping Valid's
-// O(m) fingerprint pass.  Steady-state serving on an unchanging graph
-// uses it to make plan-cache validation free.
-func (p *Plan) ValidQuick() bool { return p.builtM == len(p.G.Edges) }
+// catches a changed vertex count and appends and removals (the edge count
+// changed) but trusts the caller not to have mutated existing edges in
+// place, skipping Valid's O(m) fingerprint pass.  Steady-state serving on
+// an unchanging graph uses it to make plan-cache validation free.
+func (p *Plan) ValidQuick() bool { return p.builtN == p.G.N && p.builtM == len(p.G.Edges) }

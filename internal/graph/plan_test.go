@@ -72,3 +72,18 @@ func TestPlanDispatchStats(t *testing.T) {
 		t.Fatalf("empty plan adjacency entries = %d, want 0", len(empty.CSR.Nbr))
 	}
 }
+
+// TestPlanDetectsVertexCountChange: the CSR is sized for the vertex count
+// it was built with, so changing G.N with the edges untouched must
+// invalidate the plan under both checks — a reused plan would index its
+// offsets past their end on a grown graph.
+func TestPlanDetectsVertexCountChange(t *testing.T) {
+	g := graph.FromPairs(4, [][2]int{{0, 1}, {2, 3}})
+	p := graph.NewPlan(g)
+	for _, n := range []int{8, 3, 4} {
+		g.N = n
+		if want := n == 4; p.Valid() != want || p.ValidQuick() != want {
+			t.Errorf("n %d → %d: Valid %v, ValidQuick %v, want %v", 4, n, p.Valid(), p.ValidQuick(), want)
+		}
+	}
+}

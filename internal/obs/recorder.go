@@ -38,7 +38,10 @@ type Phase uint8
 // (sample → vote → skip), the second the FLS pipeline's stages, the third
 // the incremental path, plus the shared bookkeeping spans.
 const (
-	// PhaseValidate is the edge-range validation sweep of Solve entry.
+	// PhaseValidate is the up-front edge-range sweep (Graph.Validate).
+	// It is recorded only for FLS, FLS-known-gap and plan builds: the
+	// union-find and cas kernels check ranges in their own edge pass, and
+	// a reused plan was built from validated edges.
 	PhaseValidate Phase = iota
 	// PhasePlan is CSR plan lookup: cache validation or a full rebuild.
 	PhasePlan
@@ -249,16 +252,6 @@ func (r *Recorder) Lap(ph Phase, since int64) int64 {
 	now := int64(time.Since(epoch))
 	r.phase[ph].Add(now - since)
 	return now
-}
-
-// AddPhase accrues an externally measured duration onto ph — for spans
-// measured before the Recorder was reset (e.g. validation ahead of the
-// session lock).
-func (r *Recorder) AddPhase(ph Phase, d time.Duration) {
-	if r == nil || d == 0 {
-		return
-	}
-	r.phase[ph].Add(int64(d))
 }
 
 // PhaseNanos returns the time accrued on ph (0 on nil).

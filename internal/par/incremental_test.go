@@ -34,7 +34,7 @@ func TestAttachForestMatchesUniteBatch(t *testing.T) {
 		}
 		marks := make([]bool, g.M())
 		wantMerges := par.UniteBatch(p0, g.Edges, marks, nil)
-		want, comps := par.Components(nil, g, nil)
+		want, comps, _ := par.Components(nil, g, nil)
 
 		live := g.Clone()
 		p, df, merges := par.AttachForest(live)

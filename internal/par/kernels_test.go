@@ -52,11 +52,42 @@ func kernelGraphs() map[string]*graph.Graph {
 	}
 }
 
+// TestComponentsReportsOutOfRangeEdge: the edge pass is the range
+// check.  An endpoint ≥ n or negative at the first, a middle or the last
+// edge makes Components report ok == false, without a panic, on the nil
+// runtime, a one-proc one and a four-proc one of small grain (the bad
+// edge falls in one of many spans); the same runtime then labels a good
+// graph correctly, so the flag does not stick.
+func TestComponentsReportsOutOfRangeEdge(t *testing.T) {
+	good := gen.GNM(700, 900, 3)
+	m := good.M()
+	for _, procs := range []int{0, 1, 4} {
+		var r *Runtime
+		if procs > 0 {
+			r = New(Procs(procs), Grain(64))
+			defer r.Close()
+		}
+		for _, at := range []int{0, m / 2, m - 1} {
+			for _, bad := range []graph.Edge{{U: 700, V: 1}, {U: 2, V: -1}} {
+				g := good.Clone()
+				g.Edges[at] = bad
+				if _, _, ok := Components(r, g, nil); ok {
+					t.Errorf("procs=%d: edge %d = %v in a 700-vertex graph reported ok", procs, at, bad)
+				}
+			}
+		}
+		labels, _, ok := Components(r, good, nil)
+		if !ok || !graph.SamePartition(bfsLabels(good), labels) {
+			t.Errorf("procs=%d: a good graph after bad ones: ok %v, or wrong partition", procs, ok)
+		}
+	}
+}
+
 func TestComponentsMatchesBFS(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		r := New(Procs(procs), Grain(64))
 		for name, g := range kernelGraphs() {
-			labels, _ := Components(r, g, nil)
+			labels, _, _ := Components(r, g, nil)
 			if !graph.SamePartition(bfsLabels(g), labels) {
 				t.Errorf("procs=%d %s: wrong partition", procs, name)
 			}
@@ -76,10 +107,10 @@ func TestComponentsDeterministicAcrossProcs(t *testing.T) {
 	g := gen.GNM(2000, 3000, 7)
 	r1 := New(Procs(1))
 	defer r1.Close()
-	want, _ := Components(r1, g, nil)
+	want, _, _ := Components(r1, g, nil)
 	for _, procs := range []int{2, 8} {
 		r := New(Procs(procs), Grain(128))
-		got, _ := Components(r, g, nil)
+		got, _, _ := Components(r, g, nil)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("procs=%d: label[%d]=%d, want %d", procs, v, got[v], want[v])
@@ -170,7 +201,7 @@ func TestUniteStressParallel(t *testing.T) {
 	r := New(Procs(8), Grain(256))
 	defer r.Close()
 	for trial := 0; trial < 4; trial++ {
-		labels, _ := Components(r, g, nil)
+		labels, _, _ := Components(r, g, nil)
 		for v := range labels {
 			if labels[v] != 0 {
 				t.Fatalf("trial %d: label[%d]=%d", trial, v, labels[v])

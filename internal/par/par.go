@@ -57,6 +57,10 @@ type Runtime struct {
 	// its body closure.  The one-orchestrator contract keeps it private
 	// to one loop at a time.
 	hooks atomic.Int64
+	// badEdge is Components' out-of-range flag for the same pass, a field
+	// for the same reason: a captured local the spans write would escape
+	// to the heap on every warm solve.
+	badEdge atomic.Bool
 }
 
 // Option configures a Runtime.

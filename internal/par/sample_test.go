@@ -40,7 +40,7 @@ func TestSamplePipelineMatchesBFS(t *testing.T) {
 					t.Errorf("procs=%d %s maj=%v: processed=%d out of [0,2m]", procs, name, useMajority, processed)
 				}
 				// The fixpoint of the CAS forest is min-labeled components.
-				want, _ := Components(r, g, nil)
+				want, _, _ := Components(r, g, nil)
 				for v := range want {
 					if labels[v] != want[v] {
 						t.Fatalf("procs=%d %s maj=%v: label[%d]=%d, want min-label %d",

@@ -63,7 +63,7 @@ func TestUniteRemMatchesSequentialMinima(t *testing.T) {
 			var dst []int32
 			var comps int
 			for name, g := range cases {
-				dst, comps = par.Components(rt, g, dst)
+				dst, comps, _ = par.Components(rt, g, dst)
 				check(fmt.Sprintf("procs=%d seed=%d", procs, seed), name, dst, comps)
 			}
 			rt.Close()
@@ -72,7 +72,7 @@ func TestUniteRemMatchesSequentialMinima(t *testing.T) {
 	var dst []int32
 	var comps int
 	for name, g := range cases {
-		dst, comps = par.Components(nil, g, dst)
+		dst, comps, _ = par.Components(nil, g, dst)
 		check("nil runtime", name, dst, comps)
 	}
 	s, err := parcc.NewSolver(&parcc.Options{

@@ -168,7 +168,9 @@ func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 			writeError(w, err)
 			return
 		}
-		sn, err := e.Snapshot(name)
+		// The response metadata is not a point read: view, not Snapshot,
+		// leaves the read counters alone.
+		_, sn, err := e.view(name)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -306,7 +308,7 @@ func mutateHandler(e *Engine, remove bool, capBody func(http.ResponseWriter, *ht
 			writeError(w, err)
 			return
 		}
-		sn, err := e.Snapshot(name)
+		_, sn, err := e.view(name) // response metadata, not a counted read
 		if err != nil {
 			writeError(w, err)
 			return

@@ -467,3 +467,39 @@ func TestEngineTotalsUnderChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPWritesAreNotReads: the version and component count a write's
+// response carries are metadata, not point queries, so PUT create and
+// POST add and remove leave the engine's reads total and the shard's
+// Stats().Reads unchanged; one GET /connected then adds exactly one to
+// each.
+func TestHTTPWritesAreNotReads(t *testing.T) {
+	e, srv := testServer(t)
+	reads := func() (uint64, uint64) {
+		t.Helper()
+		st := e.Stats()
+		if len(st) != 1 {
+			t.Fatalf("Stats() has %d sessions, want 1", len(st))
+		}
+		return scrapeTotals(t, e)["parcc_engine_reads_total"], st[0].Reads
+	}
+	u := srv.URL + "/graphs/g"
+	for _, w := range []struct{ method, url, body string }{
+		{"PUT", u, `{"n":4,"edges":[[0,1]]}`},
+		{"POST", u + "/edges", `{"edges":[[1,2],[2,3]]}`},
+		{"POST", u + "/edges/remove", `{"edges":[[2,3]]}`},
+	} {
+		if st, out := doJSON(t, w.method, w.url, w.body); st/100 != 2 {
+			t.Fatalf("%s %s = %d %v", w.method, w.url, st, out)
+		}
+		if eng, shard := reads(); eng != 0 || shard != 0 {
+			t.Errorf("after %s %s: engine reads %d, shard reads %d, want 0 and 0", w.method, w.url, eng, shard)
+		}
+	}
+	if st, out := doJSON(t, "GET", u+"/connected?u=0&v=2", ""); st != http.StatusOK || out["connected"] != true {
+		t.Fatalf("GET /connected = %d %v, want 200 connected", st, out)
+	}
+	if eng, shard := reads(); eng != 1 || shard != 1 {
+		t.Errorf("after GET /connected: engine reads %d, shard reads %d, want 1 and 1", eng, shard)
+	}
+}

@@ -70,7 +70,6 @@
 package parcc
 
 import (
-	"fmt"
 	"io"
 
 	"parcc/internal/baseline"
@@ -217,15 +216,20 @@ type Options struct {
 	// and its wall time unchanged.
 	Trace bool
 	// TrustGraph promises that graphs handed to this solver are never
-	// mutated in place between solves (appending or removing edges is
-	// still detected — only same-length overwrites of existing edges go
-	// unnoticed).  With the promise, the session's plan-cache validation
-	// drops from an O(m) content-fingerprint pass per solve to an O(1)
-	// length check, which matters exactly in steady-state serving where
-	// the graph never changes and the fingerprint scan would otherwise be
-	// the only O(m) term left on the warm path.  The tradeoff is
-	// documented in docs/ARCHITECTURE.md: break the promise and a warm
-	// solver serves labels computed from a stale adjacency.
+	// mutated in place between solves (a changed N and appended or
+	// removed edges are still detected — only same-length overwrites of
+	// existing edges go unnoticed).  With the promise, the session's
+	// plan-cache validation drops from an O(m) content-fingerprint pass
+	// per sample or frontier solve to an O(1) check of the vertex and
+	// edge counts, which matters in steady-state serving where the graph
+	// never changes and the fingerprint scan would otherwise be the only
+	// O(m) pass besides the kernel's own.  The edge-list kernels
+	// (union-find, cas) build no plan and check each edge's range in
+	// their one pass, so the option does not change them.  The tradeoff
+	// is documented in docs/ARCHITECTURE.md: break the promise and a
+	// warm plan kernel serves labels computed from a stale adjacency,
+	// even for an overwrite that put an endpoint out of range, while an
+	// edge-list kernel returns the range error.
 	TrustGraph bool
 }
 
@@ -288,9 +292,6 @@ type StageCost struct {
 func ConnectedComponents(g *Graph, opt *Options) (*Result, error) {
 	if g == nil {
 		return nil, ErrNilGraph
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("parcc: %w", err)
 	}
 	s, err := NewSolver(opt)
 	if err != nil {

@@ -3,6 +3,7 @@ package parcc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,9 +45,9 @@ type Solver struct {
 	procs int
 
 	// rec is the session's trace recorder: non-nil exactly when
-	// Options.Trace is set, immutable after NewSolver (so the pre-lock
-	// validation timing may read it without s.mu).  Nil threads through
-	// cx.Rec as the no-op tracing-off state.
+	// Options.Trace is set, immutable after NewSolver (so SolveInto may
+	// read it without s.mu).  Nil threads through cx.Rec as the no-op
+	// tracing-off state.
 	rec *obs.Recorder
 
 	mu        sync.Mutex
@@ -144,22 +145,29 @@ func (s *Solver) Solve(g *Graph) (*Result, error) {
 // SolveInto is Solve writing into a caller-owned Result: res.Labels and
 // res.Breakdown are reused when they have the capacity, making the steady
 // state of a serving loop allocation-free for the label output too.  All
-// other fields are overwritten.
+// other fields are overwritten.  On error the fields are left as they
+// were, but the backing array of res.Labels may have been overwritten.
+//
+// An invalid g gets Graph.Validate's error, wrapped, from every
+// algorithm; each checks the edges where it first reads them.  The vertex
+// count is checked on entry, so no array is ever sized from a bad n.
+// FLS and FLS-known-gap sweep the edges up front; union-find and cas
+// check each edge in their one pass over the list; sample and frontier
+// read only the cached CSR plan, and a plan is built only from a graph
+// that passes Validate.
 func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	if g == nil {
 		return ErrNilGraph
 	}
-	// s.rec is immutable after NewSolver, so the pre-lock validation may
-	// read it: with tracing on, the O(m) Validate sweep is timed here and
-	// accrued after the recorder reset below.
+	if g.N < 0 || g.N > math.MaxInt32 {
+		return fmt.Errorf("parcc: %w", g.Validate())
+	}
+	// s.rec is immutable after NewSolver, so the trace clock may start
+	// ahead of the lock: the traced total includes the wait for it.
 	var start time.Time
 	if s.rec != nil {
 		start = time.Now()
 	}
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("parcc: %w", err)
-	}
-	validated := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -171,69 +179,76 @@ func (s *Solver) SolveInto(g *Graph, res *Result) error {
 	cx := s.cx
 	rec := s.rec
 	rec.Reset()
-	if rec != nil {
-		rec.AddPhase(obs.PhaseValidate, validated.Sub(start))
-	}
 
 	params := core.Default(g.N)
 	params.Seed ^= s.seed
 
-	// The session's cached plan for g, looked up at most once per solve
-	// and only by the kernels that walk the CSR.
-	var pl *graph.Plan
-	plan := func() *graph.Plan {
-		if pl == nil {
-			pl = s.planFor(g)
-		}
-		return pl
-	}
 	algo := o.Algorithm
 	var pick *DispatchDecision
 	if algo == Auto {
 		pick = pickKernel(g, s.procs)
 		algo = pick.Chosen
 	}
-	dst := res.Labels
-	*res = Result{
+	out := Result{
 		Algorithm: algo, Backend: o.Backend, Procs: s.procs,
 		Breakdown: res.Breakdown[:0],
 	}
+	dst := res.Labels
 	switch algo {
-	case FLS:
-		r := core.Connectivity(cx, g, params, dst)
-		res.Labels, res.NumComponents, res.Phases = r.Labels, r.NumComponents, r.Phases
-		res.Breakdown = stageCostsInto(res.Breakdown, r.Breakdown)
-	case FLSKnownGap:
-		r := core.SolveKnownGap(cx, g, o.KnownGapB, params, dst)
-		res.Labels, res.NumComponents = r.Labels, r.NumComponents
-		res.Breakdown = stageCostsInto(res.Breakdown, r.Breakdown)
+	case FLS, FLSKnownGap:
+		// The charged pipelines read the edge list in many passes, so
+		// they keep the up-front sweep.
+		span := rec.Begin()
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("parcc: %w", err)
+		}
+		rec.End(obs.PhaseValidate, span)
+		if algo == FLS {
+			r := core.Connectivity(cx, g, params, dst)
+			out.Labels, out.NumComponents, out.Phases = r.Labels, r.NumComponents, r.Phases
+			out.Breakdown = stageCostsInto(out.Breakdown, r.Breakdown)
+		} else {
+			r := core.SolveKnownGap(cx, g, o.KnownGapB, params, dst)
+			out.Labels, out.NumComponents = r.Labels, r.NumComponents
+			out.Breakdown = stageCostsInto(out.Breakdown, r.Breakdown)
+		}
 	default:
 		// UnionFind, CASUnite, Frontier or Sample: NewSolver admits no
 		// other algorithm, and Auto resolved to one of them above.
 		steps, work := nominalCharge(algo, g.N, g.M())
+		var err error
 		m.Contract(steps, work, func() {
-			res.Labels, res.NumComponents, res.SkipRatio = s.runKernel(algo, g, plan, dst)
+			out.Labels, out.NumComponents, out.SkipRatio, err = s.runKernel(algo, g, dst)
 		})
+		if err != nil {
+			return fmt.Errorf("parcc: %w", err)
+		}
 	}
-	res.Steps = m.Steps()
-	res.Work = m.Work()
+	out.Steps = m.Steps()
+	out.Work = m.Work()
 	if rec != nil {
 		tr := traceFromRecorder(rec, "solve", algo, time.Since(start))
-		tr.SkipRatio = res.SkipRatio
+		tr.SkipRatio = out.SkipRatio
 		tr.Dispatch = pick
-		res.Trace = tr
+		out.Trace = tr
 		s.lastTrace = tr
 	}
+	*res = out
 	return nil
 }
 
 // Plan returns the session's cached CSR plan for g, building it if the
-// cache holds another or a stale graph.  Useful for driving the spectral estimators against the
-// same adjacency the solves use.
+// cache holds another or a stale graph.  Useful for driving the spectral
+// estimators against the same adjacency the solves use.  It panics with
+// Graph.Validate's error on an invalid g.
 func (s *Solver) Plan(g *Graph) *graph.Plan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.planFor(g)
+	pl, _, err := s.planFor(g, s.rec.Begin())
+	if err != nil {
+		panic(fmt.Errorf("parcc: %w", err))
+	}
+	return pl
 }
 
 // SpectralGap is parcc.SpectralGap against the session's cached plan.
@@ -250,13 +265,22 @@ func (s *Solver) ComponentSpectralGaps(g *Graph) []float64 {
 // planFor is the single-slot plan cache (callers hold s.mu).  Validation
 // honors Options.TrustGraph: the default revalidates edge content with an
 // O(m) fingerprint pass (catching in-place mutation), TrustGraph checks
-// only the edge count.  A cached plan whose graph has changed is rebuilt.
-func (s *Solver) planFor(g *graph.Graph) *graph.Plan {
-	if s.plan != nil && s.plan.G == g && s.planStillValid() {
-		return s.plan
+// only the vertex and edge counts.  A cached plan whose graph has changed
+// is rebuilt, and only from a graph that passes Validate: a reused plan
+// was built from in-range edges, so the kernels that read only the CSR
+// need no sweep of their own.  span is the caller's open trace span;
+// planFor laps the validation (builds only) and the plan lookup onto it
+// and returns the next span start.
+func (s *Solver) planFor(g *graph.Graph, span int64) (*graph.Plan, int64, error) {
+	rec := s.rec
+	if s.plan == nil || s.plan.G != g || !s.planStillValid() {
+		if err := g.Validate(); err != nil {
+			return nil, span, err
+		}
+		span = rec.Lap(obs.PhaseValidate, span)
+		s.plan = graph.NewPlan(g)
 	}
-	s.plan = graph.NewPlan(g)
-	return s.plan
+	return s.plan, rec.Lap(obs.PhasePlan, span), nil
 }
 
 // planStillValid applies the option-selected validation to the cached plan
@@ -377,7 +401,7 @@ func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
 //
 // The union-find kernels count the components from their hooks (n minus
 // the merges) and the other two by a pass over the labels.
-func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Plan, dst []int32) ([]int32, int, float64) {
+func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, dst []int32) ([]int32, int, float64, error) {
 	cx, rec, e := s.cx, s.cx.Rec, s.rt
 	n := g.N
 	span := rec.Begin()
@@ -389,15 +413,22 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 		if algo == UnionFind {
 			rt = nil
 		}
-		p, comps := par.Components(rt, g, dst)
+		p, comps, ok := par.Components(rt, g, dst)
+		if !ok {
+			// The pass met an out-of-range edge; Validate names the first.
+			return nil, 0, 0, g.Validate()
+		}
 		rec.End(obs.PhaseSolve, span)
 		// Every edge is attempted once; the hooks are the merges.
 		rec.Add(obs.CtrCASAttempts, int64(g.M()))
 		rec.Add(obs.CtrCASHooks, int64(n-comps))
-		return p, comps, 0
+		return p, comps, 0, nil
 	case Frontier:
-		csr := plan().CSR
-		span = rec.Lap(obs.PhasePlan, span)
+		pl, next, err := s.planFor(g, span)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		span = next
 		p := identityInto(e, dst, n)
 		res := s.frontier(n)
 		// The per-pass occupancy hook is bound only when tracing is on, so
@@ -406,14 +437,18 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 		if rec != nil {
 			onRound = rec.RecordFrontierRound
 		}
-		st := par.FrontierPropagate(e, p, csr, res, onRound)
+		st := par.FrontierPropagate(e, p, pl.CSR, res, onRound)
 		rec.Add(obs.CtrFrontierInspected, st.Inspected)
 		rec.Add(obs.CtrFrontierLowered, st.Lowered)
 		span = rec.Lap(obs.PhaseSolve, span)
 		labels = p
 	case Sample:
-		csr := plan().CSR
-		span = rec.Lap(obs.PhasePlan, span)
+		pl, next, err := s.planFor(g, span)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		span = next
+		csr := pl.CSR
 		p := identityInto(e, dst, n)
 		att, hk := par.SampleUnite(e, p, csr, sampleRounds)
 		rec.Add(obs.CtrCASAttempts, att)
@@ -448,7 +483,7 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, plan func() *graph.Pl
 	}
 	comps := solve.NumLabels(cx, labels, n)
 	rec.End(obs.PhaseCount, span)
-	return labels, comps, skip
+	return labels, comps, skip, nil
 }
 
 // identityInto returns dst resized to n (grown if it lacks the capacity)
