@@ -6,6 +6,7 @@ import (
 	"parcc"
 	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
+	"parcc/internal/splitmix"
 )
 
 // Family is one generator family of the solve sweep, exposed so code
@@ -115,9 +116,9 @@ func blockGraph(n int, seed uint64) *graph.Graph {
 func communityGraph(n int, seed uint64) *graph.Graph {
 	s := 32
 	g := graph.New(n / s * s)
-	r := newSplitMix(seed ^ 0xA5A5A5A5)
+	r := splitmix.NewStream(seed ^ 0xA5A5A5A5)
 	for i := 0; i < 2*g.N; i++ {
-		g.AddEdge(int(r.next()%uint64(g.N)), int(r.next()%uint64(g.N)))
+		g.AddEdge(int(r.Next()%uint64(g.N)), int(r.Next()%uint64(g.N)))
 	}
 	for c := 0; c+s <= g.N; c += s {
 		for i := 0; i < s; i++ {
@@ -127,18 +128,4 @@ func communityGraph(n int, seed uint64) *graph.Graph {
 		}
 	}
 	return g
-}
-
-// newSplitMix is a tiny local RNG for the bench generators (the gen
-// package keeps its rng unexported).
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
-
-func (r *splitMix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"parcc/internal/baseline"
 	"parcc/internal/core"
 	"parcc/internal/graph/gen"
 	"parcc/internal/par"
@@ -20,7 +21,8 @@ import (
 // pool, the barrier-free cas-unite kernel as the wall-clock reference
 // point, the one-worker union-find pass that cas-unite must beat for the
 // pool to pay (it ignores procs, so its wall is the bar for cas-unite's at
-// every width, and its T1/TP reads ≈1), and min-label propagation.
+// every width, and its T1/TP reads ≈1), and min-label propagation (E10's
+// label-propagation baseline, charged on the machine).
 func SPSelfSpeedup(c Config) *Table {
 	n := 1 << 16
 	if c.Scale == Full {
@@ -72,10 +74,8 @@ func SPSelfSpeedup(c Config) *Table {
 			return -1, -1 // uncharged, like the sequential baselines
 		}},
 		{"min-label", func(rt *par.Runtime, m *pram.Machine) (int64, int64) {
-			labels := make([]int32, g.N)
-			rt.Run(g.N, func(v int) { labels[v] = int32(v) })
-			rounds := par.PropagateMin(rt, g.Edges, labels)
-			return int64(rounds), -1 // Θ(diameter) CAS rounds, uncharged
+			baseline.LabelProp(m, g)
+			return m.Steps(), m.Work()
 		}},
 	}
 

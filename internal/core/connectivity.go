@@ -11,6 +11,7 @@ import (
 	"parcc/internal/pram"
 	"parcc/internal/prim"
 	"parcc/internal/solve"
+	"parcc/internal/splitmix"
 	"parcc/internal/stage1"
 	"parcc/internal/stage2"
 	"parcc/internal/stage3"
@@ -72,11 +73,11 @@ func Connectivity(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Result 
 	H2 := cx.GrabEdgesCap(len(Gp)/4 + 4)
 	m.Contract(1, int64(2*len(Gp)), func() {
 		for i, e := range Gp {
-			if pram.SplitMix64(p.Seed^0x11^uint64(i)*0x9e3779b97f4a7c15) < p.SampleP64 {
+			if pram.SplitMix64(p.Seed^0x11^uint64(i)*splitmix.Gamma) < p.SampleP64 {
 				H1 = append(H1, e)
 				h1mask[i] = true
 			}
-			if pram.SplitMix64(p.Seed^0x22^uint64(i)*0xbf58476d1ce4e5b9) < p.SampleP64 {
+			if pram.SplitMix64(p.Seed^0x22^uint64(i)*splitmix.M1) < p.SampleP64 {
 				H2 = append(H2, e)
 			}
 		}
@@ -123,8 +124,7 @@ func Connectivity(cx *solve.Ctx, g *graph.Graph, p Params, dst []int32) *Result 
 	m.SetMark("finish")
 	span = cx.Rec.Lap(obs.PhaseFinish, span)
 
-	res.Labels = labeled.LabelsOnInto(m.Runtime(), f, dst)
-	res.NumComponents = solve.NumLabels(cx, res.Labels, g.N)
+	res.Labels, res.NumComponents = f.FlatLabelsInto(dst)
 	cx.Rec.End(obs.PhaseCount, span)
 	cx.Rec.Add(obs.CtrFLSPhases, int64(res.Phases))
 	res.Steps = m.Steps()
@@ -278,7 +278,7 @@ func remain(cx *solve.Ctx, f *labeled.Forest, env phaseEnv, p Params) {
 	// Step 3: drop loops and parallel edges.
 	keys := cx.Grab64Cap(len(Er))
 	for _, e := range Er {
-		keys = append(keys, prim.PackEdge(e.U, e.V))
+		keys = append(keys, e.CanonKey())
 	}
 	Er = Er[:0]
 	for _, k := range prim.DedupPairs(m, keys, true) {
@@ -406,8 +406,7 @@ func SolveKnownGap(cx *solve.Ctx, g *graph.Graph, b int, p Params, dst []int32) 
 	m.SetMark("backstop")
 	span = cx.Rec.Lap(obs.PhaseFinish, span)
 
-	labels := labeled.LabelsOnInto(m.Runtime(), f, dst)
-	ncomp := solve.NumLabels(cx, labels, g.N)
+	labels, ncomp := f.FlatLabelsInto(dst)
 	cx.Rec.End(obs.PhaseCount, span)
 	res := &Result{
 		Labels:        labels,

@@ -14,44 +14,24 @@
 // All randomized generators take an explicit seed and are reproducible.
 package gen
 
-import "parcc/internal/graph"
+import (
+	"parcc/internal/graph"
+	"parcc/internal/splitmix"
+)
 
-// splitMix64 and p64 are pram.SplitMix64 and pram.P64 (TestMixMatchesPRAM
-// pins them): gen imports nothing above graph, because internal/par's own
-// tests generate graphs and pram imports par.
-func splitMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// rng is the generators' stream: splitmix's, with intn's modulo
+// reduction.  Its draws are Hash(seed + k·Gamma) for k = 1, 2, …, the
+// stream seeded one Gamma past the generator's seed.
+type rng struct{ splitmix.Stream }
 
-func p64(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return ^uint64(0)
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
+func newRNG(seed uint64) *rng { return &rng{splitmix.NewStream(seed + splitmix.Gamma)} }
 
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	return splitMix64(r.s)
-}
-
-// Intn returns a value in [0,n).
+// intn returns a value in [0,n).
 func (r *rng) intn(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(r.next() % uint64(n))
+	return int(r.Next() % uint64(n))
 }
 
 // Path returns the path graph v0-v1-...-v(n-1).  λ = Θ(1/n²).
@@ -316,10 +296,10 @@ func ManyComponents(k int, mk func(i int) *graph.Graph) *graph.Graph {
 // SampleEdges returns a copy of g keeping each edge independently with
 // probability p (seeded).  This is the random edge sampling of Stage 3.
 func SampleEdges(g *graph.Graph, p float64, seed uint64) *graph.Graph {
-	thr := p64(p)
+	thr := splitmix.P64(p)
 	out := graph.New(g.N)
 	for i, e := range g.Edges {
-		if splitMix64(seed^uint64(i)*0x9e3779b97f4a7c15) < thr {
+		if splitmix.Hash(seed^uint64(i)*splitmix.Gamma) < thr {
 			out.Edges = append(out.Edges, e)
 		}
 	}

@@ -5,22 +5,7 @@ import (
 
 	"parcc/internal/baseline"
 	"parcc/internal/graph"
-	"parcc/internal/pram"
 )
-
-func TestMixMatchesPRAM(t *testing.T) {
-	for x := uint64(0); x < 1000; x++ {
-		v := x * 0x9e3779b97f4a7c15
-		if splitMix64(v) != pram.SplitMix64(v) {
-			t.Fatalf("splitMix64(%#x) = %#x, pram.SplitMix64 = %#x", v, splitMix64(v), pram.SplitMix64(v))
-		}
-	}
-	for _, p := range []float64{-1, 0, 1e-9, 0.25, 0.5, 0.999, 1, 2} {
-		if p64(p) != pram.P64(p) {
-			t.Fatalf("p64(%v) = %d, pram.P64 = %d", p, p64(p), pram.P64(p))
-		}
-	}
-}
 
 func components(g *graph.Graph) int {
 	return graph.NumLabels(baseline.BFSLabels(g))

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"parcc/internal/graph"
+	"parcc/internal/splitmix"
 )
 
 // WattsStrogatz returns a Watts–Strogatz small-world graph: a ring lattice
@@ -21,15 +22,12 @@ func WattsStrogatz(n, k int, p float64, seed uint64) *graph.Graph {
 		n = k + 2
 	}
 	r := newRNG(seed)
-	thr := uint64(p * float64(1<<63) * 2)
-	if p >= 1 {
-		thr = ^uint64(0)
-	}
+	thr := splitmix.P64(p)
 	g := graph.New(n)
 	for v := 0; v < n; v++ {
 		for j := 1; j <= k/2; j++ {
 			w := (v + j) % n
-			if r.next() < thr {
+			if r.Next() < thr {
 				// rewire the far endpoint, avoiding a loop on v
 				w = r.intn(n - 1)
 				if w >= v {

@@ -224,7 +224,7 @@ func SamePartition(a, b []int32) bool {
 }
 
 // NumLabels returns the number of distinct labels.  O(n) sequential with a
-// map; solve.NumLabels is the arena-backed equivalent for serving paths.
+// map: a test and reporting helper; solves count from their own forests.
 func NumLabels(labels []int32) int {
 	set := map[int32]struct{}{}
 	for _, l := range labels {

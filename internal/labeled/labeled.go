@@ -226,22 +226,35 @@ func (f *Forest) scratch(k int) []int32 {
 	return f.tmp[:k]
 }
 
-// Labels returns the final component labels: the root of each vertex.  This
-// is an output helper (memoized pointer-chase), not a charged PRAM step.
-func (f *Forest) Labels() []int32 {
-	return f.LabelsInto(nil)
+// FlatLabelsInto hands off a flat forest (every parent a root, as
+// FlattenAll leaves it) as the solve's result: it copies P into dst (a
+// short dst is replaced by a fresh array) and counts the self-parented
+// roots in the same pass, giving each vertex's component label and the
+// number of components.  An uncharged output helper, like Labels, which
+// also chases the roots of a forest that is not flat.
+func (f *Forest) FlatLabelsInto(dst []int32) ([]int32, int) {
+	out := dst
+	if cap(out) < len(f.P) {
+		out = make([]int32, len(f.P))
+	}
+	out = out[:len(f.P)]
+	roots := 0
+	for v, p := range f.P {
+		out[v] = p
+		if p == int32(v) {
+			roots++
+		}
+	}
+	return out, roots
 }
 
-// LabelsInto is Labels writing into dst when it has the capacity (the
-// zero-alloc serving path); a short dst is replaced by a fresh array.
-// Scratch comes from the forest's arena when it has one.
-func (f *Forest) LabelsInto(dst []int32) []int32 {
+// Labels returns the final component labels: the root of each vertex, on
+// any forest, flat or not.  This is an output helper (memoized
+// pointer-chase), not a charged PRAM step.  Scratch comes from the
+// forest's arena when it has one.
+func (f *Forest) Labels() []int32 {
 	n := len(f.P)
-	out := dst
-	if cap(out) < n {
-		out = make([]int32, n)
-	}
-	out = out[:n]
+	out := make([]int32, n)
 	state := f.ar.Grab32(n) // 0 unvisited, 1 done, 2 on stack
 	stack := make([]int32, 0, 64)
 	for v := 0; v < n; v++ {

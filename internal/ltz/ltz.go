@@ -472,7 +472,7 @@ func (s *State) dedupExtra() {
 	m := s.M
 	keys := s.cx.Grab64Cap(len(s.Extra))
 	for _, e := range s.Extra {
-		keys = append(keys, prim.PackEdge(e.U, e.V))
+		keys = append(keys, e.CanonKey())
 	}
 	m.Contract(1, int64(len(keys)), func() {})
 	seen := make(map[int64]struct{}, len(keys))
@@ -482,7 +482,7 @@ func (s *State) dedupExtra() {
 			continue
 		}
 		seen[k] = struct{}{}
-		u, v := int32(k>>32), int32(uint32(k))
+		u, v := prim.UnpackEdge(k)
 		out = append(out, graph.Edge{U: u, V: v})
 	}
 	s.cx.Release64(keys)

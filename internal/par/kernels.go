@@ -6,11 +6,7 @@
 // hardware primitives.
 package par
 
-import (
-	"sync/atomic"
-
-	"parcc/internal/graph"
-)
+import "sync/atomic"
 
 // Find returns the root of v in the parent array p, compressing the visited
 // path by halving (each step CASes v's parent to its grandparent).  Safe
@@ -162,30 +158,6 @@ func chase(p []int32, v int32) int32 {
 		}
 		v = pv
 	}
-}
-
-// PropagateMin runs synchronous minimum-label propagation over the edge list
-// to fixpoint: each round every edge CAS-lowers both endpoint labels to the
-// other side's, until no label moves.  Labels must be initialized by the
-// caller (identity for component labeling).  Returns the number of rounds —
-// Θ(diameter) on a connected graph.  The fixpoint (per-component minimum of
-// the initial labels) is deterministic.
-func PropagateMin(rt *Runtime, edges []graph.Edge, labels []int32) int {
-	rounds := 0
-	changed := int32(1)
-	for changed != 0 {
-		changed = 0
-		rounds++
-		rt.Run(len(edges), func(i int) {
-			ed := edges[i]
-			a := lowerMin(labels, ed.U, atomic.LoadInt32(&labels[ed.V]))
-			b := lowerMin(labels, ed.V, atomic.LoadInt32(&labels[ed.U]))
-			if a || b {
-				atomic.StoreInt32(&changed, 1)
-			}
-		})
-	}
-	return rounds
 }
 
 // lowerMin CAS-lowers labels[v] to x if x is smaller; reports whether it did.

@@ -156,26 +156,6 @@ func TestCompressFlattensArbitraryForest(t *testing.T) {
 	}
 }
 
-func TestPropagateMinFixpoint(t *testing.T) {
-	g := gen.Union(gen.Cycle(101), gen.Path(57))
-	r := New(Procs(4), Grain(32))
-	defer r.Close()
-	labels := make([]int32, g.N)
-	r.Run(g.N, func(v int) { labels[v] = int32(v) })
-	rounds := PropagateMin(r, g.Edges, labels)
-	if rounds < 2 {
-		t.Fatalf("implausibly few rounds: %d", rounds)
-	}
-	if !graph.SamePartition(bfsLabels(g), labels) {
-		t.Fatal("wrong partition")
-	}
-	for v, l := range labels {
-		if l > int32(v) {
-			t.Fatalf("label[%d]=%d not the minimum", v, l)
-		}
-	}
-}
-
 func TestCompactIndices(t *testing.T) {
 	r := New(Procs(4))
 	defer r.Close()

@@ -1,23 +1,22 @@
 package par
 
+import "parcc/internal/splitmix"
+
 // RNG is a deterministic SplitMix64 stream.  ForChunks hands each chunk its
 // own stream seeded from (runtime seed, loop epoch, chunk index), which is
 // what keeps randomized kernels reproducible under dynamic scheduling: the
 // draws a chunk sees do not depend on which worker claims it or on how many
 // procs the loop runs with.
-type RNG struct {
-	s uint64
-}
+type RNG struct{ st splitmix.Stream }
 
 // NewRNG returns the stream for the given (seed, epoch, chunk) triple.
 func NewRNG(seed, epoch, chunk uint64) *RNG {
-	return &RNG{s: mix64(seed ^ epoch*0x9e3779b97f4a7c15 ^ chunk*0xbf58476d1ce4e5b9)}
+	return &RNG{splitmix.NewStream(splitmix.Mix(seed ^ epoch*splitmix.Gamma ^ chunk*splitmix.M1))}
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (g *RNG) Uint64() uint64 {
-	g.s += 0x9e3779b97f4a7c15
-	return mix64(g.s)
+	return g.st.Next()
 }
 
 // Intn returns a pseudo-random int in [0,n).  n must be positive and fit
@@ -36,15 +35,7 @@ func (g *RNG) Float64() float64 {
 }
 
 // Coin reports a Bernoulli draw with success probability p64/2^64 (the same
-// fixed-point convention as pram.P64).
+// fixed-point convention as splitmix.P64).
 func (g *RNG) Coin(p64 uint64) bool {
 	return g.Uint64() < p64
-}
-
-// mix64 is the SplitMix64 finalizer.
-func mix64(x uint64) uint64 {
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 
 	"parcc/internal/par"
+	"parcc/internal/splitmix"
 )
 
 // Order controls how serially run loops resolve concurrent writes.  In a
@@ -312,7 +313,7 @@ func (m *Machine) runSeq(n int, body func(i int)) {
 // step.  Distinct (seed, step, i) triples give independent-looking streams,
 // which is what the paper's per-processor coin flips require.
 func (m *Machine) Rand(step int64, i int) uint64 {
-	return SplitMix64(m.seed ^ uint64(step)*0x9e3779b97f4a7c15 ^ uint64(i)*0xbf58476d1ce4e5b9)
+	return SplitMix64(m.seed ^ uint64(step)*splitmix.Gamma ^ uint64(i)*splitmix.M1)
 }
 
 // Coin reports a Bernoulli(p) draw for item i of step s, with p given as a
@@ -321,26 +322,13 @@ func (m *Machine) Coin(step int64, i int, p uint64) bool {
 	return m.Rand(step, i) < p
 }
 
-// P64 converts a probability in [0,1] to the fixed-point form used by Coin.
-func P64(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return ^uint64(0)
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
+// P64 converts a probability in [0,1] to the fixed-point form used by
+// Coin: splitmix.P64 under the machine's name.
+func P64(p float64) uint64 { return splitmix.P64(p) }
 
-// SplitMix64 is the SplitMix64 mixing function; it is the package's universal
-// source of deterministic pseudo-randomness.
-func SplitMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// SplitMix64 is splitmix.Hash, the package's universal source of
+// deterministic pseudo-randomness.
+func SplitMix64(x uint64) uint64 { return splitmix.Hash(x) }
 
 // Store32 atomically stores v into a[i].  Under concurrent stores an
 // arbitrary writer wins, matching the ARBITRARY CRCW write rule.

@@ -140,7 +140,7 @@ func DedupPairs(m *pram.Machine, keys []int64, dropLoops bool) []int64 {
 func DedupEdges(m *pram.Machine, E []graph.Edge) []graph.Edge {
 	keys := make([]int64, len(E))
 	for i, e := range E {
-		keys[i] = PackEdge(e.U, e.V)
+		keys[i] = e.CanonKey()
 	}
 	keys = DedupPairs(m, keys, true)
 	out := make([]graph.Edge, len(keys))
@@ -166,16 +166,7 @@ func DeleteEdges(m *pram.Machine, E []graph.Edge, p64 uint64, seed uint64) []gra
 	return out
 }
 
-// PackEdge packs an undirected edge into a canonical 64-bit key with the
-// smaller endpoint in the high word.
-func PackEdge(u, v int32) int64 {
-	if u > v {
-		u, v = v, u
-	}
-	return int64(u)<<32 | int64(uint32(v))
-}
-
-// UnpackEdge inverts PackEdge.
+// UnpackEdge inverts graph.Edge.CanonKey.
 func UnpackEdge(k int64) (u, v int32) {
 	return int32(k >> 32), int32(uint32(k))
 }

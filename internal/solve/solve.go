@@ -22,8 +22,8 @@ import (
 // Ctx is owned by the session's single orchestrating goroutine and must
 // never be shared across concurrent solves — the same discipline as the
 // arena and machine it wraps.  The Grab/Release accessors are uncharged (scratch management
-// is serving infrastructure, not PRAM work); charged helpers (VertexSet,
-// NumLabels via Contract) say so explicitly.
+// is serving infrastructure, not PRAM work); the charged helper
+// (VertexSet, via Contract) says so explicitly.
 type Ctx struct {
 	M *pram.Machine
 	A *par.Arena
@@ -78,25 +78,6 @@ func (c *Ctx) CopyEdges(E []graph.Edge) []graph.Edge {
 	out := c.GrabEdges(len(E))
 	copy(out, E)
 	return out
-}
-
-// NumLabels counts the distinct values of labels (all in [0,n)) with an
-// arena flag sweep — the allocation-free equivalent of graph.NumLabels for
-// the serving hot path.
-func NumLabels(c *Ctx, labels []int32, n int) int {
-	if n == 0 {
-		return 0
-	}
-	flag := c.Grab32(n)
-	count := 0
-	for _, l := range labels {
-		if flag[l] == 0 {
-			flag[l] = 1
-			count++
-		}
-	}
-	c.Release32(flag)
-	return count
 }
 
 // VertexSet returns the distinct endpoints of E in increasing order — the

@@ -70,6 +70,7 @@
 package parcc
 
 import (
+	"fmt"
 	"io"
 
 	"parcc/internal/baseline"
@@ -334,19 +335,29 @@ func VerifyCertificate(g *Graph, c *Certificate) error {
 // SpectralGap estimates λ(G): the minimum spectral gap (second-smallest
 // normalized-Laplacian eigenvalue, Definition 2.2) over all connected
 // components with ≥ 2 vertices.
-func SpectralGap(g *Graph) float64 { return spectral.Gap(graph.NewPlan(g), nil) }
+func SpectralGap(g *Graph) float64 { return spectral.Gap(validPlan(g), nil) }
 
 // ComponentSpectralGaps returns λ per component (NaN for singletons).
 func ComponentSpectralGaps(g *Graph) []float64 {
-	return spectral.ComponentGaps(graph.NewPlan(g), nil)
+	return spectral.ComponentGaps(validPlan(g), nil)
 }
 
 // Diameter returns the exact maximum intra-component diameter (O(nm); for
 // large graphs prefer DiameterApprox).
-func Diameter(g *Graph) int { return spectral.DiameterExact(graph.NewPlan(g)) }
+func Diameter(g *Graph) int { return spectral.DiameterExact(validPlan(g)) }
 
 // DiameterApprox lower-bounds the diameter by iterated double sweeps.
-func DiameterApprox(g *Graph) int { return spectral.DiameterApprox(graph.NewPlan(g), 3) }
+func DiameterApprox(g *Graph) int { return spectral.DiameterApprox(validPlan(g), 3) }
+
+// validPlan builds the plan the package-level spectral calls read.  Their
+// signatures carry no error, so an invalid graph panics with Validate's
+// message before any array is sized from it, as Solver.Plan does.
+func validPlan(g *Graph) *graph.Plan {
+	if err := g.Validate(); err != nil {
+		panic(fmt.Errorf("parcc: %w", err))
+	}
+	return graph.NewPlan(g)
+}
 
 // Generator re-exports.  Each family is documented in internal/graph/gen
 // with the spectral-gap regime it exercises.

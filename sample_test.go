@@ -61,7 +61,7 @@ func TestSampleAutoEquivalenceAcrossFamilies(t *testing.T) {
 
 // TestAutoDecisionRecorded pins the dispatch table's rows on
 // representative shapes, on a session of two procs (narrow) and of four
-// (wide): tiny → union-find and dense (2m/n ≥ 34) → sample at any width;
+// (wide): tiny → union-find and dense (2m/n ≥ 24) → sample at any width;
 // the rest → union-find on the narrow session and cas on the wide one,
 // id-local meshes and random graphs just under the dense row alike.
 func TestAutoDecisionRecorded(t *testing.T) {
@@ -73,7 +73,7 @@ func TestAutoDecisionRecorded(t *testing.T) {
 		{"tiny", gen.Path(50), UnionFind, UnionFind},
 		{"complete", gen.Complete(1024), Sample, Sample},
 		{"dense", gen.GNM(4096, 1<<17, 3), Sample, Sample},
-		{"gnm-32", gen.GNM(4096, 1<<16, 3), UnionFind, CASUnite},
+		{"gnm-20", gen.GNM(4096, 40960, 3), UnionFind, CASUnite},
 		{"mesh", gen.Path(1 << 13), UnionFind, CASUnite},
 		{"sparse", gen.GNM(1<<13, 1<<13, 3), UnionFind, CASUnite},
 	}

@@ -318,12 +318,13 @@ const (
 	// sample over the edge-pass kernels.  The sampling phase's cost is
 	// dominated by its ~n successful hooks — a floor independent of m —
 	// so sampling pays only once the edge pass it skips is worth several
-	// multiples of that floor.  Measured at n = 2^15 and 2^16, procs 2,
-	// against union-find: union-find wins up to 2m/n = 32 (gnm-dense by
-	// 1.06–1.2×), while community (35) goes to sample by 1.3×, block (62)
-	// by 1.07–1.3× and complete by 1.3–1.5×.  The threshold sits between
-	// gnm-dense and community.
-	autoSampleAvgDeg = 34.0
+	// multiples of that floor.  Measured at n = 2^15 against union-find
+	// (TestAutoWithinBestFixed, 2-vCPU host): sample wins complete,
+	// block and community by 1.07–1.5×, and gnm-dense (2m/n = 32) by
+	// 1.14–1.31× at procs 2, with the two within the thread clock's noise
+	// at procs 1; union-find wins everything with 2m/n ≤ 16 by ≥ 1.5×.
+	// The threshold sits in that gap (docs/ARCHITECTURE.md §7).
+	autoSampleAvgDeg = 24.0
 	// autoSeqProcs is the widest session on which Auto sends a sparse
 	// graph to union-find rather than cas.  On a 2-vCPU host, the widest
 	// measured, union-find beat cas at procs 2 on every family with
@@ -399,14 +400,12 @@ func nominalCharge(algo Algorithm, n, m int) (steps, work int64) {
 //     the finish pass that skips the majority's adjacency ranges unread
 //     (direction-filtered when no component dominates), and a flatten.
 //
-// The union-find kernels count the components from their hooks (n minus
-// the merges) and the other two by a pass over the labels.
+// Union-find, cas and sample count the components from their hooks (n
+// minus the merges); frontier counts the labels that name themselves.
 func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, dst []int32) ([]int32, int, float64, error) {
 	cx, rec, e := s.cx, s.cx.Rec, s.rt
 	n := g.N
 	span := rec.Begin()
-	var labels []int32
-	skip := 0.0
 	switch algo {
 	case UnionFind, CASUnite:
 		rt := e
@@ -441,8 +440,16 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, dst []int32) ([]int32
 		rec.Add(obs.CtrFrontierInspected, st.Inspected)
 		rec.Add(obs.CtrFrontierLowered, st.Lowered)
 		span = rec.Lap(obs.PhaseSolve, span)
-		labels = p
-	case Sample:
+		// The labels are component minima: one names itself per component.
+		comps := 0
+		for v, l := range p {
+			if l == int32(v) {
+				comps++
+			}
+		}
+		rec.End(obs.PhaseCount, span)
+		return p, comps, 0, nil
+	default: // Sample
 		pl, next, err := s.planFor(g, span)
 		if err != nil {
 			return nil, 0, 0, err
@@ -450,9 +457,9 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, dst []int32) ([]int32
 		span = next
 		csr := pl.CSR
 		p := identityInto(e, dst, n)
-		att, hk := par.SampleUnite(e, p, csr, sampleRounds)
+		att, sampled := par.SampleUnite(e, p, csr, sampleRounds)
 		rec.Add(obs.CtrCASAttempts, att)
-		rec.Add(obs.CtrCASHooks, hk)
+		rec.Add(obs.CtrCASHooks, sampled)
 		span = rec.Lap(obs.PhaseSample, span)
 		par.Compress(e, p)
 		span = rec.Lap(obs.PhaseCompress, span)
@@ -471,19 +478,17 @@ func (s *Solver) runKernel(algo Algorithm, g *graph.Graph, dst []int32) ([]int32
 		rec.Add(obs.CtrCASHooks, hooks)
 		span = rec.Lap(obs.PhaseSkip, span)
 		par.Compress(e, p)
-		span = rec.Lap(obs.PhaseCompress, span)
-		skip = 1.0
+		rec.End(obs.PhaseCompress, span)
+		skip := 1.0
 		if m := g.M(); m > 0 {
 			// Approximate in majority mode (an unsettled edge between two
 			// non-majority vertices is attempted from both sides), exact in
 			// the filtered mode; clamped for the pathological double-count.
 			skip = max(0, 1-float64(processed)/float64(m))
 		}
-		labels = p
+		// Each hook of either pass merged two sets.
+		return p, n - int(sampled+hooks), skip, nil
 	}
-	comps := solve.NumLabels(cx, labels, n)
-	rec.End(obs.PhaseCount, span)
-	return labels, comps, skip, nil
 }
 
 // identityInto returns dst resized to n (grown if it lacks the capacity)

@@ -94,11 +94,11 @@ func TestTraceAutoDispatchGolden(t *testing.T) {
 		"binary-tree":     {tiny, sparse, tiny, wide},
 		"random-regular":  {sparse, sparse, wide, wide},
 		"gnm-sparse":      {sparse, sparse, wide, wide},
-		"gnm-dense":       {sparse, sparse, wide, wide},
+		"gnm-dense":       {dense, dense, dense, dense},
 		"block":           {dense, dense, dense, dense},
 		"community":       {dense, dense, dense, dense},
 		"lollipop":        {dense, sparse, dense, wide},
-		"barbell":         {sparse, sparse, wide, wide},
+		"barbell":         {dense, sparse, dense, wide},
 		"union":           {sparse, sparse, wide, wide},
 		"many-components": {sparse, sparse, wide, wide},
 		"watts-strogatz":  {sparse, sparse, wide, wide},

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"parcc/internal/graph"
 	"parcc/internal/graph/gen"
 )
 
@@ -191,4 +192,37 @@ func solveRecover(s *Solver, g *Graph, res *Result) (err error) {
 		}
 	}()
 	return s.SolveInto(g, res)
+}
+
+// TestSpectralCallsPanicWithValidateMessage checks that the spectral
+// calls, whose signatures carry no error, reject an invalid graph with
+// Validate's message before building a plan from it: an out-of-range edge
+// and a negative vertex count, through the four package-level calls and
+// Solver.SpectralGap.
+func TestSpectralCallsPanicWithValidateMessage(t *testing.T) {
+	s, err := NewSolver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	calls := map[string]func(*Graph){
+		"SpectralGap":           func(g *Graph) { SpectralGap(g) },
+		"ComponentSpectralGaps": func(g *Graph) { ComponentSpectralGaps(g) },
+		"Diameter":              func(g *Graph) { Diameter(g) },
+		"DiameterApprox":        func(g *Graph) { DiameterApprox(g) },
+		"Solver.SpectralGap":    func(g *Graph) { s.SpectralGap(g) },
+	}
+	for name, call := range calls {
+		for _, g := range []*Graph{{N: 4, Edges: []graph.Edge{{U: 0, V: 9}}}, {N: -1}} {
+			want := "parcc: " + g.Validate().Error()
+			func() {
+				defer func() {
+					if r := recover(); r == nil || fmt.Sprint(r) != want {
+						t.Errorf("%s(N=%d): panic %v, want %q", name, g.N, r, want)
+					}
+				}()
+				call(g)
+			}()
+		}
+	}
 }
