@@ -7,7 +7,7 @@
 // docs/OPERATIONS.md is the deployment and tuning guide, including the
 // full endpoint reference.  Quick start:
 //
-//	ccserved -addr :8080 -backend concurrent &
+//	ccserved -addr :8080 &
 //	curl -X PUT localhost:8080/graphs/demo -d '{"n":6,"edges":[[0,1],[1,2]]}'
 //	curl -X POST localhost:8080/graphs/demo/edges -d '{"edges":[[2,3]]}'
 //	curl 'localhost:8080/graphs/demo/connected?u=0&v=3'
@@ -67,8 +67,6 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		backend = flag.String("backend", string(parcc.BackendConcurrent), "solver backend per session: sequential | concurrent")
-		procs   = flag.Int("procs", 0, "parallelism of each session's concurrent backend (0 = NumCPU)")
 		window  = flag.Duration("window", 0, "batch-coalesce window per shard writer (0 = coalesce only what is queued)")
 		drain   = flag.Duration("drain", 15*time.Second, "graceful shutdown timeout for in-flight HTTP requests")
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (trusted networks only)")
@@ -105,24 +103,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// Sessions run at seed 1 and record their solve traces
-	// (GET /graphs/{name}/trace).
-	solverOpt := &parcc.Options{
-		Backend: parcc.Backend(strings.ToLower(*backend)),
-		Procs:   *procs,
-		Seed:    1,
-		Trace:   true,
-	}
-	// Validate the session options once, before listening: every graph
-	// the engine creates builds a Solver from them.
-	probe, err := parcc.NewSolver(solverOpt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccserved:", err)
-		os.Exit(1)
-	}
-	probe.Close()
+	// Sessions run at seed 1 and record their operation traces
+	// (GET /graphs/{name}/trace).  A session never solves: its live path
+	// runs on the calling goroutine, so it is built one wide and a shard
+	// carries no idle worker pool.
 	eng := service.New(service.Options{
-		Solver:         solverOpt,
+		Solver:         &parcc.Options{Procs: 1, Seed: 1, Trace: true},
 		CoalesceWindow: *window,
 		WALDir:         *walDir,
 		ReadOnly:       *follow != "",
@@ -165,6 +151,7 @@ func main() {
 	var follower *repl.Follower
 	handlerOpts := service.HandlerOptions{Pprof: *pprofOn, MaxBodyBytes: *maxBody}
 	if *follow != "" {
+		var err error
 		follower, err = repl.New(repl.Options{
 			Primary: *follow,
 			Engine:  eng,

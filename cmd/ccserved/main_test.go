@@ -202,16 +202,14 @@ func edgesJSON(n int, edges []parcc.Edge) string {
 	return string(b)
 }
 
-// TestServeLifecycle: invalid options (a negative -procs, an unknown
-// backend, -follow with -wal-dir or -preload, a flag that does not exist)
+// TestServeLifecycle: invalid options (-follow with -wal-dir or
+// -preload, a flag that does not exist)
 // fail before listening; a served process answers health probes,
 // mutations, point queries, the NDJSON batch, stats, metrics and traces,
 // keeps pprof off by default, serves its -preload graph, and exits 0 on
 // SIGTERM.
 func TestServeLifecycle(t *testing.T) {
 	for _, bad := range [][]string{
-		{"-procs", "-1"},
-		{"-backend", "gpu"},
 		{"-follow", "http://127.0.0.1:1", "-wal-dir", t.TempDir()},
 		{"-follow", "http://127.0.0.1:1", "-preload", "demo=cycle:n=8"},
 		{"-fsync=false"},

@@ -42,11 +42,6 @@ type incSession struct {
 	g      *graph.Graph
 	parent []int32
 	ncomp  int
-	// needsCompress records whether successful unions may have left
-	// non-root parent chains since the forest was last flattened, so a
-	// read-heavy query stream pays the O(n) Compress once per mutation,
-	// not once per query.
-	needsCompress bool
 	// forest is the edge store over g with the per-edge spanning-forest
 	// flags AddEdges maintains and RemoveEdges' replacement searches walk;
 	// it indexes g.Edges and mutates them in place.
@@ -103,8 +98,10 @@ func replaceBudget(m int) int64 {
 // solve is uncharged union-find work, not a charged PRAM run: one
 // O(n + m·α) par.AttachForest pass on one worker, which unites each edge,
 // takes its merge as its spanning-forest flag and links it into the edge
-// store, then one ascending flatten.  An edge with an endpoint outside
-// [0, g.N) fails it with *EdgeRangeError, as it fails AddEdges.
+// store, then one ascending flatten; then one O(n) pass builds the
+// snapshot page mirror (pages.go), which exists for as long as the graph
+// is attached.  An edge with an endpoint outside [0, g.N) fails it with
+// *EdgeRangeError, as it fails AddEdges.
 func (s *Solver) Attach(g *Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -131,15 +128,14 @@ func (s *Solver) Attach(g *Graph) error {
 	p, df, merges := par.AttachForest(g)
 	rec.Add(obs.CtrCASAttempts, int64(g.M()))
 	rec.Add(obs.CtrCASHooks, int64(merges))
-	rec.End(obs.PhaseUnite, span)
+	span = rec.Lap(obs.PhaseUnite, span)
 	s.inc = &incSession{g: g, parent: p, ncomp: g.N - merges, forest: df}
+	s.pages = newPageStore(p)
+	rec.End(obs.PhaseSplice, span)
 	// Unpublish: a snapshot of the previous live graph must not answer for
 	// the new one.  The version counter keeps running, so a reader that
-	// kept the old pointer can still tell the views apart.  The page
-	// mirror is dropped with the old partition — the next publish full-
-	// builds it for the new graph.
+	// kept the old pointer can still tell the views apart.
 	s.snap.Store(nil)
-	s.pages = nil
 	if rec != nil {
 		s.lastTrace = incTraceFromRecorder(rec, "attach", time.Since(start))
 	}
@@ -202,23 +198,17 @@ func (s *Solver) AddEdges(batch []Edge) error {
 	for i, ed := range batch {
 		inc.forest.Insert(ed, marks[i])
 	}
-	if st != nil {
-		// Feed the snapshot mirror: each losing root transfers its size to
-		// its winner now (O(1)) and queues its member relabel for the next
-		// publish's flush — the insert path stays O(|batch|·α).
-		for _, ru := range st.losers[:merges] {
-			st.noteMerge(inc.parent, ru)
-		}
+	// Feed the snapshot mirror: each losing root transfers its size to its
+	// winner now (O(1)) and queues its member relabel, and the flatten of
+	// its members' parents, for the next flush — the insert path stays
+	// O(|batch|·α).
+	for _, ru := range st.losers[:merges] {
+		st.noteMerge(inc.parent, ru)
 	}
 	rec.End(obs.PhaseUnite, span)
 	rec.Add(obs.CtrCASAttempts, int64(len(batch)))
 	rec.Add(obs.CtrCASHooks, int64(merges))
-	if merges > 0 {
-		inc.ncomp -= merges
-		// Only a merging call writes to a flat forest: an intra-set edge
-		// there returns on its first two loads.
-		inc.needsCompress = true
-	}
+	inc.ncomp -= merges
 	if rec != nil {
 		s.lastTrace = incTraceFromRecorder(rec, "add-edges", time.Since(start))
 	}
@@ -282,23 +272,15 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	rec.Add(obs.CtrBatchEdges, int64(len(batch)))
 	span := rec.Begin()
 	parent := inc.parent
-	if inc.needsCompress {
-		// Flat-parent invariant: the searches read roots directly and the
-		// split relabels write flat sides, so one flatten at entry (the one
-		// the query path would pay anyway) keeps the whole batch flat.
-		par.Compress(s.rt, parent)
-		inc.needsCompress = false
-	}
+	// Flat-parent invariant: the flush lands the deferred merges before any
+	// split can reshape a pending loser's circle and leaves the forest
+	// flat; the searches read roots directly and the split relabels write
+	// flat sides, so the whole batch stays flat.  With the mirror current,
+	// each split below reports its moved side and updates the mirror in
+	// O(|moved|).
 	st := s.pages
+	st.flush(parent)
 	var moved []int32
-	var movedPtr *[]int32
-	if st != nil {
-		// Deferred merge relabels land before any split can reshape a
-		// pending loser's circle; with the mirror current, each split below
-		// reports its moved side and updates the mirror in O(|moved|).
-		st.flush(parent)
-		movedPtr = &moved
-	}
 	if inc.dirty == nil {
 		inc.dirty = make([]int32, n)
 	}
@@ -322,7 +304,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 			// unsound, so only the occurrence is removed.
 			continue
 		}
-		sr := par.ReplacementSearch(df, parent, u, v, &inc.sets, replaceBudget(df.M()), movedPtr)
+		sr := par.ReplacementSearch(df, parent, u, v, &inc.sets, replaceBudget(df.M()), &moved)
 		rec.Add(obs.CtrReplaceScans, sr.Scanned)
 		switch sr.Outcome {
 		case par.ReplaceFound:
@@ -330,9 +312,7 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 			rec.Add(obs.CtrReplacements, 1)
 		case par.ReplaceSplit:
 			rec.Add(obs.CtrSplits, 1)
-			if st != nil {
-				st.split(moved, root, sr.NewRoot)
-			}
+			st.split(moved, root, sr.NewRoot)
 			inc.ncomp++
 			splits++
 		case par.ReplaceBudget:
@@ -350,9 +330,6 @@ func (s *Solver) RemoveEdges(batch []Edge) error {
 	if dirtied > 0 {
 		s.scopedRepair(dirty, dirtied)
 	}
-	// Entry Compress + flat splits and repairs: queries need no further
-	// flatten.
-	inc.needsCompress = false
 	if rec != nil {
 		s.lastTrace = incTraceFromRecorder(rec, "remove-edges", time.Since(start))
 	}
@@ -387,9 +364,7 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) {
 	rec.Add(obs.CtrScopedVertices, int64(len(verts)))
 	rec.Add(obs.CtrScopedEdges, int64(edges))
 	span = rec.Lap(obs.PhaseScoped, span)
-	if s.pages != nil {
-		s.pages.rebuildRegion(parent, verts)
-	}
+	s.pages.rebuildRegion(parent, verts)
 	for _, v := range verts {
 		dirty[v] = 0
 	}
@@ -398,9 +373,9 @@ func (s *Solver) scopedRepair(dirty []int32, dirtyCount int) {
 }
 
 // Components returns the live partition as a freshly allocated Result —
-// the cheap re-query of the incremental session: no solve happens, only a
-// flatten of the union-find forest (O(n) on the session's runtime, far
-// below any from-scratch solve) and a copy of the labels.  NumComponents
+// the cheap re-query of the incremental session: no solve happens, only
+// the mirror flush that flattens the vertices whose root changed since the
+// last flush point, and an O(n) copy of the labels.  NumComponents
 // is maintained exactly across batches.  Result.Algorithm echoes
 // Incremental; Steps/Work are zero (every kernel of the live path,
 // RemoveEdges' scoped repairs included, is an uncharged serving
@@ -424,10 +399,7 @@ func (s *Solver) ComponentsInto(res *Result) error {
 		return err
 	}
 	n := inc.g.N
-	if inc.needsCompress {
-		par.Compress(s.rt, inc.parent)
-		inc.needsCompress = false
-	}
+	s.pages.flush(inc.parent)
 	dst := res.Labels
 	if cap(dst) < n {
 		dst = make([]int32, n)

@@ -436,10 +436,10 @@ func TestComponentsIntoReusesBuffer(t *testing.T) {
 }
 
 // TestRemoveEdgesLocalBatchCostFlat: a deletion batch whose edges have a
-// small endpoint costs O(|batch|), not O(n) or O(max degree).  Two cases,
-// each timing the same batches of 8 removes at a small and a large size
-// on the sequential backend, and asserting the per-batch time at the
-// larger within 3× of the smaller:
+// small endpoint costs O(|batch|), not O(n) or O(max degree).  Three
+// cases, each timing the same rounds at a small and a large size on the
+// sequential backend, and asserting the per-round time at the larger
+// within 3× of the smaller:
 //
 //   - local: 200 batches, all inside the first 2^14 vertices of a union of
 //     1024-vertex GNM blocks with 1100 edges each (near-trees, so most
@@ -451,12 +451,19 @@ func TestComponentsIntoReusesBuffer(t *testing.T) {
 //     The hub is vertex 0, the first endpoint of every key, so a key
 //     lookup that walks only that endpoint's incidence list fails it; the
 //     edge store's walk ends with the spoke's two-entry list.
+//   - merge-then-remove: on the local case's graphs, 200 rounds each add
+//     one edge joining two isolated vertices of the 2^14-vertex prefix (a
+//     merge) and then remove it (a forest delete whose search is O(1)).
+//     A remove that flattens the whole forest after a merge fails it.
 func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
 	const batches, per, block = 200, 8, 1024
-	local := func(n int) time.Duration {
-		g := gen.ManyComponents(n/block, func(i int) *Graph {
+	blocks := func(n int) *Graph {
+		return gen.ManyComponents(n/block, func(i int) *Graph {
 			return gen.GNM(block, 1100, uint64(i)+1)
 		})
+	}
+	local := func(n int) time.Duration {
+		g := blocks(n)
 		rm := make([]Edge, batches*per)
 		for i := range rm {
 			rm[i] = g.Edges[11*i]
@@ -472,6 +479,34 @@ func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
 		g.Edges = append(g.Edges, g.Edges...)
 		return removeBatchCost(t, g, rm, per)
 	}
+	mergeRemove := func(n int) time.Duration {
+		g := blocks(n)
+		deg := make([]int, 1<<14)
+		for _, e := range g.Edges {
+			if e.U < 1<<14 {
+				deg[e.U]++
+			}
+			if e.V < 1<<14 {
+				deg[e.V]++
+			}
+		}
+		var isolated []int32
+		for v, d := range deg {
+			if d == 0 {
+				isolated = append(isolated, int32(v))
+			}
+		}
+		if len(isolated) < 2*batches {
+			t.Fatalf("n=%d: %d isolated vertices in the prefix, want %d", n, len(isolated), 2*batches)
+		}
+		return liveRoundCost(t, g, batches, func(s *Solver, i int) error {
+			e := []Edge{{U: isolated[2*i], V: isolated[2*i+1]}}
+			if err := s.AddEdges(e); err != nil {
+				return err
+			}
+			return s.RemoveEdges(e)
+		})
+	}
 	for _, c := range []struct {
 		name         string
 		cost         func(int) time.Duration
@@ -480,11 +515,12 @@ func TestRemoveEdgesLocalBatchCostFlat(t *testing.T) {
 	}{
 		{"local", local, 1 << 14, 1 << 20, "n=2^14 / n=2^20"},
 		{"hub", hub, 1 << 10, 1 << 16, "hub degree 2^10 / 2^16"},
+		{"merge-then-remove", mergeRemove, 1 << 14, 1 << 20, "n=2^14 / n=2^20"},
 	} {
 		small, large := c.cost(c.small), c.cost(c.large)
-		t.Logf("%s: per batch %v / %v at %s (%.2f×)", c.name, small, large, c.size, float64(large)/float64(small))
+		t.Logf("%s: per round %v / %v at %s (%.2f×)", c.name, small, large, c.size, float64(large)/float64(small))
 		if large > 3*small {
-			t.Errorf("%s: remove batch costs %v at the larger size vs %v (%s): want within 3×", c.name, large, small, c.size)
+			t.Errorf("%s: round costs %v at the larger size vs %v (%s): want within 3×", c.name, large, small, c.size)
 		}
 	}
 }
@@ -541,12 +577,21 @@ func TestBudgetFallbackCostNearAttach(t *testing.T) {
 }
 
 // removeBatchCost returns the per-batch time of removing rm from g in
-// batches of per on a sequential session, best of five passes.  Each pass
+// batches of per on a sequential session (liveRoundCost).
+func removeBatchCost(t *testing.T, g *Graph, rm []Edge, per int) time.Duration {
+	t.Helper()
+	return liveRoundCost(t, g, len(rm)/per, func(s *Solver, i int) error {
+		return s.RemoveEdges(rm[i*per : (i+1)*per])
+	})
+}
+
+// liveRoundCost returns the per-round time of rounds calls of round on a
+// sequential session attached to g, best of five passes.  Each pass
 // attaches a fresh copy of g, so every pass walks the same incidence
 // lists (edges added back would sit at the lists' fronts), and warms the
 // session's per-remove buffers untimed by adding and removing a loop at
 // g's last vertex.
-func removeBatchCost(t *testing.T, g *Graph, rm []Edge, per int) time.Duration {
+func liveRoundCost(t *testing.T, g *Graph, rounds int, round func(s *Solver, i int) error) time.Duration {
 	t.Helper()
 	s, err := NewSolver(&Options{Backend: BackendSequential, Seed: 1})
 	if err != nil {
@@ -566,12 +611,12 @@ func removeBatchCost(t *testing.T, g *Graph, rm []Edge, per int) time.Duration {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		for b := 0; b < len(rm); b += per {
-			if err := s.RemoveEdges(rm[b : b+per]); err != nil {
+		for i := range rounds {
+			if err := round(s, i); err != nil {
 				t.Fatal(err)
 			}
 		}
 		best = min(best, time.Since(t0))
 	}
-	return best / time.Duration(len(rm)/per)
+	return best / time.Duration(rounds)
 }

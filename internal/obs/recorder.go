@@ -73,15 +73,16 @@ const (
 	// PhaseUnite is the one-worker union of Attach and AddEdges
 	// (par.UniteBatch).
 	PhaseUnite
-	// PhaseExtract is the deletion path's setup (entry flatten, mirror
-	// flush) and the scoped repair's gather of the dirty region's
-	// vertices.
+	// PhaseExtract is the deletion path's setup (the mirror flush that
+	// flattens the forest) and the scoped repair's gather of the dirty
+	// region's vertices.
 	PhaseExtract
 	// PhaseScoped is the scoped repair's in-place union pass over the
 	// dirty region's edges (labels and forest flags together).
 	PhaseScoped
-	// PhaseSplice is re-deriving the snapshot page mirror of the region
-	// the scoped repair relabeled.
+	// PhaseSplice is building the snapshot page mirror: Attach's O(n)
+	// build of the whole mirror, and the scoped repair's re-derivation of
+	// the region it relabeled.
 	PhaseSplice
 	// PhaseReplace is the deletion path's replacement-edge searches (all
 	// of a batch's searches pooled, like the other stage loops).

@@ -20,9 +20,9 @@ import "parcc/internal/graph"
 // partition before the batch, and spanning what the batch merged — the
 // property the live session's DynForest builds its forest flags from.
 //
-// When losers is non-nil (capacity len(batch)), the hooked (losing) root
-// of every merge is stored in its prefix, whose length is the return
-// value, in merge order.  Each was a root before the batch and a root
+// The hooked (losing) root of every merge is stored in the prefix of
+// losers (length at least len(batch)), whose length is the return value,
+// in merge order.  Each was a root before the batch and a root
 // loses at most once, so the prefix is duplicate-free.  This is the
 // bookkeeping feed of the copy-on-write snapshot mirror: the caller
 // charges each losing root's member list against the winner without
@@ -33,9 +33,7 @@ func UniteBatch(p []int32, batch []graph.Edge, marks []bool, losers []int32) int
 		ru := UniteRem(p, ed.U, ed.V, true)
 		marks[i] = ru >= 0
 		if ru >= 0 {
-			if losers != nil {
-				losers[merges] = ru
-			}
+			losers[merges] = ru
 			merges++
 		}
 	}

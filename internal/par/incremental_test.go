@@ -33,7 +33,7 @@ func TestAttachForestMatchesUniteBatch(t *testing.T) {
 			p0[v] = int32(v)
 		}
 		marks := make([]bool, g.M())
-		wantMerges := par.UniteBatch(p0, g.Edges, marks, nil)
+		wantMerges := par.UniteBatch(p0, g.Edges, marks, make([]int32, g.M()))
 		want, comps, _ := par.Components(nil, g, nil)
 
 		live := g.Clone()
@@ -71,7 +71,7 @@ func TestUniteBatchMergeCount(t *testing.T) {
 		p[i] = int32(i)
 	}
 	marks := make([]bool, len(edges))
-	merges := par.UniteBatch(p, edges, marks, nil)
+	merges := par.UniteBatch(p, edges, marks, make([]int32, len(edges)))
 	if merges != 5 { // {0,1}+{2,3,4} fuse into {0..4}; {6,7}; loop & dup no-ops
 		t.Fatalf("merges = %d, want 5", merges)
 	}

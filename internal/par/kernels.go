@@ -75,11 +75,15 @@ func Unite(p []int32, u, v int32) (int32, bool) {
 // moves, so no cycle forms.  From an identity forest, a pass of UniteRem
 // over an edge list followed by Compress labels each vertex with its
 // component minimum under any schedule — the labels Unite's pass
-// produces.  A leaf that points up is why the live path flattens its
-// batches with Compress: the one-pass ascending flatten reads a leaf's
-// parent before the parent is flat (with 4 → 7 → 2 → 0 it labels 4
-// with 2), so only a forest rebuilt from identity uses it (Components,
-// AttachForest, RebuildRegion's region).
+// produces.  A leaf that points up is why only a forest rebuilt from
+// identity uses the one-pass ascending flatten (Components, AttachForest,
+// RebuildRegion's region): it reads a leaf's parent before the parent is
+// flat (with 4 → 7 → 2 → 0 it labels 4 with 2).  The live path needs no
+// flatten pass at all: on one worker (below) a call moves x's pointer
+// only when the same call hooks x's tree root, so the vertices whose
+// root changed are exactly the members of the roots its batches hooked,
+// and the snapshot mirror's flush rewrites those parents as it relabels
+// them.
 //
 // seq selects the one-worker schedule: when no other worker can touch p,
 // the hook and the splice are plain stores.  That schedule is one of the
@@ -131,12 +135,11 @@ func UniteRem(p []int32, x, y int32, seq bool) int32 {
 // only shortens chases.
 func Compress(rt *Runtime, p []int32) {
 	rt.Run(len(p), func(v int) {
-		// Two-try fast path: in the forests this runs on (post-Unite, or
-		// re-flattening after an incremental batch) almost every vertex is
-		// a root or points at one, so the common cases resolve from the
-		// loads alone — a root needs no write, and a vertex whose parent
-		// is a root is already flat.  Only depth ≥ 2 chains pay the chase
-		// and the store.
+		// Two-try fast path: in the forests this runs on (a solve's
+		// post-union forest) almost every vertex is a root or points at
+		// one, so the common cases resolve from the loads alone — a root
+		// needs no write, and a vertex whose parent is a root is already
+		// flat.  Only depth ≥ 2 chains pay the chase and the store.
 		pv := atomic.LoadInt32(&p[v])
 		if pv == int32(v) {
 			return

@@ -96,11 +96,11 @@ func (r *replaceSide) visit(y int32) {
 // component (every member's parent is the root directly) — the relabel on
 // a split writes a flat result back, so flatness is preserved across a
 // whole deletion batch.  sets must be empty, as every call leaves it.
-// When moved is non-nil and the outcome is ReplaceSplit, the vertices
-// that received the new root are appended to *moved (reset to its empty
-// prefix first) — the delta the copy-on-write snapshot mirror needs to
-// update its member lists without scanning the component; nothing is
-// appended on the other outcomes.  Sequential, orchestrator-owned (the
+// When the outcome is ReplaceSplit, the vertices that received the new
+// root are appended to *moved (reset to its empty prefix first) — the
+// delta the copy-on-write snapshot mirror needs to update its member
+// lists without scanning the component; nothing is appended on the other
+// outcomes.  Sequential, orchestrator-owned (the
 // session lock), like the DynForest it walks.
 func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, sets *ReplaceSets, budget int64, moved *[]int32) ReplaceResult {
 	root := p[u]
@@ -206,9 +206,7 @@ func ReplacementSearch(df *graph.DynForest, p []int32, u, v int32, sets *Replace
 		for _, x := range target.queue {
 			p[x] = seed
 		}
-		if moved != nil {
-			*moved = append((*moved)[:0], target.queue...)
-		}
+		*moved = append((*moved)[:0], target.queue...)
 		return ReplaceResult{Outcome: ReplaceSplit, NewRoot: seed, Moved: len(target.queue), Scanned: scanned}
 	}
 

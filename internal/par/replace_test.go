@@ -39,7 +39,7 @@ func TestReplacementSearchFindsCrossing(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}},
 		[]bool{true, true, true, false}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 1, V: 2}.CanonKey()))
-	res := ReplacementSearch(df, p, 1, 2, sets, 1<<20, nil)
+	res := ReplacementSearch(df, p, 1, 2, sets, 1<<20, new([]int32))
 	if res.Outcome != ReplaceFound {
 		t.Fatalf("outcome = %v, want ReplaceFound", res.Outcome)
 	}
@@ -94,7 +94,7 @@ func TestReplacementSearchSplitRootOnSmallerSide(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
 		[]bool{true, true, true, true}, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 0, V: 1}.CanonKey()))
-	res := ReplacementSearch(df, p, 0, 1, sets, 1<<20, nil)
+	res := ReplacementSearch(df, p, 0, 1, sets, 1<<20, new([]int32))
 	if res.Outcome != ReplaceSplit {
 		t.Fatalf("outcome = %v, want ReplaceSplit", res.Outcome)
 	}
@@ -120,7 +120,7 @@ func TestReplacementSearchBudgetMutatesNothing(t *testing.T) {
 	}
 	df, p, sets := replaceFixture(n, pairs, forest, 0)
 	df.Remove(df.PickRemovable(graph.Edge{U: 31, V: 32}.CanonKey()))
-	res := ReplacementSearch(df, p, 31, 32, sets, 4, nil)
+	res := ReplacementSearch(df, p, 31, 32, sets, 4, new([]int32))
 	if res.Outcome != ReplaceBudget {
 		t.Fatalf("outcome = %v, want ReplaceBudget", res.Outcome)
 	}
@@ -133,7 +133,7 @@ func TestReplacementSearchBudgetMutatesNothing(t *testing.T) {
 		t.Fatal("search sets must be left empty on budget bailout")
 	}
 	// The same search with budget restored succeeds and relabels.
-	if res = ReplacementSearch(df, p, 31, 32, sets, 1<<20, nil); res.Outcome != ReplaceSplit {
+	if res = ReplacementSearch(df, p, 31, 32, sets, 1<<20, new([]int32)); res.Outcome != ReplaceSplit {
 		t.Fatalf("re-run outcome = %v, want ReplaceSplit", res.Outcome)
 	}
 }
@@ -166,7 +166,7 @@ func forestStore(g *graph.Graph) (*graph.DynForest, []int32) {
 		p[v] = int32(v)
 	}
 	flags := make([]bool, g.M())
-	UniteBatch(p, g.Edges, flags, nil)
+	UniteBatch(p, g.Edges, flags, make([]int32, g.M()))
 	for v, pv := range p { // ascending flatten: a fresh forest's parents stay ≤ their vertex
 		p[v] = p[pv]
 	}

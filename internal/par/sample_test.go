@@ -88,7 +88,7 @@ func TestMajorityRootFindsDominantComponent(t *testing.T) {
 	defer r.Close()
 	p := make([]int32, g.N)
 	r.Run(g.N, func(v int) { p[v] = int32(v) })
-	UniteBatch(p, g.Edges, make([]bool, g.M()), nil)
+	UniteBatch(p, g.Edges, make([]bool, g.M()), make([]int32, g.M()))
 	Compress(r, p)
 	root, cover := MajorityRoot(r, p, 512, nil)
 	if want := Find(p, 0); root != want {

@@ -28,8 +28,6 @@ var requiredMetrics = []string{
 	"parcc_engine_edges",
 	"parcc_engine_queue_depth",
 	"parcc_snapshot_publish_seconds",
-	"parcc_snapshot_publish_full_seconds",
-	"parcc_snapshot_publish_delta_seconds",
 	"parcc_wal_appends_total",
 	"parcc_wal_bytes_total",
 	"parcc_wal_fsyncs_total",
@@ -374,14 +372,12 @@ func TestEngineTotalsUnderChurn(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				live := 32
 				for i := 0; i < adds; i++ {
 					ed := []parcc.Edge{{U: int32(i), V: int32(i + 16)}}
 					if err := e.AddEdges(name, ed); err != nil {
 						t.Error(err)
 						return
 					}
-					live++
 					got["parcc_wal_bytes_total"] += frameLen(StreamFrame{Kind: walKindAdd, Batch: ed})
 					if _, err := e.Connected(name, i, i+16); err != nil {
 						t.Error(err)
@@ -392,8 +388,7 @@ func TestEngineTotalsUnderChurn(t *testing.T) {
 						return
 					}
 				}
-				// Drop checkpoints the log on the way out: one more frame.
-				got["parcc_wal_bytes_total"] += frameLen(StreamFrame{Kind: walKindCheckpoint, N: 32, Batch: make([]parcc.Edge, live)})
+				// Drop deletes the log without a checkpoint: no more frames.
 				if err := e.Drop(name); err != nil {
 					t.Error(err)
 					return
@@ -401,9 +396,8 @@ func TestEngineTotalsUnderChurn(t *testing.T) {
 				got["parcc_engine_reads_total"] += 2 * adds
 				got["parcc_engine_writes_total"] += adds
 				got["parcc_engine_applies_total"] += adds
-				got["parcc_wal_appends_total"] += adds + 2
-				got["parcc_wal_fsyncs_total"] += adds + 2
-				got["parcc_wal_checkpoints_total"]++
+				got["parcc_wal_appends_total"] += adds + 1
+				got["parcc_wal_fsyncs_total"] += adds + 1
 			}
 			mu.Lock()
 			for k, v := range got {

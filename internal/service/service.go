@@ -146,15 +146,11 @@ type Engine struct {
 	// wall-clock steps.
 	start time.Time
 	// reg is the engine's metrics registry; publish is the snapshot-publish
-	// latency histogram every shard observes into, with publishFull/
-	// publishDelta splitting it by publish kind (the O(n) full page build
-	// vs the O(delta) copy-on-write publish).  Metric updates are
+	// latency histogram every shard observes into.  Metric updates are
 	// lock-free atomics on the serving paths; only scrapes take the
 	// registry lock.
-	reg          *obs.Registry
-	publish      *obs.Histogram
-	publishFull  *obs.Histogram
-	publishDelta *obs.Histogram
+	reg     *obs.Registry
+	publish *obs.Histogram
 
 	// recovering gates the API while Recover replays the write-ahead
 	// logs: lookups and Creates fail with parcc.ErrRecovering (HTTP 503)
@@ -180,16 +176,15 @@ type Engine struct {
 	replayNanos   atomic.Int64
 }
 
-// retire deletes name's shard from the live map and shuts it down.  It
-// returns the shard, or nil when no session has the name.
-func (e *Engine) retire(name string) *shard {
+// retire deletes name's shard from the live map and shuts it down,
+// deleting its log when drop is set (see shutdown).  It reports whether
+// a session had the name.
+func (e *Engine) retire(name string, drop bool) bool {
 	v, ok := e.shards.LoadAndDelete(name)
-	if !ok {
-		return nil
+	if ok {
+		v.(*shard).shutdown(drop)
 	}
-	sh := v.(*shard)
-	sh.shutdown()
-	return sh
+	return ok
 }
 
 // New returns an empty engine.  Close releases every session.
@@ -247,11 +242,7 @@ func (e *Engine) registerMetrics() {
 			return float64(total)
 		})
 	e.publish = e.reg.Histogram("parcc_snapshot_publish_seconds",
-		"Latency of snapshot publishes, all kinds combined.")
-	e.publishFull = e.reg.Histogram("parcc_snapshot_publish_full_seconds",
-		"Latency of full snapshot publishes (the O(n) page build of the first publish after attach or recovery).")
-	e.publishDelta = e.reg.Histogram("parcc_snapshot_publish_delta_seconds",
-		"Latency of delta snapshot publishes (copy-on-write: O(pages touched by the write group)).")
+		"Latency of snapshot publishes (copy-on-write: O(pages touched by the write group)).")
 	e.reg.Counter("parcc_wal_appends_total", "Write-ahead-log frames appended, summed over all sessions.", &e.wal.appends)
 	e.reg.Counter("parcc_wal_bytes_total", "Write-ahead-log bytes appended, summed over all sessions.", &e.wal.bytes)
 	e.reg.Counter("parcc_wal_fsyncs_total", "Write-ahead-log fsyncs issued, summed over all sessions.", &e.wal.fsyncs)
@@ -502,7 +493,7 @@ func (e *Engine) Create(name string, g *parcc.Graph) error {
 	e.wg.Add(1)
 	go e.writer(sh)
 	if err != nil {
-		e.retire(name) // the writer fails out whatever queued
+		e.retire(name, false) // the writer fails out whatever queued
 	}
 	return err
 }
@@ -520,20 +511,14 @@ func (e *Engine) newShard(name string, n int, s *parcc.Solver) *shard {
 }
 
 // publishSnapshot publishes s's next snapshot and observes its latency in
-// the publish histograms, split by kind.
+// the publish histogram.
 func (e *Engine) publishSnapshot(s *parcc.Solver) (*parcc.Snapshot, error) {
 	t0 := time.Now()
 	sn, err := s.PublishSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	d := time.Since(t0)
-	e.publish.Observe(d)
-	if sn.PublishedFull() {
-		e.publishFull.Observe(d)
-	} else {
-		e.publishDelta.Observe(d)
-	}
+	e.publish.Observe(time.Since(t0))
 	return sn, nil
 }
 
@@ -580,19 +565,15 @@ func (e *Engine) Failed() (err error) {
 
 // Drop removes the named session: queued mutations are drained and
 // applied, then the solver is released and the shard's write-ahead log
-// (if any) is deleted — a dropped graph must not resurrect on the next
-// recovery.  Readers that already hold the shard's snapshot keep a valid
-// (now frozen) view.
+// (if any) is closed and deleted without a checkpoint — a dropped graph
+// must not resurrect on the next recovery.  Readers that already hold
+// the shard's snapshot keep a valid (now frozen) view.
 func (e *Engine) Drop(name string) error {
 	if e.opt.ReadOnly {
 		return &parcc.ReadOnlyReplicaError{Primary: e.opt.Primary}
 	}
-	sh := e.retire(name)
-	if sh == nil {
+	if !e.retire(name, true) {
 		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-	}
-	if w := sh.wal.Load(); w != nil {
-		os.Remove(w.path)
 	}
 	return nil
 }
@@ -672,7 +653,7 @@ func (e *Engine) ApplyReplicaGroup(name string, group []StreamFrame) error {
 			sh.writes.Store(old.writes.Load())
 			sh.applies.Store(old.applies.Load())
 			if e.shards.CompareAndSwap(name, v, sh) {
-				old.shutdown() // readers holding its snapshot keep a valid view
+				old.shutdown(false) // readers holding its snapshot keep a valid view
 				return nil
 			}
 		}
@@ -709,7 +690,7 @@ func (e *Engine) DropReplica(name string) error {
 	if !e.opt.ReadOnly {
 		return fmt.Errorf("service: replicas drop only from a read-only engine")
 	}
-	if e.retire(name) == nil {
+	if !e.retire(name, false) {
 		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
 	return nil
@@ -739,7 +720,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.shards.Range(func(k, _ any) bool {
-		e.retire(k.(string))
+		e.retire(k.(string), false)
 		return true
 	})
 	e.wg.Wait()
@@ -985,10 +966,11 @@ func checkVertex(v, n int) error {
 // history), then the WAL handle is closed, then the session — so a
 // graceful stop loses nothing and the log ends on a whole-frame boundary.
 // A failed shard checkpoints nothing: its session may hold a group the
-// log never did.
+// log never did.  A dropping shutdown (drop set) checkpoints nothing
+// either: it closes the log and deletes it.
 // Safe to call once per shard (Drop and Close both route through
 // LoadAndDelete, which elects a single caller).
-func (sh *shard) shutdown() {
+func (sh *shard) shutdown(drop bool) {
 	sh.state.Lock()
 	sh.closing = true
 	if sh.replica {
@@ -1002,12 +984,15 @@ func (sh *shard) shutdown() {
 	sh.state.Unlock()
 	<-sh.done // writer drains remaining queued mutations, then exits
 	if w := sh.wal.Load(); w != nil {
-		if w.groupsSinceHead > 0 {
+		if !drop && w.groupsSinceHead > 0 {
 			// A failed checkpoint leaves the (longer, equally durable)
 			// pre-compaction log for the next recovery to replay.
 			sh.compact()
 		}
 		w.Close()
+		if drop {
+			os.Remove(w.path)
+		}
 	}
 	sh.s.Close()
 }

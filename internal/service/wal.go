@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -617,22 +618,27 @@ func (e *Engine) buildSession(recs []StreamFrame, version uint64) (*parcc.Solver
 // One pass in log order appends every head and added edge, and keeps, for
 // each key some remove names, a stack of its live occurrences; a remove
 // pops one and tombstones it, and a last sweep drops the tombstones.  The
-// work is O(edges decoded), expected.
+// keys removes name are bucketed by a counting sort on their smaller
+// endpoint and sorted within each bucket, so a key lookup is a binary
+// search of one vertex's bucket: no hashing, and the work is
+// O(n + edges decoded · log(largest bucket)).
 func foldWAL(recs []StreamFrame) ([]parcc.Edge, int64, string) {
 	n := recs[0].N
 	decoded, removes := int64(len(recs[0].Batch)), 0
-	// Only keys some remove names are tracked: slot numbers them, and a
-	// hash filter of 32 bits per key rules out almost every other edge
-	// before the map is touched.
-	slot := map[int64]int32{}
+	// first[u]..first[u+1] is the bucket of the removed keys whose smaller
+	// endpoint is u, each stored as its larger endpoint, ascending; a key's
+	// slot is the index of its first copy in its bucket.  An out-of-range remove
+	// is left out: the pass below rejects it when the log reaches it.
+	first := make([]int32, n+2)
+	inRange := func(ed parcc.Edge) bool { return ed.U >= 0 && int(ed.U) < n && ed.V >= 0 && int(ed.V) < n }
 	for i, rec := range recs[1:] {
 		switch rec.Kind {
 		case walKindAdd:
 		case walKindRemove:
 			removes += len(rec.Batch)
 			for _, ed := range rec.Batch {
-				if _, ok := slot[ed.CanonKey()]; !ok {
-					slot[ed.CanonKey()] = int32(len(slot))
+				if inRange(ed) {
+					first[min(ed.U, ed.V)+2]++
 				}
 			}
 		default:
@@ -640,43 +646,59 @@ func foldWAL(recs []StreamFrame) ([]parcc.Edge, int64, string) {
 		}
 		decoded += int64(len(rec.Batch))
 	}
-	shift := uint(58)
-	for shift > 1 && 1<<(64-shift) < 32*len(slot) {
-		shift--
+	for u := 2; u < len(first); u++ {
+		first[u] += first[u-1]
 	}
-	filter := make([]uint64, 1<<(64-shift)/64)
-	bit := func(k int64) (int, uint64) {
-		h := uint64(k) * 0x9e3779b97f4a7c15 >> shift
-		return int(h >> 6), 1 << (h & 63)
+	other := make([]int32, first[n+1])
+	for _, rec := range recs[1:] {
+		if rec.Kind != walKindRemove {
+			continue
+		}
+		for _, ed := range rec.Batch {
+			if inRange(ed) {
+				u := min(ed.U, ed.V)
+				other[first[u+1]] = max(ed.U, ed.V)
+				first[u+1]++
+			}
+		}
 	}
-	for k := range slot {
-		w, b := bit(k)
-		filter[w] |= b
+	for u := range n {
+		if first[u+1]-first[u] > 1 {
+			slices.Sort(other[first[u]:first[u+1]])
+		}
 	}
-	// top[j] is 1 + the index in occ of key j's newest live occurrence
+	slot := func(ed parcc.Edge) int32 {
+		u := min(ed.U, ed.V)
+		lo, hi := first[u], first[u+1]
+		if lo == hi {
+			return -1
+		}
+		if j, ok := slices.BinarySearch(other[lo:hi], max(ed.U, ed.V)); ok {
+			return lo + int32(j)
+		}
+		return -1
+	}
+	// top[j] is 1 + the index in occ of slot j's newest live occurrence
 	// (0: none); each occ entry links to the one below it.
-	top := make([]int32, len(slot))
+	top := make([]int32, len(other))
 	var occ []struct{ pos, below int32 }
 	live := make([]parcc.Edge, 0, decoded-int64(removes))
 	for i, rec := range recs {
 		for x, ed := range rec.Batch {
-			if ed.U < 0 || int(ed.U) >= n || ed.V < 0 || int(ed.V) >= n {
+			if !inRange(ed) {
 				return nil, 0, fmt.Sprintf("record %d: edge (%d,%d) out of range [0,%d)", i, ed.U, ed.V, n)
 			}
-			k := ed.CanonKey()
+			j := slot(ed)
 			if rec.Kind == walKindRemove {
-				j := slot[k]
 				t := top[j]
 				if t == 0 {
 					return nil, 0, fmt.Sprintf("record %d removes edge (%d,%d), which has no live occurrence", i, ed.U, ed.V)
 				}
 				live[occ[t-1].pos].U = -1 // tombstone
 				top[j] = occ[t-1].below
-			} else if w, b := bit(k); filter[w]&b != 0 {
-				if j, ok := slot[k]; ok {
-					occ = append(occ, struct{ pos, below int32 }{int32(len(live) + x), top[j]})
-					top[j] = int32(len(occ))
-				}
+			} else if j >= 0 {
+				occ = append(occ, struct{ pos, below int32 }{int32(len(live) + x), top[j]})
+				top[j] = int32(len(occ))
 			}
 		}
 		if rec.Kind != walKindRemove {

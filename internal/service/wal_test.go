@@ -337,6 +337,38 @@ func TestWALDropRemovesLog(t *testing.T) {
 	}
 }
 
+// TestWALDropSkipsCheckpoint: dropping a graph whose log has groups past
+// its head record deletes the log without first compacting it — no
+// checkpoint rewrite (temp file, fsync, rename, directory sync) for a file
+// about to go — while a clean Close still compacts.
+func TestWALDropSkipsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	eng := New(Options{Solver: &parcc.Options{}, WALDir: dir})
+	defer eng.Close()
+	for _, name := range []string{"dropped", "kept"} {
+		if err := eng.Create(name, gen.Cycle(16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.AddEdges(name, []parcc.Edge{{U: 0, V: 8}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := scrapeTotals(t, eng)["parcc_wal_checkpoints_total"]
+	if err := eng.Drop("dropped"); err != nil {
+		t.Fatal(err)
+	}
+	if after := scrapeTotals(t, eng)["parcc_wal_checkpoints_total"]; after != before {
+		t.Fatalf("Drop moved parcc_wal_checkpoints_total %d -> %d, want no checkpoint", before, after)
+	}
+	if _, err := os.Stat(walPath(dir, "dropped")); !os.IsNotExist(err) {
+		t.Fatalf("dropped graph's log still present (stat err %v)", err)
+	}
+	eng.Close()
+	if after := scrapeTotals(t, eng)["parcc_wal_checkpoints_total"]; after != before+1 {
+		t.Fatalf("Close left parcc_wal_checkpoints_total at %d, want %d: a clean close compacts", after, before+1)
+	}
+}
+
 // TestWALSyncDir: the directory sync behind log creation and compaction
 // succeeds on a real directory and reports a missing one.
 func TestWALSyncDir(t *testing.T) {

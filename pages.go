@@ -5,13 +5,13 @@ import (
 )
 
 // This file is the copy-on-write paged mirror behind O(delta) snapshot
-// publishing.  The first PublishSnapshot after an Attach pays one O(n)
-// full build (newPageStore): one sequential pass over the flat parent
-// array fills the label pages, tallies sizes with plain adds and links
-// each vertex into its root's member circle.  Every publish after that
-// shares the previous snapshot's label and size pages and clones only the
-// pages the intervening write groups touched — a group touching k
-// vertices republishes in O(k + ⌈k/pageSize⌉) work instead of O(n).
+// publishing.  Attach pays one O(n) build (newPageStore): one sequential
+// pass over the flat parent array fills the label pages, tallies sizes
+// with plain adds and links each vertex into its root's member circle.
+// Every publish shares the previous snapshot's label and size pages and
+// clones only the pages the intervening write groups touched — a group
+// touching k vertices republishes in O(k + ⌈k/pageSize⌉) work instead of
+// O(n).
 //
 // The mirror holds exact flattened labels (not a lazy view over the
 // union-find forest: a historical root can migrate to the split-off side
@@ -26,6 +26,16 @@ import (
 //     par.ReplacementSearch) and each scoped repair's region vertex
 //     set; both relabel through the mirror directly, so the mirror is
 //     exact again at batch exit.
+//
+// The flush is also the live forest's only flattening: it stores each
+// relabeled vertex's final root into the parent array beside its label.
+// That is enough because AddEdges' unions run on one worker: there, a
+// par.UniteRem call moves x's pointer only when the same call hooks x's
+// tree root, so every vertex whose pointer changed since the last flush
+// point lies in the circle of a pending loser.  Splits and scoped
+// repairs write flat labels themselves, so the parent array is flat at
+// every flush point — the entry of RemoveEdges, ComponentsInto and
+// PublishSnapshot.
 //
 // Membership is tracked with one circular doubly-linked list per
 // component (next/prev), giving O(|component|) member walks and O(1)
@@ -48,8 +58,8 @@ const (
 // pageStore is the mirror's state.  labels[v>>pageShift][v&pageMask] is
 // v's exact flattened label as of the last flush point; sizes holds the
 // per-component tallies at the root's slot (zero elsewhere) — the layout
-// newPageStore writes on a full build, so a delta-maintained mirror and a
-// full rebuild are byte-comparable.
+// newPageStore writes, so a delta-maintained mirror and a fresh build are
+// byte-comparable.
 type pageStore struct {
 	n      int
 	labels [][]int32
@@ -72,8 +82,8 @@ type pageStore struct {
 
 func numPages(n int) int { return (n + pageSize - 1) / pageSize }
 
-// newPageStore full-builds the mirror from the flat live forest (parent[v]
-// is v's root) in one sequential pass, O(n).  Every circle starts as a
+// newPageStore builds the mirror from the flat live forest (parent[v] is
+// v's root) in one sequential pass, O(n).  Every circle starts as a
 // self-loop and each non-root joins its root's circle when the pass
 // reaches it, so the build holds whether or not roots are their
 // components' minima (after a deletion split they need not be).
@@ -147,11 +157,8 @@ func (st *pageStore) linkAfter(r, x int32) {
 }
 
 // loserBuf returns the scratch slice UniteBatch fills with losing roots,
-// sized to k; nil on a nil store (no snapshot mirror, nothing to feed).
+// sized to k.
 func (st *pageStore) loserBuf(k int) []int32 {
-	if st == nil {
-		return nil
-	}
 	if cap(st.losers) < k {
 		st.losers = make([]int32, k)
 	}
@@ -170,11 +177,12 @@ func (st *pageStore) noteMerge(parent []int32, ru int32) {
 	st.pending = append(st.pending, ru)
 }
 
-// flush applies the deferred merge relabels, making labels exact again.
-// Phase 1 walks each pending loser's ORIGINAL circle, writing the final
-// root (the circles are disjoint until phase 2, so each moved vertex is
-// written once even across merge chains).  Phase 2 splices each loser's
-// circle into its winner's.  O(total vertices that changed root).
+// flush applies the deferred merge relabels, making labels exact and
+// parent flat again.  Phase 1 walks each pending loser's ORIGINAL circle,
+// writing the final root as both label and parent (the circles are
+// disjoint until phase 2, so each moved vertex is written once even
+// across merge chains).  Phase 2 splices each loser's circle into its
+// winner's.  O(total vertices that changed root).
 func (st *pageStore) flush(parent []int32) {
 	if len(st.pending) == 0 {
 		return
@@ -183,6 +191,7 @@ func (st *pageStore) flush(parent []int32) {
 		f := par.Find(parent, ru)
 		x := ru
 		for {
+			parent[x] = f
 			st.setLabel(x, f)
 			x = st.next[x]
 			if x == ru {

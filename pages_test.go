@@ -1,6 +1,7 @@
 package parcc
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -51,13 +52,9 @@ func publishClones(t *testing.T, n int) (clones [3]int) {
 		t.Fatal(err)
 	}
 
-	// First publish builds the mirror from scratch: a full flatten.
-	sn1, err := s.PublishSnapshot()
-	if err != nil {
+	// The first publish shares the mirror Attach built.
+	if _, err := s.PublishSnapshot(); err != nil {
 		t.Fatal(err)
-	}
-	if !sn1.PublishedFull() {
-		t.Fatalf("n=%d: first publish must be a full build", n)
 	}
 
 	// A 512-edge path inside page 0 touches one label page and one size
@@ -68,9 +65,6 @@ func publishClones(t *testing.T, n int) (clones [3]int) {
 	sn2, err := s.PublishSnapshot()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sn2.PublishedFull() {
-		t.Fatalf("n=%d: second publish must be a delta", n)
 	}
 	if clones[0] = sn2.ClonedPages(); clones[0] < 1 || clones[0] > 2 {
 		t.Fatalf("n=%d: single-page write group cloned %d pages, want 1..2", n, clones[0])
@@ -145,12 +139,16 @@ func publishClones(t *testing.T, n int) (clones [3]int) {
 }
 
 // TestSnapshotEquivalenceRandomized is the regression referee for the COW
-// mirror: across a long randomized add/remove stream on both backends,
-// every published version's labels must be byte-identical to an eager
-// flatten of the same parent array, with matching counts and sizes.
-// SamePartition would hide a mirror that drifted to a different-but-
-// isomorphic labeling; byte equality does not.  (The mirror after a
-// scoped repair is pinned by TestForestBudgetFallback.)
+// mirror and the flat live forest: across a long randomized add/remove
+// stream on both backends, every published version's labels must be
+// byte-identical to the parent array ComponentsInto copies, with
+// matching counts and sizes, and after every publish and every
+// ComponentsInto the parent array must be flat and the mirror must match
+// it exactly (checkPagesAgainstParent) — the mirror flush is the live
+// forest's only flattening.  SamePartition would hide a mirror that
+// drifted to a different-but-isomorphic labeling; byte equality does
+// not.  (The mirror after a scoped repair is pinned by
+// TestForestBudgetFallback.)
 func TestSnapshotEquivalenceRandomized(t *testing.T) {
 	const (
 		n       = 2500
@@ -206,11 +204,14 @@ func TestSnapshotEquivalenceRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batch %d: publish: %v", b, err)
 				}
+				batchName := fmt.Sprintf("%s/batch %d publish", name, b)
+				checkPagesAgainstParent(t, batchName, s.pages, s.inc.parent)
 				if err := s.ComponentsInto(res); err != nil {
-					t.Fatalf("batch %d: flatten: %v", b, err)
+					t.Fatalf("batch %d: components: %v", b, err)
 				}
+				checkPagesAgainstParent(t, batchName+"+components", s.pages, s.inc.parent)
 				if !slices.Equal(sn.Labels(), res.Labels) {
-					t.Fatalf("batch %d: COW labels diverge from eager flatten", b)
+					t.Fatalf("batch %d: COW labels diverge from the live parent array", b)
 				}
 				if sn.NumComponents() != res.NumComponents {
 					t.Fatalf("batch %d: count %d, want %d", b, sn.NumComponents(), res.NumComponents)
@@ -233,17 +234,18 @@ func TestSnapshotEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestFirstPublishPagesMatchReference pins the first publish's one-pass
-// page build against a reference taken from the flat parent array it
-// reads (checkPagesAgainstParent): exact labels, size tallies at the
-// roots' slots and zero elsewhere, and member circles that each cover
-// their component exactly.  Three sessions per backend, over a sparse
-// GNM with a loop and a parallel copy and a ragged last page: a fresh
-// attach, an attach plus an insert batch (the publish flattens first),
-// and an attach plus a batch of forest deletes, whose split-off sides
-// are labeled by their search seeds — the case asserts that some label
-// is not its component's minimum, so the build is exercised off minima.
-func TestFirstPublishPagesMatchReference(t *testing.T) {
+// TestAttachPagesMatchReference pins the page mirror Attach builds, and
+// the mirror the first publish shares after one write batch, against a
+// reference taken from the flat parent array (checkPagesAgainstParent):
+// a flat parent, exact labels, size tallies at the roots' slots and zero
+// elsewhere, and member circles that each cover their component exactly.
+// Three sessions per backend, over a sparse GNM with a loop and a
+// parallel copy and a ragged last page: a fresh attach, an attach plus an
+// insert batch (the publish's flush flattens it), and an attach plus a
+// batch of forest deletes, whose split-off sides are labeled by their
+// search seeds — the case asserts that some label is not its component's
+// minimum, so the mirror is exercised off minima.
+func TestAttachPagesMatchReference(t *testing.T) {
 	const n = 3*pageSize + 77
 	base := gen.GNM(n, n, 11)
 	base.Edges = append(base.Edges, Edge{U: 5, V: 5}, base.Edges[0])
@@ -274,15 +276,13 @@ func TestFirstPublishPagesMatchReference(t *testing.T) {
 			if err := s.Attach(base.Clone()); err != nil {
 				t.Fatal(err)
 			}
+			checkPagesAgainstParent(t, name+" at attach", s.pages, s.inc.parent)
 			if err := c.mutate(s); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sn, err := s.PublishSnapshot()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !sn.PublishedFull() {
-				t.Fatalf("%s: first publish must be a full build", name)
 			}
 			nonMin := checkPagesAgainstParent(t, name, s.pages, s.inc.parent)
 			if c.name == "attach+split" && nonMin == 0 {

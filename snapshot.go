@@ -1,10 +1,6 @@
 package parcc
 
-import (
-	"sync"
-
-	"parcc/internal/par"
-)
+import "sync"
 
 // Snapshot is an immutable point-in-time view of a live session's
 // component partition: the flattened labels, per-component sizes, and the
@@ -35,8 +31,7 @@ type Snapshot struct {
 	ncomp   int
 	edges   int // live edge count at version
 	version uint64
-	full    bool // produced by a full O(n) build, not a delta publish
-	cloned  int  // pages the write groups since the previous publish cloned
+	cloned  int // pages the write groups since the previous publish cloned
 
 	// flat is the lazily materialized flat label array behind Labels();
 	// built at most once per snapshot, only for bulk readers.
@@ -98,27 +93,20 @@ func (sn *Snapshot) Labels() []int32 {
 	return sn.flat
 }
 
-// PublishedFull reports whether this snapshot was produced by a full O(n)
-// page build — the first publish after an Attach (or a service-layer
-// recovery) — rather than an O(delta) copy-on-write publish.  The serving
-// layer routes its publish-latency histogram on this.
-func (sn *Snapshot) PublishedFull() bool { return sn.full }
-
 // ClonedPages is the number of label/size pages the write groups between
-// the previous publish and this one cloned — the delta publish's cost in
-// pages (zero for a publish with no intervening writes, and for a full
-// build, whose cost is all of n instead).
+// the previous publish and this one cloned — the publish's cost in pages
+// (zero for a publish with no intervening writes, and for the first
+// publish after an Attach, whose mirror Attach built).
 func (sn *Snapshot) ClonedPages() int { return sn.cloned }
 
 // PublishSnapshot captures the live partition into a fresh immutable
 // Snapshot and atomically installs it as the session's read view.  The
 // capture runs under the session lock (it serializes with AddEdges/
 // RemoveEdges, so it always sees a batch boundary, never a half-applied
-// one).  The first publish after an Attach pays one O(n) full page build;
-// every later publish is O(delta): deferred merge relabels are flushed
-// through the copy-on-write mirror (pages.go), the page headers are
-// copied, and every page untouched since the previous version is shared
-// with it.  The swap itself is a single atomic pointer store: readers
+// one).  Every publish is O(delta) plus the O(n/pageSize) page-header
+// copy: deferred merge relabels are flushed through the copy-on-write
+// mirror Attach built (pages.go), the page headers are copied, and every
+// page untouched since the previous version is shared with it.  The swap itself is a single atomic pointer store: readers
 // calling ReadView never block, and readers holding the previous snapshot
 // keep a consistent view for as long as they keep the pointer.
 //
@@ -135,25 +123,14 @@ func (s *Solver) PublishSnapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := false
-	if s.pages == nil {
-		if inc.needsCompress {
-			par.Compress(s.rt, inc.parent)
-			inc.needsCompress = false
-		}
-		s.pages = newPageStore(inc.parent)
-		full = true
-	} else {
-		s.pages.flush(inc.parent)
-	}
 	st := s.pages
+	st.flush(inc.parent)
 	sn := &Snapshot{
 		n:      st.n,
 		labels: append([][]int32(nil), st.labels...),
 		sizes:  append([][]int32(nil), st.sizes...),
 		ncomp:  inc.ncomp,
 		edges:  inc.g.M(),
-		full:   full,
 		cloned: st.cloned,
 	}
 	st.share()

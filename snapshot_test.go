@@ -168,8 +168,8 @@ func TestSnapshotPublishAndReadView(t *testing.T) {
 	}
 	checkSnapshotAgainstLive(t, s, sn2)
 
-	// Rejoin through the CAS fast path (exercises the needsCompress →
-	// flatten-before-publish branch).
+	// Rejoin through the insert path (the publish's flush flattens the
+	// merged side).
 	if err := s.AddEdges([]Edge{{U: 2, V: 3}}); err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,9 @@ type Solver struct {
 	// snapVersion counts publishes across the Solver's whole lifetime.
 	snap        atomic.Pointer[Snapshot]
 	snapVersion uint64
-	// pages is the copy-on-write paged snapshot mirror (pages.go): nil
-	// until the first PublishSnapshot after an Attach, so sessions that
-	// never publish pay zero mirror bookkeeping in AddEdges/RemoveEdges.
+	// pages is the copy-on-write paged snapshot mirror (pages.go), built
+	// by Attach (nil until then); its flush is also the live forest's
+	// flattening.
 	pages *pageStore
 }
 
